@@ -1313,84 +1313,6 @@ let engine_par () =
         w.bu_console_sizes)
     bu_workloads
 
-(* -------------------------------- engine-prov: lineage overhead *)
-
-(* One lineage-on vs lineage-off measurement on the same database. The
-   sidecar must be a pure observer: the derived fact set and every
-   evaluation counter (passes, firings) have to be identical, every
-   sampled derived tuple must reconstruct a proof from its witness, and
-   the wall-clock overhead is the price of one witness record per
-   derived tuple. *)
-type prov_row = {
-  vr_scale : int;
-  vr_facts : int;
-  vr_off_ms : float;
-  vr_on_ms : float;
-  vr_tracked : int;  (* derived tuples carrying a witness *)
-  vr_bytes : int;  (* approximate witness-store footprint *)
-  vr_proofs : int;  (* sampled tuples asked to reconstruct *)
-  vr_agree : bool;
-}
-
-let prov_measure w scale =
-  let open Gdp_logic in
-  let db = w.bu_db scale in
-  (* best of two: the per-run wall-clock at the small CI scales is a few
-     milliseconds, and the overhead ratio gates the build — one warm-up
-     swallows the allocator/GC noise a single sample would report *)
-  let best run =
-    let ms1, fp = time_ms run in
-    let ms2, fp2 = time_ms run in
-    if ms2 < ms1 then (ms2, fp2) else (ms1, fp)
-  in
-  let off_ms, off_fp = best (fun () -> Bottom_up.run db) in
-  let on_ms, on_fp = best (fun () -> Bottom_up.run ~lineage:true db) in
-  let s_off = Bottom_up.stats off_fp and s_on = Bottom_up.stats on_fp in
-  (* sample up to 100 derived (witnessed) tuples and reconstruct *)
-  let derived =
-    List.filter (fun t -> Bottom_up.witness on_fp t <> None)
-      (Bottom_up.facts on_fp)
-  in
-  let step = max 1 (List.length derived / 100) in
-  let sample = List.filteri (fun i _ -> i mod step = 0) derived in
-  let proofs_ok =
-    List.for_all (fun t -> Bottom_up.proof on_fp t <> None) sample
-  in
-  let p = (Bottom_up.stats on_fp).Bottom_up.bu_prov in
-  {
-    vr_scale = scale;
-    vr_facts = Bottom_up.count on_fp;
-    vr_off_ms = off_ms;
-    vr_on_ms = on_ms;
-    vr_tracked = p.Bottom_up.prov_tracked;
-    vr_bytes = p.Bottom_up.prov_bytes;
-    vr_proofs = List.length sample;
-    vr_agree =
-      List.equal Term.equal (Bottom_up.facts off_fp) (Bottom_up.facts on_fp)
-      && s_off.Bottom_up.bu_passes = s_on.Bottom_up.bu_passes
-      && s_off.Bottom_up.bu_firings = s_on.Bottom_up.bu_firings
-      && proofs_ok;
-  }
-
-let prov_overhead r = r.vr_on_ms /. Float.max 0.01 r.vr_off_ms
-
-let engine_prov () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-prov %s — lineage capture overhead" w.bu_name);
-      row "  %8s %8s %10s %10s %9s %9s %10s %8s  %s\n" "scale" "facts"
-        "off_ms" "on_ms" "overhead" "tracked" "bytes" "proofs" "agree";
-      List.iter
-        (fun scale ->
-          let r = prov_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %8.2fx %9d %10d %8d  %s\n" r.vr_scale
-            r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r) r.vr_tracked
-            r.vr_bytes r.vr_proofs
-            (if r.vr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
 (* --------------------------- engine-spatial: R-tree / grid joins *)
 
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
@@ -1905,37 +1827,6 @@ let bench_json ?(small = false) () =
       add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
     bu_workloads;
   add "  ],\n";
-  (* the why-provenance sidecar: lineage-on vs lineage-off on the same
-     base. "agree" asserts the sidecar observed without perturbing —
-     identical fact sets, pass and firing counts — and that sampled
-     witnesses reconstruct proofs. *)
-  add "  \"prov_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-prov %s" w.bu_name);
-      row "  %8s %8s %10s %10s %9s %9s %10s %8s  %s\n" "scale" "facts"
-        "off_ms" "on_ms" "overhead" "tracked" "bytes" "proofs" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = prov_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %8.2fx %9d %10d %8d  %s\n" r.vr_scale
-            r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r) r.vr_tracked
-            r.vr_bytes r.vr_proofs
-            (if r.vr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"off_ms\": %.3f, \
-             \"on_ms\": %.3f, \"overhead\": %.3f, \"tracked\": %d, \
-             \"bytes\": %d, \"proofs_sampled\": %d, \"agree\": %b }%s\n"
-            r.vr_scale r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r)
-            r.vr_tracked r.vr_bytes r.vr_proofs r.vr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
   (* spatial-index joins: the scan baseline vs uniform-grid vs R-tree on
      the same base; "agree" asserts all three derive identical models *)
   add "  \"spatial_series\": [\n";
@@ -2020,7 +1911,6 @@ let () =
       engine_incr ();
       engine_magic ();
       engine_par ();
-      engine_prov ();
       engine_spatial ();
       engine_snap ()
   | [ "report" ] -> List.iter (fun (_, f) -> f ()) reports
@@ -2032,7 +1922,6 @@ let () =
   | [ "engine-incr" ] -> engine_incr ()
   | [ "engine-magic" ] -> engine_magic ()
   | [ "engine-par" ] -> engine_par ()
-  | [ "engine-prov" ] -> engine_prov ()
   | [ "engine-spatial" ] -> engine_spatial ()
   | [ "engine-snap" ] -> engine_snap ()
   | [ "json" ] -> bench_json ()
@@ -2048,14 +1937,13 @@ let () =
           | None when name = "engine-incr" -> engine_incr ()
           | None when name = "engine-magic" -> engine_magic ()
           | None when name = "engine-par" -> engine_par ()
-          | None when name = "engine-prov" -> engine_prov ()
           | None when name = "engine-spatial" -> engine_spatial ()
           | None when name = "engine-snap" -> engine_snap ()
           | None ->
               Printf.eprintf
                 "unknown experiment %s (e1..e12, report, ablation, micro, \
                  engine-bu, engine-incr, engine-magic, engine-par, \
-                 engine-prov, engine-spatial, engine-snap, json [small])\n"
+                 engine-spatial, engine-snap, json [small])\n"
                 name;
               exit 2)
         names

@@ -350,9 +350,8 @@ let magic_rewrite ?tracer ~goal db =
    the fuzzy algebra, and the engine configuration knobs ([jobs] is
    deliberately excluded: parallelism never changes the model, so one
    snapshot serves every [--jobs] setting). The configuration part reads
-   the specification's {e current} flags, so flipping
-   [Spec.spatial_indexing] or [Spec.provenance] after compilation
-   changes the key — a [--no-spatial-index] run never silently reuses an
+   the specification's {e current} flag, so flipping
+   [Spec.spatial_indexing] after compilation changes the key — a [--no-spatial-index] run never silently reuses an
    indexed snapshot. *)
 let content_hash (c : t) =
   let spec = c.spec in
@@ -389,6 +388,5 @@ let content_hash (c : t) =
   Buffer.add_string buf
     (Printf.sprintf "|fuzzy:%d" (Hashtbl.hash spec.Spec.fuzzy_family));
   Buffer.add_string buf
-    (Printf.sprintf "|spatial_indexing:%b|provenance:%b"
-       spec.Spec.spatial_indexing spec.Spec.provenance);
+    (Printf.sprintf "|spatial_indexing:%b" spec.Spec.spatial_indexing);
   Digest.to_hex (Digest.string (Buffer.contents buf))

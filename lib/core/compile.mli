@@ -74,8 +74,7 @@ val content_hash : t -> string
     compiled clause sequence (rule order included — witness rule ids
     depend on it), both views, the coordinate system, region
     geometries, logical space and time resolutions, the fuzzy algebra
-    family, and the [Spec.spatial_indexing] / [Spec.provenance] flags
-    as they stand {e now}. Deliberately independent of [Spec.jobs]
+    family, and the [Spec.spatial_indexing] flag as it stands {e now}. Deliberately independent of [Spec.jobs]
     (parallelism never changes the derived model) and of the
     specification's update log (updates persist inside the snapshot and
     are replayed on load — see [Query.of_snapshot]). Two processes

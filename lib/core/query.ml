@@ -100,7 +100,7 @@ let materialization q =
             Bottom_up.run ~refine:Compile.datalog_refine
               ~spatial:(Compile.spatial_hints (spec q))
               ~spatial_indexing:(spec q).Spec.spatial_indexing ~tracer:q.tracer
-              ~jobs:q.jobs ~lineage:(spec q).Spec.provenance (db q))
+              ~jobs:q.jobs (db q))
       in
       q.fp := Some fp;
       fp
@@ -121,9 +121,7 @@ let magic_materialization q goal =
               Bottom_up.run ~refine:Compile.datalog_refine
                 ~spatial:(Compile.spatial_hints (spec q))
                 ~spatial_indexing:(spec q).Spec.spatial_indexing
-                ~tracer:q.tracer ~jobs:q.jobs
-                ~lineage:(spec q).Spec.provenance ~seed:info.Magic.seeds
-                rewritten
+                ~tracer:q.tracer ~jobs:q.jobs ~seed:info.Magic.seeds rewritten
             in
             (fp, info))
       in
@@ -218,9 +216,7 @@ let of_snapshot q path =
                   Bottom_up.import ~refine:Compile.datalog_refine
                     ~spatial:(Compile.spatial_hints (spec q))
                     ~spatial_indexing:(spec q).Spec.spatial_indexing
-                    ~tracer:q.tracer ~jobs:q.jobs
-                    ~lineage:(spec q).Spec.provenance (db q)
-                    snap.Snapshot.state
+                    ~tracer:q.tracer ~jobs:q.jobs (db q) snap.Snapshot.state
                 with
                 | fp ->
                     let facts = Bottom_up.snapshot_facts snap.Snapshot.state in
@@ -477,14 +473,7 @@ let violation_proofs ?limit q =
       |> List.filter_map (fun fact ->
              match decode_violation fact with
              | None -> None
-             | Some v -> (
-                 match Bottom_up.proof fp fact with
-                 | Some p -> Some (v, strip p)
-                 | None -> (
-                     (* lineage off: one targeted top-down proof *)
-                     match Explain.first ~options:q.options (db q) [ fact ] with
-                     | Some (_, [ p ]) -> Some (v, p)
-                     | _ -> None)))
+             | Some v -> Option.map (fun p -> (v, strip p)) (Bottom_up.proof fp fact))
 
 let rec pp_reified ppf (t : Term.t) =
   match Gfact.of_holds t with
@@ -510,27 +499,21 @@ let rec pp_reified ppf (t : Term.t) =
 
 let pp_reified_term = pp_reified
 
-(* The fixpoint an explanation should come from in the current mode,
-   paired with the post-processing its proofs need (magic-mode trees are
-   stripped of the rewrite's magic$ guard premises). *)
-let explain_fixpoint q goal =
-  match q.mode with
-  | Top_down -> None
-  | Materialized | Magic -> Some (goal_fixpoint_proofs q goal)
-
 let explain_proof q pattern =
   op_span q "explain" @@ fun () ->
   let goal = Gfact.to_holds ~default_model:Names.default_model pattern in
-  let top_down () =
-    match Explain.first ~options:q.options (db q) [ goal ] with
-    | Some (_, [ proof ]) -> Some proof
-    | Some (_, _) | None -> None
-  in
-  match explain_fixpoint q goal with
-  | Some (fp, strip) when Bottom_up.lineage_enabled fp ->
-      (* a non-ground pattern explains its first stored instance, in the
-         standard order of terms — the same answer a sorted solutions
-         scan leads with *)
+  match q.mode with
+  | Top_down -> (
+      match Explain.first ~options:q.options (db q) [ goal ] with
+      | Some (_, [ proof ]) -> Some proof
+      | Some (_, _) | None -> None)
+  | Materialized | Magic ->
+      (* from the answering fixpoint's lineage; magic-mode trees are
+         stripped of the rewrite's magic$ guard premises. A non-ground
+         pattern explains its first stored instance, in the standard
+         order of terms — the same answer a sorted solutions scan leads
+         with *)
+      let fp, strip = goal_fixpoint_proofs q goal in
       let target =
         if Term.is_ground goal then
           if Bottom_up.holds fp goal then Some goal else None
@@ -541,7 +524,6 @@ let explain_proof q pattern =
           |> function [] -> None | t :: _ -> Some t
       in
       Option.bind target (fun t -> Option.map strip (Bottom_up.proof fp t))
-  | Some _ | None -> top_down ()
 
 let explain q pattern =
   explain_proof q pattern

@@ -166,9 +166,7 @@ val violation_proofs :
     {!Materialized} and {!Magic} modes the trees are reconstructed from
     the fixpoint's lineage (standard order of terms, [limit] applied
     after sorting); in {!Top_down} mode each distinct violation carries
-    its first SLDNF proof, in first-derivation order. With
-    [spec.Spec.provenance] off, fixpoint modes fall back to one targeted
-    top-down proof per violation. *)
+    its first SLDNF proof, in first-derivation order. *)
 
 val update : t -> Spec.update list -> t
 (** Apply a batch of ground basic-fact assertions / retractions to the
@@ -196,11 +194,10 @@ val explain : t -> Gfact.t -> string option
 
 val explain_proof : t -> Gfact.t -> Gdp_logic.Explain.proof option
 (** The raw proof tree, for programmatic inspection. In {!Top_down}
-    mode — and whenever [spec.Spec.provenance] is off — the tree is the
-    first SLDNF proof ({!Gdp_logic.Explain.first}). In {!Materialized}
-    and {!Magic} modes with provenance on (the default) the tree is
-    reconstructed from the answering fixpoint's lineage
-    ({!Gdp_logic.Bottom_up.proof}) without invoking SLDNF: derived
+    mode the tree is the first SLDNF proof ({!Gdp_logic.Explain.first}).
+    In {!Materialized} and {!Magic} modes the tree is reconstructed from
+    the answering fixpoint's lineage ({!Gdp_logic.Bottom_up.proof})
+    without invoking SLDNF: derived
     tuples expand through their recorded witnesses, base facts bottom
     out as [Fact] leaves, negated and guard steps appear as [Naf] /
     [Builtin] leaves, and magic-mode trees are stripped of the

@@ -50,8 +50,6 @@ type t = {
   mutable spatial_indexing : bool;
       (* compile spatially guarded joins to index probes in materialised
          fixpoints; off = the scan baseline, same model *)
-  mutable provenance : bool;
-      (* record why-provenance in materialised fixpoints (lineage) *)
   mutable updates : update list; (* newest first; update_log reverses *)
   mutable snapshot_path : string option;
       (* where a persistent fixpoint snapshot for this specification
@@ -79,7 +77,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       telemetry = false;
       jobs = 1;
       spatial_indexing = true;
-      provenance = true;
       updates = [];
       snapshot_path = None;
     }

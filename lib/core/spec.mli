@@ -104,13 +104,6 @@ type t = {
           [bu_spatial_*] counters. The setting behind
           [gdprs --no-spatial-index]. Top-down resolution is
           unaffected. *)
-  mutable provenance : bool;
-      (** when true (the default), every fixpoint {!Query} materialises
-          records why-provenance ({!Gdp_logic.Bottom_up.run}'s
-          [~lineage]), so {!Query.explain} in the materialized and magic
-          modes answers from the fixpoint's own lineage instead of
-          re-running SLDNF. Costs one witness record per derived tuple;
-          switch off for memory-tight batch sweeps that never explain. *)
   mutable updates : update list;
       (** the update log, newest first — read it through {!update_log} *)
   mutable snapshot_path : string option;

@@ -299,21 +299,24 @@ type spatial = {
   sp_grid_cell : float option;
 }
 
+let index_kind sp =
+  match sp.sp_grid_cell with Some c -> Sx.Grid c | None -> Sx.Rtree
+
 (* Body literals in textual order. Positive literals carry their join
    position so the semi-naive driver can aim the delta at one of them. *)
 type lit =
-  | Pos of int * Rel.t * Term.t
+  | Pos of int * Rel.t * Term.t * (int * sprobe) option
+      (** join position, relation, atom and the plan's optional spatial
+          probe [(apos, probe)]: before unifying, pre-filter the relation
+          through the spatial index over argument [apos] using the box
+          the probe implies — sound because the box covers every tuple
+          the downstream spatial guard can accept *)
   | Neg of Rel.t * Term.t
   | Cmp of string * Term.t * Term.t  (** arithmetic comparison guard *)
   | Eq of bool * Term.t * Term.t  (** ground ==/2 (true) or \==/2 (false) *)
   | Is of Term.t * Term.t
   | Ext of int list * Term.t
       (** whitelisted spatial builtin: bound input positions, goal *)
-  | SPos of int * Rel.t * Term.t * int * sprobe
-      (** plan-only annotated [Pos]: before unifying, pre-filter the
-          relation through the spatial index over argument [apos] using
-          the box the probe implies — sound because the box covers every
-          tuple the downstream spatial guard can accept *)
   | Never  (** fail/false in the body: the rule can never fire *)
 
 type rule = {
@@ -339,22 +342,47 @@ type witness = { w_rule : int; w_steps : wstep list }
 let control_functors = [ ","; ";"; "->"; "call"; "="; "\\=" ]
 let cmp_ops = [ "<"; ">"; "=<"; ">="; "=:="; "=\\=" ]
 
-let rel_of ~refine ~what t =
+(* Library clauses ({!Prelude}) are invisible to classification, so engine
+   databases created by {!Engine.create} classify on user clauses only. *)
+let library = Prelude.predicates
+
+(* Evaluation bounds, per operation (an initial run or one update batch):
+   only unsafe function-symbol recursion can reach them. *)
+let max_iterations = 10_000
+let max_facts = 1_000_000
+
+(* The relation an atom belongs to, or why it has none: it is not a
+   predicate atom, or its predicate is refined and the refining argument
+   is not a constant. *)
+let resolve_rel refine t =
   match Term.functor_of t with
-  | None -> unsupported "%s: %s is not a predicate atom" what (Term.to_string t)
+  | None -> Error `Not_atom
   | Some (name, arity) -> (
       match refine (name, arity) with
-      | None -> { Rel.name; arity; sub = None }
+      | None -> Ok { Rel.name; arity; sub = None }
       | Some pos -> (
-          let arg =
-            match t with Term.App (_, args) -> List.nth_opt args pos | _ -> None
-          in
-          match arg with
-          | Some (Term.Atom p) -> { Rel.name; arity; sub = Some p }
-          | _ ->
-              unsupported
-                "%s: %s/%d needs a constant at refining argument %d in %s" what
-                name arity pos (Term.to_string t)))
+          match Relation.arg_at pos t with
+          | Some (Term.Atom p) -> Ok { Rel.name; arity; sub = Some p }
+          | _ -> Error (`Unrefined (name, arity, pos))))
+
+let rel_of ~refine ~what t =
+  match resolve_rel refine t with
+  | Ok rel -> rel
+  | Error `Not_atom ->
+      unsupported "%s: %s is not a predicate atom" what (Term.to_string t)
+  | Error (`Unrefined (name, arity, pos)) ->
+      unsupported "%s: %s/%d needs a constant at refining argument %d in %s"
+        what name arity pos (Term.to_string t)
+
+(* Argument positions holding ground subterms, ascending: the index
+   positions a probe on a partially bound atom can use. *)
+let ground_positions args =
+  let rec go i = function
+    | [] -> []
+    | a :: rest ->
+        if Term.is_ground a then i :: go (i + 1) rest else go (i + 1) rest
+  in
+  go 0 args
 
 let vset t =
   List.fold_left
@@ -377,7 +405,7 @@ let ext_input_vars inputs atom =
 (* classification: one pass deciding membership in the fragment, shared
    by [supported], [run] and the stratification error messages          *)
 
-let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
+let parse_body_goal db ~refine ~spatial ~ctx ~next_pos g =
   match g with
   | Term.Var _ -> unsupported "%s: unbound variable used as a body goal" ctx
   | Term.Int _ | Term.Float _ | Term.Str _ ->
@@ -406,7 +434,7 @@ let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
             then
               unsupported "%s: negation of non-atomic goal %s" ctx
                 (Term.to_string inner)
-            else if List.mem (iname, iarity) ignore then
+            else if List.mem (iname, iarity) library then
               unsupported "%s: library predicate %s/%d outside the Datalog \
                            fragment" ctx iname iarity
             else if Database.find_builtin db (iname, iarity) <> None then
@@ -426,7 +454,7 @@ let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
         match g with
         | Term.App (_, [ a; b ]) -> Some (Eq (String.equal name "==", a, b))
         | _ -> assert false
-      else if List.mem (name, arity) ignore then
+      else if List.mem (name, arity) library then
         unsupported "%s: library predicate %s/%d outside the Datalog fragment"
           ctx name arity
       else
@@ -438,7 +466,7 @@ let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
             else begin
               let i = !next_pos in
               incr next_pos;
-              Some (Pos (i, rel_of ~refine ~what:ctx g, g))
+              Some (Pos (i, rel_of ~refine ~what:ctx g, g, None))
             end)
 
 (* Left-to-right boundness: guards and negated literals must be ground by
@@ -449,7 +477,7 @@ let check_safety ~ctx head body =
     List.fold_left
       (fun bound lit ->
         match lit with
-        | Pos (_, _, atom) -> Iset.union bound (vset atom)
+        | Pos (_, _, atom, _) -> Iset.union bound (vset atom)
         | Is (l, r) ->
             if not (Iset.subset (vset r) bound) then
               unsupported
@@ -475,20 +503,19 @@ let check_safety ~ctx head body =
                 "%s: spatial builtin %s needs its input arguments bound by a \
                  preceding positive literal" ctx (Term.to_string atom);
             Iset.union bound (vset atom)
-        | SPos (_, _, atom, _, _) -> Iset.union bound (vset atom)
         | Never -> bound)
       Iset.empty body
   in
   if not (Iset.subset (vset head) bound) then
     unsupported "%s: head variable not bound by the body" ctx
 
-let parse_clause db ~ignore ~refine ~spatial (c : Database.clause) =
+let parse_clause db ~refine ~spatial (c : Database.clause) =
   match Term.functor_of c.Database.head with
   | None ->
       unsupported "clause head %s is not a predicate atom"
         (Term.to_string c.Database.head)
   | Some fa ->
-      if List.mem fa ignore then None (* library clause: invisible *)
+      if List.mem fa library then None (* library clause: invisible *)
       else begin
         let head_rel = rel_of ~refine ~what:"clause head" c.Database.head in
         if c.Database.body = [] then begin
@@ -502,13 +529,13 @@ let parse_clause db ~ignore ~refine ~spatial (c : Database.clause) =
           let next_pos = ref 0 in
           let body =
             List.filter_map
-              (parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos)
+              (parse_body_goal db ~refine ~spatial ~ctx ~next_pos)
               c.Database.body
           in
           check_safety ~ctx c.Database.head body;
           let pos_rels = Array.make !next_pos head_rel in
           List.iter
-            (function Pos (i, rel, _) -> pos_rels.(i) <- rel | _ -> ())
+            (function Pos (i, rel, _, _) -> pos_rels.(i) <- rel | _ -> ())
             body;
           Some (`Rule { id = -1; head = c.Database.head; head_rel; body; pos_rels })
         end
@@ -533,15 +560,12 @@ let compute_strata rules fact_rels =
       add_node r.head_rel;
       List.iter
         (function
-          | Pos (_, rel, _) ->
+          | Pos (_, rel, _, _) ->
               add_node rel;
               add_edge r.head_rel rel false
           | Neg (rel, _) ->
               add_node rel;
               add_edge r.head_rel rel true
-          | SPos (_, rel, _, _, _) ->
-              add_node rel;
-              add_edge r.head_rel rel false
           | Cmp _ | Eq _ | Is _ | Ext _ | Never -> ())
         r.body)
     rules;
@@ -638,11 +662,11 @@ let compute_strata rules fact_rels =
 let all_clauses db =
   List.concat_map (fun fa -> Database.all_clauses db fa) (Database.predicates db)
 
-let prepare db ~ignore ~refine ~spatial =
+let prepare db ~refine ~spatial =
   let facts = ref [] and rules = ref [] in
   List.iter
     (fun c ->
-      match parse_clause db ~ignore ~refine ~spatial c with
+      match parse_clause db ~refine ~spatial c with
       | None -> ()
       | Some (`Fact (rel, t)) -> facts := (rel, t) :: !facts
       | Some (`Rule r) -> rules := r :: !rules)
@@ -652,14 +676,13 @@ let prepare db ~ignore ~refine ~spatial =
   let stratum_of, n_strata = compute_strata rules (List.map fst facts) in
   (facts, rules, stratum_of, n_strata)
 
-let classify ?(ignore = Prelude.predicates) ?(refine = fun _ -> None) ?spatial db
-    =
-  match prepare db ~ignore ~refine ~spatial with
+let classify ?(refine = fun _ -> None) ?spatial db =
+  match prepare db ~refine ~spatial with
   | _ -> Ok ()
   | exception Unsupported reason -> Error reason
 
-let supported ?ignore ?refine ?spatial db =
-  match classify ?ignore ?refine ?spatial db with Ok () -> true | Error _ -> false
+let supported ?refine ?spatial db =
+  match classify ?refine ?spatial db with Ok () -> true | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* join planning: a greedy sideways-information-passing order            *)
@@ -674,7 +697,7 @@ let guard_ready bound = function
   | Neg (_, atom) -> Iset.subset (vset atom) bound
   | Ext (inputs, atom) -> Iset.subset (ext_input_vars inputs atom) bound
   | Never -> true
-  | Pos _ | SPos _ -> false
+  | Pos _ -> false
 
 (* How many arguments of [atom] the bindings in [bound] make ground —
    the number of index positions a probe on this literal could use. *)
@@ -727,7 +750,7 @@ let order_body ~delta_at body =
           List.fold_left
             (fun best lit ->
               match lit with
-              | Pos (_, _, atom) -> (
+              | Pos (_, _, atom, _) -> (
                   let c = bound_arg_count bound atom in
                   match best with
                   | Some (bc, _) when bc >= c -> best
@@ -736,7 +759,7 @@ let order_body ~delta_at body =
             None remaining
         in
         match best with
-        | Some (_, (Pos (_, _, atom) as lit)) ->
+        | Some (_, (Pos (_, _, atom, _) as lit)) ->
             go
               (Iset.union bound (vset atom))
               (plan @ [ lit ])
@@ -750,10 +773,10 @@ let order_body ~delta_at body =
     | Some i -> (
         match
           List.find_opt
-            (function Pos (j, _, _) -> j = i | _ -> false)
+            (function Pos (j, _, _, _) -> j = i | _ -> false)
             body
         with
-        | Some (Pos (_, _, atom) as lit) ->
+        | Some (Pos (_, _, atom, _) as lit) ->
             go (vset atom) [ lit ] (remove_first lit body)
         | _ -> go Iset.empty [] body)
   end
@@ -830,18 +853,18 @@ let annotate_spatial sp plan =
     | lit :: rest ->
         let lit =
           match lit with
-          | Pos (i, rel, atom) -> (
+          | Pos (i, rel, atom, None) -> (
               match
                 List.find_map (probe_for bound rest)
                   (var_candidates bound atom)
               with
-              | Some (apos, probe) -> SPos (i, rel, atom, apos, probe)
+              | Some _ as sprobe -> Pos (i, rel, atom, sprobe)
               | None -> lit)
           | l -> l
         in
         let bound =
           match lit with
-          | Pos (_, _, atom) | SPos (_, _, atom, _, _) | Ext (_, atom) ->
+          | Pos (_, _, atom, _) | Ext (_, atom) ->
               Iset.union bound (vset atom)
           | Is (l, _) -> Iset.union bound (vset l)
           | _ -> bound
@@ -885,16 +908,6 @@ type prov_stats = {
   prov_max_size : int;
 }
 
-let no_prov_stats =
-  {
-    prov_tracked = 0;
-    prov_bytes = 0;
-    prov_refreshed = 0;
-    prov_reconstructs = 0;
-    prov_max_depth = 0;
-    prov_max_size = 0;
-  }
-
 type stats = {
   bu_passes : int;
   bu_firings : int;
@@ -909,12 +922,10 @@ type stats = {
   bu_hcons_misses : int;
   bu_jobs : int;
   bu_par_units : int;
-  bu_lineage : bool;
   bu_prov : prov_stats;
   bu_strata_stats : stratum_stats list;
   bu_incr : incr_stats;
 }
-
 
 (* Internal mutable counter state. [run] and the incremental maintenance
    entry points ({!apply}) share these, so {!stats} is cumulative over the
@@ -966,8 +977,7 @@ let fold_counters ~into (w : counters) =
   into.c_par_units <- into.c_par_units + w.c_par_units
 
 (* Mutable lineage state: the witness table plus the reconstruction
-   counters {!pp_stats} reports. Present exactly when the fixpoint was
-   run with [~lineage:true]. *)
+   counters {!pp_stats} reports. *)
 type pstate = {
   ptbl : witness Term_tbl.t;  (* derived tuple -> its recorded witness *)
   mutable p_refreshed : int;  (* witnesses refreshed by DRed rederivation *)
@@ -1010,7 +1020,6 @@ type planned = {
 type fixpoint = {
   rels : (Rel.t, Relation.t) Hashtbl.t;
   refine : refine;
-  ignore_preds : (string * int) list;
   base : Rel.t Term_tbl.t;  (* asserted ground facts -> their relation *)
   by_stratum : planned list array;
   stratum_of : Rel.t -> int;  (* total: unknown relations map to 0 *)
@@ -1019,14 +1028,12 @@ type fixpoint = {
   indexing : bool;
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
   spatial_indexing : bool;  (* compile guarded joins to index probes *)
-  max_iterations : int;
-  max_facts : int;
   tracer : Gdp_obs.Tracer.t;
   mutable jobs : int;  (* parallelism; 1 = the untouched sequential path *)
   ctr : counters;
   mutable strata_stats : stratum_stats list;
   incr : istate;
-  lineage : pstate option;  (* the why-provenance sidecar, opt-in *)
+  lineage : pstate;  (* the why-provenance sidecar *)
 }
 
 (* Guards the merge step's re-canonicalization of worker-derived facts
@@ -1057,7 +1064,7 @@ let add fp rel t =
   let t = h in
   if Relation.add (get fp rel) t then begin
     fp.ctr.c_facts <- fp.ctr.c_facts + 1;
-    if fp.ctr.c_facts > fp.max_facts then
+    if fp.ctr.c_facts > max_facts then
       failwith "Bottom_up.run: fact bound hit";
     Some t
   end
@@ -1073,14 +1080,13 @@ let witness_of rule subst =
   let steps =
     List.filter_map
       (function
-        | Pos (_, _, atom) -> Some (Wfact (app atom))
+        | Pos (_, _, atom, _) -> Some (Wfact (app atom))
         | Neg (_, atom) -> Some (Wnaf (app atom))
         | Cmp (op, a, b) -> Some (Wguard (app (Term.App (op, [ a; b ]))))
         | Eq (true, a, b) -> Some (Wguard (app (Term.App ("==", [ a; b ]))))
         | Eq (false, a, b) -> Some (Wguard (app (Term.App ("\\==", [ a; b ]))))
         | Is (l, r) -> Some (Wguard (app (Term.App ("is", [ l; r ]))))
         | Ext (_, atom) -> Some (Wguard (app atom))
-        | SPos (_, _, atom, _, _) -> Some (Wfact (app atom))
         | Never -> None)
       rule.body
   in
@@ -1090,16 +1096,10 @@ let witness_of rule subst =
    replaced by the explicit refresh paths (DRed rederivation, stratum
    recompute after a witness drop) *)
 let record_witness fp rule stored subst =
-  match fp.lineage with
-  | None -> ()
-  | Some ps ->
-      if not (Term_tbl.mem ps.ptbl stored) then
-        Term_tbl.replace ps.ptbl stored (witness_of rule subst)
+  if not (Term_tbl.mem fp.lineage.ptbl stored) then
+    Term_tbl.replace fp.lineage.ptbl stored (witness_of rule subst)
 
-let drop_witness fp t =
-  match fp.lineage with
-  | None -> ()
-  | Some ps -> Term_tbl.remove ps.ptbl t
+let drop_witness fp t = Term_tbl.remove fp.lineage.ptbl t
 
 (* Structural node count of a term; the store hcons-shares witness terms
    with the fact store, so this over-approximates the marginal footprint
@@ -1129,7 +1129,7 @@ let prov_footprint ps =
    per operation, not cumulative over the fixpoint's life. *)
 let tick fp ~budget_from =
   fp.ctr.c_passes <- fp.ctr.c_passes + 1;
-  if fp.ctr.c_passes - budget_from > fp.max_iterations then
+  if fp.ctr.c_passes - budget_from > max_iterations then
     failwith "Bottom_up.run: iteration bound hit"
 
 (* evaluate one rule body along its plan; [delta_at] aims one positive
@@ -1150,13 +1150,12 @@ let tick fp ~budget_from =
    it defaults to the fixpoint's shared counters.
 
    [emit] returns the stored canonical term when the derived head was a
-   fresh insertion, [None] otherwise; with [capture] set (the sequential
-   drivers, when lineage is on) each fresh insertion records its witness
-   from the firing substitution. [on_derive], used by {!find_witness},
-   replaces [emit] entirely: the caller observes (head, substitution)
-   pairs without touching the store. *)
-let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
-    ?on_derive ~delta_at ~delta rule plan ~emit =
+   fresh insertion — whose witness is then recorded from the firing
+   substitution — and [None] otherwise. [on_derive], used by
+   {!find_witness}, replaces [emit] entirely: the caller observes (head,
+   substitution) pairs without touching the store. *)
+let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?on_derive ~delta_at
+    ~delta rule plan ~emit =
   let ctr = match ctr with Some c -> c | None -> fp.ctr in
   ctr.c_firings <- ctr.c_firings + 1;
   let ghost_facts rel =
@@ -1164,23 +1163,28 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
     | None -> []
     | Some g -> Option.value ~default:[] (Rel_map.find_opt rel !g)
   in
-  (* hash access path for a partially ground atom: probe the index over
-     its ground argument positions, scan when nothing is bound *)
-  let hash_candidates r g =
-    if not fp.indexing then `Scan
-    else
-      match g with
-      | Term.App (_, args) -> (
-          let rev_positions, _ =
-            List.fold_left
-              (fun (acc, i) arg ->
-                ((if Term.is_ground arg then i :: acc else acc), i + 1))
-              ([], 0) args
-          in
-          match List.rev rev_positions with
-          | [] -> `Scan
-          | positions -> `Probe (Relation.probe r positions args))
-      | _ -> `Scan
+  (* the query box of an annotated join, covering everything the
+     downstream spatial guard can accept; [None] when spatial indexing is
+     off or the anchor carries no point *)
+  let query_box sp subst = function
+    | _ when not fp.spatial_indexing -> None
+    | Sp_within b -> Some b
+    | Sp_near (anchor, eps) ->
+        Option.map
+          (fun (x, y) -> Sx.pad (Sx.point_box x y) eps)
+          (sp.sp_point (Subst.apply subst anchor))
+  in
+  (* hash access path for a partially ground atom [g]: probe the index
+     over its ground argument positions, scan when nothing is bound *)
+  let hash_join r g each =
+    let args = Relation.args_of g in
+    match if fp.indexing then ground_positions args else [] with
+    | [] ->
+        ctr.c_scans <- ctr.c_scans + 1;
+        Relation.iter each r
+    | positions ->
+        ctr.c_probes <- ctr.c_probes + 1;
+        List.iter each (Relation.probe r positions args)
   in
   let rec go subst lits =
     match lits with
@@ -1190,102 +1194,48 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
         | Some f -> f head subst
         | None -> (
             match emit rule.head_rel head with
-            | Some stored -> if capture then record_witness fp rule stored subst
+            | Some stored -> record_witness fp rule stored subst
             | None -> ()))
-    | Pos (i, rel, atom) :: rest -> (
+    | Pos (i, rel, atom, sprobe) :: rest -> (
         let each fact =
           match Unify.unify subst atom fact with
           | Some s -> go s rest
           | None -> ()
         in
+        let g = Subst.apply subst atom in
         match delta_at with
-        | Some j when j = i -> (
-            let g = Subst.apply subst atom in
+        | Some j when j = i ->
             if Term.is_ground g then begin
               ctr.c_members <- ctr.c_members + 1;
               if List.exists (Term.equal g) delta then go subst rest
             end
-            else List.iter each delta)
+            else List.iter each delta
         | _ ->
             let r = get fp rel in
             let gfacts = ghost_facts rel in
-            let g = Subst.apply subst atom in
             if Term.is_ground g then begin
               ctr.c_members <- ctr.c_members + 1;
               if Relation.mem r g || List.exists (Term.equal g) gfacts then
                 go subst rest
             end
             else begin
-              (match hash_candidates r g with
-              | `Scan ->
-                  ctr.c_scans <- ctr.c_scans + 1;
-                  Relation.iter each r
-              | `Probe l ->
-                  ctr.c_probes <- ctr.c_probes + 1;
-                  List.iter each l);
-              if gfacts <> [] then List.iter each gfacts
-            end)
-    | SPos (i, rel, atom, apos, probe) :: rest -> (
-        let each fact =
-          match Unify.unify subst atom fact with
-          | Some s -> go s rest
-          | None -> ()
-        in
-        match delta_at with
-        | Some j when j = i -> (
-            let g = Subst.apply subst atom in
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if List.exists (Term.equal g) delta then go subst rest
-            end
-            else List.iter each delta)
-        | _ ->
-            let r = get fp rel in
-            let gfacts = ghost_facts rel in
-            let g = Subst.apply subst atom in
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if Relation.mem r g || List.exists (Term.equal g) gfacts then
-                go subst rest
-            end
-            else begin
-              let sp =
-                match fp.spatial with Some sp -> sp | None -> assert false
-              in
-              (* the query box covering everything the downstream spatial
-                 guard can accept; [None] falls back to the hash path *)
-              let qbox =
-                if not fp.spatial_indexing then None
-                else
-                  match probe with
-                  | Sp_within b -> Some b
-                  | Sp_near (anchor, eps) -> (
-                      match sp.sp_point (Subst.apply subst anchor) with
-                      | Some (x, y) -> Some (Sx.pad (Sx.point_box x y) eps)
-                      | None -> None)
-              in
-              (match qbox with
-              | Some qbox ->
-                  ctr.c_sprobes <- ctr.c_sprobes + 1;
-                  let kind =
-                    match sp.sp_grid_cell with
-                    | Some c -> Sx.Grid c
-                    | None -> Sx.Rtree
-                  in
-                  let hits, unindexed =
-                    Relation.spatial_probe r ~kind ~point:sp.sp_point apos qbox
-                  in
-                  List.iter each hits;
-                  List.iter each unindexed
-              | None -> (
-                  ctr.c_sscans <- ctr.c_sscans + 1;
-                  match hash_candidates r g with
-                  | `Scan ->
-                      ctr.c_scans <- ctr.c_scans + 1;
-                      Relation.iter each r
-                  | `Probe l ->
-                      ctr.c_probes <- ctr.c_probes + 1;
-                      List.iter each l));
+              (match sprobe with
+              | None -> hash_join r g each
+              | Some (apos, probe) -> (
+                  (* annotated joins exist only when the hooks do *)
+                  let sp = Option.get fp.spatial in
+                  match query_box sp subst probe with
+                  | Some qbox ->
+                      ctr.c_sprobes <- ctr.c_sprobes + 1;
+                      let hits, unindexed =
+                        Relation.spatial_probe r ~kind:(index_kind sp)
+                          ~point:sp.sp_point apos qbox
+                      in
+                      List.iter each hits;
+                      List.iter each unindexed
+                  | None ->
+                      ctr.c_sscans <- ctr.c_sscans + 1;
+                      hash_join r g each));
               if gfacts <> [] then List.iter each gfacts
             end)
     | Ext (_, atom) :: rest -> (
@@ -1330,17 +1280,16 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
   in
   go subst0 plan
 
-(* Deterministic derivability check with optional witness capture: the
-   first rule in rule order whose body (under the plan's enumeration
-   order) rederives [t] from the current store. Returns [Some w] when
-   derivable ([w = Some witness] only under [capture]), [None] when no
-   rule of [srules] produces [t]. Shared by DRed rederivation (which
-   routes firings into the fixpoint's counters, exactly as before) and
-   by the parallel merge's witness capture (which passes a scratch
+(* Deterministic derivability check with witness capture: the first rule
+   in rule order whose body (under the plan's enumeration order)
+   rederives [t] from the current store. Returns [Some witness] when
+   derivable, [None] when no rule of [srules] produces [t]. Shared by
+   DRed rederivation (which routes firings into the fixpoint's counters)
+   and by the parallel merge's witness capture (which passes a scratch
    counter record so lineage never perturbs the deterministic stats). *)
-exception Found_witness of witness option
+exception Found_witness of witness
 
-let find_witness fp ?ctr ~capture srules rel t =
+let find_witness fp ?ctr srules rel t =
   try
     List.iter
       (fun p ->
@@ -1352,10 +1301,7 @@ let find_witness fp ?ctr ~capture srules rel t =
                 ~emit:(fun _ _ -> None)
                 ~on_derive:(fun h subst ->
                   if Term.equal h t then
-                    raise_notrace
-                      (Found_witness
-                         (if capture then Some (witness_of p.rule subst)
-                          else None))))
+                    raise_notrace (Found_witness (witness_of p.rule subst))))
       srules;
     None
   with Found_witness w -> Some w
@@ -1376,7 +1322,7 @@ let find_witness fp ?ctr ~capture srules rel t =
 let delta_key_pos rule i =
   match
     List.find_map
-      (function Pos (j, _, atom) when j = i -> Some atom | _ -> None)
+      (function Pos (j, _, atom, _) when j = i -> Some atom | _ -> None)
       rule.body
   with
   | Some (Term.App (_, args)) ->
@@ -1384,9 +1330,8 @@ let delta_key_pos rule i =
         List.fold_left
           (fun acc lit ->
             match lit with
-            | Pos (j, _, _) when j = i -> acc
-            | SPos (j, _, _, _, _) when j = i -> acc
-            | Pos (_, _, a) | SPos (_, _, a, _, _) | Neg (_, a) | Ext (_, a) ->
+            | Pos (j, _, _, _) when j = i -> acc
+            | Pos (_, _, a, _) | Neg (_, a) | Ext (_, a) ->
                 Iset.union acc (vset a)
             | Cmp (_, a, b) | Eq (_, a, b) ->
                 Iset.union acc (Iset.union (vset a) (vset b))
@@ -1515,26 +1460,20 @@ let parallel_pass fp srules ~deltas ~emit =
        support DAG stays acyclic by insertion-order induction). The store
        content at each merge step depends only on the per-pass derived
        set, never on the partitioning, so every [jobs > 1] value yields
-       the identical lineage. The scratch counter record keeps the
-       deterministic stats identical to a lineage-off run. *)
-    let scratch = if fp.lineage = None then None else Some (new_counters ()) in
+       the identical lineage. The scratch counter record keeps witness
+       search out of the deterministic stats. *)
+    let scratch = new_counters () in
+    let ptbl = fp.lineage.ptbl in
     Mutex.protect hcons_merge_lock (fun () ->
         List.iter
           (fun (rel, t) ->
             let w =
-              match (fp.lineage, scratch) with
-              | Some ps, Some ctr when not (Relation.mem (get fp rel) t) ->
-                  if Term_tbl.mem ps.ptbl t then None
-                  else
-                    Option.join (find_witness fp ~ctr ~capture:true srules rel t)
-              | _ -> None
+              if Relation.mem (get fp rel) t || Term_tbl.mem ptbl t then None
+              else find_witness fp ~ctr:scratch srules rel t
             in
-            match emit rel t with
-            | Some stored -> (
-                match (fp.lineage, w) with
-                | Some ps, Some w -> Term_tbl.replace ps.ptbl stored w
-                | _ -> ())
-            | None -> ())
+            match (emit rel t, w) with
+            | Some stored, Some w -> Term_tbl.replace ptbl stored w
+            | _ -> ())
           derived)
   end
 
@@ -1558,13 +1497,11 @@ let saturate fp ~budget_from ~guard srules start =
         Some t
   in
   let parallel = fp.jobs > 1 in
-  let capture = fp.lineage <> None in
   let full_pass () =
     if parallel then parallel_pass fp srules ~deltas:None ~emit
     else
       List.iter
-        (fun p ->
-          eval_rule fp ~capture ~delta_at:None ~delta:[] p.rule p.plan ~emit)
+        (fun p -> eval_rule fp ~delta_at:None ~delta:[] p.rule p.plan ~emit)
         srules
   in
   let max_delta = ref 0 in
@@ -1601,8 +1538,8 @@ let saturate fp ~budget_from ~guard srules start =
                     (fun i rel ->
                       match Rel_map.find_opt rel !deltas with
                       | Some (_ :: _ as d) ->
-                          eval_rule fp ~capture ~delta_at:(Some i) ~delta:d
-                            p.rule p.delta_plans.(i) ~emit
+                          eval_rule fp ~delta_at:(Some i) ~delta:d p.rule
+                            p.delta_plans.(i) ~emit
                       | _ -> ())
                     p.rule.pos_rels)
                 srules);
@@ -1616,9 +1553,10 @@ let saturate fp ~budget_from ~guard srules start =
    plans can touch. Returns the parsed base facts un-inserted — [run]
    nets its seeds into them and saturates; [import] ignores them and
    bulk-loads a snapshot instead. *)
-let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-    ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db =
-  let facts, rules, stratum_of, n_strata = prepare db ~ignore ~refine ~spatial in
+let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
+    ~tracer ~jobs db =
+  let jobs = Pool.resolve_jobs jobs in
+  let facts, rules, stratum_of, n_strata = prepare db ~refine ~spatial in
   (* body plans: with indexing on, a greedy bound-count order per rule
      plus one per delta position; the scan baseline keeps textual order.
      With spatial hooks present, every plan gets the spatial annotation
@@ -1664,7 +1602,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
     {
       rels = Hashtbl.create 64;
       refine;
-      ignore_preds = ignore;
       base = Term_tbl.create 64;
       by_stratum;
       stratum_of =
@@ -1674,8 +1611,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
       indexing;
       spatial;
       spatial_indexing;
-      max_iterations;
-      max_facts;
       tracer;
       jobs;
       ctr = new_counters ();
@@ -1694,16 +1629,13 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
           i_recomputed = 0;
         };
       lineage =
-        (if lineage then
-           Some
-             {
-               ptbl = Term_tbl.create 256;
-               p_refreshed = 0;
-               p_reconstructs = 0;
-               p_max_depth = 0;
-               p_max_size = 0;
-             }
-         else None);
+        {
+          ptbl = Term_tbl.create 256;
+          p_refreshed = 0;
+          p_reconstructs = 0;
+          p_max_depth = 0;
+          p_max_size = 0;
+        };
     }
   in
   (* every relation a rule can read or write exists up front: worker
@@ -1726,12 +1658,10 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
 let prebuild_spatial fp =
   match fp.spatial with
   | Some sp when fp.spatial_indexing ->
-      let kind =
-        match sp.sp_grid_cell with Some c -> Sx.Grid c | None -> Sx.Rtree
-      in
+      let kind = index_kind sp in
       let built = Hashtbl.create 8 in
       let build_for = function
-        | SPos (_, rel, _, apos, _) ->
+        | Pos (_, rel, _, Some (apos, _)) ->
             if not (Hashtbl.mem built (rel, apos)) then begin
               Hashtbl.add built (rel, apos) ();
               let r = get fp rel in
@@ -1756,15 +1686,28 @@ let prebuild_spatial fp =
         fp.by_stratum
   | _ -> ()
 
-(* Final counter samples for an enabled tracer — once per [run] (and per
-   [import], whose restored counters gauge the same way). *)
-let emit_gauges fp =
+(* Final counter samples for an enabled tracer. [gauge_totals] covers
+   what every operation moves (store size, passes, firings, lineage
+   size) and closes each {!apply} batch; [emit_gauges] adds the access
+   path, hash-consing and parallelism samples once per [run] and per
+   [import], whose restored counters gauge the same way. *)
+let gauge_totals fp =
   let tracer = fp.tracer in
   if Gdp_obs.Tracer.enabled tracer then begin
     let set n v = Gdp_obs.Tracer.set tracer n (float_of_int v) in
     set "bu.facts" fp.ctr.c_facts;
     set "bu.passes" fp.ctr.c_passes;
     set "bu.firings" fp.ctr.c_firings;
+    let tracked, bytes = prov_footprint fp.lineage in
+    set "prov.tracked" tracked;
+    set "prov.bytes" bytes
+  end
+
+let emit_gauges fp =
+  gauge_totals fp;
+  let tracer = fp.tracer in
+  if Gdp_obs.Tracer.enabled tracer then begin
+    let set n v = Gdp_obs.Tracer.set tracer n (float_of_int v) in
     set "bu.index_probes" fp.ctr.c_probes;
     set "bu.full_scans" fp.ctr.c_scans;
     if fp.ctr.c_sprobes > 0 || fp.ctr.c_sscans > 0 then begin
@@ -1776,24 +1719,15 @@ let emit_gauges fp =
     if fp.jobs > 1 then begin
       set "bu.jobs" fp.jobs;
       set "bu.par_units" fp.ctr.c_par_units
-    end;
-    match fp.lineage with
-    | Some ps ->
-        let tracked, bytes = prov_footprint ps in
-        set "prov.tracked" tracked;
-        set "prov.bytes" bytes
-    | None -> ()
+    end
   end
 
 let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(ignore = Prelude.predicates)
-    ?(refine = fun _ -> None) ?(max_iterations = 10_000)
-    ?(max_facts = 1_000_000) ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1)
-    ?(lineage = false) ?(seed = []) db =
-  let jobs = Pool.resolve_jobs jobs in
+    ?(spatial_indexing = true) ?(refine = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1) ?(seed = []) db =
   let fp, facts =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-      ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db
+    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
+      ~tracer ~jobs db
   in
   (* net the seeds like {!apply} nets a batch: a seed structurally equal
      to a parsed fact, or repeated in the seed list, lands in the store
@@ -1871,47 +1805,25 @@ let facts fp =
   Hashtbl.fold (fun _ r acc -> Relation.elements r @ acc) fp.rels []
   |> List.sort Term.compare
 
-let rel_of_ground fp t =
-  match Term.functor_of t with
-  | None -> None
-  | Some (name, arity) -> (
-      match fp.refine (name, arity) with
-      | None -> Some { Rel.name; arity; sub = None }
-      | Some pos -> (
-          let arg =
-            match t with Term.App (_, args) -> List.nth_opt args pos | _ -> None
-          in
-          match arg with
-          | Some (Term.Atom p) -> Some { Rel.name; arity; sub = Some p }
-          | _ -> None))
+(* The stored relations a goal can match: its own relation when it
+   resolves to one, else — a refined predicate queried with a variable
+   at the refining argument — every refined relation of its predicate. *)
+let relations_of fp goal =
+  match resolve_rel fp.refine goal with
+  | Ok rel -> Option.to_list (Hashtbl.find_opt fp.rels rel)
+  | Error `Not_atom -> []
+  | Error (`Unrefined (name, arity, _)) ->
+      Hashtbl.fold
+        (fun (r : Rel.t) rel acc ->
+          if String.equal r.Rel.name name && r.Rel.arity = arity then rel :: acc
+          else acc)
+        fp.rels []
 
-let holds fp t =
-  match rel_of_ground fp t with
-  | None -> false
-  | Some rel -> (
-      match Hashtbl.find_opt fp.rels rel with
-      | None -> false
-      | Some r -> Relation.mem r t)
+let holds fp t = List.exists (fun r -> Relation.mem r t) (relations_of fp t)
 
 let facts_matching fp goal =
-  match Term.functor_of goal with
-  | None -> []
-  | Some (name, arity) -> (
-      match rel_of_ground fp goal with
-      | Some rel -> (
-          match Hashtbl.find_opt fp.rels rel with
-          | None -> []
-          | Some r -> List.sort Term.compare (Relation.elements r))
-      | None ->
-          (* refined predicate queried with a variable at the refining
-             argument: union over the predicate's refined relations *)
-          Hashtbl.fold
-            (fun (r : Rel.t) rel acc ->
-              if String.equal r.Rel.name name && r.Rel.arity = arity then
-                Relation.elements rel @ acc
-              else acc)
-            fp.rels []
-          |> List.sort Term.compare)
+  List.concat_map Relation.elements (relations_of fp goal)
+  |> List.sort Term.compare
 
 (* Candidates for a goal by the cheapest access path: membership for a
    ground goal, an index probe on the goal's ground argument positions
@@ -1919,37 +1831,17 @@ let facts_matching fp goal =
    superset of the facts unifiable with [goal] (exactly the bucket of
    facts agreeing with the goal's ground arguments) and is unsorted. *)
 let probe fp goal =
-  match Term.functor_of goal with
-  | None -> []
-  | Some (name, arity) ->
-      let candidates (r : Relation.t) =
-        if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
-        else
-          match goal with
-          | Term.App (_, args) -> (
-              let rev_positions, _ =
-                List.fold_left
-                  (fun (acc, i) arg ->
-                    ((if Term.is_ground arg then i :: acc else acc), i + 1))
-                  ([], 0) args
-              in
-              match List.rev rev_positions with
-              | [] -> Relation.elements r
-              | positions -> Relation.probe r positions args)
-          | _ -> Relation.elements r
-      in
-      (match rel_of_ground fp goal with
-      | Some rel -> (
-          match Hashtbl.find_opt fp.rels rel with
-          | None -> []
-          | Some r -> candidates r)
-      | None ->
-          Hashtbl.fold
-            (fun (r : Rel.t) rel acc ->
-              if String.equal r.Rel.name name && r.Rel.arity = arity then
-                candidates rel @ acc
-              else acc)
-            fp.rels [])
+  let candidates r =
+    if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
+    else
+      let args = Relation.args_of goal in
+      match ground_positions args with
+      | [] -> Relation.elements r
+      | positions -> Relation.probe r positions args
+  in
+  match relations_of fp goal with
+  | [ r ] -> candidates r (* the common case: no copy *)
+  | rs -> List.concat_map candidates rs
 
 let count fp =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) fp.rels 0
@@ -1989,20 +1881,17 @@ let stats fp =
     bu_par_units = fp.ctr.c_par_units;
     bu_strata_stats = fp.strata_stats;
     bu_incr = incr_stats fp;
-    bu_lineage = fp.lineage <> None;
     bu_prov =
-      (match fp.lineage with
-      | None -> no_prov_stats
-      | Some ps ->
-          let tracked, bytes = prov_footprint ps in
-          {
-            prov_tracked = tracked;
-            prov_bytes = bytes;
-            prov_refreshed = ps.p_refreshed;
-            prov_reconstructs = ps.p_reconstructs;
-            prov_max_depth = ps.p_max_depth;
-            prov_max_size = ps.p_max_size;
-          });
+      (let ps = fp.lineage in
+       let tracked, bytes = prov_footprint ps in
+       {
+         prov_tracked = tracked;
+         prov_bytes = bytes;
+         prov_refreshed = ps.p_refreshed;
+         prov_reconstructs = ps.p_reconstructs;
+         prov_max_depth = ps.p_max_depth;
+         prov_max_size = ps.p_max_size;
+       });
   }
 
 let hcons_hit_rate s =
@@ -2041,16 +1930,14 @@ let pp_stats ppf s =
       i.upd_deleted i.upd_overdeleted i.upd_rederived i.upd_strata_visited
       i.upd_strata_recomputed
   end;
-  if s.bu_lineage then begin
-    let p = s.bu_prov in
+  let p = s.bu_prov in
+  Format.fprintf ppf
+    "provenance: %d tuples tracked, %d witness bytes, %d refreshed@,"
+    p.prov_tracked p.prov_bytes p.prov_refreshed;
+  if p.prov_reconstructs > 0 then
     Format.fprintf ppf
-      "provenance: %d tuples tracked, %d witness bytes, %d refreshed@,"
-      p.prov_tracked p.prov_bytes p.prov_refreshed;
-    if p.prov_reconstructs > 0 then
-      Format.fprintf ppf
-        "provenance: %d reconstructs (max depth %d, max size %d)@,"
-        p.prov_reconstructs p.prov_max_depth p.prov_max_size
-  end;
+      "provenance: %d reconstructs (max depth %d, max size %d)@,"
+      p.prov_reconstructs p.prov_max_depth p.prov_max_size;
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
@@ -2148,32 +2035,30 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   (* 4. rederive: a removed fact survives if it is still asserted, or
      some rule of this stratum derives it from the remaining facts.
      Iterated to a fixpoint so chains of mutually supporting facts are
-     reinstated in dependency order. With lineage on, the surviving
-     derivation found here becomes the fact's refreshed witness — its
-     old witness was dropped with the physical removal above, so every
-     surviving tuple's lineage is valid against the post-batch store. *)
-  let capture = fp.lineage <> None in
+     reinstated in dependency order. The surviving derivation found here
+     becomes the fact's refreshed witness — its old witness was dropped
+     with the physical removal above, so every surviving tuple's lineage
+     is valid against the post-batch store. *)
+  let ps = fp.lineage in
   let pending = ref !removed and progress = ref true in
   while !progress do
     progress := false;
     pending :=
       List.filter
         (fun (rel, t) ->
-          let reinstate w_opt =
+          let reinstate () =
             Stdlib.ignore (add fp rel t);
-            (match (fp.lineage, w_opt) with
-            | Some ps, Some w ->
-                Term_tbl.replace ps.ptbl t w;
-                ps.p_refreshed <- ps.p_refreshed + 1
-            | _ -> ());
             fp.incr.i_rederived <- fp.incr.i_rederived + 1;
             progress := true;
             false
           in
-          if Term_tbl.mem fp.base t then reinstate None
+          if Term_tbl.mem fp.base t then reinstate ()
           else
-            match find_witness fp ~capture srules rel t with
-            | Some w_opt -> reinstate w_opt
+            match find_witness fp srules rel t with
+            | Some w ->
+                Term_tbl.replace ps.ptbl t w;
+                ps.p_refreshed <- ps.p_refreshed + 1;
+                reinstate ()
             | None -> true)
         !pending
   done;
@@ -2264,6 +2149,26 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
   (!net_adds, !net_dels)
 
 let apply ?jobs fp (updates : update list) =
+  (* validate the whole batch before touching anything, so a bad entry
+     leaves the fixpoint exactly as it was *)
+  let entries =
+    List.map
+      (fun u ->
+        let asserted, t =
+          match u with `Assert t -> (true, t) | `Retract t -> (false, t)
+        in
+        if not (Term.is_ground t) then
+          unsupported "update: %s is not a ground fact" (Term.to_string t);
+        let t = Term.hcons t in
+        (match Term.functor_of t with
+        | None ->
+            unsupported "update: %s is not a predicate atom" (Term.to_string t)
+        | Some (name, arity) when List.mem (name, arity) library ->
+            unsupported "update: %s/%d is a library predicate" name arity
+        | Some _ -> ());
+        (asserted, t, rel_of ~refine:fp.refine ~what:"update" t))
+      updates
+  in
   (* an explicit [jobs] re-pins the fixpoint's parallelism for this and
      every later batch; the default keeps what {!run} chose. The
      insertion-propagation saturates below go parallel with it; DRed
@@ -2284,27 +2189,14 @@ let apply ?jobs fp (updates : update list) =
      handed to each stratum are those net changes *)
   let touched = Term_tbl.create 16 in
   List.iter
-    (fun u ->
-      let asserted, t =
-        match u with `Assert t -> (true, t) | `Retract t -> (false, t)
-      in
-      if not (Term.is_ground t) then
-        unsupported "update: %s is not a ground fact" (Term.to_string t);
-      let t = Term.hcons t in
-      (match Term.functor_of t with
-      | None ->
-          unsupported "update: %s is not a predicate atom" (Term.to_string t)
-      | Some (name, arity) when List.mem (name, arity) fp.ignore_preds ->
-          unsupported "update: %s/%d is a library predicate" name arity
-      | Some _ -> ());
-      let rel = rel_of ~refine:fp.refine ~what:"update" t in
+    (fun (asserted, t, rel) ->
       if asserted then inc.i_asserts <- inc.i_asserts + 1
       else inc.i_retracts <- inc.i_retracts + 1;
       if not (Term_tbl.mem touched t) then
         Term_tbl.replace touched t (rel, Term_tbl.mem fp.base t);
       if asserted then Term_tbl.replace fp.base t rel
       else Term_tbl.remove fp.base t)
-    updates;
+    entries;
   let ns = Array.length fp.by_stratum in
   let adds_at = Array.make ns [] and dels_at = Array.make ns [] in
   Term_tbl.iter
@@ -2387,6 +2279,7 @@ let apply ?jobs fp (updates : update list) =
         ("inserted", Gdp_obs.Tracer.Int (inc.i_inserted - ins0));
         ("deleted", Gdp_obs.Tracer.Int (inc.i_deleted - del0));
       ];
+  gauge_totals fp;
   if Gdp_obs.Tracer.enabled fp.tracer then begin
     Gdp_obs.Tracer.add fp.tracer "bu.incr.batches" 1;
     let set n v = Gdp_obs.Tracer.set fp.tracer n (float_of_int v) in
@@ -2395,16 +2288,7 @@ let apply ?jobs fp (updates : update list) =
     set "bu.incr.overdeleted" inc.i_overdeleted;
     set "bu.incr.rederived" inc.i_rederived;
     set "bu.incr.strata_recomputed" inc.i_recomputed;
-    set "bu.facts" fp.ctr.c_facts;
-    set "bu.passes" fp.ctr.c_passes;
-    set "bu.firings" fp.ctr.c_firings;
-    match fp.lineage with
-    | Some ps ->
-        let tracked, bytes = prov_footprint ps in
-        set "prov.tracked" tracked;
-        set "prov.bytes" bytes;
-        set "prov.refreshed" ps.p_refreshed
-    | None -> ()
+    set "prov.refreshed" fp.lineage.p_refreshed
   end
 
 let assert_fact fp t =
@@ -2420,65 +2304,57 @@ let retract_fact fp t =
 (* ------------------------------------------------------------------ *)
 (* why-provenance: witness lookup and proof reconstruction *)
 
-let lineage_enabled fp = fp.lineage <> None
-
 let witness fp t =
-  match fp.lineage with
-  | None -> None
-  | Some ps -> (
-      match Term_tbl.find_opt ps.ptbl (Term.hcons t) with
-      | None -> None
-      | Some w -> Some (w.w_rule, w.w_steps))
+  Term_tbl.find_opt fp.lineage.ptbl (Term.hcons t)
+  |> Option.map (fun w -> (w.w_rule, w.w_steps))
 
 let proof fp t =
-  match fp.lineage with
-  | None -> None
-  | Some ps ->
-      let t = Term.hcons t in
-      if not (holds fp t) then None
-      else begin
-        let frame =
-          Gdp_obs.Tracer.begin_span fp.tracer ~cat:"provenance"
-            "prov.reconstruct"
-        in
-        (* witness supports always predate the facts they support, so the
-           recorded lineage is a DAG; the visiting set is defence in depth
-           against a corrupt store — a repeated goal degrades to a leaf
-           instead of diverging *)
-        let visiting = Term_tbl.create 16 in
-        let rec build goal =
-          if Term_tbl.mem visiting goal then Explain.Fact goal
-          else
-            match Term_tbl.find_opt ps.ptbl goal with
-            | None -> Explain.Fact goal
-            | Some w ->
-                Term_tbl.replace visiting goal ();
-                let premises =
-                  List.map
-                    (function
-                      | Wfact u -> build u
-                      | Wnaf u -> Explain.Naf u
-                      | Wguard u -> Explain.Builtin u)
-                    w.w_steps
-                in
-                Term_tbl.remove visiting goal;
-                Explain.Rule { goal; premises }
-        in
-        let p = build t in
-        let sz = Explain.size p and dp = Explain.depth p in
-        ps.p_reconstructs <- ps.p_reconstructs + 1;
-        if dp > ps.p_max_depth then ps.p_max_depth <- dp;
-        if sz > ps.p_max_size then ps.p_max_size <- sz;
-        Gdp_obs.Tracer.end_span fp.tracer frame
-          ~args:
-            [
-              ("size", Gdp_obs.Tracer.Int sz);
-              ("depth", Gdp_obs.Tracer.Int dp);
-            ];
-        if Gdp_obs.Tracer.enabled fp.tracer then
-          Gdp_obs.Tracer.add fp.tracer "prov.reconstructs" 1;
-        Some p
-      end
+  let ps = fp.lineage in
+  let t = Term.hcons t in
+  if not (holds fp t) then None
+  else begin
+    let frame =
+      Gdp_obs.Tracer.begin_span fp.tracer ~cat:"provenance"
+        "prov.reconstruct"
+    in
+    (* witness supports always predate the facts they support, so the
+       recorded lineage is a DAG; the visiting set is defence in depth
+       against a corrupt store — a repeated goal degrades to a leaf
+       instead of diverging *)
+    let visiting = Term_tbl.create 16 in
+    let rec build goal =
+      if Term_tbl.mem visiting goal then Explain.Fact goal
+      else
+        match Term_tbl.find_opt ps.ptbl goal with
+        | None -> Explain.Fact goal
+        | Some w ->
+            Term_tbl.replace visiting goal ();
+            let premises =
+              List.map
+                (function
+                  | Wfact u -> build u
+                  | Wnaf u -> Explain.Naf u
+                  | Wguard u -> Explain.Builtin u)
+                w.w_steps
+            in
+            Term_tbl.remove visiting goal;
+            Explain.Rule { goal; premises }
+    in
+    let p = build t in
+    let sz = Explain.size p and dp = Explain.depth p in
+    ps.p_reconstructs <- ps.p_reconstructs + 1;
+    if dp > ps.p_max_depth then ps.p_max_depth <- dp;
+    if sz > ps.p_max_size then ps.p_max_size <- sz;
+    Gdp_obs.Tracer.end_span fp.tracer frame
+      ~args:
+        [
+          ("size", Gdp_obs.Tracer.Int sz);
+          ("depth", Gdp_obs.Tracer.Int dp);
+        ];
+    if Gdp_obs.Tracer.enabled fp.tracer then
+      Gdp_obs.Tracer.add fp.tracer "prov.reconstructs" 1;
+    Some p
+  end
 
 (* ------------------------------------------------------------------ *)
 (* persistent snapshots: a data-only export of a materialised fixpoint.
@@ -2500,7 +2376,7 @@ type snapshot_state = {
   sn_rels : snap_relation list;
   sn_base : (Term.t * Rel.t) list;  (* asserted (extensional) facts *)
   sn_witnesses : (Term.t * witness) list;
-  sn_prov : (int * int * int * int) option;
+  sn_prov : int * int * int * int;
       (* refreshed, reconstructs, max depth, max size *)
   sn_counters : counters;  (* a private copy, never aliased to a live fp *)
   sn_strata_stats : stratum_stats list;
@@ -2524,21 +2400,15 @@ let export fp =
     Term_tbl.fold (fun t rel acc -> (t, rel) :: acc) fp.base []
     |> List.sort (fun (a, _) (b, _) -> Term.compare a b)
   in
-  let sn_witnesses, sn_prov =
-    match fp.lineage with
-    | None -> ([], None)
-    | Some ps ->
-        ( Term_tbl.fold (fun t w acc -> (t, w) :: acc) ps.ptbl []
-          |> List.sort (fun (a, _) (b, _) -> Term.compare a b),
-          Some (ps.p_refreshed, ps.p_reconstructs, ps.p_max_depth, ps.p_max_size)
-        )
-  in
+  let ps = fp.lineage in
   {
     sn_n_strata = fp.n_strata;
     sn_rels;
     sn_base;
-    sn_witnesses;
-    sn_prov;
+    sn_witnesses =
+      Term_tbl.fold (fun t w acc -> (t, w) :: acc) ps.ptbl []
+      |> List.sort (fun (a, _) (b, _) -> Term.compare a b);
+    sn_prov = (ps.p_refreshed, ps.p_reconstructs, ps.p_max_depth, ps.p_max_size);
     sn_counters = { fp.ctr with c_facts = fp.ctr.c_facts };
     sn_strata_stats = fp.strata_stats;
     sn_incr = { fp.incr with i_batches = fp.incr.i_batches };
@@ -2547,18 +2417,15 @@ let export fp =
 let snapshot_facts state = state.sn_counters.c_facts
 
 let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(ignore = Prelude.predicates)
-    ?(refine = fun _ -> None) ?(max_iterations = 10_000)
-    ?(max_facts = 1_000_000) ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1)
-    ?(lineage = false) db state =
-  let jobs = Pool.resolve_jobs jobs in
+    ?(spatial_indexing = true) ?(refine = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1) db state =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts state)) ]
     "snap.import"
   @@ fun () ->
   let fp, _parsed =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-      ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db
+    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
+      ~tracer ~jobs db
   in
   if fp.n_strata <> state.sn_n_strata then
     invalid_arg
@@ -2594,26 +2461,22 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   List.iter
     (fun (t, rel) -> Term_tbl.replace fp.base (Term.hcons t) rel)
     state.sn_base;
-  (match fp.lineage with
-  | None -> ()
-  | Some ps ->
-      let intern_step = function
-        | Wfact u -> Wfact (Term.hcons u)
-        | Wnaf u -> Wnaf (Term.hcons u)
-        | Wguard u -> Wguard (Term.hcons u)
-      in
-      List.iter
-        (fun (t, w) ->
-          Term_tbl.replace ps.ptbl (Term.hcons t)
-            { w with w_steps = List.map intern_step w.w_steps })
-        state.sn_witnesses;
-      match state.sn_prov with
-      | Some (refreshed, reconstructs, max_depth, max_size) ->
-          ps.p_refreshed <- refreshed;
-          ps.p_reconstructs <- reconstructs;
-          ps.p_max_depth <- max_depth;
-          ps.p_max_size <- max_size
-      | None -> ());
+  let ps = fp.lineage in
+  let intern_step = function
+    | Wfact u -> Wfact (Term.hcons u)
+    | Wnaf u -> Wnaf (Term.hcons u)
+    | Wguard u -> Wguard (Term.hcons u)
+  in
+  List.iter
+    (fun (t, w) ->
+      Term_tbl.replace ps.ptbl (Term.hcons t)
+        { w with w_steps = List.map intern_step w.w_steps })
+    state.sn_witnesses;
+  let refreshed, reconstructs, max_depth, max_size = state.sn_prov in
+  ps.p_refreshed <- refreshed;
+  ps.p_reconstructs <- reconstructs;
+  ps.p_max_depth <- max_depth;
+  ps.p_max_size <- max_size;
   fold_counters ~into:fp.ctr state.sn_counters;
   fp.strata_stats <- state.sn_strata_stats;
   let i = state.sn_incr in

@@ -93,11 +93,7 @@ type spatial = {
     and provenance are identical with indexing on and off. *)
 
 val classify :
-  ?ignore:(string * int) list ->
-  ?refine:refine ->
-  ?spatial:spatial ->
-  Database.t ->
-  (unit, string) result
+  ?refine:refine -> ?spatial:spatial -> Database.t -> (unit, string) result
 (** One classification pass shared by {!supported}, {!run} and the
     stratification error messages: [Ok ()] when every clause lies in the
     evaluable fragment, [Error reason] naming the first offending clause
@@ -105,17 +101,12 @@ val classify :
     [=], [\=]) or builtins in a body; negation of a non-atomic goal;
     a guard or negated literal with variables not bound by a preceding
     positive literal; a non-ground fact; a head variable not bound by the
-    body; and negation through a recursive stratum. Clauses whose head
-    predicate is listed in [ignore] (default: {!Prelude.predicates}, so
-    engine databases created by {!Engine.create} classify on user clauses
-    only) are invisible; body references to them are rejected. *)
+    body; and negation through a recursive stratum. Clauses of the
+    library predicates ({!Prelude.predicates}) are invisible, so engine
+    databases created by {!Engine.create} classify on user clauses only;
+    body references to them are rejected. *)
 
-val supported :
-  ?ignore:(string * int) list ->
-  ?refine:refine ->
-  ?spatial:spatial ->
-  Database.t ->
-  bool
+val supported : ?refine:refine -> ?spatial:spatial -> Database.t -> bool
 (** [classify db = Ok ()]. *)
 
 type stratum_stats = {
@@ -161,7 +152,7 @@ type prov_stats = {
   prov_max_depth : int;  (** deepest reconstructed proof *)
   prov_max_size : int;  (** largest reconstructed proof (nodes) *)
 }
-(** Lineage-store counters; all zeros while lineage is off. *)
+(** Lineage-store counters. *)
 
 type stats = {
   bu_passes : int;
@@ -188,8 +179,7 @@ type stats = {
   bu_par_units : int;
       (** parallel work units — (rule × delta-partition) fan-out tasks —
           executed across all passes; 0 on the sequential path *)
-  bu_lineage : bool;  (** whether this fixpoint records lineage *)
-  bu_prov : prov_stats;  (** all zeros when lineage is off *)
+  bu_prov : prov_stats;  (** the why-provenance sidecar's counters *)
   bu_strata_stats : stratum_stats list;  (** non-empty strata, in order *)
   bu_incr : incr_stats;  (** all zeros until the first {!apply} *)
 }
@@ -199,18 +189,14 @@ val run :
   ?indexing:bool ->
   ?spatial:spatial ->
   ?spatial_indexing:bool ->
-  ?ignore:(string * int) list ->
   ?refine:refine ->
-  ?max_iterations:int ->
-  ?max_facts:int ->
   ?tracer:Gdp_obs.Tracer.t ->
   ?jobs:int ->
-  ?lineage:bool ->
   ?seed:Term.t list ->
   Database.t ->
   fixpoint
 (** Evaluate strata in dependency order to the least fixpoint (default
-    strategy {!Semi_naive}; default bounds: 10_000 passes, 1_000_000
+    strategy {!Semi_naive}; fixed bounds: 10_000 passes, 1_000_000
     facts — exceeding either raises [Failure], which only unsafe
     function-symbol recursion can trigger). Raises {!Unsupported} with
     the {!classify} reason when the database leaves the fragment.
@@ -243,8 +229,7 @@ val run :
     the hook the magic-set rewrite ({!Magic}) uses to plant the query
     seed; a non-ground or non-atomic seed raises {!Unsupported}.
     Seeds are netted against the parsed facts and each other: a seed
-    already present, or repeated, counts once. [lineage] (default
-    [false]) turns on the why-provenance sidecar: every derived tuple
+    already present, or repeated, counts once. Every derived tuple
     records one witness at its first derivation — see the
     {{!section:provenance} provenance section}. Lineage never changes
     what is derived, the pass structure, or any counter in {!stats}
@@ -306,8 +291,7 @@ val pp_stats : Format.formatter -> stats -> unit
 (** Multi-line summary. Deliberately omits the per-stratum timings so the
     output is deterministic (CLI [--stats] is cram-tested). The
     maintenance counter block is printed only after the first update
-    batch, and the provenance block only when lineage is on, so
-    un-instrumented fixpoints render exactly as before. *)
+    batch. *)
 
 (** {1 Incremental maintenance}
 
@@ -337,18 +321,18 @@ val apply : ?jobs:int -> fixpoint -> update list -> unit
     batch is a no-op) — then repair the derived consequences. Facts must
     be ground atoms of non-library predicates (with a constant at the
     refining position when their predicate is refined); anything else
-    raises {!Unsupported} — the base replay up to the offending entry
-    may already have been applied, so callers should validate scripts
-    first or discard the fixpoint on error. Retracting a fact that was
-    never asserted, or one only ever derived by rules, is a no-op;
+    raises {!Unsupported}. The whole batch is validated before anything
+    changes, so a rejected batch leaves the fixpoint untouched.
+    Retracting a fact that was never asserted, or one only ever derived
+    by rules, is a no-op;
     asserting a fact that rules already derive marks it extensional (it
     then survives losing its rule derivations) without changing the
     store. Shares {!run}'s iteration/fact bounds per batch. [jobs]
     (optional) re-pins the fixpoint's evaluation parallelism for this
     and later batches; by default the setting {!run} chose is kept.
     Insertion propagation parallelises like the initial run; DRed
-    over-deletion and rederivation always run sequentially. With
-    lineage on, witnesses stay coherent across the batch: witnesses of
+    over-deletion and rederivation always run sequentially. Witnesses
+    stay coherent across the batch: witnesses of
     deleted facts are dropped, facts reinstated by rederivation get the
     surviving derivation as a fresh witness (counted in
     [prov_refreshed]), and strata recomputed outright re-capture from
@@ -364,7 +348,7 @@ val retract_fact : fixpoint -> Term.t -> bool
 
 (** {1:provenance Why-provenance}
 
-    With [run ~lineage:true], the fixpoint keeps a sidecar store mapping
+    Every fixpoint keeps a sidecar store mapping
     every {e derived} tuple to one witness: the rule that first produced
     it plus that firing's instantiated body — supporting positive tuples,
     negated literals that had no proof, and satisfied arithmetic /
@@ -386,15 +370,11 @@ type wstep =
   | Wguard of Term.t  (** arithmetic / equality guard instance *)
       (** One instantiated body literal of a recorded witness. *)
 
-val lineage_enabled : fixpoint -> bool
-(** Whether this fixpoint was run with [~lineage:true] and can answer
-    {!witness} / {!proof}. *)
-
 val witness : fixpoint -> Term.t -> (int * wstep list) option
 (** The recorded witness of a derived tuple: the deriving rule's id
     (0-based position among the database's evaluable rules) and the
-    instantiated body steps. [None] when lineage is off, when the tuple
-    is not in the store, and for asserted base facts. *)
+    instantiated body steps. [None] when the tuple is not in the store,
+    and for asserted base facts. *)
 
 val proof : fixpoint -> Term.t -> Explain.proof option
 (** Reconstruct a derivation tree for a stored ground atom by chasing
@@ -402,7 +382,7 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     base facts bottom out as [Fact] leaves, negated steps as [Naf]
     leaves and guards as [Builtin] leaves — the same shapes
     {!Explain.prove} returns, so printers and exporters apply unchanged.
-    [None] when lineage is off or the atom is not in the store. Updates
+    [None] when the atom is not in the store. Updates
     the [prov_reconstructs] / max depth / max size counters and, when
     the tracer is live, emits a ["prov.reconstruct"] span. *)
 
@@ -438,13 +418,9 @@ val import :
   ?indexing:bool ->
   ?spatial:spatial ->
   ?spatial_indexing:bool ->
-  ?ignore:(string * int) list ->
   ?refine:refine ->
-  ?max_iterations:int ->
-  ?max_facts:int ->
   ?tracer:Gdp_obs.Tracer.t ->
   ?jobs:int ->
-  ?lineage:bool ->
   Database.t ->
   snapshot_state ->
   fixpoint

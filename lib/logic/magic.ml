@@ -85,7 +85,7 @@ let orig_of = function
   | Never -> Term.atom "fail"
 
 (* Mirror of [Bottom_up.parse_body_goal] over the same fragment. *)
-let classify_goal db ~ignore ~refine ~spatial_ext ~ctx g =
+let classify_goal db ~refine ~spatial_ext ~ctx g =
   match g with
   | Term.Var _ -> unsupported "%s: unbound variable used as a body goal" ctx
   | Term.Int _ | Term.Float _ | Term.Str _ ->
@@ -114,7 +114,7 @@ let classify_goal db ~ignore ~refine ~spatial_ext ~ctx g =
             then
               unsupported "%s: negation of non-atomic goal %s" ctx
                 (Term.to_string inner)
-            else if List.mem (iname, iarity) ignore then
+            else if List.mem (iname, iarity) Prelude.predicates then
               unsupported
                 "%s: library predicate %s/%d outside the Datalog fragment" ctx
                 iname iarity
@@ -129,7 +129,7 @@ let classify_goal db ~ignore ~refine ~spatial_ext ~ctx g =
         | _ -> assert false
       else if arity = 2 && (String.equal name "==" || String.equal name "\\==")
       then Some (Guard g)
-      else if List.mem (name, arity) ignore then
+      else if List.mem (name, arity) Prelude.predicates then
         unsupported "%s: library predicate %s/%d outside the Datalog fragment"
           ctx name arity
       else
@@ -182,11 +182,11 @@ let check_safety ~ctx head body =
 
 type cl = { chead : Term.t; ckey : Key.t; cbody : lit list }
 
-let parse db ~ignore ~refine ~spatial_ext =
+let parse db ~refine ~spatial_ext =
   let facts = ref [] and rules = ref [] in
   List.iter
     (fun fa ->
-      if not (List.mem fa ignore) then
+      if not (List.mem fa Prelude.predicates) then
         List.iter
           (fun (c : Database.clause) ->
             let ckey = key_of ~refine ~what:"clause head" c.Database.head in
@@ -200,7 +200,7 @@ let parse db ~ignore ~refine ~spatial_ext =
             else begin
               let body =
                 List.filter_map
-                  (classify_goal db ~ignore ~refine ~spatial_ext ~ctx)
+                  (classify_goal db ~refine ~spatial_ext ~ctx)
                   c.Database.body
               in
               check_safety ~ctx c.Database.head body;
@@ -348,11 +348,10 @@ let distinct_strata get keys =
   Kset.fold (fun k acc -> Iset.add (get k) acc) keys Iset.empty
   |> Iset.cardinal
 
-let rewrite ?(ignore = Prelude.predicates) ?(refine = fun _ -> None)
-    ?(spatial_ext = fun _ -> None) ?(tracer = Gdp_obs.Tracer.disabled) ~goal db
-    =
+let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) ~goal db =
   Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "magic.rewrite" @@ fun () ->
-  let facts, rules = parse db ~ignore ~refine ~spatial_ext in
+  let facts, rules = parse db ~refine ~spatial_ext in
   let idb =
     List.fold_left (fun s r -> Kset.add r.ckey s) Kset.empty rules
   in

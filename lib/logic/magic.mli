@@ -47,7 +47,6 @@ val magic_name : string -> sub:string option -> adornment:string -> string
     rewrite output. *)
 
 val rewrite :
-  ?ignore:(string * int) list ->
   ?refine:Bottom_up.refine ->
   ?spatial_ext:(string * int -> int list option) ->
   ?tracer:Gdp_obs.Tracer.t ->
@@ -55,9 +54,10 @@ val rewrite :
   Database.t ->
   Database.t * info
 (** Rewrite [db] for goal-directed evaluation of [goal] (an atom whose
-    ground arguments are the bound positions). [ignore] and [refine]
-    must match what will be passed to {!Bottom_up.run} (defaults:
-    {!Prelude.predicates} and no refinement). [spatial_ext] (default:
+    ground arguments are the bound positions). [refine] must match what
+    will be passed to {!Bottom_up.run} (default: no refinement). Library
+    clauses ({!Prelude.predicates}) are invisible, exactly as in
+    {!Bottom_up.classify}. [spatial_ext] (default:
     whitelist nothing) must be the [sp_ext] field of the {!
     Bottom_up.spatial} hooks the evaluator will run with: whitelisted
     spatial builtins pass through the rewrite as inert body literals —

@@ -8,11 +8,12 @@
     update log there — this module never interprets it, which keeps the
     logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP1\n"], a 16-byte MD5 digest
-    of the payload, then the payload ([Marshal] of {!t}). {!load}
-    verifies magic and digest before unmarshalling, so a truncated,
-    corrupted or non-snapshot file raises {!Corrupt} with a clean
-    message instead of crashing inside [Marshal]. Key checking is the
+    File format: the magic string ["GDPXSNAP2\n"], a 16-byte MD5 digest
+    of the payload, then the payload ([Marshal] of {!t}). The magic's
+    digit is the payload version. {!load} verifies magic and digest
+    before unmarshalling, so a truncated, corrupted, non-snapshot or
+    other-version file raises {!Corrupt} with a clean message instead
+    of crashing inside [Marshal]. Key checking is the
     {e caller's} job: {!load} returns whatever key the file carries,
     and a mismatch means the snapshot is {e stale} (rebuild it), not
     corrupt. *)

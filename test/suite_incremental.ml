@@ -317,6 +317,24 @@ let test_update_rejects_non_ground () =
   | exception Bottom_up.Unsupported _ -> ()
   | () -> Alcotest.fail "library-predicate update accepted"
 
+(* A batch with one bad entry is rejected whole: the valid entry before
+   it is not applied, no counter moves, and a later batch still sees the
+   fact as new. *)
+let test_rejected_batch_is_atomic () =
+  let db = engine_db_of "e(a, b). r(X, Y) :- e(X, Y)." in
+  let fp = Bottom_up.run db in
+  let facts0 = facts_of fp and stats0 = Bottom_up.stats fp in
+  (match
+     Bottom_up.apply fp [ `Assert (term "e(b, c)"); `Assert (term "e(X, c)") ]
+   with
+  | exception Bottom_up.Unsupported _ -> ()
+  | () -> Alcotest.fail "non-ground assert accepted");
+  Alcotest.(check (list string)) "facts unchanged" facts0 (facts_of fp);
+  Alcotest.(check bool) "stats unchanged" true (Bottom_up.stats fp = stats0);
+  Bottom_up.apply fp [ `Assert (term "e(b, c)") ];
+  Alcotest.(check bool) "a later batch applies the fact" true
+    (Bottom_up.holds fp (term "r(b, c)"))
+
 let test_stats_cumulative () =
   let db = engine_db_of "e(a, b). r(X, Y) :- e(X, Y)." in
   let fp = Bottom_up.run db in
@@ -343,6 +361,8 @@ let tests =
       test_assert_retract_roundtrip;
     Alcotest.test_case "invalid updates rejected" `Quick
       test_update_rejects_non_ground;
+    Alcotest.test_case "rejected batch leaves the fixpoint untouched" `Quick
+      test_rejected_batch_is_atomic;
     Alcotest.test_case "stats stay cumulative and consistent" `Quick
       test_stats_cumulative;
     QCheck_alcotest.to_alcotest prop_semi_naive;

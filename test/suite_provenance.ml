@@ -114,20 +114,19 @@ let lineage_ok db base fp =
     | r -> Some (r <> None)
     | exception Solve.Depth_exhausted _ -> None
   in
-  Bottom_up.lineage_enabled fp
-  && List.for_all
-       (fun t ->
-         (match Bottom_up.witness fp t with
-         | None -> is_base base t
-         | Some (rid, steps) ->
-             rid >= 0
-             && rule_matches db t steps
-             && List.for_all (step_ok db fp) steps)
-         && (match Bottom_up.proof fp t with
-            | None -> false
-            | Some p -> Term.equal (Explain.goal_of p) t && proof_ok db fp p)
-         && prove_opt t <> Some false)
-       (Bottom_up.facts fp)
+  List.for_all
+    (fun t ->
+      (match Bottom_up.witness fp t with
+      | None -> is_base base t
+      | Some (rid, steps) ->
+          rid >= 0
+          && rule_matches db t steps
+          && List.for_all (step_ok db fp) steps)
+      && (match Bottom_up.proof fp t with
+         | None -> false
+         | Some p -> Term.equal (Explain.goal_of p) t && proof_ok db fp p)
+      && prove_opt t <> Some false)
+    (Bottom_up.facts fp)
 
 let prop_lineage =
   QCheck.Test.make
@@ -136,7 +135,7 @@ let prop_lineage =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_program)
     (fun src ->
       let db = db_of src in
-      lineage_ok db (base_facts src) (Bottom_up.run ~lineage:true db))
+      lineage_ok db (base_facts src) (Bottom_up.run db))
 
 let prop_lineage_stratified =
   QCheck.Test.make
@@ -147,7 +146,7 @@ let prop_lineage_stratified =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_stratified_program)
     (fun src ->
       let db = engine_db_of src in
-      lineage_ok db (base_facts src) (Bottom_up.run ~lineage:true db))
+      lineage_ok db (base_facts src) (Bottom_up.run db))
 
 (* Witness coherence through incremental maintenance: retract base facts
    (forcing DRed over-deletion, rederivation-with-refresh and negation-
@@ -161,7 +160,7 @@ let prop_lineage_updates =
     (fun src ->
       let db = engine_db_of src in
       let base = base_facts src in
-      let fp = Bottom_up.run ~lineage:true db in
+      let fp = Bottom_up.run db in
       let scripts =
         [
           [
@@ -219,8 +218,8 @@ let prop_lineage_jobs =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_stratified_program)
     (fun src ->
       let db = engine_db_of src in
-      let fp2 = Bottom_up.run ~jobs:2 ~lineage:true db in
-      let fp4 = Bottom_up.run ~jobs:4 ~lineage:true db in
+      let fp2 = Bottom_up.run ~jobs:2 db in
+      let fp4 = Bottom_up.run ~jobs:4 db in
       List.equal Term.equal (Bottom_up.facts fp2) (Bottom_up.facts fp4)
       && List.for_all
            (fun t ->
@@ -234,8 +233,7 @@ let chain =
 
 let test_witness_basics () =
   let db = db_of chain in
-  let fp = Bottom_up.run ~lineage:true db in
-  Alcotest.(check bool) "lineage on" true (Bottom_up.lineage_enabled fp);
+  let fp = Bottom_up.run db in
   Alcotest.(check bool)
     "base fact has no witness" true
     (Bottom_up.witness fp (Reader.term "e(a, b)") = None);
@@ -247,17 +245,13 @@ let test_witness_basics () =
   Alcotest.(check bool)
     "absent tuple has no witness" true
     (Bottom_up.witness fp (Reader.term "r(c, a)") = None);
-  (* with lineage off the whole sidecar is inert *)
-  let fp_off = Bottom_up.run db in
-  Alcotest.(check bool) "lineage off" false (Bottom_up.lineage_enabled fp_off);
-  Alcotest.(check bool) "no witness when off" true
-    (Bottom_up.witness fp_off (Reader.term "r(a, b)") = None);
-  Alcotest.(check bool) "no proof when off" true
-    (Bottom_up.proof fp_off (Reader.term "r(a, b)") = None)
+  Alcotest.(check bool)
+    "absent tuple has no proof" true
+    (Bottom_up.proof fp (Reader.term "r(c, a)") = None)
 
 let test_proof_reconstruction () =
   let db = db_of chain in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run db in
   (match Bottom_up.proof fp (Reader.term "r(a, c)") with
   | Some (Explain.Rule { goal; _ } as p) ->
       Alcotest.(check bool) "root goal" true
@@ -275,7 +269,7 @@ let test_naf_and_guard_leaves () =
        big(X) :- v(X, N), N >= 3.\n\
        small(X) :- node(X), \\+ big(X)."
   in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run db in
   let rec leaves acc = function
     | Explain.Rule { premises; _ } -> List.fold_left leaves acc premises
     | Explain.Branch { taken; _ } -> leaves acc taken
@@ -307,7 +301,7 @@ let test_witness_refresh_on_retract () =
       "e(a, b). e(a, c). e(c, b).\n\
        r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y)."
   in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run db in
   Bottom_up.apply fp [ `Retract (Reader.term "e(a, b)") ];
   ignore (Database.retract_fact db (Reader.term "e(a, b)"));
   Alcotest.(check bool) "r(a, b) survives" true

@@ -1,8 +1,8 @@
 (* Persistent snapshot round-trips: [Bottom_up.import] of a saved export
    must be indistinguishable from the materialisation it was exported
    from — identical fact sets, identical deterministic stats text, and
-   identical witnesses when lineage is on — across the indexed, scan and
-   spatial engine configurations. On top of the logic layer, the Query
+   identical witnesses — across the indexed, scan and spatial engine
+   configurations. On top of the logic layer, the Query
    units pin the coherence contract: a stale content hash is reported
    (never silently reused), a corrupted or truncated file is rejected
    with a clean error, and the persisted update log replays on load. *)
@@ -47,15 +47,15 @@ let witness_key fp t =
 (* One logic-layer round trip: run cold, save, load into an identically
    seeded fresh database, compare. Returns an error description instead
    of a bool so QCheck failures say which leg diverged. *)
-let roundtrip_check ?(lineage = false) ?(indexing = true) mk_db =
+let roundtrip_check ~indexing mk_db =
   with_temp @@ fun path ->
-  let cold = Bottom_up.run ~indexing ~lineage (mk_db ()) in
+  let cold = Bottom_up.run ~indexing (mk_db ()) in
   let (_ : int) =
     Snapshot.save ~path
       { Snapshot.key = "k"; meta = "m"; state = Bottom_up.export cold }
   in
   let snap, (_ : int) = Snapshot.load ~path () in
-  let warm = Bottom_up.import ~indexing ~lineage (mk_db ()) snap.Snapshot.state in
+  let warm = Bottom_up.import ~indexing (mk_db ()) snap.Snapshot.state in
   if snap.Snapshot.key <> "k" || snap.Snapshot.meta <> "m" then
     Error "key/meta did not round-trip"
   else if
@@ -66,24 +66,22 @@ let roundtrip_check ?(lineage = false) ?(indexing = true) mk_db =
       (Printf.sprintf "stats differ:\ncold:\n%s\nwarm:\n%s" (stats_text cold)
          (stats_text warm))
   else if
-    lineage
-    && not
-         (List.for_all
-            (fun t -> witness_key cold t = witness_key warm t)
-            (Bottom_up.facts cold))
+    not
+      (List.for_all
+         (fun t -> witness_key cold t = witness_key warm t)
+         (Bottom_up.facts cold))
   then Error "witnesses differ"
   else Ok ()
 
 let rt_agrees src =
   let mk () = engine_db_of src in
   List.for_all
-    (fun (lineage, indexing) ->
-      match roundtrip_check ~lineage ~indexing mk with
+    (fun indexing ->
+      match roundtrip_check ~indexing mk with
       | Ok () -> true
       | Error e ->
-          QCheck.Test.fail_report
-            (Printf.sprintf "lineage=%b indexing=%b: %s" lineage indexing e))
-    [ (false, true); (false, false); (true, true) ]
+          QCheck.Test.fail_report (Printf.sprintf "indexing=%b: %s" indexing e))
+    [ true; false ]
 
 (* The same random-program distributions the differential engine suite
    runs (310 programs per full pass): positive non-recursive programs,
@@ -260,6 +258,13 @@ let test_corrupt_rejected () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc flipped);
   expect_corrupt "bit-flipped file";
+  (* a version-1 header over an intact digest and payload: an older
+     build's file is refused before Marshal reads it *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP1\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-1 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");
