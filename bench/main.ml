@@ -1228,91 +1228,6 @@ let engine_magic () =
         w.bu_console_sizes)
     bu_workloads
 
-(* -------------------------------- engine-par: multicore fixpoint *)
-
-(* One sequential-vs-parallel measurement: the same database evaluated
-   by the sequential engine and by the domain-pool engine at each jobs
-   value. The derived fact sets must be identical (the merge is
-   canonical); the speedup columns are honest wall-clock, so on a
-   single-core machine they hover around (or below) 1x — the detected
-   core count is printed and recorded so consumers can gate on it. *)
-let par_jobs = [ 2; 4 ]
-
-type par_run = {
-  pj_jobs : int;
-  pj_ms : float;
-  pj_units : int;  (* (rule x delta-partition) work units executed *)
-}
-
-type par_row = {
-  pr_scale : int;
-  pr_facts : int;
-  pr_seq_ms : float;
-  pr_runs : par_run list;
-  pr_agree : bool;  (* every parallel fact set equals the sequential one *)
-}
-
-let par_measure w scale =
-  let open Gdp_logic in
-  let db = w.bu_db scale in
-  let seq_ms, seq_fp = time_ms (fun () -> Bottom_up.run db) in
-  let runs =
-    List.map
-      (fun jobs ->
-        let ms, fp = time_ms (fun () -> Bottom_up.run ~jobs db) in
-        (jobs, ms, fp))
-      par_jobs
-  in
-  {
-    pr_scale = scale;
-    pr_facts = Bottom_up.count seq_fp;
-    pr_seq_ms = seq_ms;
-    pr_runs =
-      List.map
-        (fun (jobs, ms, fp) ->
-          {
-            pj_jobs = jobs;
-            pj_ms = ms;
-            pj_units = (Bottom_up.stats fp).Bottom_up.bu_par_units;
-          })
-        runs;
-    pr_agree =
-      List.for_all
-        (fun (_, _, fp) ->
-          List.equal Term.equal (Bottom_up.facts seq_fp) (Bottom_up.facts fp))
-        runs;
-  }
-
-let par_speedup r run = r.pr_seq_ms /. Float.max 0.01 run.pj_ms
-
-let engine_par () =
-  let cores = Gdp_logic.Pool.auto_jobs () in
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf
-           "engine-par %s — parallel semi-naive fixpoint (%d core%s detected)"
-           w.bu_name cores
-           (if cores = 1 then "" else "s"));
-      row "  %8s %8s %10s" "scale" "facts" "seq_ms";
-      List.iter
-        (fun jobs -> row " %9s %8s" (Printf.sprintf "j%d_ms" jobs) "speedup")
-        par_jobs;
-      row " %8s  %s\n" "units" "agree";
-      List.iter
-        (fun scale ->
-          let r = par_measure w scale in
-          row "  %8d %8d %10.1f" r.pr_scale r.pr_facts r.pr_seq_ms;
-          List.iter
-            (fun run -> row " %9.1f %7.2fx" run.pj_ms (par_speedup r run))
-            r.pr_runs;
-          let units =
-            match r.pr_runs with run :: _ -> run.pj_units | [] -> 0
-          in
-          row " %8d  %s\n" units (if r.pr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
 (* --------------------------- engine-spatial: R-tree / grid joins *)
 
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
@@ -1668,12 +1583,10 @@ let bench_json ?(small = false) () =
   add "  \"schema\": \"gdprs-bench-engine/1\",\n";
   add "  \"bench\": \"engine-bu scan vs indexed (semi-naive fixpoint)\",\n";
   add "  \"mode\": %S,\n" (if small then "small" else "full");
-  (* machine context: parallel speedups are only meaningful relative to
-     the core count the run actually had *)
-  add "  \"cores\": %d,\n" (Gdp_logic.Pool.auto_jobs ());
+  (* machine context: timings are only comparable across runs on like
+     machines *)
+  add "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   add "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  add "  \"jobs\": [%s],\n"
-    (String.concat ", " (List.map string_of_int par_jobs));
   add "  \"series\": [\n";
   let n_workloads = List.length bu_workloads in
   List.iteri
@@ -1786,47 +1699,6 @@ let bench_json ?(small = false) () =
       add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
     bu_workloads;
   add "  ],\n";
-  (* the multicore fixpoint: sequential vs jobs=2/4 on the same base.
-     Speedups are honest wall-clock for this machine — gate any
-     assertion on the "cores" header field. *)
-  add "  \"parallel_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-par %s" w.bu_name);
-      row "  %8s %8s %10s" "scale" "facts" "seq_ms";
-      List.iter
-        (fun jobs -> row " %9s %8s" (Printf.sprintf "j%d_ms" jobs) "speedup")
-        par_jobs;
-      row "  %s\n" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = par_measure w scale in
-          row "  %8d %8d %10.1f" r.pr_scale r.pr_facts r.pr_seq_ms;
-          List.iter
-            (fun run -> row " %9.1f %7.2fx" run.pj_ms (par_speedup r run))
-            r.pr_runs;
-          row "  %s\n" (if r.pr_agree then "yes" else "DISAGREE");
-          let runs_json =
-            r.pr_runs
-            |> List.map (fun run ->
-                   Printf.sprintf
-                     "{ \"jobs\": %d, \"ms\": %.3f, \"speedup\": %.3f, \
-                      \"units\": %d }"
-                     run.pj_jobs run.pj_ms (par_speedup r run) run.pj_units)
-            |> String.concat ", "
-          in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"seq_ms\": %.3f, \
-             \"runs\": [%s], \"agree\": %b }%s\n"
-            r.pr_scale r.pr_facts r.pr_seq_ms runs_json r.pr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
   (* spatial-index joins: the scan baseline vs uniform-grid vs R-tree on
      the same base; "agree" asserts all three derive identical models *)
   add "  \"spatial_series\": [\n";
@@ -1910,7 +1782,6 @@ let () =
       engine_bu ();
       engine_incr ();
       engine_magic ();
-      engine_par ();
       engine_spatial ();
       engine_snap ()
   | [ "report" ] -> List.iter (fun (_, f) -> f ()) reports
@@ -1921,7 +1792,6 @@ let () =
   | [ "engine-bu" ] -> engine_bu ()
   | [ "engine-incr" ] -> engine_incr ()
   | [ "engine-magic" ] -> engine_magic ()
-  | [ "engine-par" ] -> engine_par ()
   | [ "engine-spatial" ] -> engine_spatial ()
   | [ "engine-snap" ] -> engine_snap ()
   | [ "json" ] -> bench_json ()
@@ -1936,14 +1806,13 @@ let () =
           | None when name = "engine-bu" -> engine_bu ()
           | None when name = "engine-incr" -> engine_incr ()
           | None when name = "engine-magic" -> engine_magic ()
-          | None when name = "engine-par" -> engine_par ()
           | None when name = "engine-spatial" -> engine_spatial ()
           | None when name = "engine-snap" -> engine_snap ()
           | None ->
               Printf.eprintf
                 "unknown experiment %s (e1..e12, report, ablation, micro, \
-                 engine-bu, engine-incr, engine-magic, engine-par, \
-                 engine-spatial, engine-snap, json [small])\n"
+                 engine-bu, engine-incr, engine-magic, engine-spatial, \
+                 engine-snap, json [small])\n"
                 name;
               exit 2)
         names

@@ -115,17 +115,6 @@ let stats_arg =
                  call/exit/redo/fail port counters for the top-down engine \
                  and per-stratum fixpoint metrics when materialised.")
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Evaluate bottom-up fixpoints with $(docv) OCaml domains: \
-                 each semi-naive pass fans (rule × delta-partition) work \
-                 units over a domain pool and merges the derivations \
-                 deterministically. 1 (the default) is the sequential \
-                 engine; 0 autodetects the machine's core count. Only \
-                 meaningful with $(b,--materialize) or $(b,--magic); \
-                 top-down resolution is unaffected.")
-
 (* shared by check, ask, update and profile *)
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -160,9 +149,6 @@ let print_violation_proofs q n =
 let enable_telemetry result =
   result.Gdp_lang.Elaborate.spec.Spec.telemetry <- true
 
-let set_jobs result jobs =
-  result.Gdp_lang.Elaborate.spec.Spec.jobs <- jobs
-
 let set_spatial_indexing result ~no_spatial_index ~magic =
   if no_spatial_index && magic then
     invalid_arg "--no-spatial-index and --magic are mutually exclusive";
@@ -193,12 +179,11 @@ let handle_errors f =
 (* ---- check ---- *)
 
 let check_cmd =
-  let run file view models metas materialize snapshot stats jobs
+  let run file view models metas materialize snapshot stats
       no_spatial_index explain_n trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q = with_materialize (build_query result view models metas) materialize in
@@ -230,7 +215,7 @@ let check_cmd =
   let doc = "Check a specification's consistency under a world view (§III-E)." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize_arg
-          $ snapshot_arg $ stats_arg $ jobs_arg $ no_spatial_index_arg
+          $ snapshot_arg $ stats_arg $ no_spatial_index_arg
           $ explain_violations_arg $ trace_out_arg)
 
 (* ---- compile ---- *)
@@ -242,11 +227,10 @@ let compile_cmd =
              ~doc:"Where to write the snapshot. Conventionally \
                    $(i,SPEC).gdpx next to the specification.")
   in
-  let run file view models metas out stats jobs no_spatial_index trace_out =
+  let run file view models metas out stats no_spatial_index trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic:false;
         let q =
           Query.with_mode (build_query result view models metas)
@@ -277,7 +261,7 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ out_arg
-          $ stats_arg $ jobs_arg $ no_spatial_index_arg $ trace_out_arg)
+          $ stats_arg $ no_spatial_index_arg $ trace_out_arg)
 
 (* ---- update ---- *)
 
@@ -325,12 +309,11 @@ let update_cmd =
                       "%s:%d: expected 'assert FACT' or 'retract FACT'" path
                       lineno))
   in
-  let run file view models metas script materialize snapshot stats jobs
+  let run file view models metas script materialize snapshot stats
       no_spatial_index explain_n trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
@@ -395,7 +378,7 @@ let update_cmd =
   in
   Cmd.v (Cmd.info "update" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ script_arg
-          $ materialize_arg $ snapshot_arg $ stats_arg $ jobs_arg
+          $ materialize_arg $ snapshot_arg $ stats_arg
           $ no_spatial_index_arg $ explain_violations_arg $ trace_out_arg)
 
 (* ---- query ---- *)
@@ -409,11 +392,10 @@ let query_cmd =
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc:"Maximum answers.")
   in
   let run file view models metas pattern limit materialize magic snapshot
-      stats jobs no_spatial_index =
+      stats no_spatial_index =
     handle_errors (fun () ->
         let result = load file in
         if stats then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
@@ -439,7 +421,7 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ limit_arg $ materialize_arg $ magic_arg $ snapshot_arg $ stats_arg
-          $ jobs_arg $ no_spatial_index_arg)
+          $ no_spatial_index_arg)
 
 (* ---- ask ---- *)
 
@@ -448,12 +430,11 @@ let ask_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"GOAL" ~doc:"Raw engine goal over the reified vocabulary (holds/6, acc/7, builtins).")
   in
-  let run file view models metas goal magic snapshot stats jobs
+  let run file view models metas goal magic snapshot stats
       no_spatial_index trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic;
         (* ask's only fixpoint-backed mode is magic, so --snapshot
            selects it; the loaded full model then answers the goal *)
@@ -488,7 +469,7 @@ let ask_cmd =
   let doc = "Run a raw engine goal against the compiled database." in
   Cmd.v (Cmd.info "ask" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ magic_arg $ snapshot_arg $ stats_arg $ jobs_arg
+          $ magic_arg $ snapshot_arg $ stats_arg
           $ no_spatial_index_arg $ trace_out_arg)
 
 (* ---- profile ---- *)
@@ -500,12 +481,11 @@ let profile_cmd =
              ~doc:"Raw engine goal over the reified vocabulary (holds/6, \
                    acc/7, builtins); every answer is drained.")
   in
-  let run file view models metas goal materialize snapshot trace_out jobs
+  let run file view models metas goal materialize snapshot trace_out
       no_spatial_index =
     handle_errors (fun () ->
         let result = load file in
         enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
@@ -536,7 +516,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ materialize_arg $ snapshot_arg $ trace_out_arg $ jobs_arg
+          $ materialize_arg $ snapshot_arg $ trace_out_arg
           $ no_spatial_index_arg)
 
 (* ---- render ---- *)
@@ -634,13 +614,12 @@ let explain_cmd =
                    edges).")
   in
   let run file view models metas pattern dot json materialize magic snapshot
-      stats jobs no_spatial_index =
+      stats no_spatial_index =
     handle_errors (fun () ->
         if dot && json then
           invalid_arg "--dot and --json are mutually exclusive";
         let result = load file in
         if stats then enable_telemetry result;
-        set_jobs result jobs;
         set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
@@ -681,7 +660,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ dot_arg $ json_arg $ materialize_arg $ magic_arg $ snapshot_arg
-          $ stats_arg $ jobs_arg $ no_spatial_index_arg)
+          $ stats_arg $ no_spatial_index_arg)
 
 (* ---- info ---- *)
 

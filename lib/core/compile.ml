@@ -347,12 +347,11 @@ let magic_rewrite ?tracer ~goal db =
    ids anchor recorded witnesses) plus everything outside the clause
    store that changes what a materialised fixpoint derives: views, the
    coordinate system, region geometries, logical space/time resolutions,
-   the fuzzy algebra, and the engine configuration knobs ([jobs] is
-   deliberately excluded: parallelism never changes the model, so one
-   snapshot serves every [--jobs] setting). The configuration part reads
-   the specification's {e current} flag, so flipping
-   [Spec.spatial_indexing] after compilation changes the key — a [--no-spatial-index] run never silently reuses an
-   indexed snapshot. *)
+   the fuzzy algebra, and the engine configuration knobs. The
+   configuration part reads the specification's {e current} flag, so
+   flipping [Spec.spatial_indexing] after compilation changes the key —
+   a [--no-spatial-index] run never silently reuses an indexed
+   snapshot. *)
 let content_hash (c : t) =
   let spec = c.spec in
   let buf = Buffer.create 512 in

@@ -74,10 +74,10 @@ val content_hash : t -> string
     compiled clause sequence (rule order included — witness rule ids
     depend on it), both views, the coordinate system, region
     geometries, logical space and time resolutions, the fuzzy algebra
-    family, and the [Spec.spatial_indexing] flag as it stands {e now}. Deliberately independent of [Spec.jobs]
-    (parallelism never changes the derived model) and of the
-    specification's update log (updates persist inside the snapshot and
-    are replayed on load — see [Query.of_snapshot]). Two processes
+    family, and the [Spec.spatial_indexing] flag as it stands {e now}.
+    Deliberately independent of the specification's update log
+    (updates persist inside the snapshot and are replayed on load — see
+    [Query.of_snapshot]). Two processes
     compiling the same specification under the same views and flags
     compute the same hash; any divergence marks a snapshot {e stale}. *)
 

@@ -8,9 +8,6 @@ type t = {
   tracer : Gdp_obs.Tracer.t;
   solve_stats : Solve.stats option;
   mode : engine_mode;
-  jobs : int;
-      (** parallelism of every bottom-up fixpoint this query materialises
-          (1 = sequential; top-down resolution ignores it) *)
   fp : Bottom_up.fixpoint option ref;
       (** lazily computed; the ref (not just its content) is shared by the
           [with_mode] copies of this query, so materialising — or
@@ -36,10 +33,7 @@ let tracer_for ?tracer (spec : Spec.t) =
       else Gdp_obs.Tracer.disabled
 
 let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
-    ?jobs (compiled : Compile.t) =
-  let jobs =
-    match jobs with Some j -> j | None -> compiled.Compile.spec.Spec.jobs
-  in
+    (compiled : Compile.t) =
   let mode =
     match mode with
     | Some m -> m
@@ -67,15 +61,14 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
     tracer;
     solve_stats;
     mode;
-    jobs;
     fp = ref None;
     magic = ref None;
     snap = ref None;
   }
 
-let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer ?jobs spec =
+let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer spec =
   let tracer = tracer_for ?tracer spec in
-  of_compiled ?max_depth ?on_depth ?mode ~tracer ?jobs
+  of_compiled ?max_depth ?on_depth ?mode ~tracer
     (Compile.compile ?world_view ?meta_view ~tracer spec)
 
 let spec q = q.compiled.Compile.spec
@@ -100,7 +93,7 @@ let materialization q =
             Bottom_up.run ~refine:Compile.datalog_refine
               ~spatial:(Compile.spatial_hints (spec q))
               ~spatial_indexing:(spec q).Spec.spatial_indexing ~tracer:q.tracer
-              ~jobs:q.jobs (db q))
+              (db q))
       in
       q.fp := Some fp;
       fp
@@ -121,7 +114,7 @@ let magic_materialization q goal =
               Bottom_up.run ~refine:Compile.datalog_refine
                 ~spatial:(Compile.spatial_hints (spec q))
                 ~spatial_indexing:(spec q).Spec.spatial_indexing
-                ~tracer:q.tracer ~jobs:q.jobs ~seed:info.Magic.seeds rewritten
+                ~tracer:q.tracer ~seed:info.Magic.seeds rewritten
             in
             (fp, info))
       in
@@ -216,7 +209,7 @@ let of_snapshot q path =
                   Bottom_up.import ~refine:Compile.datalog_refine
                     ~spatial:(Compile.spatial_hints (spec q))
                     ~spatial_indexing:(spec q).Spec.spatial_indexing
-                    ~tracer:q.tracer ~jobs:q.jobs (db q) snap.Snapshot.state
+                    ~tracer:q.tracer (db q) snap.Snapshot.state
                 with
                 | fp ->
                     let facts = Bottom_up.snapshot_facts snap.Snapshot.state in

@@ -36,7 +36,6 @@ val create :
   ?on_depth:[ `Fail | `Raise ] ->
   ?mode:engine_mode ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   Spec.t ->
   t
 (** Compile and wrap. The engine's ancestor loop check is enabled
@@ -49,18 +48,13 @@ val create :
     [spec.Spec.telemetry] is set and the disabled tracer otherwise. An
     enabled tracer also switches on {!Gdp_logic.Solve.stats} collection
     (see {!solve_stats}) and spans around compilation, each query
-    operation and the engines' internals. [jobs] (default
-    [spec.Spec.jobs], itself 1) sets the parallelism of every bottom-up
-    fixpoint the query materialises — {!Materialized} and {!Magic} modes;
-    [0] autodetects the core count. Top-down resolution is single-domain
-    regardless. *)
+    operation and the engines' internals. *)
 
 val of_compiled :
   ?max_depth:int ->
   ?on_depth:[ `Fail | `Raise ] ->
   ?mode:engine_mode ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   Compile.t ->
   t
 (** Wrap an existing compilation — {!create} without the compile step;

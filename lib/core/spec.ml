@@ -46,7 +46,7 @@ type t = {
   mutable prefer_materialized : bool;
   mutable prefer_magic : bool;
   mutable telemetry : bool;
-  mutable jobs : int; (* bottom-up evaluation parallelism; 0 = autodetect *)
+  mutable jobs : int; (* ignored; kept only until the benchmark stops setting it *)
   mutable spatial_indexing : bool;
       (* compile spatially guarded joins to index probes in materialised
          fixpoints; off = the scan baseline, same model *)

@@ -90,11 +90,10 @@ type t = {
           and every fixpoint stratum/pass), retrievable via
           {!Query.tracer} — the switch behind [gdprs profile] *)
   mutable jobs : int;
-      (** evaluation parallelism for the bottom-up engine: every
-          fixpoint {!Query} materialises runs with this many OCaml 5
-          domains ([1] = sequential, [0] = autodetect the core count) —
-          the setting behind [gdprs --jobs]. Top-down resolution is
-          unaffected. *)
+      (** ignored: evaluation is sequential and nothing in the library
+          or the CLI reads this field. It remains only because the
+          end-to-end benchmark's ledger still assigns it, and goes with
+          the next change to that benchmark. *)
   mutable spatial_indexing : bool;
       (** when true (the default), every fixpoint {!Query} materialises
           compiles joins guarded by [region_mem] or a bounded [pt_dist]

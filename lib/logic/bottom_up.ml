@@ -30,15 +30,10 @@ module Relation = struct
     facts : unit Term_tbl.t;
     mutable arr : Term.t array; (* slots [0, n) valid, insertion order *)
     mutable n : int;
-    indexes : (int list * Term.t list Term_tbl.t) list Atomic.t;
+    mutable indexes : (int list * Term.t list Term_tbl.t) list;
         (* bound argument positions (ascending) -> probe table *)
-    spatials : (int * spat) list Atomic.t;
+    mutable spatials : (int * spat) list;
         (* point-carrying argument position -> spatial index *)
-    lock : Mutex.t;
-        (* serialises lazy index construction: during a parallel pass the
-           relation's facts are frozen (mutation happens only in the
-           single-threaded merge) but worker domains may race to build
-           the same missing index — see [index] *)
   }
 
   let dummy = Term.Atom ""
@@ -48,9 +43,8 @@ module Relation = struct
       facts = Term_tbl.create 64;
       arr = Array.make 16 dummy;
       n = 0;
-      indexes = Atomic.make [];
-      spatials = Atomic.make [];
-      lock = Mutex.create ();
+      indexes = [];
+      spatials = [];
     }
 
   let mem r t = Term_tbl.mem r.facts t
@@ -76,25 +70,16 @@ module Relation = struct
     Term_tbl.replace idx k
       (fact :: Option.value ~default:[] (Term_tbl.find_opt idx k))
 
-  (* Double-checked under the relation's lock: the unlocked fast path
-     reads the (atomic, so release-published) index list, and a miss
-     retries inside the lock so concurrent workers build each index
-     exactly once. Sequentially the lock is always uncontended. *)
   let index r positions =
-    match List.assoc_opt positions (Atomic.get r.indexes) with
+    match List.assoc_opt positions r.indexes with
     | Some idx -> idx
     | None ->
-        Mutex.protect r.lock (fun () ->
-            match List.assoc_opt positions (Atomic.get r.indexes) with
-            | Some idx -> idx
-            | None ->
-                let idx = Term_tbl.create (max 64 r.n) in
-                iter
-                  (fun fact ->
-                    index_insert idx (key_at positions (args_of fact)) fact)
-                  r;
-                Atomic.set r.indexes ((positions, idx) :: Atomic.get r.indexes);
-                idx)
+        let idx = Term_tbl.create (max 64 r.n) in
+        iter
+          (fun fact -> index_insert idx (key_at positions (args_of fact)) fact)
+          r;
+        r.indexes <- (positions, idx) :: r.indexes;
+        idx
 
   let arg_at apos t =
     match t with Term.App (_, args) -> List.nth_opt args apos | _ -> None
@@ -112,33 +97,25 @@ module Relation = struct
     | Some b -> Sx.insert sp.s_idx b t
     | None -> sp.s_rest <- t :: sp.s_rest
 
-  (* Lazily built under the same double-checked discipline as [index]:
-     the facts are frozen during a parallel pass, so concurrent readers
-     racing on a missing spatial index build it exactly once. *)
   let spatial_index r ~kind ~point apos =
-    match List.assoc_opt apos (Atomic.get r.spatials) with
+    match List.assoc_opt apos r.spatials with
     | Some sp -> sp
     | None ->
-        Mutex.protect r.lock (fun () ->
-            match List.assoc_opt apos (Atomic.get r.spatials) with
-            | Some sp -> sp
-            | None ->
-                let entries = ref [] and rest = ref [] in
-                iter
-                  (fun fact ->
-                    match arg_at apos fact with
-                    | Some a -> (
-                        match point a with
-                        | Some (x, y) ->
-                            entries := (Sx.point_box x y, fact) :: !entries
-                        | None -> rest := fact :: !rest)
-                    | None -> rest := fact :: !rest)
-                  r;
-                let sp =
-                  { s_point = point; s_idx = Sx.bulk kind !entries; s_rest = !rest }
-                in
-                Atomic.set r.spatials ((apos, sp) :: Atomic.get r.spatials);
-                sp)
+        let entries = ref [] and rest = ref [] in
+        iter
+          (fun fact ->
+            match arg_at apos fact with
+            | Some a -> (
+                match point a with
+                | Some (x, y) -> entries := (Sx.point_box x y, fact) :: !entries
+                | None -> rest := fact :: !rest)
+            | None -> rest := fact :: !rest)
+          r;
+        let sp =
+          { s_point = point; s_idx = Sx.bulk kind !entries; s_rest = !rest }
+        in
+        r.spatials <- (apos, sp) :: r.spatials;
+        sp
 
   (* Candidates for a box probe: everything indexed inside the box plus
      the side list of facts without an extractable point — a superset of
@@ -162,8 +139,8 @@ module Relation = struct
       List.iter
         (fun (positions, idx) ->
           index_insert idx (key_at positions (args_of t)) t)
-        (Atomic.get r.indexes);
-      List.iter (fun (apos, sp) -> spat_insert apos sp t) (Atomic.get r.spatials);
+        r.indexes;
+      List.iter (fun (apos, sp) -> spat_insert apos sp t) r.spatials;
       true
     end
 
@@ -223,7 +200,7 @@ module Relation = struct
               match List.filter (fun f -> not (Term.equal f t)) bucket with
               | [] -> Term_tbl.remove idx k
               | bucket -> Term_tbl.replace idx k bucket))
-        (Atomic.get r.indexes);
+        r.indexes;
       List.iter
         (fun (apos, sp) ->
           match spat_box sp apos t with
@@ -232,7 +209,7 @@ module Relation = struct
               ignore (Sx.remove sp.s_idx b t)
           | None ->
               sp.s_rest <- List.filter (fun f -> not (Term.equal f t)) sp.s_rest)
-        (Atomic.get r.spatials);
+        r.spatials;
       true
     end
 
@@ -920,8 +897,6 @@ type stats = {
   bu_spatial_scans : int;
   bu_hcons_hits : int;
   bu_hcons_misses : int;
-  bu_jobs : int;
-  bu_par_units : int;
   bu_prov : prov_stats;
   bu_strata_stats : stratum_stats list;
   bu_incr : incr_stats;
@@ -942,7 +917,6 @@ type counters = {
   mutable c_sscans : int;  (* spatial joins that fell back to a scan *)
   mutable c_hits : int;
   mutable c_misses : int;
-  mutable c_par_units : int;  (* parallel work units executed *)
 }
 
 let new_counters () =
@@ -957,12 +931,10 @@ let new_counters () =
     c_sscans = 0;
     c_hits = 0;
     c_misses = 0;
-    c_par_units = 0;
   }
 
-(* Fold a worker's private counters into the shared record — the merge
-   step does this once per work unit, in deterministic unit order, so
-   parallel telemetry is exact (sums of what each worker really did). *)
+(* Add one counter record into another: [import] restores a snapshot's
+   saved counters this way. *)
 let fold_counters ~into (w : counters) =
   into.c_facts <- into.c_facts + w.c_facts;
   into.c_passes <- into.c_passes + w.c_passes;
@@ -973,8 +945,7 @@ let fold_counters ~into (w : counters) =
   into.c_sprobes <- into.c_sprobes + w.c_sprobes;
   into.c_sscans <- into.c_sscans + w.c_sscans;
   into.c_hits <- into.c_hits + w.c_hits;
-  into.c_misses <- into.c_misses + w.c_misses;
-  into.c_par_units <- into.c_par_units + w.c_par_units
+  into.c_misses <- into.c_misses + w.c_misses
 
 (* Mutable lineage state: the witness table plus the reconstruction
    counters {!pp_stats} reports. *)
@@ -1000,16 +971,8 @@ type istate = {
 }
 
 (* A rule with its precomputed join plans: one full-relation plan and one
-   delta-aimed plan per positive body position. [delta_keys.(i)] is the
-   argument position of positive literal [i] the parallel driver
-   partitions the delta on — the first join-key position (first argument
-   sharing a variable with the rest of the rule). *)
-type planned = {
-  rule : rule;
-  plan : lit list;
-  delta_plans : lit list array;
-  delta_keys : int array;
-}
+   delta-aimed plan per positive body position. *)
+type planned = { rule : rule; plan : lit list; delta_plans : lit list array }
 
 (* The maintained state: everything [run] needed transiently is kept so
    {!apply} can continue evaluating — the per-stratum rule plans, the
@@ -1029,19 +992,11 @@ type fixpoint = {
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
   spatial_indexing : bool;  (* compile guarded joins to index probes *)
   tracer : Gdp_obs.Tracer.t;
-  mutable jobs : int;  (* parallelism; 1 = the untouched sequential path *)
   ctr : counters;
   mutable strata_stats : stratum_stats list;
   incr : istate;
   lineage : pstate;  (* the why-provenance sidecar *)
 }
-
-(* Guards the merge step's re-canonicalization of worker-derived facts
-   into {!Term.hcons}'s global table. The merge is single-threaded (all
-   workers are quiescent at the pass barrier), so the lock is
-   uncontended; it exists to keep the global-table discipline explicit
-   should another coordinator ever share the process. *)
-let hcons_merge_lock = Mutex.create ()
 
 let record rel t m =
   Rel_map.update rel (function None -> Some [ t ] | Some l -> Some (t :: l)) m
@@ -1073,8 +1028,7 @@ let add fp rel t =
 (* The witness of one firing: the rule's body in textual order under the
    final substitution. Step terms are hash-consed, so positive steps are
    physically the stored supporting tuples and the store's memory is
-   shared rather than duplicated. Only ever called single-threaded (the
-   sequential driver, the parallel merge, DRed rederivation). *)
+   shared rather than duplicated. *)
 let witness_of rule subst =
   let app t = Term.hcons (Subst.apply subst t) in
   let steps =
@@ -1145,18 +1099,16 @@ let tick fp ~budget_from =
    of) the pre-deletion state, and the union of the current store with
    the batch's ghosts is exactly that superset. [subst0], used only by
    rederivation, starts the body evaluation from a substitution that
-   already grounds the head. [ctr], used by the parallel driver, routes
-   the access-path counters into a per-worker record folded at merge;
-   it defaults to the fixpoint's shared counters.
+   already grounds the head.
 
    [emit] returns the stored canonical term when the derived head was a
    fresh insertion — whose witness is then recorded from the firing
    substitution — and [None] otherwise. [on_derive], used by
    {!find_witness}, replaces [emit] entirely: the caller observes (head,
    substitution) pairs without touching the store. *)
-let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?on_derive ~delta_at
-    ~delta rule plan ~emit =
-  let ctr = match ctr with Some c -> c | None -> fp.ctr in
+let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
+    rule plan ~emit =
+  let ctr = fp.ctr in
   ctr.c_firings <- ctr.c_firings + 1;
   let ghost_facts rel =
     match ghosts with
@@ -1283,13 +1235,11 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?on_derive ~delta_at
 (* Deterministic derivability check with witness capture: the first rule
    in rule order whose body (under the plan's enumeration order)
    rederives [t] from the current store. Returns [Some witness] when
-   derivable, [None] when no rule of [srules] produces [t]. Shared by
-   DRed rederivation (which routes firings into the fixpoint's counters)
-   and by the parallel merge's witness capture (which passes a scratch
-   counter record so lineage never perturbs the deterministic stats). *)
+   derivable, [None] when no rule of [srules] produces [t]. Used by DRed
+   rederivation, whose firings count in the fixpoint's counters. *)
 exception Found_witness of witness
 
-let find_witness fp ?ctr srules rel t =
+let find_witness fp srules rel t =
   try
     List.iter
       (fun p ->
@@ -1297,7 +1247,7 @@ let find_witness fp ?ctr srules rel t =
           match Unify.unify Subst.empty p.rule.head t with
           | None -> ()
           | Some s ->
-              eval_rule fp ?ctr ~subst0:s ~delta_at:None ~delta:[] p.rule p.plan
+              eval_rule fp ~subst0:s ~delta_at:None ~delta:[] p.rule p.plan
                 ~emit:(fun _ _ -> None)
                 ~on_derive:(fun h subst ->
                   if Term.equal h t then
@@ -1305,177 +1255,6 @@ let find_witness fp ?ctr srules rel t =
       srules;
     None
   with Found_witness w -> Some w
-
-(* ------------------------------------------------------------------ *)
-(* parallel within-stratum evaluation: fan out (rule × delta-partition)
-   work units over a domain pool, collect per-worker derivation buffers,
-   and merge them single-threaded in canonical sorted order. Workers
-   only read the (frozen-for-the-pass) store and write their own unit's
-   buffer, so the pass needs no locks beyond lazy index construction;
-   determinism holds because unit decomposition, counter folding order
-   and the sorted merge are all independent of scheduling.              *)
-
-(* The partition key of delta position [i]: the first argument of the
-   delta literal that shares a variable with the rest of the rule (head
-   included) — the first join-key position. Falls back to argument 0
-   for literals that join on nothing (pure generators). *)
-let delta_key_pos rule i =
-  match
-    List.find_map
-      (function Pos (j, _, atom, _) when j = i -> Some atom | _ -> None)
-      rule.body
-  with
-  | Some (Term.App (_, args)) ->
-      let others =
-        List.fold_left
-          (fun acc lit ->
-            match lit with
-            | Pos (j, _, _, _) when j = i -> acc
-            | Pos (_, _, a, _) | Neg (_, a) | Ext (_, a) ->
-                Iset.union acc (vset a)
-            | Cmp (_, a, b) | Eq (_, a, b) ->
-                Iset.union acc (Iset.union (vset a) (vset b))
-            | Is (l, r) -> Iset.union acc (Iset.union (vset l) (vset r))
-            | Never -> acc)
-          (vset rule.head) rule.body
-      in
-      let rec first k = function
-        | [] -> 0
-        | a :: rest ->
-            if Iset.exists (fun v -> Iset.mem v others) (vset a) then k
-            else first (k + 1) rest
-      in
-      first 0 args
-  | _ -> 0
-
-(* Split [facts] into [parts] buckets by the hash of the subterm at the
-   partition key position, preserving relative order within a bucket.
-   Purely a function of the facts, never of the schedule. *)
-let partition_delta ~key_pos ~parts facts =
-  let buckets = Array.make parts [] in
-  List.iter
-    (fun fact ->
-      let sub =
-        match fact with
-        | Term.App (_, args) -> (
-            match List.nth_opt args key_pos with Some a -> a | None -> fact)
-        | _ -> fact
-      in
-      let b = Term.hash sub mod parts in
-      buckets.(b) <- fact :: buckets.(b))
-    facts;
-  Array.map List.rev buckets
-
-(* One work unit: a rule plan aimed at one slice of one delta relation
-   ([wu_delta_at = None] fires the full-relation plan — the stratum's
-   opening pass). The buffer holds structurally deduplicated facts the
-   unit derived that were not in the store when the pass began, interned
-   through the worker's domain-local table ({!Term.hcons_local}). *)
-type work_unit = {
-  wu_planned : planned;
-  wu_delta_at : int option;
-  wu_delta : Term.t list;
-  wu_ctr : counters;
-  mutable wu_out : (Rel.t * Term.t) list; (* newest first *)
-}
-
-let exec_unit fp u =
-  u.wu_ctr.c_par_units <- u.wu_ctr.c_par_units + 1;
-  let seen = Term_tbl.create 32 in
-  let emit rel t =
-    let t = Term.hcons_local t in
-    if not (Term_tbl.mem seen t) then begin
-      Term_tbl.replace seen t ();
-      let stored =
-        match Hashtbl.find_opt fp.rels rel with
-        | Some r -> Relation.mem r t
-        | None -> false
-      in
-      if not stored then u.wu_out <- (rel, t) :: u.wu_out
-    end;
-    None
-  in
-  let plan =
-    match u.wu_delta_at with
-    | None -> u.wu_planned.plan
-    | Some i -> u.wu_planned.delta_plans.(i)
-  in
-  eval_rule fp ~ctr:u.wu_ctr ~delta_at:u.wu_delta_at ~delta:u.wu_delta
-    u.wu_planned.rule plan ~emit
-
-(* One parallel pass over [srules]. [deltas = None] is the full opening
-   pass (one unit per rule); [Some m] is a semi-naive pass fanning each
-   (rule, delta position) out over hash partitions of its delta. The
-   per-unit buffers are concatenated, sorted into the standard order of
-   terms, re-canonicalized into the global intern table and inserted
-   through [emit] — one single-threaded merge, so store insertion order
-   is canonical and independent of worker scheduling. *)
-let parallel_pass fp srules ~deltas ~emit =
-  let unit_of planned delta_at delta =
-    {
-      wu_planned = planned;
-      wu_delta_at = delta_at;
-      wu_delta = delta;
-      wu_ctr = new_counters ();
-      wu_out = [];
-    }
-  in
-  let units =
-    match deltas with
-    | None -> List.map (fun p -> unit_of p None []) srules
-    | Some m ->
-        List.concat_map
-          (fun p ->
-            List.concat
-              (Array.to_list
-                 (Array.mapi
-                    (fun i rel ->
-                      match Rel_map.find_opt rel m with
-                      | Some (_ :: _ as d) ->
-                          let parts =
-                            partition_delta ~key_pos:p.delta_keys.(i)
-                              ~parts:fp.jobs d
-                          in
-                          Array.to_list parts
-                          |> List.filter_map (fun slice ->
-                                 if slice = [] then None
-                                 else Some (unit_of p (Some i) slice))
-                      | _ -> [])
-                    p.rule.pos_rels)))
-          srules
-  in
-  if units <> [] then begin
-    let pool = Pool.shared ~jobs:fp.jobs in
-    Pool.run_all pool
-      (Array.of_list (List.map (fun u () -> exec_unit fp u) units));
-    List.iter (fun u -> fold_counters ~into:fp.ctr u.wu_ctr) units;
-    let derived =
-      List.concat_map (fun u -> List.rev u.wu_out) units
-      |> List.sort_uniq (fun (_, a) (_, b) -> Term.compare a b)
-    in
-    (* lineage under [jobs > 1]: the witness is chosen in canonical merge
-       order — facts are inserted in the standard order of terms, and
-       each fresh fact's witness is recomputed against the store *before*
-       its own insertion (so a tuple can never support itself, and the
-       support DAG stays acyclic by insertion-order induction). The store
-       content at each merge step depends only on the per-pass derived
-       set, never on the partitioning, so every [jobs > 1] value yields
-       the identical lineage. The scratch counter record keeps witness
-       search out of the deterministic stats. *)
-    let scratch = new_counters () in
-    let ptbl = fp.lineage.ptbl in
-    Mutex.protect hcons_merge_lock (fun () ->
-        List.iter
-          (fun (rel, t) ->
-            let w =
-              if Relation.mem (get fp rel) t || Term_tbl.mem ptbl t then None
-              else find_witness fp ~ctr:scratch srules rel t
-            in
-            match (emit rel t, w) with
-            | Some stored, Some w -> Term_tbl.replace ptbl stored w
-            | _ -> ())
-          derived)
-  end
 
 (* Saturate one stratum. [`Full] starts with a pass firing every rule
    against the full relations (the initial run and stratum recompute);
@@ -1496,13 +1275,10 @@ let saturate fp ~budget_from ~guard srules start =
         added := record rel t !added;
         Some t
   in
-  let parallel = fp.jobs > 1 in
   let full_pass () =
-    if parallel then parallel_pass fp srules ~deltas:None ~emit
-    else
-      List.iter
-        (fun p -> eval_rule fp ~delta_at:None ~delta:[] p.rule p.plan ~emit)
-        srules
+    List.iter
+      (fun p -> eval_rule fp ~delta_at:None ~delta:[] p.rule p.plan ~emit)
+      srules
   in
   let max_delta = ref 0 in
   (match start with
@@ -1530,19 +1306,17 @@ let saturate fp ~budget_from ~guard srules start =
         match fp.strategy with
         | Naive -> full_pass ()
         | Semi_naive ->
-            if parallel then parallel_pass fp srules ~deltas:(Some !deltas) ~emit
-            else
-              List.iter
-                (fun p ->
-                  Array.iteri
-                    (fun i rel ->
-                      match Rel_map.find_opt rel !deltas with
-                      | Some (_ :: _ as d) ->
-                          eval_rule fp ~delta_at:(Some i) ~delta:d p.rule
-                            p.delta_plans.(i) ~emit
-                      | _ -> ())
-                    p.rule.pos_rels)
-                srules);
+            List.iter
+              (fun p ->
+                Array.iteri
+                  (fun i rel ->
+                    match Rel_map.find_opt rel !deltas with
+                    | Some (_ :: _ as d) ->
+                        eval_rule fp ~delta_at:(Some i) ~delta:d p.rule
+                          p.delta_plans.(i) ~emit
+                    | _ -> ())
+                  p.rule.pos_rels)
+              srules);
     deltas := !new_facts
   done;
   (!added, !max_delta)
@@ -1554,8 +1328,7 @@ let saturate fp ~budget_from ~guard srules start =
    nets its seeds into them and saturates; [import] ignores them and
    bulk-loads a snapshot instead. *)
 let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-    ~tracer ~jobs db =
-  let jobs = Pool.resolve_jobs jobs in
+    ~tracer db =
   let facts, rules, stratum_of, n_strata = prepare db ~refine ~spatial in
   (* body plans: with indexing on, a greedy bound-count order per rule
      plus one per delta position; the scan baseline keeps textual order.
@@ -1569,9 +1342,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
   let planned =
     List.map
       (fun r ->
-        let delta_keys =
-          Array.init (Array.length r.pos_rels) (delta_key_pos r)
-        in
         if indexing then
           {
             rule = r;
@@ -1579,7 +1349,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
             delta_plans =
               Array.init (Array.length r.pos_rels) (fun i ->
                   annotate (order_body ~delta_at:(Some i) r.body));
-            delta_keys;
           }
         else
           {
@@ -1587,7 +1356,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
             plan = annotate r.body;
             delta_plans =
               Array.make (Array.length r.pos_rels) (annotate r.body);
-            delta_keys;
           })
       rules
   in
@@ -1612,7 +1380,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
       spatial;
       spatial_indexing;
       tracer;
-      jobs;
       ctr = new_counters ();
       strata_stats = [];
       incr =
@@ -1638,9 +1405,9 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
         };
     }
   in
-  (* every relation a rule can read or write exists up front: worker
-     domains may then resolve relations concurrently through a read-only
-     [Hashtbl.find_opt] — [get] never mutates the table mid-pass *)
+  (* every relation a rule can read or write exists up front, so the set
+     of stored relations — and with it a snapshot's relation list —
+     depends only on the rules, never on which ones evaluation touched *)
   List.iter
     (fun p ->
       Stdlib.ignore (get fp p.rule.head_rel);
@@ -1651,10 +1418,10 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
     planned;
   (fp, facts)
 
-(* Build every spatial index the annotated plans will probe now, in
-   the driver thread: worker domains then only ever read them (a pass
-   that derives new facts maintains them incrementally through
-   [Relation.add], which runs in the single-threaded merge). *)
+(* Build every spatial index the annotated plans will probe now, under
+   its own trace span, rather than inside the first pass that probes it;
+   a pass that derives new facts maintains them incrementally through
+   [Relation.add]. *)
 let prebuild_spatial fp =
   match fp.spatial with
   | Some sp when fp.spatial_indexing ->
@@ -1689,8 +1456,8 @@ let prebuild_spatial fp =
 (* Final counter samples for an enabled tracer. [gauge_totals] covers
    what every operation moves (store size, passes, firings, lineage
    size) and closes each {!apply} batch; [emit_gauges] adds the access
-   path, hash-consing and parallelism samples once per [run] and per
-   [import], whose restored counters gauge the same way. *)
+   path and hash-consing samples once per [run] and per [import], whose
+   restored counters gauge the same way. *)
 let gauge_totals fp =
   let tracer = fp.tracer in
   if Gdp_obs.Tracer.enabled tracer then begin
@@ -1715,19 +1482,15 @@ let emit_gauges fp =
       set "bu.spatial.scans" fp.ctr.c_sscans
     end;
     set "bu.hcons_hits" fp.ctr.c_hits;
-    set "bu.hcons_misses" fp.ctr.c_misses;
-    if fp.jobs > 1 then begin
-      set "bu.jobs" fp.jobs;
-      set "bu.par_units" fp.ctr.c_par_units
-    end
+    set "bu.hcons_misses" fp.ctr.c_misses
   end
 
 let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ?(spatial_indexing = true) ?(refine = fun _ -> None)
-    ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1) ?(seed = []) db =
+    ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
   let fp, facts =
     build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer ~jobs db
+      ~tracer db
   in
   (* net the seeds like {!apply} nets a batch: a seed structurally equal
      to a parsed fact, or repeated in the seed list, lands in the store
@@ -1877,8 +1640,6 @@ let stats fp =
     bu_spatial_scans = fp.ctr.c_sscans;
     bu_hcons_hits = fp.ctr.c_hits;
     bu_hcons_misses = fp.ctr.c_misses;
-    bu_jobs = fp.jobs;
-    bu_par_units = fp.ctr.c_par_units;
     bu_strata_stats = fp.strata_stats;
     bu_incr = incr_stats fp;
     bu_prov =
@@ -1909,9 +1670,6 @@ let pp_stats ppf s =
   if s.bu_spatial_probes > 0 || s.bu_spatial_scans > 0 then
     Format.fprintf ppf "spatial: %d probes, %d scans@," s.bu_spatial_probes
       s.bu_spatial_scans;
-  if s.bu_jobs > 1 then
-    Format.fprintf ppf "parallel: %d jobs, %d work units@," s.bu_jobs
-      s.bu_par_units;
   List.iter
     (fun st ->
       Format.fprintf ppf
@@ -2148,7 +1906,7 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
   fp.incr.i_deleted <- fp.incr.i_deleted + List.length !net_dels;
   (!net_adds, !net_dels)
 
-let apply ?jobs fp (updates : update list) =
+let apply fp (updates : update list) =
   (* validate the whole batch before touching anything, so a bad entry
      leaves the fixpoint exactly as it was *)
   let entries =
@@ -2169,12 +1927,6 @@ let apply ?jobs fp (updates : update list) =
         (asserted, t, rel_of ~refine:fp.refine ~what:"update" t))
       updates
   in
-  (* an explicit [jobs] re-pins the fixpoint's parallelism for this and
-     every later batch; the default keeps what {!run} chose. The
-     insertion-propagation saturates below go parallel with it; DRed
-     over-deletion and rederivation stay sequential (they interleave
-     evaluation with store mutation). *)
-  (match jobs with Some j -> fp.jobs <- Pool.resolve_jobs j | None -> ());
   let inc = fp.incr in
   let budget_from = fp.ctr.c_passes in
   let ins0 = inc.i_inserted and del0 = inc.i_deleted in
@@ -2390,7 +2142,7 @@ let export fp =
         {
           sr_rel = rel;
           sr_facts = Array.sub r.Relation.arr 0 r.Relation.n;
-          sr_indexes = List.map fst (Atomic.get r.Relation.indexes);
+          sr_indexes = List.map fst r.Relation.indexes;
         }
         :: acc)
       fp.rels []
@@ -2418,14 +2170,14 @@ let snapshot_facts state = state.sn_counters.c_facts
 
 let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ?(spatial_indexing = true) ?(refine = fun _ -> None)
-    ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1) db state =
+    ?(tracer = Gdp_obs.Tracer.disabled) db state =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts state)) ]
     "snap.import"
   @@ fun () ->
   let fp, _parsed =
     build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer ~jobs db
+      ~tracer db
   in
   if fp.n_strata <> state.sn_n_strata then
     invalid_arg

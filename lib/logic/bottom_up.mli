@@ -175,10 +175,6 @@ type stats = {
       (** derived terms already interned — structurally equal to a stored
           fact, deduplicated by physical equality *)
   bu_hcons_misses : int;  (** derived terms interned fresh *)
-  bu_jobs : int;  (** evaluation parallelism (1 = sequential engine) *)
-  bu_par_units : int;
-      (** parallel work units — (rule × delta-partition) fan-out tasks —
-          executed across all passes; 0 on the sequential path *)
   bu_prov : prov_stats;  (** the why-provenance sidecar's counters *)
   bu_strata_stats : stratum_stats list;  (** non-empty strata, in order *)
   bu_incr : incr_stats;  (** all zeros until the first {!apply} *)
@@ -191,7 +187,6 @@ val run :
   ?spatial_indexing:bool ->
   ?refine:refine ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   ?seed:Term.t list ->
   Database.t ->
   fixpoint
@@ -214,17 +209,10 @@ val run :
     one ["fixpoint"]-category span for the whole run, one per non-empty
     stratum (with rule/pass/derived-fact counts as span arguments) and
     one per pass (with the delta size), plus final [bu.*] counter
-    samples — see {!Gdp_obs.Tracer}. [jobs] (default 1) sets the
-    evaluation parallelism: with [jobs > 1] every within-stratum pass
-    fans (rule × delta-partition) work units — the delta relation hash-
-    partitioned on each rule's first join-key position — over a shared
-    pool of OCaml 5 domains ({!Pool}), merging the per-worker derivation
-    buffers single-threaded in the standard order of terms, so the
-    derived fact set is identical to the sequential engine's and every
-    run with the same [jobs] is bit-deterministic (pass/firing counts
-    may differ from [jobs = 1], which keeps the sequential pass
-    structure untouched); [jobs = 0] autodetects the machine's core
-    count ({!Pool.auto_jobs}). [seed] (default empty) is a list of
+    samples — see {!Gdp_obs.Tracer}. Evaluation is sequential and
+    deterministic: within a pass, rules fire in rule order and each
+    derived fact is inserted (and visible to later firings of the same
+    pass) as soon as it is found. [seed] (default empty) is a list of
     extra ground facts injected into the base before the strata run —
     the hook the magic-set rewrite ({!Magic}) uses to plant the query
     seed; a non-ground or non-atomic seed raises {!Unsupported}.
@@ -315,7 +303,7 @@ type update = [ `Assert of Term.t | `Retract of Term.t ]
 (** One change to the asserted base, as a ground engine atom — the
     logic-level counterpart of [Gdp_core.Spec.update]. *)
 
-val apply : ?jobs:int -> fixpoint -> update list -> unit
+val apply : fixpoint -> update list -> unit
 (** Apply one batch of updates to the asserted base, in script order —
     per fact only the net effect matters (assert-then-retract in one
     batch is a no-op) — then repair the derived consequences. Facts must
@@ -327,11 +315,7 @@ val apply : ?jobs:int -> fixpoint -> update list -> unit
     by rules, is a no-op;
     asserting a fact that rules already derive marks it extensional (it
     then survives losing its rule derivations) without changing the
-    store. Shares {!run}'s iteration/fact bounds per batch. [jobs]
-    (optional) re-pins the fixpoint's evaluation parallelism for this
-    and later batches; by default the setting {!run} chose is kept.
-    Insertion propagation parallelises like the initial run; DRed
-    over-deletion and rederivation always run sequentially. Witnesses
+    store. Shares {!run}'s iteration/fact bounds per batch. Witnesses
     stay coherent across the batch: witnesses of
     deleted facts are dropped, facts reinstated by rederivation get the
     surviving derivation as a fresh witness (counted in
@@ -356,13 +340,9 @@ val retract_fact : fixpoint -> Term.t -> bool
     own evidence). Witness supports always predate the fact they support,
     so the store is a DAG and {!proof} reconstruction terminates.
 
-    Under [jobs > 1] the witness is chosen in the canonical merge order
-    (each fresh tuple's witness is computed against the store {e before}
-    the tuple is inserted, while merging the per-pass derivations in the
-    standard order of terms), so for a given database every [jobs > 1]
-    run records the identical lineage regardless of the jobs count; the
-    [jobs = 1] engine keeps its own pass structure and may record a
-    different — equally valid — witness for the same tuple. *)
+    The witness is the firing that inserted the tuple in {!run}'s
+    deterministic pass order, so two runs over the same database record
+    identical lineage. *)
 
 type wstep =
   | Wfact of Term.t  (** supporting positive body tuple *)
@@ -420,7 +400,6 @@ val import :
   ?spatial_indexing:bool ->
   ?refine:refine ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   Database.t ->
   snapshot_state ->
   fixpoint

@@ -9,7 +9,7 @@ type t = {
 (* The trailing digit versions the payload: bump it whenever
    {!Bottom_up.snapshot_state} changes shape, so a file written by an
    older build is refused before [Marshal] reads it. *)
-let magic = "GDPXSNAP2\n"
+let magic = "GDPXSNAP3\n"
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 

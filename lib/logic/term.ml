@@ -8,8 +8,8 @@ type t =
   | Str of string
   | App of string * t list
 
-(* atomic so worker domains (see Pool) may freshen variables without
-   ever minting the same id twice *)
+(* atomic so concurrent domains may freshen variables without ever
+   minting the same id twice *)
 let counter = Atomic.make 0
 let fresh_id () = 1 + Atomic.fetch_and_add counter 1
 
@@ -128,27 +128,13 @@ end)
 
 let hcons_table = Hset.create 4096
 
-let rec hcons_into table t =
+let rec hcons t =
   match t with
-  | Var _ | Atom _ | Int _ | Float _ | Str _ -> Hset.merge table t
+  | Var _ | Atom _ | Int _ | Float _ | Str _ -> Hset.merge hcons_table t
   | App (f, args) ->
-      let args' = List.map (hcons_into table) args in
+      let args' = List.map hcons args in
       let t' = if List.for_all2 ( == ) args args' then t else App (f, args') in
-      Hset.merge table t'
-
-let hcons t = hcons_into hcons_table t
-
-(* The global weak table is not domain-safe (Weak.Make does no internal
-   locking), so parallel fixpoint workers intern through a domain-local
-   table instead: within one worker the [==] fast paths of
-   {!equal}/{!compare} still hit on every repeated derivation, and the
-   single-threaded merge re-canonicalizes surviving facts into the
-   global table. Terms interned by different domains are only ever
-   compared structurally, which [equal] supports. *)
-let local_table : Hset.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hset.create 1024)
-
-let hcons_local t = hcons_into (Domain.DLS.get local_table) t
+      Hset.merge hcons_table t'
 
 (* Standard order of terms: Var < Float < Int < Atom < Str < App. *)
 let rank = function

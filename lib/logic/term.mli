@@ -88,14 +88,7 @@ val hcons : t -> t
     bottom-up engine are cheap even for deep terms. Representatives are
     held weakly: the GC reclaims what no live index still references.
     The intern table is global and {b not} domain-safe: only one domain
-    (in the engine, the fixpoint coordinator) may call [hcons]. *)
-
-val hcons_local : t -> t
-(** Like {!hcons} but interning into a table private to the calling
-    domain — the parallel fixpoint workers' intern path ({!Pool}). The
-    result is canonical {e within the domain} only: terms interned by
-    different domains are structurally equal, not physically, so
-    cross-domain comparison falls back to {!equal}'s deep walk. *)
+    may call [hcons]. *)
 
 val rename : (int -> var option) -> (var -> t) -> t -> t
 (** [rename lookup fresh t] replaces every variable [v] of [t] by

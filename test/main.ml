@@ -13,7 +13,6 @@ let () =
       ("magic", Suite_magic.tests);
       ("incremental", Suite_incremental.tests);
       ("snapshot", Suite_snapshot.tests);
-      ("parallel", Suite_parallel.tests);
       ("fuzzy", Suite_fuzzy.tests);
       ("temporal", Suite_temporal.tests);
       ("space", Suite_space.tests);

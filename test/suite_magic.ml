@@ -341,6 +341,43 @@ let prop_three_way_scan =
     "magic, materialised and SLD agree on random stratified programs \
      (scan baseline)"
 
+(* [Bottom_up.run ~seed] is how a magic rewrite plants its query seed;
+   seeds are netted against the parsed base and each other. *)
+let db_of = Suite_engine_props.db_of
+let facts_of fp = List.map Term.to_string (Bottom_up.facts fp)
+let chain = "e(a, b). e(b, c). r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y)."
+
+let test_seed_empty () =
+  let plain = Bottom_up.run (db_of chain) in
+  let seeded = Bottom_up.run ~seed:[] (db_of chain) in
+  Alcotest.(check (list string)) "empty seed is a no-op" (facts_of plain)
+    (facts_of seeded)
+
+let test_seed_duplicates_netted () =
+  let s = term "e(c, d)" in
+  let once = Bottom_up.run ~seed:[ s ] (db_of chain) in
+  let thrice = Bottom_up.run ~seed:[ s; s; term "e(c, d)" ] (db_of chain) in
+  Alcotest.(check (list string)) "repeated seed counts once" (facts_of once)
+    (facts_of thrice);
+  Alcotest.(check bool) "seed derived through" true
+    (Bottom_up.holds once (term "r(a, d)"))
+
+let test_seed_already_present_netted () =
+  let plain = Bottom_up.run (db_of chain) in
+  (* both seeds are already facts of the parsed base *)
+  let seeded =
+    Bottom_up.run ~seed:[ term "e(a, b)"; term "e(b, c)" ] (db_of chain)
+  in
+  Alcotest.(check (list string)) "present seeds are no-ops" (facts_of plain)
+    (facts_of seeded);
+  Alcotest.(check int) "fact count unchanged" (Bottom_up.count plain)
+    (Bottom_up.count seeded)
+
+let test_seed_rejects_non_ground () =
+  match Bottom_up.run ~seed:[ term "e(a, X)" ] (db_of chain) with
+  | exception Bottom_up.Unsupported _ -> ()
+  | _ -> Alcotest.fail "non-ground seed accepted"
+
 let tests =
   [
     Alcotest.test_case "island-thresholding rewrite pinned" `Quick
@@ -349,4 +386,11 @@ let tests =
       test_shoreline_rewrite;
     QCheck_alcotest.to_alcotest prop_three_way_indexed;
     QCheck_alcotest.to_alcotest prop_three_way_scan;
+    Alcotest.test_case "seed: empty is a no-op" `Quick test_seed_empty;
+    Alcotest.test_case "seed: duplicates netted" `Quick
+      test_seed_duplicates_netted;
+    Alcotest.test_case "seed: already-present netted" `Quick
+      test_seed_already_present_netted;
+    Alcotest.test_case "seed: non-ground rejected" `Quick
+      test_seed_rejects_non_ground;
   ]

@@ -265,6 +265,13 @@ let test_corrupt_rejected () =
       Out_channel.output_string oc
         (String.sub contents 10 (String.length contents - 10)));
   expect_corrupt "version-1 file";
+  (* likewise a version-2 file, whose counter record has a field the
+     current one lacks *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP2\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-2 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");

@@ -13,7 +13,7 @@
    [region_mem] and bounded [pt_dist] — must derive the same model
    under spatial-indexed evaluation, the scan baseline
    ([~spatial_indexing:false]), and top-down SLDNF, including across
-   update scripts and jobs in {2, 4}. *)
+   update scripts. *)
 
 open Gdp_space
 
@@ -305,10 +305,10 @@ let scenario_db sc =
        sc.sc_eps);
   (spec, db)
 
-let run_spatial ?grid_cell ?jobs ?(indexing = true) spec db =
+let run_spatial ?grid_cell ?(indexing = true) spec db =
   Bu.run
     ~spatial:(Compile.spatial_hints ?grid_cell spec)
-    ~spatial_indexing:indexing ?jobs db
+    ~spatial_indexing:indexing db
 
 let same_facts a b = List.equal T.equal (Bu.facts a) (Bu.facts b)
 
@@ -368,21 +368,6 @@ let prop_spatial_differential =
         QCheck.Test.fail_report "bottom-up and top-down disagree"
       else true)
 
-let prop_spatial_jobs =
-  QCheck.Test.make
-    ~name:"parallel spatial fixpoints (jobs 2 and 4) derive the sequential model"
-    ~count:80 arb_scenario
-    (fun sc ->
-      let spec, db = scenario_db sc in
-      let seq = run_spatial spec db in
-      List.for_all
-        (fun jobs ->
-          let par = run_spatial ~jobs spec db in
-          same_facts seq par
-          ||
-          QCheck.Test.fail_reportf "jobs=%d model differs from sequential" jobs)
-        [ 2; 4 ])
-
 (* Index coherence through incremental maintenance: apply the update
    script to live fixpoints (indexed and scan-baseline) and compare
    against a fresh recompute on the mutated base — insertions must land
@@ -433,6 +418,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_knn_agrees;
     QCheck_alcotest.to_alcotest prop_join_agrees;
     QCheck_alcotest.to_alcotest prop_spatial_differential;
-    QCheck_alcotest.to_alcotest prop_spatial_jobs;
     QCheck_alcotest.to_alcotest prop_spatial_incremental;
   ]
