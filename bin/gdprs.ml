@@ -115,7 +115,7 @@ let stats_arg =
                  call/exit/redo/fail port counters for the top-down engine \
                  and per-stratum fixpoint metrics when materialised.")
 
-(* shared by check, ask, update and profile *)
+(* shared by check, query, ask, explain, update and profile *)
 let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-out" ] ~docv:"FILE"
@@ -129,6 +129,8 @@ let write_trace q trace_out =
       let tracer = Query.tracer q in
       Gdp_obs.Tracer.finish tracer;
       let n = Gdp_obs.Export.write_chrome_trace tracer path in
+      (* explain's tree may still sit in Format's buffer *)
+      Format.print_flush ();
       Printf.printf "wrote %s (%d events)\n" path n
 
 let explain_violations_arg =
@@ -392,10 +394,10 @@ let query_cmd =
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc:"Maximum answers.")
   in
   let run file view models metas pattern limit materialize magic snapshot
-      stats no_spatial_index =
+      stats no_spatial_index trace_out =
     handle_errors (fun () ->
         let result = load file in
-        if stats then enable_telemetry result;
+        if stats || trace_out <> None then enable_telemetry result;
         set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
@@ -415,13 +417,14 @@ let query_cmd =
               0
         in
         if stats then print_stats q;
+        write_trace q trace_out;
         code)
   in
   let doc = "Enumerate the provable instantiations of a fact pattern." in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ limit_arg $ materialize_arg $ magic_arg $ snapshot_arg $ stats_arg
-          $ no_spatial_index_arg)
+          $ no_spatial_index_arg $ trace_out_arg)
 
 (* ---- ask ---- *)
 
@@ -614,12 +617,12 @@ let explain_cmd =
                    edges).")
   in
   let run file view models metas pattern dot json materialize magic snapshot
-      stats no_spatial_index =
+      stats no_spatial_index trace_out =
     handle_errors (fun () ->
         if dot && json then
           invalid_arg "--dot and --json are mutually exclusive";
         let result = load file in
-        if stats then enable_telemetry result;
+        if stats || trace_out <> None then enable_telemetry result;
         set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
@@ -649,6 +652,7 @@ let explain_cmd =
               1
         in
         if stats then print_stats q;
+        write_trace q trace_out;
         code)
   in
   let doc =
@@ -660,7 +664,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ dot_arg $ json_arg $ materialize_arg $ magic_arg $ snapshot_arg
-          $ stats_arg $ no_spatial_index_arg)
+          $ stats_arg $ no_spatial_index_arg $ trace_out_arg)
 
 (* ---- info ---- *)
 

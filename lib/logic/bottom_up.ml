@@ -10,10 +10,12 @@ module Sx = Gdp_space.Spatial_index
 (* A materialised relation: a hash set of hash-consed ground facts (O(1)
    expected membership, physical-equality fast paths on the stored
    terms), the facts in insertion order for deterministic scans, and
-   lazily built argument-position indexes for join probes. An index maps
-   the tuple of subterms at a set of argument positions to the facts
-   carrying exactly those subterms there; [eval_rule] probes the index of
-   whichever positions the in-flowing substitution has made ground. *)
+   lazily built subterm indexes for join probes. An index is keyed by
+   paths into the fact — [[3; 0]] is the first element of the list at
+   argument 3 — and maps the tuple of subterms at those paths to the
+   facts carrying exactly those subterms there; [eval_rule] probes the
+   index of whichever subterms the in-flowing substitution has made
+   ground. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -27,11 +29,11 @@ module Relation = struct
   }
 
   type t = {
-    facts : unit Term_tbl.t;
+    facts : Term.t Term_tbl.t;  (* fact -> its stored canonical copy *)
     mutable arr : Term.t array; (* slots [0, n) valid, insertion order *)
     mutable n : int;
-    mutable indexes : (int list * Term.t list Term_tbl.t) list;
-        (* bound argument positions (ascending) -> probe table *)
+    mutable indexes : (int list list * Term.t list Term_tbl.t) list;
+        (* subterm paths (in term order) -> probe table *)
     mutable spatials : (int * spat) list;
         (* point-carrying argument position -> spatial index *)
   }
@@ -59,26 +61,44 @@ module Relation = struct
 
   let elements r = Array.to_list (Array.sub r.arr 0 r.n)
 
-  let args_of = function Term.App (_, args) -> args | _ -> []
+  exception Absent
 
-  (* The probe key packs the subterms at [positions] into one compound so
-     {!Term.hash}/{!Term.equal} do all the work. *)
-  let key_at positions args =
-    Term.App ("$key", List.map (fun p -> List.nth args p) positions)
+  (* The probe key packs the subterms at [paths] into one compound so
+     {!Term.hash}/{!Term.equal} do all the work. [None] when [t] lacks
+     one of the paths: such a fact cannot unify with an atom whose key
+     reaches there, so no index holds it. *)
+  let key_at paths t =
+    let rec at t = function
+      | [] -> t
+      | i :: path -> (
+          match t with
+          | Term.App (_, args) -> (
+              match List.nth_opt args i with
+              | Some a -> at a path
+              | None -> raise_notrace Absent)
+          | _ -> raise_notrace Absent)
+    in
+    match List.map (at t) paths with
+    | ks -> Some (Term.App ("$key", ks))
+    | exception Absent -> None
 
-  let index_insert idx k fact =
-    Term_tbl.replace idx k
-      (fact :: Option.value ~default:[] (Term_tbl.find_opt idx k))
+  let index_insert idx paths fact =
+    match key_at paths fact with
+    | None -> ()
+    | Some k ->
+        Term_tbl.replace idx k
+          (fact :: Option.value ~default:[] (Term_tbl.find_opt idx k))
 
-  let index r positions =
-    match List.assoc_opt positions r.indexes with
+  (* Buckets hold their facts in reverse insertion order: built from the
+     insertion-order array by prepending, then maintained by prepending
+     on [add] and order-preserving filtering on [remove]. *)
+  let index r paths =
+    match List.assoc_opt paths r.indexes with
     | Some idx -> idx
     | None ->
         let idx = Term_tbl.create (max 64 r.n) in
-        iter
-          (fun fact -> index_insert idx (key_at positions (args_of fact)) fact)
-          r;
-        r.indexes <- (positions, idx) :: r.indexes;
+        iter (index_insert idx paths) r;
+        r.indexes <- (paths, idx) :: r.indexes;
         idx
 
   let arg_at apos t =
@@ -128,7 +148,7 @@ module Relation = struct
   let add r t =
     if Term_tbl.mem r.facts t then false
     else begin
-      Term_tbl.replace r.facts t ();
+      Term_tbl.replace r.facts t t;
       if r.n = Array.length r.arr then begin
         let bigger = Array.make (2 * r.n) dummy in
         Array.blit r.arr 0 bigger 0 r.n;
@@ -136,10 +156,7 @@ module Relation = struct
       end;
       r.arr.(r.n) <- t;
       r.n <- r.n + 1;
-      List.iter
-        (fun (positions, idx) ->
-          index_insert idx (key_at positions (args_of t)) t)
-        r.indexes;
+      List.iter (fun (paths, idx) -> index_insert idx paths t) r.indexes;
       List.iter (fun (apos, sp) -> spat_insert apos sp t) r.spatials;
       true
     end
@@ -164,7 +181,7 @@ module Relation = struct
       end;
       Array.iter
         (fun t ->
-          Term_tbl.replace r.facts t ();
+          Term_tbl.replace r.facts t t;
           r.arr.(r.n) <- t;
           r.n <- r.n + 1)
         facts
@@ -172,54 +189,77 @@ module Relation = struct
 
   let distinct r = Term_tbl.length r.facts = r.n
 
-  (* Physical deletion for incremental maintenance: drop [t] from the
-     hash set, compact the insertion-order array (later scans stay
-     deterministic) and evict it from every built index bucket. *)
-  let remove r t =
-    if not (Term_tbl.mem r.facts t) then false
-    else begin
-      Term_tbl.remove r.facts t;
+  (* Physical deletion for incremental maintenance, one batch at a time:
+     drop every member of [ts] from the hash set, then compact the
+     insertion-order array once (later scans stay deterministic) and
+     filter once each index bucket a removed fact sat in. After the hash
+     set is updated, a stored fact survives iff the set still maps it to
+     itself, so compaction compares stored canonical terms with [==]
+     instead of walking them structurally once per removed fact. Returns
+     the members of [ts] that were present, in order. *)
+  let remove r ts =
+    let gone =
+      List.filter_map
+        (fun t ->
+          match Term_tbl.find_opt r.facts t with
+          | Some stored ->
+              Term_tbl.remove r.facts t;
+              Some (t, stored)
+          | None -> None)
+        ts
+    in
+    if gone <> [] then begin
+      let live x =
+        match Term_tbl.find_opt r.facts x with Some s -> s == x | None -> false
+      in
       let j = ref 0 in
       for i = 0 to r.n - 1 do
         let x = Array.unsafe_get r.arr i in
-        if not (Term.equal x t) then begin
+        if live x then begin
           r.arr.(!j) <- x;
           incr j
         end
       done;
-      for i = !j to r.n - 1 do
-        r.arr.(i) <- dummy
-      done;
+      Array.fill r.arr !j (r.n - !j) dummy;
       r.n <- !j;
       List.iter
-        (fun (positions, idx) ->
-          let k = key_at positions (args_of t) in
-          match Term_tbl.find_opt idx k with
-          | None -> ()
-          | Some bucket -> (
-              match List.filter (fun f -> not (Term.equal f t)) bucket with
-              | [] -> Term_tbl.remove idx k
-              | bucket -> Term_tbl.replace idx k bucket))
+        (fun (paths, idx) ->
+          let filtered = Term_tbl.create 16 in
+          List.iter
+            (fun (_, stored) ->
+              match key_at paths stored with
+              | Some k when not (Term_tbl.mem filtered k) -> (
+                  Term_tbl.replace filtered k ();
+                  match Term_tbl.find_opt idx k with
+                  | None -> ()
+                  | Some bucket -> (
+                      match List.filter live bucket with
+                      | [] -> Term_tbl.remove idx k
+                      | bucket -> Term_tbl.replace idx k bucket))
+              | _ -> ())
+            gone)
         r.indexes;
       List.iter
         (fun (apos, sp) ->
-          match spat_box sp apos t with
-          | Some b ->
-              (* facts are hash-consed, so physical equality is exact *)
-              ignore (Sx.remove sp.s_idx b t)
-          | None ->
-              sp.s_rest <- List.filter (fun f -> not (Term.equal f t)) sp.s_rest)
-        r.spatials;
-      true
-    end
+          List.iter
+            (fun (_, stored) ->
+              match spat_box sp apos stored with
+              | Some b -> Stdlib.ignore (Sx.remove sp.s_idx b stored)
+              | None -> sp.s_rest <- List.filter live sp.s_rest)
+            gone)
+        r.spatials
+    end;
+    List.map fst gone
 
-  (* Facts whose arguments at [positions] equal the corresponding (ground)
-     arguments of [args] — a superset check is not needed: unification
-     of a ground subterm succeeds only on structural equality, so the
-     bucket holds exactly the unification candidates for those positions. *)
-  let probe r positions args =
-    Option.value ~default:[]
-      (Term_tbl.find_opt (index r positions) (key_at positions args))
+  (* Facts whose subterms at [paths] equal those of the atom [g], which
+     is ground at every one of them — a superset check is not needed:
+     unification of a ground subterm succeeds only on structural
+     equality, so the bucket holds exactly the unification candidates
+     for those subterms. *)
+  let probe r paths g =
+    match key_at paths g with
+    | None -> []
+    | Some k -> Option.value ~default:[] (Term_tbl.find_opt (index r paths) k)
 end
 
 module Iset = Set.Make (Int)
@@ -351,15 +391,32 @@ let rel_of ~refine ~what t =
       unsupported "%s: %s/%d needs a constant at refining argument %d in %s"
         what name arity pos (Term.to_string t)
 
-(* Argument positions holding ground subterms, ascending: the index
-   positions a probe on a partially bound atom can use. *)
-let ground_positions args =
-  let rec go i = function
+(* Paths to the ground subterms of a partially bound atom a probe can
+   key on, in term order. [~fine:false] gives the ground top-level
+   arguments. [~fine:true] also walks down into partially ground
+   compound arguments and gives every maximal ground subterm: for
+   [p(k, cons(X, cons(a, nil)))] that is [[0]; [1; 1]], reaching the
+   ground tail inside the list argument. *)
+let ground_paths ~fine g =
+  let rec args rev_path i = function
     | [] -> []
     | a :: rest ->
-        if Term.is_ground a then i :: go (i + 1) rest else go (i + 1) rest
+        let here =
+          if Term.is_ground a then [ List.rev (i :: rev_path) ]
+          else
+            match a with
+            | Term.App (_, sub) when fine -> args (i :: rev_path) 0 sub
+            | _ -> []
+        in
+        here @ args rev_path (i + 1) rest
   in
-  go 0 args
+  match g with Term.App (_, a) -> args [] 0 a | _ -> []
+
+(* Whether [subst] binds a variable of [t]. *)
+let rec binds subst = function
+  | Term.Var v -> Option.is_some (Subst.lookup v subst)
+  | Term.App (_, args) -> List.exists (binds subst) args
+  | _ -> false
 
 let vset t =
   List.fold_left
@@ -1090,8 +1147,9 @@ let tick fp ~budget_from =
    join position at the previous pass's delta instead of the full
    relation. Each positive literal is matched by the cheapest available
    access path: O(1) membership when the in-flowing substitution
-   grounds it, an index probe on its ground argument positions, and a
-   full scan only when nothing is bound (or indexing is off).
+   grounds it, an index probe on its ground subterms ([hash_join]), and
+   a full scan only when no top-level argument is ground (or indexing
+   is off).
 
    [ghosts], used only by DRed over-deletion, extends every positive
    literal's relation with the facts physically deleted earlier in the
@@ -1126,17 +1184,26 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
           (fun (x, y) -> Sx.pad (Sx.point_box x y) eps)
           (sp.sp_point (Subst.apply subst anchor))
   in
-  (* hash access path for a partially ground atom [g]: probe the index
-     over its ground argument positions, scan when nothing is bound *)
-  let hash_join r g each =
-    let args = Relation.args_of g in
-    match if fp.indexing then ground_positions args else [] with
-    | [] ->
-        ctr.c_scans <- ctr.c_scans + 1;
-        Relation.iter each r
-    | positions ->
-        ctr.c_probes <- ctr.c_probes + 1;
-        List.iter each (Relation.probe r positions args)
+  (* hash access path for the instance [g] of [atom]: probe the index
+     over its ground top-level arguments — and, once the substitution
+     binds one of [atom]'s variables, over every maximal ground subterm,
+     so a join variable bound inside a list argument narrows the bucket.
+     Both buckets keep the coarse one's reverse insertion order, so the
+     enumeration of unifying facts is the same either way. Scan when no
+     top-level argument is ground: a fine bucket would then come back in
+     the reverse of the scan's order. *)
+  let hash_join r atom g subst each =
+    let paths =
+      if fp.indexing then ground_paths ~fine:(binds subst atom) g else []
+    in
+    if List.exists (function [ _ ] -> true | _ -> false) paths then begin
+      ctr.c_probes <- ctr.c_probes + 1;
+      List.iter each (Relation.probe r paths g)
+    end
+    else begin
+      ctr.c_scans <- ctr.c_scans + 1;
+      Relation.iter each r
+    end
   in
   let rec go subst lits =
     match lits with
@@ -1172,7 +1239,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
             end
             else begin
               (match sprobe with
-              | None -> hash_join r g each
+              | None -> hash_join r atom g subst each
               | Some (apos, probe) -> (
                   (* annotated joins exist only when the hooks do *)
                   let sp = Option.get fp.spatial in
@@ -1187,7 +1254,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
                       List.iter each unindexed
                   | None ->
                       ctr.c_sscans <- ctr.c_sscans + 1;
-                      hash_join r g each));
+                      hash_join r atom g subst each));
               if gfacts <> [] then List.iter each gfacts
             end)
     | Ext (_, atom) :: rest -> (
@@ -1589,7 +1656,7 @@ let facts_matching fp goal =
   |> List.sort Term.compare
 
 (* Candidates for a goal by the cheapest access path: membership for a
-   ground goal, an index probe on the goal's ground argument positions
+   ground goal, an index probe on the goal's ground top-level arguments
    for a half-bound goal, the whole relation otherwise. The result is a
    superset of the facts unifiable with [goal] (exactly the bucket of
    facts agreeing with the goal's ground arguments) and is unsorted. *)
@@ -1597,10 +1664,9 @@ let probe fp goal =
   let candidates r =
     if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
     else
-      let args = Relation.args_of goal in
-      match ground_positions args with
+      match ground_paths ~fine:false goal with
       | [] -> Relation.elements r
-      | positions -> Relation.probe r positions args
+      | paths -> Relation.probe r paths goal
   in
   match relations_of fp goal with
   | [ r ] -> candidates r (* the common case: no copy *)
@@ -1705,6 +1771,35 @@ let pp_stats ppf s =
 
 type update = [ `Assert of Term.t | `Retract of Term.t ]
 
+(* Physically remove those of the [(rel, t)] pairs the store holds and
+   drop their witnesses; each touched relation is compacted once, by
+   {!Relation.remove}. Returns the pairs removed, in input order. *)
+let remove_facts fp pairs =
+  let by_rel = Hashtbl.create 8 in
+  List.iter
+    (fun (rel, t) ->
+      Hashtbl.replace by_rel rel
+        (t :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
+    pairs;
+  let gone = Term_tbl.create 16 in
+  Hashtbl.iter
+    (fun rel ts ->
+      List.iter
+        (fun t -> Term_tbl.replace gone t ())
+        (Relation.remove (get fp rel) (List.rev ts)))
+    by_rel;
+  List.filter
+    (fun (_, t) ->
+      Term_tbl.mem gone t
+      && begin
+           (* a pair listed twice is removed once *)
+           Term_tbl.remove gone t;
+           fp.ctr.c_facts <- fp.ctr.c_facts - 1;
+           drop_witness fp t;
+           true
+         end)
+    pairs
+
 (* One stratum, incrementally. Preconditions: no rule of the stratum
    negates a relation changed by this batch (the caller routed those to
    {!recompute_stratum}), lower strata are already final, [ghosts] holds
@@ -1780,16 +1875,11 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
       List.fold_left (fun m (rel, t) -> record rel t m) Rel_map.empty !fresh
   done;
   (* 3. physically remove everything marked *)
-  let removed = ref [] in
-  Term_tbl.iter
-    (fun t rel ->
-      if Relation.remove (get fp rel) t then begin
-        fp.ctr.c_facts <- fp.ctr.c_facts - 1;
-        drop_witness fp t;
-        note rel t true;
-        removed := (rel, t) :: !removed
-      end)
-    marked;
+  let removed =
+    remove_facts fp
+      (List.rev (Term_tbl.fold (fun t rel acc -> (rel, t) :: acc) marked []))
+  in
+  List.iter (fun (rel, t) -> note rel t true) removed;
   (* 4. rederive: a removed fact survives if it is still asserted, or
      some rule of this stratum derives it from the remaining facts.
      Iterated to a fixpoint so chains of mutually supporting facts are
@@ -1798,7 +1888,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
      with the physical removal above, so every surviving tuple's lineage
      is valid against the post-batch store. *)
   let ps = fp.lineage in
-  let pending = ref !removed and progress = ref true in
+  let pending = ref (List.rev removed) and progress = ref true in
   while !progress do
     progress := false;
     pending :=
@@ -1868,14 +1958,9 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
         | Some t -> net_adds := (rel, t) :: !net_adds
         | None -> ())
     seeds_a;
-  List.iter
-    (fun (rel, t) ->
-      if (not (is_head rel)) && Relation.remove (get fp rel) t then begin
-        fp.ctr.c_facts <- fp.ctr.c_facts - 1;
-        drop_witness fp t;
-        net_dels := (rel, t) :: !net_dels
-      end)
-    seeds_d;
+  net_dels :=
+    List.rev
+      (remove_facts fp (List.filter (fun (rel, _) -> not (is_head rel)) seeds_d));
   let old =
     List.map
       (fun rel ->
@@ -2120,7 +2205,6 @@ let proof fp t =
 type snap_relation = {
   sr_rel : Rel.t;
   sr_facts : Term.t array;  (* insertion order — scans stay deterministic *)
-  sr_indexes : int list list;  (* argument-position indexes built lazily *)
 }
 
 type snapshot_state = {
@@ -2139,11 +2223,7 @@ let export fp =
   let sn_rels =
     Hashtbl.fold
       (fun rel (r : Relation.t) acc ->
-        {
-          sr_rel = rel;
-          sr_facts = Array.sub r.Relation.arr 0 r.Relation.n;
-          sr_indexes = List.map fst r.Relation.indexes;
-        }
+        { sr_rel = rel; sr_facts = Array.sub r.Relation.arr 0 r.Relation.n }
         :: acc)
       fp.rels []
     |> List.sort (fun a b -> Rel.compare a.sr_rel b.sr_rel)
@@ -2242,15 +2322,8 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   fp.incr.i_rederived <- i.i_rederived;
   fp.incr.i_visited <- i.i_visited;
   fp.incr.i_recomputed <- i.i_recomputed;
-  (* the indexes the saved fixpoint had built lazily are rebuilt now, so
-     warm-start query latency is uniform from the first probe on *)
-  List.iter
-    (fun sr ->
-      let r = get fp sr.sr_rel in
-      List.iter
-        (fun positions -> Stdlib.ignore (Relation.index r positions))
-        sr.sr_indexes)
-    state.sn_rels;
+  (* hash indexes stay lazy: each is built by the first probe that needs
+     it, so a load pays only for the indexes its queries use *)
   prebuild_spatial fp;
   emit_gauges fp;
   fp

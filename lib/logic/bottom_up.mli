@@ -19,7 +19,11 @@
     sideways-information-passing plan (most bound arguments first, delta
     literal leading under semi-naive evaluation), and every positive
     literal with at least one ground argument probes a lazily built hash
-    index on those argument positions instead of scanning the relation.
+    index instead of scanning the relation. The index is keyed on the
+    ground top-level arguments or, once the substitution binds one of
+    the literal's variables, on every maximal ground subterm — so a join
+    variable bound inside a list argument (the objects of a [holds/6]
+    fact) narrows the probe to the facts carrying it.
     [run ~indexing:false] disables both the plans and the probes — the
     scan baseline the [engine-bu] benchmarks measure against.
 
@@ -238,8 +242,8 @@ val facts_matching : fixpoint -> Term.t -> Term.t list
 val probe : fixpoint -> Term.t -> Term.t list
 (** Candidate facts for a possibly non-ground goal, narrowed by the
     cheapest access path: a membership test when the goal is ground, a
-    hash-index probe on the goal's ground argument positions when it is
-    half-bound, and the stored relation(s) otherwise. Always a superset
+    hash-index probe on the goal's ground top-level arguments when it
+    is half-bound, and the stored relation(s) otherwise. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
     and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
     materialised mode answers through this instead of scanning. *)
@@ -373,11 +377,11 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     compile-once/query-many path {!Gdp_core.Query} and the [gdprs
     compile] subcommand build on (see {!Snapshot} for the on-disk
     container). Only data persists: per-relation facts in insertion
-    order, which lazy argument indexes had been built, the asserted
-    base, recorded witnesses, and every cumulative counter. Join plans,
-    stratification and all closures are rebuilt from the database at
-    import time, and spatial indexes are rebuilt eagerly, exactly as
-    {!run} builds them. *)
+    order, the asserted base, recorded witnesses, and every cumulative
+    counter. Join plans, stratification and all closures are rebuilt
+    from the database at import time, and spatial indexes are rebuilt
+    eagerly, exactly as {!run} builds them; hash indexes are built
+    lazily by the first probe that needs each one. *)
 
 type snapshot_state
 (** The exported state of one fixpoint. Contains only marshallable data
@@ -408,9 +412,9 @@ val import :
     planned exactly as {!run} would (same options, same meaning), then
     the saved facts are bulk-inserted — re-interned through
     {!Term.hcons} — the saved counters, per-stratum statistics,
-    maintenance counters and witnesses are restored, the recorded lazy
-    hash indexes and the planned spatial indexes are rebuilt eagerly,
-    and the usual final counter gauges are emitted (plus one
+    maintenance counters and witnesses are restored, the planned
+    spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
+    the usual final counter gauges are emitted (plus one
     ["snap.import"] span) when the tracer is live. The result answers
     {!holds}/{!probe}/{!proof} and accepts {!apply} exactly like the
     fixpoint {!export} captured. Callers must pass a database compiled

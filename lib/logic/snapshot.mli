@@ -8,7 +8,7 @@
     update log there — this module never interprets it, which keeps the
     logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP3\n"], a 16-byte MD5 digest
+    File format: the magic string ["GDPXSNAP4\n"], a 16-byte MD5 digest
     of the payload, then the payload ([Marshal] of {!t}). The magic's
     digit is the payload version. {!load} verifies magic and digest
     before unmarshalling, so a truncated, corrupted, non-snapshot or

@@ -135,10 +135,10 @@ let test_delta_refiring () =
    probes with the ancestor loop check keep each SLD search finite;
    prelude predicates are skipped (the fixpoint ignores their clauses,
    and e.g. [forall] succeeds vacuously top-down). *)
-let agree ?(constants = [ "a"; "b"; "c" ]) db =
-  let fp = Bottom_up.run db in
-  let fp_naive = Bottom_up.run ~strategy:Bottom_up.Naive db in
-  let fp_scan = Bottom_up.run ~indexing:false db in
+let agree ?(constants = [ "a"; "b"; "c" ]) ?refine ?(probes = []) db =
+  let fp = Bottom_up.run ?refine db in
+  let fp_naive = Bottom_up.run ?refine ~strategy:Bottom_up.Naive db in
+  let fp_scan = Bottom_up.run ?refine ~indexing:false db in
   let opts = { Solve.default_options with loop_check = true } in
   (* A blown resolution budget is a verdict on neither side: the probe is
      Unknown and constrains nothing — without this, one pathological SLD
@@ -155,6 +155,14 @@ let agree ?(constants = [ "a"; "b"; "c" ]) db =
   List.for_all
     (fun fact -> succeeds_opt fact <> Some false)
     (Bottom_up.facts fp)
+  && (* [probes]: ground atoms beyond the constant tuples below, such as
+        list-shaped ones, checked the same way *)
+  List.for_all
+    (fun atom ->
+      match succeeds_opt atom with
+      | None -> true
+      | Some proved -> proved = Bottom_up.holds fp atom)
+    probes
   && List.for_all
        (fun (name, arity) ->
          let rec tuples n =
@@ -306,6 +314,160 @@ let prop_differential_stratified =
     (fun src ->
       agree ~constants:[ "a"; "b"; "c"; "d" ] (engine_db_of src))
 
+(* Random holds-shaped stratified programs. Edges, nodes and reach facts
+   are reified the way the GDP compiler reifies every user predicate —
+   [h(w, Pred, [Objects], s)], refined by the constant at argument 1 —
+   and values sit under a compound, [v(k, pt(X, N))], so join variables
+   are bound inside list and compound arguments, where only probes keyed
+   on subterms narrow the bucket. A few odd-shaped facts (a shorter or
+   longer list, a compound or atom where the list belongs) share the
+   edge relation and never join. *)
+let holds_atom pred objs =
+  Printf.sprintf "h(w, %s, [%s], s)" pred (String.concat ", " objs)
+
+let holds_refine = function "h", 4 -> Some 1 | _ -> None
+
+let gen_holds_program =
+  let open QCheck.Gen in
+  let const = oneofl [ "a"; "b"; "c"; "d" ] in
+  let rule head body = head ^ " :- " ^ String.concat ", " body ^ "." in
+  let* n_edges = int_range 3 8 in
+  let* edges =
+    list_size (return n_edges)
+      (map2 (fun x y -> holds_atom "e" [ x; y ] ^ ".") const const)
+  in
+  let* odd =
+    list_size (int_range 0 2)
+      (oneofl
+         [
+           "h(w, e, [a], s).";
+           "h(w, e, [a, b, c], s).";
+           "h(w, e, f(a, b), s).";
+           "h(w, e, nil, s).";
+         ])
+  in
+  let nodes =
+    List.map (fun c -> holds_atom "node" [ c ] ^ ".") [ "a"; "b"; "c"; "d" ]
+  in
+  let* vals =
+    list_size (return 4)
+      (map2 (Printf.sprintf "v(k, pt(%s, %d)).") const (int_range 0 5))
+  in
+  let reach =
+    [
+      rule (holds_atom "r" [ "X"; "Y" ]) [ holds_atom "e" [ "X"; "Y" ] ];
+      rule
+        (holds_atom "r" [ "X"; "Y" ])
+        [ holds_atom "e" [ "X"; "Z" ]; holds_atom "r" [ "Z"; "Y" ] ];
+    ]
+  in
+  let* hub =
+    oneofl
+      [
+        rule "hub(X)" [ holds_atom "r" [ "X"; "X" ] ];
+        rule "hub(X)" [ holds_atom "e" [ "X"; "Y" ]; holds_atom "r" [ "Y"; "X" ] ];
+      ]
+  in
+  let iso = rule "iso(X)" [ holds_atom "node" [ "X" ]; "\\+ hub(X)" ] in
+  let* guards =
+    oneofl
+      [
+        [];
+        [ rule "big(X)" [ "v(k, pt(X, N))"; "N >= 3" ] ];
+        [ rule "near(X, Y)" [ holds_atom "e" [ "X"; "Y" ]; "v(k, pt(Y, N))"; "N < 3" ] ];
+      ]
+  in
+  return
+    (String.concat "\n"
+       (edges @ odd @ nodes @ vals @ reach @ [ hub; iso ] @ guards))
+
+let holds_probes =
+  let cs = [ "a"; "b"; "c"; "d" ] in
+  List.concat_map
+    (fun x ->
+      Term.app "hub" [ Term.atom x ]
+      :: Reader.term (holds_atom "node" [ x ])
+      :: List.concat_map
+           (fun y ->
+             [
+               Reader.term (holds_atom "e" [ x; y ]);
+               Reader.term (holds_atom "r" [ x; y ]);
+             ])
+           cs)
+    cs
+
+let prop_differential_holds =
+  QCheck.Test.make
+    ~name:
+      "semi-naive, naive, scans and SLD agree on random holds-shaped programs"
+    ~count:150
+    (QCheck.make ~print:(fun s -> s) gen_holds_program)
+    (fun src ->
+      agree ~constants:[ "a"; "b"; "c"; "d" ] ~refine:holds_refine
+        ~probes:holds_probes (engine_db_of src))
+
+(* A holds-shaped left-linear closure, the shape of the GDP compiler's
+   reach/2, pinned at the passes, firings, probe counts and witnesses
+   that probes keyed on top-level arguments alone produce. A subterm
+   bucket is the top-level bucket minus facts that cannot unify, in the
+   same order, so none of these may drift. *)
+let test_holds_closure_pinned () =
+  let edges =
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 2); (1, 4); (2, 5); (3, 5) ]
+  in
+  let src =
+    String.concat "\n"
+      (List.map
+         (fun (x, y) ->
+           holds_atom "link" [ Printf.sprintf "n%d" x; Printf.sprintf "n%d" y ]
+           ^ ".")
+         edges
+      @ [
+          holds_atom "reach" [ "X"; "Y" ] ^ " :- "
+          ^ holds_atom "link" [ "X"; "Y" ] ^ ".";
+          holds_atom "reach" [ "X"; "Y" ] ^ " :- "
+          ^ holds_atom "reach" [ "X"; "Z" ] ^ ", "
+          ^ holds_atom "link" [ "Z"; "Y" ] ^ ".";
+          "far(X) :- " ^ holds_atom "reach" [ "n0"; "X" ] ^ ".";
+          (* derived once per reachable X; its witness names the first
+             link out of X the probe enumerates *)
+          "fork(X) :- " ^ holds_atom "reach" [ "n0"; "X" ] ^ ", "
+          ^ holds_atom "link" [ "X"; "Y" ] ^ ".";
+        ])
+  in
+  let fp = Bottom_up.run ~refine:holds_refine (db_of src) in
+  let s = Bottom_up.stats fp in
+  Alcotest.(check (list int))
+    "passes, firings, facts, probes, scans, membership tests"
+    [ 3; 7; 33; 33; 0; 0 ]
+    [
+      s.Bottom_up.bu_passes;
+      s.Bottom_up.bu_firings;
+      s.Bottom_up.bu_facts;
+      s.Bottom_up.bu_index_probes;
+      s.Bottom_up.bu_full_scans;
+      s.Bottom_up.bu_membership_tests;
+    ];
+  let witness t =
+    match Bottom_up.witness fp (Reader.term t) with
+    | None -> Alcotest.failf "%s has no witness" t
+    | Some (rule, steps) ->
+        ( rule,
+          List.map
+            (function
+              | Bottom_up.Wfact t | Bottom_up.Wnaf t | Bottom_up.Wguard t ->
+                  Term.to_string t)
+            steps )
+  in
+  Alcotest.(check (pair int (list string)))
+    "first derivation of reach(n0, n5)"
+    (3, [ "h(w, reach, [n0, n2], s)"; "h(w, link, [n2, n5], s)" ])
+    (witness (holds_atom "reach" [ "n0"; "n5" ]));
+  Alcotest.(check (pair int (list string)))
+    "first derivation of fork(n1)"
+    (1, [ "h(w, reach, [n0, n1], s)"; "h(w, link, [n1, n4], s)" ])
+    (witness "fork(n1)")
+
 (* [Bottom_up.probe] narrows candidates through the argument indexes; on
    any goal shape the unifiable subset must coincide with what filtering
    the goal's whole (sorted) relation yields. *)
@@ -351,4 +513,7 @@ let tests =
       test_probe_consistency;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_differential_stratified;
+    QCheck_alcotest.to_alcotest prop_differential_holds;
+    Alcotest.test_case "holds-shaped closure keeps its counters" `Quick
+      test_holds_closure_pinned;
   ]

@@ -37,65 +37,86 @@ let op_to_string (asserted, f) =
    optional arithmetic guards — the same shape the engine-props suite
    uses, with the fact lines deduplicated so one retraction empties the
    corresponding base fact entirely (the fixpoint's base set has set
-   semantics; a duplicated unit clause would break the mirror). *)
-let gen_case =
+   semantics; a duplicated unit clause would break the mirror).
+
+   With [~holds:true] the edge, node and reach atoms are reified the way
+   the GDP compiler reifies user predicates, [h(w, e, [X, Y], s)] (run
+   under {!refine}), and values sit under a compound, [h(w, val, [X],
+   pt(N))]: join variables are then bound inside list and compound
+   arguments, where only probes keyed on subterms narrow the bucket.
+   Scripts also assert and retract odd-shaped [h] facts that share the
+   edge relation and never join. *)
+let refine = function "h", 4 -> Some 1 | _ -> None
+
+let gen_case ~holds =
   let open QCheck.Gen in
   let const = oneofl [ "a"; "b"; "c"; "d" ] in
+  let atom pred args =
+    match (holds, pred, args) with
+    | true, "val", [ x; n ] -> Printf.sprintf "h(w, val, [%s], pt(%s))" x n
+    | true, ("e" | "node" | "r"), _ ->
+        Printf.sprintf "h(w, %s, [%s], s)" pred (String.concat ", " args)
+    | _ -> Printf.sprintf "%s(%s)" pred (String.concat ", " args)
+  in
+  let rule head body = head ^ " :- " ^ String.concat ", " body ^ "." in
   let gen_program =
     let* n_edges = int_range 3 6 in
     let* edges =
       list_size (return n_edges)
-        (map2 (fun x y -> Printf.sprintf "e(%s, %s)." x y) const const)
+        (map2 (fun x y -> atom "e" [ x; y ] ^ ".") const const)
     in
-    let nodes = List.map (Printf.sprintf "node(%s).") [ "a"; "b"; "c" ] in
+    let nodes = List.map (fun c -> atom "node" [ c ] ^ ".") [ "a"; "b"; "c" ] in
     let* vals =
       list_size (return 3)
         (map2
-           (fun c n -> Printf.sprintf "val(%s, %d)." c n)
+           (fun c n -> atom "val" [ c; string_of_int n ] ^ ".")
            const (int_range 0 5))
     in
-    let reach = [ "r(X, Y) :- e(X, Y)."; "r(X, Y) :- e(X, Z), r(Z, Y)." ] in
+    let reach =
+      [
+        rule (atom "r" [ "X"; "Y" ]) [ atom "e" [ "X"; "Y" ] ];
+        rule (atom "r" [ "X"; "Y" ]) [ atom "e" [ "X"; "Z" ]; atom "r" [ "Z"; "Y" ] ];
+      ]
+    in
     let* hub =
       oneofl
         [
-          "hub(X) :- e(X, Y).";
-          "hub(X) :- r(X, X).";
-          "hub(X) :- r(X, Y), r(Y, X).";
+          rule "hub(X)" [ atom "e" [ "X"; "Y" ] ];
+          rule "hub(X)" [ atom "r" [ "X"; "X" ] ];
+          rule "hub(X)" [ atom "r" [ "X"; "Y" ]; atom "r" [ "Y"; "X" ] ];
         ]
     in
-    let iso = "iso(X) :- node(X), \\+ hub(X)." in
+    let iso = rule "iso(X)" [ atom "node" [ "X" ]; "\\+ hub(X)" ] in
     let* second_layer =
-      oneofl [ []; [ "plain(X) :- node(X), \\+ iso(X)." ] ]
+      oneofl [ []; [ rule "plain(X)" [ atom "node" [ "X" ]; "\\+ iso(X)" ] ] ]
     in
+    let big = rule "big(X)" [ atom "val" [ "X"; "N" ]; "N >= 3" ] in
     let* guards =
       oneofl
-        [
-          [];
-          [ "big(X) :- val(X, N), N >= 3." ];
-          [
-            "big(X) :- val(X, N), N >= 3.";
-            "small(X) :- node(X), \\+ big(X).";
-          ];
-        ]
+        [ []; [ big ]; [ big; rule "small(X)" [ atom "node" [ "X" ]; "\\+ big(X)" ] ] ]
     in
     return
       (String.concat "\n"
          (List.sort_uniq compare (edges @ nodes @ vals)
          @ reach @ [ hub; iso ] @ second_layer @ guards))
   in
+  let odd =
+    oneofl [ "h(w, e, [a], s)"; "h(w, e, [a, b, c], s)"; "h(w, e, f(a, b), s)" ]
+  in
   let gen_op =
     let* asserted = bool in
     let* fact =
       frequency
         [
-          (4, map2 (Printf.sprintf "e(%s, %s)") const const);
-          (1, map (Printf.sprintf "node(%s)") const);
-          (2, map2 (fun c n -> Printf.sprintf "val(%s, %d)" c n) const
+          (4, map2 (fun x y -> atom "e" [ x; y ]) const const);
+          (1, map (fun c -> atom "node" [ c ]) const);
+          (2, map2 (fun c n -> atom "val" [ c; string_of_int n ]) const
                 (int_range 0 5));
-          (2, map2 (Printf.sprintf "r(%s, %s)") const const);
+          (2, map2 (fun x y -> atom "r" [ x; y ]) const const);
           (1, map (Printf.sprintf "hub(%s)") const);
           (1, map (Printf.sprintf "iso(%s)") const);
           (1, map (Printf.sprintf "fresh(%s)") const);
+          ((if holds then 1 else 0), odd);
         ]
     in
     return (asserted, fact)
@@ -110,9 +131,11 @@ let print_case (src, script) =
 
 (* Shrink the script only (dropping steps keeps the case well-formed);
    a failure then minimises to the shortest breaking update sequence. *)
-let arb_case =
-  QCheck.make gen_case ~print:print_case ~shrink:(fun (src, script) ->
+let arb ~holds =
+  QCheck.make (gen_case ~holds) ~print:print_case ~shrink:(fun (src, script) ->
       QCheck.Iter.map (fun s -> (src, s)) (QCheck.Shrink.list script))
+
+let arb_case = arb ~holds:false
 
 (* After every step: the maintained fixpoint must equal a from-scratch
    run over the mutated database. The database mirror is gated on what
@@ -121,7 +144,7 @@ let arb_case =
    in lockstep (no duplicate unit clauses, no phantom retractions). *)
 let agree_after_script ~strategy ~indexing (src, script) =
   let db = engine_db_of src in
-  let fp = Bottom_up.run ~strategy ~indexing db in
+  let fp = Bottom_up.run ~strategy ~indexing ~refine db in
   List.for_all
     (fun (asserted, fact_src) ->
       let t = term fact_src in
@@ -130,21 +153,25 @@ let agree_after_script ~strategy ~indexing (src, script) =
        end
        else if Bottom_up.retract_fact fp t then
          Stdlib.ignore (Database.retract_fact db t));
-      let fresh = Bottom_up.run ~strategy ~indexing db in
+      let fresh = Bottom_up.run ~strategy ~indexing ~refine db in
       List.equal Term.equal (Bottom_up.facts fp) (Bottom_up.facts fresh))
     script
 
-let prop_config name strategy indexing =
+let prop_config ?(holds = false) ?(count = 310) name strategy indexing =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
          "incremental maintenance tracks from-scratch runs (%s)" name)
-    ~count:310 arb_case
+    ~count (arb ~holds)
     (agree_after_script ~strategy ~indexing)
 
 let prop_semi_naive = prop_config "semi-naive, indexed" Bottom_up.Semi_naive true
 let prop_naive = prop_config "naive" Bottom_up.Naive true
 let prop_scan = prop_config "semi-naive, scans" Bottom_up.Semi_naive false
+
+let prop_holds =
+  prop_config ~holds:true ~count:200 "holds-shaped, semi-naive, indexed"
+    Bottom_up.Semi_naive true
 
 (* Goal-directed evaluation over a changing base: after every script
    step, rewriting the mutated database for a point goal and evaluating
@@ -368,6 +395,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_semi_naive;
     QCheck_alcotest.to_alcotest prop_naive;
     QCheck_alcotest.to_alcotest prop_scan;
+    QCheck_alcotest.to_alcotest prop_holds;
     QCheck_alcotest.to_alcotest prop_magic;
     QCheck_alcotest.to_alcotest prop_batched;
   ]

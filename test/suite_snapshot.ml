@@ -272,6 +272,13 @@ let test_corrupt_rejected () =
       Out_channel.output_string oc
         (String.sub contents 10 (String.length contents - 10)));
   expect_corrupt "version-2 file";
+  (* and a version-3 file, whose relations carry a list of indexes the
+     current ones lack *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP3\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-3 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");
