@@ -484,8 +484,15 @@ let profile_cmd =
              ~doc:"Raw engine goal over the reified vocabulary (holds/6, \
                    acc/7, builtins); every answer is drained.")
   in
-  let run file view models metas goal materialize snapshot trace_out
-      no_spatial_index =
+  let stats_arg =
+    Arg.(value & flag
+         & info [ "stats" ]
+             ~doc:"Print engine statistics. Always on for $(b,profile), \
+                   which prints the statistics block before its profile \
+                   tree; accepted so every engine subcommand takes it.")
+  in
+  let run file view models metas goal materialize snapshot (_ : bool)
+      trace_out no_spatial_index =
     handle_errors (fun () ->
         let result = load file in
         enable_telemetry result;
@@ -519,7 +526,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ materialize_arg $ snapshot_arg $ trace_out_arg
+          $ materialize_arg $ snapshot_arg $ stats_arg $ trace_out_arg
           $ no_spatial_index_arg)
 
 (* ---- render ---- *)

@@ -216,8 +216,8 @@ let of_snapshot q path =
                     q.fp := Some fp;
                     q.snap := Some (bytes, facts);
                     Ok (bytes, facts)
-                | exception Invalid_argument msg ->
-                    Error (Snapshot_corrupt msg)
+                | exception Snapshot.Corrupt msg ->
+                    Error (Snapshot_corrupt (path ^ ": " ^ msg))
                 | exception Bottom_up.Unsupported msg ->
                     Error (Snapshot_stale msg))))
 

@@ -161,31 +161,19 @@ module Relation = struct
       true
     end
 
-  (* Bulk load for snapshot import: the facts come from a saved
-     relation's set, so they are pairwise distinct, and the receiving
-     relation is freshly built — no lazy index exists yet to maintain.
-     Skipping the membership probe halves the hashing work of [add];
-     [cardinal]/[Term_tbl.length] disagreement after a bulk load is the
-     caller's signal that the distinctness assumption was violated. *)
-  let bulk r facts =
-    let k = Array.length facts in
-    if k > 0 then begin
-      if r.n + k > Array.length r.arr then begin
-        let cap = ref (Array.length r.arr) in
-        while r.n + k > !cap do
-          cap := 2 * !cap
-        done;
-        let bigger = Array.make !cap dummy in
-        Array.blit r.arr 0 bigger 0 r.n;
-        r.arr <- bigger
-      end;
-      Array.iter
-        (fun t ->
-          Term_tbl.replace r.facts t t;
-          r.arr.(r.n) <- t;
-          r.n <- r.n + 1)
-        facts
-    end
+  (* Bulk load for snapshot import: slots [0, n) of [arr] hold a saved
+     relation's canonical facts in insertion order, and the relation is
+     built around the array itself. The hash set is created at the size
+     [add]'s doubling would have grown it to, so no rehash runs and its
+     bucket order matches a relation filled fact by fact; [distinct]
+     afterwards is false when the array repeats a fact. *)
+  let of_array arr n =
+    let facts = Term_tbl.create (max 64 ((n + 1) / 2)) in
+    for i = 0 to n - 1 do
+      let t = Array.unsafe_get arr i in
+      Term_tbl.replace facts t t
+    done;
+    { facts; arr; n; indexes = []; spatials = [] }
 
   let distinct r = Term_tbl.length r.facts = r.n
 
@@ -990,20 +978,6 @@ let new_counters () =
     c_misses = 0;
   }
 
-(* Add one counter record into another: [import] restores a snapshot's
-   saved counters this way. *)
-let fold_counters ~into (w : counters) =
-  into.c_facts <- into.c_facts + w.c_facts;
-  into.c_passes <- into.c_passes + w.c_passes;
-  into.c_firings <- into.c_firings + w.c_firings;
-  into.c_probes <- into.c_probes + w.c_probes;
-  into.c_scans <- into.c_scans + w.c_scans;
-  into.c_members <- into.c_members + w.c_members;
-  into.c_sprobes <- into.c_sprobes + w.c_sprobes;
-  into.c_sscans <- into.c_sscans + w.c_sscans;
-  into.c_hits <- into.c_hits + w.c_hits;
-  into.c_misses <- into.c_misses + w.c_misses
-
 (* Mutable lineage state: the witness table plus the reconstruction
    counters {!pp_stats} reports. *)
 type pstate = {
@@ -1114,7 +1088,8 @@ let drop_witness fp t = Term_tbl.remove fp.lineage.ptbl t
 
 (* Structural node count of a term; the store hcons-shares witness terms
    with the fact store, so this over-approximates the marginal footprint
-   but tracks the logical size of what a serialised export would carry. *)
+   but tracks the logical size of the witnesses written out as trees
+   (the snapshot encoding stores each distinct node once). *)
 let rec term_nodes = function
   | Term.App (_, args) -> List.fold_left (fun n a -> n + term_nodes a) 1 args
   | _ -> 1
@@ -2194,134 +2169,372 @@ let proof fp t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* persistent snapshots: a data-only export of a materialised fixpoint.
-   Closures (join plans, spatial hooks, the tracer) never persist —
-   [import] rebuilds them from the database through the same [prepare] /
-   planning path [run] uses, then bulk-loads the saved facts without
-   re-deriving anything. Every term is re-interned through {!Term.hcons}
-   on the way in (import runs on the coordinator thread), so the
-   physical-equality fast paths of the live store are restored. *)
+(* persistent snapshots: a data-only export of a materialised fixpoint,
+   encoded as a term DAG. Closures (join plans, spatial hooks, the
+   tracer) never persist — [import] rebuilds them from the database
+   through the same [prepare] / planning path [run] uses, then loads the
+   saved facts without re-deriving anything.
 
-type snap_relation = {
-  sr_rel : Rel.t;
-  sr_facts : Term.t array;  (* insertion order — scans stay deterministic *)
-}
+   Layout (every number a {!Wire} varint, [int] zigzag-mapped):
+     header   the strata, base fact and witness counts (nat); the 10
+              counters, the 4 lineage counters and the 10 maintenance
+              counters (int); per-stratum statistics (count, then 6 ints
+              and the float milliseconds each); the symbol and node
+              counts (nat)
+     symbols  each string: atom and functor names and string constants
+     nodes    one record per distinct node in post order, so a node's
+              children always come before it:
+              tag 0 Atom sym | 1 Int int | 2 Float f64 | 3 Str sym
+                | 4 App sym arity child*
+              (every stored term is ground, so there is no variable tag)
+     relations  count, then in {!Rel.compare} order: name sym, arity,
+              sub (0 or 1 + sym), the facts as node ids in insertion
+              order, the base facts and the witnessed facts as position
+              gaps (position - previous - 1), each witness as its rule
+              id and its steps, each a (kind, node) pair
+   Keying base facts and witnesses by fact position makes the export
+   deterministic without sorting, and the import takes their terms from
+   the loaded relation instead of interning them again. *)
 
-type snapshot_state = {
-  sn_n_strata : int;
-  sn_rels : snap_relation list;
-  sn_base : (Term.t * Rel.t) list;  (* asserted (extensional) facts *)
-  sn_witnesses : (Term.t * witness) list;
-  sn_prov : int * int * int * int;
-      (* refreshed, reconstructs, max depth, max size *)
-  sn_counters : counters;  (* a private copy, never aliased to a live fp *)
-  sn_strata_stats : stratum_stats list;
-  sn_incr : istate;  (* idem *)
-}
+type snapshot_state = { data : string; pos : int; len : int }
 
+module Node_tbl = Hashtbl.Make (struct
+  type t = Term.t
+
+  (* stored terms are canonical, so physical equality finds every
+     shared node; a stray non-canonical copy only costs a node *)
+  let equal = ( == )
+  let hash = Term.hash
+end)
+
+(* The header, symbols, nodes and relations go to separate buffers,
+   because the counts the header declares are known only once the
+   relations have been walked; the sections are then copied once into
+   the exact-size result. *)
 let export fp =
-  let sn_rels =
-    Hashtbl.fold
-      (fun rel (r : Relation.t) acc ->
-        { sr_rel = rel; sr_facts = Array.sub r.Relation.arr 0 r.Relation.n }
-        :: acc)
-      fp.rels []
-    |> List.sort (fun a b -> Rel.compare a.sr_rel b.sr_rel)
+  let syms = Hashtbl.create 256 and sym_buf = Buffer.create 4096 in
+  let sym s =
+    match Hashtbl.find_opt syms s with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length syms in
+        Hashtbl.add syms s i;
+        Wire.add_string sym_buf s;
+        i
   in
-  let sn_base =
-    Term_tbl.fold (fun t rel acc -> (t, rel) :: acc) fp.base []
-    |> List.sort (fun (a, _) (b, _) -> Term.compare a b)
+  let ids = Node_tbl.create (max 256 fp.ctr.c_facts) in
+  let node_buf = Buffer.create 65536 in
+  let rec node t =
+    match Node_tbl.find_opt ids t with
+    | Some i -> i
+    | None ->
+        let b = node_buf in
+        (match t with
+        | Term.Atom s ->
+            Buffer.add_uint8 b 0;
+            Wire.add_nat b (sym s)
+        | Term.Int n ->
+            Buffer.add_uint8 b 1;
+            Wire.add_int b n
+        | Term.Float f ->
+            Buffer.add_uint8 b 2;
+            Wire.add_float b f
+        | Term.Str s ->
+            Buffer.add_uint8 b 3;
+            Wire.add_nat b (sym s)
+        | Term.Var _ ->
+            invalid_arg "Bottom_up.export: the store holds a non-ground term"
+        | Term.App (f, args) ->
+            let children = List.map node args in
+            Buffer.add_uint8 b 4;
+            Wire.add_nat b (sym f);
+            Wire.add_nat b (List.length children);
+            List.iter (Wire.add_nat b) children);
+        let i = Node_tbl.length ids in
+        Node_tbl.add ids t i;
+        i
   in
-  let ps = fp.lineage in
-  {
-    sn_n_strata = fp.n_strata;
-    sn_rels;
-    sn_base;
-    sn_witnesses =
-      Term_tbl.fold (fun t w acc -> (t, w) :: acc) ps.ptbl []
-      |> List.sort (fun (a, _) (b, _) -> Term.compare a b);
-    sn_prov = (ps.p_refreshed, ps.p_reconstructs, ps.p_max_depth, ps.p_max_size);
-    sn_counters = { fp.ctr with c_facts = fp.ctr.c_facts };
-    sn_strata_stats = fp.strata_stats;
-    sn_incr = { fp.incr with i_batches = fp.incr.i_batches };
-  }
+  let rels =
+    Hashtbl.fold (fun rel r acc -> (rel, r) :: acc) fp.rels []
+    |> List.sort (fun (a, _) (b, _) -> Rel.compare a b)
+  in
+  let rel_buf = Buffer.create 65536 and part = Buffer.create 4096 in
+  let n_base = ref 0 and n_wit = ref 0 in
+  (* [emit] writes one relation's entries for the positions [keep]
+     selects into [part]; their count goes first *)
+  let positions (r : Relation.t) keep emit =
+    let prev = ref (-1) and k = ref 0 in
+    for i = 0 to r.n - 1 do
+      match keep r.arr.(i) with
+      | None -> ()
+      | Some x ->
+          Wire.add_nat part (i - !prev - 1);
+          emit x;
+          prev := i;
+          incr k
+    done;
+    Wire.add_nat rel_buf !k;
+    Buffer.add_buffer rel_buf part;
+    Buffer.clear part;
+    !k
+  in
+  Wire.add_nat rel_buf (List.length rels);
+  List.iter
+    (fun ((rel : Rel.t), (r : Relation.t)) ->
+      Wire.add_nat rel_buf (sym rel.name);
+      Wire.add_nat rel_buf rel.arity;
+      Wire.add_nat rel_buf
+        (match rel.sub with None -> 0 | Some s -> 1 + sym s);
+      Wire.add_nat rel_buf r.n;
+      for i = 0 to r.n - 1 do
+        Wire.add_nat rel_buf (node r.arr.(i))
+      done;
+      n_base :=
+        !n_base
+        + positions r
+            (fun t -> if Term_tbl.mem fp.base t then Some () else None)
+            ignore;
+      n_wit :=
+        !n_wit
+        + positions r (Term_tbl.find_opt fp.lineage.ptbl) (fun w ->
+              Wire.add_int part w.w_rule;
+              Wire.add_nat part (List.length w.w_steps);
+              List.iter
+                (fun s ->
+                  let kind, u =
+                    match s with
+                    | Wfact u -> (0, u)
+                    | Wnaf u -> (1, u)
+                    | Wguard u -> (2, u)
+                  in
+                  Buffer.add_uint8 part kind;
+                  Wire.add_nat part (node u))
+                w.w_steps))
+    rels;
+  (* every asserted fact and every witnessed tuple is stored, so keying
+     them by position loses nothing; a miss here is an engine bug *)
+  if
+    !n_base <> Term_tbl.length fp.base
+    || !n_wit <> Term_tbl.length fp.lineage.ptbl
+  then failwith "Bottom_up.export: a base fact or witness is not stored";
+  let head = Buffer.create 256 in
+  let c = fp.ctr and ps = fp.lineage and inc = fp.incr in
+  List.iter (Wire.add_nat head) [ fp.n_strata; !n_base; !n_wit ];
+  List.iter (Wire.add_int head)
+    [
+      c.c_facts; c.c_passes; c.c_firings; c.c_probes; c.c_scans; c.c_members;
+      c.c_sprobes; c.c_sscans; c.c_hits; c.c_misses;
+      ps.p_refreshed; ps.p_reconstructs; ps.p_max_depth; ps.p_max_size;
+      inc.i_batches; inc.i_asserts; inc.i_retracts; inc.i_noops;
+      inc.i_inserted; inc.i_deleted; inc.i_overdeleted; inc.i_rederived;
+      inc.i_visited; inc.i_recomputed;
+    ];
+  Wire.add_nat head (List.length fp.strata_stats);
+  List.iter
+    (fun st ->
+      List.iter (Wire.add_int head)
+        [
+          st.st_stratum; st.st_rules; st.st_passes; st.st_firings;
+          st.st_derived; st.st_max_delta;
+        ];
+      Wire.add_float head st.st_ms)
+    fp.strata_stats;
+  Wire.add_nat head (Hashtbl.length syms);
+  Wire.add_nat head (Node_tbl.length ids);
+  let sections = [ head; sym_buf; node_buf; rel_buf ] in
+  let len = List.fold_left (fun n b -> n + Buffer.length b) 0 sections in
+  let out = Bytes.create len in
+  let (_ : int) =
+    List.fold_left
+      (fun at b ->
+        Buffer.blit b 0 out at (Buffer.length b);
+        at + Buffer.length b)
+      0 sections
+  in
+  { data = Bytes.unsafe_to_string out; pos = 0; len }
 
-let snapshot_facts state = state.sn_counters.c_facts
+(* the saved [c_facts]: the first counter, after three counts *)
+let snapshot_facts st =
+  let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
+  for _ = 1 to 3 do
+    ignore (Wire.nat r : int)
+  done;
+  Wire.int r
+
+let read_stratum_stats r =
+  (* record fields evaluate in no fixed order, so each read is bound first *)
+  let st_stratum = Wire.int r in
+  let st_rules = Wire.int r in
+  let st_passes = Wire.int r in
+  let st_firings = Wire.int r in
+  let st_derived = Wire.int r in
+  let st_max_delta = Wire.int r in
+  let st_ms = Wire.float r in
+  { st_stratum; st_rules; st_passes; st_firings; st_derived; st_max_delta; st_ms }
+
+(* The size [Term_tbl.create] needs to end where doubling from [init]
+   would have grown a table of [n] entries, so iteration order is that of
+   a table filled one entry at a time. *)
+let presized init n = Term_tbl.create (max init ((n + 1) / 2))
+
+let rec read_list r k read acc =
+  if k = 0 then List.rev acc else read_list r (k - 1) read (read r :: acc)
 
 let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ?(spatial_indexing = true) ?(refine = fun _ -> None)
-    ?(tracer = Gdp_obs.Tracer.disabled) db state =
+    ?(tracer = Gdp_obs.Tracer.disabled) db st =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
-    ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts state)) ]
+    ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts st)) ]
     "snap.import"
   @@ fun () ->
   let fp, _parsed =
     build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
       ~tracer db
   in
-  if fp.n_strata <> state.sn_n_strata then
-    invalid_arg
-      (Printf.sprintf
-         "Bottom_up.import: snapshot stratifies into %d strata, the \
-          database into %d — the snapshot belongs to a different program"
-         state.sn_n_strata fp.n_strata);
-  (* bulk-load, bypassing [add]: the saved counters already account for
-     every insert, and restoring them wholesale afterwards keeps the
-     loaded fixpoint's telemetry textually identical to the saved one.
-     Saved relations hold pairwise-distinct facts, so the membership
-     probe [add] pays per fact is skipped; [Relation.distinct] plus the
-     total-count check below keep a malformed payload detectable. *)
-  let total = ref 0 in
-  List.iter
-    (fun sr ->
-      let r = get fp sr.sr_rel in
-      let interned = Array.map Term.hcons sr.sr_facts in
-      Relation.bulk r interned;
-      if not (Relation.distinct r) then
-        invalid_arg
-          (Printf.sprintf
-             "Bottom_up.import: %s holds duplicate facts — the snapshot \
-              payload is malformed"
-             (Rel.to_string sr.sr_rel));
-      total := !total + Array.length interned)
-    state.sn_rels;
-  if !total <> state.sn_counters.c_facts then
-    invalid_arg
-      (Printf.sprintf
-         "Bottom_up.import: loaded %d facts, snapshot counters claim %d"
-         !total state.sn_counters.c_facts);
-  List.iter
-    (fun (t, rel) -> Term_tbl.replace fp.base (Term.hcons t) rel)
-    state.sn_base;
-  let ps = fp.lineage in
-  let intern_step = function
-    | Wfact u -> Wfact (Term.hcons u)
-    | Wnaf u -> Wnaf (Term.hcons u)
-    | Wguard u -> Wguard (Term.hcons u)
+  let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
+  let n_strata = Wire.nat r in
+  if n_strata <> fp.n_strata then
+    Wire.corrupt
+      "the snapshot stratifies into %d strata, the database into %d: it \
+       belongs to a different program"
+      n_strata fp.n_strata;
+  (* the tables the payload fills are created at their final size *)
+  let n_base = Wire.count r ~min_bytes:1 "base fact" in
+  let n_wit = Wire.count r ~min_bytes:3 "witness" in
+  let fp =
+    {
+      fp with
+      base = presized 64 n_base;
+      lineage = { fp.lineage with ptbl = presized 256 n_wit };
+    }
   in
-  List.iter
-    (fun (t, w) ->
-      Term_tbl.replace ps.ptbl (Term.hcons t)
-        { w with w_steps = List.map intern_step w.w_steps })
-    state.sn_witnesses;
-  let refreshed, reconstructs, max_depth, max_size = state.sn_prov in
-  ps.p_refreshed <- refreshed;
-  ps.p_reconstructs <- reconstructs;
-  ps.p_max_depth <- max_depth;
-  ps.p_max_size <- max_size;
-  fold_counters ~into:fp.ctr state.sn_counters;
-  fp.strata_stats <- state.sn_strata_stats;
-  let i = state.sn_incr in
-  fp.incr.i_batches <- i.i_batches;
-  fp.incr.i_asserts <- i.i_asserts;
-  fp.incr.i_retracts <- i.i_retracts;
-  fp.incr.i_noops <- i.i_noops;
-  fp.incr.i_inserted <- i.i_inserted;
-  fp.incr.i_deleted <- i.i_deleted;
-  fp.incr.i_overdeleted <- i.i_overdeleted;
-  fp.incr.i_rederived <- i.i_rederived;
-  fp.incr.i_visited <- i.i_visited;
-  fp.incr.i_recomputed <- i.i_recomputed;
+  (* the saved counters replace the fresh ones wholesale, which keeps
+     the loaded fixpoint's telemetry textually identical to the saved
+     one *)
+  let c = fp.ctr in
+  c.c_facts <- Wire.int r;
+  c.c_passes <- Wire.int r;
+  c.c_firings <- Wire.int r;
+  c.c_probes <- Wire.int r;
+  c.c_scans <- Wire.int r;
+  c.c_members <- Wire.int r;
+  c.c_sprobes <- Wire.int r;
+  c.c_sscans <- Wire.int r;
+  c.c_hits <- Wire.int r;
+  c.c_misses <- Wire.int r;
+  let ps = fp.lineage in
+  ps.p_refreshed <- Wire.int r;
+  ps.p_reconstructs <- Wire.int r;
+  ps.p_max_depth <- Wire.int r;
+  ps.p_max_size <- Wire.int r;
+  let inc = fp.incr in
+  inc.i_batches <- Wire.int r;
+  inc.i_asserts <- Wire.int r;
+  inc.i_retracts <- Wire.int r;
+  inc.i_noops <- Wire.int r;
+  inc.i_inserted <- Wire.int r;
+  inc.i_deleted <- Wire.int r;
+  inc.i_overdeleted <- Wire.int r;
+  inc.i_rederived <- Wire.int r;
+  inc.i_visited <- Wire.int r;
+  inc.i_recomputed <- Wire.int r;
+  fp.strata_stats <-
+    read_list r
+      (Wire.count r ~min_bytes:14 "stratum statistics")
+      read_stratum_stats [];
+  let n_syms = Wire.count r ~min_bytes:1 "symbol" in
+  let n_nodes = Wire.count r ~min_bytes:2 "node" in
+  let syms = Array.init n_syms (fun _ -> Wire.string r) in
+  let sym () = syms.(Wire.below r n_syms "symbol") in
+  (* post order: every child id is below its parent's, so each node is
+     built from canonical children and interned exactly once *)
+  let nodes = Array.make n_nodes Relation.dummy in
+  for i = 0 to n_nodes - 1 do
+    let t =
+      match Wire.byte r with
+      | 0 -> Term.Atom (sym ())
+      | 1 -> Term.Int (Wire.int r)
+      | 2 -> Term.Float (Wire.float r)
+      | 3 -> Term.Str (sym ())
+      | 4 ->
+          let f = sym () in
+          let arity = Wire.count r ~min_bytes:1 "argument" in
+          Term.App
+            (f, read_list r arity (fun r -> nodes.(Wire.below r i "child")) [])
+      | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
+    in
+    nodes.(i) <- Term.intern t
+  done;
+  let node () = nodes.(Wire.below r n_nodes "node") in
+  let step r =
+    let kind = Wire.byte r in
+    let u = node () in
+    match kind with
+    | 0 -> Wfact u
+    | 1 -> Wnaf u
+    | 2 -> Wguard u
+    | k -> Wire.corrupt "unknown witness step kind %d" k
+  in
+  (* [each] gets the positions of a gap-coded position list *)
+  let positions n each =
+    let prev = ref (-1) in
+    for _ = 1 to Wire.count r ~min_bytes:1 "position" do
+      let i = !prev + 1 + Wire.below r (n - !prev - 1) "position gap" in
+      each i;
+      prev := i
+    done
+  in
+  let n_rels = Wire.count r ~min_bytes:6 "relation" in
+  let total = ref 0 and last = ref None in
+  for _ = 1 to n_rels do
+    let name = sym () in
+    let arity = Wire.nat r in
+    let sub =
+      match Wire.below r (n_syms + 1) "refinement symbol" with
+      | 0 -> None
+      | s -> Some syms.(s - 1)
+    in
+    let rel = { Rel.name; arity; sub } in
+    (match !last with
+    | Some prev when Rel.compare prev rel >= 0 ->
+        Wire.corrupt "relation %s is out of order" (Rel.to_string rel)
+    | _ -> last := Some rel);
+    let n = Wire.count r ~min_bytes:1 "fact" in
+    let arr = Array.make (if n = 0 then 0 else max 16 n) Relation.dummy in
+    for i = 0 to n - 1 do
+      let t = node () in
+      (match resolve_rel refine t with
+      | Ok rel' when Rel.compare rel rel' = 0 -> ()
+      | _ ->
+          Wire.corrupt "fact %d of %s belongs to another relation" i
+            (Rel.to_string rel));
+      arr.(i) <- t
+    done;
+    (* an emptied relation is listed too, and stays listed on export *)
+    if n = 0 then ignore (get fp rel : Relation.t)
+    else begin
+      let loaded = Relation.of_array arr n in
+      if not (Relation.distinct loaded) then
+        Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
+      Hashtbl.replace fp.rels rel loaded;
+      total := !total + n
+    end;
+    positions n (fun i -> Term_tbl.replace fp.base arr.(i) rel);
+    positions n (fun i ->
+        let w_rule = Wire.int r in
+        let k = Wire.count r ~min_bytes:2 "witness step" in
+        Term_tbl.replace fp.lineage.ptbl arr.(i)
+          { w_rule; w_steps = read_list r k step [] })
+  done;
+  if not (Wire.at_end r) then
+    Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
+  if !total <> c.c_facts then
+    Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
+      c.c_facts;
+  if
+    Term_tbl.length fp.base <> n_base
+    || Term_tbl.length fp.lineage.ptbl <> n_wit
+  then Wire.corrupt "base or witness count disagrees with the header";
   (* hash indexes stay lazy: each is built by the first probe that needs
      it, so a load pays only for the indexes its queries use *)
   prebuild_spatial fp;

@@ -148,8 +148,8 @@ type prov_stats = {
       (** approximate witness-store footprint: 8 bytes per structural
           node over every (head, rule id, step terms) record. Witness
           terms are hash-consed against the fact store, so the real
-          marginal footprint is lower; a serialised export carries this
-          much. *)
+          marginal footprint is lower, as is a snapshot's, which stores
+          each distinct term node once. *)
   prov_refreshed : int;
       (** witnesses re-captured for facts surviving a DRed rederivation *)
   prov_reconstructs : int;  (** {!proof} calls that returned a tree *)
@@ -372,7 +372,7 @@ val proof : fixpoint -> Term.t -> Explain.proof option
 
 (** {1:snapshots Persistent snapshots}
 
-    A materialised fixpoint can be exported as a pure-data value and
+    A materialised fixpoint can be exported in a binary encoding and
     later re-imported against a freshly compiled database — the
     compile-once/query-many path {!Gdp_core.Query} and the [gdprs
     compile] subcommand build on (see {!Snapshot} for the on-disk
@@ -383,19 +383,25 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     eagerly, exactly as {!run} builds them; hash indexes are built
     lazily by the first probe that needs each one. *)
 
-type snapshot_state
-(** The exported state of one fixpoint. Contains only marshallable data
-    (terms, relation names, counters) — safe to [Marshal] and reload in
-    another process. *)
+type snapshot_state = { data : string; pos : int; len : int }
+(** The exported state of one fixpoint: bytes [\[pos, pos + len)] of
+    [data] hold its encoding, a table of the distinct terms (each node
+    once, children before parents) that the relations, base facts and
+    witness steps refer to by index. The encoding is plain bytes with no
+    OCaml value layout in it, so another build or process can read it,
+    and a view into a larger string (a whole snapshot file) decodes in
+    place. *)
 
 val export : fixpoint -> snapshot_state
-(** Capture the fixpoint's current facts, asserted base, witnesses and
-    cumulative counters. The fixpoint stays live and is not aliased by
-    the returned value: later {!apply} calls do not alter the export. *)
+(** Encode the fixpoint's current facts, asserted base, witnesses and
+    cumulative counters. The result is deterministic — the same store
+    always encodes to the same bytes, so exporting an import of an
+    export reproduces it — and later {!apply} calls do not alter it. *)
 
 val snapshot_facts : snapshot_state -> int
 (** Number of stored facts the snapshot carries (the saved fixpoint's
-    [bu_facts]). *)
+    [bu_facts]), read from the encoding's header. Raises
+    {!Wire.Corrupt} when the header is unreadable. *)
 
 val import :
   ?strategy:strategy ->
@@ -410,16 +416,19 @@ val import :
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
     planned exactly as {!run} would (same options, same meaning), then
-    the saved facts are bulk-inserted — re-interned through
-    {!Term.hcons} — the saved counters, per-stratum statistics,
-    maintenance counters and witnesses are restored, the planned
+    the encoding is decoded in place — each distinct term is interned
+    once through {!Term.intern}, the relations are built around their
+    loaded fact arrays, and the saved counters, per-stratum statistics,
+    maintenance counters and witnesses are restored. The planned
     spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
     the usual final counter gauges are emitted (plus one
     ["snap.import"] span) when the tracer is live. The result answers
     {!holds}/{!probe}/{!proof} and accepts {!apply} exactly like the
     fixpoint {!export} captured. Callers must pass a database compiled
     from the same program under the same options the snapshot was
-    saved from — [Gdp_core] enforces this with a content hash; as
-    defence in depth, a stratification-shape or fact-count mismatch
-    raises [Invalid_argument]. Raises {!Unsupported} when [db] leaves
-    the evaluable fragment. *)
+    saved from — [Gdp_core] enforces this with a content hash. Every
+    id, count and tag is bounds-checked: a malformed encoding, a
+    stratification-shape mismatch, a fact filed under the wrong
+    relation or a counter that disagrees with the loaded store raises
+    {!Wire.Corrupt} (which {!Snapshot.Corrupt} re-exports). Raises
+    {!Unsupported} when [db] leaves the evaluable fragment. *)

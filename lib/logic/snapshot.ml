@@ -1,4 +1,4 @@
-exception Corrupt of string
+exception Corrupt = Wire.Corrupt
 
 type t = {
   key : string;
@@ -6,28 +6,35 @@ type t = {
   state : Bottom_up.snapshot_state;
 }
 
-(* The trailing digit versions the payload: bump it whenever
-   {!Bottom_up.snapshot_state} changes shape, so a file written by an
-   older build is refused before [Marshal] reads it. *)
-let magic = "GDPXSNAP4\n"
+(* The trailing digit versions the payload: bump it whenever the
+   encoding of {!Bottom_up.snapshot_state} or of the key/meta frame
+   changes, so a file written by another build is refused before its
+   payload is decoded. *)
+let magic = "GDPXSNAP5\n"
 
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+let header = String.length magic + 16
 
+(* magic, MD5 of the payload, payload = key, meta, state; the state is
+   copied once, into the file image the digest is computed over *)
 let save ?(tracer = Gdp_obs.Tracer.disabled) ~path t =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:
       [ ("facts", Gdp_obs.Tracer.Int (Bottom_up.snapshot_facts t.state)) ]
     "snap.save"
   @@ fun () ->
-  let payload = Marshal.to_string t [] in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_string oc (Digest.string payload);
-      output_string oc payload);
-  let bytes = String.length magic + 16 + String.length payload in
+  let frame = Buffer.create 64 in
+  Wire.add_string frame t.key;
+  Wire.add_string frame t.meta;
+  let st = t.state in
+  let bytes = header + Buffer.length frame + st.len in
+  let image = Bytes.create bytes in
+  Bytes.blit_string magic 0 image 0 (String.length magic);
+  Buffer.blit frame 0 image header (Buffer.length frame);
+  Bytes.blit_string st.data st.pos image (header + Buffer.length frame) st.len;
+  Bytes.blit_string
+    (Digest.subbytes image header (bytes - header))
+    0 image (String.length magic) 16;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
   if Gdp_obs.Tracer.enabled tracer then begin
     Gdp_obs.Tracer.add tracer "snap.saves" 1;
     Gdp_obs.Tracer.set tracer "snap.bytes" (float_of_int bytes)
@@ -39,24 +46,31 @@ let load ?(tracer = Gdp_obs.Tracer.disabled) ~path () =
   let raw =
     match In_channel.with_open_bin path In_channel.input_all with
     | raw -> raw
-    | exception Sys_error msg -> corrupt "cannot read snapshot: %s" msg
+    | exception Sys_error msg -> Wire.corrupt "cannot read snapshot: %s" msg
   in
-  let header = String.length magic + 16 in
+  let size = String.length raw in
   if
-    String.length raw < header
+    size < header
     || not (String.equal (String.sub raw 0 (String.length magic)) magic)
-  then corrupt "%s is not a gdprs snapshot (bad magic)" path;
-  let digest = String.sub raw (String.length magic) 16 in
-  let payload = String.sub raw header (String.length raw - header) in
-  if not (String.equal (Digest.string payload) digest) then
-    corrupt "%s: digest mismatch (truncated or corrupted snapshot)" path;
-  let t =
-    match (Marshal.from_string payload 0 : t) with
-    | t -> t
-    | exception _ -> corrupt "%s: unreadable snapshot payload" path
+  then Wire.corrupt "%s is not a gdprs snapshot (bad magic)" path;
+  if
+    not
+      (String.equal
+         (Digest.substring raw header (size - header))
+         (String.sub raw (String.length magic) 16))
+  then Wire.corrupt "%s: digest mismatch (truncated or corrupted snapshot)" path;
+  let r = Wire.reader raw ~pos:header ~len:(size - header) in
+  let key, meta =
+    try
+      let key = Wire.string r in
+      (key, Wire.string r)
+    with Corrupt msg -> Wire.corrupt "%s: %s" path msg
   in
+  (* the state stays in the file's string: import decodes it in place *)
+  let pos = size - Wire.remaining r in
+  let t = { key; meta; state = { data = raw; pos; len = size - pos } } in
   if Gdp_obs.Tracer.enabled tracer then begin
     Gdp_obs.Tracer.add tracer "snap.loads" 1;
-    Gdp_obs.Tracer.set tracer "snap.bytes" (float_of_int (String.length raw))
+    Gdp_obs.Tracer.set tracer "snap.bytes" (float_of_int size)
   end;
-  (t, String.length raw)
+  (t, size)

@@ -1,26 +1,30 @@
 (** On-disk container for persistent fixpoint snapshots.
 
-    A snapshot file is the binary serialisation of one
-    {!Bottom_up.snapshot_state} plus the caller's coherence data: a
-    [key] identifying the program and engine configuration the state
-    was materialised under, and an opaque [meta] payload higher layers
-    thread through unchanged ([Gdp_core.Query] stores its persisted
-    update log there — this module never interprets it, which keeps the
-    logic layer free of any dependency on the GDP fact language).
+    A snapshot file holds one encoded {!Bottom_up.snapshot_state} plus
+    the caller's coherence data: a [key] identifying the program and
+    engine configuration the state was materialised under, and an
+    opaque [meta] payload higher layers thread through unchanged
+    ([Gdp_core.Query] stores its persisted update log there — this
+    module never interprets it, which keeps the logic layer free of any
+    dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP4\n"], a 16-byte MD5 digest
-    of the payload, then the payload ([Marshal] of {!t}). The magic's
-    digit is the payload version. {!load} verifies magic and digest
-    before unmarshalling, so a truncated, corrupted, non-snapshot or
-    other-version file raises {!Corrupt} with a clean message instead
-    of crashing inside [Marshal]. Key checking is the
-    {e caller's} job: {!load} returns whatever key the file carries,
-    and a mismatch means the snapshot is {e stale} (rebuild it), not
-    corrupt. *)
+    File format: the magic string ["GDPXSNAP5\n"], a 16-byte MD5 digest
+    of the payload, then the payload: [key] and [meta] as
+    length-prefixed strings ({!Wire.add_string}), then the state's
+    bytes to the end of the file. The magic's digit is the payload
+    version. No [Marshal] is involved: {!load} verifies magic and digest,
+    and the state is decoded — in place, from the file's string — by
+    {!Bottom_up.import}, which bounds-checks every read. A truncated,
+    corrupted, crafted, non-snapshot or other-version file therefore
+    raises {!Corrupt} with a clean message, from {!load} or from the
+    import. Key checking is the {e caller's} job: {!load} returns
+    whatever key the file carries, and a mismatch means the snapshot is
+    {e stale} (rebuild it), not corrupt. *)
 
 exception Corrupt of string
-(** The file is unreadable, not a snapshot, truncated, or fails its
-    digest — never raised for a stale (wrong-key) snapshot. *)
+(** The file is unreadable, not a snapshot, truncated, fails its
+    digest, or its payload does not decode — never raised for a stale
+    (wrong-key) snapshot. The same exception as {!Wire.Corrupt}. *)
 
 type t = {
   key : string;
@@ -40,6 +44,8 @@ val save : ?tracer:Gdp_obs.Tracer.t -> path:string -> t -> int
 
 val load : ?tracer:Gdp_obs.Tracer.t -> path:string -> unit -> t * int
 (** Read and verify a snapshot, returning it with the file's size in
-    bytes. Raises {!Corrupt} on any integrity failure. With a live
+    bytes. The returned [state] is a view into the file's string, left
+    for {!Bottom_up.import} to decode. Raises {!Corrupt} on a bad
+    magic, digest or key/meta frame. With a live
     tracer, records one ["snap.load"] span and the [snap.loads] /
     [snap.bytes] counters. *)

@@ -128,13 +128,15 @@ end)
 
 let hcons_table = Hset.create 4096
 
+(* the shallow step of [hcons]: one node whose children are canonical *)
+let intern t = Hset.merge hcons_table t
+
 let rec hcons t =
   match t with
-  | Var _ | Atom _ | Int _ | Float _ | Str _ -> Hset.merge hcons_table t
+  | Var _ | Atom _ | Int _ | Float _ | Str _ -> intern t
   | App (f, args) ->
       let args' = List.map hcons args in
-      let t' = if List.for_all2 ( == ) args args' then t else App (f, args') in
-      Hset.merge hcons_table t'
+      intern (if List.for_all2 ( == ) args args' then t else App (f, args'))
 
 (* Standard order of terms: Var < Float < Int < Atom < Str < App. *)
 let rank = function

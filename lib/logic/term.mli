@@ -90,6 +90,15 @@ val hcons : t -> t
     The intern table is global and {b not} domain-safe: only one domain
     may call [hcons]. *)
 
+val intern : t -> t
+(** [intern t] is {!hcons} for a term whose immediate subterms are
+    already canonical: one table lookup, with no recursive interning of
+    the subterms (only {!hash} still reads them).
+    Builders that assemble terms bottom-up from canonical parts (snapshot
+    import) intern each distinct node exactly once this way. On a term
+    with a non-canonical child the result is still equal to [t], but not
+    necessarily the representative {!hcons} would return. *)
+
 val rename : (int -> var option) -> (var -> t) -> t -> t
 (** [rename lookup fresh t] replaces every variable [v] of [t] by
     [fresh v], memoised through [lookup] (by id). Used for clause

@@ -1,0 +1,86 @@
+exception Corrupt of string
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+(* LEB128 over the 63 bits of an OCaml int, read as unsigned: [lsr]
+   shifts zeros in, so a negative value takes the full nine bytes *)
+let add_nat b n =
+  let n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char b (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char b (Char.unsafe_chr !n)
+
+(* zigzag: small magnitudes of either sign take few bytes *)
+let add_int b n = add_nat b ((n lsl 1) lxor (n asr 62))
+let add_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
+
+let add_string b s =
+  add_nat b (String.length s);
+  Buffer.add_string b s
+
+type reader = { src : string; mutable pos : int; lim : int }
+
+let reader src ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length src - len then
+    corrupt "payload slice [%d, +%d) lies outside its %d-byte buffer" pos len
+      (String.length src);
+  { src; pos; lim = pos + len }
+
+let remaining r = r.lim - r.pos
+let at_end r = r.pos = r.lim
+
+let byte r =
+  if r.pos >= r.lim then corrupt "truncated payload at byte %d" r.pos;
+  let c = Char.code (String.unsafe_get r.src r.pos) in
+  r.pos <- r.pos + 1;
+  c
+
+(* nine 7-bit groups fill the 63 bits; a tenth group is an overlong
+   varint, never written by [add_nat] *)
+let raw_nat r =
+  let rec go acc shift =
+    let c = byte r in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then acc
+    else if shift = 56 then corrupt "overlong varint at byte %d" (r.pos - 1)
+    else go acc (shift + 7)
+  in
+  go 0 0
+
+let nat r =
+  let n = raw_nat r in
+  if n < 0 then corrupt "varint out of range at byte %d" (r.pos - 1);
+  n
+
+let int r =
+  let z = raw_nat r in
+  (z lsr 1) lxor (-(z land 1))
+
+let below r bound what =
+  let at = r.pos in
+  let n = raw_nat r in
+  if n < 0 || n >= bound then
+    corrupt "%s %d out of range [0, %d) at byte %d" what n bound at;
+  n
+
+let count r ~min_bytes what =
+  let at = r.pos in
+  let n = nat r in
+  if n > remaining r / min_bytes then
+    corrupt "%s count %d exceeds the %d bytes left at byte %d" what n
+      (remaining r) at;
+  n
+
+let float r =
+  if remaining r < 8 then corrupt "truncated float at byte %d" r.pos;
+  let f = Int64.float_of_bits (String.get_int64_le r.src r.pos) in
+  r.pos <- r.pos + 8;
+  f
+
+let string r =
+  let n = count r ~min_bytes:1 "string byte" in
+  let s = String.sub r.src r.pos n in
+  r.pos <- r.pos + n;
+  s

@@ -44,6 +44,12 @@ let witness_key fp t =
                 | Bottom_up.Wguard u -> "g " ^ Term.to_string u)
               steps))
 
+let payload (st : Bottom_up.snapshot_state) = String.sub st.data st.pos st.len
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
 (* One logic-layer round trip: run cold, save, load into an identically
    seeded fresh database, compare. Returns an error description instead
    of a bool so QCheck failures say which leg diverged. *)
@@ -71,6 +77,8 @@ let roundtrip_check ~indexing mk_db =
          (fun t -> witness_key cold t = witness_key warm t)
          (Bottom_up.facts cold))
   then Error "witnesses differ"
+  else if payload (Bottom_up.export cold) <> payload (Bottom_up.export warm)
+  then Error "the import re-exports to different bytes"
   else Ok ()
 
 let rt_agrees src =
@@ -259,7 +267,7 @@ let test_corrupt_rejected () =
       Out_channel.output_bytes oc flipped);
   expect_corrupt "bit-flipped file";
   (* a version-1 header over an intact digest and payload: an older
-     build's file is refused before Marshal reads it *)
+     build's file is refused before its payload is decoded *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "GDPXSNAP1\n";
       Out_channel.output_string oc
@@ -279,11 +287,17 @@ let test_corrupt_rejected () =
       Out_channel.output_string oc
         (String.sub contents 10 (String.length contents - 10)));
   expect_corrupt "version-3 file";
+  (* and a version-4 file, the last Marshal payload *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP4\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-4 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");
   expect_corrupt "garbage file";
-  (* and the logic layer raises Corrupt rather than crashing in Marshal *)
+  (* and the logic layer raises Corrupt rather than crashing *)
   match Snapshot.load ~path () with
   | exception Snapshot.Corrupt _ -> ()
   | _ -> Alcotest.fail "Snapshot.load accepted garbage"
@@ -321,6 +335,227 @@ let test_update_log_replay () =
   Alcotest.(check (list string)) "replay == fresh apply" (reach_all q3)
     (reach_all q2)
 
+(* ------------------------------------------- encoding and hostile files *)
+
+(* Every node kind the encoding has — atoms, ints, floats, strings,
+   compounds and lists — and every witness step kind: positive, negated
+   and guard. *)
+let fuzz_src =
+  {|
+  e(a, b). e(b, c). e(c, a). e(c, d).
+  node(a). node(b). node(c). node(d). node(z).
+  val(a, 1). val(b, 2.5). val(c, 4).
+  name(a, "alpha"). name(d, "delta").
+  route(a, [a, b, c]).
+  note(z, 0.5).
+  r(X, Y) :- e(X, Y).
+  r(X, Y) :- e(X, Z), r(Z, Y).
+  hub(X) :- e(X, Y).
+  iso(X) :- node(X), \+ hub(X).
+  big(X) :- val(X, N), N >= 2.
+  twice(X, M) :- val(X, N), M is N * 2.
+  tagged(X, S) :- name(X, S), \+ iso(X).
+  via(X, L) :- route(X, L), r(X, X).
+  |}
+
+let fuzz_db () = engine_db_of fuzz_src
+
+(* export, save, load, import and export again: the same bytes, for a
+   cold store and for one an update batch has maintained — including a
+   relation no rule reads, emptied by the batch *)
+let test_export_deterministic () =
+  let check what fp =
+    let first = Bottom_up.export fp in
+    with_temp @@ fun path ->
+    let (_ : int) =
+      Snapshot.save ~path { Snapshot.key = "k"; meta = "m"; state = first }
+    in
+    let snap, (_ : int) = Snapshot.load ~path () in
+    let warm = Bottom_up.import (fuzz_db ()) snap.Snapshot.state in
+    Alcotest.(check string) what (payload first)
+      (payload (Bottom_up.export warm));
+    Alcotest.(check string) (what ^ ", exported twice") (payload first)
+      (payload (Bottom_up.export fp))
+  in
+  let fp = Bottom_up.run (fuzz_db ()) in
+  check "cold store" fp;
+  Bottom_up.apply fp
+    [
+      `Retract (Term.app "e" [ a "c"; a "a" ]);
+      `Assert (Term.app "e" [ a "d"; a "z" ]);
+      `Assert (Term.app "val" [ a "z"; Term.int 7 ]);
+      `Retract (Term.app "note" [ a "z"; Term.float 0.5 ]);
+    ];
+  check "maintained store" fp
+
+(* The codec's edges: every int and float bit pattern round-trips, and
+   reads past the end, overlong varints, negative naturals and
+   oversized counts raise Corrupt. *)
+let test_wire_edges () =
+  let ints = [ 0; 1; -1; 63; -64; 64; max_int; min_int; max_int / 3 ] in
+  let floats = [ 0.0; -0.0; 1.5; Float.nan; Float.infinity; -1e300 ] in
+  let b = Buffer.create 64 in
+  List.iter (Wire.add_int b) ints;
+  List.iter (Wire.add_float b) floats;
+  Wire.add_string b "sym";
+  let s = Buffer.contents b in
+  let r = Wire.reader s ~pos:0 ~len:(String.length s) in
+  List.iter (fun n -> Alcotest.(check int) "int" n (Wire.int r)) ints;
+  List.iter
+    (fun f ->
+      Alcotest.(check int64) "float bits" (Int64.bits_of_float f)
+        (Int64.bits_of_float (Wire.float r)))
+    floats;
+  Alcotest.(check string) "string" "sym" (Wire.string r);
+  Alcotest.(check bool) "at end" true (Wire.at_end r);
+  let corrupt what bytes read =
+    let r = Wire.reader bytes ~pos:0 ~len:(String.length bytes) in
+    match read r with
+    | exception Wire.Corrupt _ -> ()
+    | (_ : int) -> Alcotest.failf "%s accepted" what
+  in
+  corrupt "a read past the end" "" Wire.byte;
+  corrupt "an overlong varint" (String.make 10 '\xff') Wire.int;
+  corrupt "a negative natural" (String.make 8 '\xff' ^ "\x7f") Wire.nat;
+  corrupt "a count beyond the bytes left" "\x05ab" (fun r ->
+      Wire.count r ~min_bytes:1 "item");
+  corrupt "an id out of range" "\x03" (fun r -> Wire.below r 3 "id");
+  match Wire.reader "abc" ~pos:2 ~len:2 with
+  | exception Wire.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a slice past the string accepted"
+
+(* After the magic string comes the MD5 of everything after it. *)
+let header = 26
+
+let redigest s =
+  if String.length s < header then s
+  else
+    let b = Bytes.of_string s in
+    Bytes.blit_string
+      (Digest.substring s header (String.length s - header))
+      0 b 10 16;
+    Bytes.to_string b
+
+type mutation =
+  | Flip of int * int  (** position, xor mask *)
+  | Truncate of int
+  | Splice of int * int * int  (** source, destination, length: overwrite *)
+  | Insert of int * int * int  (** source, destination, length: grow *)
+
+let pp_mutation = function
+  | Flip (i, x) -> Printf.sprintf "flip %d ^ %d" i x
+  | Truncate i -> Printf.sprintf "truncate %d" i
+  | Splice (i, j, n) -> Printf.sprintf "splice %d -> %d (%d)" i j n
+  | Insert (i, j, n) -> Printf.sprintf "insert %d -> %d (%d)" i j n
+
+let gen_mutations =
+  let open QCheck.Gen in
+  let n = int_bound 1_000_000 in
+  list_size (int_range 1 3)
+    (oneof
+       [
+         map2 (fun i x -> Flip (i, x)) n n;
+         map (fun i -> Truncate i) n;
+         map3 (fun i j k -> Splice (i, j, k)) n n n;
+         map3 (fun i j k -> Insert (i, j, k)) n n n;
+       ])
+
+let arb_mutations =
+  QCheck.make gen_mutations ~print:(fun ms ->
+      String.concat "; " (List.map pp_mutation ms))
+
+(* Mutate bytes [lo, end) of a file image, then rewrite its digest so the
+   decoder, not the digest check, meets the damage. Positions wrap onto
+   the region. *)
+let mutate ~lo image muts =
+  List.fold_left
+    (fun s m ->
+      let n = String.length s - lo in
+      if n <= 0 then s
+      else
+        let at k = lo + (k mod n) in
+        let chunk src len = min (1 + (len mod 24)) (String.length s - src) in
+        match m with
+        | Flip (i, x) ->
+            let b = Bytes.of_string s and i = at i in
+            Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 + (x mod 255))));
+            Bytes.to_string b
+        | Truncate i -> String.sub s 0 (at i)
+        | Splice (i, j, len) ->
+            let i = at i and j = at j in
+            let len = min (chunk i len) (String.length s - j) in
+            let b = Bytes.of_string s in
+            Bytes.blit_string s i b j len;
+            Bytes.to_string b
+        | Insert (i, j, len) ->
+            let i = at i and j = at j in
+            String.sub s 0 j
+            ^ String.sub s i (chunk i len)
+            ^ String.sub s j (String.length s - j))
+    image muts
+  |> redigest
+
+let saved_image () =
+  with_temp @@ fun path ->
+  let (_ : int) =
+    Snapshot.save ~path
+      {
+        Snapshot.key = "k";
+        meta = "m";
+        state = Bottom_up.export (Bottom_up.run (fuzz_db ()));
+      }
+  in
+  read_file path
+
+(* Every mutated file either loads or raises Snapshot.Corrupt: no other
+   exception (Invalid_argument, Not_found, Stack_overflow, ...) escapes
+   the load, the import, or the use of what was imported. The mutations
+   reach the key/meta frame too, which this layer never interprets. *)
+let prop_hostile_logic =
+  let image = lazy (saved_image ()) in
+  QCheck.Test.make ~name:"mutated snapshot payloads load or raise Corrupt"
+    ~count:400 arb_mutations (fun muts ->
+      with_temp @@ fun path ->
+      write_file path (mutate ~lo:header (Lazy.force image) muts);
+      match Snapshot.load ~path () with
+      | exception Snapshot.Corrupt _ -> true
+      | snap, (_ : int) -> (
+          match Bottom_up.import (fuzz_db ()) snap.Snapshot.state with
+          | exception Snapshot.Corrupt _ -> true
+          | fp ->
+              List.iter
+                (fun t -> ignore (Bottom_up.proof fp t : Explain.proof option))
+                (Bottom_up.facts fp);
+              ignore (stats_text fp : string);
+              ignore (Bottom_up.export fp : Bottom_up.snapshot_state);
+              true))
+
+(* The same through the Query layer, with the mutations confined to the
+   encoded state: the update log in [meta] is still a Marshal payload. *)
+let prop_hostile_query =
+  let image =
+    lazy
+      (with_temp @@ fun path ->
+       let (_ : int * int) = Query.save_snapshot (mat (datalog_spec ())) path in
+       let contents = read_file path in
+       let snap, (_ : int) = Snapshot.load ~path () in
+       (contents, snap.Snapshot.state.pos))
+  in
+  QCheck.Test.make
+    ~name:"mutated snapshot states load or report Snapshot_corrupt" ~count:200
+    arb_mutations (fun muts ->
+      let contents, lo = Lazy.force image in
+      with_temp @@ fun path ->
+      write_file path (mutate ~lo contents muts);
+      let q = mat (datalog_spec ()) in
+      match Query.of_snapshot q path with
+      | Ok _ ->
+          ignore (reach_all q : string list);
+          true
+      | Error (Query.Snapshot_corrupt _) -> true
+      | Error (Query.Snapshot_stale m) ->
+          QCheck.Test.fail_reportf "a mutated state reported stale: %s" m)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -333,4 +568,9 @@ let tests =
       test_corrupt_rejected;
     Alcotest.test_case "update-log replay equivalence" `Quick
       test_update_log_replay;
+    Alcotest.test_case "export is deterministic across a reload" `Quick
+      test_export_deterministic;
+    Alcotest.test_case "wire codec edges" `Quick test_wire_edges;
+    QCheck_alcotest.to_alcotest prop_hostile_logic;
+    QCheck_alcotest.to_alcotest prop_hostile_query;
   ]
