@@ -87,9 +87,7 @@ let snapshot_arg =
                  snapshot's key. A stale snapshot (the file or \
                  configuration changed) is rebuilt in memory with a \
                  warning; a corrupt file is a hard error (exit 2). \
-                 Implies $(b,--materialize) unless $(b,--magic) is given \
-                 ($(b,ask) instead implies $(b,--magic), its only \
-                 fixpoint-backed mode).")
+                 Implies $(b,--materialize) unless $(b,--magic) is given.")
 
 (* Load [path] into [q]'s fixpoint cache. Stale falls through with a
    warning — the caller's next materialisation recomputes fresh — while
@@ -439,12 +437,9 @@ let ask_cmd =
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
         set_spatial_indexing result ~no_spatial_index ~magic;
-        (* ask's only fixpoint-backed mode is magic, so --snapshot
-           selects it; the loaded full model then answers the goal *)
-        let magic = magic || snapshot <> None in
         let q =
-          with_engine (build_query result view models metas) ~materialize:false
-            ~magic
+          with_engine (build_query result view models metas)
+            ~materialize:(snapshot <> None && not magic) ~magic
         in
         load_snapshot q snapshot;
         let code =

@@ -340,9 +340,6 @@ let spatial_hints ?grid_cell spec : Bottom_up.spatial =
     sp_grid_cell = grid_cell;
   }
 
-let magic_rewrite ?tracer ~goal db =
-  Magic.rewrite ~refine:datalog_refine ~spatial_ext ?tracer ~goal db
-
 (* The snapshot key: the compiled clause sequence (exact order — rule
    ids anchor recorded witnesses) plus everything outside the clause
    store that changes what a materialised fixpoint derives: views, the

@@ -80,16 +80,3 @@ val content_hash : t -> string
     [Query.of_snapshot]). Two processes
     compiling the same specification under the same views and flags
     compute the same hash; any divergence marks a snapshot {e stale}. *)
-
-val magic_rewrite :
-  ?tracer:Gdp_obs.Tracer.t ->
-  goal:Gdp_logic.Term.t ->
-  Gdp_logic.Database.t ->
-  Gdp_logic.Database.t * Gdp_logic.Magic.info
-(** {!Gdp_logic.Magic.rewrite} specialised to compiled databases: the
-    refinement is {!datalog_refine} (the goal's user-predicate constant —
-    argument 1 of [holds/6] — selects the relevant refined relations)
-    and the spatial whitelist is {!spatial_hints}'s [sp_ext], so
-    whitelisted spatial builtins pass through the rewrite as inert body
-    literals. Raises {!Gdp_logic.Bottom_up.Unsupported} outside the
-    Datalog fragment. *)

@@ -109,10 +109,13 @@ let magic_materialization q goal =
   | _ ->
       let result =
         Gdp_obs.Tracer.with_span q.tracer ~cat:"query" "magic" (fun () ->
-            let rewritten, info = Compile.magic_rewrite ~tracer:q.tracer ~goal (db q) in
+            let spatial = Compile.spatial_hints (spec q) in
+            let rewritten, info =
+              Magic.rewrite ~refine:Compile.datalog_refine ~spatial
+                ~tracer:q.tracer ~goal (db q)
+            in
             let fp =
-              Bottom_up.run ~refine:Compile.datalog_refine
-                ~spatial:(Compile.spatial_hints (spec q))
+              Bottom_up.run ~refine:Compile.datalog_refine ~spatial
                 ~spatial_indexing:(spec q).Spec.spatial_indexing
                 ~tracer:q.tracer ~seed:info.Magic.seeds rewritten
             in
@@ -523,28 +526,26 @@ let explain q pattern =
   |> Option.map (fun proof ->
          Format.asprintf "%a" (Explain.pp ~pp_goal:pp_reified) proof)
 
-(* Raw goals in magic mode: a single atomic goal is answered from its
-   goal-directed fixpoint; anything else (conjunctions, control) stays
-   outside the rewrite's input language. *)
-let magic_goal goals =
+(* Raw goals in the fixpoint modes: a single atomic goal is answered
+   from [goal_fixpoint]; a conjunction is no stored relation. *)
+let single_goal goals =
   match goals with
   | [ goal ] -> goal
   | _ ->
       raise
-        (Bottom_up.Unsupported
-           "magic: ask takes a single atomic goal (no conjunctions)")
+        (Bottom_up.Unsupported "ask takes a single atomic goal (no conjunctions)")
 
 let ask q src =
   op_span q "ask" @@ fun () ->
   let goals = Reader.goals src in
   match q.mode with
-  | Magic ->
-      let goal = magic_goal goals in
+  | Materialized | Magic ->
+      let goal = single_goal goals in
       let fp = goal_fixpoint q goal in
       List.exists
         (fun fact -> Unify.unify Subst.empty goal fact <> None)
         (Bottom_up.probe fp goal)
-  | Top_down | Materialized -> Solve.succeeds ~options:q.options (db q) goals
+  | Top_down -> Solve.succeeds ~options:q.options (db q) goals
 
 let named_vars goals =
   List.concat_map Term.vars goals
@@ -563,8 +564,8 @@ let ask_all ?limit q src =
   op_span q "ask_all" @@ fun () ->
   let goals = Reader.goals src in
   match q.mode with
-  | Magic ->
-      let goal = magic_goal goals in
+  | Materialized | Magic ->
+      let goal = single_goal goals in
       let fp = goal_fixpoint q goal in
       Bottom_up.probe fp goal
       |> List.filter_map (fun fact -> Unify.unify Subst.empty goal fact)
@@ -572,7 +573,7 @@ let ask_all ?limit q src =
              Term.compare (Subst.apply a goal) (Subst.apply b goal))
       |> List.map (fun s -> Subst.restrict (named_vars goals) s)
       |> take limit
-  | Top_down | Materialized ->
+  | Top_down ->
       Solve.all ~options:q.options ?limit (db q) goals
       |> List.map (fun s -> Subst.restrict (named_vars goals) s)
 

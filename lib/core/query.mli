@@ -84,8 +84,9 @@ val materialization : t -> Gdp_logic.Bottom_up.fixpoint
 val magic_materialization :
   t -> Term.t -> Gdp_logic.Bottom_up.fixpoint * Gdp_logic.Magic.info
 (** The goal-directed fixpoint for one reified goal (a [holds/6] /
-    [acc/7] atom): {!Compile.magic_rewrite} then a seeded
-    {!Gdp_logic.Bottom_up.run}. Cached for the exact same goal term;
+    [acc/7] atom): {!Gdp_logic.Magic.rewrite} then a seeded
+    {!Gdp_logic.Bottom_up.run}, both under {!Compile.datalog_refine} and
+    {!Compile.spatial_hints}. Cached for the exact same goal term;
     {!update} invalidates the cache. Raises
     {!Gdp_logic.Bottom_up.Unsupported} outside the fragment. *)
 
@@ -146,9 +147,10 @@ val violations : ?limit:int -> t -> violation list
     maximisation needs the SLDNF machinery. {!explain} answers from the
     fixpoint's recorded lineage in {!Materialized} and {!Magic} modes
     (see {!explain_proof}). {!ask} and
-    {!ask_all} run top-down in {!Top_down} and {!Materialized} modes; in
-    {!Magic} mode a single atomic goal is answered from its goal-directed
-    fixpoint (conjunctions raise {!Gdp_logic.Bottom_up.Unsupported}). *)
+    {!ask_all} run top-down in {!Top_down} mode; in {!Materialized} and
+    {!Magic} modes a single atomic goal is answered from the fixpoint
+    (the goal-directed one in {!Magic} mode) and a conjunction raises
+    {!Gdp_logic.Bottom_up.Unsupported}. *)
 
 val consistent : t -> bool
 (** [violations q = []] — the §III-E consistency verdict. *)

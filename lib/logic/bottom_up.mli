@@ -40,7 +40,8 @@ type fixpoint
     persist ({!export}) them. *)
 
 exception Unsupported of string
-(** Raised when the database leaves the fragment. See {!classify}. *)
+(** {!Datalog.Unsupported}: raised when the database leaves the
+    fragment. See {!classify}. *)
 
 type strategy = Naive | Semi_naive
 (** [Naive] re-fires every rule against the whole store each pass (the
@@ -48,20 +49,9 @@ type strategy = Naive | Semi_naive
     default — restricts each firing to the previous pass's delta. Both
     compute the same least model. *)
 
-type refine = string * int -> int option
-(** Relation refinement: [refine (name, arity) = Some pos] splits the
-    predicate [name/arity] into one relation per constant found at
-    argument position [pos] (0-based). The GDP compiler reifies every
-    fact into [holds/6] with the user predicate at position 1; without
-    refinement the whole base would collapse into a single recursive
-    relation and stratified negation could never apply. Atoms of a
-    refined predicate must carry a constant at [pos]. The default refines
+type refine = Datalog.refine
+(** Relation refinement (see {!Datalog.refine}); the default refines
     nothing. *)
-
-(** A query box a spatially annotated join probes with: the bounding box
-    of a named region ([region_mem] guards) or the ±eps box around a
-    to-be-bound anchor point ([pt_dist] guards with a bound distance). *)
-type sprobe = Sp_within of Gdp_space.Spatial_index.box | Sp_near of Term.t * float
 
 type spatial = {
   sp_ext : string * int -> int list option;
@@ -98,17 +88,13 @@ type spatial = {
 
 val classify :
   ?refine:refine -> ?spatial:spatial -> Database.t -> (unit, string) result
-(** One classification pass shared by {!supported}, {!run} and the
-    stratification error messages: [Ok ()] when every clause lies in the
-    evaluable fragment, [Error reason] naming the first offending clause
-    otherwise. Reasons include: control constructs ([;], [->], [call],
-    [=], [\=]) or builtins in a body; negation of a non-atomic goal;
-    a guard or negated literal with variables not bound by a preceding
-    positive literal; a non-ground fact; a head variable not bound by the
-    body; and negation through a recursive stratum. Clauses of the
-    library predicates ({!Prelude.predicates}) are invisible, so engine
-    databases created by {!Engine.create} classify on user clauses only;
-    body references to them are rejected. *)
+(** The fragment check {!run} starts with: {!Datalog.parse} then
+    {!Datalog.compute_strata}. [Ok ()] when every clause lies in the
+    evaluable fragment and the base stratifies, [Error reason] naming
+    the first offending clause otherwise — a {!Datalog.parse} reason or
+    negation through a recursive stratum. Library clauses
+    ({!Prelude.predicates}) are invisible, so engine databases created
+    by {!Engine.create} classify on user clauses only. *)
 
 val supported : ?refine:refine -> ?spatial:spatial -> Database.t -> bool
 (** [classify db = Ok ()]. *)

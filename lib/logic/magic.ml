@@ -2,281 +2,17 @@
 
    The rewrite works at the term level on [Database] clauses so that its
    output is an ordinary database [Bottom_up.run] can evaluate; only the
-   query seed travels out of band (the [~seed] parameter). The literal
-   classification, refinement handling, safety discipline and the greedy
-   sideways-information-passing order all mirror [Bottom_up] — the
-   adornments computed here describe exactly the variable bindings the
-   evaluator's own join planner will exploit. *)
+   query seed travels out of band (the [~seed] parameter). Clauses are
+   classified, safety-checked and join-ordered by {!Datalog}, the module
+   the evaluator runs them through: an out-of-fragment clause fails with
+   the evaluator's reason, and the adornments computed here describe
+   exactly the variable bindings the evaluator's join planner will
+   exploit. Unlike the evaluator, the rewrite classifies clause by
+   clause and never stratifies: a negation cycle the goal cannot reach
+   is dropped, not rejected. *)
 
-module Iset = Set.Make (Int)
-
-let unsupported fmt =
-  Printf.ksprintf (fun s -> raise (Bottom_up.Unsupported s)) fmt
-
-(* Predicate identity: name, arity and the refinement constant (the
-   [Bottom_up.refine] split), mirroring the evaluator's [Rel]. *)
-module Key = struct
-  type t = { name : string; arity : int; sub : string option }
-
-  let compare (a : t) (b : t) =
-    match String.compare a.name b.name with
-    | 0 -> (
-        match Int.compare a.arity b.arity with
-        | 0 -> Option.compare String.compare a.sub b.sub
-        | c -> c)
-    | c -> c
-
-  let to_string k =
-    match k.sub with
-    | None -> Printf.sprintf "%s/%d" k.name k.arity
-    | Some s -> Printf.sprintf "%s/%d[%s]" k.name k.arity s
-end
-
-module Kset = Set.Make (Key)
-module Kmap = Map.Make (Key)
-
-let control_functors = [ ","; ";"; "->"; "call"; "="; "\\=" ]
-let cmp_ops = [ "<"; ">"; "=<"; ">="; "=:="; "=\\=" ]
-
-let key_of ~refine ~what t =
-  match Term.functor_of t with
-  | None -> unsupported "%s: %s is not a predicate atom" what (Term.to_string t)
-  | Some (name, arity) -> (
-      match refine (name, arity) with
-      | None -> { Key.name; arity; sub = None }
-      | Some pos -> (
-          let arg =
-            match t with Term.App (_, args) -> List.nth_opt args pos | _ -> None
-          in
-          match arg with
-          | Some (Term.Atom p) -> { Key.name; arity; sub = Some p }
-          | _ ->
-              unsupported
-                "%s: %s/%d needs a constant at refining argument %d in %s" what
-                name arity pos (Term.to_string t)))
-
-let vset t =
-  List.fold_left
-    (fun s (v : Term.var) -> Iset.add v.Term.id s)
-    Iset.empty (Term.vars t)
-
-let ext_input_vars inputs atom =
-  match atom with
-  | Term.App (_, args) ->
-      List.fold_left
-        (fun s i ->
-          match List.nth_opt args i with
-          | Some a -> Iset.union s (vset a)
-          | None -> s)
-        Iset.empty inputs
-  | _ -> Iset.empty
-
-(* Body literals, with the original goal term kept for re-emission. *)
-type lit =
-  | Pos of Key.t * Term.t
-  | Neg of Key.t * Term.t * Term.t  (* key, inner atom, original wrapper *)
-  | Guard of Term.t  (* comparison or ==/\== : reads, never binds *)
-  | Is of Term.t * Term.t * Term.t  (* lhs, rhs, original term *)
-  | Ext of int list * Term.t  (* whitelisted spatial builtin: inputs, goal *)
-  | Never
-
-let orig_of = function
-  | Pos (_, t) | Neg (_, _, t) | Guard t | Is (_, _, t) | Ext (_, t) -> t
-  | Never -> Term.atom "fail"
-
-(* Mirror of [Bottom_up.parse_body_goal] over the same fragment. *)
-let classify_goal db ~refine ~spatial_ext ~ctx g =
-  match g with
-  | Term.Var _ -> unsupported "%s: unbound variable used as a body goal" ctx
-  | Term.Int _ | Term.Float _ | Term.Str _ ->
-      unsupported "%s: non-callable body goal %s" ctx (Term.to_string g)
-  | Term.Atom "true" -> None
-  | Term.Atom ("fail" | "false") -> Some Never
-  | Term.Atom _ | Term.App _ -> (
-      let name, arity =
-        match Term.functor_of g with Some fa -> fa | None -> assert false
-      in
-      if List.mem name control_functors then
-        unsupported "%s: control construct %s/%d in the body" ctx name arity
-      else if (String.equal name "not" || String.equal name "\\+") && arity = 1
-      then begin
-        let inner = match g with Term.App (_, [ x ]) -> x | _ -> assert false in
-        match Term.functor_of inner with
-        | None ->
-            unsupported "%s: negation of non-atomic goal %s" ctx
-              (Term.to_string inner)
-        | Some (iname, iarity) ->
-            if
-              List.mem iname control_functors
-              || String.equal iname "not" || String.equal iname "\\+"
-              || (iarity = 2 && (List.mem iname cmp_ops || String.equal iname "is"))
-              || List.mem iname [ "true"; "fail"; "false"; "=="; "\\==" ]
-            then
-              unsupported "%s: negation of non-atomic goal %s" ctx
-                (Term.to_string inner)
-            else if List.mem (iname, iarity) Prelude.predicates then
-              unsupported
-                "%s: library predicate %s/%d outside the Datalog fragment" ctx
-                iname iarity
-            else if Database.find_builtin db (iname, iarity) <> None then
-              unsupported "%s: builtin %s/%d under negation" ctx iname iarity
-            else Some (Neg (key_of ~refine ~what:ctx inner, inner, g))
-      end
-      else if arity = 2 && List.mem name cmp_ops then Some (Guard g)
-      else if arity = 2 && String.equal name "is" then
-        match g with
-        | Term.App (_, [ l; r ]) -> Some (Is (l, r, g))
-        | _ -> assert false
-      else if arity = 2 && (String.equal name "==" || String.equal name "\\==")
-      then Some (Guard g)
-      else if List.mem (name, arity) Prelude.predicates then
-        unsupported "%s: library predicate %s/%d outside the Datalog fragment"
-          ctx name arity
-      else
-        match spatial_ext (name, arity) with
-        | Some inputs -> Some (Ext (inputs, g))
-        | None ->
-            if Database.find_builtin db (name, arity) <> None then
-              unsupported "%s: builtin %s/%d" ctx name arity
-            else Some (Pos (key_of ~refine ~what:ctx g, g)))
-
-(* Mirror of [Bottom_up.check_safety]: left-to-right boundness in the
-   original textual order. A program that passes here always admits the
-   sideways-information-passing orders emitted below. *)
-let check_safety ~ctx head body =
-  let bound =
-    List.fold_left
-      (fun bound lit ->
-        match lit with
-        | Pos (_, atom) -> Iset.union bound (vset atom)
-        | Is (l, r, _) ->
-            if not (Iset.subset (vset r) bound) then
-              unsupported
-                "%s: arithmetic expression %s uses variables not bound by a \
-                 preceding positive literal" ctx (Term.to_string r);
-            Iset.union bound (vset l)
-        | Guard g ->
-            if not (Iset.subset (vset g) bound) then
-              unsupported
-                "%s: comparison guard uses variables not bound by a preceding \
-                 positive literal" ctx;
-            bound
-        | Neg (_, atom, _) ->
-            if not (Iset.subset (vset atom) bound) then
-              unsupported
-                "%s: negated literal %s must be ground when reached (bind its \
-                 variables with a preceding positive literal)" ctx
-                (Term.to_string atom);
-            bound
-        | Ext (inputs, atom) ->
-            if not (Iset.subset (ext_input_vars inputs atom) bound) then
-              unsupported
-                "%s: spatial builtin %s needs its input arguments bound by a \
-                 preceding positive literal" ctx (Term.to_string atom);
-            Iset.union bound (vset atom)
-        | Never -> bound)
-      Iset.empty body
-  in
-  if not (Iset.subset (vset head) bound) then
-    unsupported "%s: head variable not bound by the body" ctx
-
-type cl = { chead : Term.t; ckey : Key.t; cbody : lit list }
-
-let parse db ~refine ~spatial_ext =
-  let facts = ref [] and rules = ref [] in
-  List.iter
-    (fun fa ->
-      if not (List.mem fa Prelude.predicates) then
-        List.iter
-          (fun (c : Database.clause) ->
-            let ckey = key_of ~refine ~what:"clause head" c.Database.head in
-            let ctx = Key.to_string ckey in
-            if c.Database.body = [] then begin
-              if not (Term.is_ground c.Database.head) then
-                unsupported "%s: non-ground fact %s" ctx
-                  (Term.to_string c.Database.head);
-              facts := c.Database.head :: !facts
-            end
-            else begin
-              let body =
-                List.filter_map
-                  (classify_goal db ~refine ~spatial_ext ~ctx)
-                  c.Database.body
-              in
-              check_safety ~ctx c.Database.head body;
-              rules := { chead = c.Database.head; ckey; cbody = body } :: !rules
-            end)
-          (Database.all_clauses db fa))
-    (Database.predicates db);
-  (List.rev !facts, List.rev !rules)
-
-(* ------------------------------------------------------------------ *)
-(* sideways information passing: the evaluator's greedy order, seeded
-   with the head variables the adornment marks bound                    *)
-
-let guard_ready bound = function
-  | Guard g -> Iset.subset (vset g) bound
-  | Is (_, r, _) -> Iset.subset (vset r) bound
-  | Neg (_, atom, _) -> Iset.subset (vset atom) bound
-  | Ext (inputs, atom) -> Iset.subset (ext_input_vars inputs atom) bound
-  | Never -> true
-  | Pos _ -> false
-
-let bound_arg_count bound atom =
-  match atom with
-  | Term.App (_, args) ->
-      List.fold_left
-        (fun n arg -> if Iset.subset (vset arg) bound then n + 1 else n)
-        0 args
-  | _ -> 0
-
-let remove_first x l =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | y :: rest -> if y == x then List.rev_append acc rest else go (y :: acc) rest
-  in
-  go [] l
-
-let sip_order bound0 body =
-  let rec flush_guards bound plan remaining =
-    let ready, rest = List.partition (guard_ready bound) remaining in
-    if ready = [] then (bound, plan, rest)
-    else
-      let bound =
-        List.fold_left
-          (fun b -> function
-            | Is (l, _, _) -> Iset.union b (vset l)
-            | Ext (_, atom) -> Iset.union b (vset atom)
-            | _ -> b)
-          bound ready
-      in
-      flush_guards bound (plan @ ready) rest
-  in
-  let rec go bound plan remaining =
-    let bound, plan, remaining = flush_guards bound plan remaining in
-    if remaining = [] then plan
-    else
-      let best =
-        List.fold_left
-          (fun best lit ->
-            match lit with
-            | Pos (_, atom) -> (
-                let c = bound_arg_count bound atom in
-                match best with
-                | Some (bc, _) when bc >= c -> best
-                | _ -> Some (c, lit))
-            | _ -> best)
-          None remaining
-      in
-      match best with
-      | Some (_, (Pos (_, atom) as lit)) ->
-          go
-            (Iset.union bound (vset atom))
-            (plan @ [ lit ])
-            (remove_first lit remaining)
-      | _ -> plan @ remaining
-  in
-  go bound0 [] body
+open Datalog
+module Rel_set = Set.Make (Rel)
 
 (* ------------------------------------------------------------------ *)
 (* adornments and magic atoms                                           *)
@@ -298,8 +34,8 @@ let magic_name name ~sub ~adornment =
     (Option.value ~default:"" sub)
     adornment
 
-let magic_atom (k : Key.t) ~adornment args =
-  Term.app (magic_name k.Key.name ~sub:k.Key.sub ~adornment) args
+let magic_atom (k : Rel.t) ~adornment args =
+  Term.app (magic_name k.Rel.name ~sub:k.Rel.sub ~adornment) args
 
 (* ------------------------------------------------------------------ *)
 
@@ -315,9 +51,10 @@ type info = {
   full_fallback : bool;
 }
 
-(* Longest-path stratum numbers by iteration to a fixpoint (the input is
-   stratified or [Bottom_up.run] would reject it; the iteration bound
-   only guards against that degenerate case). *)
+(* Longest-path stratum numbers by iteration to a fixpoint. The rewrite
+   does not stratify, so the rules may hold a negation cycle the goal
+   cannot reach; the iteration bound stops that case, whose numbers no
+   fallback predicate reads. *)
 let strata_of rules =
   let stratum = Hashtbl.create 32 in
   let get k = Option.value ~default:0 (Hashtbl.find_opt stratum k) in
@@ -331,13 +68,13 @@ let strata_of rules =
         let s =
           List.fold_left
             (fun s -> function
-              | Pos (k, _) -> max s (get k)
+              | Pos (_, k, _, _) -> max s (get k)
               | Neg (k, _, _) -> max s (get k + 1)
-              | Guard _ | Is _ | Ext _ | Never -> s)
-            0 r.cbody
+              | Cmp _ | Eq _ | Is _ | Ext _ | Never -> s)
+            0 r.body
         in
-        if s > get r.ckey then begin
-          Hashtbl.replace stratum r.ckey s;
+        if s > get r.head_rel then begin
+          Hashtbl.replace stratum r.head_rel s;
           changed := true
         end)
       rules
@@ -345,24 +82,27 @@ let strata_of rules =
   get
 
 let distinct_strata get keys =
-  Kset.fold (fun k acc -> Iset.add (get k) acc) keys Iset.empty
+  Rel_set.fold (fun k acc -> Iset.add (get k) acc) keys Iset.empty
   |> Iset.cardinal
 
-let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
+let rewrite ?(refine = fun _ -> None) ?spatial
     ?(tracer = Gdp_obs.Tracer.disabled) ~goal db =
   Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "magic.rewrite" @@ fun () ->
-  let facts, rules = parse db ~refine ~spatial_ext in
+  let ext =
+    match spatial with Some sp -> sp.Bottom_up.sp_ext | None -> fun _ -> None
+  in
+  let facts, rules = parse db ~refine ~ext in
   let idb =
-    List.fold_left (fun s r -> Kset.add r.ckey s) Kset.empty rules
+    List.fold_left (fun s r -> Rel_set.add r.head_rel s) Rel_set.empty rules
   in
   let rules_of =
     List.fold_left
       (fun m r ->
-        Kmap.update r.ckey
+        Rel_map.update r.head_rel
           (fun l -> Some (r :: Option.value ~default:[] l))
           m)
-      Kmap.empty rules
-    |> Kmap.map List.rev
+      Rel_map.empty rules
+    |> Rel_map.map List.rev
   in
   let stratum = strata_of rules in
   let finish ~out ~seeds ~adorned ~magic_rules ~guarded_rules ~copied_rules
@@ -377,7 +117,7 @@ let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
         seeds;
         fallback_preds =
           List.sort_uniq compare
-            (List.map Key.to_string (Kset.elements fallback));
+            (List.map Rel.to_string (Rel_set.elements fallback));
         fallback_strata = distinct_strata stratum fallback;
         full_fallback;
       }
@@ -395,116 +135,95 @@ let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
     end;
     (out, info)
   in
-  match
-    match Term.functor_of goal with
-    | None -> None
-    | Some _ -> (
-        try Some (key_of ~refine ~what:"goal" goal)
-        with Bottom_up.Unsupported _ -> None)
-  with
-  | None ->
+  match resolve_rel refine goal with
+  | Error _ ->
       (* The goal's predicate position is unbound: no relevance to
          exploit; evaluate the original program in full. *)
       finish ~out:db ~seeds:[] ~adorned:[] ~magic_rules:0 ~guarded_rules:0
         ~copied_rules:(List.length rules) ~dropped_rules:0
         ~fallback:idb ~full_fallback:true
-  | Some goal_key ->
-      (* Predicates reachable from the goal through rule bodies (any
-         polarity): everything else is irrelevant and dropped. *)
-      let reachable =
-        let seen = ref (Kset.singleton goal_key) in
-        let queue = Queue.create () in
-        Queue.add goal_key queue;
+  | Ok goal_key ->
+      (* The predicates [keep] admits that rule bodies (any polarity)
+         lead to from [start], [start] included. *)
+      let closure ~keep start =
+        let seen = ref start and queue = Queue.create () in
+        Rel_set.iter (fun k -> Queue.add k queue) start;
         while not (Queue.is_empty queue) do
-          let k = Queue.pop queue in
           List.iter
             (fun r ->
               List.iter
-                (fun lit ->
-                  match lit with
-                  | Pos (q, _) | Neg (q, _, _) ->
-                      if not (Kset.mem q !seen) then begin
-                        seen := Kset.add q !seen;
-                        Queue.add q queue
-                      end
-                  | Guard _ | Is _ | Ext _ | Never -> ())
-                r.cbody)
-            (Option.value ~default:[] (Kmap.find_opt k rules_of))
+                (function
+                  | (Pos (_, q, _, _) | Neg (q, _, _))
+                    when keep q && not (Rel_set.mem q !seen) ->
+                      seen := Rel_set.add q !seen;
+                      Queue.add q queue
+                  | _ -> ())
+                r.body)
+            (Option.value ~default:[]
+               (Rel_map.find_opt (Queue.pop queue) rules_of))
         done;
         !seen
+      in
+      (* Everything the goal cannot reach is irrelevant and dropped. *)
+      let reachable =
+        closure ~keep:(fun _ -> true) (Rel_set.singleton goal_key)
       in
       (* Negation soundness: an IDB predicate needed under negation must
          be complete, not merely asked-for — close the negated set under
          dependencies and evaluate those predicates in full. *)
       let fallback =
-        let negated =
-          List.fold_left
-            (fun acc r ->
-              if Kset.mem r.ckey reachable then
-                List.fold_left
-                  (fun acc -> function
-                    | Neg (q, _, _) when Kset.mem q idb -> Kset.add q acc
-                    | _ -> acc)
-                  acc r.cbody
-              else acc)
-            Kset.empty rules
-        in
-        let result = ref negated in
-        let queue = Queue.create () in
-        Kset.iter (fun k -> Queue.add k queue) negated;
-        while not (Queue.is_empty queue) do
-          let k = Queue.pop queue in
-          List.iter
-            (fun r ->
-              List.iter
-                (fun lit ->
-                  match lit with
-                  | Pos (q, _) | Neg (q, _, _) ->
-                      if Kset.mem q idb && not (Kset.mem q !result) then begin
-                        result := Kset.add q !result;
-                        Queue.add q queue
-                      end
-                  | Guard _ | Is _ | Ext _ | Never -> ())
-                r.cbody)
-            (Option.value ~default:[] (Kmap.find_opt k rules_of))
-        done;
-        !result
+        List.fold_left
+          (fun acc r ->
+            if Rel_set.mem r.head_rel reachable then
+              List.fold_left
+                (fun acc -> function
+                  | Neg (q, _, _) when Rel_set.mem q idb -> Rel_set.add q acc
+                  | _ -> acc)
+                acc r.body
+            else acc)
+          Rel_set.empty rules
+        |> closure ~keep:(fun q -> Rel_set.mem q idb)
       in
       let magicable =
-        Kset.diff (Kset.inter reachable idb) fallback
+        Rel_set.diff (Rel_set.inter reachable idb) fallback
       in
-      let full_fallback = not (Kset.mem goal_key magicable) && Kset.mem goal_key idb in
+      let full_fallback =
+        (not (Rel_set.mem goal_key magicable)) && Rel_set.mem goal_key idb
+      in
       let out = Database.create () in
-      List.iter (Database.fact out) facts;
+      List.iter (fun (_, t) -> Database.fact out t) facts;
       let copied = ref 0 and dropped = ref 0 in
       (* Fallback rules first, in textual order, unguarded. *)
       List.iter
         (fun r ->
-          if Kset.mem r.ckey reachable && not (Kset.mem r.ckey magicable) then begin
+          if
+            Rel_set.mem r.head_rel reachable
+            && not (Rel_set.mem r.head_rel magicable)
+          then begin
             incr copied;
             Database.assertz out
               {
-                Database.head = r.chead;
-                body = List.map orig_of r.cbody;
+                Database.head = r.head;
+                body = List.map goal_of r.body;
               }
           end
-          else if not (Kset.mem r.ckey reachable) then incr dropped)
+          else if not (Rel_set.mem r.head_rel reachable) then incr dropped)
         rules;
       (* Adornment worklist from the goal. *)
       let seen = Hashtbl.create 16 in
       let queue = Queue.create () in
       let adorned = ref [] and magic_rules = ref 0 and guarded_rules = ref 0 in
-      let adorned_keys = ref Kset.empty in
+      let adorned_keys = ref Rel_set.empty in
       let enqueue k adornment =
         if not (Hashtbl.mem seen (k, adornment)) then begin
           Hashtbl.add seen (k, adornment) ();
-          adorned_keys := Kset.add k !adorned_keys;
+          adorned_keys := Rel_set.add k !adorned_keys;
           Queue.add (k, adornment) queue
         end
       in
       let goal_adornment = adornment_of Iset.empty goal in
       let seeds =
-        if Kset.mem goal_key magicable then begin
+        if Rel_set.mem goal_key magicable then begin
           enqueue goal_key goal_adornment;
           [
             magic_atom goal_key ~adornment:goal_adornment
@@ -515,13 +234,13 @@ let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
       in
       while not (Queue.is_empty queue) do
         let k, adornment = Queue.pop queue in
-        adorned := (Key.to_string k, adornment) :: !adorned;
+        adorned := (Rel.to_string k, adornment) :: !adorned;
         List.iter
           (fun r ->
-            if List.exists (function Never -> true | _ -> false) r.cbody then
+            if List.exists (function Never -> true | _ -> false) r.body then
               ()
             else begin
-              let head_args = args_of r.chead in
+              let head_args = args_of r.head in
               let bound0 =
                 List.fold_left
                   (fun (i, s) arg ->
@@ -532,14 +251,14 @@ let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
                 |> snd
               in
               let magic_guard =
-                magic_atom k ~adornment (bound_args adornment r.chead)
+                magic_atom k ~adornment (bound_args adornment r.head)
               in
-              let plan = sip_order bound0 r.cbody in
+              let plan = order_body ~bound:bound0 ~delta_at:None r.body in
               let bound = ref bound0 and prefix = ref [ magic_guard ] in
               List.iter
                 (fun lit ->
                   (match lit with
-                  | Pos (q, atom) when Kset.mem q magicable ->
+                  | Pos (_, q, atom, _) when Rel_set.mem q magicable ->
                       let aq = adornment_of !bound atom in
                       incr magic_rules;
                       Database.assertz out
@@ -550,41 +269,31 @@ let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
                         };
                       enqueue q aq
                   | _ -> ());
-                  match lit with
-                  | Pos (_, atom) ->
-                      bound := Iset.union !bound (vset atom);
-                      prefix := atom :: !prefix
-                  | Is (l, _, orig) ->
-                      bound := Iset.union !bound (vset l);
-                      prefix := orig :: !prefix
-                  | Ext (_, atom) ->
-                      bound := Iset.union !bound (vset atom);
-                      prefix := atom :: !prefix
-                  | Neg (_, _, orig) | Guard orig -> prefix := orig :: !prefix
-                  | Never -> ())
+                  bound := extend_bound !bound lit;
+                  prefix := goal_of lit :: !prefix)
                 plan;
               incr guarded_rules;
               Database.assertz out
                 {
-                  Database.head = r.chead;
-                  body = magic_guard :: List.map orig_of plan;
+                  Database.head = r.head;
+                  body = magic_guard :: List.map goal_of plan;
                 }
             end)
-          (Option.value ~default:[] (Kmap.find_opt k rules_of))
+          (Option.value ~default:[] (Rel_map.find_opt k rules_of))
       done;
       (* Magicable predicates never reached by an adornment are
          irrelevant after all: their rules were not emitted. *)
-      Kset.iter
+      Rel_set.iter
         (fun k ->
-          if not (Kset.mem k !adorned_keys) then
+          if not (Rel_set.mem k !adorned_keys) then
             dropped :=
               !dropped
-              + List.length (Option.value ~default:[] (Kmap.find_opt k rules_of)))
+              + List.length (Option.value ~default:[] (Rel_map.find_opt k rules_of)))
         magicable;
       finish ~out ~seeds ~adorned:!adorned ~magic_rules:!magic_rules
         ~guarded_rules:!guarded_rules ~copied_rules:!copied
         ~dropped_rules:!dropped
-        ~fallback:(Kset.inter fallback reachable)
+        ~fallback:(Rel_set.inter fallback reachable)
         ~full_fallback
 
 let is_magic_atom t =

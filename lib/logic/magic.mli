@@ -8,7 +8,10 @@
     the goal's bound arguments. Evaluating the rewritten program with
     {!Bottom_up.run} [~seed] then derives only the portion of the model
     the goal can observe — SLDNF's goal relevance with the bottom-up
-    engine's termination, indexing and telemetry.
+    engine's termination, indexing and telemetry. The rewrite reads the
+    program through {!Datalog}, as the evaluator does: the same
+    fragment, the same rejection reasons and the same join order, which
+    serves as the sideways-information-passing order.
 
     Soundness under stratified negation: a predicate that is (transitively)
     needed under negation cannot be magic-restricted — an absent fact must
@@ -48,26 +51,27 @@ val magic_name : string -> sub:string option -> adornment:string -> string
 
 val rewrite :
   ?refine:Bottom_up.refine ->
-  ?spatial_ext:(string * int -> int list option) ->
+  ?spatial:Bottom_up.spatial ->
   ?tracer:Gdp_obs.Tracer.t ->
   goal:Term.t ->
   Database.t ->
   Database.t * info
 (** Rewrite [db] for goal-directed evaluation of [goal] (an atom whose
-    ground arguments are the bound positions). [refine] must match what
-    will be passed to {!Bottom_up.run} (default: no refinement). Library
-    clauses ({!Prelude.predicates}) are invisible, exactly as in
-    {!Bottom_up.classify}. [spatial_ext] (default:
-    whitelist nothing) must be the [sp_ext] field of the {!
-    Bottom_up.spatial} hooks the evaluator will run with: whitelisted
-    spatial builtins pass through the rewrite as inert body literals —
-    they bind sideways information (their output variables extend each
-    adornment's bound set) but generate no magic rules. Raises
-    {!Bottom_up.Unsupported} when [db] leaves the Datalog fragment, with
-    the same classification reasons as {!Bottom_up.classify}. The
-    [tracer] records a ["magic.rewrite"] span and [bu.magic.*] counters
-    (adorned predicates, magic/guarded/copied/dropped rule counts,
-    seeds, fallback strata, full-fallback flag). *)
+    ground arguments are the bound positions). [refine] and [spatial]
+    must be what will be passed to {!Bottom_up.run} (defaults: no
+    refinement, no spatial hooks): whitelisted spatial builtins pass
+    through the rewrite as inert body literals — they bind sideways
+    information (their output variables extend each adornment's bound
+    set) but generate no magic rules. Clauses are classified, checked
+    and join-ordered by {!Datalog}, exactly as the evaluator does, so
+    library clauses ({!Prelude.predicates}) are invisible and a clause
+    outside the Datalog fragment raises {!Bottom_up.Unsupported} with
+    the reason {!Bottom_up.classify} gives. Unlike [classify], the
+    rewrite does not stratify: a negation cycle the goal cannot reach is
+    dropped with the rest of the irrelevant rules. The [tracer] records
+    a ["magic.rewrite"] span and [bu.magic.*] counters (adorned
+    predicates, magic/guarded/copied/dropped rule counts, seeds,
+    fallback strata, full-fallback flag). *)
 
 val is_magic_atom : Term.t -> bool
 (** Whether an atom belongs to a [magic$…] guard predicate the rewrite

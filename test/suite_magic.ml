@@ -190,6 +190,81 @@ let test_shoreline_rewrite () =
   Alcotest.(check (list string)) "variable goal plants no seed" []
     (List.map Term.to_string info_open.Magic.seeds)
 
+(* Both modules classify through {!Datalog}: every clause outside the
+   fragment is rejected by the rewrite with the evaluator's own reason.
+   Each case is the clause (with a [q/1] base) and how the expected
+   reason starts (printed variables carry run-dependent ids); [near/3]
+   is a spatial builtin whose first two arguments are inputs. *)
+let test_same_rejection_reasons () =
+  let spatial =
+    {
+      Bottom_up.sp_ext = (function "near", 3 -> Some [ 0; 1 ] | _ -> None);
+      sp_solve = (fun _ -> []);
+      sp_region_box = (fun _ -> None);
+      sp_point = (fun _ -> None);
+      sp_boxable = false;
+      sp_grid_cell = None;
+    }
+  in
+  List.iter
+    (fun (clause, reason) ->
+      let db = engine_db_of ("q(a).\n" ^ clause) in
+      let from_classify =
+        match Bottom_up.classify ~spatial db with
+        | Error r -> r
+        | Ok () -> Alcotest.failf "classify accepted %s" clause
+      in
+      let from_rewrite =
+        match Magic.rewrite ~spatial ~goal:(term "p(a)") db with
+        | exception Bottom_up.Unsupported r -> r
+        | _ -> Alcotest.failf "rewrite accepted %s" clause
+      in
+      Alcotest.(check bool)
+        (clause ^ " rejected as: " ^ from_classify)
+        true
+        (String.starts_with ~prefix:reason from_classify);
+      Alcotest.(check string) clause from_classify from_rewrite)
+    [
+      ("p(X) :- q(X) ; q(X).", "p/1: control construct ;/2 in the body");
+      ("p(X) :- q(X), \\+ (X > a).", "p/1: negation of non-atomic goal '>'(X");
+      ("p(X) :- q(X), \\+ atom(X).", "p/1: builtin atom/1 under negation");
+      ( "p(X) :- q(X), member(X, [a]).",
+        "p/1: library predicate member/2 outside the Datalog fragment" );
+      ( "p(X) :- X > 1, q(X).",
+        "p/1: comparison guard uses variables not bound by a preceding \
+         positive literal" );
+      ("p(X, Y) :- q(X).", "p/2: head variable not bound by the body");
+      ("p(X).", "p/1: non-ground fact p(X");
+      ("p(D) :- q(X), near(X, Y, D).", "p/1: spatial builtin near(X");
+    ]
+
+(* The rewrite classifies clause by clause and never stratifies, so a
+   negation cycle the goal cannot reach is dropped, not rejected — while
+   the evaluator, which stratifies the whole base, refuses it. *)
+let test_unreachable_negation_cycle () =
+  let db =
+    engine_db_of
+      "link(n1, n2). link(n2, n3). link(n3, n4). node(n1).\n\
+       reach(X, Y) :- link(X, Y).\n\
+       reach(X, Y) :- link(X, Z), reach(Z, Y).\n\
+       odd(X) :- node(X), not even(X).\n\
+       even(X) :- node(X), not odd(X)."
+  in
+  (match Bottom_up.classify db with
+  | Error r ->
+      Alcotest.(check string) "rejected for the negation cycle"
+        "even/1: negation of odd/1 inside a recursive stratum (stratified \
+         negation needs the negated predicate in a strictly lower stratum)"
+        r
+  | Ok () -> Alcotest.fail "classify accepted a negation cycle");
+  let goal = term "reach(n1, X)" in
+  let fp, info = magic_run db goal in
+  Alcotest.(check int) "odd and even dropped" 2 info.Magic.dropped_rules;
+  Alcotest.(check (list string))
+    "the goal is answered"
+    [ "reach(n1, n2)"; "reach(n1, n3)"; "reach(n1, n4)" ]
+    (List.map Term.to_string (answers fp goal))
+
 (* ------------------------------------------------------------------ *)
 (* Three-way differential property.                                    *)
 
@@ -384,6 +459,10 @@ let tests =
       test_island_thresholding_rewrite;
     Alcotest.test_case "shore-line rewrite pinned (negation fallback)" `Quick
       test_shoreline_rewrite;
+    Alcotest.test_case "rewrite rejects with the evaluator's reasons" `Quick
+      test_same_rejection_reasons;
+    Alcotest.test_case "unreachable negation cycle: rewrite answers" `Quick
+      test_unreachable_negation_cycle;
     QCheck_alcotest.to_alcotest prop_three_way_indexed;
     QCheck_alcotest.to_alcotest prop_three_way_scan;
     Alcotest.test_case "seed: empty is a no-op" `Quick test_seed_empty;

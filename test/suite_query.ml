@@ -277,6 +277,40 @@ let test_materialized_mode () =
   Alcotest.(check bool) "prefer_materialized drives the default mode" true
     (Query.mode (Query.create spec) = Query.Materialized)
 
+(* Raw goals in materialised mode are answered from the fixpoint: the
+   same rows as top-down resolution, and not one SLDNF call. *)
+let test_ask_materialized () =
+  let query mode =
+    Query.create ~mode ~tracer:(Gdp_obs.Tracer.create ()) (datalog_spec ())
+  in
+  let qt = query Query.Top_down and qm = query Query.Materialized in
+  let rows q goal =
+    Query.ask_all q goal
+    |> List.map (fun row ->
+           String.concat ", "
+             (List.map (fun (n, t) -> n ^ " = " ^ Term.to_string t) row))
+    |> List.sort compare
+  in
+  List.iter
+    (fun goal ->
+      Alcotest.(check (list string)) goal (rows qt goal) (rows qm goal);
+      Alcotest.(check bool) goal (Query.ask qt goal) (Query.ask qm goal))
+    [
+      "holds(w, reach, [], [n1, X], nospace, notime)";
+      "holds(M, reach, Vs, [X, n4], S, T)";
+      "holds(w, clear, [], [X], nospace, notime)";
+      "holds(w, reach, [], [n4, n1], nospace, notime)";
+    ];
+  Alcotest.(check int) "no SLDNF call in materialised mode" 0
+    (Solve.total_calls (Option.get (Query.solve_stats qm)));
+  Alcotest.check_raises "a conjunction is no single goal"
+    (Bottom_up.Unsupported "ask takes a single atomic goal (no conjunctions)")
+    (fun () ->
+      ignore
+        (Query.ask qm
+           "holds(w, reach, [], [n1, X], nospace, notime), \
+            holds(w, clear, [], [X], nospace, notime)"))
+
 let test_update_maintains_views () =
   let spec = datalog_spec () in
   let q = Query.create spec in
@@ -327,6 +361,8 @@ let tests =
   [
     Alcotest.test_case "paper's virtual facts" `Quick test_paper_virtual_facts;
     Alcotest.test_case "materialized engine mode" `Quick test_materialized_mode;
+    Alcotest.test_case "materialized ask answers from the fixpoint" `Quick
+      test_ask_materialized;
     Alcotest.test_case "incremental updates keep every view coherent" `Quick
       test_update_maintains_views;
     Alcotest.test_case "solution enumeration" `Quick test_solutions_enumeration;
