@@ -8,15 +8,17 @@
      controllable scale, each printing the rows recorded in
      EXPERIMENTS.md (ground-truth agreement, scaling series, shape
      checks);
-   - engine-*: Bechamel micro-benchmarks of the inference substrate — the
-     performance dimension the paper mentions ("Prolog's computational
-     inefficiency") but never quantifies.
+   - micro and engine-*: Bechamel micro-benchmarks and the engine series
+     of the inference substrate — the performance dimension the paper
+     mentions ("Prolog's computational inefficiency") but never
+     quantifies.
 
    Usage:
-     dune exec bench/main.exe             # reports + micro-benchmarks
-     dune exec bench/main.exe -- report   # experiment reports only
-     dune exec bench/main.exe -- micro    # micro-benchmarks only
-     dune exec bench/main.exe -- e7       # a single experiment *)
+     dune exec bench/main.exe                # every experiment and series
+     dune exec bench/main.exe -- report      # experiment reports only
+     dune exec bench/main.exe -- e7 micro    # any names, in order
+     dune exec bench/main.exe -- engine-bu   # one engine series, console
+     dune exec bench/main.exe -- json small  # every engine series, JSON *)
 
 open Gdp_core
 module T = Gdp_logic.Term
@@ -37,6 +39,33 @@ let time_ms f =
   let t1 = Monotonic_clock.now () in
   (Int64.to_float (Int64.sub t1 t0) /. 1e6, result)
 
+let standard_spec ?now () =
+  let spec = Spec.create ?now () in
+  Meta.install_standard spec;
+  spec
+
+(* The rule chain level_0 <- base_0, level_1; ...; level_{n-1} <- base_{n-1}
+   over one object, with an accuracy statement on each base fact. *)
+let acc_chain ?(family = Gdp_fuzzy.Algebra.Min_max) accs =
+  let spec = standard_spec () in
+  spec.Spec.fuzzy_family <- family;
+  Spec.declare_object spec "x";
+  List.iteri
+    (fun i acc ->
+      let base = Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ a "x" ] in
+      Spec.add_fact spec base;
+      Spec.add_acc_statement spec base acc)
+    accs;
+  let xv = v "X" in
+  let level i = Gfact.make (Printf.sprintf "level_%d" i) ~objects:[ xv ] in
+  let depth = List.length accs in
+  for i = depth - 1 downto 0 do
+    let base = Formula.Atom (Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ xv ]) in
+    Spec.add_rule spec ~name:(Printf.sprintf "level_%d" i) ~head:(level i)
+      (if i = depth - 1 then base else Formula.And (base, Formula.Atom (level (i + 1))))
+  done;
+  Query.create spec ~meta_view:[ "fuzzy_unified_max"; "fuzzy_propagation" ]
+
 (* ---------------------------------------------------------------- E1 *)
 
 let e1 () =
@@ -47,8 +76,7 @@ let e1 () =
     (fun n_roads ->
       let rng = W.Rng.create 1L in
       let net = W.Roads.generate rng ~n_roads ~bridges_per_road:4 ~open_probability:0.8 () in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       W.Roads.add_to_spec net spec ();
       W.Roads.add_status_rules spec ();
       let q = Query.create spec in
@@ -93,8 +121,7 @@ let e2 () =
                > 1)
         |> List.length
       in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       W.Census.add_to_spec census spec ();
       W.Census.add_constraints spec ();
       let q = Query.create spec in
@@ -113,8 +140,7 @@ let e3 () =
   row "  %8s %8s %12s %12s  %s\n" "objects" "known" "cwa_false" "expected" "agree";
   List.iter
     (fun n ->
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       Spec.declare_predicate spec "surveyed" ~object_arity:1;
       for i = 0 to n - 1 do
         Spec.declare_object spec (Printf.sprintf "parcel_%d" i)
@@ -146,8 +172,7 @@ let e4 () =
   List.iter
     (fun n ->
       let rng = W.Rng.create 4L in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       let seeded = ref 0 in
       for i = 0 to n - 1 do
         let o = Printf.sprintf "b%d" i in
@@ -172,8 +197,7 @@ let e4 () =
 
 let e5 () =
   section "E5 — spatial operators and refinement inheritance (§V-C)";
-  let spec = Spec.create () in
-  Meta.install_standard spec;
+  let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r4" 4.0);
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r2" 2.0);
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r1" 1.0);
@@ -217,8 +241,7 @@ let e6 () =
       let rng = W.Rng.create 6L in
       let terrain = W.Terrain.generate rng ~size_exp ~cell:1.0 () in
       let n = terrain.W.Terrain.size - 1 in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"fine" 1.0);
       Spec.declare_region spec "map"
         (Gdp_space.Region.rect ~min_x:0.0 ~min_y:0.0 ~max_x:(float_of_int n)
@@ -288,8 +311,7 @@ let e7 () =
   section "E7 — island thresholding sweep (§V-D)";
   let rng = W.Rng.create 7L in
   let terrain = W.Terrain.generate rng ~size_exp:4 ~cell:1.0 () in
-  let spec = Spec.create () in
-  Meta.install_standard spec;
+  let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"fine" 1.0);
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"coarse" 4.0);
   Spec.declare_object spec "land";
@@ -332,8 +354,7 @@ let e8 () =
   List.iter
     (fun n_events ->
       let rng = W.Rng.create 8L in
-      let spec = Spec.create ~now:1000.0 () in
-      Meta.install_standard spec;
+      let spec = standard_spec ~now:1000.0 () in
       Spec.declare_object spec "b";
       (* a stream of alternating status observations at random times *)
       let times =
@@ -380,8 +401,7 @@ let e9 () =
   section "E9 — depth-interpolation accuracy (§VII-B extrapolation)";
   let rng = W.Rng.create 9L in
   let survey = W.Hydro.generate rng ~n_samples:25 ~extent:100.0 () in
-  let spec = Spec.create () in
-  Meta.install_standard spec;
+  let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"chart" 10.0);
   Spec.declare_region spec "basin"
     (Gdp_space.Region.rect ~min_x:0.0 ~min_y:0.0 ~max_x:100.0 ~max_y:100.0);
@@ -441,8 +461,7 @@ let e10 () =
     (fun (size, cover) ->
       let rng = W.Rng.create 10L in
       let clouds = W.Clouds.generate rng ~size ~cover () in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
+      let spec = standard_spec () in
       W.Clouds.add_to_spec clouds spec ~resolution:"r" ~image:"img" ();
       W.Clouds.add_clarity_rule spec ~image:"img" ();
       let q = Query.create spec ~meta_view:[ "fuzzy_unified_max" ] in
@@ -462,37 +481,8 @@ let e11 () =
   List.iter
     (fun depth ->
       let rng = W.Rng.create 11L in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
-      Spec.declare_object spec "x";
-      (* a chain p0 <- p1 <- ... <- p_depth with accuracy statements on the
-         leaves of each level *)
-      let accs =
-        List.init depth (fun _ -> 0.5 +. W.Rng.float rng 0.5)
-      in
-      List.iteri
-        (fun i acc ->
-          let base = Printf.sprintf "base_%d" i in
-          Spec.add_fact spec (Gfact.make base ~objects:[ a "x" ]);
-          Spec.add_acc_statement spec (Gfact.make base ~objects:[ a "x" ]) acc)
-        accs;
-      (* level i: level_{i}(X) <- base_i(X), level_{i+1}(X) *)
-      let xv = v "X" in
-      for i = depth - 1 downto 0 do
-        let body =
-          if i = depth - 1 then
-            Formula.Atom (Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ xv ])
-          else
-            Formula.And
-              ( Formula.Atom (Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ xv ]),
-                Formula.Atom (Gfact.make (Printf.sprintf "level_%d" (i + 1)) ~objects:[ xv ]) )
-        in
-        Spec.add_rule spec
-          ~name:(Printf.sprintf "level_%d" i)
-          ~head:(Gfact.make (Printf.sprintf "level_%d" i) ~objects:[ xv ])
-          body
-      done;
-      let q = Query.create spec ~meta_view:[ "fuzzy_unified_max"; "fuzzy_propagation" ] in
+      let accs = List.init depth (fun _ -> 0.5 +. W.Rng.float rng 0.5) in
+      let q = acc_chain accs in
       let expected = List.fold_left Float.min 1.0 accs in
       let ms, derived =
         time_ms (fun () -> Query.accuracy q (Gfact.make "level_0" ~objects:[ a "x" ]))
@@ -510,8 +500,7 @@ let e12 () =
   section "E12 — rendering logical information (§I prototype path)";
   let rng = W.Rng.create 12L in
   let terrain = W.Terrain.generate rng ~size_exp:5 ~cell:1.0 () in
-  let spec = Spec.create () in
-  Meta.install_standard spec;
+  let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"fine" 1.0);
   Spec.declare_object spec "land";
   let _ =
@@ -556,8 +545,7 @@ let ablation () =
   let make_compiled n_roads =
     let rng = W.Rng.create 55L in
     let net = W.Roads.generate rng ~n_roads ~bridges_per_road:4 () in
-    let spec = Spec.create () in
-    Meta.install_standard spec;
+    let spec = standard_spec () in
     W.Roads.add_to_spec net spec ();
     W.Roads.add_status_rules spec ();
     Query.create spec
@@ -580,8 +568,7 @@ let ablation () =
     [ 40; 160 ];
 
   section "ablation 2 — ancestor loop check overhead";
-  let spec = Spec.create () in
-  Meta.install_standard spec;
+  let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r1" 4.0);
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r2" 1.0);
   Spec.declare_object spec "land";
@@ -615,36 +602,8 @@ let ablation () =
   List.iter
     (fun family ->
       let rng = W.Rng.create 77L in
-      let spec = Spec.create () in
-      Meta.install_standard spec;
-      spec.Spec.fuzzy_family <- family;
-      Spec.declare_object spec "x";
       let accs = List.init 8 (fun _ -> 0.8 +. W.Rng.float rng 0.2) in
-      List.iteri
-        (fun i acc ->
-          let base = Printf.sprintf "base_%d" i in
-          Spec.add_fact spec (Gfact.make base ~objects:[ a "x" ]);
-          Spec.add_acc_statement spec (Gfact.make base ~objects:[ a "x" ]) acc)
-        accs;
-      let xv = v "X" in
-      for i = 7 downto 0 do
-        let body =
-          if i = 7 then
-            Formula.Atom (Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ xv ])
-          else
-            Formula.And
-              ( Formula.Atom (Gfact.make (Printf.sprintf "base_%d" i) ~objects:[ xv ]),
-                Formula.Atom
-                  (Gfact.make (Printf.sprintf "level_%d" (i + 1)) ~objects:[ xv ]) )
-        in
-        Spec.add_rule spec
-          ~name:(Printf.sprintf "level_%d" i)
-          ~head:(Gfact.make (Printf.sprintf "level_%d" i) ~objects:[ xv ])
-          body
-      done;
-      let q =
-        Query.create spec ~meta_view:[ "fuzzy_unified_max"; "fuzzy_propagation" ]
-      in
+      let q = acc_chain ~family accs in
       match Query.accuracy q (Gfact.make "level_0" ~objects:[ a "x" ]) with
       | Some acc ->
           row "  %-14s derived accuracy %0.4f (min input %0.4f)\n"
@@ -677,15 +636,13 @@ let micro () =
   let roads =
     let rng = W.Rng.create 100L in
     let net = W.Roads.generate rng ~n_roads:50 ~bridges_per_road:4 () in
-    let spec = Spec.create () in
-    Meta.install_standard spec;
+    let spec = standard_spec () in
     W.Roads.add_to_spec net spec ();
     W.Roads.add_status_rules spec ();
     Query.create spec
   in
   let spatial_q =
-    let spec = Spec.create () in
-    Meta.install_standard spec;
+    let spec = standard_spec () in
     Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r4" 4.0);
     Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r1" 1.0);
     Spec.declare_object spec "land";
@@ -751,10 +708,87 @@ let micro () =
         rows)
     results
 
-(* --------------------------------------- engine-bu: fixpoint strategies *)
+(* ------------------------------------------------------ engine series *)
 
-(* Workload builders shared by the console `engine-bu` series and the
-   machine-readable `json` mode. *)
+(* Every engine-* series has one shape. A row is an ordered list of
+   named values; a case is one workload with its three size lists and
+   one measurement; a series is a list of cases under a JSON key and a
+   CLI name. `engine-X` prints a series as console tables and `json`
+   writes every series into BENCH_engine.json, both from the same
+   measure, so the console columns are exactly the JSON fields. *)
+
+type value =
+  | Int of int
+  | Bool of bool
+  | Float of int * float  (* decimals, value *)
+  | Floats of int * float list
+
+type row = (string * value) list
+
+type case = {
+  name : string;
+  title : string;
+  header : (string * string) list;  (* extra JSON fields, e.g. magic's goal *)
+  console : int list;
+  json : int list;
+  small : int list;  (* `json small`: the CI smoke scales *)
+  measure : int -> row;  (* every field but "scale" *)
+}
+
+type series = { key : string; cli : string; cases : case list }
+
+let ms x = Float (3, x)
+let ratio x = Float (4, x)
+
+(* how many times faster [fast] ran than [slow], floored against a zero
+   reading *)
+let speedup ?(floor = 0.01) ~slow fast = Float (2, slow /. Float.max floor fast)
+
+let render = function
+  | Int n -> string_of_int n
+  | Bool b -> string_of_bool b
+  | Float (d, x) -> Printf.sprintf "%.*f" d x
+  | Floats (d, xs) ->
+      "[" ^ String.concat "," (List.map (Printf.sprintf "%.*f" d) xs) ^ "]"
+
+(* Measure each case of a series at the scales [sizes] picks, printing a
+   table per case as the rows arrive. The header waits for the first row
+   because the columns are its fields. *)
+let run_series sizes s =
+  List.map
+    (fun c ->
+      section (Printf.sprintf "%s %s — %s" s.cli c.name c.title);
+      List.iter (fun (k, v) -> row "  %s: %s\n" k v) c.header;
+      let line r cell =
+        let col (k, v) = Printf.sprintf " %*s" (max 8 (String.length k)) (cell k v) in
+        row " %s\n" (String.concat "" (List.map col r))
+      in
+      let rows =
+        List.mapi
+          (fun i scale ->
+            let r = ("scale", Int scale) :: c.measure scale in
+            if i = 0 then line r (fun k _ -> k);
+            line r (fun _ v -> render v);
+            r)
+          (sizes c)
+      in
+      (c, rows))
+    s.cases
+
+(* one series as a BENCH_engine.json member: a case per object, a row
+   per line *)
+let json_series s results =
+  let join sep f l = String.concat sep (List.map f l) in
+  let row_json r = join ", " (fun (k, v) -> Printf.sprintf "%S: %s" k (render v)) r in
+  let case_json (c, rows) =
+    Printf.sprintf "    {\n%s      \"rows\": [\n%s\n      ]\n    }"
+      (join "" (fun (k, v) -> Printf.sprintf "      %S: %S,\n" k v)
+         (("name", c.name) :: c.header))
+      (join ",\n" (fun r -> "        { " ^ row_json r ^ " }") rows)
+  in
+  Printf.sprintf "  %S: [\n%s\n  ]" s.key (join ",\n" case_json results)
+
+(* ------------------------------------------------- engine workloads *)
 
 let bu_roads_db n =
   let open Gdp_logic in
@@ -819,30 +853,31 @@ let bu_terrain_db n =
     |};
   db
 
-type bu_workload = {
-  bu_name : string;
-  bu_title : string;
-  bu_db : int -> Gdp_logic.Database.t;
-  bu_goal : Gdp_logic.Term.t;
-  bu_console_sizes : int list;  (* naive + scan + indexed + top-down probes *)
-  bu_json_sizes : int list;  (* scan + indexed only: scales past naive *)
-  bu_json_small : int list;  (* CI smoke scales *)
-  bu_script : int -> Gdp_logic.Bottom_up.update list;
-      (* engine-incr update script at a given scale *)
-  bu_point : int -> Gdp_logic.Term.t;
-      (* point goal for the engine-magic series, per scale. For the
-         right-recursive reach closure, binding the SECOND argument keeps
-         the magic set at the query constant (binding the first would
-         propagate magic facts across every reachable node); the target
-         is the backbone's last node so the top-down leg can also prove
-         each answer by marching forward instead of exhausting the
-         forward cone. The terrain goal binds the FIRST argument: its
-         magic set is the downhill cone of one cell, the classic
-         "descendants of a node" restriction. *)
-  bu_point_doc : string;
-      (* display form of the point goal (Term.to_string would leak fresh
-         variable ids into the JSON) *)
-}
+(* Dense closure: the snapshot showcase. A random digraph with mean
+   out-degree ~9 saturates its reachability closure, so semi-naive pays
+   many redundant firings per retained fact — exactly the regime where
+   materialisation is expensive relative to the model it produces and a
+   persisted snapshot pays off most. The three shared workloads bound
+   the other end: when deriving a fact costs about as much as
+   re-interning it on load, caching roughly breaks even. *)
+let snap_dense_db n =
+  let open Gdp_logic in
+  let db = Engine.create () in
+  let rng = W.Rng.create 17L in
+  let node i = a (Printf.sprintf "d%d" i) in
+  for i = 0 to n - 1 do
+    if i < n - 1 then Database.fact db (T.app "link" [ node i; node (i + 1) ]);
+    for _ = 1 to 8 do
+      Database.fact db
+        (T.app "link" [ node (W.Rng.int rng n); node (W.Rng.int rng n) ])
+    done
+  done;
+  Engine.consult db
+    {|
+    reach(X, Y) :- link(X, Y).
+    reach(X, Y) :- link(X, Z), reach(Z, Y).
+    |};
+  db
 
 (* Per-workload update scripts for the engine-incr series: mostly fresh
    facts asserted and then retracted again (net-neutral round trips that
@@ -883,156 +918,190 @@ let incr_script_terrain n =
          in
          [ `Assert f; `Retract f ]))
 
+(* A raw engine base shared by the fixpoint series. *)
+type workload = {
+  w_name : string;
+  w_title : string;
+  w_db : int -> Gdp_logic.Database.t;
+  w_goal : Gdp_logic.Term.t;  (* the open goal engine-naive re-proves *)
+  w_console : int list;  (* small enough for the naive and top-down legs *)
+  w_json : int list;
+  w_small : int list;
+  w_script : int -> Gdp_logic.Bottom_up.update list;  (* engine-incr *)
+  w_point : int -> Gdp_logic.Term.t;
+      (* point goal for the engine-magic series, per scale. For the
+         right-recursive reach closure, binding the SECOND argument keeps
+         the magic set at the query constant (binding the first would
+         propagate magic facts across every reachable node); the target
+         is the backbone's last node so the top-down leg can also prove
+         each answer by marching forward instead of exhausting the
+         forward cone. The terrain goal binds the FIRST argument: its
+         magic set is the downhill cone of one cell, the classic
+         "descendants of a node" restriction. *)
+  w_point_doc : string;
+      (* display form of the point goal (Term.to_string would leak fresh
+         variable ids into the JSON) *)
+}
+
 let bu_workloads =
   [
     {
-      bu_name = "roads-reach";
-      bu_title = "engine-bu roads — reach = transitive closure of link";
-      bu_db = bu_roads_db;
-      bu_goal = T.app "reach" [ v "X"; v "Y" ];
-      bu_console_sizes = [ 16; 32; 64 ];
-      bu_json_sizes = [ 40; 160; 640 ];
-      bu_json_small = [ 16; 64 ];
-      bu_script = incr_script_roads;
-      bu_point =
+      w_name = "roads-reach";
+      w_title = "reach = transitive closure of link";
+      w_db = bu_roads_db;
+      w_goal = T.app "reach" [ v "X"; v "Y" ];
+      w_console = [ 16; 32; 64 ];
+      w_json = [ 40; 160; 640 ];
+      w_small = [ 16; 64 ];
+      w_script = incr_script_roads;
+      w_point =
         (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "n%d" (n - 1)) ]);
-      bu_point_doc = "reach(X, n<scale-1>)";
+      w_point_doc = "reach(X, n<scale-1>)";
     };
     {
-      bu_name = "census-negation";
-      bu_title = "engine-bu census — negation as failure over a lower stratum";
-      bu_db = bu_census_db;
-      bu_goal = T.app "state_without_capital" [ v "S" ];
-      bu_console_sizes = [ 100; 200; 400 ];
-      bu_json_sizes = [ 400; 1600; 3200 ];
-      bu_json_small = [ 100; 400 ];
-      bu_script = incr_script_census;
-      bu_point = (fun _ -> T.app "state_without_capital" [ a "s0" ]);
-      bu_point_doc = "state_without_capital(s0)";
+      w_name = "census-negation";
+      w_title = "negation as failure over a lower stratum";
+      w_db = bu_census_db;
+      w_goal = T.app "state_without_capital" [ v "S" ];
+      w_console = [ 100; 200; 400 ];
+      w_json = [ 400; 1600; 3200 ];
+      w_small = [ 100; 400 ];
+      w_script = incr_script_census;
+      w_point = (fun _ -> T.app "state_without_capital" [ a "s0" ]);
+      w_point_doc = "state_without_capital(s0)";
     };
     {
-      bu_name = "terrain-flows";
-      bu_title = "engine-bu terrain — downhill flow closure with < guards";
-      bu_db = bu_terrain_db;
-      bu_goal = T.app "flows" [ v "A"; v "B" ];
-      bu_console_sizes = [ 4; 6; 8 ];
-      bu_json_sizes = [ 6; 10; 14 ];
-      bu_json_small = [ 4; 8 ];
-      bu_script = incr_script_terrain;
-      bu_point =
+      w_name = "terrain-flows";
+      w_title = "downhill flow closure with < guards";
+      w_db = bu_terrain_db;
+      w_goal = T.app "flows" [ v "A"; v "B" ];
+      w_console = [ 4; 6; 8 ];
+      w_json = [ 6; 10; 14 ];
+      w_small = [ 4; 8 ];
+      w_script = incr_script_terrain;
+      w_point =
         (fun n ->
           T.app "flows" [ a (Printf.sprintf "t%d_%d" (n / 2) (n / 2)); v "B" ]);
-      bu_point_doc = "flows(t<scale/2>_<scale/2>, B)";
+      w_point_doc = "flows(t<scale/2>_<scale/2>, B)";
     };
   ]
 
-(* One scan-vs-indexed measurement: the semi-naive evaluator with joins
-   forced to full-relation scans in textual order (the PR 1 baseline,
-   minus its O(log n) set overhead) against the index-driven planner. *)
-type bu_row = {
-  br_scale : int;
-  br_facts : int;
-  br_passes : int;
-  br_scan_ms : float;
-  br_scan_firings : int;
-  br_indexed_ms : float;
-  br_indexed_firings : int;
-  br_agree : bool;
-  br_stats : Gdp_logic.Bottom_up.stats;  (** of the indexed run *)
-}
+let snap_workloads =
+  bu_workloads
+  @ [
+      {
+        w_name = "roads-dense";
+        w_title = "saturated reachability closure";
+        w_db = snap_dense_db;
+        w_goal = T.app "reach" [ v "X"; v "Y" ];
+        w_console = [ 16; 32; 64 ];
+        w_json = [ 24; 64; 96 ];
+        w_small = [ 24; 64 ];
+        w_script = (fun _ -> []);
+        w_point =
+          (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "d%d" (n - 1)) ]);
+        w_point_doc = "reach(X, d<scale-1>)";
+      };
+    ]
 
-let bu_measure db scale =
-  let open Gdp_logic in
-  let scan_ms, scan_fp =
-    time_ms (fun () -> Bottom_up.run ~indexing:false db)
-  in
-  let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
+let case_of ?(header = []) measure w =
   {
-    br_scale = scale;
-    br_facts = Bottom_up.count idx_fp;
-    br_passes = Bottom_up.iterations idx_fp;
-    br_scan_ms = scan_ms;
-    br_scan_firings = Bottom_up.rule_firings scan_fp;
-    br_indexed_ms = idx_ms;
-    br_indexed_firings = Bottom_up.rule_firings idx_fp;
-    br_agree =
-      Bottom_up.count scan_fp = Bottom_up.count idx_fp
-      && List.equal Term.equal (Bottom_up.facts scan_fp)
-           (Bottom_up.facts idx_fp);
-    br_stats = Bottom_up.stats idx_fp;
+    name = w.w_name;
+    title = w.w_title;
+    header;
+    console = w.w_console;
+    json = w.w_json;
+    small = w.w_small;
+    measure = measure w;
   }
 
-let bu_speedup r = r.br_scan_ms /. Float.max 0.01 r.br_indexed_ms
+let same_facts a b =
+  List.equal Gdp_logic.Term.equal (Gdp_logic.Bottom_up.facts a)
+    (Gdp_logic.Bottom_up.facts b)
 
-(* naive vs scan vs indexed bottom-up vs top-down SLDNF on recursive /
-   negation / guarded workloads at growing scale — the quantification of
-   the "Prolog's computational inefficiency" the paper only mentions.
-   The top-down column proves a sample of the derived atoms (up to 100)
-   with the ancestor loop check on; "agree" additionally checks all
-   fixpoint configurations derive identical fact sets. *)
-let engine_bu () =
+let topdown_options =
+  { Gdp_logic.Solve.default_options with Gdp_logic.Solve.loop_check = true }
+
+(* ------------------------------------ engine-bu: scan vs indexed joins *)
+
+(* The semi-naive evaluator with joins forced to full-relation scans in
+   textual order (the original unindexed evaluator, minus its O(log n)
+   set overhead) against the index-driven planner. *)
+let bu_measure w scale =
   let open Gdp_logic in
-  let topdown_options = { Solve.default_options with Solve.loop_check = true } in
-  let probe db facts =
-    let n = List.length facts in
-    let step = max 1 (n / 100) in
-    let sample = List.filteri (fun i _ -> i mod step = 0) facts in
-    let ms, ok =
-      time_ms (fun () ->
-          List.for_all
-            (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
-            sample)
-    in
-    (ms, List.length sample, ok)
+  let db = w.w_db scale in
+  let scan_ms, scan_fp = time_ms (fun () -> Bottom_up.run ~indexing:false db) in
+  let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
+  let s = Bottom_up.stats idx_fp in
+  [
+    ("facts", Int (Bottom_up.count idx_fp));
+    ("passes", Int (Bottom_up.iterations idx_fp));
+    ("scan_ms", ms scan_ms);
+    ("scan_firings", Int (Bottom_up.rule_firings scan_fp));
+    ("indexed_ms", ms idx_ms);
+    ("indexed_firings", Int (Bottom_up.rule_firings idx_fp));
+    ("speedup", speedup ~slow:scan_ms idx_ms);
+    ( "agree",
+      Bool
+        (Bottom_up.count scan_fp = Bottom_up.count idx_fp
+        && same_facts scan_fp idx_fp) );
+    ("strata", Int s.Bottom_up.bu_strata);
+    ("probes", Int s.Bottom_up.bu_index_probes);
+    ("scans", Int s.Bottom_up.bu_full_scans);
+    ("membership_tests", Int s.Bottom_up.bu_membership_tests);
+    ("hcons_hit_rate", ratio (Bottom_up.hcons_hit_rate s));
+    ( "stratum_ms",
+      Floats (3, List.map (fun st -> st.Bottom_up.st_ms) s.Bottom_up.bu_strata_stats) );
+  ]
+
+(* ---------------------------- engine-naive: naive vs semi-naive vs SLD *)
+
+(* Naive bottom-up against the indexed semi-naive fixpoint and top-down
+   SLDNF on the same base — the quantification of the "Prolog's
+   computational inefficiency" the paper only mentions. The top-down leg
+   proves a sample of the derived goal atoms (up to 100) with the
+   ancestor loop check on. Naive re-firing is quadratic per pass, so the
+   series runs at the console scales even under `json`. *)
+let naive_measure w scale =
+  let open Gdp_logic in
+  let db = w.w_db scale in
+  let naive_ms, naive_fp =
+    time_ms (fun () -> Bottom_up.run ~strategy:Bottom_up.Naive db)
   in
-  List.iter
-    (fun w ->
-      section w.bu_title;
-      row "  %8s %10s %10s %8s %10s %8s %8s %14s  %s\n" "scale" "naive_ms"
-        "scan_ms" "s_fire" "idx_ms" "i_fire" "speedup" "topdown_ms" "agree";
-      List.iter
-        (fun scale ->
-          let db = w.bu_db scale in
-          let naive_ms, naive_fp =
-            time_ms (fun () -> Bottom_up.run ~strategy:Bottom_up.Naive db)
-          in
-          let r = bu_measure db scale in
-          let idx_fp = Bottom_up.run db in
-          let derived = Bottom_up.facts_matching idx_fp w.bu_goal in
-          let td_ms, n_probes, td_ok = probe db derived in
-          let agree =
-            r.br_agree && Bottom_up.count naive_fp = r.br_facts && td_ok
-          in
-          row "  %8d %10.1f %10.1f %8d %10.1f %8d %7.1fx %10.1f/%-3d  %s\n"
-            scale naive_ms r.br_scan_ms r.br_scan_firings r.br_indexed_ms
-            r.br_indexed_firings (bu_speedup r) td_ms n_probes
-            (if agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
+  let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
+  let derived = Bottom_up.facts_matching idx_fp w.w_goal in
+  let step = max 1 (List.length derived / 100) in
+  let sample = List.filteri (fun i _ -> i mod step = 0) derived in
+  let td_ms, td_ok =
+    time_ms (fun () ->
+        List.for_all
+          (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
+          sample)
+  in
+  [
+    ("facts", Int (Bottom_up.count idx_fp));
+    ("naive_ms", ms naive_ms);
+    ("indexed_ms", ms idx_ms);
+    ("speedup", speedup ~slow:naive_ms idx_ms);
+    ("topdown_ms", ms td_ms);
+    ("topdown_probes", Int (List.length sample));
+    ("agree", Bool (same_facts naive_fp idx_fp && td_ok));
+  ]
 
 (* ------------------------------------- engine-incr: view maintenance *)
 
-(* One incremental-vs-recompute measurement: the same update script is
-   applied one fact at a time to a live fixpoint (Bottom_up.apply:
-   semi-naive deltas + DRed) and, against a second identically seeded
-   database, by mutating the base and re-running the whole fixpoint from
-   scratch after every step — the cost a system without view maintenance
-   pays. The two must end on identical fact sets. *)
-type incr_row = {
-  ir_scale : int;
-  ir_facts : int;  (* facts in the maintained store after the script *)
-  ir_updates : int;
-  ir_incr_ms : float;
-  ir_recompute_ms : float;
-  ir_agree : bool;
-  ir_stats : Gdp_logic.Bottom_up.incr_stats;
-}
-
+(* The same update script is applied one fact at a time to a live
+   fixpoint (Bottom_up.apply: semi-naive deltas + DRed) and, against a
+   second identically seeded database, by mutating the base and
+   re-running the whole fixpoint from scratch after every step — the
+   cost a system without view maintenance pays. The two must end on
+   identical fact sets. "facts" counts the maintained store after the
+   script. *)
 let incr_measure w scale =
   let open Gdp_logic in
-  let script = w.bu_script scale in
-  let live = w.bu_db scale in
-  let mirror = w.bu_db scale in
+  let script = w.w_script scale in
+  let live = w.w_db scale in
+  let mirror = w.w_db scale in
   (* same seed, identical base *)
   let fp = Bottom_up.run live in
   let incr_ms, () =
@@ -1057,63 +1126,22 @@ let incr_measure w scale =
             Some (Bottom_up.run mirror))
           None script)
   in
-  let agree =
-    match last_fp with
-    | Some fresh ->
-        List.equal Term.equal (Bottom_up.facts fp) (Bottom_up.facts fresh)
-    | None -> true
-  in
-  {
-    ir_scale = scale;
-    ir_facts = Bottom_up.count fp;
-    ir_updates = List.length script;
-    ir_incr_ms = incr_ms;
-    ir_recompute_ms = recompute_ms;
-    ir_agree = agree;
-    ir_stats = Bottom_up.incr_stats fp;
-  }
-
-let incr_speedup r = r.ir_recompute_ms /. Float.max 0.001 r.ir_incr_ms
-
-let engine_incr () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-incr %s — incremental maintenance vs recompute"
-           w.bu_name);
-      row "  %8s %8s %8s %10s %14s %8s  %s\n" "scale" "facts" "updates"
-        "incr_ms" "recompute_ms" "speedup" "agree";
-      List.iter
-        (fun scale ->
-          let r = incr_measure w scale in
-          row "  %8d %8d %8d %10.2f %14.2f %7.1fx  %s\n" r.ir_scale r.ir_facts
-            r.ir_updates r.ir_incr_ms r.ir_recompute_ms (incr_speedup r)
-            (if r.ir_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
+  let i = Bottom_up.incr_stats fp in
+  [
+    ("facts", Int (Bottom_up.count fp));
+    ("updates", Int (List.length script));
+    ("incremental_ms", ms incr_ms);
+    ("recompute_ms", ms recompute_ms);
+    ("speedup", speedup ~floor:0.001 ~slow:recompute_ms incr_ms);
+    ("agree", Bool (Option.fold ~none:true ~some:(same_facts fp) last_fp));
+    ("inserted", Int i.Bottom_up.upd_inserted);
+    ("deleted", Int i.Bottom_up.upd_deleted);
+    ("overdeleted", Int i.Bottom_up.upd_overdeleted);
+    ("rederived", Int i.Bottom_up.upd_rederived);
+    ("strata_recomputed", Int i.Bottom_up.upd_strata_recomputed);
+  ]
 
 (* ---------------------------------- engine-magic: goal-directed eval *)
-
-(* One magic-vs-full-vs-top-down measurement on a point goal. "Derived"
-   counts are IDB tuples of the *original* program only, so the magic
-   column pays for its magic$ guard tuples separately (mr_magic_aux) and
-   the goal-direction claim is not flattered by copied base facts. The
-   top-down column proves every answer of the full fixpoint with the
-   ancestor loop check on, as in engine-bu. *)
-type magic_row = {
-  mr_scale : int;
-  mr_full_ms : float;
-  mr_full_derived : int;
-  mr_magic_ms : float;  (* rewrite + seeded fixpoint, together *)
-  mr_magic_derived : int;
-  mr_magic_aux : int;  (* magic$ guard tuples, seeds included *)
-  mr_topdown_ms : float;
-  mr_topdown_probes : int;  (* sampled answers re-proved by SLD *)
-  mr_answers : int;
-  mr_agree : bool;
-  mr_fallback_strata : int;
-  mr_full_fallback : bool;
-}
 
 let idb_preds db =
   let open Gdp_logic in
@@ -1124,19 +1152,25 @@ let idb_preds db =
            (Database.all_clauses db key))
   |> List.map fst
 
-let count_facts pred_names fp =
+(* the number of facts whose predicate name satisfies [keep] *)
+let count_facts keep fp =
   Gdp_logic.Bottom_up.facts fp
   |> List.filter (fun t ->
          match Gdp_logic.Term.functor_of t with
-         | Some (name, _) -> List.mem name pred_names
+         | Some (name, _) -> keep name
          | None -> false)
   |> List.length
 
+(* Magic vs full vs top-down on a point goal. "Derived" counts are IDB
+   tuples of the *original* program only, so the magic leg pays for its
+   magic$ guard tuples separately (magic_aux, seeds included) and the
+   goal-direction claim is not flattered by copied base facts. magic_ms
+   times the rewrite and the seeded fixpoint together. *)
 let magic_measure w scale =
   let open Gdp_logic in
-  let db = w.bu_db scale in
+  let db = w.w_db scale in
   let idb = idb_preds db in
-  let goal = w.bu_point scale in
+  let goal = w.w_point scale in
   let full_ms, full_fp = time_ms (fun () -> Bottom_up.run db) in
   let magic_ms, (magic_fp, info) =
     time_ms (fun () ->
@@ -1151,8 +1185,8 @@ let magic_measure w scale =
   in
   let full_answers = answers full_fp in
   let magic_answers = answers magic_fp in
-  let full_derived = count_facts idb full_fp in
-  let topdown_options = { Solve.default_options with Solve.loop_check = true } in
+  let full_derived = count_facts (fun p -> List.mem p idb) full_fp in
+  let magic_derived = count_facts (fun p -> List.mem p idb) magic_fp in
   (* The magic-vs-full comparison is exact over every answer; the SLD leg
      is a deterministic sample — each ground probe costs O(path) clause
      expansions with an O(depth) ancestor scan apiece.  On the dense cyclic
@@ -1177,56 +1211,21 @@ let magic_measure w scale =
           (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
           td_targets)
   in
-  let magic_aux =
-    Bottom_up.facts magic_fp
-    |> List.filter (fun t ->
-           match Term.functor_of t with
-           | Some (name, _) ->
-               String.length name >= 6 && String.equal (String.sub name 0 6) "magic$"
-           | None -> false)
-    |> List.length
-  in
-  {
-    mr_scale = scale;
-    mr_full_ms = full_ms;
-    mr_full_derived = full_derived;
-    mr_magic_ms = magic_ms;
-    mr_magic_derived = count_facts idb magic_fp;
-    mr_magic_aux = magic_aux;
-    mr_topdown_ms = td_ms;
-    mr_topdown_probes = List.length td_targets;
-    mr_answers = List.length full_answers;
-    mr_agree = List.equal Term.equal full_answers magic_answers && td_ok;
-    mr_fallback_strata = info.Magic.fallback_strata;
-    mr_full_fallback = info.Magic.full_fallback;
-  }
-
-let magic_ratio r =
-  float_of_int r.mr_magic_derived /. float_of_int (max 1 r.mr_full_derived)
-
-let engine_magic () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-magic %s — goal-directed vs full vs top-down"
-           w.bu_name);
-      row "  %8s %10s %10s %10s %10s %6s %8s %11s %8s  %s\n" "scale" "full_ms"
-        "full_idb" "magic_ms" "magic_idb" "aux" "ratio" "topdown_ms" "answers"
-        "agree";
-      List.iter
-        (fun scale ->
-          let r = magic_measure w scale in
-          row "  %8d %10.1f %10d %10.1f %10d %6d %7.1f%% %11.1f %8d  %s%s\n"
-            r.mr_scale r.mr_full_ms r.mr_full_derived r.mr_magic_ms
-            r.mr_magic_derived r.mr_magic_aux
-            (100.0 *. magic_ratio r)
-            r.mr_topdown_ms r.mr_answers
-            (if r.mr_agree then "yes" else "DISAGREE")
-            (if r.mr_fallback_strata > 0 then
-               Printf.sprintf "  (fallback strata: %d)" r.mr_fallback_strata
-             else ""))
-        w.bu_console_sizes)
-    bu_workloads
+  let magic_aux = count_facts (String.starts_with ~prefix:"magic$") magic_fp in
+  [
+    ("full_ms", ms full_ms);
+    ("full_derived", Int full_derived);
+    ("magic_ms", ms magic_ms);
+    ("magic_derived", Int magic_derived);
+    ("magic_aux", Int magic_aux);
+    ("ratio", ratio (float_of_int magic_derived /. float_of_int (max 1 full_derived)));
+    ("topdown_ms", ms td_ms);
+    ("topdown_probes", Int (List.length td_targets));
+    ("answers", Int (List.length full_answers));
+    ("agree", Bool (List.equal Term.equal full_answers magic_answers && td_ok));
+    ("fallback_strata", Int info.Magic.fallback_strata);
+    ("full_fallback", Bool info.Magic.full_fallback);
+  ]
 
 (* --------------------------- engine-spatial: R-tree / grid joins *)
 
@@ -1240,11 +1239,6 @@ let engine_magic () =
    The databases are raw engine bases like the other engine-* series;
    the Spec only carries the region table and coordinate system the
    spatial hooks read. *)
-
-let sp_spec ~regions =
-  let spec = Spec.create () in
-  List.iter (fun (name, r) -> Spec.declare_region spec name r) regions;
-  spec
 
 let sp_pos x y = Gfact.pos_term (Gdp_space.Point.make x y)
 
@@ -1312,188 +1306,77 @@ let sp_hydro_db n =
     |};
   db
 
-type sp_workload = {
-  sp_name : string;
-  sp_title : string;
-  sp_db : int -> Gdp_logic.Database.t;
-  sp_hints : Spec.t;  (* carries the regions the guards name *)
-  sp_cell : float;  (* uniform-grid cell size for the grid leg *)
-  sp_console_sizes : int list;
-  sp_json_sizes : int list;
-  sp_json_small : int list;
-}
-
-let sp_workloads =
-  [
-    {
-      sp_name = "roads-near";
-      sp_title = "engine-spatial roads — bounded pt_dist self-join over sites";
-      sp_db = sp_roads_db;
-      sp_hints = sp_spec ~regions:[];
-      sp_cell = 3.0;
-      sp_console_sizes = [ 160; 320; 640 ];
-      sp_json_sizes = [ 320; 640; 1280 ];
-      sp_json_small = [ 160; 640 ];
-    };
-    {
-      sp_name = "terrain-basin";
-      sp_title =
-        "engine-spatial terrain — region_mem filter + bounded pt_dist join";
-      sp_db = sp_terrain_db;
-      sp_hints =
-        sp_spec
-          ~regions:
-            [
-              ( "basin",
-                Gdp_space.Region.circle
-                  ~center:(Gdp_space.Point.make 50.0 50.0)
-                  ~radius:20.0 );
-            ];
-      sp_cell = 2.0;
-      sp_console_sizes = [ 16; 24; 32 ];
-      sp_json_sizes = [ 24; 32; 48 ];
-      sp_json_small = [ 16; 32 ];
-    };
-    {
-      sp_name = "hydro-gauges";
-      sp_title =
-        "engine-spatial hydro — clustered gauges, pt_dist links + floodplain";
-      sp_db = sp_hydro_db;
-      sp_hints =
-        sp_spec
-          ~regions:
-            [
-              ( "floodplain",
-                Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
-                  ~max_y:100.0 );
-            ];
-      sp_cell = 4.0;
-      sp_console_sizes = [ 200; 400; 800 ];
-      sp_json_sizes = [ 400; 800; 1600 ];
-      sp_json_small = [ 200; 800 ];
-    };
-  ]
-
-type sp_row = {
-  xr_scale : int;
-  xr_facts : int;
-  xr_scan_ms : float;
-  xr_grid_ms : float;
-  xr_rtree_ms : float;
-  xr_probes : int;  (* of the R-tree run *)
-  xr_fallbacks : int;  (* spatial scans of the baseline run *)
-  xr_agree : bool;
-}
-
-let sp_measure w scale =
-  let open Gdp_logic in
-  let db = w.sp_db scale in
-  let rtree = Compile.spatial_hints w.sp_hints in
-  let grid = Compile.spatial_hints ~grid_cell:w.sp_cell w.sp_hints in
-  let scan_ms, scan_fp =
-    time_ms (fun () -> Bottom_up.run ~spatial:rtree ~spatial_indexing:false db)
+(* [regions] are the ones the guards name; [cell] is the uniform-grid
+   cell size for the grid leg. "probes" counts the R-tree run's index
+   probes, "fallbacks" the scan baseline's spatial scans. *)
+let spatial_case ~name ~title ~db ~regions ~cell ~console ~json ~small =
+  let hints = Spec.create () in
+  List.iter (fun (region, r) -> Spec.declare_region hints region r) regions;
+  let measure scale =
+    let open Gdp_logic in
+    let db = db scale in
+    let rtree = Compile.spatial_hints hints in
+    let grid = Compile.spatial_hints ~grid_cell:cell hints in
+    let scan_ms, scan_fp =
+      time_ms (fun () -> Bottom_up.run ~spatial:rtree ~spatial_indexing:false db)
+    in
+    let grid_ms, grid_fp = time_ms (fun () -> Bottom_up.run ~spatial:grid db) in
+    let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial:rtree db) in
+    [
+      ("facts", Int (Bottom_up.count rtree_fp));
+      ("scan_ms", ms scan_ms);
+      ("grid_ms", ms grid_ms);
+      ("rtree_ms", ms rtree_ms);
+      ("speedup", speedup ~slow:scan_ms rtree_ms);
+      ("probes", Int (Bottom_up.stats rtree_fp).Bottom_up.bu_spatial_probes);
+      ("fallbacks", Int (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans);
+      ("agree", Bool (same_facts scan_fp rtree_fp && same_facts scan_fp grid_fp));
+    ]
   in
-  let grid_ms, grid_fp = time_ms (fun () -> Bottom_up.run ~spatial:grid db) in
-  let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial:rtree db) in
-  let same a b = List.equal Term.equal (Bottom_up.facts a) (Bottom_up.facts b) in
-  {
-    xr_scale = scale;
-    xr_facts = Bottom_up.count rtree_fp;
-    xr_scan_ms = scan_ms;
-    xr_grid_ms = grid_ms;
-    xr_rtree_ms = rtree_ms;
-    xr_probes = (Bottom_up.stats rtree_fp).Bottom_up.bu_spatial_probes;
-    xr_fallbacks = (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans;
-    xr_agree = same scan_fp rtree_fp && same scan_fp grid_fp;
-  }
+  { name; title; header = []; console; json; small; measure }
 
-let sp_speedup r = r.xr_scan_ms /. Float.max 0.01 r.xr_rtree_ms
-
-let engine_spatial () =
-  List.iter
-    (fun w ->
-      section w.sp_title;
-      row "  %8s %8s %10s %10s %10s %8s %8s %9s  %s\n" "scale" "facts"
-        "scan_ms" "grid_ms" "rtree_ms" "speedup" "probes" "fallbacks" "agree";
-      List.iter
-        (fun scale ->
-          let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %10.1f %7.1fx %8d %9d  %s\n" r.xr_scale
-            r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms (sp_speedup r)
-            r.xr_probes r.xr_fallbacks
-            (if r.xr_agree then "yes" else "DISAGREE"))
-        w.sp_console_sizes)
-    sp_workloads
+let spatial_cases =
+  [
+    spatial_case ~name:"roads-near" ~title:"bounded pt_dist self-join over sites"
+      ~db:sp_roads_db ~regions:[] ~cell:3.0 ~console:[ 160; 320; 640 ]
+      ~json:[ 320; 640; 1280 ] ~small:[ 160; 640 ];
+    spatial_case ~name:"terrain-basin"
+      ~title:"region_mem filter + bounded pt_dist join" ~db:sp_terrain_db
+      ~regions:
+        [
+          ( "basin",
+            Gdp_space.Region.circle
+              ~center:(Gdp_space.Point.make 50.0 50.0)
+              ~radius:20.0 );
+        ]
+      ~cell:2.0 ~console:[ 16; 24; 32 ] ~json:[ 24; 32; 48 ] ~small:[ 16; 32 ];
+    spatial_case ~name:"hydro-gauges"
+      ~title:"clustered gauges, pt_dist links + floodplain" ~db:sp_hydro_db
+      ~regions:
+        [
+          ( "floodplain",
+            Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
+              ~max_y:100.0 );
+        ]
+      ~cell:4.0 ~console:[ 200; 400; 800 ] ~json:[ 400; 800; 1600 ]
+      ~small:[ 200; 800 ];
+  ]
 
 (* ------------------------------------ engine-snap: persistent snapshots *)
 
-(* One cold-vs-warm measurement: the full semi-naive materialisation of a
-   workload's base (what every CLI invocation paid before snapshots)
-   against Snapshot.load + Bottom_up.import of the same model persisted
-   to disk — deserialise, re-intern, re-index, fire no rules. "agree"
-   asserts the loaded fixpoint is indistinguishable: identical fact sets
-   and restored pass counts. *)
-type snap_row = {
-  zr_scale : int;
-  zr_facts : int;
-  zr_bytes : int;
-  zr_cold_ms : float;
-  zr_save_ms : float;
-  zr_warm_ms : float;
-  zr_agree : bool;
-}
+(* The full semi-naive materialisation of a workload's base (what every
+   CLI invocation paid before snapshots) against Snapshot.load +
+   Bottom_up.import of the same model persisted to disk — deserialise,
+   re-intern, re-index, fire no rules. "agree" asserts the loaded
+   fixpoint is indistinguishable: identical fact sets and restored pass
+   counts.
 
-(* Dense closure: the snapshot showcase. A random digraph with mean
-   out-degree ~9 saturates its reachability closure, so semi-naive pays
-   many redundant firings per retained fact — exactly the regime where
-   materialisation is expensive relative to the model it produces and a
-   persisted snapshot pays off most. The three shared workloads bound
-   the other end: when deriving a fact costs about as much as
-   re-interning it on load, caching roughly breaks even. *)
-let snap_dense_db n =
-  let open Gdp_logic in
-  let db = Engine.create () in
-  let rng = W.Rng.create 17L in
-  let node i = a (Printf.sprintf "d%d" i) in
-  for i = 0 to n - 1 do
-    if i < n - 1 then Database.fact db (T.app "link" [ node i; node (i + 1) ]);
-    for _ = 1 to 8 do
-      Database.fact db
-        (T.app "link" [ node (W.Rng.int rng n); node (W.Rng.int rng n) ])
-    done
-  done;
-  Engine.consult db
-    {|
-    reach(X, Y) :- link(X, Y).
-    reach(X, Y) :- link(X, Z), reach(Z, Y).
-    |};
-  db
-
-let snap_workloads =
-  bu_workloads
-  @ [
-      {
-        bu_name = "roads-dense";
-        bu_title = "engine-snap dense roads — saturated reachability closure";
-        bu_db = snap_dense_db;
-        bu_goal = T.app "reach" [ v "X"; v "Y" ];
-        bu_console_sizes = [ 16; 32; 64 ];
-        bu_json_sizes = [ 24; 64; 96 ];
-        bu_json_small = [ 24; 64 ];
-        bu_script = (fun _ -> []);
-        bu_point =
-          (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "d%d" (n - 1)) ]);
-        bu_point_doc = "reach(X, d<scale-1>)";
-      };
-    ]
-
-(* Both legs are timed best-of-3: the numbers feed a CI ratio gate, and
+   Both legs are timed best-of-3: the numbers feed a CI ratio gate, and
    single-shot wall-clock readings on shared runners swing by 2x with
    allocator and machine noise. The cold leg times database construction
-   plus materialisation (what every CLI invocation paid before
-   snapshots); the warm leg times Snapshot.load + Bottom_up.import
-   against a database built outside the clock, since a snapshot consumer
-   pays spec compilation on both paths. *)
+   plus materialisation; the warm leg times Snapshot.load +
+   Bottom_up.import against a database built outside the clock, since a
+   snapshot consumer pays spec compilation on both paths. *)
 let snap_reps = 3
 
 let snap_best leg =
@@ -1511,7 +1394,7 @@ let snap_best leg =
 let snap_measure w scale =
   let open Gdp_logic in
   let cold_ms, cold_fp =
-    snap_best (fun () -> time_ms (fun () -> Bottom_up.run (w.bu_db scale)))
+    snap_best (fun () -> time_ms (fun () -> Bottom_up.run (w.w_db scale)))
   in
   let path = Filename.temp_file "gdprs_snap" ".gdpx" in
   Fun.protect
@@ -1530,237 +1413,87 @@ let snap_measure w scale =
     snap_best (fun () ->
         (* a fresh identically seeded database: the import target a
            second process would compile before loading *)
-        let warm_db = w.bu_db scale in
+        let warm_db = w.w_db scale in
         time_ms (fun () ->
             let snap, _bytes = Snapshot.load ~path () in
             Bottom_up.import warm_db snap.Snapshot.state))
   in
   let sorted fp = List.sort Term.compare (Bottom_up.facts fp) in
-  {
-    zr_scale = scale;
-    zr_facts = Bottom_up.count warm_fp;
-    zr_bytes = bytes;
-    zr_cold_ms = cold_ms;
-    zr_save_ms = save_ms;
-    zr_warm_ms = warm_ms;
-    zr_agree =
-      Bottom_up.count cold_fp = Bottom_up.count warm_fp
-      && Bottom_up.iterations cold_fp = Bottom_up.iterations warm_fp
-      && List.equal Term.equal (sorted cold_fp) (sorted warm_fp);
-  }
-
-let snap_speedup r = r.zr_cold_ms /. Float.max 0.01 r.zr_warm_ms
-
-let engine_snap () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-snap %s — cold materialise vs snapshot load"
-           w.bu_name);
-      row "  %8s %8s %10s %10s %10s %10s %8s  %s\n" "scale" "facts" "bytes"
-        "cold_ms" "save_ms" "warm_ms" "speedup" "agree";
-      List.iter
-        (fun scale ->
-          let r = snap_measure w scale in
-          row "  %8d %8d %10d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.zr_scale
-            r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms r.zr_warm_ms
-            (snap_speedup r)
-            (if r.zr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    snap_workloads
+  [
+    ("facts", Int (Bottom_up.count warm_fp));
+    ("bytes", Int bytes);
+    ("cold_ms", ms cold_ms);
+    ("save_ms", ms save_ms);
+    ("warm_ms", ms warm_ms);
+    ("speedup", speedup ~slow:cold_ms warm_ms);
+    ( "agree",
+      Bool
+        (Bottom_up.count cold_fp = Bottom_up.count warm_fp
+        && Bottom_up.iterations cold_fp = Bottom_up.iterations warm_fp
+        && List.equal Term.equal (sorted cold_fp) (sorted warm_fp)) );
+  ]
 
 (* ------------------------------------------------- json: perf tracking *)
 
-(* `bench/main.exe -- json [small]` re-runs the engine-bu workloads as
-   scan-vs-indexed pairs (no naive column, so the scales can grow past
-   what quadratic re-firing tolerates) and writes BENCH_engine.json —
-   the machine-readable perf trajectory CI archives on every push. *)
-let bench_json ?(small = false) () =
+let engine_series =
+  [
+    {
+      key = "series";
+      cli = "engine-bu";
+      cases = List.map (case_of bu_measure) bu_workloads;
+    };
+    {
+      key = "incr_series";
+      cli = "engine-incr";
+      cases = List.map (case_of incr_measure) bu_workloads;
+    };
+    {
+      key = "magic_series";
+      cli = "engine-magic";
+      cases =
+        List.map
+          (fun w -> case_of ~header:[ ("goal", w.w_point_doc) ] magic_measure w)
+          bu_workloads;
+    };
+    { key = "spatial_series"; cli = "engine-spatial"; cases = spatial_cases };
+    {
+      key = "snap_series";
+      cli = "engine-snap";
+      cases = List.map (case_of snap_measure) snap_workloads;
+    };
+    {
+      key = "naive_series";
+      cli = "engine-naive";
+      cases =
+        List.map
+          (fun w -> { (case_of naive_measure w) with json = w.w_console })
+          bu_workloads;
+    };
+  ]
+
+(* `bench/main.exe -- json [small]` runs every engine series at its json
+   (or small) scales and writes BENCH_engine.json — the machine-readable
+   perf trajectory CI validates and archives on every push. *)
+let bench_json ~small () =
   let out = "BENCH_engine.json" in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"gdprs-bench-engine/1\",\n";
-  add "  \"bench\": \"engine-bu scan vs indexed (semi-naive fixpoint)\",\n";
-  add "  \"mode\": %S,\n" (if small then "small" else "full");
+  let sizes c = if small then c.small else c.json in
+  let blocks = List.map (fun s -> json_series s (run_series sizes s)) engine_series in
+  let oc = open_out out in
   (* machine context: timings are only comparable across runs on like
      machines *)
-  add "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  add "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  add "  \"series\": [\n";
-  let n_workloads = List.length bu_workloads in
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json %s" w.bu_title);
-      row "  %8s %10s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms" "idx_ms"
-        "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = bu_measure (w.bu_db scale) scale in
-          row "  %8d %10d %10.1f %10.1f %7.1fx  %s\n" r.br_scale r.br_facts
-            r.br_scan_ms r.br_indexed_ms (bu_speedup r)
-            (if r.br_agree then "yes" else "DISAGREE");
-          let s = r.br_stats in
-          let stratum_ms =
-            s.Gdp_logic.Bottom_up.bu_strata_stats
-            |> List.map (fun st ->
-                   Printf.sprintf "%.3f" st.Gdp_logic.Bottom_up.st_ms)
-            |> String.concat ", "
-          in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"passes\": %d, \
-             \"scan_ms\": %.3f, \"scan_firings\": %d, \"indexed_ms\": %.3f, \
-             \"indexed_firings\": %d, \"speedup\": %.2f, \"agree\": %b, \
-             \"strata\": %d, \"probes\": %d, \"scans\": %d, \
-             \"membership_tests\": %d, \"hcons_hit_rate\": %.4f, \
-             \"stratum_ms\": [%s] }%s\n"
-            r.br_scale r.br_facts r.br_passes r.br_scan_ms r.br_scan_firings
-            r.br_indexed_ms r.br_indexed_firings (bu_speedup r) r.br_agree
-            s.Gdp_logic.Bottom_up.bu_strata s.Gdp_logic.Bottom_up.bu_index_probes
-            s.Gdp_logic.Bottom_up.bu_full_scans
-            s.Gdp_logic.Bottom_up.bu_membership_tests
-            (Gdp_logic.Bottom_up.hcons_hit_rate s)
-            stratum_ms
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* the incremental-maintenance trajectory rides in its own top-level
-     key so consumers of "series" see the same shape as before *)
-  add "  \"incr_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-incr %s" w.bu_name);
-      row "  %8s %8s %8s %10s %14s %8s  %s\n" "scale" "facts" "updates"
-        "incr_ms" "recompute_ms" "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = incr_measure w scale in
-          row "  %8d %8d %8d %10.2f %14.2f %7.1fx  %s\n" r.ir_scale r.ir_facts
-            r.ir_updates r.ir_incr_ms r.ir_recompute_ms (incr_speedup r)
-            (if r.ir_agree then "yes" else "DISAGREE");
-          let i = r.ir_stats in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"updates\": %d, \
-             \"incremental_ms\": %.3f, \"recompute_ms\": %.3f, \
-             \"speedup\": %.2f, \"agree\": %b, \"inserted\": %d, \
-             \"deleted\": %d, \"overdeleted\": %d, \"rederived\": %d, \
-             \"strata_recomputed\": %d }%s\n"
-            r.ir_scale r.ir_facts r.ir_updates r.ir_incr_ms r.ir_recompute_ms
-            (incr_speedup r) r.ir_agree i.Gdp_logic.Bottom_up.upd_inserted
-            i.Gdp_logic.Bottom_up.upd_deleted
-            i.Gdp_logic.Bottom_up.upd_overdeleted
-            i.Gdp_logic.Bottom_up.upd_rederived
-            i.Gdp_logic.Bottom_up.upd_strata_recomputed
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* goal-directed evaluation: the magic-set rewrite against the full
-     fixpoint and a top-down probe on the same point goal *)
-  add "  \"magic_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-magic %s" w.bu_name);
-      row "  %8s %10s %10s %10s %10s %6s %8s  %s\n" "scale" "full_ms"
-        "full_idb" "magic_ms" "magic_idb" "aux" "ratio" "agree";
-      add "    {\n      \"name\": %S,\n      \"goal\": %S,\n      \"rows\": [\n"
-        w.bu_name w.bu_point_doc;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = magic_measure w scale in
-          row "  %8d %10.1f %10d %10.1f %10d %6d %7.1f%%  %s\n" r.mr_scale
-            r.mr_full_ms r.mr_full_derived r.mr_magic_ms r.mr_magic_derived
-            r.mr_magic_aux
-            (100.0 *. magic_ratio r)
-            (if r.mr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"full_ms\": %.3f, \"full_derived\": \
-             %d, \"magic_ms\": %.3f, \"magic_derived\": %d, \"magic_aux\": \
-             %d, \"ratio\": %.4f, \"topdown_ms\": %.3f, \"topdown_probes\": \
-             %d, \"answers\": %d, \"agree\": %b, \"fallback_strata\": %d, \
-             \"full_fallback\": %b }%s\n"
-            r.mr_scale r.mr_full_ms r.mr_full_derived r.mr_magic_ms
-            r.mr_magic_derived r.mr_magic_aux (magic_ratio r) r.mr_topdown_ms
-            r.mr_topdown_probes r.mr_answers r.mr_agree r.mr_fallback_strata
-            r.mr_full_fallback
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* spatial-index joins: the scan baseline vs uniform-grid vs R-tree on
-     the same base; "agree" asserts all three derive identical models *)
-  add "  \"spatial_series\": [\n";
-  let n_sp = List.length sp_workloads in
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.sp_json_small else w.sp_json_sizes in
-      section (Printf.sprintf "json %s" w.sp_title);
-      row "  %8s %8s %10s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms"
-        "grid_ms" "rtree_ms" "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.sp_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.xr_scale
-            r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms (sp_speedup r)
-            (if r.xr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"scan_ms\": %.3f, \
-             \"grid_ms\": %.3f, \"rtree_ms\": %.3f, \"speedup\": %.2f, \
-             \"probes\": %d, \"fallbacks\": %d, \"agree\": %b }%s\n"
-            r.xr_scale r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms
-            (sp_speedup r) r.xr_probes r.xr_fallbacks r.xr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_sp - 1 then "," else ""))
-    sp_workloads;
-  add "  ],\n";
-  (* persistent snapshots: cold materialisation vs Snapshot.load +
-     Bottom_up.import of the persisted model; "agree" asserts the loaded
-     fixpoint carries identical facts and pass counts *)
-  add "  \"snap_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-snap %s" w.bu_name);
-      row "  %8s %8s %10s %10s %10s %10s %8s  %s\n" "scale" "facts" "bytes"
-        "cold_ms" "save_ms" "warm_ms" "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = snap_measure w scale in
-          row "  %8d %8d %10d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.zr_scale
-            r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms r.zr_warm_ms
-            (snap_speedup r)
-            (if r.zr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"bytes\": %d, \
-             \"cold_ms\": %.3f, \"save_ms\": %.3f, \"warm_ms\": %.3f, \
-             \"speedup\": %.2f, \"agree\": %b }%s\n"
-            r.zr_scale r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms
-            r.zr_warm_ms (snap_speedup r) r.zr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n"
-        (if wi < List.length snap_workloads - 1 then "," else ""))
-    snap_workloads;
-  add "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
+  Printf.fprintf oc
+    "{\n\
+    \  \"schema\": \"gdprs-bench-engine/1\",\n\
+    \  \"bench\": \"gdprs engine series (EXPERIMENTS.md)\",\n\
+    \  \"mode\": %S,\n\
+    \  \"cores\": %d,\n\
+    \  \"ocaml_version\": %S,\n\
+     %s\n\
+     }\n"
+    (if small then "small" else "full")
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+    (String.concat ",\n" blocks);
   close_out oc;
   Printf.printf "\nwrote %s\n" out
 
@@ -1772,47 +1505,26 @@ let reports =
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
   ]
 
+(* everything a bare `bench/main.exe` runs, one name each *)
+let experiments =
+  reports
+  @ [ ("ablation", ablation); ("micro", micro) ]
+  @ List.map
+      (fun s -> (s.cli, fun () -> ignore (run_series (fun c -> c.console) s)))
+      engine_series
+
+let commands =
+  ("report", fun () -> List.iter (fun (_, f) -> f ()) reports) :: experiments
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) reports;
-      ablation ();
-      micro ();
-      engine_bu ();
-      engine_incr ();
-      engine_magic ();
-      engine_spatial ();
-      engine_snap ()
-  | [ "report" ] -> List.iter (fun (_, f) -> f ()) reports
-  | [ "micro" ] ->
-      micro ();
-      engine_bu ()
-  | [ "ablation" ] -> ablation ()
-  | [ "engine-bu" ] -> engine_bu ()
-  | [ "engine-incr" ] -> engine_incr ()
-  | [ "engine-magic" ] -> engine_magic ()
-  | [ "engine-spatial" ] -> engine_spatial ()
-  | [ "engine-snap" ] -> engine_snap ()
-  | [ "json" ] -> bench_json ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (_, f) -> f ()) experiments
+  | [ "json" ] -> bench_json ~small:false ()
   | [ "json"; "small" ] -> bench_json ~small:true ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name reports with
-          | Some f -> f ()
-          | None when name = "micro" -> micro ()
-          | None when name = "ablation" -> ablation ()
-          | None when name = "engine-bu" -> engine_bu ()
-          | None when name = "engine-incr" -> engine_incr ()
-          | None when name = "engine-magic" -> engine_magic ()
-          | None when name = "engine-spatial" -> engine_spatial ()
-          | None when name = "engine-snap" -> engine_snap ()
-          | None ->
-              Printf.eprintf
-                "unknown experiment %s (e1..e12, report, ablation, micro, \
-                 engine-bu, engine-incr, engine-magic, engine-spatial, \
-                 engine-snap, json [small])\n"
-                name;
-              exit 2)
-        names
+  | names -> (
+      match List.filter (fun n -> not (List.mem_assoc n commands)) names with
+      | [] -> List.iter (fun n -> (List.assoc n commands) ()) names
+      | unknown :: _ ->
+          Printf.eprintf "unknown experiment %s (%s, json [small])\n" unknown
+            (String.concat ", " (List.map fst commands));
+          exit 2)

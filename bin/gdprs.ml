@@ -146,6 +146,30 @@ let print_violation_proofs q n =
            Format.printf "why %a:@.%a@." Query.pp_violation v
              (Gdp_logic.Explain.pp ~pp_goal:Query.pp_reified_term) proof)
 
+let print_views q =
+  Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
+  Printf.printf "meta view:  {%s}\n" (String.concat ", " (Query.meta_view q))
+
+let print_materialised q =
+  let fp = Query.materialization q in
+  Printf.printf "materialised: %d facts, %d strata, %d passes\n"
+    (Gdp_logic.Bottom_up.count fp)
+    (Gdp_logic.Bottom_up.strata_count fp)
+    (Gdp_logic.Bottom_up.iterations fp)
+
+(* the consistency verdict shared by check and update; returns the exit
+   code *)
+let report_violations q explain_n =
+  match Query.violations q with
+  | [] ->
+      print_endline "consistent: no constraint violations";
+      0
+  | viols ->
+      Printf.printf "INCONSISTENT: %d violation(s)\n" (List.length viols);
+      List.iter (fun v -> Format.printf "  %a@." Query.pp_violation v) viols;
+      print_violation_proofs q explain_n;
+      1
+
 let enable_telemetry result =
   result.Gdp_lang.Elaborate.spec.Spec.telemetry <- true
 
@@ -187,27 +211,10 @@ let check_cmd =
         set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q = with_materialize (build_query result view models metas) materialize in
-        Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
-        Printf.printf "meta view:  {%s}\n" (String.concat ", " (Query.meta_view q));
+        print_views q;
         load_snapshot q snapshot;
-        if materialize then begin
-          let fp = Query.materialization q in
-          Printf.printf "materialised: %d facts, %d strata, %d passes\n"
-            (Gdp_logic.Bottom_up.count fp)
-            (Gdp_logic.Bottom_up.strata_count fp)
-            (Gdp_logic.Bottom_up.iterations fp)
-        end;
-        let code =
-          match Query.violations q with
-          | [] ->
-              print_endline "consistent: no constraint violations";
-              0
-          | viols ->
-              Printf.printf "INCONSISTENT: %d violation(s)\n" (List.length viols);
-              List.iter (fun v -> Format.printf "  %a@." Query.pp_violation v) viols;
-              print_violation_proofs q explain_n;
-              1
-        in
+        if materialize then print_materialised q;
+        let code = report_violations q explain_n in
         if stats then print_stats q;
         write_trace q trace_out;
         code)
@@ -236,13 +243,8 @@ let compile_cmd =
           Query.with_mode (build_query result view models metas)
             Query.Materialized
         in
-        Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
-        Printf.printf "meta view:  {%s}\n" (String.concat ", " (Query.meta_view q));
-        let fp = Query.materialization q in
-        Printf.printf "materialised: %d facts, %d strata, %d passes\n"
-          (Gdp_logic.Bottom_up.count fp)
-          (Gdp_logic.Bottom_up.strata_count fp)
-          (Gdp_logic.Bottom_up.iterations fp);
+        print_views q;
+        print_materialised q;
         let _bytes, facts = Query.save_snapshot q out in
         (Query.spec q).Spec.snapshot_path <- Some out;
         Printf.printf "wrote %s (%d facts)\n" out facts;
@@ -319,10 +321,7 @@ let update_cmd =
         let q =
           with_materialize (build_query result view models metas) materialize
         in
-        Printf.printf "world view: {%s}\n"
-          (String.concat ", " (Query.world_view q));
-        Printf.printf "meta view:  {%s}\n"
-          (String.concat ", " (Query.meta_view q));
+        print_views q;
         load_snapshot q snapshot;
         (* materialise before the script runs: the fixpoint (loaded or
            computed) is then repaired incrementally by each update, never
@@ -344,27 +343,8 @@ let update_cmd =
         | Some path ->
             let _bytes, facts = Query.save_snapshot q path in
             Printf.printf "snapshot: saved %d facts to %s\n" facts path);
-        if materialize then begin
-          let fp = Query.materialization q in
-          Printf.printf "materialised: %d facts, %d strata, %d passes\n"
-            (Gdp_logic.Bottom_up.count fp)
-            (Gdp_logic.Bottom_up.strata_count fp)
-            (Gdp_logic.Bottom_up.iterations fp)
-        end;
-        let code =
-          match Query.violations q with
-          | [] ->
-              print_endline "consistent: no constraint violations";
-              0
-          | viols ->
-              Printf.printf "INCONSISTENT: %d violation(s)\n"
-                (List.length viols);
-              List.iter
-                (fun v -> Format.printf "  %a@." Query.pp_violation v)
-                viols;
-              print_violation_proofs q explain_n;
-              1
-        in
+        if materialize then print_materialised q;
+        let code = report_violations q explain_n in
         if stats then print_stats q;
         write_trace q trace_out;
         code)

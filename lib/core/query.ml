@@ -34,14 +34,7 @@ let tracer_for ?tracer (spec : Spec.t) =
 
 let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
     (compiled : Compile.t) =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None ->
-        if compiled.Compile.spec.Spec.prefer_magic then Magic
-        else if compiled.Compile.spec.Spec.prefer_materialized then Materialized
-        else Top_down
-  in
+  let mode = Option.value mode ~default:Top_down in
   let tracer = tracer_for ?tracer compiled.Compile.spec in
   let solve_stats =
     if Gdp_obs.Tracer.enabled tracer then Some (Solve.create_stats ())

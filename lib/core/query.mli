@@ -42,9 +42,7 @@ val create :
     automatically when an active meta-model requires it. Defaults:
     [max_depth = 100_000], [on_depth = `Raise] (a blown budget surfaces as
     {!Gdp_logic.Solve.Depth_exhausted} rather than silent failure);
-    [mode] follows [spec.Spec.prefer_magic] then
-    [spec.Spec.prefer_materialized] (normally
-    {!Top_down}); [tracer] defaults to a fresh enabled tracer when
+    [mode = Top_down]; [tracer] defaults to a fresh enabled tracer when
     [spec.Spec.telemetry] is set and the disabled tracer otherwise. An
     enabled tracer also switches on {!Gdp_logic.Solve.stats} collection
     (see {!solve_stats}) and spans around compilation, each query

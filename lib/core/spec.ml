@@ -43,8 +43,6 @@ type t = {
   mutable models : model_def list;
   mutable meta_models : meta_model list;
   mutable extra_builtins : ((string * int) * Database.builtin) list;
-  mutable prefer_materialized : bool;
-  mutable prefer_magic : bool;
   mutable telemetry : bool;
   mutable jobs : int; (* ignored; kept only until the benchmark stops setting it *)
   mutable spatial_indexing : bool;
@@ -72,8 +70,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       models = [];
       meta_models = [];
       extra_builtins = [];
-      prefer_materialized = false;
-      prefer_magic = false;
       telemetry = false;
       jobs = 1;
       spatial_indexing = true;

@@ -73,16 +73,6 @@ type t = {
       (** application-specific computed predicates (e.g. the paper's depth
           interpolation function f, §VII-B), registered into every
           compiled database *)
-  mutable prefer_materialized : bool;
-      (** when true, {!Query.create} defaults to the bottom-up
-          materialised engine mode instead of top-down SLDNF — only
-          meaningful for specifications inside the stratified Datalog
-          fragment (see {!Query.materializable}) *)
-  mutable prefer_magic : bool;
-      (** when true, {!Query.create} defaults to the goal-directed
-          magic-set engine mode ({!Query.Magic}); takes precedence over
-          [prefer_materialized]. Same fragment restriction as
-          [prefer_materialized]. *)
   mutable telemetry : bool;
       (** when true, {!Query.create} attaches an enabled
           {!Gdp_obs.Tracer.t} to every query it builds (spans for

@@ -254,8 +254,11 @@ val strata_count : fixpoint -> int
 val stats : fixpoint -> stats
 (** Everything the fixpoint measured, cumulative over the initial run
     and every later {!apply}. Counter fields are deterministic for a
-    given database, options and update history; only
-    {!stratum_stats.st_ms} varies. *)
+    given database, options and update history, except
+    [bu_hcons_hits]/[bu_hcons_misses] (and with them {!hcons_hit_rate}):
+    those depend on what the process-wide weak {!Term.hcons} table still
+    holds, so they are deterministic only in a fresh process.
+    {!stratum_stats.st_ms} always varies. *)
 
 val incr_stats : fixpoint -> incr_stats
 (** The incremental-maintenance counters alone (same data as
@@ -382,7 +385,10 @@ val export : fixpoint -> snapshot_state
 (** Encode the fixpoint's current facts, asserted base, witnesses and
     cumulative counters. The result is deterministic — the same store
     always encodes to the same bytes, so exporting an import of an
-    export reproduces it — and later {!apply} calls do not alter it. *)
+    export reproduces it — and later {!apply} calls do not alter it.
+    The counters include the hash-consing hits and misses, so two
+    fixpoints of the same database in one process (see {!stats}) may
+    encode to byte counts that differ by a few bytes. *)
 
 val snapshot_facts : snapshot_state -> int
 (** Number of stored facts the snapshot carries (the saved fixpoint's

@@ -269,13 +269,10 @@ let test_materialized_mode () =
   | l -> Alcotest.failf "expected one violation, got %d" (List.length l));
   Alcotest.(check bool) "consistent agrees with top-down" (Query.consistent q)
     (Query.consistent qm);
-  (* a forall-using spec is not materializable, and Spec can set the default *)
-  (match Query.materializable (Query.create (roads_spec ())) with
+  (* a forall-using spec is not materializable *)
+  match Query.materializable (Query.create (roads_spec ())) with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "forall spec should not be materializable");
-  spec.Spec.prefer_materialized <- true;
-  Alcotest.(check bool) "prefer_materialized drives the default mode" true
-    (Query.mode (Query.create spec) = Query.Materialized)
+  | Ok () -> Alcotest.fail "forall spec should not be materializable"
 
 (* Raw goals in materialised mode are answered from the fixpoint: the
    same rows as top-down resolution, and not one SLDNF call. *)
