@@ -540,19 +540,6 @@ let ask q src =
         (Bottom_up.probe fp goal)
   | Top_down -> Solve.succeeds ~options:q.options (db q) goals
 
-let named_vars goals =
-  List.concat_map Term.vars goals
-  |> List.fold_left
-       (fun acc (v : Term.var) ->
-         if
-           String.length v.Term.name > 0
-           && v.Term.name.[0] <> '_'
-           && not (List.exists (fun (w : Term.var) -> w.Term.id = v.Term.id) acc)
-         then v :: acc
-         else acc)
-       []
-  |> List.rev
-
 let ask_all ?limit q src =
   op_span q "ask_all" @@ fun () ->
   let goals = Reader.goals src in
@@ -564,11 +551,11 @@ let ask_all ?limit q src =
       |> List.filter_map (fun fact -> Unify.unify Subst.empty goal fact)
       |> List.sort (fun a b ->
              Term.compare (Subst.apply a goal) (Subst.apply b goal))
-      |> List.map (fun s -> Subst.restrict (named_vars goals) s)
+      |> List.map (fun s -> Subst.restrict (Engine.named_vars goals) s)
       |> take limit
   | Top_down ->
       Solve.all ~options:q.options ?limit (db q) goals
-      |> List.map (fun s -> Subst.restrict (named_vars goals) s)
+      |> List.map (fun s -> Subst.restrict (Engine.named_vars goals) s)
 
 let pp_stats ppf q =
   Format.fprintf ppf "@[<v>engine: %s@,"

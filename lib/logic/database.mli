@@ -1,6 +1,6 @@
 (** Clause store of the engine: definite clauses grouped by predicate
-    (name/arity) with first-argument indexing, plus a registry of built-in
-    predicates implemented in OCaml. *)
+    (name/arity) with a composite argument index (see {!set_index_args}),
+    plus a registry of built-in predicates implemented in OCaml. *)
 
 type clause = { head : Term.t; body : Term.t list }
 (** [head :- body1, ..., bodyn]. A fact is a clause with an empty body. *)
@@ -63,9 +63,11 @@ val set_index_arg : t -> string * int -> int -> unit
 (** [set_index_arg db fa pos] is [set_index_args db fa [pos]]. *)
 
 val clauses : t -> Term.t -> clause list
-(** [clauses db goal] returns the candidate clauses for [goal], filtered by
-    first-argument index when the goal's first argument is bound. The goal
-    must have a functor. Clauses come back in assertion order and must be
+(** [clauses db goal] returns the candidate clauses for [goal]: the
+    bucket of the goal's first index component when that is bound
+    (otherwise every clause), less the clauses whose key clashes with the
+    goal's on any bound component of {!set_index_args}. The goal must
+    have a functor. Clauses come back in assertion order and must be
     freshly renamed (see {!rename_clause}) before resolution. *)
 
 val all_clauses : t -> (string * int) -> clause list

@@ -8,6 +8,10 @@ val create : unit -> Database.t
 val consult : Database.t -> string -> unit
 (** Assert the clauses of a program given in concrete syntax. *)
 
+val named_vars : Term.t list -> Term.var list
+(** The named variables of the goals (not [_]-prefixed), each once, in
+    order of first occurrence — the variables an answer reports. *)
+
 val ask : ?options:Solve.options -> Database.t -> string -> bool
 (** [ask db "p(X), q(X)"] — is the query provable? *)
 

@@ -1,28 +1,27 @@
-(** Proof-tree extraction: like {!Solve} but each answer carries the
-    derivation that produced it — the evidence a requirements analyst
-    reviews when validating a specification ("why is this fact
-    realised?").
+(** Proof trees: the derivation behind an answer — the evidence a
+    requirements analyst reviews when validating a specification ("why is
+    this fact realised?") — with its measures and renderings.
 
-    The prover mirrors {!Solve}'s search exactly (same clause order, same
-    builtins, same options), so a goal is provable here iff it is provable
-    there; only the bookkeeping differs. Negative subproofs record the
-    failed goal, not a refutation tree (negation as failure has none). *)
+    Top-down trees come from {!Solve.prove}, which is {!Solve}'s own
+    resolution loop with each answer paired with its derivation, so a
+    goal is provable here iff it is provable there and the search feeds
+    the same ports, counters and spans. {!Bottom_up.proof} rebuilds the
+    same type from a fixpoint's lineage. *)
 
-type proof =
-  | Fact of Term.t  (** matched a unit clause *)
+type proof = Solve.proof =
+  | Fact of Term.t
   | Rule of { goal : Term.t; premises : proof list }
-      (** matched a clause with a body *)
-  | Builtin of Term.t  (** satisfied by a built-in predicate *)
-  | Naf of Term.t  (** [\+ G] succeeded because [G] has no proof *)
+  | Builtin of Term.t
+  | Naf of Term.t
   | Branch of { goal : Term.t; taken : proof }
-      (** a disjunction or if-then-else, with the successful branch *)
 
 val prove :
   ?options:Solve.options ->
   Database.t ->
   Term.t list ->
   (Subst.t * proof list) Seq.t
-(** One proof list (one proof per conjunct) per answer, lazily. *)
+(** {!Solve.prove}: one proof list (one proof per conjunct) per answer,
+    lazily. *)
 
 val first :
   ?options:Solve.options -> Database.t -> Term.t list -> (Subst.t * proof list) option

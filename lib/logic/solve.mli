@@ -89,10 +89,25 @@ val default_options : options
 val solve : ?options:options -> Database.t -> Term.t list -> Subst.t Seq.t
 (** Lazy stream of answer substitutions for the conjunction of goals. *)
 
-val query :
-  ?options:options -> Database.t -> Term.t list -> (string * Term.t) list Seq.t
-(** Like {!solve} but each answer is projected onto the variables that
-    occur in the goals, fully applied — ready for display. *)
+(** The derivation behind an answer, re-exported as {!Explain.proof}.
+    Negative subproofs record the failed goal, not a refutation tree
+    (negation as failure has none). *)
+type proof =
+  | Fact of Term.t  (** matched a unit clause *)
+  | Rule of { goal : Term.t; premises : proof list }
+      (** matched a clause with a body, or proved both parts of a
+          [','/2] or ['->'/2] goal *)
+  | Builtin of Term.t  (** [true] or a built-in predicate *)
+  | Naf of Term.t  (** [\+ G] succeeded because [G] has no proof *)
+  | Branch of { goal : Term.t; taken : proof }
+      (** a disjunction or if-then-else, with the successful branch *)
+
+val prove :
+  ?options:options -> Database.t -> Term.t list -> (Subst.t * proof list) Seq.t
+(** {!solve} with each answer paired with one proof per goal. It is the
+    same search, not a copy of it: the same answers in the same order,
+    and the same ports, counters and spans under [trace], [stats] and
+    [tracer]. *)
 
 val succeeds : ?options:options -> Database.t -> Term.t list -> bool
 val first : ?options:options -> Database.t -> Term.t list -> Subst.t option

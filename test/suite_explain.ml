@@ -69,12 +69,26 @@ let test_agrees_with_solve () =
       |}
   in
   let opts = { Solve.default_options with loop_check = true } in
+  (* each answer as the goals it instantiates, in answer order *)
+  let instances goals s = List.map (fun g -> Term.to_string (Subst.apply s g)) goals in
   List.iter
     (fun goal ->
       let s = Solve.succeeds ~options:opts db (Reader.goals goal) in
       let e = Explain.first ~options:opts db (Reader.goals goal) <> None in
-      Alcotest.(check bool) goal s e)
-    [ "reach(a, c)"; "reach(a, z)"; "good(c)"; "good(a)"; "e(a, b), e(b, c)" ]
+      Alcotest.(check bool) goal s e;
+      let goals = Reader.goals goal in
+      Alcotest.(check (list (list string)))
+        (goal ^ ": same answers in the same order")
+        (List.map (instances goals) (Solve.all ~options:opts db goals))
+        (Explain.prove ~options:opts db goals
+        |> List.of_seq
+        |> List.map (fun (s, _) -> instances goals s)))
+    [
+      "reach(a, c)"; "reach(a, z)"; "good(c)"; "good(a)"; "e(a, b), e(b, c)";
+      "reach(a, X)"; "reach(X, Y)"; "e(X, Y), \\+ f(Y)";
+      "(e(X, c) ; f(X))"; "(f(X) -> e(X, Y) ; e(Y, X))"; "e(X, Y), X \\== Y";
+      "findall(Y, reach(a, Y), L)";
+    ]
 
 let test_multiple_proofs_enumerated () =
   let db = db_with "p(1). p(2). p(3)." in

@@ -128,12 +128,19 @@ let port_tag = function
 let pred_of t =
   match Term.functor_of t with Some (n, _) -> n | None -> "?"
 
-let trace_of db goal =
+(* Drain every answer of [goals] through the solver ([`Solve]) or the
+   proof-tree search ([`Prove]); both must report the same search. *)
+let drain engine options db goals =
+  match engine with
+  | `Solve -> Seq.iter Stdlib.ignore (Solve.solve ~options db goals)
+  | `Prove -> Seq.iter Stdlib.ignore (Explain.prove ~options db goals)
+
+let trace_of ?(engine = `Solve) db goal =
   let events = ref [] in
   let opts =
     { Solve.default_options with trace = Some (fun e -> events := e :: !events) }
   in
-  Stdlib.ignore (Solve.all ~options:opts db (Reader.goals goal));
+  drain engine opts db (Reader.goals goal);
   List.rev_map
     (fun e ->
       let tag, t = port_tag e in
@@ -145,29 +152,38 @@ let test_four_port_sequence () =
   Engine.consult db "p(1). p(2). q(2).";
   (* draining p(X), q(X): p yields 1 (q fails), backtrack, p yields 2
      (q succeeds), then both streams exhaust *)
-  Alcotest.(check (list string)) "box-model event order"
+  let expected =
     [
       "call p"; "exit p"; "call q"; "fail q"; "redo p"; "exit p"; "call q";
       "exit q"; "redo q"; "fail q"; "redo p"; "fail p";
     ]
-    (trace_of db "p(X), q(X)")
+  in
+  Alcotest.(check (list string)) "box-model event order" expected
+    (trace_of db "p(X), q(X)");
+  Alcotest.(check (list string)) "proof search reports the same events" expected
+    (trace_of ~engine:`Prove db "p(X), q(X)")
 
 let test_four_port_counters () =
   let db = Engine.create () in
   Engine.consult db "p(1). p(2). q(2).";
-  let stats = Solve.create_stats () in
-  let opts = { Solve.default_options with stats = Some stats } in
-  Stdlib.ignore (Solve.all ~options:opts db (Reader.goals "p(X), q(X)"));
-  let ports name =
-    let p = List.assoc (name, 1) (Solve.stats_ports stats) in
-    [ p.Solve.calls; p.Solve.exits; p.Solve.redos; p.Solve.fails ]
-  in
-  Alcotest.(check (list int)) "p ports" [ 1; 2; 2; 1 ] (ports "p");
-  Alcotest.(check (list int)) "q ports" [ 2; 1; 1; 2 ] (ports "q");
-  (* first-arg clause indexing: p(X) tries both p clauses, q(1) finds no
-     candidate in the q(2) bucket, q(2) tries one *)
-  Alcotest.(check int) "unification attempts" 3 stats.Solve.unifications;
-  Alcotest.(check int) "total calls" 3 (Solve.total_calls stats)
+  List.iter
+    (fun (engine, name) ->
+      let stats = Solve.create_stats () in
+      let opts = { Solve.default_options with stats = Some stats } in
+      drain engine opts db (Reader.goals "p(X), q(X)");
+      let ports pred =
+        match List.assoc_opt (pred, 1) (Solve.stats_ports stats) with
+        | Some p -> [ p.Solve.calls; p.Solve.exits; p.Solve.redos; p.Solve.fails ]
+        | None -> []
+      in
+      Alcotest.(check (list int)) (name ^ ": p ports") [ 1; 2; 2; 1 ] (ports "p");
+      Alcotest.(check (list int)) (name ^ ": q ports") [ 2; 1; 1; 2 ] (ports "q");
+      (* first-arg clause indexing: p(X) tries both p clauses, q(1) finds
+         no candidate in the q(2) bucket, q(2) tries one *)
+      Alcotest.(check int) (name ^ ": unification attempts") 3
+        stats.Solve.unifications;
+      Alcotest.(check int) (name ^ ": total calls") 3 (Solve.total_calls stats))
+    [ (`Solve, "solve"); (`Prove, "prove") ]
 
 let test_depth_payload () =
   let db = Engine.create () in
@@ -186,15 +202,20 @@ let test_spans_match_call_ports () =
     "parent(tom, bob). parent(tom, liz). parent(bob, ann).\n\
      ancestor(X, Y) :- parent(X, Y).\n\
      ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).";
-  let stats = Solve.create_stats () in
-  let tracer = Tracer.create () in
-  let opts = { Solve.default_options with stats = Some stats; tracer } in
-  Stdlib.ignore (Solve.all ~options:opts db (Reader.goals "ancestor(tom, X)"));
-  Tracer.finish tracer;
-  Alcotest.(check int) "one solve span per Call port"
-    (Solve.total_calls stats)
-    (Tracer.span_count ~cat:"solve" tracer);
-  Alcotest.(check bool) "calls recorded" true (Solve.total_calls stats > 0)
+  let calls engine =
+    let stats = Solve.create_stats () in
+    let tracer = Tracer.create () in
+    let opts = { Solve.default_options with stats = Some stats; tracer } in
+    drain engine opts db (Reader.goals "ancestor(tom, X)");
+    Tracer.finish tracer;
+    Alcotest.(check int) "one solve span per Call port"
+      (Solve.total_calls stats)
+      (Tracer.span_count ~cat:"solve" tracer);
+    Solve.total_calls stats
+  in
+  let solved = calls `Solve in
+  Alcotest.(check bool) "calls recorded" true (solved > 0);
+  Alcotest.(check int) "proof search makes the same calls" solved (calls `Prove)
 
 (* ---- fixpoint stats ---- *)
 
