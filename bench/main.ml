@@ -541,33 +541,7 @@ let e12 () =
 
 (* the design choices DESIGN.md calls out, measured head to head *)
 let ablation () =
-  section "ablation 1 — clause index key (DESIGN.md §4)";
-  let make_compiled n_roads =
-    let rng = W.Rng.create 55L in
-    let net = W.Roads.generate rng ~n_roads ~bridges_per_road:4 () in
-    let spec = standard_spec () in
-    W.Roads.add_to_spec net spec ();
-    W.Roads.add_status_rules spec ();
-    Query.create spec
-  in
-  row "  %8s %22s %22s %8s\n" "roads" "composite_index_ms" "model_keyed_ms" "speedup";
-  List.iter
-    (fun n_roads ->
-      let q = make_compiled n_roads in
-      let run () =
-        List.length (Query.solutions q (Gfact.make "open_road" ~objects:[ v "R" ]))
-      in
-      let composite_ms, n1 = time_ms run in
-      (* degrade to the naive encoding: key on the model atom (argument 0),
-         which is identical for every fact *)
-      Gdp_logic.Database.set_index_args (Query.db q) ("holds", 6) [ 0 ];
-      let naive_ms, n2 = time_ms run in
-      row "  %8d %22.2f %22.2f %7.1fx %s\n" n_roads composite_ms naive_ms
-        (naive_ms /. Float.max 0.01 composite_ms)
-        (if n1 = n2 then "" else "(DISAGREE)"))
-    [ 40; 160 ];
-
-  section "ablation 2 — ancestor loop check overhead";
+  section "ablation 1 — ancestor loop check overhead";
   let spec = standard_spec () in
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r1" 4.0);
   Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"r2" 1.0);
@@ -597,7 +571,7 @@ let ablation () =
   row "  %-42s %10.2f ms / 50 queries\n" "down rules only (no loop check needed)" down_ms;
   row "  %-42s %10.2f ms / 50 queries\n" "up+down rules (ancestor check active)" updown_ms;
 
-  section "ablation 3 — fuzzy connective family (§VII-A)";
+  section "ablation 2 — fuzzy connective family (§VII-A)";
   row "  same depth-8 rule chain under each family:\n";
   List.iter
     (fun family ->

@@ -183,11 +183,6 @@ let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
       meta_view
   in
   let db = Engine.create () in
-  (* every GDP fact shares the model atom in argument 0; the predicate
-     name (argument 1) and the first object designator (argument 3) are
-     what discriminate, so key the clause index there *)
-  Database.set_index_args db (Names.holds, 6) [ 1; 3 ];
-  Database.set_index_args db (Names.acc, 7) [ 1; 3 ];
   Gdp_builtins.install spec db;
   List.iter
     (fun ((name, arity), fn) -> Database.register_builtin db (name, arity) fn)

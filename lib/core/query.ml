@@ -37,7 +37,8 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
   let mode = Option.value mode ~default:Top_down in
   let tracer = tracer_for ?tracer compiled.Compile.spec in
   let solve_stats =
-    if Gdp_obs.Tracer.enabled tracer then Some (Solve.create_stats ())
+    if Gdp_obs.Tracer.enabled tracer then
+      Some (Solve.create_stats ~refine:Compile.datalog_refine ())
     else None
   in
   {
@@ -569,13 +570,15 @@ let pp_stats ppf q =
       (match Solve.stats_ports s with
       | [] -> ()
       | ports ->
-          Format.fprintf ppf "%-24s %8s %8s %8s %8s@," "predicate" "call"
-            "exit" "redo" "fail";
+          let w =
+            List.fold_left (fun w (row, _) -> max w (String.length row)) 24 ports
+          in
+          Format.fprintf ppf "%-*s %8s %8s %8s %8s %8s@," w "predicate" "call"
+            "exit" "redo" "fail" "unify";
           List.iter
-            (fun ((name, arity), (pc : Solve.port_counts)) ->
-              Format.fprintf ppf "%-24s %8d %8d %8d %8d@,"
-                (Printf.sprintf "%s/%d" name arity)
-                pc.Solve.calls pc.Solve.exits pc.Solve.redos pc.Solve.fails)
+            (fun (row, (pc : Solve.port_counts)) ->
+              Format.fprintf ppf "%-*s %8d %8d %8d %8d %8d@," w row pc.Solve.calls
+                pc.Solve.exits pc.Solve.redos pc.Solve.fails pc.Solve.unifications)
             ports);
       Format.fprintf ppf
         "unifications: %d  loop prunes: %d  deepest call: %d@,"

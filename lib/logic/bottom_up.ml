@@ -1,9 +1,4 @@
-module Term_tbl = Hashtbl.Make (struct
-  type t = Term.t
-
-  let equal = Term.equal
-  let hash = Term.hash
-end)
+module Term_tbl = Path_key.Tbl
 
 module Sx = Gdp_space.Spatial_index
 
@@ -61,29 +56,8 @@ module Relation = struct
 
   let elements r = Array.to_list (Array.sub r.arr 0 r.n)
 
-  exception Absent
-
-  (* The probe key packs the subterms at [paths] into one compound so
-     {!Term.hash}/{!Term.equal} do all the work. [None] when [t] lacks
-     one of the paths: such a fact cannot unify with an atom whose key
-     reaches there, so no index holds it. *)
-  let key_at paths t =
-    let rec at t = function
-      | [] -> t
-      | i :: path -> (
-          match t with
-          | Term.App (_, args) -> (
-              match List.nth_opt args i with
-              | Some a -> at a path
-              | None -> raise_notrace Absent)
-          | _ -> raise_notrace Absent)
-    in
-    match List.map (at t) paths with
-    | ks -> Some (Term.App ("$key", ks))
-    | exception Absent -> None
-
   let index_insert idx paths fact =
-    match key_at paths fact with
+    match Path_key.key_at paths fact with
     | None -> ()
     | Some k ->
         Term_tbl.replace idx k
@@ -215,7 +189,7 @@ module Relation = struct
           let filtered = Term_tbl.create 16 in
           List.iter
             (fun (_, stored) ->
-              match key_at paths stored with
+              match Path_key.key_at paths stored with
               | Some k when not (Term_tbl.mem filtered k) -> (
                   Term_tbl.replace filtered k ();
                   match Term_tbl.find_opt idx k with
@@ -245,7 +219,7 @@ module Relation = struct
      equality, so the bucket holds exactly the unification candidates
      for those subterms. *)
   let probe r paths g =
-    match key_at paths g with
+    match Path_key.key_at paths g with
     | None -> []
     | Some k -> Option.value ~default:[] (Term_tbl.find_opt (index r paths) k)
 end
@@ -294,27 +268,6 @@ type witness = { w_rule : int; w_steps : wstep list }
    only unsafe function-symbol recursion can reach them. *)
 let max_iterations = 10_000
 let max_facts = 1_000_000
-
-(* Paths to the ground subterms of a partially bound atom a probe can
-   key on, in term order. [~fine:false] gives the ground top-level
-   arguments. [~fine:true] also walks down into partially ground
-   compound arguments and gives every maximal ground subterm: for
-   [p(k, cons(X, cons(a, nil)))] that is [[0]; [1; 1]], reaching the
-   ground tail inside the list argument. *)
-let ground_paths ~fine g =
-  let rec args rev_path i = function
-    | [] -> []
-    | a :: rest ->
-        let here =
-          if Term.is_ground a then [ List.rev (i :: rev_path) ]
-          else
-            match a with
-            | Term.App (_, sub) when fine -> args (i :: rev_path) 0 sub
-            | _ -> []
-        in
-        here @ args rev_path (i + 1) rest
-  in
-  match g with Term.App (_, a) -> args [] 0 a | _ -> []
 
 (* Whether [subst] binds a variable of [t]. *)
 let rec binds subst = function
@@ -692,7 +645,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
      the reverse of the scan's order. *)
   let hash_join r atom g subst each =
     let paths =
-      if fp.indexing then ground_paths ~fine:(binds subst atom) g else []
+      if fp.indexing then Path_key.ground_paths ~fine:(binds subst atom) g else []
     in
     if List.exists (function [ _ ] -> true | _ -> false) paths then begin
       ctr.c_probes <- ctr.c_probes + 1;
@@ -1163,7 +1116,7 @@ let probe fp goal =
   let candidates r =
     if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
     else
-      match ground_paths ~fine:false goal with
+      match Path_key.ground_paths ~fine:false goal with
       | [] -> Relation.elements r
       | paths -> Relation.probe r paths goal
   in

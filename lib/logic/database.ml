@@ -1,30 +1,29 @@
 type clause = { head : Term.t; body : Term.t list }
 
-(* First-argument index key: the principal functor (or constant) of a
-   clause-head's first argument. [Any] marks heads whose first argument is a
-   variable — such clauses match every goal. *)
-type key =
-  | Any
-  | Katom of string
-  | Kint of int
-  | Kfloat of float
-  | Kstr of string
-  | Kapp of string * int
-
-type indexed = { clause : clause; keys : key list; seq : int }
+type entry = { clause : clause; seq : int }
 (* [seq] orders clauses: larger = asserted later (assertz); asserta uses
    decreasing negative sequence numbers so it sorts before everything. *)
 
+(* A predicate's clauses are indexed by a trie over subterm paths
+   (DESIGN.md §6), built as goals walk it. A node holds the entries that
+   agree with the goal on every path walked to reach it, and a branch on
+   a further path splits them by their subterm there: a ground subterm
+   keys a child, a variable on, above or below the path puts the entry
+   in the wild child that every key also reaches, and an entry lacking
+   the path cannot unify with a goal that has it and is left out. Every
+   list is newest first, i.e. descending seq. *)
+type node = {
+  mutable entries : entry list;
+  mutable branches : (int list * branch) list;  (* built on first use *)
+}
+
+and branch = { keyed : node Path_key.Tbl.t; wild : node }
+
 type pred = {
-  mutable entries : indexed list; (* newest first, i.e. descending seq *)
+  root : node;  (* every entry *)
   mutable count : int;
   mutable next_seq : int;
   mutable min_seq : int;
-  mutable index_positions : int list;
-      (* 0-based argument positions forming the composite index key *)
-  buckets : (key, indexed list ref) Hashtbl.t;
-      (* first key component -> entries (descending seq); variable-keyed
-         clauses live under [Any] and are merged into every lookup *)
 }
 
 module Sm = Map.Make (struct
@@ -45,53 +44,14 @@ and builtin = ctx -> Subst.t -> Term.t list -> Subst.t Seq.t
 
 let create () = { preds = Sm.empty; builtins = Sm.empty }
 
+let leaf entries = { entries; branches = [] }
+
+(* the copy rebuilds its trie on demand *)
 let copy db =
   {
-    preds =
-      Sm.map
-        (fun p ->
-          {
-            entries = p.entries;
-            count = p.count;
-            next_seq = p.next_seq;
-            min_seq = p.min_seq;
-            index_positions = p.index_positions;
-            buckets =
-              (let tbl = Hashtbl.create (Hashtbl.length p.buckets) in
-               Hashtbl.iter (fun k l -> Hashtbl.add tbl k (ref !l)) p.buckets;
-               tbl);
-          })
-        db.preds;
-    builtins = db.builtins;
+    db with
+    preds = Sm.map (fun p -> { p with root = leaf p.root.entries }) db.preds;
   }
-
-let key_of_term (t : Term.t) =
-  match t with
-  | Term.Var _ -> Any
-  | Term.Atom s -> Katom s
-  | Term.Int n -> Kint n
-  | Term.Float f -> Kfloat f
-  | Term.Str s -> Kstr s
-  | Term.App (f, args) -> Kapp (f, List.length args)
-
-(* A key component taken from a list-valued argument discriminates by the
-   list's first element: the GDP encoding stores object designators in a
-   list, and queries are most often keyed by the first object. *)
-let component_key (t : Term.t) =
-  match t with
-  | Term.App ("cons", [ h; _ ]) -> key_of_term h
-  | _ -> key_of_term t
-
-let keys_of_head ~index_positions (h : Term.t) =
-  match h with
-  | Term.App (_, args) ->
-      List.map
-        (fun pos ->
-          match List.nth_opt args pos with
-          | Some t -> component_key t
-          | None -> Any)
-        index_positions
-  | _ -> List.map (fun _ -> Any) index_positions
 
 let head_functor c =
   match Term.functor_of c.head with
@@ -107,98 +67,71 @@ let get_pred db fa =
   match Sm.find_opt fa db.preds with
   | Some p -> p
   | None ->
-      let p =
-        {
-          entries = [];
-          count = 0;
-          next_seq = 0;
-          min_seq = -1;
-          index_positions = [ 0 ];
-          buckets = Hashtbl.create 16;
-        }
-      in
+      let p = { root = leaf []; count = 0; next_seq = 0; min_seq = -1 } in
       db.preds <- Sm.add fa p db.preds;
       p
 
-let first_key e = match e.keys with k :: _ -> k | [] -> Any
+(* Map the entry list of every built node that holds [e] through
+   [update]: [node] itself, and down each branch the child that [e]'s
+   subterm at the branch's path selects. *)
+let rec update_node update e node =
+  node.entries <- update node.entries;
+  List.iter (fun (path, br) -> update_branch update e path br) node.branches
 
-let bucket_of p k =
-  match Hashtbl.find_opt p.buckets k with
-  | Some l -> l
+and update_branch update e path br =
+  match Path_key.subterm_at path e.clause.head with
+  | None -> ()
+  | Some k when Term.is_ground k ->
+      let child =
+        match Path_key.Tbl.find_opt br.keyed k with
+        | Some child -> child
+        | None ->
+            let child = leaf [] in
+            Path_key.Tbl.add br.keyed k child;
+            child
+      in
+      update_node update e child;
+      if child.entries = [] then Path_key.Tbl.remove br.keyed k
+  | Some _ -> update_node update e br.wild
+
+(* Built from the node's entries oldest first, so prepending leaves every
+   child descending. A child that got every entry shares the node's list:
+   a path that does not discriminate costs no copy. *)
+let branch node path =
+  match List.assoc_opt path node.branches with
+  | Some br -> br
   | None ->
-      let l = ref [] in
-      Hashtbl.add p.buckets k l;
-      l
+      let br = { keyed = Path_key.Tbl.create 16; wild = leaf [] } in
+      List.iter
+        (fun e -> update_branch (List.cons e) e path br)
+        (List.rev node.entries);
+      let share child =
+        if List.compare_lengths child.entries node.entries = 0 then
+          child.entries <- node.entries
+      in
+      Path_key.Tbl.iter (fun _ child -> share child) br.keyed;
+      share br.wild;
+      node.branches <- (path, br) :: node.branches;
+      br
 
-let bucket_insert p e =
-  let l = bucket_of p (first_key e) in
-  (* keep descending seq; inserts are at an extreme end *)
-  match !l with
-  | top :: _ when e.seq < top.seq ->
-      (* asserta case: append at the oldest end *)
-      l := !l @ [ e ]
-  | _ -> l := e :: !l
-
-let bucket_remove p e =
-  let l = bucket_of p (first_key e) in
-  l := List.filter (fun x -> x.seq <> e.seq) !l
-
-let rebuild_buckets p =
-  Hashtbl.reset p.buckets;
-  List.iter
-    (fun e ->
-      let l = bucket_of p (first_key e) in
-      l := !l @ [ e ])
-    p.entries
-
-let set_index_args db fa positions =
-  if positions = [] then invalid_arg "Database.set_index_args: empty position list";
-  List.iter
-    (fun pos ->
-      if pos < 0 || pos >= snd fa then
-        invalid_arg "Database.set_index_args: position outside the predicate's arity")
-    positions;
-  let p = get_pred db fa in
-  p.index_positions <- positions;
-  p.entries <-
-    List.map
-      (fun e -> { e with keys = keys_of_head ~index_positions:positions e.clause.head })
-      p.entries;
-  rebuild_buckets p
-
-let set_index_arg db fa pos = set_index_args db fa [ pos ]
+(* [e] is the newest entry (assertz) or the oldest (asserta) *)
+let insert p e ~newest =
+  update_node (fun l -> if newest then e :: l else l @ [ e ]) e p.root;
+  p.count <- p.count + 1
 
 let assertz db c =
   let fa = head_functor c in
   check_not_builtin db fa;
   let p = get_pred db fa in
-  let e =
-    {
-      clause = c;
-      keys = keys_of_head ~index_positions:p.index_positions c.head;
-      seq = p.next_seq;
-    }
-  in
-  p.next_seq <- p.next_seq + 1;
-  p.entries <- e :: p.entries;
-  bucket_insert p e;
-  p.count <- p.count + 1
+  insert p { clause = c; seq = p.next_seq } ~newest:true;
+  p.next_seq <- p.next_seq + 1
 
 let asserta db c =
   let fa = head_functor c in
   check_not_builtin db fa;
   let p = get_pred db fa in
-  let e =
-    {
-      clause = c;
-      keys = keys_of_head ~index_positions:p.index_positions c.head;
-      seq = p.min_seq;
-    }
-  in
-  p.min_seq <- p.min_seq - 1;
-  p.entries <- p.entries @ [ e ];
-  bucket_insert p e;
-  p.count <- p.count + 1
+  insert p { clause = c; seq = p.min_seq } ~newest:false;
+  p.min_seq <- p.min_seq - 1
 
 (* Structural equality of clauses up to consistent variable renaming. *)
 let variant_clause c1 c2 =
@@ -244,11 +177,12 @@ let retract db c =
             in
             scan (e :: acc) found rest
       in
-      match scan [] None p.entries with
+      match scan [] None p.root.entries with
       | None -> false
       | Some (e, rev_prefix, rest) ->
-          bucket_remove p e;
-          p.entries <- List.rev_append rev_prefix rest;
+          let drop = List.filter (fun x -> x.seq <> e.seq) in
+          List.iter (fun (path, br) -> update_branch drop e path br) p.root.branches;
+          p.root.entries <- List.rev_append rev_prefix rest;
           p.count <- p.count - 1;
           true)
 
@@ -266,17 +200,7 @@ let has_fact db h =
           List.exists
             (fun e ->
               e.clause.body = [] && variant_clause e.clause { head = h; body = [] })
-            p.entries)
-
-let compatible gk ck =
-  match (gk, ck) with
-  | Any, _ | _, Any -> true
-  | Katom a, Katom b -> String.equal a b
-  | Kint a, Kint b -> a = b
-  | Kfloat a, Kfloat b -> a = b
-  | Kstr a, Kstr b -> String.equal a b
-  | Kapp (f, n), Kapp (g, m) -> String.equal f g && n = m
-  | (Katom _ | Kint _ | Kfloat _ | Kstr _ | Kapp _), _ -> false
+            p.root.entries)
 
 (* merge two descending-seq entry lists into one descending-seq list;
    tail-recursive so a large bucket cannot overflow the stack *)
@@ -289,40 +213,36 @@ let merge_desc a b =
   in
   go [] a b
 
+(* The entries under [node] that agree with [goal] on [paths]: the keyed
+   child's and the wild child's, merged. *)
+let rec lookup goal node paths =
+  match (node.entries, paths) with
+  | [], _ | _, [] -> node.entries
+  | _, path :: paths ->
+      let br = branch node path in
+      let k = Option.get (Path_key.subterm_at path goal) in
+      let keyed =
+        match Path_key.Tbl.find_opt br.keyed k with
+        | Some child -> lookup goal child paths
+        | None -> []
+      in
+      merge_desc keyed (lookup goal br.wild paths)
+
 let clauses db goal =
   match Term.functor_of goal with
   | None -> invalid_arg "Database.clauses: goal has no functor"
   | Some fa -> (
       match Sm.find_opt fa db.preds with
-      | None -> []
+      | None -> Seq.empty
       | Some p ->
-          let gks = keys_of_head ~index_positions:p.index_positions goal in
-          let candidates =
-            match gks with
-            | (Katom _ | Kint _ | Kfloat _ | Kstr _ | Kapp _) as gk :: _ ->
-                (* keyed lookup: the matching bucket plus the variable-keyed
-                   clauses, merged back into assertion order *)
-                let keyed =
-                  match Hashtbl.find_opt p.buckets gk with
-                  | Some l -> !l
-                  | None -> []
-                and anys =
-                  match Hashtbl.find_opt p.buckets Any with
-                  | Some l -> !l
-                  | None -> []
-                in
-                merge_desc keyed anys
-            | _ -> p.entries
-          in
-          List.fold_left
-            (fun acc e ->
-              if List.for_all2 compatible gks e.keys then e.clause :: acc else acc)
-            [] candidates)
+          lookup goal p.root (Path_key.ground_paths ~fine:true goal)
+          |> List.rev_map (fun e -> e.clause)
+          |> List.to_seq)
 
 let all_clauses db fa =
   match Sm.find_opt fa db.preds with
   | None -> []
-  | Some p -> List.rev_map (fun e -> e.clause) p.entries
+  | Some p -> List.rev_map (fun e -> e.clause) p.root.entries
 
 let predicates db = Sm.bindings db.preds |> List.map fst
 
@@ -363,5 +283,7 @@ let pp ppf db =
   Sm.iter
     (fun (name, arity) p ->
       Format.fprintf ppf "%% %s/%d@." name arity;
-      List.iter (fun e -> Format.fprintf ppf "%a@." pp_clause e.clause) (List.rev p.entries))
+      List.iter
+        (fun e -> Format.fprintf ppf "%a@." pp_clause e.clause)
+        (List.rev p.root.entries))
     db.preds

@@ -1,6 +1,10 @@
 (** Clause store of the engine: definite clauses grouped by predicate
-    (name/arity) with a composite argument index (see {!set_index_args}),
-    plus a registry of built-in predicates implemented in OCaml. *)
+    (name/arity), plus a registry of built-in predicates implemented in
+    OCaml. Clause lookup is indexed on demand by the call's access
+    pattern: each predicate's clauses sit in a trie over subterm paths
+    ({!Path_key}) whose branches are built by the first goal that binds
+    their path, and asserts and retracts keep every built branch
+    current (DESIGN.md §6). *)
 
 type clause = { head : Term.t; body : Term.t list }
 (** [head :- body1, ..., bodyn]. A fact is a clause with an empty body. *)
@@ -48,27 +52,18 @@ val has_fact : t -> Term.t -> bool
     ground) term is stored. Lets update paths keep the clause store
     duplicate-free so assert/retract stay symmetric. *)
 
-val set_index_args : t -> string * int -> int list -> unit
-(** [set_index_args db (name, arity) positions] selects the argument
-    positions (0-based) forming the predicate's composite clause-index
-    key; existing clauses are re-keyed. The default is [[0]] (classic
-    first-argument indexing). A component taken from a list-valued
-    argument discriminates by the list's {e first element} — the GDP
-    compiler indexes [holds/6] and [acc/7] on the predicate-name argument
-    and the first object designator (positions [[1; 3]], DESIGN.md §4).
-    Raises [Invalid_argument] on an empty list or a position outside the
-    arity. *)
-
-val set_index_arg : t -> string * int -> int -> unit
-(** [set_index_arg db fa pos] is [set_index_args db fa [pos]]. *)
-
-val clauses : t -> Term.t -> clause list
-(** [clauses db goal] returns the candidate clauses for [goal]: the
-    bucket of the goal's first index component when that is bound
-    (otherwise every clause), less the clauses whose key clashes with the
-    goal's on any bound component of {!set_index_args}. The goal must
-    have a functor. Clauses come back in assertion order and must be
-    freshly renamed (see {!rename_clause}) before resolution. *)
+val clauses : t -> Term.t -> clause Seq.t
+(** [clauses db goal] returns the candidate clauses for [goal], in
+    assertion order: every clause that can unify with it, and few that
+    cannot. The goal's ground subterm paths
+    ([Path_key.ground_paths ~fine:true]) select them: a clause is a
+    candidate when its head has, at each of those paths, either the
+    goal's subterm or a subterm with a variable in it, or a variable
+    above the path. A goal with no ground path gets every clause. The goal must have a functor. The sequence
+    reads lists captured at call time, so asserts and retracts made while
+    it is consumed do not change it (Prolog's logical update view).
+    Clauses must be freshly renamed (see {!rename_clause}) before
+    resolution. *)
 
 val all_clauses : t -> (string * int) -> clause list
 (** Every clause of a predicate, unfiltered, in assertion order. *)

@@ -9,37 +9,45 @@ type port_counts = {
   mutable exits : int;
   mutable redos : int;
   mutable fails : int;
+  mutable unifications : int;
 }
 
 type stats = {
-  per_pred : (string * int, port_counts) Hashtbl.t;
+  refine : Datalog.refine;
+  per_pred : (Datalog.Rel.t, port_counts) Hashtbl.t;
   mutable unifications : int;
   mutable loop_prunes : int;
   mutable deepest_call : int;
 }
 
-let create_stats () =
+let create_stats ?(refine = fun _ -> None) () =
   {
+    refine;
     per_pred = Hashtbl.create 32;
     unifications = 0;
     loop_prunes = 0;
     deepest_call = 0;
   }
 
-let port_counts stats fa =
-  match Hashtbl.find_opt stats.per_pred fa with
+(* The row of a call to [fa]: the relation of its goal, unrefined when
+   the goal has no constant at the refining argument. *)
+let port_counts stats (name, arity) goal =
+  let rel =
+    match Datalog.resolve_rel stats.refine goal with
+    | Ok rel -> rel
+    | Error _ -> { Datalog.Rel.name; arity; sub = None }
+  in
+  match Hashtbl.find_opt stats.per_pred rel with
   | Some pc -> pc
   | None ->
-      let pc = { calls = 0; exits = 0; redos = 0; fails = 0 } in
-      Hashtbl.add stats.per_pred fa pc;
+      let pc = { calls = 0; exits = 0; redos = 0; fails = 0; unifications = 0 } in
+      Hashtbl.add stats.per_pred rel pc;
       pc
 
 let stats_ports stats =
-  Hashtbl.fold
-    (fun (name, arity) pc acc -> ((name, arity), pc) :: acc)
-    stats.per_pred []
-  |> List.sort (fun ((a, m), _) ((b, n), _) ->
-         match String.compare a b with 0 -> Int.compare m n | c -> c)
+  Hashtbl.fold (fun rel pc acc -> (rel, pc) :: acc) stats.per_pred []
+  |> List.sort (fun (a, _) (b, _) -> Datalog.Rel.compare a b)
+  |> List.map (fun (rel, pc) -> (Datalog.Rel.to_string rel, pc))
 
 let total_calls stats =
   Hashtbl.fold (fun _ pc acc -> acc + pc.calls) stats.per_pred 0
@@ -200,8 +208,9 @@ and solve_goals :
    instantiated by the head unification still benefit from keyed lookup. *)
 and expand :
       'a 'b.
-      ('a, 'b) answers -> state -> int -> Subst.t -> Term.t -> Term.t -> 'a Seq.t =
- fun h st depth subst goal applied ->
+      ('a, 'b) answers -> state -> port_counts option -> int -> Subst.t ->
+      Term.t -> Term.t -> 'a Seq.t =
+ fun h st pc depth subst goal applied ->
   let st' =
     if st.opts.loop_check then { st with ancestors = applied :: st.ancestors }
     else st
@@ -210,14 +219,16 @@ and expand :
   let finish = h.clause goal in
   let try_clause clause =
     let { Database.head; body } = Database.rename_clause clause in
-    (match st.opts.stats with
-    | Some s -> s.unifications <- s.unifications + 1
-    | None -> ());
+    (match (st.opts.stats, pc) with
+    | Some s, Some pc ->
+        s.unifications <- s.unifications + 1;
+        pc.unifications <- pc.unifications + 1
+    | _ -> ());
     match Unify.unify ~occurs_check:st.opts.occurs_check subst goal head with
     | None -> Seq.empty
     | Some subst' -> solve_goals h st' (depth - 1) finish (h.empty subst') subst' body
   in
-  Seq.concat_map try_clause (List.to_seq candidates)
+  Seq.concat_map try_clause candidates
 
 and solve_user_plain :
       'a 'b. ('a, 'b) answers -> state -> int -> Subst.t -> Term.t -> 'a Seq.t =
@@ -237,7 +248,7 @@ and solve_user_plain :
          exact equality would never prune a non-ground loop *)
       && List.exists (Term.variant applied) st.ancestors
     then Seq.empty
-    else expand h st depth subst goal applied
+    else expand h st None depth subst goal applied
 
 (* Full four-port box model. One Call port per user-predicate goal, one
    tracer span opened alongside it; the span closes at the Fail port (or,
@@ -257,7 +268,7 @@ and solve_user_observed :
     | None -> None
     | Some s ->
         if cd > s.deepest_call then s.deepest_call <- cd;
-        let pc = port_counts s fa in
+        let pc = port_counts s fa applied in
         pc.calls <- pc.calls + 1;
         Some pc
   in
@@ -288,7 +299,7 @@ and solve_user_observed :
     Seq.empty
   end
   else begin
-    let results = expand h st depth subst goal applied in
+    let results = expand h st pc depth subst goal applied in
     (* Exit on each solution, Redo when the stream is re-entered for the
        next one, Fail exactly once when it is exhausted. *)
     let fail_emitted = ref false in

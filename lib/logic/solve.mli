@@ -28,25 +28,34 @@ type port_counts = {
   mutable exits : int;
   mutable redos : int;
   mutable fails : int;
+  mutable unifications : int;
+      (** head-unification attempts made for the row's calls *)
 }
 
 type stats = {
-  per_pred : (string * int, port_counts) Hashtbl.t;
-      (** keyed by (name, arity) *)
+  refine : Datalog.refine;  (** splits rows, see {!create_stats} *)
+  per_pred : (Datalog.Rel.t, port_counts) Hashtbl.t;
+      (** one row per relation called *)
   mutable unifications : int;
-      (** head-unification attempts (clause resolutions tried) *)
+      (** head-unification attempts (clause resolutions tried); the sum
+          of the rows' *)
   mutable loop_prunes : int;
       (** goals failed by the ancestor loop check *)
   mutable deepest_call : int;  (** maximum call depth reached *)
 }
 
-val create_stats : unit -> stats
+val create_stats : ?refine:Datalog.refine -> unit -> stats
+(** Empty counters, with one row per {!Datalog.Rel.t} a call's goal
+    belongs to under [refine] (default: none, one row per predicate). A
+    goal without a constant at its refining argument counts under the
+    unrefined predicate. The GDP compiler's refinement splits [holds/6]
+    and [acc/7] by user predicate, so [holds/6[capital_of]] is a row. *)
 
-val stats_ports : stats -> ((string * int) * port_counts) list
-(** Per-predicate port counters sorted by (name, arity). *)
+val stats_ports : stats -> (string * port_counts) list
+(** The rows sorted by relation, each named by {!Datalog.Rel.to_string}. *)
 
 val total_calls : stats -> int
-(** Sum of the per-predicate call counters — equals the number of
+(** Sum of the per-row call counters — equals the number of
     ["solve"]-category tracer spans when a tracer is attached. *)
 
 type options = {

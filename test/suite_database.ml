@@ -28,7 +28,7 @@ let test_first_arg_indexing () =
   Database.assertz db (clause "p(a, 1).");
   Database.assertz db (clause "p(b, 2).");
   Database.assertz db (clause "p(X, 3).");
-  let candidates goal = List.length (Database.clauses db (Reader.term goal)) in
+  let candidates goal = Seq.length (Database.clauses db (Reader.term goal)) in
   Alcotest.(check int) "keyed lookup filters" 2 (candidates "p(a, Z)");
   Alcotest.(check int) "unbound first arg keeps all" 3 (candidates "p(W, Z)");
   Alcotest.(check int) "no match only var clause" 1 (candidates "p(zz, Z)")
@@ -37,8 +37,14 @@ let test_index_compound_key () =
   let db = Database.create () in
   Database.assertz db (clause "q(f(1), one).");
   Database.assertz db (clause "q(g(1), gee).");
-  Alcotest.(check int) "compound key filters by functor" 1
-    (List.length (Database.clauses db (Reader.term "q(f(9), R)")))
+  let candidates goal = Seq.length (Database.clauses db (Reader.term goal)) in
+  Alcotest.(check int) "a ground compound keys on the whole subterm" 0
+    (candidates "q(f(9), R)");
+  Alcotest.(check int) "the matching compound finds its clause" 1
+    (candidates "q(f(1), R)");
+  Alcotest.(check int) "a ground argument inside a compound keys too" 1
+    (candidates "q(g(X), gee)");
+  Alcotest.(check int) "no ground subterm keeps all" 2 (candidates "q(f(X), R)")
 
 let test_retract () =
   let db = Database.create () in
@@ -123,6 +129,134 @@ let test_size_predicates () =
   Alcotest.(check (list (pair string int)))
     "predicates sorted" [ ("p", 1); ("q", 2) ] (Database.predicates db)
 
+(* Logical update view: a lookup's candidates are fixed when it is made,
+   whatever is asserted or retracted while they are consumed. *)
+let test_logical_update_view () =
+  let db = Database.create () in
+  List.iter
+    (fun c -> Database.assertz db (clause c))
+    [ "r(a, 1)."; "r(a, 2)."; "r(b, 3)." ];
+  let head c = Term.to_string c.Database.head in
+  let heads seq = List.map head (List.of_seq seq) in
+  let lookup () = Database.clauses db (Reader.term "r(a, X)") in
+  match lookup () () with
+  | Seq.Nil -> Alcotest.fail "r(a, X) has candidates"
+  | Seq.Cons (first, rest) ->
+      Alcotest.(check string) "first candidate" "r(a, 1)" (head first);
+      Database.assertz db (clause "r(a, 4).");
+      Database.asserta db (clause "r(a, 0).");
+      Stdlib.ignore (Database.retract db (clause "r(a, 2)."));
+      Alcotest.(check (list string)) "the rest as at the call" [ "r(a, 2)" ] (heads rest);
+      Alcotest.(check (list string)) "a new lookup sees the updates"
+        [ "r(a, 0)"; "r(a, 1)"; "r(a, 4)" ] (heads (lookup ()))
+
+(* ---- differential property: indexed lookup vs the unfiltered store ---- *)
+
+(* A random argument: atoms, integers, clause-local variables, compounds,
+   and lists of mixed length with a ground ([]) or open (variable)
+   tail. *)
+let gen_arg vars =
+  let open QCheck.Gen in
+  fix
+    (fun self d ->
+      let leaf = oneof [ oneofl [ "a"; "b"; "1"; "2" ]; oneofl vars ] in
+      if d = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (Printf.sprintf "f(%s)") (self (d - 1)));
+            ( 3,
+              let* elems = list_size (int_range 0 3) (self (d - 1)) in
+              let* tail =
+                if elems = [] then return ""
+                else oneof [ return ""; map (( ^ ) " | ") (oneofl vars) ]
+              in
+              return (Printf.sprintf "[%s%s]" (String.concat ", " elems) tail) );
+          ])
+    2
+
+let gen_atom vars =
+  let open QCheck.Gen in
+  let arg = gen_arg vars in
+  oneof
+    [
+      map2 (Printf.sprintf "p(%s, %s)") arg arg;
+      map (Printf.sprintf "q(%s)") arg;
+    ]
+
+let gen_clause =
+  let open QCheck.Gen in
+  let* head = gen_atom [ "X"; "Y"; "Z" ] in
+  map (fun body -> head ^ body) (oneofl [ "."; " :- q(X)."; " :- p(Y, X), q(Z)." ])
+
+type op =
+  | Assertz of string
+  | Asserta of string
+  | Retract of string
+  | Copy
+  | Goal of string
+
+let gen_ops =
+  let open QCheck.Gen in
+  let* pool = list_size (int_range 1 8) gen_clause in
+  let from_pool = oneofl pool in
+  list_size (int_range 1 40)
+    (pair (int_range 0 1)
+       (frequency
+          [
+            (4, map (fun c -> Assertz c) from_pool);
+            (2, map (fun c -> Asserta c) from_pool);
+            (2, map (fun c -> Retract c) from_pool);
+            (1, return Copy);
+            (4, map (fun g -> Goal g) (gen_atom [ "U"; "V"; "W" ]));
+          ]))
+
+let print_op (db, op) =
+  Printf.sprintf "db%d: %s" db
+    (match op with
+    | Assertz c -> "assertz " ^ c
+    | Asserta c -> "asserta " ^ c
+    | Retract c -> "retract " ^ c
+    | Copy -> "copy"
+    | Goal g -> "?- " ^ g)
+
+(* Of the candidates [clauses] returns, those whose head unifies with the
+   goal are exactly the unifying clauses of the whole predicate, in
+   assertion order. *)
+let lookup_agrees db goal =
+  let unifies c =
+    Option.is_some
+      (Unify.unify Subst.empty goal (Database.rename_clause c).Database.head)
+  in
+  let fa = Option.get (Term.functor_of goal) in
+  List.equal ( == )
+    (List.filter unifies (List.of_seq (Database.clauses db goal)))
+    (List.filter unifies (Database.all_clauses db fa))
+
+let prop_indexed_lookup =
+  QCheck.Test.make ~name:"indexed lookup agrees with the unfiltered store" ~count:400
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    (fun ops ->
+      (* the original, and its copy once one is made; updates diverge *)
+      let dbs = [| Database.create (); Database.create () |] in
+      let copied = ref false in
+      List.for_all
+        (fun (i, op) ->
+          let db = if !copied then dbs.(i) else dbs.(0) in
+          match op with
+          | Assertz c -> Database.assertz db (clause c); true
+          | Asserta c -> Database.asserta db (clause c); true
+          | Retract c -> Stdlib.ignore (Database.retract db (clause c)); true
+          | Copy ->
+              dbs.(1) <- Database.copy dbs.(0);
+              copied := true;
+              true
+          | Goal g ->
+              let goal = Reader.term g in
+              lookup_agrees dbs.(0) goal && ((not !copied) || lookup_agrees dbs.(1) goal))
+        ops)
+
 let tests =
   [
     Alcotest.test_case "assertz order" `Quick test_assertz_order;
@@ -137,4 +271,6 @@ let tests =
     Alcotest.test_case "bad head rejected" `Quick test_bad_head_rejected;
     Alcotest.test_case "rename_clause" `Quick test_rename_clause;
     Alcotest.test_case "size and predicates" `Quick test_size_predicates;
+    Alcotest.test_case "logical update view" `Quick test_logical_update_view;
+    QCheck_alcotest.to_alcotest prop_indexed_lookup;
   ]

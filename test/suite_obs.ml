@@ -172,18 +172,50 @@ let test_four_port_counters () =
       let opts = { Solve.default_options with stats = Some stats } in
       drain engine opts db (Reader.goals "p(X), q(X)");
       let ports pred =
-        match List.assoc_opt (pred, 1) (Solve.stats_ports stats) with
-        | Some p -> [ p.Solve.calls; p.Solve.exits; p.Solve.redos; p.Solve.fails ]
+        match List.assoc_opt (pred ^ "/1") (Solve.stats_ports stats) with
+        | Some p ->
+            [
+              p.Solve.calls; p.Solve.exits; p.Solve.redos; p.Solve.fails;
+              p.Solve.unifications;
+            ]
         | None -> []
       in
-      Alcotest.(check (list int)) (name ^ ": p ports") [ 1; 2; 2; 1 ] (ports "p");
-      Alcotest.(check (list int)) (name ^ ": q ports") [ 2; 1; 1; 2 ] (ports "q");
-      (* first-arg clause indexing: p(X) tries both p clauses, q(1) finds
-         no candidate in the q(2) bucket, q(2) tries one *)
+      (* clause indexing on the bound argument: p(X) tries both p
+         clauses, q(1) finds no candidate, q(2) tries one *)
+      Alcotest.(check (list int)) (name ^ ": p ports") [ 1; 2; 2; 1; 2 ] (ports "p");
+      Alcotest.(check (list int)) (name ^ ": q ports") [ 2; 1; 1; 2; 1 ] (ports "q");
       Alcotest.(check int) (name ^ ": unification attempts") 3
         stats.Solve.unifications;
       Alcotest.(check int) (name ^ ": total calls") 3 (Solve.total_calls stats))
     [ (`Solve, "solve"); (`Prove, "prove") ]
+
+(* Rows of a refined predicate split by the constant at the refining
+   argument, and the rows still add up to the totals. *)
+let test_refined_rows () =
+  let db = Engine.create () in
+  Engine.consult db "h(a, 1). h(b, 2). h(a, 3). g(X, Y) :- h(a, X), h(b, Y).";
+  let stats =
+    Solve.create_stats ~refine:(function "h", 2 -> Some 0 | _ -> None) ()
+  in
+  let opts = { Solve.default_options with stats = Some stats } in
+  drain `Solve opts db (Reader.goals "g(X, Y), h(Z, 3)");
+  let ports = Solve.stats_ports stats in
+  Alcotest.(check (list (pair string (list int))))
+    "rows: call, exit, unify"
+    [
+      ("g/2", [ 1; 2; 1 ]); ("h/2", [ 2; 2; 2 ]); ("h/2[a]", [ 1; 2; 2 ]);
+      ("h/2[b]", [ 2; 2; 2 ]);
+    ]
+    (List.map
+       (fun (row, (pc : Solve.port_counts)) ->
+         (row, [ pc.Solve.calls; pc.Solve.exits; pc.Solve.unifications ]))
+       ports);
+  let sum f = List.fold_left (fun acc (_, pc) -> acc + f pc) 0 ports in
+  Alcotest.(check int) "row unifications sum to the total"
+    stats.Solve.unifications
+    (sum (fun (pc : Solve.port_counts) -> pc.Solve.unifications));
+  Alcotest.(check int) "row calls sum to the total" (Solve.total_calls stats)
+    (sum (fun (pc : Solve.port_counts) -> pc.Solve.calls))
 
 let test_depth_payload () =
   let db = Engine.create () in
@@ -296,8 +328,10 @@ let solve_counters src =
   in
   Stdlib.ignore (Solve.all ~options:opts db (Reader.goals "r(a, X)"));
   ( List.map
-      (fun (fa, (pc : Solve.port_counts)) ->
-        (fa, pc.Solve.calls, pc.Solve.exits, pc.Solve.redos, pc.Solve.fails))
+      (fun (row, (pc : Solve.port_counts)) ->
+        ( row,
+          [ pc.Solve.calls; pc.Solve.exits; pc.Solve.redos; pc.Solve.fails;
+            pc.Solve.unifications ] ))
       (Solve.stats_ports stats),
     stats.Solve.unifications,
     stats.Solve.loop_prunes,
@@ -346,6 +380,7 @@ let tests =
     Alcotest.test_case "four-port event sequence" `Quick
       test_four_port_sequence;
     Alcotest.test_case "four-port counters" `Quick test_four_port_counters;
+    Alcotest.test_case "refined port rows" `Quick test_refined_rows;
     Alcotest.test_case "depth exhaustion payload" `Quick test_depth_payload;
     Alcotest.test_case "solve spans match call ports" `Quick
       test_spans_match_call_ports;

@@ -69,7 +69,7 @@ let rec body_matches subst lits steps =
    order, with the recorded steps. The goal and all steps are ground, so
    clause variables cannot capture. *)
 let rule_matches db goal steps =
-  List.exists
+  Seq.exists
     (fun { Database.head; body } ->
       body <> []
       &&
