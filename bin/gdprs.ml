@@ -665,16 +665,16 @@ let info_cmd =
               (List.length m.Spec.acc_statements)
               (List.length m.Spec.rules)
               (List.length m.Spec.constraints))
-          spec.Spec.models;
+          (List.rev spec.Spec.models);
         Printf.printf "spaces:      %s\n"
           (String.concat ", "
-             (List.map (fun (r : Gdp_space.Resolution.t) -> r.Gdp_space.Resolution.name)
+             (List.rev_map (fun (r : Gdp_space.Resolution.t) -> r.Gdp_space.Resolution.name)
                 spec.Spec.spaces));
         Printf.printf "regions:     %s\n"
-          (String.concat ", " (List.map fst spec.Spec.regions));
+          (String.concat ", " (List.rev_map fst spec.Spec.regions));
         Printf.printf "meta-models: %s\n"
           (String.concat ", "
-             (List.map (fun (m : Spec.meta_model) -> m.Spec.meta_name) spec.Spec.meta_models));
+             (List.rev_map (fun (m : Spec.meta_model) -> m.Spec.meta_name) spec.Spec.meta_models));
         List.iter
           (fun v ->
             Printf.printf "view %s = models {%s} meta {%s}\n"

@@ -6,7 +6,7 @@ type t = {
   world_view : string list;
   meta_view : string list;
   needs_loop_check : bool;
-  clause_digest : string;
+  clause_digest : string Lazy.t;
 }
 
 let rule_clause ~model (r : Spec.rule) =
@@ -55,7 +55,7 @@ let emit_generators spec db world_view =
              Term.int (List.length s.Spec.value_domains);
              Term.int s.Spec.object_arity;
            ]))
-    spec.Spec.signatures;
+    (List.rev spec.Spec.signatures);
   List.iter
     (fun o -> Database.fact db (Term.app Names.obj_gen [ Term.atom o ]))
     spec.Spec.objects;
@@ -63,15 +63,15 @@ let emit_generators spec db world_view =
     (fun (r : Gdp_space.Resolution.t) ->
       Database.fact db
         (Term.app Names.space_gen [ Term.atom r.Gdp_space.Resolution.name ]))
-    spec.Spec.spaces;
+    (List.rev spec.Spec.spaces);
   List.iter
     (fun (r : Gdp_temporal.Resolution1d.t) ->
       Database.fact db
         (Term.app "tspace" [ Term.atom r.Gdp_temporal.Resolution1d.name ]))
-    spec.Spec.tspaces;
+    (List.rev spec.Spec.tspaces);
   List.iter
     (fun (name, _) -> Database.fact db (Term.app Names.region_gen [ Term.atom name ]))
-    spec.Spec.regions
+    (List.rev spec.Spec.regions)
 
 let emit_model spec db ~propagate (md : Spec.model_def) =
   ignore spec;
@@ -96,8 +96,10 @@ let emit_model spec db ~propagate (md : Spec.model_def) =
         match propagation_clause ~model r with
         | Some c -> assert_clause db c
         | None -> ())
-    md.Spec.rules;
-  List.iter (fun r -> assert_clause db (rule_clause ~model r)) md.Spec.constraints
+    (List.rev md.Spec.rules);
+  List.iter
+    (fun r -> assert_clause db (rule_clause ~model r))
+    (List.rev md.Spec.constraints)
 
 (* Canonical clause rendering for {!content_hash}: variables are
    numbered by first occurrence within their clause (clause renaming
@@ -106,15 +108,16 @@ let emit_model spec db ~propagate (md : Spec.model_def) =
    in hex — two compilations of the same specification produce the same
    bytes in any process. *)
 let digest_clause buf (c : Database.clause) =
-  let ids = Hashtbl.create 8 in
+  (* variable id -> number, newest first; a clause has few variables *)
+  let ids = ref [] in
   let rec go = function
     | Term.Var v ->
         let n =
-          match Hashtbl.find_opt ids v.Term.id with
+          match List.assoc_opt v.Term.id !ids with
           | Some n -> n
           | None ->
-              let n = Hashtbl.length ids in
-              Hashtbl.add ids v.Term.id n;
+              let n = List.length !ids in
+              ids := (v.Term.id, n) :: !ids;
               n
         in
         Buffer.add_char buf '?';
@@ -195,24 +198,25 @@ let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
       metas
   in
   List.iter (emit_model spec db ~propagate) models;
-  (* the clause digest is taken now — after the models, before the
-     update-log replay — so a snapshot saved from an incrementally
-     updated session carries the same key a fresh compilation of the
-     written specification computes: updates persist through the
-     snapshot's own log, never through the key. The meta clauses
-     (asserted last) are folded in from [metas] directly. *)
+  (* the clauses the digest covers are captured now — after the models,
+     before the update-log replay — so a snapshot saved from an
+     incrementally updated session carries the same key a fresh
+     compilation of the written specification computes: updates persist
+     through the snapshot's own log, never through the key. The meta
+     clauses (asserted last) are folded in from [metas] directly. Only
+     the snapshot key reads the digest, so it is rendered on first use. *)
   let clause_digest =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun fa -> List.iter (digest_clause buf) (Database.all_clauses db fa))
-      (Database.predicates db);
-    List.iter
-      (fun (m : Spec.meta_model) ->
-        Buffer.add_string buf m.Spec.meta_name;
-        Buffer.add_char buf '\n';
-        List.iter (digest_clause buf) m.Spec.meta_clauses)
-      metas;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    let frozen = Database.freeze db in
+    lazy
+      (let buf = Buffer.create 4096 in
+       List.iter (fun (_, clauses) -> List.iter (digest_clause buf) clauses) (frozen ());
+       List.iter
+         (fun (m : Spec.meta_model) ->
+           Buffer.add_string buf m.Spec.meta_name;
+           Buffer.add_char buf '\n';
+           List.iter (digest_clause buf) m.Spec.meta_clauses)
+         metas;
+       Digest.to_hex (Digest.string (Buffer.contents buf)))
   in
   (* replay the specification's update log so a fresh compilation agrees
      with a database maintained incrementally through Query.update *)
@@ -347,7 +351,7 @@ let spatial_hints ?grid_cell spec : Bottom_up.spatial =
 let content_hash (c : t) =
   let spec = c.spec in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf c.clause_digest;
+  Buffer.add_string buf (Lazy.force c.clause_digest);
   Buffer.add_string buf "|wv:";
   List.iter
     (fun m ->
@@ -371,11 +375,11 @@ let content_hash (c : t) =
     (fun r ->
       Buffer.add_string buf
         (Format.asprintf "|space:%a" Gdp_space.Resolution.pp r))
-    spec.Spec.spaces;
+    (List.rev spec.Spec.spaces);
   List.iter
     (fun (r : Gdp_temporal.Resolution1d.t) ->
       Buffer.add_string buf ("|tspace:" ^ r.Gdp_temporal.Resolution1d.name))
-    spec.Spec.tspaces;
+    (List.rev spec.Spec.tspaces);
   Buffer.add_string buf
     (Printf.sprintf "|fuzzy:%d" (Hashtbl.hash spec.Spec.fuzzy_family));
   Buffer.add_string buf

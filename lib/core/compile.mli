@@ -16,10 +16,12 @@ type t = private {
   meta_view : string list;
   needs_loop_check : bool;
       (** true when an active meta-model requires the ancestor loop check *)
-  clause_digest : string;
-      (** MD5 (hex) of the canonically rendered compiled clause sequence,
-          taken {e before} the update-log replay — the program part of
-          {!content_hash} *)
+  clause_digest : string Lazy.t;
+      (** MD5 (hex) of the canonically rendered compiled clause sequence
+          as it stood {e before} the update-log replay and the meta
+          clauses — the program part of {!content_hash}. The clause lists
+          are captured at compile time; the digest is computed on first
+          use. *)
 }
 
 val compile :

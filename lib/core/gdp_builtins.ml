@@ -82,7 +82,7 @@ let bi_res_refines spec (_ : Database.ctx) subst = function
         match walk subst t with
         | Term.Atom name -> (
             match Spec.find_space spec name with Some r -> [ r ] | None -> [])
-        | Term.Var _ -> spec.Spec.spaces
+        | Term.Var _ -> List.rev spec.Spec.spaces
         | _ -> []
       in
       let fines = candidates r2 and coarses = candidates r1 in
@@ -242,7 +242,7 @@ let bi_tres_refines spec (_ : Database.ctx) subst = function
         match walk subst t with
         | Term.Atom name -> (
             match Spec.find_tspace spec name with Some r -> [ r ] | None -> [])
-        | Term.Var _ -> spec.Spec.tspaces
+        | Term.Var _ -> List.rev spec.Spec.tspaces
         | _ -> []
       in
       List.to_seq (candidates r2)

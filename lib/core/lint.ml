@@ -119,13 +119,13 @@ let collect (spec : Spec.t) =
           record_pattern u ~context ~defines:(r.Spec.rule_accuracy = None)
             r.Spec.rule_head;
           record_formula u ~context r.Spec.rule_body)
-        m.Spec.rules;
+        (List.rev m.Spec.rules);
       List.iter
         (fun (r : Spec.rule) ->
           let context = ctx "constraint" r.Spec.rule_name in
           record_formula u ~context r.Spec.rule_body)
-        m.Spec.constraints)
-    spec.Spec.models;
+        (List.rev m.Spec.constraints))
+    (List.rev spec.Spec.models);
   u
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +219,7 @@ let lint (spec : Spec.t) =
         add Info "empty-model" m.Spec.model_name
           "model '%s' is declared but carries no facts, rules or constraints"
           m.Spec.model_name)
-    spec.Spec.models;
+    (List.rev spec.Spec.models);
 
   (* accuracy statements without a plain fact *)
   let plain_facts =
@@ -242,7 +242,7 @@ let lint (spec : Spec.t) =
                if only threshold views consume it)"
               (Format.asprintf "%a" Gfact.pp f))
         m.Spec.acc_statements)
-    spec.Spec.models;
+    (List.rev spec.Spec.models);
 
   (* dynamic constraint sweep: when the default world view compiles into
      the bottom-up Datalog fragment, materialise it and report every

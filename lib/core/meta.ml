@@ -297,7 +297,7 @@ let sorts spec =
     List.concat_map
       (fun (s : Spec.signature) ->
         List.mapi (fun i d -> clause_for s i d) s.Spec.value_domains)
-      spec.Spec.signatures
+      (List.rev spec.Spec.signatures)
   in
   {
     Spec.meta_name = "sorts";

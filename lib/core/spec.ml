@@ -32,6 +32,7 @@ type update = [ `Assert of Gfact.t | `Retract of Gfact.t ]
 
 type t = {
   mutable objects : string list;
+  object_index : (string, unit) Hashtbl.t;
   mutable signatures : signature list;
   domains : Gdp_domain.Semantic_domain.Registry.t;
   mutable spaces : Gdp_space.Resolution.t list;
@@ -59,6 +60,7 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
   let spec =
     {
       objects = [];
+      object_index = Hashtbl.create 64;
       signatures = [];
       domains = Gdp_domain.Semantic_domain.Registry.builtin ();
       spaces = [];
@@ -90,9 +92,12 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
   spec
 
 let declare_object spec name =
-  if List.mem name spec.objects then
+  if Hashtbl.mem spec.object_index name then
     invalid_arg (Printf.sprintf "Spec: duplicate object %s" name)
-  else spec.objects <- name :: spec.objects
+  else begin
+    Hashtbl.add spec.object_index name ();
+    spec.objects <- name :: spec.objects
+  end
 
 let declare_objects spec names = List.iter (declare_object spec) names
 
@@ -107,8 +112,7 @@ let declare_predicate spec ?(value_domains = []) ?(object_arity = 1) name =
       if Gdp_domain.Semantic_domain.Registry.find spec.domains d = None then
         invalid_arg (Printf.sprintf "Spec: predicate %s uses unknown domain %s" name d))
     value_domains;
-  spec.signatures <-
-    spec.signatures @ [ { pred_name = name; value_domains; object_arity } ]
+  spec.signatures <- { pred_name = name; value_domains; object_arity } :: spec.signatures
 
 let declare_domain spec d = Gdp_domain.Semantic_domain.Registry.add spec.domains d
 
@@ -122,7 +126,7 @@ let declare_space spec r =
   if String.equal name "" then invalid_arg "Spec: resolution must be named";
   if find_space spec name <> None then
     invalid_arg (Printf.sprintf "Spec: duplicate logical space %s" name);
-  spec.spaces <- spec.spaces @ [ r ]
+  spec.spaces <- r :: spec.spaces
 
 let find_tspace spec name =
   List.find_opt
@@ -135,14 +139,14 @@ let declare_tspace spec r =
   if String.equal name "" then invalid_arg "Spec: temporal resolution must be named";
   if find_tspace spec name <> None then
     invalid_arg (Printf.sprintf "Spec: duplicate logical time %s" name);
-  spec.tspaces <- spec.tspaces @ [ r ]
+  spec.tspaces <- r :: spec.tspaces
 
 let find_region spec name = List.assoc_opt name spec.regions
 
 let declare_region spec name region =
   if find_region spec name <> None then
     invalid_arg (Printf.sprintf "Spec: duplicate region %s" name);
-  spec.regions <- spec.regions @ [ (name, region) ]
+  spec.regions <- (name, region) :: spec.regions
 
 let find_model spec name =
   List.find_opt (fun m -> String.equal m.model_name name) spec.models
@@ -151,13 +155,13 @@ let declare_model spec name =
   if find_model spec name <> None then
     invalid_arg (Printf.sprintf "Spec: duplicate model %s" name);
   spec.models <-
-    spec.models
-    @ [ { model_name = name; facts = []; acc_statements = []; rules = []; constraints = [] } ]
+    { model_name = name; facts = []; acc_statements = []; rules = []; constraints = [] }
+    :: spec.models
 
 let model spec name =
   match find_model spec name with Some m -> m | None -> raise Not_found
 
-let model_names spec = List.map (fun m -> m.model_name) spec.models
+let model_names spec = List.rev_map (fun m -> m.model_name) spec.models
 let default_world_view = model_names
 
 let check_predicate_use spec (p : Gfact.t) =
@@ -234,7 +238,7 @@ let add_rule spec ?model ?(name = "") ?accuracy ~head body =
       rule_name = name;
     }
   in
-  md.rules <- md.rules @ [ rule ]
+  md.rules <- rule :: md.rules
 
 let add_constraint spec ?model ?(name = "") ~error ~args body =
   let head =
@@ -265,13 +269,13 @@ let add_constraint spec ?model ?(name = "") ~error ~args body =
         | None -> assert false)
   in
   md.constraints <-
-    md.constraints
-    @ [ { rule_head = head; rule_accuracy = None; rule_body = body; rule_name = name } ]
+    { rule_head = head; rule_accuracy = None; rule_body = body; rule_name = name }
+    :: md.constraints
 
 let declare_builtin spec name ~arity fn =
   if List.mem_assoc (name, arity) spec.extra_builtins then
     invalid_arg (Printf.sprintf "Spec: duplicate builtin %s/%d" name arity);
-  spec.extra_builtins <- spec.extra_builtins @ [ ((name, arity), fn) ]
+  spec.extra_builtins <- ((name, arity), fn) :: spec.extra_builtins
 
 let find_meta_model spec name =
   List.find_opt (fun m -> String.equal m.meta_name name) spec.meta_models
@@ -279,7 +283,7 @@ let find_meta_model spec name =
 let add_meta_model spec mm =
   if find_meta_model spec mm.meta_name <> None then
     invalid_arg (Printf.sprintf "Spec: duplicate meta-model %s" mm.meta_name);
-  spec.meta_models <- spec.meta_models @ [ mm ]
+  spec.meta_models <- mm :: spec.meta_models
 
 let log_update spec (u : update) = spec.updates <- u :: spec.updates
 let update_log spec = List.rev spec.updates

@@ -38,8 +38,9 @@ type model_def = {
   mutable acc_statements : (Gfact.t * float) list;
       (** accuracy statements [%a q(x)], newest first — separate from
           basic facts, as §VII-B requires *)
-  mutable rules : rule list;  (** virtual fact definitions *)
-  mutable constraints : rule list;  (** heads use the ERROR predicate *)
+  mutable rules : rule list;  (** virtual fact definitions, newest first *)
+  mutable constraints : rule list;
+      (** heads use the ERROR predicate; newest first *)
 }
 
 type meta_model = {
@@ -56,23 +57,32 @@ type update = [ `Assert of Gfact.t | `Retract of Gfact.t ]
 (** One post-compilation change to a model's asserted base — the unit of
     the specification's update log (see {!log_update}). *)
 
+(** Every declaration list below is kept newest first, so a declaration
+    costs O(1); readers that care about declaration order reverse it.
+    Mutate the lists only through the functions of this module: the
+    duplicate checks rely on it. *)
 type t = {
-  mutable objects : string list;
-  mutable signatures : signature list;
+  mutable objects : string list;  (** newest first *)
+  object_index : (string, unit) Hashtbl.t;
+      (** the names in [objects], for the O(1) duplicate check of
+          {!declare_object} *)
+  mutable signatures : signature list;  (** newest first *)
   domains : Gdp_domain.Semantic_domain.Registry.t;
-  mutable spaces : Gdp_space.Resolution.t list;
+  mutable spaces : Gdp_space.Resolution.t list;  (** newest first *)
   mutable tspaces : Gdp_temporal.Resolution1d.t list;
-      (** named logical-time resolutions (§VI-A) *)
-  mutable regions : (string * Gdp_space.Region.t) list;
+      (** named logical-time resolutions (§VI-A), newest first *)
+  mutable regions : (string * Gdp_space.Region.t) list;  (** newest first *)
   mutable coord : Gdp_space.Coord.t;
   clock : Gdp_temporal.Clock.t;
   mutable fuzzy_family : Gdp_fuzzy.Algebra.family;
   mutable models : model_def list;
-  mutable meta_models : meta_model list;
+      (** newest first: the default model [w] is last; {!model_names}
+          gives declaration order *)
+  mutable meta_models : meta_model list;  (** newest first *)
   mutable extra_builtins : ((string * int) * Database.builtin) list;
       (** application-specific computed predicates (e.g. the paper's depth
           interpolation function f, §VII-B), registered into every
-          compiled database *)
+          compiled database; newest first *)
   mutable telemetry : bool;
       (** when true, {!Query.create} attaches an enabled
           {!Gdp_obs.Tracer.t} to every query it builds (spans for

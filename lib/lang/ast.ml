@@ -71,7 +71,7 @@ type statement =
   | S_clock of float
   | S_fuzzy of string
   | S_domain of string * domain_def
-  | S_objects of string list
+  | S_objects of (string * position) list
   | S_predicate of string * string list * int
   | S_space of { name : string; dx : float; dy : float; ox : float; oy : float }
   | S_timespace of { name : string; step : float; origin : float }

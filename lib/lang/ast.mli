@@ -86,7 +86,7 @@ type statement =
   | S_clock of float
   | S_fuzzy of string  (** connective family *)
   | S_domain of string * domain_def
-  | S_objects of string list
+  | S_objects of (string * position) list  (** each name where it is written *)
   | S_predicate of string * string list * int  (** name, value domains, object arity *)
   | S_space of { name : string; dx : float; dy : float; ox : float; oy : float }
   | S_timespace of { name : string; step : float; origin : float }

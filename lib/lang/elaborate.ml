@@ -190,7 +190,10 @@ let rec elaborate_statement ctx state stmt =
       Spec.declare_domain spec (domain_of_def name def);
       (spec, views, uses)
   | S_objects names ->
-      Spec.declare_objects spec names;
+      List.iter
+        (fun (name, pos) ->
+          try Spec.declare_object spec name with Invalid_argument msg -> error pos "%s" msg)
+        names;
       (spec, views, uses)
   | S_predicate (name, domains, arity) ->
       Spec.declare_predicate spec name ~value_domains:domains ~object_arity:arity;
@@ -257,10 +260,10 @@ let rec elaborate_statement ctx state stmt =
       | Gdp_logic.Reader.Parse_error msg ->
           raise (Error (Printf.sprintf "in metamodel %s: %s" mm_name msg))
       | Invalid_argument msg -> raise (Error msg))
-  | S_use names -> (spec, views, uses @ names)
+  | S_use names -> (spec, views, List.rev_append names uses)
   | S_view { v_name; v_models; v_metas } ->
       ( spec,
-        views @ [ { view_name = v_name; view_models = v_models; view_metas = v_metas } ],
+        { view_name = v_name; view_models = v_models; view_metas = v_metas } :: views,
         uses )
 
 let program ?spec ?(base_dir = ".") stmts =
@@ -273,11 +276,12 @@ let program ?spec ?(base_dir = ".") stmts =
         s
   in
   let ctx = { base_dir; visited = Hashtbl.create 4 } in
+  (* views and uses accumulate newest first *)
   let spec, views, uses =
     try List.fold_left (elaborate_statement ctx) (spec, [], []) stmts
     with Invalid_argument msg -> raise (Error msg)
   in
-  { spec; views; uses }
+  { spec; views = List.rev views; uses = List.rev uses }
 
 let load_string ?spec ?base_dir src =
   try program ?spec ?base_dir (Parser.program src) with

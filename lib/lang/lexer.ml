@@ -12,218 +12,230 @@ type t = { token : token; line : int; col : int }
 
 exception Error of string
 
-type state = {
+(* One pass over the source: [pos] is the cursor and [line_start] the
+   offset of the current line's first byte, so a column is computed only
+   when a token starts instead of being maintained per byte. *)
+type stream = {
   src : string;
   mutable pos : int;
   mutable line : int;
-  mutable col : int;
+  mutable line_start : int;
+  raw_after : string list;
+  mutable pending_raw : bool;
+      (* a [raw_after] keyword was seen and no '.' since: the next '{'
+         opens a raw block *)
 }
 
-let error st fmt =
-  Format.kasprintf
-    (fun msg -> raise (Error (Printf.sprintf "%d:%d: %s" st.line st.col msg)))
-    fmt
+let column st = st.pos - st.line_start + 1
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let error_at line col fmt =
+  Format.kasprintf (fun msg -> raise (Error (Printf.sprintf "%d:%d: %s" line col msg))) fmt
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let error st fmt = error_at st.line (column st) fmt
 
+(* the byte at [i], or '\000' past the end (NUL never starts a token, so
+   it reads as "no such byte" wherever a lookahead tests for one) *)
+let char_at st i = if i < String.length st.src then String.unsafe_get st.src i else '\000'
+
+let at_end st = st.pos >= String.length st.src
+
+(* step over the byte at the cursor, keeping the line count *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  if String.unsafe_get st.src st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.line_start <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
+let skip_block_comment st =
+  (* the cursor is on the opening "/*" *)
+  let line = st.line and col = column st in
+  st.pos <- st.pos + 2;
+  let depth = ref 1 in
+  while !depth > 0 do
+    if at_end st then error_at line col "unterminated comment";
+    match (String.unsafe_get st.src st.pos, char_at st (st.pos + 1)) with
+    | '*', '/' ->
+        st.pos <- st.pos + 2;
+        decr depth
+    | '/', '*' ->
+        st.pos <- st.pos + 2;
+        incr depth
+    | _ -> advance st
+  done
+
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_ws st
-  | Some '/' when peek2 st = Some '*' ->
-      advance st;
-      advance st;
-      let rec go depth =
-        match (peek st, peek2 st) with
-        | None, _ -> error st "unterminated comment"
-        | Some '*', Some '/' ->
-            advance st;
-            advance st;
-            if depth > 1 then go (depth - 1)
-        | Some '/', Some '*' ->
-            advance st;
-            advance st;
-            go (depth + 1)
-        | Some _, _ ->
-            advance st;
-            go depth
-      in
-      go 1;
-      skip_ws st
-  | _ -> ()
+  if not (at_end st) then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_ws st
+    | '/' when char_at st (st.pos + 1) = '/' ->
+        while (not (at_end st)) && String.unsafe_get st.src st.pos <> '\n' do
+          st.pos <- st.pos + 1
+        done;
+        skip_ws st
+    | '/' when char_at st (st.pos + 1) = '*' ->
+        skip_block_comment st;
+        skip_ws st
+    | _ -> ()
 
 let is_lower c = c >= 'a' && c <= 'z'
 let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
 let is_ident c = is_lower c || is_upper c || is_digit c
 
-let take_while st pred =
+let skip_digits st =
+  while is_digit (char_at st st.pos) do
+    st.pos <- st.pos + 1
+  done
+
+let take_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> pred c | None -> false) do
-    advance st
+  while is_ident (char_at st st.pos) do
+    st.pos <- st.pos + 1
   done;
   String.sub st.src start (st.pos - start)
 
-let lex_exponent st =
-  (* called with the cursor on 'e'/'E'; only consumes when a digit (with
-     optional sign) follows, so "2e" stays Int 2 + Ident e *)
-  match peek st with
-  | Some ('e' | 'E') -> (
-      let after_sign =
-        match peek2 st with
-        | Some ('+' | '-') ->
-            if st.pos + 2 < String.length st.src then Some st.src.[st.pos + 2]
-            else None
-        | other -> other
+(* An exponent is consumed only when a digit (after an optional sign)
+   follows the 'e'/'E', so "2e" stays Int 2 + Ident e. *)
+let skip_exponent st =
+  match char_at st st.pos with
+  | 'e' | 'E' ->
+      let digit_at =
+        match char_at st (st.pos + 1) with '+' | '-' -> st.pos + 2 | _ -> st.pos + 1
       in
-      match after_sign with
-      | Some c when is_digit c ->
-          advance st;
-          let sign =
-            match peek st with
-            | Some (('+' | '-') as c) ->
-                advance st;
-                String.make 1 c
-            | _ -> ""
-          in
-          Some ("e" ^ sign ^ take_while st is_digit)
-      | _ -> None)
-  | _ -> None
+      if is_digit (char_at st digit_at) then begin
+        st.pos <- digit_at;
+        skip_digits st;
+        true
+      end
+      else false
+  | _ -> false
 
-let lex_number st =
-  let intpart = take_while st is_digit in
-  let has_frac =
-    peek st = Some '.'
-    && match peek2 st with Some c -> is_digit c | None -> false
-  in
-  if has_frac then begin
-    advance st;
-    let frac = take_while st is_digit in
-    let expo = Option.value (lex_exponent st) ~default:"" in
-    Float (float_of_string (intpart ^ "." ^ frac ^ expo))
-  end
+let lex_number st ~line ~col =
+  let start = st.pos in
+  skip_digits st;
+  let int_end = st.pos in
+  let fraction = char_at st st.pos = '.' && is_digit (char_at st (st.pos + 1)) in
+  if fraction then begin
+    st.pos <- st.pos + 1;
+    skip_digits st
+  end;
+  let exponent = skip_exponent st in
+  if fraction || exponent then
+    Float (float_of_string (String.sub st.src start (st.pos - start)))
   else
-    match lex_exponent st with
-    | Some expo -> Float (float_of_string (intpart ^ ".0" ^ expo))
-    | None -> Int (int_of_string intpart)
+    let n = ref 0 in
+    for i = start to int_end - 1 do
+      let d = Char.code (String.unsafe_get st.src i) - Char.code '0' in
+      if !n > (max_int - d) / 10 then
+        error_at line col "integer literal %s is out of range"
+          (String.sub st.src start (int_end - start));
+      n := (!n * 10) + d
+    done;
+    Int !n
 
-let lex_string st =
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-        advance st;
-        (match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some c -> Buffer.add_char buf c
-        | None -> error st "unterminated escape");
-        advance st;
-        go ()
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
+let lex_string st ~line ~col =
+  (* the cursor is on the opening quote; a string without escapes is one
+     slice of the source *)
+  let start = st.pos + 1 in
+  let rec plain i =
+    match char_at st i with
+    | '"' -> Some i
+    | '\\' | '\n' -> None
+    | '\000' when i >= String.length st.src -> None
+    | _ -> plain (i + 1)
   in
-  go ();
-  Str (Buffer.contents buf)
+  match plain start with
+  | Some stop ->
+      st.pos <- stop + 1;
+      Str (String.sub st.src start (stop - start))
+  | None ->
+      advance st;
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if at_end st then error_at line col "unterminated string";
+        match String.unsafe_get st.src st.pos with
+        | '"' -> advance st
+        | '\\' ->
+            advance st;
+            if at_end st then error st "unterminated escape";
+            (match String.unsafe_get st.src st.pos with
+            | 'n' -> Buffer.add_char buf '\n'
+            | 't' -> Buffer.add_char buf '\t'
+            | c -> Buffer.add_char buf c);
+            advance st;
+            go ()
+        | c ->
+            Buffer.add_char buf c;
+            advance st;
+            go ()
+      in
+      go ();
+      Str (Buffer.contents buf)
 
-(* multi-character operators, longest first *)
+(* multi-character operators, longest first; only '\\', '=', '<' and '>'
+   start one *)
 let operators =
   [ "\\=="; "=:="; "=\\="; "=>"; "<-"; ">="; "=<"; "=="; "\\="; ">"; "<"; "=" ]
 
-let try_operator st =
-  let rest = String.length st.src - st.pos in
-  let matches op =
-    let n = String.length op in
-    n <= rest && String.equal (String.sub st.src st.pos n) op
-  in
-  match List.find_opt matches operators with
-  | Some op ->
-      String.iter (fun _ -> advance st) op;
-      Some (Punct op)
-  | None -> None
+(* one shared token per single-character punctuation mark *)
+let single_punct = Array.init 256 (fun c -> Punct (String.make 1 (Char.chr c)))
 
-let next_token st =
-  skip_ws st;
-  let line = st.line and col = st.col in
-  let token =
-    match peek st with
-    | None -> Eof
-    | Some c when is_digit c -> lex_number st
-    | Some c when is_lower c -> Ident (take_while st is_ident)
-    | Some c when is_upper c -> Var (take_while st is_ident)
-    | Some '"' -> lex_string st
-    | Some ('(' | ')' | '[' | ']' | '{' | '}' | ',' | '.' | ';' | ':' | '\'' | '@'
-          | '&' | '%' | '+' | '-' | '*' | '/' | '|') as some_c ->
-        (match try_operator st with
-        | Some tok -> tok
-        | None ->
-            let c = Option.get some_c in
-            advance st;
-            Punct (String.make 1 c))
-    | Some _ -> (
-        match try_operator st with
-        | Some tok -> tok
-        | None -> error st "unexpected character %C" (Option.get (peek st)))
+let lex_operator st ~line ~col =
+  let c = String.unsafe_get st.src st.pos in
+  let c1 = char_at st (st.pos + 1) and c2 = char_at st (st.pos + 2) in
+  let op =
+    match (c, c1, c2) with
+    | '\\', '=', '=' -> "\\=="
+    | '\\', '=', _ -> "\\="
+    | '\\', _, _ -> error_at line col "unexpected character %C" c
+    | '=', ':', '=' -> "=:="
+    | '=', '\\', '=' -> "=\\="
+    | '=', '>', _ -> "=>"
+    | '=', '<', _ -> "=<"
+    | '=', '=', _ -> "=="
+    | '=', _, _ -> "="
+    | '<', '-', _ -> "<-"
+    | '<', _, _ -> "<"
+    | '>', '=', _ -> ">="
+    | _ -> ">"
   in
-  { token; line; col }
+  st.pos <- st.pos + String.length op;
+  Punct op
 
-let capture_raw st =
-  (* st is positioned just after the opening '{' *)
+let capture_raw st ~line ~col =
+  (* the cursor is just after the opening '{', which is at [line]:[col] *)
   let buf = Buffer.create 128 in
   let rec go depth =
-    match peek st with
-    | None -> error st "unterminated raw block"
-    | Some '{' ->
+    if at_end st then error_at line col "unterminated raw block";
+    match String.unsafe_get st.src st.pos with
+    | '{' ->
         Buffer.add_char buf '{';
         advance st;
         go (depth + 1)
-    | Some '}' ->
+    | '}' ->
         advance st;
         if depth > 1 then begin
           Buffer.add_char buf '}';
           go (depth - 1)
         end
-    | Some '\'' ->
+    | '\'' ->
         (* quoted atom: copy verbatim so braces inside quotes are safe *)
+        let line = st.line and col = column st in
         Buffer.add_char buf '\'';
         advance st;
         let rec copy_quoted () =
-          match peek st with
-          | None -> error st "unterminated quoted atom in raw block"
-          | Some '\'' ->
-              Buffer.add_char buf '\'';
-              advance st
-          | Some c ->
-              Buffer.add_char buf c;
-              advance st;
-              copy_quoted ()
+          if at_end st then error_at line col "unterminated quoted atom in raw block";
+          let c = String.unsafe_get st.src st.pos in
+          Buffer.add_char buf c;
+          advance st;
+          if c <> '\'' then copy_quoted ()
         in
         copy_quoted ();
         go depth
-    | Some c ->
+    | c ->
         Buffer.add_char buf c;
         advance st;
         go depth
@@ -231,21 +243,42 @@ let capture_raw st =
   go 1;
   Buffer.contents buf
 
-let tokenize ?(raw_after = []) src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
-  let rec go acc pending_raw =
-    let tok = next_token st in
-    match tok.token with
-    | Eof -> List.rev (tok :: acc)
-    | Punct "{" when pending_raw ->
-        let line = st.line and col = st.col in
-        let raw = capture_raw st in
-        go ({ token = Raw raw; line; col } :: acc) false
-    | Ident k when List.mem k raw_after -> go (tok :: acc) true
-    | Punct "." -> go (tok :: acc) false
-    | _ -> go (tok :: acc) pending_raw
-  in
-  go [] false
+let create ?(raw_after = []) src =
+  { src; pos = 0; line = 1; line_start = 0; raw_after; pending_raw = false }
 
-let tokens src = tokenize src
-let tokenize_with_raw_after src ~keywords = tokenize ~raw_after:keywords src
+let next st =
+  skip_ws st;
+  let line = st.line and col = column st in
+  let token =
+    if at_end st then Eof
+    else
+      match String.unsafe_get st.src st.pos with
+      | '0' .. '9' -> lex_number st ~line ~col
+      | 'a' .. 'z' ->
+          let name = take_ident st in
+          if st.raw_after <> [] && List.mem name st.raw_after then st.pending_raw <- true;
+          Ident name
+      | 'A' .. 'Z' | '_' -> Var (take_ident st)
+      | '"' -> lex_string st ~line ~col
+      | '{' when st.pending_raw ->
+          st.pos <- st.pos + 1;
+          st.pending_raw <- false;
+          Raw (capture_raw st ~line ~col)
+      | ( '(' | ')' | '[' | ']' | '{' | '}' | ',' | '.' | ';' | ':' | '\'' | '@' | '&'
+        | '%' | '+' | '-' | '*' | '/' | '|' ) as c ->
+          st.pos <- st.pos + 1;
+          if c = '.' then st.pending_raw <- false;
+          single_punct.(Char.code c)
+      | '\\' | '=' | '<' | '>' -> lex_operator st ~line ~col
+      | c -> error_at line col "unexpected character %C" c
+  in
+  { token; line; col }
+
+let to_list st =
+  let rec go acc =
+    let t = next st in
+    match t.token with Eof -> List.rev (t :: acc) | _ -> go (t :: acc)
+  in
+  go []
+
+let tokens ?raw_after src = to_list (create ?raw_after src)

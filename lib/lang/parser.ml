@@ -2,9 +2,27 @@ open Ast
 
 exception Error of string
 
-type state = { mutable toks : Lexer.t list }
+(* Tokens are pulled from the lexer on demand into a window of the next
+   [window] tokens (a power of two): [peek st k] is the token [k] places
+   ahead of the current one. The deepest look is two ahead
+   ([temporal_qualifier]). *)
+let window = 4
 
-let current st = match st.toks with [] -> assert false | t :: _ -> t
+type state = {
+  lexer : Lexer.stream;
+  ahead : Lexer.t array;  (* a ring: [first] holds the current token *)
+  mutable first : int;
+  mutable filled : int;
+}
+
+let peek st k =
+  while st.filled <= k do
+    st.ahead.((st.first + st.filled) land (window - 1)) <- Lexer.next st.lexer;
+    st.filled <- st.filled + 1
+  done;
+  st.ahead.((st.first + k) land (window - 1))
+
+let current st = peek st 0
 
 let err st fmt =
   let t = current st in
@@ -12,13 +30,19 @@ let err st fmt =
     (fun msg -> raise (Error (Printf.sprintf "%d:%d: %s" t.Lexer.line t.Lexer.col msg)))
     fmt
 
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let advance st =
+  ignore (current st : Lexer.t);
+  st.first <- (st.first + 1) land (window - 1);
+  st.filled <- st.filled - 1
 
 let token st = (current st).Lexer.token
 
 let pos_of st =
   let t = current st in
   { line = t.Lexer.line; col = t.Lexer.col }
+
+let at_punct st p =
+  match token st with Lexer.Punct q -> String.equal p q | _ -> false
 
 let expect_punct st p =
   match token st with
@@ -75,12 +99,15 @@ let integer st =
   let f = number st in
   if Float.is_integer f then int_of_float f else err st "expected an integer"
 
-let ident_list st =
+let located_ident_list st =
   let rec go acc =
+    let pos = pos_of st in
     let name = expect_ident st in
-    if accept_punct st "," then go (name :: acc) else List.rev (name :: acc)
+    if accept_punct st "," then go ((name, pos) :: acc) else List.rev ((name, pos) :: acc)
   in
   go []
+
+let ident_list st = List.map fst (located_ident_list st)
 
 (* ---------- expressions ---------- *)
 
@@ -118,33 +145,30 @@ let rec simple_expr st =
       else E_atom name
   | _ -> err st "expected a value"
 
-and expr_list st =
-  let rec go acc =
-    let e = arith st in
-    if accept_punct st "," then go (e :: acc) else List.rev (e :: acc)
-  in
-  go []
+and expr_list st = expr_list_onto st []
+
+and expr_list_onto st acc =
+  let e = arith st in
+  if accept_punct st "," then expr_list_onto st (e :: acc) else List.rev (e :: acc)
 
 (* arithmetic for tests: + - * / over simple expressions *)
-and arith st =
-  let rec term_chain left =
-    match token st with
-    | Lexer.Punct (("+" | "-") as op) ->
-        advance st;
-        term_chain (E_app (op, [ left; term st ]))
-    | _ -> left
-  in
-  term_chain (term st)
+and arith st = term_chain st (term st)
 
-and term st =
-  let rec factor_chain left =
-    match token st with
-    | Lexer.Punct (("*" | "/") as op) ->
-        advance st;
-        factor_chain (E_app (op, [ left; factor st ]))
-    | _ -> left
-  in
-  factor_chain (factor st)
+and term_chain st left =
+  match token st with
+  | Lexer.Punct (("+" | "-") as op) ->
+      advance st;
+      term_chain st (E_app (op, [ left; term st ]))
+  | _ -> left
+
+and term st = factor_chain st (factor st)
+
+and factor_chain st left =
+  match token st with
+  | Lexer.Punct (("*" | "/") as op) ->
+      advance st;
+      factor_chain st (E_app (op, [ left; factor st ]))
+  | _ -> left
 
 and factor st =
   if accept_punct st "(" then begin
@@ -187,10 +211,7 @@ let position_args st =
 let spatial_qualifier st =
   (* '@' already consumed *)
   match token st with
-  | Lexer.Ident (("u" | "s" | "a") as kind) when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct "["; _ } :: _ -> true
-      | _ -> false) ->
+  | Lexer.Ident (("u" | "s" | "a") as kind) when (peek st 1).Lexer.token = Lexer.Punct "[" ->
       advance st;
       expect_punct st "[";
       let space = expect_ident st in
@@ -241,27 +262,23 @@ let interval_expr st =
 let temporal_qualifier st =
   (* '&' already consumed *)
   match token st with
-  | Lexer.Ident "c" when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct "["; _ } :: _ -> true
-      | _ -> false) ->
+  | Lexer.Ident "c" when (peek st 1).Lexer.token = Lexer.Punct "[" ->
       advance st;
       expect_punct st "[";
       let period = number st in
       expect_punct st "]";
       Tq_cyclic (period, interval_expr st)
-  | Lexer.Ident (("u" | "s" | "a") as kind) when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct ("[" | "("); _ } :: _ -> true
-      | _ -> false) -> (
+  | Lexer.Ident (("u" | "s" | "a") as kind)
+    when match (peek st 1).Lexer.token with
+         | Lexer.Punct ("[" | "(") -> true
+         | _ -> false -> (
       advance st;
       (* two forms: an explicit interval [t1, t2] / (t1, t2] ..., or a
          named temporal resolution [years] followed by an instant — "an
          interval definition in place of the resolution function" (§VI-B),
          in reverse *)
-      match (token st, st.toks) with
-      | Lexer.Punct "[", _ :: { Lexer.token = Lexer.Ident _; _ }
-                         :: { Lexer.token = Lexer.Punct "]"; _ } :: _ ->
+      match (token st, (peek st 1).Lexer.token, (peek st 2).Lexer.token) with
+      | Lexer.Punct "[", Lexer.Ident _, Lexer.Punct "]" ->
           advance st;
           let tspace = expect_ident st in
           expect_punct st "]";
@@ -281,34 +298,35 @@ let temporal_qualifier st =
       Tq_at (E_var v)
   | _ -> Tq_at (E_float (number st))
 
+let rec qualifiers st space time =
+  if accept_punct st "@" then begin
+    if space <> Sq_none then err st "duplicate spatial qualifier";
+    qualifiers st (spatial_qualifier st) time
+  end
+  else if accept_punct st "&" then begin
+    if time <> Tq_none then err st "duplicate temporal qualifier";
+    qualifiers st space (temporal_qualifier st)
+  end
+  else (space, time)
+
+(* the arguments after an opening '(', through the closing ')' *)
+let args_close st =
+  let args = if at_punct st ")" then [] else expr_list st in
+  expect_punct st ")";
+  args
+
 let rec fact_atom st =
   let fa_pos = pos_of st in
-  let rec qualifiers space time =
-    if accept_punct st "@" then begin
-      if space <> Sq_none then err st "duplicate spatial qualifier";
-      qualifiers (spatial_qualifier st) time
-    end
-    else if accept_punct st "&" then begin
-      if time <> Tq_none then err st "duplicate temporal qualifier";
-      qualifiers space (temporal_qualifier st)
-    end
-    else (space, time)
-  in
-  let fa_space, fa_time = qualifiers Sq_none Tq_none in
+  let fa_space, fa_time = qualifiers st Sq_none Tq_none in
   let first = expect_ident st in
   let fa_model, fa_pred =
     if accept_punct st "'" then (Some first, expect_ident st) else (None, first)
   in
-  let group () =
-    let args = if token st = Lexer.Punct ")" then [] else expr_list st in
-    expect_punct st ")";
-    args
-  in
   if not (accept_punct st "(") then
     err st "expected '(' after predicate %s" fa_pred;
-  let g1 = group () in
+  let g1 = args_close st in
   if accept_punct st "(" then begin
-    let g2 = group () in
+    let g2 = args_close st in
     { fa_model; fa_pred; fa_values = g1; fa_objects = g2; fa_space; fa_time; fa_pos }
   end
   else
@@ -465,7 +483,7 @@ let rec statement st ~in_model =
         let name = expect_ident st in
         expect_punct st "=";
         S_domain (name, domain_def st)
-    | "object" | "objects" -> S_objects (ident_list st)
+    | "object" | "objects" -> S_objects (located_ident_list st)
     | "predicate" ->
         let name = expect_ident st in
         let domains =
@@ -566,12 +584,7 @@ let rec statement st ~in_model =
         let c_pos = pos_of st in
         let tag = expect_ident st in
         let args =
-          if accept_punct st "(" then begin
-            let args = if token st = Lexer.Punct ")" then [] else expr_list st in
-            expect_punct st ")";
-            args
-          end
-          else []
+          if accept_punct st "(" then args_close st else []
         in
         expect_punct st "<-";
         S_constraint
@@ -596,12 +609,12 @@ let rec statement st ~in_model =
         expect_punct st "=";
         expect_keyword st "models";
         expect_punct st "{";
-        let v_models = if token st = Lexer.Punct "}" then [] else ident_list st in
+        let v_models = if at_punct st "}" then [] else ident_list st in
         expect_punct st "}";
         let v_metas =
           if accept_keyword st "meta" then begin
             expect_punct st "{";
-            let ms = if token st = Lexer.Punct "}" then [] else ident_list st in
+            let ms = if at_punct st "}" then [] else ident_list st in
             expect_punct st "}";
             ms
           end
@@ -633,7 +646,12 @@ and statements st ~in_model ~until_brace =
   go []
 
 let make_state src =
-  { toks = Lexer.tokenize_with_raw_after src ~keywords:[ "metamodel" ] }
+  {
+    lexer = Lexer.create ~raw_after:[ "metamodel" ] src;
+    ahead = Array.make window { Lexer.token = Lexer.Eof; line = 0; col = 0 };
+    first = 0;
+    filled = 0;
+  }
 
 let program src =
   try statements (make_state src) ~in_model:None ~until_brace:false

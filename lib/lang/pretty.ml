@@ -261,7 +261,7 @@ let spec ppf (s : Spec.t) =
         | ds -> Printf.sprintf "{%s}" (String.concat ", " ds)
       in
       line "predicate %s%s(%d)." sg.Spec.pred_name domains sg.Spec.object_arity)
-    s.Spec.signatures;
+    (List.rev s.Spec.signatures);
   List.iter
     (fun (r : Gdp_space.Resolution.t) ->
       let o = r.Gdp_space.Resolution.origin in
@@ -275,25 +275,25 @@ let spec ppf (s : Spec.t) =
           (Format.asprintf "%a" pp_float r.Gdp_space.Resolution.dy)
           (Format.asprintf "%a" pp_float o.Gdp_space.Point.x)
           (Format.asprintf "%a" pp_float o.Gdp_space.Point.y))
-    s.Spec.spaces;
+    (List.rev s.Spec.spaces);
   List.iter
     (fun (r : Gdp_temporal.Resolution1d.t) ->
       line "timespace %s = line(%s) origin %s." r.Gdp_temporal.Resolution1d.name
         (Format.asprintf "%a" pp_float r.Gdp_temporal.Resolution1d.step)
         (Format.asprintf "%a" pp_float r.Gdp_temporal.Resolution1d.origin))
-    s.Spec.tspaces;
+    (List.rev s.Spec.tspaces);
   List.iter (fun (name, r) -> Format.fprintf ppf "%a@." (fun ppf -> pp_region ppf name) r)
-    s.Spec.regions;
+    (List.rev s.Spec.regions);
   List.iter
     (fun (m : Spec.model_def) ->
       if m.Spec.model_name <> Names.default_model then
         line "model %s." m.Spec.model_name)
-    s.Spec.models;
+    (List.rev s.Spec.models);
   if s.Spec.extra_builtins <> [] then
     line "// note: %d OCaml builtin(s) not serialisable: %s"
       (List.length s.Spec.extra_builtins)
       (String.concat ", "
-         (List.map (fun ((n, k), _) -> Printf.sprintf "%s/%d" n k) s.Spec.extra_builtins));
+         (List.rev_map (fun ((n, k), _) -> Printf.sprintf "%s/%d" n k) s.Spec.extra_builtins));
   (* model contents *)
   List.iter
     (fun (m : Spec.model_def) ->
@@ -312,12 +312,12 @@ let spec ppf (s : Spec.t) =
         (List.rev m.Spec.acc_statements);
       List.iter
         (fun r -> Format.fprintf ppf "%s%a@." indent (pp_rule_in (fresh_names ())) r)
-        m.Spec.rules;
+        (List.rev m.Spec.rules);
       List.iter
         (fun r -> Format.fprintf ppf "%s%a@." indent (pp_rule_in (fresh_names ())) r)
-        m.Spec.constraints;
+        (List.rev m.Spec.constraints);
       if not default then line "}")
-    s.Spec.models;
+    (List.rev s.Spec.models);
   (* user-defined meta-models (the standard library is re-installed by the
      elaborator, so only non-standard names are emitted) *)
   List.iter
@@ -336,6 +336,6 @@ let spec ppf (s : Spec.t) =
           m.Spec.meta_clauses;
         line "}"
       end)
-    s.Spec.meta_models
+    (List.rev s.Spec.meta_models)
 
 let spec_to_string s = Format.asprintf "%a" spec s

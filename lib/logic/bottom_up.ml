@@ -1689,6 +1689,13 @@ end)
    relations have been walked; the sections are then copied once into
    the exact-size result. *)
 let export fp =
+  (* The node table and the section buffers live exactly as long as the
+     encoding. Starting on an empty minor heap lets a small or medium
+     store encode without a minor collection in between, so the table
+     dies young instead of being promoted to the major heap. Without it
+     the peak heap of a save depends on where the last minor collection
+     happened to fall. *)
+  Gc.minor ();
   let syms = Hashtbl.create 256 and sym_buf = Buffer.create 4096 in
   let sym s =
     match Hashtbl.find_opt syms s with

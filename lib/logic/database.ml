@@ -246,6 +246,13 @@ let all_clauses db fa =
 
 let predicates db = Sm.bindings db.preds |> List.map fst
 
+(* entry lists are never mutated in place, only replaced *)
+let freeze db =
+  let frozen = Sm.map (fun p -> p.root.entries) db.preds in
+  fun () ->
+    Sm.bindings frozen
+    |> List.map (fun (fa, entries) -> (fa, List.rev_map (fun e -> e.clause) entries))
+
 let register_builtin db fa fn =
   if Sm.mem fa db.preds then
     invalid_arg

@@ -71,6 +71,12 @@ val all_clauses : t -> (string * int) -> clause list
 val predicates : t -> (string * int) list
 (** All predicates that currently have clauses, sorted. *)
 
+val freeze : t -> unit -> ((string * int) * clause list) list
+(** [freeze db] records the clause store as it stands, in time linear in
+    the number of predicates and without copying a clause. Applying the
+    result lists that store later — {!predicates} order, each with its
+    {!all_clauses} — whatever was asserted or retracted in between. *)
+
 val register_builtin : t -> string * int -> builtin -> unit
 (** Raises [Invalid_argument] if the predicate already has clauses. *)
 

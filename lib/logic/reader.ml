@@ -153,7 +153,10 @@ let lex_number lx =
   else
     match lex_exponent lx with
     | Some expo -> Tfloat (float_of_string (intpart ^ ".0" ^ expo))
-    | None -> Tint (int_of_string intpart)
+    | None -> (
+        match int_of_string_opt intpart with
+        | Some n -> Tint n
+        | None -> error lx "integer literal %s is out of range" intpart)
 
 let lex_quoted lx quote =
   advance lx;

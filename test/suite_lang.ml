@@ -43,8 +43,7 @@ let test_lexer_comments_nested () =
 
 let test_lexer_raw_block () =
   let toks =
-    Lexer.tokenize_with_raw_after "metamodel foo { p(X) :- q(X). } fact r(a)."
-      ~keywords:[ "metamodel" ]
+    Lexer.tokens ~raw_after:[ "metamodel" ] "metamodel foo { p(X) :- q(X). } fact r(a)."
   in
   Alcotest.(check bool) "raw captured" true
     (List.exists
@@ -354,6 +353,307 @@ let test_body_to_formula_shared_scope () =
   Alcotest.(check bool) "a1 satisfies both" true (Query.holds q (pat "both(a1)"));
   Alcotest.(check bool) "a2 lacks p" false (Query.holds q (pat "both(a2)"))
 
+(* ---------- lexer oracle ---------- *)
+
+(* Random token sequences, rendered with random layout. The oracle knows
+   where each token starts, so [Lexer.tokens] must give back exactly the
+   tokens at those positions. Adjacent tokens are glued (no layout
+   between them) whenever that cannot change how they lex: this pins
+   longest-match on the operators next to punctuation ([=<-], [(-],
+   [\==], [=\=]), negative numbers ([-5]) and [2e] as Int then Ident. *)
+
+let single_puncts =
+  [ "("; ")"; "["; "]"; "{"; "}"; ","; "."; ";"; ":"; "'"; "@"; "&"; "%"; "+"; "-";
+    "*"; "/"; "|" ]
+
+let gen_word first =
+  let open QCheck.Gen in
+  let rest = oneofl (String.to_seq "abcxyzABEXZ019_" |> List.of_seq) in
+  map2
+    (fun c cs -> String.make 1 c ^ String.of_seq (List.to_seq cs))
+    first (list_size (int_bound 5) rest)
+
+(* a token and its spelling *)
+let gen_token =
+  let open QCheck.Gen in
+  let digits n = map (fun ds -> String.concat "" (List.map string_of_int ds))
+      (list_size (int_range 1 n) (int_bound 9)) in
+  let float_spelling =
+    let exponent =
+      map3 (fun e sign d -> e ^ sign ^ d) (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) (digits 2)
+    in
+    oneof
+      [
+        map3 (fun i f e -> i ^ "." ^ f ^ e) (digits 3) (digits 3) (oneof [ return ""; exponent ]);
+        map2 (fun i e -> i ^ e) (digits 3) exponent;
+      ]
+  in
+  let str_content = list_size (int_bound 6) (oneofl [ 'a'; 'b'; ' '; '"'; '\\'; '\n'; '{' ]) in
+  let render_str cs =
+    map
+      (fun escape_nl ->
+        let b = Buffer.create 16 in
+        Buffer.add_char b '"';
+        List.iter
+          (function
+            | '"' -> Buffer.add_string b "\\\""
+            | '\\' -> Buffer.add_string b "\\\\"
+            | '\n' when escape_nl -> Buffer.add_string b "\\n"
+            | c -> Buffer.add_char b c)
+          cs;
+        Buffer.add_char b '"';
+        (Lexer.Str (String.of_seq (List.to_seq cs)), Buffer.contents b))
+      bool
+  in
+  frequency
+    [
+      (3, map (fun w -> (Lexer.Ident w, w)) (gen_word (char_range 'a' 'z')));
+      (2, map (fun w -> (Lexer.Var w, w)) (gen_word (oneofl [ 'A'; 'E'; 'Z'; '_' ])));
+      ( 2,
+        map (fun n -> (Lexer.Int n, string_of_int n))
+          (oneof [ int_bound 1000; map abs int; return max_int ]) );
+      (2, map (fun f -> (Lexer.Float (float_of_string f), f)) float_spelling);
+      (1, str_content >>= render_str);
+      (3, map (fun p -> (Lexer.Punct p, p)) (oneofl single_puncts));
+      (3, map (fun p -> (Lexer.Punct p, p)) (oneofl Lexer.operators));
+    ]
+
+let is_word_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+
+let is_number = function Lexer.Int _ | Lexer.Float _ -> true | _ -> false
+
+(* Could gluing [next] onto [prev] change how they lex? [glued_number]:
+   [prev] itself is glued onto a number, so an exponent may be forming. *)
+let needs_layout ~glued_number (prev, ps) (_, ns) =
+  let n0 = ns.[0] in
+  let n1 = if String.length ns > 1 then Some ns.[1] else None in
+  let starts_exponent =
+    (n0 = 'e' || n0 = 'E')
+    && match n1 with Some ('0' .. '9') -> true | _ -> false
+  in
+  match prev with
+  | Lexer.Ident _ | Lexer.Var _ ->
+      is_word_char n0
+      || (glued_number && (ps = "e" || ps = "E") && (n0 = '+' || n0 = '-'))
+  | Lexer.Int _ | Lexer.Float _ ->
+      (n0 >= '0' && n0 <= '9') || starts_exponent || n0 = '.'
+  | Lexer.Punct "/" -> n0 = '/' || n0 = '*'
+  | Lexer.Punct p ->
+      List.exists
+        (fun op ->
+          String.length op > String.length p
+          && String.starts_with ~prefix:p op
+          && op.[String.length p] = n0)
+        Lexer.operators
+  | _ -> false
+
+let gen_layout =
+  let open QCheck.Gen in
+  let text = map (fun cs -> String.of_seq (List.to_seq cs))
+      (list_size (int_bound 5) (oneofl [ 'a'; ' '; '*'; '/' ; '-' ])) in
+  let rec block depth =
+    if depth = 0 then map (fun t -> "/*" ^ t ^ "*/") (oneofl [ ""; "x"; " y\nz " ])
+    else
+      map3 (fun a inner b -> "/*" ^ a ^ inner ^ b ^ "*/")
+        (oneofl [ ""; "p"; "\n" ]) (block (depth - 1)) (oneofl [ ""; " q"; "\n\n" ])
+  in
+  let piece =
+    frequency
+      [
+        (4, oneofl [ " "; "\t"; "\n"; "\r\n"; "  " ]);
+        (1, map (fun t -> "//" ^ String.map (fun c -> if c = '/' then ' ' else c) t ^ "\n") text);
+        (1, int_bound 2 >>= block);
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 3) piece)
+
+(* the source, and the expected tokens (Eof included) with positions *)
+let gen_lexed =
+  let open QCheck.Gen in
+  list_size (int_bound 25) (pair gen_token gen_layout) >>= fun items ->
+  list_repeat (List.length items) bool >>= fun glue ->
+  gen_layout >|= fun lead ->
+  let buf = Buffer.create 256 in
+  let line = ref 1 and col = ref 1 in
+  let emit s =
+    String.iter
+      (fun c ->
+        if c = '\n' then begin
+          incr line;
+          col := 1
+        end
+        else incr col)
+      s;
+    Buffer.add_string buf s
+  in
+  emit lead;
+  let expected = ref [] in
+  let rec go prev glued_number = function
+    | [] -> ()
+    | (((tok, spelling) as cur), layout) :: rest ->
+        let want_glue = List.nth glue (List.length !expected) in
+        let glue =
+          match prev with
+          | None -> true
+          | Some p -> want_glue && not (needs_layout ~glued_number p cur)
+        in
+        (match prev with
+        | Some (Lexer.Punct "/", _) when not glue -> emit " "
+        | _ -> ());
+        if not glue then emit (if layout = "" then " " else layout);
+        expected := { Lexer.token = tok; line = !line; col = !col } :: !expected;
+        emit spelling;
+        let glued_number =
+          glue && match prev with Some (p, _) -> is_number p | None -> false
+        in
+        go (Some cur) glued_number rest
+  in
+  go None false items;
+  (match items with
+  | [] -> ()
+  | _ -> emit (if List.length items mod 2 = 0 then "" else "\n"));
+  let eof = { Lexer.token = Lexer.Eof; line = !line; col = !col } in
+  (Buffer.contents buf, List.rev (eof :: !expected))
+
+let pp_lexed t =
+  Printf.sprintf "%d:%d %s" t.Lexer.line t.Lexer.col
+    (match t.Lexer.token with
+    | Lexer.Ident s -> "Ident " ^ s
+    | Lexer.Var s -> "Var " ^ s
+    | Lexer.Int n -> "Int " ^ string_of_int n
+    | Lexer.Float f -> Printf.sprintf "Float %h" f
+    | Lexer.Str s -> Printf.sprintf "Str %S" s
+    | Lexer.Punct p -> "Punct " ^ p
+    | Lexer.Raw s -> Printf.sprintf "Raw %S" s
+    | Lexer.Eof -> "Eof")
+
+let prop_lexer_oracle =
+  QCheck.Test.make ~name:"lexer returns the rendered tokens at their positions"
+    ~count:1000
+    (QCheck.make gen_lexed ~print:(fun (src, _) -> Printf.sprintf "%S" src))
+    (fun (src, expected) ->
+      let got = Lexer.tokens src in
+      got = expected
+      || QCheck.Test.fail_reportf "expected:\n%s\ngot:\n%s"
+           (String.concat "\n" (List.map pp_lexed expected))
+           (String.concat "\n" (List.map pp_lexed got)))
+
+(* ---------- front-end mutation fuzz ---------- *)
+
+(* Byte mutations of real specifications: every mutant either loads or
+   is rejected with [Parser.Error] / [Elaborate.Error]; any other
+   exception (Failure, Not_found, Invalid_argument, Stack_overflow)
+   escaping the front end fails the property. *)
+
+type mutation =
+  | Flip of int * int  (** position, xor mask *)
+  | Insert of int * char
+  | Delete of int * int  (** position, length *)
+  | Duplicate of int * int * int  (** position, length, extra copies *)
+
+let pp_mutation = function
+  | Flip (i, x) -> Printf.sprintf "flip %d ^ %d" i x
+  | Insert (i, c) -> Printf.sprintf "insert %d %C" i c
+  | Delete (i, n) -> Printf.sprintf "delete %d (%d)" i n
+  | Duplicate (i, n, k) -> Printf.sprintf "duplicate %d (%d) x%d" i n k
+
+let mutate src muts =
+  List.fold_left
+    (fun s m ->
+      let len = String.length s in
+      if len = 0 then s
+      else
+        let at k = k mod len in
+        match m with
+        | Flip (i, x) ->
+            let b = Bytes.of_string s and i = at i in
+            Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 + (x mod 255))));
+            Bytes.to_string b
+        | Insert (i, c) ->
+            let i = at i in
+            String.sub s 0 i ^ String.make 1 c ^ String.sub s i (len - i)
+        | Delete (i, n) ->
+            let i = at i in
+            let n = min (1 + (n mod 16)) (len - i) in
+            String.sub s 0 i ^ String.sub s (i + n) (len - i - n)
+        | Duplicate (i, n, k) ->
+            (* the slice is repeated in place, so a digit run grows into
+               a literal too large for an int and a bracket into deep
+               nesting *)
+            let i = at i in
+            let n = min (1 + (n mod 16)) (len - i) in
+            let slice = String.sub s i n in
+            String.sub s 0 i
+            ^ String.concat "" (List.init (2 + (k mod 12)) (fun _ -> slice))
+            ^ String.sub s (i + n) (len - i - n))
+    src muts
+
+let gen_mutations =
+  let open QCheck.Gen in
+  let n = int_bound 1_000_000 in
+  list_size (int_range 1 4)
+    (frequency
+       [
+         (1, map2 (fun i x -> Flip (i, x)) n n);
+         ( 1,
+           map2
+             (fun i c -> Insert (i, c))
+             n
+             (oneof
+                [ oneofl (String.to_seq "(){}[].,;:'\"@&%-+*/=<>\\_9eE\n" |> List.of_seq); char ])
+         );
+         (1, map2 (fun i k -> Delete (i, k)) n n);
+         (3, map3 (fun i k j -> Duplicate (i, k, j)) n n n);
+       ])
+
+let fuzz_sources =
+  lazy
+    (let read path =
+       (* [dune test] runs in [_build/default/test]; a direct run of the
+          executable from the repository root finds the same files *)
+       let path = if Sys.file_exists path then path else Filename.concat "test" path in
+       In_channel.with_open_bin path In_channel.input_all
+     in
+     let census =
+       let rng = Gdp_workload.Rng.create 5L in
+       let c =
+         Gdp_workload.Census.generate rng ~n_states:5 ~cities_per_state:4
+           ~capital_bug_probability:0.2 ()
+       in
+       let spec = Spec.create () in
+       Meta.install_standard spec;
+       Gdp_workload.Census.add_to_spec c spec ();
+       Gdp_workload.Census.add_constraints spec ();
+       Gdp_workload.Census.add_large_city_rule spec ~threshold:1_000_000 ();
+       Gdp_lang.Pretty.spec_to_string spec
+     in
+     [|
+       read "../examples/terrain_mapping.gdp";
+       read "cli.t/demo.gdp";
+       census;
+       {|
+      objects b1, s1.
+      metamodel m loopcheck { p(X) :- q(X, 'a}b'). q(1, [2 | T]). }
+      fact @u[r](1, 2) &c[24][8, 18] v(3.5e2)(b1).
+      rule %0.5 w(X) <- %[A] v(X), A > 2, forall(u(Y) => (z(Y) ; not r(Y))).
+      |};
+     |])
+
+let prop_front_end_fuzz =
+  QCheck.Test.make ~name:"mutated specifications load or raise a front-end error"
+    ~count:6000
+    (QCheck.make
+       QCheck.Gen.(pair (int_bound 3) gen_mutations)
+       ~print:(fun (i, ms) ->
+         Printf.sprintf "source %d: %s" i (String.concat "; " (List.map pp_mutation ms))))
+    (fun (i, muts) ->
+      let src = mutate (Lazy.force fuzz_sources).(i) muts in
+      (match Elaborate.load_string ~base_dir:"." src with
+      | exception (Parser.Error _ | Elaborate.Error _) -> ()
+      | (_ : Elaborate.result) -> ());
+      true)
+
 let tests =
   [
     Alcotest.test_case "lexer: tokens" `Quick test_lexer_tokens;
@@ -378,4 +678,6 @@ let tests =
     Alcotest.test_case "elaborate: accuracy rules" `Quick test_elaborate_accuracy_rule;
     Alcotest.test_case "elaborate: error reporting" `Quick test_elaborate_error_reporting;
     Alcotest.test_case "elaborate: variable scoping" `Quick test_body_to_formula_shared_scope;
+    QCheck_alcotest.to_alcotest prop_lexer_oracle;
+    QCheck_alcotest.to_alcotest prop_front_end_fuzz;
   ]

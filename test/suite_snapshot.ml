@@ -335,6 +335,105 @@ let test_update_log_replay () =
   Alcotest.(check (list string)) "replay == fresh apply" (reach_all q3)
     (reach_all q2)
 
+(* ---------------------------------------------------- the snapshot key *)
+
+(* [Compile.content_hash] is the key every saved [.gdpx] file carries: a
+   change to it turns every snapshot already on disk stale. These values
+   pin it on the example specifications, parsed from their files and
+   built through [Spec] directly, under the views a CLI run uses and
+   under every standard meta-model. *)
+let census_spec () =
+  let rng = Gdp_workload.Rng.create 7L in
+  let census =
+    Gdp_workload.Census.generate rng ~n_states:5 ~cities_per_state:4
+      ~capital_bug_probability:0.2 ()
+  in
+  let spec = Spec.create () in
+  Meta.install_standard spec;
+  Gdp_workload.Census.add_to_spec census spec ();
+  Gdp_workload.Census.add_constraints spec ();
+  Gdp_workload.Census.add_large_city_rule spec ~threshold:1_000_000 ();
+  spec
+
+let pinned_specs =
+  (* [dune test] runs in [_build/default/test]; a direct run of the
+     executable from the repository root finds the same files *)
+  let parsed path () =
+    let path = if Sys.file_exists path then path else Filename.concat "test" path in
+    let r = Gdp_lang.Elaborate.load_file path in
+    (r.Gdp_lang.Elaborate.spec, r.Gdp_lang.Elaborate.uses)
+  in
+  [
+    ("terrain_mapping.gdp", parsed "../examples/terrain_mapping.gdp");
+    ("demo.gdp", parsed "cli.t/demo.gdp");
+    ("census (built)", fun () -> (census_spec (), []));
+    ( "census (parsed)",
+      fun () ->
+        let r = Gdp_lang.Elaborate.load_string (Gdp_lang.Pretty.spec_to_string (census_spec ())) in
+        (r.Gdp_lang.Elaborate.spec, r.Gdp_lang.Elaborate.uses) );
+  ]
+
+let pinned_hashes =
+  [
+    ("terrain_mapping.gdp", "uses", "eafeea77656126527bdfb35c587eead4");
+    ("terrain_mapping.gdp", "standard", "65bc98d307ee8a03a197e9c9b7b9a169");
+    ("demo.gdp", "uses", "647f66318c4d39d4d329838f81834f56");
+    ("demo.gdp", "standard", "0827b09cdae7e86f84f5b4bc73115b63");
+    ("census (built)", "uses", "7c4977de8925909f448f752ac38aa424");
+    ("census (built)", "standard", "502a843f9badc5b077bd2e2c80b8ec72");
+    ("census (parsed)", "uses", "7c4977de8925909f448f752ac38aa424");
+    ("census (parsed)", "standard", "3c38ade30b6df6720ff2503126592ebc");
+  ]
+
+let test_pinned_hashes () =
+  let actual =
+    List.map
+      (fun (name, views, _) ->
+        let spec, uses = (List.assoc name pinned_specs) () in
+        let meta_view = if views = "uses" then uses else Meta.standard_names in
+        (name, views, Compile.content_hash (Compile.compile ~meta_view spec)))
+      pinned_hashes
+  in
+  Alcotest.(check (list (triple string string string)))
+    "content hashes" pinned_hashes actual
+
+(* The key is the clause sequence as compiled, before the update-log
+   replay and the meta clauses: updates applied to the live database
+   before the first read, and the meta clauses asserted at the end of the
+   compile, must leave it equal to a fresh compile's, and the snapshot it
+   keys must load as fresh. *)
+let notes_meta () =
+  {
+    Spec.meta_name = "notes";
+    meta_doc = "two facts";
+    meta_clauses = Reader.program "note(a). note(b).";
+    needs_loop_check = false;
+  }
+
+let test_hash_after_updates () =
+  with_temp @@ fun path ->
+  let spec_of () =
+    let spec = datalog_spec () in
+    Spec.add_meta_model spec (notes_meta ());
+    spec
+  in
+  let q1 =
+    Query.with_mode (Query.create ~meta_view:[ "notes" ] (spec_of ())) Query.Materialized
+  in
+  ignore (Query.update q1 [ `Assert (Gfact.make "link" ~objects:[ a "n4"; a "n1" ]) ]);
+  ignore (Query.update q1 [ `Retract (Gfact.make "flagged" ~objects:[ a "n3" ]) ]);
+  let (_ : int * int) = Query.save_snapshot q1 path in
+  let snap, (_ : int) = Snapshot.load ~path () in
+  let fresh = Compile.compile ~meta_view:[ "notes" ] (spec_of ()) in
+  Alcotest.(check string) "key after updates = fresh compile's key"
+    (Compile.content_hash fresh) snap.Snapshot.key;
+  let q2 =
+    Query.with_mode (Query.create ~meta_view:[ "notes" ] (spec_of ())) Query.Materialized
+  in
+  match Query.of_snapshot q2 path with
+  | Ok _ -> Alcotest.(check (list string)) "answers agree" (reach_all q1) (reach_all q2)
+  | Error e -> Alcotest.failf "load failed: %s" (Query.snapshot_error_message e)
+
 (* ------------------------------------------- encoding and hostile files *)
 
 (* Every node kind the encoding has — atoms, ints, floats, strings,
@@ -571,6 +670,9 @@ let tests =
     Alcotest.test_case "export is deterministic across a reload" `Quick
       test_export_deterministic;
     Alcotest.test_case "wire codec edges" `Quick test_wire_edges;
+    Alcotest.test_case "content hash is pinned" `Quick test_pinned_hashes;
+    Alcotest.test_case "content hash ignores updates and meta clauses" `Quick
+      test_hash_after_updates;
     QCheck_alcotest.to_alcotest prop_hostile_logic;
     QCheck_alcotest.to_alcotest prop_hostile_query;
   ]
