@@ -192,6 +192,10 @@ let handle_errors f =
   | Gdp_logic.Bottom_up.Unsupported msg ->
       Printf.eprintf "error: not materializable: %s\n" msg;
       exit 2
+  | Gdp_logic.Snapshot.Corrupt msg ->
+      (* a loaded snapshot whose store a proof finds inconsistent *)
+      Printf.eprintf "error: snapshot: %s\n" msg;
+      exit 2
   | Gdp_logic.Solve.Depth_exhausted { depth; goal } ->
       Printf.eprintf
         "error: inference depth %d exhausted while proving %s (try simpler \

@@ -340,8 +340,9 @@ let spatial_hints ?grid_cell spec : Bottom_up.spatial =
   }
 
 (* The snapshot key: the compiled clause sequence (exact order — rule
-   ids anchor recorded witnesses) plus everything outside the clause
-   store that changes what a materialised fixpoint derives: views, the
+   order decides which derivation a proof shows) plus everything
+   outside the clause store that changes what a materialised fixpoint
+   derives: views, the
    coordinate system, region geometries, logical space/time resolutions,
    the fuzzy algebra, and the engine configuration knobs. The
    configuration part reads the specification's {e current} flag, so

@@ -73,8 +73,8 @@ val spatial_hints :
 
 val content_hash : t -> string
 (** The snapshot key of this compilation: a digest over the exact
-    compiled clause sequence (rule order included — witness rule ids
-    depend on it), both views, the coordinate system, region
+    compiled clause sequence (rule order included — the derivation a
+    proof shows depends on it), both views, the coordinate system, region
     geometries, logical space and time resolutions, the fuzzy algebra
     family, and the [Spec.spatial_indexing] flag as it stands {e now}.
     Deliberately independent of the specification's update log

@@ -129,6 +129,38 @@ type snapshot_error = Snapshot_stale of string | Snapshot_corrupt of string
 let snapshot_error_message = function
   | Snapshot_stale m | Snapshot_corrupt m -> m
 
+let holds_of f = Gfact.to_holds ~default_model:Names.default_model f
+
+(* The update log rides in a snapshot's meta as one term: the list of
+   its updates as [assert(F)] or [retract(F)] over each fact's [holds/6]
+   term. *)
+let encode_update_log (log : Spec.update list) =
+  let b = Buffer.create 64 in
+  Wire.add_term b
+    (Term.list
+       (List.map
+          (function
+            | `Assert f -> Term.app "assert" [ holds_of f ]
+            | `Retract f -> Term.app "retract" [ holds_of f ])
+          log));
+  Buffer.contents b
+
+(* The inverse of [encode_update_log], holding each update to what
+   {!update} accepts; anything else raises [Wire.Corrupt]. *)
+let decode_update_log meta : Spec.update list =
+  let r = Wire.reader meta ~pos:0 ~len:(String.length meta) in
+  let update = function
+    | Term.App (tag, [ h ]) -> (
+        match (tag, Gfact.of_holds h) with
+        | "assert", Some ({ Gfact.pred = Term.Atom _; _ } as f) -> `Assert f
+        | "retract", Some ({ Gfact.pred = Term.Atom _; _ } as f) -> `Retract f
+        | _ -> Wire.corrupt "a logged update is not a fact update")
+    | _ -> Wire.corrupt "a logged update is not a fact update"
+  in
+  match Term.as_list (Wire.term r) with
+  | Some log when Wire.at_end r -> List.map update log
+  | _ -> Wire.corrupt "the update log is not a list"
+
 let save_snapshot q path =
   op_span q "save_snapshot" @@ fun () ->
   let fp = materialization q in
@@ -136,7 +168,7 @@ let save_snapshot q path =
   (* the update log rides in the container's opaque meta payload:
      [of_snapshot] replays it into the freshly compiled database, so a
      snapshot saved after {!update} batches loads coherently *)
-  let meta = Marshal.to_string (Spec.update_log (spec q) : Spec.update list) [] in
+  let meta = encode_update_log (Spec.update_log (spec q)) in
   let bytes =
     Snapshot.save ~tracer:q.tracer ~path
       { Snapshot.key = Compile.content_hash q.compiled; meta; state }
@@ -150,10 +182,14 @@ let save_snapshot q path =
    diverging log means the snapshot belongs to a different update
    history, which is staleness, not corruption. *)
 let replay_snapshot_updates q (saved : Spec.update list) =
+  let key = function
+    | `Assert f -> (true, holds_of f)
+    | `Retract f -> (false, holds_of f)
+  in
   let rec drop_prefix known saved =
     match (known, saved) with
     | [], rest -> Some rest
-    | k :: ks, s :: ss when k = s -> drop_prefix ks ss
+    | k :: ks, s :: ss when key k = key s -> drop_prefix ks ss
     | _ -> None
   in
   match drop_prefix (Spec.update_log (spec q)) saved with
@@ -166,10 +202,7 @@ let replay_snapshot_updates q (saved : Spec.update list) =
       let database = db q in
       List.iter
         (fun u ->
-          let t =
-            Gfact.to_holds ~default_model:Names.default_model
-              (match u with `Assert f | `Retract f -> f)
-          in
+          let t = holds_of (match u with `Assert f | `Retract f -> f) in
           (match u with
           | `Assert _ ->
               if not (Database.has_fact database t) then Database.fact database t
@@ -193,11 +226,9 @@ let of_snapshot q path =
              "the specification or engine configuration changed since \
               the snapshot was written")
       else
-        match
-          (Marshal.from_string snap.Snapshot.meta 0 : Spec.update list)
-        with
-        | exception _ ->
-            Error (Snapshot_corrupt "unreadable snapshot update log")
+        match decode_update_log snap.Snapshot.meta with
+        | exception Wire.Corrupt msg ->
+            Error (Snapshot_corrupt (path ^ ": update log: " ^ msg))
         | saved_updates -> (
             match replay_snapshot_updates q saved_updates with
             | Error e -> Error e

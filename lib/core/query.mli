@@ -192,7 +192,7 @@ val explain_proof : t -> Gfact.t -> Gdp_logic.Explain.proof option
     In {!Materialized} and {!Magic} modes the tree is reconstructed from
     the answering fixpoint's lineage ({!Gdp_logic.Bottom_up.proof})
     without invoking SLDNF: derived
-    tuples expand through their recorded witnesses, base facts bottom
+    tuples expand through their first rank-bounded derivation, base facts bottom
     out as [Fact] leaves, negated and guard steps appear as [Naf] /
     [Builtin] leaves, and magic-mode trees are stripped of the
     rewrite's [magic$…] guard premises
@@ -218,8 +218,8 @@ val ask_all :
 (** {1 Persistent snapshots}
 
     Compile once, query many: {!save_snapshot} writes the materialised
-    fixpoint (facts, indexes, stratification shape, incremental state,
-    provenance witnesses, counters) plus the specification's update log
+    fixpoint (facts and their ranks, stratification shape, incremental
+    state, counters) plus the specification's update log
     to a [.gdpx] file keyed by {!Compile.content_hash};
     {!of_snapshot} loads one back — skipping rule evaluation entirely —
     after proving the key still matches this compilation. A stale or

@@ -2,15 +2,16 @@ module Term_tbl = Path_key.Tbl
 
 module Sx = Gdp_space.Spatial_index
 
-(* A materialised relation: a hash set of hash-consed ground facts (O(1)
-   expected membership, physical-equality fast paths on the stored
-   terms), the facts in insertion order for deterministic scans, and
-   lazily built subterm indexes for join probes. An index is keyed by
-   paths into the fact — [[3; 0]] is the first element of the list at
-   argument 3 — and maps the tuple of subterms at those paths to the
-   facts carrying exactly those subterms there; [eval_rule] probes the
-   index of whichever subterms the in-flowing substitution has made
-   ground. *)
+(* A materialised relation: a hash table from each hash-consed ground
+   fact to its rank (O(1) expected membership), the facts in insertion
+   order for deterministic scans with their ranks alongside, and lazily
+   built subterm indexes for join probes. A rank is the fixpoint's
+   insertion counter when the fact entered the store, so ranks increase
+   along the array. An index is keyed by paths into the fact — [[3; 0]]
+   is the first element of the list at argument 3 — and maps the tuple
+   of subterms at those paths to the facts carrying exactly those
+   subterms there; [eval_rule] probes the index of whichever subterms
+   the in-flowing substitution has made ground. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -24,8 +25,9 @@ module Relation = struct
   }
 
   type t = {
-    facts : Term.t Term_tbl.t;  (* fact -> its stored canonical copy *)
+    facts : int Term_tbl.t;  (* fact -> its rank *)
     mutable arr : Term.t array; (* slots [0, n) valid, insertion order *)
+    mutable ranks : int array;  (* the rank of each slot of [arr] *)
     mutable n : int;
     mutable indexes : (int list list * Term.t list Term_tbl.t) list;
         (* subterm paths (in term order) -> probe table *)
@@ -39,12 +41,14 @@ module Relation = struct
     {
       facts = Term_tbl.create 64;
       arr = Array.make 16 dummy;
+      ranks = Array.make 16 0;
       n = 0;
       indexes = [];
       spatials = [];
     }
 
   let mem r t = Term_tbl.mem r.facts t
+  let rank r t = Term_tbl.find_opt r.facts t
   let cardinal r = r.n
 
   (* insertion order: derivation cascades within a pass, and therefore
@@ -119,66 +123,62 @@ module Relation = struct
     let sp = spatial_index r ~kind ~point apos in
     (Sx.range sp.s_idx qbox, sp.s_rest)
 
-  let add r t =
+  let add r t rank =
     if Term_tbl.mem r.facts t then false
     else begin
-      Term_tbl.replace r.facts t t;
+      Term_tbl.replace r.facts t rank;
       if r.n = Array.length r.arr then begin
-        let bigger = Array.make (2 * r.n) dummy in
-        Array.blit r.arr 0 bigger 0 r.n;
-        r.arr <- bigger
+        let grow a fill =
+          let bigger = Array.make (2 * r.n) fill in
+          Array.blit a 0 bigger 0 r.n;
+          bigger
+        in
+        r.arr <- grow r.arr dummy;
+        r.ranks <- grow r.ranks 0
       end;
       r.arr.(r.n) <- t;
+      r.ranks.(r.n) <- rank;
       r.n <- r.n + 1;
       List.iter (fun (paths, idx) -> index_insert idx paths t) r.indexes;
       List.iter (fun (apos, sp) -> spat_insert apos sp t) r.spatials;
       true
     end
 
-  (* Bulk load for snapshot import: slots [0, n) of [arr] hold a saved
-     relation's canonical facts in insertion order, and the relation is
-     built around the array itself. The hash set is created at the size
-     [add]'s doubling would have grown it to, so no rehash runs and its
-     bucket order matches a relation filled fact by fact; [distinct]
-     afterwards is false when the array repeats a fact. *)
-  let of_array arr n =
+  (* Bulk load for snapshot import: slots [0, n) of [arr] and [ranks]
+     hold a saved relation's canonical facts in insertion order and
+     their ranks, and the relation is built around the arrays
+     themselves. The hash table is created at the size [add]'s doubling
+     would have grown it to, so no rehash runs and its bucket order
+     matches a relation filled fact by fact; [distinct] afterwards is
+     false when the array repeats a fact. *)
+  let of_array arr ranks n =
     let facts = Term_tbl.create (max 64 ((n + 1) / 2)) in
     for i = 0 to n - 1 do
-      let t = Array.unsafe_get arr i in
-      Term_tbl.replace facts t t
+      Term_tbl.replace facts (Array.unsafe_get arr i) (Array.unsafe_get ranks i)
     done;
-    { facts; arr; n; indexes = []; spatials = [] }
+    { facts; arr; ranks; n; indexes = []; spatials = [] }
 
   let distinct r = Term_tbl.length r.facts = r.n
 
   (* Physical deletion for incremental maintenance, one batch at a time:
-     drop every member of [ts] from the hash set, then compact the
+     drop every member of [ts] from the hash table, then compact the
      insertion-order array once (later scans stay deterministic) and
-     filter once each index bucket a removed fact sat in. After the hash
-     set is updated, a stored fact survives iff the set still maps it to
-     itself, so compaction compares stored canonical terms with [==]
-     instead of walking them structurally once per removed fact. Returns
-     the members of [ts] that were present, in order. *)
+     filter once each index bucket a removed fact sat in. Returns the
+     members of [ts] that were present, in order. *)
   let remove r ts =
     let gone =
-      List.filter_map
-        (fun t ->
-          match Term_tbl.find_opt r.facts t with
-          | Some stored ->
-              Term_tbl.remove r.facts t;
-              Some (t, stored)
-          | None -> None)
+      List.filter
+        (fun t -> mem r t && (Term_tbl.remove r.facts t; true))
         ts
     in
     if gone <> [] then begin
-      let live x =
-        match Term_tbl.find_opt r.facts x with Some s -> s == x | None -> false
-      in
+      let live x = mem r x in
       let j = ref 0 in
       for i = 0 to r.n - 1 do
         let x = Array.unsafe_get r.arr i in
         if live x then begin
           r.arr.(!j) <- x;
+          r.ranks.(!j) <- r.ranks.(i);
           incr j
         end
       done;
@@ -188,8 +188,8 @@ module Relation = struct
         (fun (paths, idx) ->
           let filtered = Term_tbl.create 16 in
           List.iter
-            (fun (_, stored) ->
-              match Path_key.key_at paths stored with
+            (fun t ->
+              match Path_key.key_at paths t with
               | Some k when not (Term_tbl.mem filtered k) -> (
                   Term_tbl.replace filtered k ();
                   match Term_tbl.find_opt idx k with
@@ -201,17 +201,19 @@ module Relation = struct
               | _ -> ())
             gone)
         r.indexes;
+      (* spatial indexes find a value by [==]: stored facts are
+         canonical, so [Term.hcons] returns the stored copy *)
       List.iter
         (fun (apos, sp) ->
           List.iter
-            (fun (_, stored) ->
-              match spat_box sp apos stored with
-              | Some b -> Stdlib.ignore (Sx.remove sp.s_idx b stored)
+            (fun t ->
+              match spat_box sp apos t with
+              | Some b -> Stdlib.ignore (Sx.remove sp.s_idx b (Term.hcons t))
               | None -> sp.s_rest <- List.filter live sp.s_rest)
             gone)
         r.spatials
     end;
-    List.map fst gone
+    gone
 
   (* Facts whose subterms at [paths] equal those of the atom [g], which
      is ground at every one of them — a superset check is not needed:
@@ -251,18 +253,6 @@ type spatial = {
 
 let index_kind sp =
   match sp.sp_grid_cell with Some c -> Sx.Grid c | None -> Sx.Rtree
-
-(* Why-provenance: one witness per derived tuple — the rule that first
-   produced it and the instantiated body, in textual order. Positive
-   steps name supporting tuples (hash-consed, so they alias the stored
-   facts); negated and builtin guards are kept as ground goal instances
-   for the proof tree's [Naf]/[Builtin] leaves. *)
-type wstep =
-  | Wfact of Term.t  (** supporting positive body tuple *)
-  | Wnaf of Term.t  (** negated literal instance that had no proof *)
-  | Wguard of Term.t  (** arithmetic / equality guard instance *)
-
-type witness = { w_rule : int; w_steps : wstep list }
 
 (* Evaluation bounds, per operation (an initial run or one update batch):
    only unsafe function-symbol recursion can reach them. *)
@@ -401,9 +391,7 @@ type incr_stats = {
 }
 
 type prov_stats = {
-  prov_tracked : int;
   prov_bytes : int;
-  prov_refreshed : int;
   prov_reconstructs : int;
   prov_max_depth : int;
   prov_max_size : int;
@@ -457,16 +445,6 @@ let new_counters () =
     c_misses = 0;
   }
 
-(* Mutable lineage state: the witness table plus the reconstruction
-   counters {!pp_stats} reports. *)
-type pstate = {
-  ptbl : witness Term_tbl.t;  (* derived tuple -> its recorded witness *)
-  mutable p_refreshed : int;  (* witnesses refreshed by DRed rederivation *)
-  mutable p_reconstructs : int;
-  mutable p_max_depth : int;
-  mutable p_max_size : int;
-}
-
 type istate = {
   mutable i_batches : int;
   mutable i_asserts : int;
@@ -505,7 +483,10 @@ type fixpoint = {
   ctr : counters;
   mutable strata_stats : stratum_stats list;
   incr : istate;
-  lineage : pstate;  (* the why-provenance sidecar *)
+  mutable clock : int;  (* the rank the next stored fact gets *)
+  mutable p_reconstructs : int;  (* proof-reconstruction counters *)
+  mutable p_max_depth : int;
+  mutable p_max_size : int;
 }
 
 let record rel t m =
@@ -520,71 +501,22 @@ let get fp rel =
       r
 
 (* dedup-inserting a hash-consed copy keeps every stored fact canonical,
-   so later membership tests mostly resolve on physical equality *)
+   so later membership tests mostly resolve on physical equality; the
+   fact's rank is the insertion clock *)
 let add fp rel t =
   let h = Term.hcons t in
   (* [hcons t == t] means [t] became the canonical copy: a table miss *)
   if h == t then fp.ctr.c_misses <- fp.ctr.c_misses + 1
   else fp.ctr.c_hits <- fp.ctr.c_hits + 1;
   let t = h in
-  if Relation.add (get fp rel) t then begin
+  if Relation.add (get fp rel) t fp.clock then begin
+    fp.clock <- fp.clock + 1;
     fp.ctr.c_facts <- fp.ctr.c_facts + 1;
     if fp.ctr.c_facts > max_facts then
       failwith "Bottom_up.run: fact bound hit";
     Some t
   end
   else None
-
-(* The witness of one firing: the rule's body in textual order under the
-   final substitution. Step terms are hash-consed, so positive steps are
-   physically the stored supporting tuples and the store's memory is
-   shared rather than duplicated. *)
-let witness_of rule subst =
-  let app t = Term.hcons (Subst.apply subst t) in
-  let steps =
-    List.filter_map
-      (function
-        | Pos (_, _, atom, _) -> Some (Wfact (app atom))
-        | Neg (_, atom, _) -> Some (Wnaf (app atom))
-        | Never -> None
-        | (Cmp _ | Eq _ | Is _ | Ext _) as lit ->
-            Some (Wguard (app (goal_of lit))))
-      rule.body
-  in
-  { w_rule = rule.id; w_steps = steps }
-
-(* first derivation wins: a tuple's witness is recorded once and only
-   replaced by the explicit refresh paths (DRed rederivation, stratum
-   recompute after a witness drop) *)
-let record_witness fp rule stored subst =
-  if not (Term_tbl.mem fp.lineage.ptbl stored) then
-    Term_tbl.replace fp.lineage.ptbl stored (witness_of rule subst)
-
-let drop_witness fp t = Term_tbl.remove fp.lineage.ptbl t
-
-(* Structural node count of a term; the store hcons-shares witness terms
-   with the fact store, so this over-approximates the marginal footprint
-   but tracks the logical size of the witnesses written out as trees
-   (the snapshot encoding stores each distinct node once). *)
-let rec term_nodes = function
-  | Term.App (_, args) -> List.fold_left (fun n a -> n + term_nodes a) 1 args
-  | _ -> 1
-
-(* (tracked tuples, approximate witness bytes): one word for the rule id
-   plus per step a tag word and the step term's nodes, 8 bytes a word *)
-let prov_footprint ps =
-  Term_tbl.fold
-    (fun key w (n, b) ->
-      let wb =
-        List.fold_left
-          (fun acc s ->
-            acc
-            + 1
-            + term_nodes (match s with Wfact t | Wnaf t | Wguard t -> t))
-          (1 + term_nodes key) w.w_steps
-      in
-      (n + 1, b + (8 * wb)))
-    ps.ptbl (0, 0)
 
 (* [budget_from] is the pass counter at the start of the current
    operation (initial run or one update batch): the iteration bound is
@@ -610,13 +542,10 @@ let tick fp ~budget_from =
    rederivation, starts the body evaluation from a substitution that
    already grounds the head.
 
-   [emit] returns the stored canonical term when the derived head was a
-   fresh insertion — whose witness is then recorded from the firing
-   substitution — and [None] otherwise. [on_derive], used by
-   {!find_witness}, replaces [emit] entirely: the caller observes (head,
-   substitution) pairs without touching the store. *)
-let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
-    rule plan ~emit =
+   [emit] receives each firing's head relation, derived head and
+   substitution. *)
+let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ~delta_at ~delta rule plan
+    ~emit =
   let ctr = fp.ctr in
   ctr.c_firings <- ctr.c_firings + 1;
   let ghost_facts rel =
@@ -658,14 +587,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
   in
   let rec go subst lits =
     match lits with
-    | [] -> (
-        let head = Subst.apply subst rule.head in
-        match on_derive with
-        | Some f -> f head subst
-        | None -> (
-            match emit rule.head_rel head with
-            | Some stored -> record_witness fp rule stored subst
-            | None -> ()))
+    | [] -> emit rule.head_rel (Subst.apply subst rule.head) subst
     | Pos (i, rel, atom, sprobe) :: rest -> (
         let each fact =
           match Unify.unify subst atom fact with
@@ -750,14 +672,14 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?on_derive ~delta_at ~delta
   in
   go subst0 plan
 
-(* Deterministic derivability check with witness capture: the first rule
-   in rule order whose body (under the plan's enumeration order)
-   rederives [t] from the current store. Returns [Some witness] when
-   derivable, [None] when no rule of [srules] produces [t]. Used by DRed
-   rederivation, whose firings count in the fixpoint's counters. *)
-exception Found_witness of witness
+(* The first firing, in rule order and under each rule's plan, of a
+   rule of [srules] that derives the ground [t] of relation [rel] from
+   the current store and that [accept] takes, as the rule and the firing
+   substitution. DRed rederivation accepts every firing; {!proof}
+   accepts rank-bounded firings only. *)
+exception Derived of planned * Subst.t
 
-let find_witness fp srules rel t =
+let find_derivation fp srules rel t ~accept =
   try
     List.iter
       (fun p ->
@@ -766,13 +688,12 @@ let find_witness fp srules rel t =
           | None -> ()
           | Some s ->
               eval_rule fp ~subst0:s ~delta_at:None ~delta:[] p.rule p.plan
-                ~emit:(fun _ _ -> None)
-                ~on_derive:(fun h subst ->
-                  if Term.equal h t then
-                    raise_notrace (Found_witness (witness_of p.rule subst))))
+                ~emit:(fun _ _ subst ->
+                  (* the head is [t]: [s] grounds it *)
+                  if accept p subst then raise_notrace (Derived (p, subst))))
       srules;
     None
-  with Found_witness w -> Some w
+  with Derived (p, s) -> Some (p, s)
 
 (* Saturate one stratum. [`Full] starts with a pass firing every rule
    against the full relations (the initial run and stratum recompute);
@@ -785,13 +706,12 @@ let find_witness fp srules rel t =
 let saturate fp ~budget_from ~guard srules start =
   let added = ref Rel_map.empty in
   let new_facts = ref Rel_map.empty in
-  let emit rel t =
+  let emit rel t _ =
     match add fp rel t with
-    | None -> None
+    | None -> ()
     | Some t ->
         new_facts := record rel t !new_facts;
-        added := record rel t !added;
-        Some t
+        added := record rel t !added
   in
   let full_pass () =
     List.iter
@@ -914,14 +834,10 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
           i_visited = 0;
           i_recomputed = 0;
         };
-      lineage =
-        {
-          ptbl = Term_tbl.create 256;
-          p_refreshed = 0;
-          p_reconstructs = 0;
-          p_max_depth = 0;
-          p_max_size = 0;
-        };
+      clock = 0;
+      p_reconstructs = 0;
+      p_max_depth = 0;
+      p_max_size = 0;
     }
   in
   (* every relation a rule can read or write exists up front, so the set
@@ -984,9 +900,7 @@ let gauge_totals fp =
     set "bu.facts" fp.ctr.c_facts;
     set "bu.passes" fp.ctr.c_passes;
     set "bu.firings" fp.ctr.c_firings;
-    let tracked, bytes = prov_footprint fp.lineage in
-    set "prov.tracked" tracked;
-    set "prov.bytes" bytes
+    set "prov.bytes" (8 * fp.ctr.c_facts)
   end
 
 let emit_gauges fp =
@@ -1161,16 +1075,12 @@ let stats fp =
     bu_strata_stats = fp.strata_stats;
     bu_incr = incr_stats fp;
     bu_prov =
-      (let ps = fp.lineage in
-       let tracked, bytes = prov_footprint ps in
-       {
-         prov_tracked = tracked;
-         prov_bytes = bytes;
-         prov_refreshed = ps.p_refreshed;
-         prov_reconstructs = ps.p_reconstructs;
-         prov_max_depth = ps.p_max_depth;
-         prov_max_size = ps.p_max_size;
-       });
+      {
+        prov_bytes = 8 * fp.ctr.c_facts (* the rank column *);
+        prov_reconstructs = fp.p_reconstructs;
+        prov_max_depth = fp.p_max_depth;
+        prov_max_size = fp.p_max_size;
+      };
   }
 
 let hcons_hit_rate s =
@@ -1207,9 +1117,7 @@ let pp_stats ppf s =
       i.upd_strata_recomputed
   end;
   let p = s.bu_prov in
-  Format.fprintf ppf
-    "provenance: %d tuples tracked, %d witness bytes, %d refreshed@,"
-    p.prov_tracked p.prov_bytes p.prov_refreshed;
+  Format.fprintf ppf "provenance: %d rank bytes@," p.prov_bytes;
   if p.prov_reconstructs > 0 then
     Format.fprintf ppf
       "provenance: %d reconstructs (max depth %d, max size %d)@,"
@@ -1223,8 +1131,8 @@ let pp_stats ppf s =
 
 type update = [ `Assert of Term.t | `Retract of Term.t ]
 
-(* Physically remove those of the [(rel, t)] pairs the store holds and
-   drop their witnesses; each touched relation is compacted once, by
+(* Physically remove those of the [(rel, t)] pairs the store holds; each
+   touched relation is compacted once, by
    {!Relation.remove}. Returns the pairs removed, in input order. *)
 let remove_facts fp pairs =
   let by_rel = Hashtbl.create 8 in
@@ -1247,7 +1155,6 @@ let remove_facts fp pairs =
            (* a pair listed twice is removed once *)
            Term_tbl.remove gone t;
            fp.ctr.c_facts <- fp.ctr.c_facts - 1;
-           drop_witness fp t;
            true
          end)
     pairs
@@ -1300,13 +1207,12 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
       srules
   in
   let fresh = ref [] in
-  let mark rel t =
+  let mark rel t _ =
     if (not (Term_tbl.mem marked t)) && Relation.mem (get fp rel) t then begin
       Term_tbl.replace marked t rel;
       fp.incr.i_overdeleted <- fp.incr.i_overdeleted + 1;
       fresh := (rel, t) :: !fresh
-    end;
-    None
+    end
   in
   let deltas = ref deltas0 in
   while (not (Rel_map.is_empty !deltas)) && reads !deltas do
@@ -1335,11 +1241,8 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   (* 4. rederive: a removed fact survives if it is still asserted, or
      some rule of this stratum derives it from the remaining facts.
      Iterated to a fixpoint so chains of mutually supporting facts are
-     reinstated in dependency order. The surviving derivation found here
-     becomes the fact's refreshed witness — its old witness was dropped
-     with the physical removal above, so every surviving tuple's lineage
-     is valid against the post-batch store. *)
-  let ps = fp.lineage in
+     reinstated in dependency order. A reinstated fact gets a fresh rank,
+     above every premise of the derivation found here. *)
   let pending = ref (List.rev removed) and progress = ref true in
   while !progress do
     progress := false;
@@ -1352,14 +1255,11 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
             progress := true;
             false
           in
-          if Term_tbl.mem fp.base t then reinstate ()
-          else
-            match find_witness fp srules rel t with
-            | Some w ->
-                Term_tbl.replace ps.ptbl t w;
-                ps.p_refreshed <- ps.p_refreshed + 1;
-                reinstate ()
-            | None -> true)
+          if
+            Term_tbl.mem fp.base t
+            || find_derivation fp srules rel t ~accept:(fun _ _ -> true) <> None
+          then reinstate ()
+          else true)
         !pending
   done;
   (* 5. insertion propagation: semi-naive from the asserted facts plus
@@ -1418,7 +1318,6 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
       (fun rel ->
         let r = get fp rel in
         fp.ctr.c_facts <- fp.ctr.c_facts - Relation.cardinal r;
-        Relation.iter (drop_witness fp) r;
         Hashtbl.replace fp.rels rel (Relation.create ());
         (rel, r))
       head_rels
@@ -1576,8 +1475,7 @@ let apply fp (updates : update list) =
     set "bu.incr.deleted" inc.i_deleted;
     set "bu.incr.overdeleted" inc.i_overdeleted;
     set "bu.incr.rederived" inc.i_rederived;
-    set "bu.incr.strata_recomputed" inc.i_recomputed;
-    set "prov.refreshed" fp.lineage.p_refreshed
+    set "bu.incr.strata_recomputed" inc.i_recomputed
   end
 
 let assert_fact fp t =
@@ -1591,59 +1489,108 @@ let retract_fact fp t =
   was
 
 (* ------------------------------------------------------------------ *)
-(* why-provenance: witness lookup and proof reconstruction *)
+(* why-provenance: ranks and proof reconstruction *)
 
-let witness fp t =
-  Term_tbl.find_opt fp.lineage.ptbl (Term.hcons t)
-  |> Option.map (fun w -> (w.w_rule, w.w_steps))
+(* The relation and rank of a stored ground atom. *)
+let stored fp t =
+  match resolve_rel fp.refine t with
+  | Error _ -> None
+  | Ok rel ->
+      Option.bind (Hashtbl.find_opt fp.rels rel) (fun r ->
+          Option.map (fun k -> (rel, k)) (Relation.rank r t))
 
+let rank fp t =
+  Option.map (fun (rel, k) -> (fp.stratum_of rel, k)) (stored fp t)
+
+(* Premises recurse on lower ranks or lower strata, so the search
+   terminates on any store, even a crafted one. *)
 let proof fp t =
-  let ps = fp.lineage in
-  let t = Term.hcons t in
-  if not (holds fp t) then None
-  else begin
-    let frame =
-      Gdp_obs.Tracer.begin_span fp.tracer ~cat:"provenance"
-        "prov.reconstruct"
-    in
-    (* witness supports always predate the facts they support, so the
-       recorded lineage is a DAG; the visiting set is defence in depth
-       against a corrupt store — a repeated goal degrades to a leaf
-       instead of diverging *)
-    let visiting = Term_tbl.create 16 in
-    let rec build goal =
-      if Term_tbl.mem visiting goal then Explain.Fact goal
-      else
-        match Term_tbl.find_opt ps.ptbl goal with
-        | None -> Explain.Fact goal
-        | Some w ->
-            Term_tbl.replace visiting goal ();
-            let premises =
-              List.map
-                (function
-                  | Wfact u -> build u
-                  | Wnaf u -> Explain.Naf u
-                  | Wguard u -> Explain.Builtin u)
-                w.w_steps
-            in
-            Term_tbl.remove visiting goal;
-            Explain.Rule { goal; premises }
-    in
-    let p = build t in
-    let sz = Explain.size p and dp = Explain.depth p in
-    ps.p_reconstructs <- ps.p_reconstructs + 1;
-    if dp > ps.p_max_depth then ps.p_max_depth <- dp;
-    if sz > ps.p_max_size then ps.p_max_size <- sz;
-    Gdp_obs.Tracer.end_span fp.tracer frame
-      ~args:
-        [
-          ("size", Gdp_obs.Tracer.Int sz);
-          ("depth", Gdp_obs.Tracer.Int dp);
-        ];
-    if Gdp_obs.Tracer.enabled fp.tracer then
-      Gdp_obs.Tracer.add fp.tracer "prov.reconstructs" 1;
-    Some p
-  end
+  match stored fp t with
+  | None -> None
+  | Some (rel, k) ->
+      let frame =
+        Gdp_obs.Tracer.begin_span fp.tracer ~cat:"provenance"
+          "prov.reconstruct"
+      in
+      (* scratch counters: rebuilding a proof moves no engine counter *)
+      let scratch = { fp with ctr = new_counters () } in
+      let memo = Term_tbl.create 16 in
+      let rec build rel goal k =
+        if Term_tbl.mem fp.base goal then Explain.Fact goal
+        else
+          match Term_tbl.find_opt memo goal with
+          | Some p -> p
+          | None ->
+              let s = fp.stratum_of rel in
+              (* start each rule from its first positive literal over
+                 another relation, so a recursive premise mostly comes
+                 ground: a membership test instead of a probe *)
+              let start p =
+                let other r = Rel.compare r rel <> 0 in
+                match Array.find_index other p.rule.pos_rels with
+                | Some i -> { p with plan = p.delta_plans.(i) }
+                | None -> p
+              in
+              (* a firing's positive premises with their ranks, the
+                 other literals as leaves *)
+              let premises subst p =
+                List.filter_map
+                  (fun lit ->
+                    let inst u = Subst.apply subst u in
+                    match lit with
+                    | Pos (_, r, atom, _) ->
+                        Option.map
+                          (fun j -> `Pos (r, inst atom, j))
+                          (Relation.rank (get fp r) (inst atom))
+                    | Neg (_, atom, _) -> Some (`Leaf (Explain.Naf (inst atom)))
+                    | Never -> None
+                    | lit ->
+                        Some (`Leaf (Explain.Builtin (inst (goal_of lit)))))
+                  p.rule.body
+              in
+              let below p subst =
+                List.for_all
+                  (function
+                    | `Pos (r, _, j) -> j < k || fp.stratum_of r < s
+                    | `Leaf _ -> true)
+                  (premises subst p)
+              in
+              let node =
+                match
+                  find_derivation scratch
+                    (List.map start fp.by_stratum.(s))
+                    rel goal ~accept:below
+                with
+                | None ->
+                    Wire.corrupt
+                      "stored fact %s has no derivation from facts of lower \
+                       rank"
+                      (Term.to_string goal)
+                | Some (p, subst) ->
+                    let premise = function
+                      | `Pos (r, u, j) -> build r u j
+                      | `Leaf l -> l
+                    in
+                    Explain.Rule
+                      { goal; premises = List.map premise (premises subst p) }
+              in
+              Term_tbl.replace memo goal node;
+              node
+      in
+      let p = build rel t k in
+      let sz = Explain.size p and dp = Explain.depth p in
+      fp.p_reconstructs <- fp.p_reconstructs + 1;
+      fp.p_max_depth <- max dp fp.p_max_depth;
+      fp.p_max_size <- max sz fp.p_max_size;
+      Gdp_obs.Tracer.end_span fp.tracer frame
+        ~args:
+          [
+            ("size", Gdp_obs.Tracer.Int sz);
+            ("depth", Gdp_obs.Tracer.Int dp);
+          ];
+      if Gdp_obs.Tracer.enabled fp.tracer then
+        Gdp_obs.Tracer.add fp.tracer "prov.reconstructs" 1;
+      Some p
 
 (* ------------------------------------------------------------------ *)
 (* persistent snapshots: a data-only export of a materialised fixpoint,
@@ -1653,8 +1600,8 @@ let proof fp t =
    saved facts without re-deriving anything.
 
    Layout (every number a {!Wire} varint, [int] zigzag-mapped):
-     header   the strata, base fact and witness counts (nat); the 10
-              counters, the 4 lineage counters and the 10 maintenance
+     header   the strata and base fact counts (nat); the 10 counters,
+              the 3 reconstruction counters and the 10 maintenance
               counters (int); per-stratum statistics (count, then 6 ints
               and the float milliseconds each); the symbol and node
               counts (nat)
@@ -1666,10 +1613,12 @@ let proof fp t =
               (every stored term is ground, so there is no variable tag)
      relations  count, then in {!Rel.compare} order: name sym, arity,
               sub (0 or 1 + sym), the facts as node ids in insertion
-              order, the base facts and the witnessed facts as position
-              gaps (position - previous - 1), each witness as its rule
-              id and its steps, each a (kind, node) pair
-   Keying base facts and witnesses by fact position makes the export
+              order, their ranks as gaps (rank - previous - 1), the
+              base facts as position gaps (position - previous - 1)
+   Ranks are renumbered densely over the whole store, which keeps their
+   order: a relation's ranks increase along its insertion order, so
+   every gap is a natural, and the ranks of all relations together are
+   0 .. facts - 1. Keying base facts by fact position makes the export
    deterministic without sorting, and the import takes their terms from
    the loaded relation instead of interning them again. *)
 
@@ -1742,26 +1691,20 @@ let export fp =
     Hashtbl.fold (fun rel r acc -> (rel, r) :: acc) fp.rels []
     |> List.sort (fun (a, _) (b, _) -> Rel.compare a b)
   in
+  (* the file renumbers ranks densely: rank k becomes dense.(k), the
+     number of stored facts ranked below it *)
+  let dense = Array.make (fp.clock + 1) 0 in
+  List.iter
+    (fun (_, (r : Relation.t)) ->
+      for i = 0 to r.n - 1 do
+        dense.(r.ranks.(i) + 1) <- 1
+      done)
+    rels;
+  for k = 1 to fp.clock do
+    dense.(k) <- dense.(k) + dense.(k - 1)
+  done;
   let rel_buf = Buffer.create 65536 and part = Buffer.create 4096 in
-  let n_base = ref 0 and n_wit = ref 0 in
-  (* [emit] writes one relation's entries for the positions [keep]
-     selects into [part]; their count goes first *)
-  let positions (r : Relation.t) keep emit =
-    let prev = ref (-1) and k = ref 0 in
-    for i = 0 to r.n - 1 do
-      match keep r.arr.(i) with
-      | None -> ()
-      | Some x ->
-          Wire.add_nat part (i - !prev - 1);
-          emit x;
-          prev := i;
-          incr k
-    done;
-    Wire.add_nat rel_buf !k;
-    Buffer.add_buffer rel_buf part;
-    Buffer.clear part;
-    !k
-  in
+  let n_base = ref 0 in
   Wire.add_nat rel_buf (List.length rels);
   List.iter
     (fun ((rel : Rel.t), (r : Relation.t)) ->
@@ -1773,42 +1716,38 @@ let export fp =
       for i = 0 to r.n - 1 do
         Wire.add_nat rel_buf (node r.arr.(i))
       done;
-      n_base :=
-        !n_base
-        + positions r
-            (fun t -> if Term_tbl.mem fp.base t then Some () else None)
-            ignore;
-      n_wit :=
-        !n_wit
-        + positions r (Term_tbl.find_opt fp.lineage.ptbl) (fun w ->
-              Wire.add_int part w.w_rule;
-              Wire.add_nat part (List.length w.w_steps);
-              List.iter
-                (fun s ->
-                  let kind, u =
-                    match s with
-                    | Wfact u -> (0, u)
-                    | Wnaf u -> (1, u)
-                    | Wguard u -> (2, u)
-                  in
-                  Buffer.add_uint8 part kind;
-                  Wire.add_nat part (node u))
-                w.w_steps))
+      let prev = ref (-1) in
+      for i = 0 to r.n - 1 do
+        let k = dense.(r.ranks.(i)) in
+        Wire.add_nat rel_buf (k - !prev - 1);
+        prev := k
+      done;
+      (* the base facts' positions go to [part] behind their count *)
+      let prev = ref (-1) and k = ref 0 in
+      for i = 0 to r.n - 1 do
+        if Term_tbl.mem fp.base r.arr.(i) then begin
+          Wire.add_nat part (i - !prev - 1);
+          prev := i;
+          incr k
+        end
+      done;
+      Wire.add_nat rel_buf !k;
+      Buffer.add_buffer rel_buf part;
+      Buffer.clear part;
+      n_base := !n_base + !k)
     rels;
-  (* every asserted fact and every witnessed tuple is stored, so keying
-     them by position loses nothing; a miss here is an engine bug *)
-  if
-    !n_base <> Term_tbl.length fp.base
-    || !n_wit <> Term_tbl.length fp.lineage.ptbl
-  then failwith "Bottom_up.export: a base fact or witness is not stored";
+  (* every asserted fact is stored, so keying them by position loses
+     nothing; a miss here is an engine bug *)
+  if !n_base <> Term_tbl.length fp.base then
+    failwith "Bottom_up.export: a base fact is not stored";
   let head = Buffer.create 256 in
-  let c = fp.ctr and ps = fp.lineage and inc = fp.incr in
-  List.iter (Wire.add_nat head) [ fp.n_strata; !n_base; !n_wit ];
+  let c = fp.ctr and inc = fp.incr in
+  List.iter (Wire.add_nat head) [ fp.n_strata; !n_base ];
   List.iter (Wire.add_int head)
     [
       c.c_facts; c.c_passes; c.c_firings; c.c_probes; c.c_scans; c.c_members;
       c.c_sprobes; c.c_sscans; c.c_hits; c.c_misses;
-      ps.p_refreshed; ps.p_reconstructs; ps.p_max_depth; ps.p_max_size;
+      fp.p_reconstructs; fp.p_max_depth; fp.p_max_size;
       inc.i_batches; inc.i_asserts; inc.i_retracts; inc.i_noops;
       inc.i_inserted; inc.i_deleted; inc.i_overdeleted; inc.i_rederived;
       inc.i_visited; inc.i_recomputed;
@@ -1837,10 +1776,10 @@ let export fp =
   in
   { data = Bytes.unsafe_to_string out; pos = 0; len }
 
-(* the saved [c_facts]: the first counter, after three counts *)
+(* the saved [c_facts]: the first counter, after two counts *)
 let snapshot_facts st =
   let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
-  for _ = 1 to 3 do
+  for _ = 1 to 2 do
     ignore (Wire.nat r : int)
   done;
   Wire.int r
@@ -1855,11 +1794,6 @@ let read_stratum_stats r =
   let st_max_delta = Wire.int r in
   let st_ms = Wire.float r in
   { st_stratum; st_rules; st_passes; st_firings; st_derived; st_max_delta; st_ms }
-
-(* The size [Term_tbl.create] needs to end where doubling from [init]
-   would have grown a table of [n] entries, so iteration order is that of
-   a table filled one entry at a time. *)
-let presized init n = Term_tbl.create (max init ((n + 1) / 2))
 
 let rec read_list r k read acc =
   if k = 0 then List.rev acc else read_list r (k - 1) read (read r :: acc)
@@ -1884,14 +1818,9 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
       n_strata fp.n_strata;
   (* the tables the payload fills are created at their final size *)
   let n_base = Wire.count r ~min_bytes:1 "base fact" in
-  let n_wit = Wire.count r ~min_bytes:3 "witness" in
-  let fp =
-    {
-      fp with
-      base = presized 64 n_base;
-      lineage = { fp.lineage with ptbl = presized 256 n_wit };
-    }
-  in
+  (* sized where doubling would have grown it, so its iteration order
+     is that of a table filled one entry at a time *)
+  let fp = { fp with base = Term_tbl.create (max 64 ((n_base + 1) / 2)) } in
   (* the saved counters replace the fresh ones wholesale, which keeps
      the loaded fixpoint's telemetry textually identical to the saved
      one *)
@@ -1906,11 +1835,9 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   c.c_sscans <- Wire.int r;
   c.c_hits <- Wire.int r;
   c.c_misses <- Wire.int r;
-  let ps = fp.lineage in
-  ps.p_refreshed <- Wire.int r;
-  ps.p_reconstructs <- Wire.int r;
-  ps.p_max_depth <- Wire.int r;
-  ps.p_max_size <- Wire.int r;
+  fp.p_reconstructs <- Wire.int r;
+  fp.p_max_depth <- Wire.int r;
+  fp.p_max_size <- Wire.int r;
   let inc = fp.incr in
   inc.i_batches <- Wire.int r;
   inc.i_asserts <- Wire.int r;
@@ -1950,25 +1877,18 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     nodes.(i) <- Term.intern t
   done;
   let node () = nodes.(Wire.below r n_nodes "node") in
-  let step r =
-    let kind = Wire.byte r in
-    let u = node () in
-    match kind with
-    | 0 -> Wfact u
-    | 1 -> Wnaf u
-    | 2 -> Wguard u
-    | k -> Wire.corrupt "unknown witness step kind %d" k
-  in
-  (* [each] gets the positions of a gap-coded position list *)
-  let positions n each =
+  (* the values [0, bound) of an increasing gap-coded list of [k] *)
+  let increasing k bound each =
     let prev = ref (-1) in
-    for _ = 1 to Wire.count r ~min_bytes:1 "position" do
-      let i = !prev + 1 + Wire.below r (n - !prev - 1) "position gap" in
+    for _ = 1 to k do
+      let i = !prev + 1 + Wire.below r (bound - !prev - 1) "gap" in
       each i;
       prev := i
     done
   in
-  let n_rels = Wire.count r ~min_bytes:6 "relation" in
+  (* ranks must be 0 .. facts - 1, each once *)
+  let ranked = Bytes.make (max 0 (min c.c_facts (Wire.remaining r))) '\000' in
+  let n_rels = Wire.count r ~min_bytes:5 "relation" in
   let total = ref 0 and last = ref None in
   for _ = 1 to n_rels do
     let name = sym () in
@@ -1983,8 +1903,9 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     | Some prev when Rel.compare prev rel >= 0 ->
         Wire.corrupt "relation %s is out of order" (Rel.to_string rel)
     | _ -> last := Some rel);
-    let n = Wire.count r ~min_bytes:1 "fact" in
-    let arr = Array.make (if n = 0 then 0 else max 16 n) Relation.dummy in
+    let n = Wire.count r ~min_bytes:2 "fact" in
+    let size = if n = 0 then 0 else max 16 n in
+    let arr = Array.make size Relation.dummy and ranks = Array.make size 0 in
     for i = 0 to n - 1 do
       let t = node () in
       (match resolve_rel refine t with
@@ -1994,31 +1915,35 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
             (Rel.to_string rel));
       arr.(i) <- t
     done;
+    let i = ref 0 in
+    increasing n (Bytes.length ranked) (fun k ->
+        if Bytes.get ranked k <> '\000' then
+          Wire.corrupt "rank %d is given twice" k;
+        Bytes.set ranked k '\001';
+        ranks.(!i) <- k;
+        incr i);
     (* an emptied relation is listed too, and stays listed on export *)
     if n = 0 then ignore (get fp rel : Relation.t)
     else begin
-      let loaded = Relation.of_array arr n in
+      let loaded = Relation.of_array arr ranks n in
       if not (Relation.distinct loaded) then
         Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
       Hashtbl.replace fp.rels rel loaded;
       total := !total + n
     end;
-    positions n (fun i -> Term_tbl.replace fp.base arr.(i) rel);
-    positions n (fun i ->
-        let w_rule = Wire.int r in
-        let k = Wire.count r ~min_bytes:2 "witness step" in
-        Term_tbl.replace fp.lineage.ptbl arr.(i)
-          { w_rule; w_steps = read_list r k step [] })
+    increasing
+      (Wire.count r ~min_bytes:1 "base fact")
+      n
+      (fun i -> Term_tbl.replace fp.base arr.(i) rel)
   done;
   if not (Wire.at_end r) then
     Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
   if !total <> c.c_facts then
     Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
       c.c_facts;
-  if
-    Term_tbl.length fp.base <> n_base
-    || Term_tbl.length fp.lineage.ptbl <> n_wit
-  then Wire.corrupt "base or witness count disagrees with the header";
+  if Term_tbl.length fp.base <> n_base then
+    Wire.corrupt "the base fact count disagrees with the header";
+  fp.clock <- !total;
   (* hash indexes stay lazy: each is built by the first probe that needs
      it, so a load pays only for the indexes its queries use *)
   prebuild_spatial fp;

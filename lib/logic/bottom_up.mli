@@ -36,7 +36,7 @@
 
 type fixpoint
 (** A materialised least model: the derived relations plus everything
-    needed to serve, repair ({!apply}), explain ({!witness}) and
+    needed to serve, repair ({!apply}), explain ({!proof}) and
     persist ({!export}) them. *)
 
 exception Unsupported of string
@@ -129,20 +129,13 @@ type incr_stats = {
 (** Cumulative incremental-maintenance counters, all deterministic. *)
 
 type prov_stats = {
-  prov_tracked : int;  (** derived tuples with a recorded witness *)
   prov_bytes : int;
-      (** approximate witness-store footprint: 8 bytes per structural
-          node over every (head, rule id, step terms) record. Witness
-          terms are hash-consed against the fact store, so the real
-          marginal footprint is lower, as is a snapshot's, which stores
-          each distinct term node once. *)
-  prov_refreshed : int;
-      (** witnesses re-captured for facts surviving a DRed rederivation *)
+      (** the rank column's size: one 8-byte word per stored fact *)
   prov_reconstructs : int;  (** {!proof} calls that returned a tree *)
   prov_max_depth : int;  (** deepest reconstructed proof *)
   prov_max_size : int;  (** largest reconstructed proof (nodes) *)
 }
-(** Lineage-store counters. *)
+(** Lineage counters. *)
 
 type stats = {
   bu_passes : int;
@@ -165,7 +158,7 @@ type stats = {
       (** derived terms already interned — structurally equal to a stored
           fact, deduplicated by physical equality *)
   bu_hcons_misses : int;  (** derived terms interned fresh *)
-  bu_prov : prov_stats;  (** the why-provenance sidecar's counters *)
+  bu_prov : prov_stats;  (** the why-provenance counters *)
   bu_strata_stats : stratum_stats list;  (** non-empty strata, in order *)
   bu_incr : incr_stats;  (** all zeros until the first {!apply} *)
 }
@@ -207,11 +200,10 @@ val run :
     the hook the magic-set rewrite ({!Magic}) uses to plant the query
     seed; a non-ground or non-atomic seed raises {!Unsupported}.
     Seeds are netted against the parsed facts and each other: a seed
-    already present, or repeated, counts once. Every derived tuple
-    records one witness at its first derivation — see the
-    {{!section:provenance} provenance section}. Lineage never changes
-    what is derived, the pass structure, or any counter in {!stats}
-    other than the [bu_prov] block. *)
+    already present, or repeated, counts once. Every stored fact gets a
+    rank as it enters the store — see the
+    {{!section:provenance} provenance section}. Ranks never change what
+    is derived, the pass structure, or any counter in {!stats}. *)
 
 val facts : fixpoint -> Term.t list
 (** All derived ground atoms, sorted in the standard order of terms. *)
@@ -308,13 +300,11 @@ val apply : fixpoint -> update list -> unit
     by rules, is a no-op;
     asserting a fact that rules already derive marks it extensional (it
     then survives losing its rule derivations) without changing the
-    store. Shares {!run}'s iteration/fact bounds per batch. Witnesses
-    stay coherent across the batch: witnesses of
-    deleted facts are dropped, facts reinstated by rederivation get the
-    surviving derivation as a fresh witness (counted in
-    [prov_refreshed]), and strata recomputed outright re-capture from
-    scratch — after every batch each witness's supports are again facts
-    of the store. *)
+    store. Shares {!run}'s iteration/fact bounds per batch. The rank
+    invariant of the {{!section:provenance} provenance section} holds
+    after every batch: a fact the batch inserts or rederivation
+    reinstates gets a fresh rank, a stratum recomputed outright re-ranks
+    its head relations, and every other fact keeps its rank. *)
 
 val assert_fact : fixpoint -> Term.t -> bool
 (** [apply fp [`Assert t]]; [true] iff [t] was not already asserted
@@ -325,39 +315,28 @@ val retract_fact : fixpoint -> Term.t -> bool
 
 (** {1:provenance Why-provenance}
 
-    Every fixpoint keeps a sidecar store mapping
-    every {e derived} tuple to one witness: the rule that first produced
-    it plus that firing's instantiated body — supporting positive tuples,
-    negated literals that had no proof, and satisfied arithmetic /
-    equality guards. Asserted base facts carry no witness (they are their
-    own evidence). Witness supports always predate the fact they support,
-    so the store is a DAG and {!proof} reconstruction terminates.
+    Every stored fact carries a {e rank}: the value of the fixpoint's
+    insertion counter when it entered the store, so the premises of its
+    first derivation rank below it. {!proof} rebuilds a proof on demand
+    with DRed's derivation search, taking premises from the fact's own
+    stratum only when they rank lower. Two runs over the same database
+    give identical ranks and proofs. *)
 
-    The witness is the firing that inserted the tuple in {!run}'s
-    deterministic pass order, so two runs over the same database record
-    identical lineage. *)
-
-type wstep =
-  | Wfact of Term.t  (** supporting positive body tuple *)
-  | Wnaf of Term.t  (** negated literal instance that had no proof *)
-  | Wguard of Term.t  (** arithmetic / equality guard instance *)
-      (** One instantiated body literal of a recorded witness. *)
-
-val witness : fixpoint -> Term.t -> (int * wstep list) option
-(** The recorded witness of a derived tuple: the deriving rule's id
-    (0-based position among the database's evaluable rules) and the
-    instantiated body steps. [None] when the tuple is not in the store,
-    and for asserted base facts. *)
+val rank : fixpoint -> Term.t -> (int * int) option
+(** [(stratum, rank)] of a stored ground atom: the stratum of its
+    relation and its rank. [None] when the atom is not stored. *)
 
 val proof : fixpoint -> Term.t -> Explain.proof option
-(** Reconstruct a derivation tree for a stored ground atom by chasing
-    witnesses: derived tuples become [Rule] nodes over their supports,
-    base facts bottom out as [Fact] leaves, negated steps as [Naf]
-    leaves and guards as [Builtin] leaves — the same shapes
-    {!Explain.prove} returns, so printers and exporters apply unchanged.
-    [None] when the atom is not in the store. Updates
+(** Rebuild a derivation tree for a stored ground atom, [None] when it
+    is not stored. Base facts are [Fact] leaves; a derived fact is a
+    [Rule] node over the first firing, in rule order, whose premises
+    from its stratum rank lower, with [Naf] leaves for negated literals
+    and [Builtin] leaves for guards — the shapes {!Explain.prove}
+    returns. Shared sub-proofs are searched once. The search moves only
     the [prov_reconstructs] / max depth / max size counters and, when
-    the tracer is live, emits a ["prov.reconstruct"] span. *)
+    the tracer is live, emits a ["prov.reconstruct"] span. A derived
+    fact with no rank-bounded firing, which only a crafted snapshot can
+    hold, raises {!Wire.Corrupt}. *)
 
 (** {1:snapshots Persistent snapshots}
 
@@ -366,7 +345,7 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     compile-once/query-many path {!Gdp_core.Query} and the [gdprs
     compile] subcommand build on (see {!Snapshot} for the on-disk
     container). Only data persists: per-relation facts in insertion
-    order, the asserted base, recorded witnesses, and every cumulative
+    order with their ranks, the asserted base, and every cumulative
     counter. Join plans, stratification and all closures are rebuilt
     from the database at import time, and spatial indexes are rebuilt
     eagerly, exactly as {!run} builds them; hash indexes are built
@@ -375,15 +354,16 @@ val proof : fixpoint -> Term.t -> Explain.proof option
 type snapshot_state = { data : string; pos : int; len : int }
 (** The exported state of one fixpoint: bytes [\[pos, pos + len)] of
     [data] hold its encoding, a table of the distinct terms (each node
-    once, children before parents) that the relations, base facts and
-    witness steps refer to by index. The encoding is plain bytes with no
+    once, children before parents) that the relations refer to by
+    index. The encoding is plain bytes with no
     OCaml value layout in it, so another build or process can read it,
     and a view into a larger string (a whole snapshot file) decodes in
     place. *)
 
 val export : fixpoint -> snapshot_state
-(** Encode the fixpoint's current facts, asserted base, witnesses and
-    cumulative counters. The result is deterministic — the same store
+(** Encode the fixpoint's current facts, their ranks renumbered densely
+    in the same order, the asserted base and the cumulative counters.
+    The result is deterministic — the same store
     always encodes to the same bytes, so exporting an import of an
     export reproduces it — and later {!apply} calls do not alter it.
     The counters include the hash-consing hits and misses, so two
@@ -410,8 +390,8 @@ val import :
     planned exactly as {!run} would (same options, same meaning), then
     the encoding is decoded in place — each distinct term is interned
     once through {!Term.intern}, the relations are built around their
-    loaded fact arrays, and the saved counters, per-stratum statistics,
-    maintenance counters and witnesses are restored. The planned
+    loaded fact arrays, and the saved ranks, counters, per-stratum
+    statistics and maintenance counters are restored. The planned
     spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
     the usual final counter gauges are emitted (plus one
     ["snap.import"] span) when the tracer is live. The result answers
@@ -421,6 +401,8 @@ val import :
     saved from — [Gdp_core] enforces this with a content hash. Every
     id, count and tag is bounds-checked: a malformed encoding, a
     stratification-shape mismatch, a fact filed under the wrong
-    relation or a counter that disagrees with the loaded store raises
+    relation, ranks that are not each of [0 .. facts - 1] once and
+    increasing within each relation, or a counter that disagrees with
+    the loaded store raises
     {!Wire.Corrupt} (which {!Snapshot.Corrupt} re-exports). Raises
     {!Unsupported} when [db] leaves the evaluable fragment. *)

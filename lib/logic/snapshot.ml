@@ -10,12 +10,14 @@ type t = {
    encoding of {!Bottom_up.snapshot_state} or of the key/meta frame
    changes, so a file written by another build is refused before its
    payload is decoded. *)
-let magic = "GDPXSNAP5\n"
+let magic = "GDPXSNAP6\n"
 
 let header = String.length magic + 16
 
 (* magic, MD5 of the payload, payload = key, meta, state; the state is
-   copied once, into the file image the digest is computed over *)
+   copied once, into the file image the digest is computed over. The
+   image goes to a sibling temporary file renamed over [path], so a
+   failed save leaves the previous snapshot in place. *)
 let save ?(tracer = Gdp_obs.Tracer.disabled) ~path t =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:
@@ -34,7 +36,14 @@ let save ?(tracer = Gdp_obs.Tracer.disabled) ~path t =
   Bytes.blit_string
     (Digest.subbytes image header (bytes - header))
     0 image (String.length magic) 16;
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
+  let tmp = path ^ ".tmp" in
+  (try
+     Out_channel.with_open_bin tmp (fun oc ->
+         Out_channel.output_bytes oc image);
+     Sys.rename tmp path
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   if Gdp_obs.Tracer.enabled tracer then begin
     Gdp_obs.Tracer.add tracer "snap.saves" 1;
     Gdp_obs.Tracer.set tracer "snap.bytes" (float_of_int bytes)

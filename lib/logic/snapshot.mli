@@ -4,20 +4,20 @@
     the caller's coherence data: a [key] identifying the program and
     engine configuration the state was materialised under, and an
     opaque [meta] payload higher layers thread through unchanged
-    ([Gdp_core.Query] stores its persisted update log there — this
-    module never interprets it, which keeps the logic layer free of any
-    dependency on the GDP fact language).
+    ([Gdp_core.Query] stores its persisted update log there, encoded
+    with {!Wire} — this module never interprets it, which keeps the
+    logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP5\n"], a 16-byte MD5 digest
+    File format: the magic string ["GDPXSNAP6\n"], a 16-byte MD5 digest
     of the payload, then the payload: [key] and [meta] as
     length-prefixed strings ({!Wire.add_string}), then the state's
     bytes to the end of the file. The magic's digit is the payload
-    version. No [Marshal] is involved: {!load} verifies magic and digest,
-    and the state is decoded — in place, from the file's string — by
-    {!Bottom_up.import}, which bounds-checks every read. A truncated,
-    corrupted, crafted, non-snapshot or other-version file therefore
-    raises {!Corrupt} with a clean message, from {!load} or from the
-    import. Key checking is the {e caller's} job: {!load} returns
+    version. No OCaml value layout is involved: {!load} verifies magic
+    and digest, and the state is decoded — in place, from the file's
+    string — by {!Bottom_up.import}, which bounds-checks every read. A
+    truncated, corrupted, crafted, non-snapshot or other-version file
+    therefore raises {!Corrupt} with a clean message, from {!load} or
+    from the import. Key checking is the {e caller's} job: {!load} returns
     whatever key the file carries, and a mismatch means the snapshot is
     {e stale} (rebuild it), not corrupt. *)
 
@@ -37,8 +37,10 @@ type t = {
 }
 
 val save : ?tracer:Gdp_obs.Tracer.t -> path:string -> t -> int
-(** Write the snapshot to [path] (truncating any existing file) and
-    return the number of bytes written. With a live tracer, records one
+(** Write the snapshot to a temporary file beside [path], rename it
+    over [path] and return the number of bytes written. When the write
+    or the rename raises, the temporary file is removed and whatever
+    [path] held before is left unchanged. With a live tracer, records one
     ["snap.save"] span (category ["snapshot"], with the fact count as
     an argument) and the [snap.saves] / [snap.bytes] counters. *)
 

@@ -84,3 +84,39 @@ let string r =
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
+
+let rec add_term b = function
+  | Term.Atom s ->
+      Buffer.add_uint8 b 0;
+      add_string b s
+  | Term.Int n ->
+      Buffer.add_uint8 b 1;
+      add_int b n
+  | Term.Float f ->
+      Buffer.add_uint8 b 2;
+      add_float b f
+  | Term.Str s ->
+      Buffer.add_uint8 b 3;
+      add_string b s
+  | Term.App (f, args) ->
+      Buffer.add_uint8 b 4;
+      add_string b f;
+      add_nat b (List.length args);
+      List.iter (add_term b) args
+  | Term.Var _ -> invalid_arg "Wire.add_term: a variable"
+
+let rec term r =
+  let at = r.pos in
+  match byte r with
+  | 0 -> Term.Atom (string r)
+  | 1 -> Term.Int (int r)
+  | 2 -> Term.Float (float r)
+  | 3 -> Term.Str (string r)
+  | 4 ->
+      let f = string r in
+      let rec args k acc =
+        if k = 0 then List.rev acc else args (k - 1) (term r :: acc)
+      in
+      (* every term takes at least two bytes *)
+      Term.App (f, args (count r ~min_bytes:2 "argument") [])
+  | tag -> corrupt "unknown term tag %d at byte %d" tag at

@@ -25,6 +25,12 @@ val add_int : Buffer.t -> int -> unit
 val add_float : Buffer.t -> float -> unit
 val add_string : Buffer.t -> string -> unit
 
+val add_term : Buffer.t -> Term.t -> unit
+(** A ground term as a tree, each node a tag byte — 0 atom, 1 int,
+    2 float, 3 string, 4 compound — then its name or value, and for a
+    compound its arity and arguments. Raises [Invalid_argument] on a
+    variable. *)
+
 (** {1 Reading} *)
 
 type reader
@@ -41,6 +47,7 @@ val nat : reader -> int
 val int : reader -> int
 val float : reader -> float
 val string : reader -> string
+val term : reader -> Term.t
 
 val below : reader -> int -> string -> int
 (** [below r bound what] reads a natural [n] with [0 <= n < bound];

@@ -407,7 +407,7 @@ let prop_differential_holds =
         ~probes:holds_probes (engine_db_of src))
 
 (* A holds-shaped left-linear closure, the shape of the GDP compiler's
-   reach/2, pinned at the passes, firings, probe counts and witnesses
+   reach/2, pinned at the passes, firings, probe counts and proofs
    that probes keyed on top-level arguments alone produce. A subterm
    bucket is the top-level bucket minus facts that cannot unify, in the
    same order, so none of these may drift. *)
@@ -429,7 +429,7 @@ let test_holds_closure_pinned () =
           ^ holds_atom "reach" [ "X"; "Z" ] ^ ", "
           ^ holds_atom "link" [ "Z"; "Y" ] ^ ".";
           "far(X) :- " ^ holds_atom "reach" [ "n0"; "X" ] ^ ".";
-          (* derived once per reachable X; its witness names the first
+          (* derived once per reachable X; its proof names the first
              link out of X the probe enumerates *)
           "fork(X) :- " ^ holds_atom "reach" [ "n0"; "X" ] ^ ", "
           ^ holds_atom "link" [ "X"; "Y" ] ^ ".";
@@ -448,25 +448,22 @@ let test_holds_closure_pinned () =
       s.Bottom_up.bu_full_scans;
       s.Bottom_up.bu_membership_tests;
     ];
-  let witness t =
-    match Bottom_up.witness fp (Reader.term t) with
-    | None -> Alcotest.failf "%s has no witness" t
-    | Some (rule, steps) ->
-        ( rule,
-          List.map
-            (function
-              | Bottom_up.Wfact t | Bottom_up.Wnaf t | Bottom_up.Wguard t ->
-                  Term.to_string t)
-            steps )
+  (* the premises of a fact's proof: the first firing whose premises
+     from its stratum rank below it *)
+  let premises t =
+    match Bottom_up.proof fp (Reader.term t) with
+    | Some (Explain.Rule { premises; _ }) ->
+        List.map (fun p -> Term.to_string (Explain.goal_of p)) premises
+    | _ -> Alcotest.failf "%s has no rule proof" t
   in
-  Alcotest.(check (pair int (list string)))
-    "first derivation of reach(n0, n5)"
-    (3, [ "h(w, reach, [n0, n2], s)"; "h(w, link, [n2, n5], s)" ])
-    (witness (holds_atom "reach" [ "n0"; "n5" ]));
-  Alcotest.(check (pair int (list string)))
-    "first derivation of fork(n1)"
-    (1, [ "h(w, reach, [n0, n1], s)"; "h(w, link, [n1, n4], s)" ])
-    (witness "fork(n1)")
+  Alcotest.(check (list string))
+    "proof of reach(n0, n5)"
+    [ "h(w, reach, [n0, n2], s)"; "h(w, link, [n2, n5], s)" ]
+    (premises (holds_atom "reach" [ "n0"; "n5" ]));
+  Alcotest.(check (list string))
+    "proof of fork(n1)"
+    [ "h(w, reach, [n0, n1], s)"; "h(w, link, [n1, n4], s)" ]
+    (premises "fork(n1)")
 
 (* [Bottom_up.probe] narrows candidates through the argument indexes; on
    any goal shape the unifiable subset must coincide with what filtering

@@ -1,14 +1,15 @@
-(* Differential testing of the why-provenance sidecar: on every random
-   stratified program the lineage store must (a) cover exactly the
-   derived tuples — asserted base facts carry no witness, everything
-   else carries one — (b) record only {e valid} witnesses, i.e. every
-   step re-checks against the fixpoint (supporting tuples stored,
-   negated instances absent, guards satisfiable) and some database rule
-   actually matches the (head, steps) instantiation, and (c) reconstruct
-   proof trees whose provability agrees with the top-down
-   {!Explain.prove} engine. The same invariants must survive update
-   scripts (DRed witness refresh / stratum recapture), and two runs of
-   one database must record identical lineage. *)
+(* Differential testing of fixpoint proofs. Every stored fact gets a
+   rank, and [Bottom_up.proof] rebuilds a tree from ranks on demand. On
+   every random stratified program each stored fact must (a) have a
+   proof, a [Fact] leaf exactly for the asserted base facts, (b) whose
+   every [Rule] node is {e valid} — its premises stored, those from its
+   own stratum of lower rank, negated instances absent, guards
+   satisfiable, and some database rule instantiated by (goal, premises)
+   — and (c) agree in provability with the top-down {!Explain.prove}
+   engine. The same invariants must survive update scripts (DRed
+   rederivation, stratum recompute), two runs of one database must give
+   identical ranks and proofs, and rebuilding proofs must move no
+   engine counter. *)
 
 open Gdp_logic
 
@@ -16,7 +17,7 @@ let db_of = Suite_engine_props.db_of
 let engine_db_of = Suite_engine_props.engine_db_of
 
 (* The asserted base of a source program: heads of its unit clauses.
-   Witnesses exist exactly for the non-base (derived) stored facts. *)
+   Their proofs are [Fact] leaves; every other stored fact is derived. *)
 let base_facts src =
   List.filter_map
     (fun { Database.head; body } ->
@@ -34,61 +35,64 @@ let apply_script_to_base base script =
       | `Retract t -> List.filter (fun x -> not (Term.equal x t)) acc)
     base script
 
-(* Guard operators the fragment evaluates; a witness stores the guard
-   instance as [App (op, [l; r])] with the source operator. *)
+(* Guard operators the fragment evaluates; a proof holds the guard
+   instance as a [Builtin] leaf [App (op, [l; r])] with the source
+   operator. *)
 let guard_ops = [ "<"; ">"; "=<"; ">="; "=:="; "=\\="; "is"; "=="; "\\==" ]
 let is_guard_op op = List.mem op guard_ops
 
-(* Does one clause-body literal account for one witness step (extending
-   the head substitution)? [true] literals consume nothing. *)
-let lit_matches subst lit step =
-  match (lit, step) with
-  | Term.App (("\\+" | "not"), [ g ]), Bottom_up.Wnaf u ->
-      Unify.unify subst g u
-  | Term.App (op, [ _; _ ]), Bottom_up.Wguard u when is_guard_op op ->
+(* Does one clause-body literal account for one premise (extending the
+   head substitution)? [true] literals consume nothing. *)
+let lit_matches subst lit premise =
+  match (lit, premise) with
+  | Term.App (("\\+" | "not"), [ g ]), Explain.Naf u -> Unify.unify subst g u
+  | Term.App (op, [ _; _ ]), Explain.Builtin u when is_guard_op op ->
       Unify.unify subst lit u
   | Term.App (("\\+" | "not"), _), _ -> None
-  | Term.App (op, [ _; _ ]), Bottom_up.Wfact _ when is_guard_op op -> None
-  | g, Bottom_up.Wfact u -> Unify.unify subst g u
+  | Term.App (op, [ _; _ ]), _ when is_guard_op op -> None
+  | g, (Explain.Fact _ | Explain.Rule _) ->
+      Unify.unify subst g (Explain.goal_of premise)
   | _ -> None
 
-let rec body_matches subst lits steps =
+let rec body_matches subst lits premises =
   match lits with
-  | [] -> steps = []
-  | Term.Atom "true" :: rest -> body_matches subst rest steps
+  | [] -> premises = []
+  | Term.Atom "true" :: rest -> body_matches subst rest premises
   | lit :: rest -> (
-      match steps with
+      match premises with
       | [] -> false
-      | step :: more -> (
-          match lit_matches subst lit step with
+      | p :: more -> (
+          match lit_matches subst lit p with
           | Some subst' -> body_matches subst' rest more
           | None -> false))
 
-(* "The rule actually matches": some non-unit clause of the database
-   unifies its head with the derived tuple and its body literals, in
-   order, with the recorded steps. The goal and all steps are ground, so
-   clause variables cannot capture. *)
-let rule_matches db goal steps =
+(* "Some database rule instantiates the node": a non-unit clause of the
+   database unifies its head with the goal and its body literals, in
+   order, with the premises. Goal and premises are ground, so clause
+   variables cannot capture. *)
+let rule_matches db goal premises =
   Seq.exists
     (fun { Database.head; body } ->
       body <> []
       &&
       match Unify.unify Subst.empty head goal with
       | None -> false
-      | Some subst -> body_matches subst body steps)
+      | Some subst -> body_matches subst body premises)
     (Database.clauses db goal)
 
 let guard_holds db u = Solve.succeeds db [ u ]
 
-let step_ok db fp = function
-  | Bottom_up.Wfact u -> Bottom_up.holds fp u
-  | Bottom_up.Wnaf u -> not (Bottom_up.holds fp u)
-  | Bottom_up.Wguard u -> guard_holds db u
+(* A premise of a [Rule] node on [goal]: stored, and of lower rank when
+   it comes from the goal's own stratum. *)
+let premise_ok fp goal p =
+  match (Bottom_up.rank fp goal, Bottom_up.rank fp (Explain.goal_of p)) with
+  | Some (s, k), Some (s', k') -> s' < s || (s' = s && k' < k)
+  | _ -> false
 
-(* A reconstructed tree is valid when every [Rule] node sits on a stored
-   tuple whose recorded witness matches a database rule, and every leaf
-   re-checks against the fixpoint. Lineage trees never contain
-   [Branch]. *)
+(* A rebuilt tree is valid when every [Rule] node sits on a stored fact,
+   its premises pass [premise_ok], some database rule instantiates it,
+   [Fact] leaves are stored, [Naf] leaves absent and [Builtin] leaves
+   hold. Proofs from the fixpoint never contain [Branch]. *)
 let rec proof_ok db fp p =
   match p with
   | Explain.Fact g -> Bottom_up.holds fp g
@@ -97,16 +101,32 @@ let rec proof_ok db fp p =
   | Explain.Branch _ -> false
   | Explain.Rule { goal; premises } ->
       Bottom_up.holds fp goal
-      && (match Bottom_up.witness fp goal with
-         | Some (_, steps) ->
-             rule_matches db goal steps
-             && List.for_all (step_ok db fp) steps
-         | None -> false)
+      && rule_matches db goal premises
+      && List.for_all
+           (function
+             | (Explain.Fact _ | Explain.Rule _) as q -> premise_ok fp goal q
+             | _ -> true)
+           premises
       && List.for_all (proof_ok db fp) premises
 
-(* The full per-program invariant. [prove_opt] runs the top-down proof
-   engine with the ancestor check; a blown budget is a verdict on
-   neither side (same convention as [Suite_engine_props.agree]). *)
+(* Every stored fact's tree: rooted at it, valid, and a [Fact] leaf
+   exactly when the fact is asserted. *)
+let proofs_ok db base fp =
+  List.for_all
+    (fun t ->
+      match Bottom_up.proof fp t with
+      | None -> false
+      | Some p ->
+          Term.equal (Explain.goal_of p) t
+          && proof_ok db fp p
+          && is_base base t
+             = match p with Explain.Fact _ -> true | _ -> false)
+    (Bottom_up.facts fp)
+
+(* The full per-program invariant: every proof valid and every stored
+   fact provable top-down. [prove_opt] runs the top-down proof engine
+   with the ancestor check; a blown budget is a verdict on neither side
+   (same convention as [Suite_engine_props.agree]). *)
 let lineage_ok db base fp =
   let opts = { Solve.default_options with loop_check = true } in
   let prove_opt t =
@@ -114,19 +134,8 @@ let lineage_ok db base fp =
     | r -> Some (r <> None)
     | exception Solve.Depth_exhausted _ -> None
   in
-  List.for_all
-    (fun t ->
-      (match Bottom_up.witness fp t with
-      | None -> is_base base t
-      | Some (rid, steps) ->
-          rid >= 0
-          && rule_matches db t steps
-          && List.for_all (step_ok db fp) steps)
-      && (match Bottom_up.proof fp t with
-         | None -> false
-         | Some p -> Term.equal (Explain.goal_of p) t && proof_ok db fp p)
-      && prove_opt t <> Some false)
-    (Bottom_up.facts fp)
+  proofs_ok db base fp
+  && List.for_all (fun t -> prove_opt t <> Some false) (Bottom_up.facts fp)
 
 let prop_lineage =
   QCheck.Test.make
@@ -148,10 +157,10 @@ let prop_lineage_stratified =
       let db = engine_db_of src in
       lineage_ok db (base_facts src) (Bottom_up.run db))
 
-(* Witness coherence through incremental maintenance: retract base facts
-   (forcing DRed over-deletion, rederivation-with-refresh and negation-
-   stratum recapture), assert fresh edges, and re-validate every witness
-   against the repaired store and the updated database. *)
+(* Proofs through incremental maintenance: retract base facts (forcing
+   DRed over-deletion and rederivation, and stratum recompute under
+   negation), assert fresh edges, and re-validate every proof against
+   the repaired store and the updated database. *)
 let prop_lineage_updates =
   QCheck.Test.make
     ~name:"lineage stays coherent through update scripts (DRed refresh)"
@@ -195,22 +204,35 @@ let prop_lineage_updates =
       in
       lineage_ok db base fp)
 
-let wstep_equal a b =
-  match (a, b) with
-  | Bottom_up.Wfact x, Bottom_up.Wfact y
-  | Bottom_up.Wnaf x, Bottom_up.Wnaf y
-  | Bottom_up.Wguard x, Bottom_up.Wguard y ->
-      Term.equal x y
-  | _ -> false
+(* The proof invariant after every step of [Suite_incremental]'s random
+   update scripts, under the same mirrored clause store its
+   differential harness keeps. *)
+let prop_proofs_after_every_update =
+  QCheck.Test.make
+    ~name:"every stored fact has a valid rank-bounded proof after each update"
+    ~count:150 Suite_incremental.arb_case
+    (fun (src, script) ->
+      let db = engine_db_of src in
+      let fp = Bottom_up.run db in
+      let base = ref (base_facts src) in
+      List.for_all
+        (fun (asserted, fact_src) ->
+          let t = Reader.term fact_src in
+          (if asserted then begin
+             if Bottom_up.assert_fact fp t then Database.fact db t
+           end
+           else if Bottom_up.retract_fact fp t then
+             ignore (Database.retract_fact db t));
+          base :=
+            apply_script_to_base !base
+              [ (if asserted then `Assert t else `Retract t) ];
+          proofs_ok db !base fp)
+        script)
 
-let witness_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (r1, s1), Some (r2, s2) -> r1 = r2 && List.equal wstep_equal s1 s2
-  | _ -> false
+let proof_text p = Format.asprintf "%a" (Explain.pp ?pp_goal:None) p
 
 (* Evaluation is deterministic, so two fresh runs of one database must
-   record the identical lineage — and a valid one. *)
+   give identical ranks and proofs — and valid ones. *)
 let prop_lineage_deterministic =
   QCheck.Test.make
     ~name:"two runs of one database record identical, valid lineage"
@@ -223,7 +245,9 @@ let prop_lineage_deterministic =
       List.equal Term.equal (Bottom_up.facts fp1) (Bottom_up.facts fp2)
       && List.for_all
            (fun t ->
-             witness_equal (Bottom_up.witness fp1 t) (Bottom_up.witness fp2 t))
+             Bottom_up.rank fp1 t = Bottom_up.rank fp2 t
+             && Option.map proof_text (Bottom_up.proof fp1 t)
+                = Option.map proof_text (Bottom_up.proof fp2 t))
            (Bottom_up.facts fp1)
       && lineage_ok db (base_facts src) fp1)
 
@@ -234,17 +258,19 @@ let chain =
 let test_witness_basics () =
   let db = db_of chain in
   let fp = Bottom_up.run db in
-  Alcotest.(check bool)
-    "base fact has no witness" true
-    (Bottom_up.witness fp (Reader.term "e(a, b)") = None);
-  (match Bottom_up.witness fp (Reader.term "r(a, b)") with
-  | Some (_, [ Bottom_up.Wfact u ]) ->
-      Alcotest.(check bool) "one-step witness" true
+  let rank t = Option.map snd (Bottom_up.rank fp (Reader.term t)) in
+  (match Bottom_up.proof fp (Reader.term "e(a, b)") with
+  | Some (Explain.Fact _) -> ()
+  | _ -> Alcotest.fail "expected a Fact leaf for the base fact e(a, b)");
+  (match Bottom_up.proof fp (Reader.term "r(a, b)") with
+  | Some (Explain.Rule { premises = [ Explain.Fact u ]; _ }) ->
+      Alcotest.(check bool) "one-step proof" true
         (Term.equal u (Reader.term "e(a, b)"))
-  | _ -> Alcotest.fail "expected a single Wfact witness for r(a, b)");
-  Alcotest.(check bool)
-    "absent tuple has no witness" true
-    (Bottom_up.witness fp (Reader.term "r(c, a)") = None);
+  | _ -> Alcotest.fail "expected a single Fact premise for r(a, b)");
+  Alcotest.(check bool) "a premise ranks below its conclusion" true
+    (rank "e(a, b)" < rank "r(a, b)");
+  Alcotest.(check bool) "absent tuple has no rank" true
+    (Bottom_up.rank fp (Reader.term "r(c, a)") = None);
   Alcotest.(check bool)
     "absent tuple has no proof" true
     (Bottom_up.proof fp (Reader.term "r(c, a)") = None)
@@ -294,28 +320,120 @@ let test_naf_and_guard_leaves () =
 
 let test_witness_refresh_on_retract () =
   (* r(a, b) is derivable two ways; retracting the edge its first
-     witness used forces DRed to rederive it and refresh the witness
-     from the surviving derivation. *)
+     derivation used makes DRed over-delete and rederive it, with a
+     fresh rank, from the surviving derivation. *)
   let db =
     db_of
       "e(a, b). e(a, c). e(c, b).\n\
        r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y)."
   in
   let fp = Bottom_up.run db in
+  let rank t = Option.map snd (Bottom_up.rank fp (Reader.term t)) in
+  let before = rank "r(a, b)" and highest = Bottom_up.count fp - 1 in
   Bottom_up.apply fp [ `Retract (Reader.term "e(a, b)") ];
   ignore (Database.retract_fact db (Reader.term "e(a, b)"));
   Alcotest.(check bool) "r(a, b) survives" true
     (Bottom_up.holds fp (Reader.term "r(a, b)"));
-  (match Bottom_up.witness fp (Reader.term "r(a, b)") with
-  | Some (_, steps) ->
-      Alcotest.(check bool) "refreshed witness re-checks" true
-        (rule_matches db (Reader.term "r(a, b)") steps
-        && List.for_all (step_ok db fp) steps)
-  | None -> Alcotest.fail "surviving tuple lost its witness");
-  Alcotest.(check bool) "refresh counted" true
-    ((Bottom_up.stats fp).Bottom_up.bu_prov.Bottom_up.prov_refreshed > 0);
+  Alcotest.(check bool) "with a fresh rank" true
+    (before <> None && rank "r(a, b)" > Some highest);
+  (match Bottom_up.proof fp (Reader.term "r(a, b)") with
+  | Some (Explain.Rule { premises = [ _; Explain.Rule _ ]; _ } as p) ->
+      Alcotest.(check bool) "the surviving derivation re-checks" true
+        (proof_ok db fp p)
+  | _ -> Alcotest.fail "expected r(a, b) through e(a, c), r(c, b)");
   Alcotest.(check bool) "whole store still coherent" true
     (lineage_ok db (base_facts "e(a, c). e(c, b).") fp)
+
+(* Rebuilding proofs reads the store only: every counter but the
+   reconstruction block stays where it was, on a fresh fixpoint and on
+   a maintained one. *)
+let test_proofs_read_only () =
+  let db =
+    engine_db_of
+      "e(a, b). e(b, c). e(c, a). e(c, d). v(a, 4). node(a). node(d).\n\
+       r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y).\n\
+       big(X) :- v(X, N), N >= 3.\n\
+       iso(X) :- node(X), \\+ r(X, X)."
+  in
+  let fp = Bottom_up.run db in
+  let check what =
+    let unprov s =
+      { s with Bottom_up.bu_prov = (Bottom_up.stats fp).bu_prov }
+    in
+    let before = Bottom_up.stats fp in
+    List.iter
+      (fun t -> ignore (Bottom_up.proof fp t : Explain.proof option))
+      (Bottom_up.facts fp);
+    let after = Bottom_up.stats fp in
+    Alcotest.(check bool) (what ^ ": counters unmoved") true
+      (unprov before = after);
+    Alcotest.(check bool) (what ^ ": reconstructs counted") true
+      (after.bu_prov.prov_reconstructs
+      = before.bu_prov.prov_reconstructs + Bottom_up.count fp)
+  in
+  check "fresh";
+  Bottom_up.apply fp
+    [ `Retract (Reader.term "e(c, a)"); `Assert (Reader.term "e(d, a)") ];
+  check "maintained"
+
+(* A derived fact with no derivation from facts of lower rank — here a
+   snapshot imported against a database whose rule cannot derive what
+   the snapshot stored — is a typed [Corrupt] error, not a loop. *)
+let test_underivable_is_corrupt () =
+  let saved = Bottom_up.run (db_of "e(a, b). r(X, Y) :- e(X, Y).") in
+  let fp =
+    Bottom_up.import (db_of "e(a, b). r(X, Y) :- e(Y, X).")
+      (Bottom_up.export saved)
+  in
+  match Bottom_up.proof fp (Reader.term "r(a, b)") with
+  | exception Wire.Corrupt _ -> ()
+  | _ -> Alcotest.fail "an underivable stored fact got a proof"
+
+(* The trees the CLI prints — [Query.violation_proofs] for
+   [--explain-violations] and [Query.explain_proof] for [explain
+   --materialize] — revalidate against the compiled database, before
+   and after an update batch. *)
+let test_cli_proofs_revalidate () =
+  let r =
+    Gdp_lang.Elaborate.load_string
+      "objects n1, n2, n3, n4.\n\
+       fact link(n1, n2).\n\
+       fact link(n2, n3).\n\
+       fact link(n3, n4).\n\
+       fact flagged(n3).\n\
+       rule reach(X, Y) <- link(X, Y).\n\
+       rule reach(X, Y) <- link(X, Z), reach(Z, Y).\n\
+       rule clear(X) <- link(X, _), not flagged(X).\n\
+       constraint flagged_reachable(X) <- reach(n1, X), flagged(X).\n"
+  in
+  let open Gdp_core in
+  let q =
+    Query.with_mode (Query.create r.Gdp_lang.Elaborate.spec) Query.Materialized
+  in
+  let fact pred objs = Gfact.make pred ~objects:(List.map Term.atom objs) in
+  let check what =
+    let fp = Query.materialization q and db = Query.db q in
+    let proofs =
+      List.map snd (Query.violation_proofs q)
+      @ List.filter_map (Query.explain_proof q)
+          [ fact "reach" [ "n1"; "n4" ]; fact "clear" [ "n1" ] ]
+    in
+    Alcotest.(check bool)
+      (what ^ ": proofs found") true
+      (List.length proofs >= 2);
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) (what ^ ": valid") true (proof_ok db fp p))
+      proofs
+  in
+  check "fresh";
+  ignore
+    (Query.update q
+       [
+         `Retract (fact "flagged" [ "n3" ]);
+         `Assert (fact "flagged" [ "n2" ]);
+       ]);
+  check "after an update"
 
 let tests =
   [
@@ -324,8 +442,15 @@ let tests =
     Alcotest.test_case "naf and guard leaves" `Quick test_naf_and_guard_leaves;
     Alcotest.test_case "witness refresh on retract" `Quick
       test_witness_refresh_on_retract;
+    Alcotest.test_case "proof rebuilding moves no engine counter" `Quick
+      test_proofs_read_only;
+    Alcotest.test_case "an underivable stored fact is Corrupt" `Quick
+      test_underivable_is_corrupt;
+    Alcotest.test_case "proofs the CLI prints revalidate" `Quick
+      test_cli_proofs_revalidate;
     QCheck_alcotest.to_alcotest prop_lineage;
     QCheck_alcotest.to_alcotest prop_lineage_stratified;
     QCheck_alcotest.to_alcotest prop_lineage_updates;
+    QCheck_alcotest.to_alcotest prop_proofs_after_every_update;
     QCheck_alcotest.to_alcotest prop_lineage_deterministic;
   ]

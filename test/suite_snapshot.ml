@@ -1,7 +1,7 @@
 (* Persistent snapshot round-trips: [Bottom_up.import] of a saved export
    must be indistinguishable from the materialisation it was exported
    from — identical fact sets, identical deterministic stats text, and
-   identical witnesses — across the indexed, scan and spatial engine
+   identical ranks and proofs — across the indexed, scan and spatial engine
    configurations. On top of the logic layer, the Query
    units pin the coherence contract: a stale content hash is reported
    (never silently reused), a corrupted or truncated file is rejected
@@ -31,18 +31,11 @@ let with_temp f =
    and maintenance counters). *)
 let stats_text fp = Format.asprintf "%a" Bottom_up.pp_stats (Bottom_up.stats fp)
 
-let witness_key fp t =
-  match Bottom_up.witness fp t with
-  | None -> "-"
-  | Some (rule, steps) ->
-      Printf.sprintf "%d:%s" rule
-        (String.concat ";"
-           (List.map
-              (function
-                | Bottom_up.Wfact u -> "f " ^ Term.to_string u
-                | Bottom_up.Wnaf u -> "n " ^ Term.to_string u
-                | Bottom_up.Wguard u -> "g " ^ Term.to_string u)
-              steps))
+(* a stored fact's rank and its rebuilt proof, rendered *)
+let lineage_key fp t =
+  ( Bottom_up.rank fp t,
+    Option.map (Format.asprintf "%a" (Explain.pp ?pp_goal:None))
+      (Bottom_up.proof fp t) )
 
 let payload (st : Bottom_up.snapshot_state) = String.sub st.data st.pos st.len
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -74,9 +67,9 @@ let roundtrip_check ~indexing mk_db =
   else if
     not
       (List.for_all
-         (fun t -> witness_key cold t = witness_key warm t)
+         (fun t -> lineage_key cold t = lineage_key warm t)
          (Bottom_up.facts cold))
-  then Error "witnesses differ"
+  then Error "ranks or proofs differ"
   else if payload (Bottom_up.export cold) <> payload (Bottom_up.export warm)
   then Error "the import re-exports to different bytes"
   else Ok ()
@@ -293,6 +286,13 @@ let test_corrupt_rejected () =
       Out_channel.output_string oc
         (String.sub contents 10 (String.length contents - 10)));
   expect_corrupt "version-4 file";
+  (* and a version-5 file, whose relations carry witnesses and whose
+     update log is a Marshal payload *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP5\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-5 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");
@@ -437,8 +437,8 @@ let test_hash_after_updates () =
 (* ------------------------------------------- encoding and hostile files *)
 
 (* Every node kind the encoding has — atoms, ints, floats, strings,
-   compounds and lists — and every witness step kind: positive, negated
-   and guard. *)
+   compounds and lists — and every premise kind a proof has: positive,
+   negated and guard. *)
 let fuzz_src =
   {|
   e(a, b). e(b, c). e(c, a). e(c, d).
@@ -563,10 +563,8 @@ let arb_mutations =
   QCheck.make gen_mutations ~print:(fun ms ->
       String.concat "; " (List.map pp_mutation ms))
 
-(* Mutate bytes [lo, end) of a file image, then rewrite its digest so the
-   decoder, not the digest check, meets the damage. Positions wrap onto
-   the region. *)
-let mutate ~lo image muts =
+(* Mutate bytes [lo, end) of a string. Positions wrap onto the region. *)
+let mutate_bytes ~lo image muts =
   List.fold_left
     (fun s m ->
       let n = String.length s - lo in
@@ -592,7 +590,10 @@ let mutate ~lo image muts =
             ^ String.sub s i (chunk i len)
             ^ String.sub s j (String.length s - j))
     image muts
-  |> redigest
+
+(* Mutate bytes [lo, end) of a file image, then rewrite its digest so the
+   decoder, not the digest check, meets the damage. *)
+let mutate ~lo image muts = redigest (mutate_bytes ~lo image muts)
 
 let saved_image () =
   with_temp @@ fun path ->
@@ -608,7 +609,8 @@ let saved_image () =
 
 (* Every mutated file either loads or raises Snapshot.Corrupt: no other
    exception (Invalid_argument, Not_found, Stack_overflow, ...) escapes
-   the load, the import, or the use of what was imported. The mutations
+   the load, the import, or the use of what was imported — a proof of a
+   fact the damaged store cannot derive is Corrupt too. The mutations
    reach the key/meta frame too, which this layer never interprets. *)
 let prop_hostile_logic =
   let image = lazy (saved_image ()) in
@@ -621,39 +623,107 @@ let prop_hostile_logic =
       | snap, (_ : int) -> (
           match Bottom_up.import (fuzz_db ()) snap.Snapshot.state with
           | exception Snapshot.Corrupt _ -> true
-          | fp ->
-              List.iter
-                (fun t -> ignore (Bottom_up.proof fp t : Explain.proof option))
-                (Bottom_up.facts fp);
+          | fp -> (
               ignore (stats_text fp : string);
               ignore (Bottom_up.export fp : Bottom_up.snapshot_state);
-              true))
+              match
+                List.iter
+                  (fun t ->
+                    ignore (Bottom_up.proof fp t : Explain.proof option))
+                  (Bottom_up.facts fp)
+              with
+              | () | (exception Snapshot.Corrupt _) -> true)))
+
+(* A Query-layer snapshot with a non-empty update log in its meta. *)
+let query_image =
+  lazy
+    (with_temp @@ fun path ->
+     let q = mat (datalog_spec ()) in
+     ignore
+       (Query.update q
+          [
+            `Assert (Gfact.make "link" ~objects:[ a "n4"; a "n1" ]);
+            `Retract (Gfact.make "flagged" ~objects:[ a "n3" ]);
+          ]);
+     let (_ : int * int) = Query.save_snapshot q path in
+     let contents = read_file path in
+     let snap, (_ : int) = Snapshot.load ~path () in
+     (contents, snap))
+
+let query_loads_or_corrupt path =
+  let q = mat (datalog_spec ()) in
+  match Query.of_snapshot q path with
+  | Ok _ ->
+      ignore (reach_all q : string list);
+      true
+  | Error (Query.Snapshot_corrupt _) -> true
+  | Error (Query.Snapshot_stale m) ->
+      QCheck.Test.fail_reportf "a mutated snapshot reported stale: %s" m
 
 (* The same through the Query layer, with the mutations confined to the
-   encoded state: the update log in [meta] is still a Marshal payload. *)
+   encoded state. *)
 let prop_hostile_query =
-  let image =
-    lazy
-      (with_temp @@ fun path ->
-       let (_ : int * int) = Query.save_snapshot (mat (datalog_spec ())) path in
-       let contents = read_file path in
-       let snap, (_ : int) = Snapshot.load ~path () in
-       (contents, snap.Snapshot.state.pos))
-  in
   QCheck.Test.make
     ~name:"mutated snapshot states load or report Snapshot_corrupt" ~count:200
     arb_mutations (fun muts ->
-      let contents, lo = Lazy.force image in
+      let contents, snap = Lazy.force query_image in
       with_temp @@ fun path ->
-      write_file path (mutate ~lo contents muts);
-      let q = mat (datalog_spec ()) in
-      match Query.of_snapshot q path with
-      | Ok _ ->
-          ignore (reach_all q : string list);
-          true
-      | Error (Query.Snapshot_corrupt _) -> true
-      | Error (Query.Snapshot_stale m) ->
-          QCheck.Test.fail_reportf "a mutated state reported stale: %s" m)
+      write_file path (mutate ~lo:snap.Snapshot.state.pos contents muts);
+      query_loads_or_corrupt path)
+
+(* And with the mutations confined to the update log in [meta], the
+   file re-framed and its digest re-signed around the damaged log. *)
+let prop_hostile_update_log =
+  QCheck.Test.make
+    ~name:"mutated update logs load or report Snapshot_corrupt" ~count:200
+    arb_mutations (fun muts ->
+      let _, snap = Lazy.force query_image in
+      with_temp @@ fun path ->
+      let (_ : int) =
+        Snapshot.save ~path
+          {
+            snap with
+            Snapshot.meta = mutate_bytes ~lo:0 snap.Snapshot.meta muts;
+          }
+      in
+      query_loads_or_corrupt path)
+
+(* A save writes a sibling file and renames it over the target: after a
+   save that succeeds and after one that fails, no sibling is left, and
+   a failed save leaves the previous snapshot loadable. *)
+let test_atomic_save () =
+  let dir = Filename.temp_file "gdprs_snap_dir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "s.gdpx" in
+  let state = Bottom_up.export (Bottom_up.run (fuzz_db ())) in
+  let save path state =
+    Snapshot.save ~path { Snapshot.key = "k"; meta = "m"; state }
+  in
+  let entries () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  ignore (save path state : int);
+  Alcotest.(check (list string)) "after a save" [ "s.gdpx" ] (entries ());
+  (* a state that cannot be written *)
+  (match save path { state with len = state.len + 1 } with
+  | exception (Snapshot.Corrupt _ | Invalid_argument _) -> ()
+  | _ -> Alcotest.fail "an out-of-range state was saved");
+  (* a target the rename cannot replace *)
+  let sub = Filename.concat dir "sub" in
+  Sys.mkdir sub 0o755;
+  Out_channel.with_open_bin (Filename.concat sub "x") ignore;
+  (match save sub state with
+  | exception Sys_error _ -> ()
+  | _ -> Alcotest.fail "a save over a directory succeeded");
+  Alcotest.(check (list string)) "after failed saves" [ "s.gdpx"; "sub" ]
+    (entries ());
+  let snap, (_ : int) = Snapshot.load ~path () in
+  Alcotest.(check bool) "the previous snapshot still loads" true
+    (Bottom_up.facts (Bottom_up.import (fuzz_db ()) snap.Snapshot.state)
+    = Bottom_up.facts (Bottom_up.run (fuzz_db ())));
+  Sys.remove (Filename.concat sub "x");
+  Sys.rmdir sub;
+  Sys.remove path;
+  Sys.rmdir dir
 
 let tests =
   [
@@ -675,4 +745,7 @@ let tests =
       test_hash_after_updates;
     QCheck_alcotest.to_alcotest prop_hostile_logic;
     QCheck_alcotest.to_alcotest prop_hostile_query;
+    QCheck_alcotest.to_alcotest prop_hostile_update_log;
+    Alcotest.test_case "a failed save leaves the previous snapshot" `Quick
+      test_atomic_save;
   ]
