@@ -833,7 +833,7 @@ let bu_terrain_db n =
    materialisation is expensive relative to the model it produces and a
    persisted snapshot pays off most. The three shared workloads bound
    the other end: when deriving a fact costs about as much as
-   re-interning it on load, caching roughly breaks even. *)
+   re-loading it, caching roughly breaks even. *)
 let snap_dense_db n =
   let open Gdp_logic in
   let db = Engine.create () in
@@ -1341,7 +1341,7 @@ let spatial_cases =
 (* The full semi-naive materialisation of a workload's base (what every
    CLI invocation paid before snapshots) against Snapshot.load +
    Bottom_up.import of the same model persisted to disk — deserialise,
-   re-intern, re-index, fire no rules. "agree" asserts the loaded
+   rebuild the relations, fire no rules. "agree" asserts the loaded
    fixpoint is indistinguishable: identical fact sets and restored pass
    counts.
 

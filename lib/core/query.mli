@@ -254,7 +254,7 @@ val of_snapshot : t -> string -> (int * int, snapshot_error) result
     against {!Compile.content_hash} of this compilation, replay the
     update-log suffix this session has not seen into the compiled
     database (so top-down answers agree too), and rebuild the in-memory
-    fixpoint with {!Gdp_logic.Bottom_up.import} — interning each
+    fixpoint with {!Gdp_logic.Bottom_up.import} — building each
     distinct term once and rebuilding the spatial indexes, but firing no
     rules. A payload that does not decode is [Snapshot_corrupt]. After
     [Ok], {!holds} /

@@ -2,16 +2,16 @@ module Term_tbl = Path_key.Tbl
 
 module Sx = Gdp_space.Spatial_index
 
-(* A materialised relation: a hash table from each hash-consed ground
-   fact to its rank (O(1) expected membership), the facts in insertion
-   order for deterministic scans with their ranks alongside, and lazily
-   built subterm indexes for join probes. A rank is the fixpoint's
-   insertion counter when the fact entered the store, so ranks increase
-   along the array. An index is keyed by paths into the fact — [[3; 0]]
-   is the first element of the list at argument 3 — and maps the tuple
-   of subterms at those paths to the facts carrying exactly those
-   subterms there; [eval_rule] probes the index of whichever subterms
-   the in-flowing substitution has made ground. *)
+(* A materialised relation: a hash table from each ground fact, stored
+   as it was built, to its rank (O(1) expected membership), the facts
+   in insertion order for deterministic scans with their ranks
+   alongside, and lazily built subterm indexes for join probes. A rank
+   is the fixpoint's insertion counter when the fact entered the store,
+   so ranks increase along the array. An index is keyed by paths into
+   the fact — [[3; 0]] is the first element of the list at argument 3 —
+   and maps the tuple of subterms at those paths to the facts carrying
+   exactly those subterms there; [eval_rule] probes the index of
+   whichever subterms the in-flowing substitution has made ground. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -145,7 +145,7 @@ module Relation = struct
     end
 
   (* Bulk load for snapshot import: slots [0, n) of [arr] and [ranks]
-     hold a saved relation's canonical facts in insertion order and
+     hold a saved relation's facts in insertion order and
      their ranks, and the relation is built around the arrays
      themselves. The hash table is created at the size [add]'s doubling
      would have grown it to, so no rehash runs and its bucket order
@@ -173,6 +173,8 @@ module Relation = struct
     in
     if gone <> [] then begin
       let live x = mem r x in
+      (* the stored copy of each removed fact, for the spatial indexes *)
+      let stored = Term_tbl.create (if r.spatials = [] then 1 else 16) in
       let j = ref 0 in
       for i = 0 to r.n - 1 do
         let x = Array.unsafe_get r.arr i in
@@ -181,6 +183,7 @@ module Relation = struct
           r.ranks.(!j) <- r.ranks.(i);
           incr j
         end
+        else if r.spatials <> [] then Term_tbl.replace stored x x
       done;
       Array.fill r.arr !j (r.n - !j) dummy;
       r.n <- !j;
@@ -201,14 +204,15 @@ module Relation = struct
               | _ -> ())
             gone)
         r.indexes;
-      (* spatial indexes find a value by [==]: stored facts are
-         canonical, so [Term.hcons] returns the stored copy *)
+      (* spatial indexes find a value by [==], so each removal, in
+         [gone]'s order, passes the copy the relation stored *)
       List.iter
         (fun (apos, sp) ->
           List.iter
             (fun t ->
               match spat_box sp apos t with
-              | Some b -> Stdlib.ignore (Sx.remove sp.s_idx b (Term.hcons t))
+              | Some b ->
+                  Stdlib.ignore (Sx.remove sp.s_idx b (Term_tbl.find stored t))
               | None -> sp.s_rest <- List.filter live sp.s_rest)
             gone)
         r.spatials
@@ -500,23 +504,22 @@ let get fp rel =
       Hashtbl.add fp.rels rel r;
       r
 
-(* dedup-inserting a hash-consed copy keeps every stored fact canonical,
-   so later membership tests mostly resolve on physical equality; the
-   fact's rank is the insertion clock *)
+(* dedup-inserting [t] as it was built, ranked by the insertion clock;
+   [true] when it is new. A hit is an add its relation already stores,
+   a miss one that stores a new fact. *)
 let add fp rel t =
-  let h = Term.hcons t in
-  (* [hcons t == t] means [t] became the canonical copy: a table miss *)
-  if h == t then fp.ctr.c_misses <- fp.ctr.c_misses + 1
-  else fp.ctr.c_hits <- fp.ctr.c_hits + 1;
-  let t = h in
   if Relation.add (get fp rel) t fp.clock then begin
+    fp.ctr.c_misses <- fp.ctr.c_misses + 1;
     fp.clock <- fp.clock + 1;
     fp.ctr.c_facts <- fp.ctr.c_facts + 1;
     if fp.ctr.c_facts > max_facts then
       failwith "Bottom_up.run: fact bound hit";
-    Some t
+    true
   end
-  else None
+  else begin
+    fp.ctr.c_hits <- fp.ctr.c_hits + 1;
+    false
+  end
 
 (* [budget_from] is the pass counter at the start of the current
    operation (initial run or one update batch): the iteration bound is
@@ -707,11 +710,10 @@ let saturate fp ~budget_from ~guard srules start =
   let added = ref Rel_map.empty in
   let new_facts = ref Rel_map.empty in
   let emit rel t _ =
-    match add fp rel t with
-    | None -> ()
-    | Some t ->
-        new_facts := record rel t !new_facts;
-        added := record rel t !added
+    if add fp rel t then begin
+      new_facts := record rel t !new_facts;
+      added := record rel t !added
+    end
   in
   let full_pass () =
     List.iter
@@ -945,9 +947,8 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   in
   List.iter
     (fun (rel, t) ->
-      match add fp rel t with
-      | Some t -> Term_tbl.replace fp.base t rel
-      | None -> Term_tbl.replace fp.base (Term.hcons t) rel)
+      Stdlib.ignore (add fp rel t);
+      Term_tbl.replace fp.base t rel)
     facts;
   prebuild_spatial fp;
   let stratum_acc = ref [] in
@@ -1178,11 +1179,11 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   let seed_added =
     List.filter_map
       (fun (rel, t) ->
-        match add fp rel t with
-        | Some t ->
-            note rel t false;
-            Some (rel, t)
-        | None -> None)
+        if add fp rel t then begin
+          note rel t false;
+          Some (rel, t)
+        end
+        else None)
       seeds_a
   in
   (* 2. DRed over-deletion: mark the retracted base facts and every fact
@@ -1305,10 +1306,8 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
   (* seeds on relations no rule of the stratum derives: plain updates *)
   List.iter
     (fun (rel, t) ->
-      if not (is_head rel) then
-        match add fp rel t with
-        | Some t -> net_adds := (rel, t) :: !net_adds
-        | None -> ())
+      if (not (is_head rel)) && add fp rel t then
+        net_adds := (rel, t) :: !net_adds)
     seeds_a;
   net_dels :=
     List.rev
@@ -1353,7 +1352,6 @@ let apply fp (updates : update list) =
         in
         if not (Term.is_ground t) then
           unsupported "update: %s is not a ground fact" (Term.to_string t);
-        let t = Term.hcons t in
         (match Term.functor_of t with
         | None ->
             unsupported "update: %s is not a predicate atom" (Term.to_string t)
@@ -1479,12 +1477,12 @@ let apply fp (updates : update list) =
   end
 
 let assert_fact fp t =
-  let was = Term.is_ground t && Term_tbl.mem fp.base (Term.hcons t) in
+  let was = Term.is_ground t && Term_tbl.mem fp.base t in
   apply fp [ `Assert t ];
   not was
 
 let retract_fact fp t =
-  let was = Term.is_ground t && Term_tbl.mem fp.base (Term.hcons t) in
+  let was = Term.is_ground t && Term_tbl.mem fp.base t in
   apply fp [ `Retract t ];
   was
 
@@ -1606,8 +1604,8 @@ let proof fp t =
               and the float milliseconds each); the symbol and node
               counts (nat)
      symbols  each string: atom and functor names and string constants
-     nodes    one record per distinct node in post order, so a node's
-              children always come before it:
+     nodes    one record per structurally distinct node in post order,
+              so a node's children always come before it:
               tag 0 Atom sym | 1 Int int | 2 Float f64 | 3 Str sym
                 | 4 App sym arity child*
               (every stored term is ground, so there is no variable tag)
@@ -1620,18 +1618,9 @@ let proof fp t =
    every gap is a natural, and the ranks of all relations together are
    0 .. facts - 1. Keying base facts by fact position makes the export
    deterministic without sorting, and the import takes their terms from
-   the loaded relation instead of interning them again. *)
+   the loaded relation instead of decoding them again. *)
 
 type snapshot_state = { data : string; pos : int; len : int }
-
-module Node_tbl = Hashtbl.Make (struct
-  type t = Term.t
-
-  (* stored terms are canonical, so physical equality finds every
-     shared node; a stray non-canonical copy only costs a node *)
-  let equal = ( == )
-  let hash = Term.hash
-end)
 
 (* The header, symbols, nodes and relations go to separate buffers,
    because the counts the header declares are known only once the
@@ -1647,45 +1636,83 @@ let export fp =
   Gc.minor ();
   let syms = Hashtbl.create 256 and sym_buf = Buffer.create 4096 in
   let sym s =
-    match Hashtbl.find_opt syms s with
-    | Some i -> i
-    | None ->
+    match Hashtbl.find syms s with
+    | i -> i
+    | exception Not_found ->
         let i = Hashtbl.length syms in
         Hashtbl.add syms s i;
         Wire.add_string sym_buf s;
         i
   in
-  let ids = Node_tbl.create (max 256 fp.ctr.c_facts) in
+  (* Nodes are numbered structurally. A node's record (its tag, symbol
+     or literal, and child ids) identifies it, because children are
+     numbered before their parent. Each visited node is encoded at the
+     end of [node_buf] as the next id's record, and kept only when no
+     earlier record has the same bytes: no key is allocated per visit.
+     Node [i]'s record is [off.(i), off.(i + 1)). *)
   let node_buf = Buffer.create 65536 in
-  let rec node t =
-    match Node_tbl.find_opt ids t with
-    | Some i -> i
-    | None ->
-        let b = node_buf in
-        (match t with
-        | Term.Atom s ->
-            Buffer.add_uint8 b 0;
-            Wire.add_nat b (sym s)
-        | Term.Int n ->
-            Buffer.add_uint8 b 1;
-            Wire.add_int b n
-        | Term.Float f ->
-            Buffer.add_uint8 b 2;
-            Wire.add_float b f
-        | Term.Str s ->
-            Buffer.add_uint8 b 3;
-            Wire.add_nat b (sym s)
-        | Term.Var _ ->
-            invalid_arg "Bottom_up.export: the store holds a non-ground term"
-        | Term.App (f, args) ->
-            let children = List.map node args in
-            Buffer.add_uint8 b 4;
-            Wire.add_nat b (sym f);
-            Wire.add_nat b (List.length children);
-            List.iter (Wire.add_nat b) children);
-        let i = Node_tbl.length ids in
-        Node_tbl.add ids t i;
+  let off = ref (Array.make 1024 0) and n_nodes = ref 0 in
+  let module Records = Hashtbl.Make (struct
+    type t = int
+
+    let length i = !off.(i + 1) - !off.(i)
+
+    let rec same a b n =
+      n = 0
+      || Buffer.nth node_buf a = Buffer.nth node_buf b
+         && same (a + 1) (b + 1) (n - 1)
+
+    let equal i j = length i = length j && same !off.(i) !off.(j) (length i)
+
+    let hash i =
+      let h = ref 0x811c9dc5 in
+      for k = !off.(i) to !off.(i + 1) - 1 do
+        h := (!h lxor Char.code (Buffer.nth node_buf k)) * 0x01000193
+      done;
+      !h land max_int
+  end) in
+  let records = Records.create (max 256 fp.ctr.c_facts) in
+  let number () =
+    let i = !n_nodes in
+    if i + 2 > Array.length !off then begin
+      let bigger = Array.make (2 * Array.length !off) 0 in
+      Array.blit !off 0 bigger 0 (i + 1);
+      off := bigger
+    end;
+    !off.(i + 1) <- Buffer.length node_buf;
+    match Records.find records i with
+    | id ->
+        Buffer.truncate node_buf !off.(i);
+        id
+    | exception Not_found ->
+        Records.add records i i;
+        n_nodes := i + 1;
         i
+  in
+  let rec node t =
+    let b = node_buf in
+    (match t with
+    | Term.Atom s ->
+        Buffer.add_uint8 b 0;
+        Wire.add_nat b (sym s)
+    | Term.Int n ->
+        Buffer.add_uint8 b 1;
+        Wire.add_int b n
+    | Term.Float f ->
+        Buffer.add_uint8 b 2;
+        Wire.add_float b f
+    | Term.Str s ->
+        Buffer.add_uint8 b 3;
+        Wire.add_nat b (sym s)
+    | Term.Var _ ->
+        invalid_arg "Bottom_up.export: the store holds a non-ground term"
+    | Term.App (f, args) ->
+        let children = List.map node args in
+        Buffer.add_uint8 b 4;
+        Wire.add_nat b (sym f);
+        Wire.add_nat b (List.length children);
+        List.iter (Wire.add_nat b) children);
+    number ()
   in
   let rels =
     Hashtbl.fold (fun rel r acc -> (rel, r) :: acc) fp.rels []
@@ -1763,7 +1790,7 @@ let export fp =
       Wire.add_float head st.st_ms)
     fp.strata_stats;
   Wire.add_nat head (Hashtbl.length syms);
-  Wire.add_nat head (Node_tbl.length ids);
+  Wire.add_nat head !n_nodes;
   let sections = [ head; sym_buf; node_buf; rel_buf ] in
   let len = List.fold_left (fun n b -> n + Buffer.length b) 0 sections in
   let out = Bytes.create len in
@@ -1858,7 +1885,8 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   let syms = Array.init n_syms (fun _ -> Wire.string r) in
   let sym () = syms.(Wire.below r n_syms "symbol") in
   (* post order: every child id is below its parent's, so each node is
-     built from canonical children and interned exactly once *)
+     built from nodes already built, and the loaded facts share the
+     file's DAG as it is *)
   let nodes = Array.make n_nodes Relation.dummy in
   for i = 0 to n_nodes - 1 do
     let t =
@@ -1874,7 +1902,7 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
             (f, read_list r arity (fun r -> nodes.(Wire.below r i "child")) [])
       | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
     in
-    nodes.(i) <- Term.intern t
+    nodes.(i) <- t
   done;
   let node () = nodes.(Wire.below r n_nodes "node") in
   (* the values [0, bound) of an increasing gap-coded list of [k] *)

@@ -12,9 +12,9 @@
       one positive body literal is matched against that {e delta} rather
       than the full relation — the classic Datalog optimisation.
 
-    Facts are stored per relation in hash sets of hash-consed terms
-    (O(1) expected membership; see {!Term.hash} and {!Term.hcons}), so a
-    body literal only ever joins against its own predicate's facts.
+    Facts are stored per relation, as they were built, in hash sets of
+    terms (O(1) expected membership; see {!Term.hash}), so a body
+    literal only ever joins against its own predicate's facts.
     Joins are index-driven: each rule body is reordered by a greedy
     sideways-information-passing plan (most bound arguments first, delta
     literal leading under semi-naive evaluation), and every positive
@@ -155,9 +155,8 @@ type stats = {
           all of them under [~spatial_indexing:false], else the joins
           whose probe box could not be computed at evaluation time *)
   bu_hcons_hits : int;
-      (** derived terms already interned — structurally equal to a stored
-          fact, deduplicated by physical equality *)
-  bu_hcons_misses : int;  (** derived terms interned fresh *)
+      (** store adds of a fact its relation already held *)
+  bu_hcons_misses : int;  (** store adds that stored a new fact *)
   bu_prov : prov_stats;  (** the why-provenance counters *)
   bu_strata_stats : stratum_stats list;  (** non-empty strata, in order *)
   bu_incr : incr_stats;  (** all zeros until the first {!apply} *)
@@ -246,10 +245,7 @@ val strata_count : fixpoint -> int
 val stats : fixpoint -> stats
 (** Everything the fixpoint measured, cumulative over the initial run
     and every later {!apply}. Counter fields are deterministic for a
-    given database, options and update history, except
-    [bu_hcons_hits]/[bu_hcons_misses] (and with them {!hcons_hit_rate}):
-    those depend on what the process-wide weak {!Term.hcons} table still
-    holds, so they are deterministic only in a fresh process.
+    given database, options and update history;
     {!stratum_stats.st_ms} always varies. *)
 
 val incr_stats : fixpoint -> incr_stats
@@ -257,8 +253,9 @@ val incr_stats : fixpoint -> incr_stats
     [(stats fp).bu_incr]). *)
 
 val hcons_hit_rate : stats -> float
-(** [bu_hcons_hits / (bu_hcons_hits + bu_hcons_misses)], 0 when no term
-    was interned. *)
+(** [bu_hcons_hits / (bu_hcons_hits + bu_hcons_misses)]: the share of
+    store adds that found their fact already stored, 0 when nothing was
+    added. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Multi-line summary. Deliberately omits the per-stratum timings so the
@@ -353,9 +350,9 @@ val proof : fixpoint -> Term.t -> Explain.proof option
 
 type snapshot_state = { data : string; pos : int; len : int }
 (** The exported state of one fixpoint: bytes [\[pos, pos + len)] of
-    [data] hold its encoding, a table of the distinct terms (each node
-    once, children before parents) that the relations refer to by
-    index. The encoding is plain bytes with no
+    [data] hold its encoding, a table of the structurally distinct
+    terms (each node once, children before parents) that the relations
+    refer to by index. The encoding is plain bytes with no
     OCaml value layout in it, so another build or process can read it,
     and a view into a larger string (a whole snapshot file) decodes in
     place. *)
@@ -366,9 +363,8 @@ val export : fixpoint -> snapshot_state
     The result is deterministic — the same store
     always encodes to the same bytes, so exporting an import of an
     export reproduces it — and later {!apply} calls do not alter it.
-    The counters include the hash-consing hits and misses, so two
-    fixpoints of the same database in one process (see {!stats}) may
-    encode to byte counts that differ by a few bytes. *)
+    Nodes are numbered structurally, so how the store's terms happen
+    to share memory never changes the encoding. *)
 
 val snapshot_facts : snapshot_state -> int
 (** Number of stored facts the snapshot carries (the saved fixpoint's
@@ -388,8 +384,8 @@ val import :
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
     planned exactly as {!run} would (same options, same meaning), then
-    the encoding is decoded in place — each distinct term is interned
-    once through {!Term.intern}, the relations are built around their
+    the encoding is decoded in place — each node is built once and the
+    loaded facts share the file's DAG, the relations are built around their
     loaded fact arrays, and the saved ranks, counters, per-stratum
     statistics and maintenance counters are restored. The planned
     spatial indexes are rebuilt eagerly (hash indexes stay lazy), and

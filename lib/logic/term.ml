@@ -58,9 +58,11 @@ let as_list t =
   in
   go [] t
 
-(* Physical equality first: facts stored by the bottom-up engine are
-   hash-consed (see {!hcons}), so equal subterms are usually shared and
-   the deep walk is skipped. *)
+(* Physical equality first. Nothing interns terms, but comparisons
+   still often meet one object twice: a store looking up a fact it
+   holds, a probe key built from a stored fact's own subterms, and the
+   shared nodes of an imported snapshot's DAG. There the deep walk is
+   skipped. *)
 let rec equal a b =
   a == b
   ||
@@ -68,7 +70,7 @@ let rec equal a b =
   | Var v, Var w -> v.id = w.id
   | Atom x, Atom y -> String.equal x y
   | Int x, Int y -> x = y
-  | Float x, Float y -> x = y
+  | Float x, Float y -> Float.equal x y
   | Str x, Str y -> String.equal x y
   | App (f, xs), App (g, ys) ->
       String.equal f g
@@ -77,7 +79,7 @@ let rec equal a b =
   | (Var _ | Atom _ | Int _ | Float _ | Str _ | App _), _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Structural hashing and hash-consing.
+(* Structural hashing.
 
    [hash] folds the whole term (no [Hashtbl.hash] depth cutoff, which
    would collide every deep fact onto few buckets) and is consistent with
@@ -98,45 +100,6 @@ let rec hash_into h t =
       List.fold_left hash_into h args
 
 let hash t = hash_into 0x811c9dc5 t land max_int
-
-(* Maximal sharing through a weak set: [hcons t] returns the canonical
-   physically-unique representative of [t]'s equivalence class, consing
-   bottom-up so shared subterms are single objects. Node-level equality
-   compares children with [==] (they are canonical already); variables
-   share only per record so a variable's printing name is never swapped
-   for another equal-id spelling. Weak storage lets the GC reclaim
-   representatives no live relation still references. *)
-module Hset = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b =
-    match (a, b) with
-    | Var v, Var w -> v == w
-    | Atom x, Atom y -> String.equal x y
-    | Int x, Int y -> x = y
-    | Float x, Float y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-    | Str x, Str y -> String.equal x y
-    | App (f, xs), App (g, ys) ->
-        String.equal f g
-        && List.length xs = List.length ys
-        && List.for_all2 ( == ) xs ys
-    | (Var _ | Atom _ | Int _ | Float _ | Str _ | App _), _ -> false
-
-  let hash = hash
-end)
-
-let hcons_table = Hset.create 4096
-
-(* the shallow step of [hcons]: one node whose children are canonical *)
-let intern t = Hset.merge hcons_table t
-
-let rec hcons t =
-  match t with
-  | Var _ | Atom _ | Int _ | Float _ | Str _ -> intern t
-  | App (f, args) ->
-      let args' = List.map hcons args in
-      intern (if List.for_all2 ( == ) args args' then t else App (f, args'))
 
 (* Standard order of terms: Var < Float < Int < Atom < Str < App. *)
 let rank = function

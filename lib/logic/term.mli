@@ -60,7 +60,9 @@ val as_list : t -> t list option
 
 val equal : t -> t -> bool
 (** Structural equality. Distinct variables are never equal; floats compare
-    by IEEE equality (as in Prolog's [==]). *)
+    by [Float.equal], so [0.0] equals [-0.0] and NaN equals itself, as in
+    {!compare}. A fact store dedups by this equality: a rule that derives
+    NaN again finds the NaN fact already stored. *)
 
 val variant : t -> t -> bool
 (** Equality up to a consistent (bijective) renaming of variables — the
@@ -78,26 +80,6 @@ val hash : t -> int
     there is no depth cutoff, so deep ground facts spread over buckets
     instead of colliding; variables hash by [id] only, matching {!equal}.
     Non-negative. *)
-
-val hcons : t -> t
-(** [hcons t] is the canonical, maximally shared representative of [t]:
-    [equal t (hcons t)] always, and [hcons a == hcons b] whenever
-    [equal a b] (for variables, per shared [var] record). Canonical terms
-    make the physical-equality fast paths of {!equal}/{!compare} hit on
-    every shared subterm, so set membership and tuple dedup in the
-    bottom-up engine are cheap even for deep terms. Representatives are
-    held weakly: the GC reclaims what no live index still references.
-    The intern table is global and {b not} domain-safe: only one domain
-    may call [hcons]. *)
-
-val intern : t -> t
-(** [intern t] is {!hcons} for a term whose immediate subterms are
-    already canonical: one table lookup, with no recursive interning of
-    the subterms (only {!hash} still reads them).
-    Builders that assemble terms bottom-up from canonical parts (snapshot
-    import) intern each distinct node exactly once this way. On a term
-    with a non-canonical child the result is still equal to [t], but not
-    necessarily the representative {!hcons} would return. *)
 
 val rename : (int -> var option) -> (var -> t) -> t -> t
 (** [rename lookup fresh t] replaces every variable [v] of [t] by

@@ -6,8 +6,8 @@
     tests can compare them against brute force.
 
     Entries are [box * value] pairs; deletion matches values by physical
-    equality, which is exact for hash-consed terms (the engine's facts)
-    and for any value the caller threads through unchanged. *)
+    equality, so the caller passes the very value it inserted (the
+    engine hands over the copy of a fact its relation stores). *)
 
 type box = { minx : float; miny : float; maxx : float; maxy : float }
 

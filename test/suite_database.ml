@@ -223,16 +223,29 @@ let print_op (db, op) =
 
 (* Of the candidates [clauses] returns, those whose head unifies with the
    goal are exactly the unifying clauses of the whole predicate, in
-   assertion order. *)
+   assertion order. The oracle unifies with the occurs check: without it
+   a goal and head that share a variable pattern can bind a variable to
+   a term containing it, and unification then walks the cycle forever. *)
 let lookup_agrees db goal =
   let unifies c =
     Option.is_some
-      (Unify.unify Subst.empty goal (Database.rename_clause c).Database.head)
+      (Unify.unify ~occurs_check:true Subst.empty goal
+         (Database.rename_clause c).Database.head)
   in
   let fa = Option.get (Term.functor_of goal) in
   List.equal ( == )
     (List.filter unifies (List.of_seq (Database.clauses db goal)))
     (List.filter unifies (Database.all_clauses db fa))
+
+(* The case QCHECK_SEED=414115354 shrank to: unifying this goal with
+   the head binds a variable to a term that contains it. The index never
+   unifies, but an oracle without the occurs check walked that cyclic
+   binding until the stack overflowed. *)
+let test_cyclic_binding_oracle () =
+  let db = Database.create () in
+  Database.assertz db (clause "p([Y, Y], [Y, Y | X]) :- q(X).");
+  Alcotest.(check bool) "the oracle terminates and agrees" true
+    (lookup_agrees db (Reader.term "p([[a, W, V | V], V], [V, 1, f(W) | W])"))
 
 let prop_indexed_lookup =
   QCheck.Test.make ~name:"indexed lookup agrees with the unfiltered store" ~count:400
@@ -273,4 +286,6 @@ let tests =
     Alcotest.test_case "size and predicates" `Quick test_size_predicates;
     Alcotest.test_case "logical update view" `Quick test_logical_update_view;
     QCheck_alcotest.to_alcotest prop_indexed_lookup;
+    Alcotest.test_case "lookup oracle survives a cyclic binding" `Quick
+      test_cyclic_binding_oracle;
   ]

@@ -108,7 +108,13 @@ let test_guards () =
   (* non-numeric argument: the guard fails like the top-down builtin does *)
   Alcotest.(check bool) "not p(a)" false (Bottom_up.holds fp (Reader.term "p(a)"));
   Alcotest.(check bool) "d(2)" true (Bottom_up.holds fp (Reader.term "d(2)"));
-  Alcotest.(check bool) "d(10)" true (Bottom_up.holds fp (Reader.term "d(10)"))
+  Alcotest.(check bool) "d(10)" true (Bottom_up.holds fp (Reader.term "d(10)"));
+  (* sqrt(-1.0) is NaN and so is sqrt(NaN): the recursive rule derives
+     the stored NaN fact again, and the fixpoint must see it as stored *)
+  let fp =
+    Bottom_up.run (engine_db_of "r(-1.0).\nr(Y) :- r(X), Y is sqrt(X).")
+  in
+  Alcotest.(check int) "r(-1.0) and one NaN fact" 2 (Bottom_up.count fp)
 
 let test_delta_refiring () =
   (* a 30-edge chain: semi-naive re-fires only the recursive rule against

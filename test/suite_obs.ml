@@ -341,14 +341,10 @@ let fixpoint_counters src =
   let db = Engine.create () in
   Engine.consult db src;
   let s = Bottom_up.stats (Bottom_up.run db) in
-  (* mask wall-clock and hash-consing fields: timings vary, and hcons
-     hit/miss counts depend on what earlier runs left in the global
-     (weak) intern table *)
+  (* mask the wall-clock field: timings vary *)
   {
     s with
-    Bottom_up.bu_hcons_hits = 0;
-    bu_hcons_misses = 0;
-    bu_strata_stats =
+    Bottom_up.bu_strata_stats =
       List.map
         (fun st -> { st with Bottom_up.st_ms = 0.0 })
         s.Bottom_up.bu_strata_stats;

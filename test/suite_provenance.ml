@@ -21,7 +21,7 @@ let engine_db_of = Suite_engine_props.engine_db_of
 let base_facts src =
   List.filter_map
     (fun { Database.head; body } ->
-      if body = [] then Some (Term.hcons head) else None)
+      if body = [] then Some head else None)
     (Reader.program src)
 
 let is_base base t = List.exists (Term.equal t) base
@@ -31,7 +31,7 @@ let apply_script_to_base base script =
     (fun acc u ->
       match u with
       | `Assert t ->
-          if List.exists (Term.equal t) acc then acc else Term.hcons t :: acc
+          if List.exists (Term.equal t) acc then acc else t :: acc
       | `Retract t -> List.filter (fun x -> not (Term.equal x t)) acc)
     base script
 
