@@ -196,6 +196,13 @@ let handle_errors f =
       (* a loaded snapshot whose store a proof finds inconsistent *)
       Printf.eprintf "error: snapshot: %s\n" msg;
       exit 2
+  | Gdp_logic.Bottom_up.Bound_exceeded (bound, limit) ->
+      Printf.eprintf
+        "error: bottom-up evaluation exceeded its bound of %d %s (the rules \
+         derive facts without end)\n"
+        limit
+        (match bound with `Facts -> "facts" | `Passes -> "passes");
+      exit 3
   | Gdp_logic.Solve.Depth_exhausted { depth; goal } ->
       Printf.eprintf
         "error: inference depth %d exhausted while proving %s (try simpler \

@@ -304,19 +304,27 @@ let update q (updates : Spec.update list) =
             ()
           done)
     resolved;
-  (match !(q.fp) with
-  | None -> () (* nothing materialised yet: the next run sees the new base *)
-  | Some fp ->
-      Bottom_up.apply fp
-        (List.map
-           (fun (u, t) ->
-             match u with `Assert _ -> `Assert t | `Retract _ -> `Retract t)
-           resolved));
+  List.iter (fun u -> Spec.log_update (spec q) u) updates;
   (* a magic fixpoint is goal-specific and cheap to rebuild: drop it so
      the next magic query re-seeds from the updated base instead of
      answering from stale derivations *)
   q.magic := None;
-  List.iter (fun u -> Spec.log_update (spec q) u) updates;
+  (match !(q.fp) with
+  | None -> () (* nothing materialised yet: the next run sees the new base *)
+  | Some fp -> (
+      match
+        Bottom_up.apply fp
+          (List.map
+             (fun (u, t) ->
+               match u with `Assert _ -> `Assert t | `Retract _ -> `Retract t)
+             resolved)
+      with
+      | () -> ()
+      | exception (Bottom_up.Bound_exceeded _ as e) ->
+          (* the batch stopped half-applied: drop the model, so the next
+             answer re-runs from the updated base *)
+          q.fp := None;
+          raise e));
   q
 
 let tracer q = q.tracer

@@ -177,7 +177,11 @@ val update : t -> Spec.update list -> t
     Raises [Invalid_argument] on non-ground facts or non-constant
     predicates — validated before anything is touched. Retracting an
     absent fact is a no-op; asserting a fact rules already derive marks
-    it basic (it then survives losing its derivations). *)
+    it basic (it then survives losing its derivations). When the repair
+    raises {!Gdp_logic.Bottom_up.Bound_exceeded}, the half-repaired
+    fixpoint is dropped before the exception propagates: the database
+    and log keep the batch, and the next materialised answer re-runs
+    from them. *)
 
 val explain : t -> Gfact.t -> string option
 (** A human-readable derivation of the first proof of the pattern (the

@@ -1,17 +1,424 @@
-module Term_tbl = Path_key.Tbl
-
 module Sx = Gdp_space.Spatial_index
 
-(* A materialised relation: a hash table from each ground fact, stored
-   as it was built, to its rank (O(1) expected membership), the facts
-   in insertion order for deterministic scans with their ranks
-   alongside, and lazily built subterm indexes for join probes. A rank
+(* An open-addressed table from non-negative ints to values: linear
+   probing over two flat arrays, backward-shift deletion, no allocation
+   per entry. [find] returns the table's [absent] value for a missing
+   key. *)
+module Itbl = struct
+  type 'a t = {
+    mutable keys : int array;  (* -1: a free slot *)
+    mutable vals : 'a array;
+    mutable size : int;
+    absent : 'a;
+  }
+
+  let rec pow2 n k = if k >= n then k else pow2 n (2 * k)
+
+  let create n absent =
+    let cap = pow2 (4 * n / 3) 16 in
+    { keys = Array.make cap (-1); vals = Array.make cap absent; size = 0; absent }
+
+  (* Fibonacci hashing: the product's middle bits *)
+  let home t k = (k * 0x1e3779b97f4a7c15) lsr 29 land (Array.length t.keys - 1)
+
+  let rec slot t k i =
+    let x = Array.unsafe_get t.keys i in
+    if x = k || x < 0 then i else slot t k ((i + 1) land (Array.length t.keys - 1))
+
+  let length t = t.size
+  let mem t k = t.keys.(slot t k (home t k)) = k
+
+  let find t k =
+    let i = slot t k (home t k) in
+    if t.keys.(i) = k then t.vals.(i) else t.absent
+
+  let resize t =
+    let keys = t.keys and vals = t.vals in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.vals <- Array.make (2 * Array.length keys) t.absent;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let j = slot t k (home t k) in
+          t.keys.(j) <- k;
+          t.vals.(j) <- vals.(i)
+        end)
+      keys
+
+  (* binds [k] unless it is bound already; [true] when it was not *)
+  let add t k v =
+    let i = slot t k (home t k) in
+    t.keys.(i) <> k
+    && begin
+         t.keys.(i) <- k;
+         t.vals.(i) <- v;
+         t.size <- t.size + 1;
+         if 4 * t.size > 3 * Array.length t.keys then resize t;
+         true
+       end
+
+  let replace t k v =
+    let i = slot t k (home t k) in
+    if t.keys.(i) = k then t.vals.(i) <- v else ignore (add t k v : bool)
+
+  let remove t k =
+    let mask = Array.length t.keys - 1 in
+    let i = slot t k (home t k) in
+    if t.keys.(i) = k then begin
+      t.size <- t.size - 1;
+      (* pull each later member of the probe run whose home does not lie
+         cyclically in (hole, j] back into the hole *)
+      let hole = ref i and j = ref ((i + 1) land mask) in
+      while t.keys.(!j) >= 0 do
+        let h = home t t.keys.(!j) in
+        if
+          if !hole <= !j then h <= !hole || h > !j else h <= !hole && h > !j
+        then begin
+          t.keys.(!hole) <- t.keys.(!j);
+          t.vals.(!hole) <- t.vals.(!j);
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      t.keys.(!hole) <- -1;
+      t.vals.(!hole) <- t.absent
+    end
+end
+
+(* An insertion-ordered id map: the DRed sets iterate in the order their
+   facts were first touched, which depends on neither node ids nor
+   hashes, so a loaded store and a freshly derived one maintain alike. *)
+module Omap = struct
+  type 'a t = { tbl : 'a Itbl.t; mutable order : int list (* newest first *) }
+
+  let create absent = { tbl = Itbl.create 16 absent; order = [] }
+  let mem m k = Itbl.mem m.tbl k
+
+  (* the first binding of a key wins *)
+  let add m k v = if Itbl.add m.tbl k v then m.order <- k :: m.order
+
+  let fold f m acc =
+    List.fold_left (fun acc k -> f k (Itbl.find m.tbl k) acc) acc (List.rev m.order)
+
+  let iter f m = fold (fun k v () -> f k v) m ()
+end
+
+(* The node bank of one fixpoint: every ground term it holds, each once,
+   as an int id. A node is a tag, a payload (a symbol id, the integer
+   itself, or the index of a float) and the ids of its children; it is
+   interned by its content hash (tag, payload hash and the children's
+   hashes) through an open-addressed table, so equal terms get equal
+   ids and nothing hashes a string or walks a tree once a term is in.
+   The hash depends on content only, not on ids, so one term hashes
+   alike in every bank. Children are always interned before their
+   parent: a node's id is above its children's. Terms are rebuilt from
+   ids on demand, memoised per id, so rebuilt terms share the bank's
+   DAG. Key nodes ([t_key]) are the multi-path probe keys of relation
+   indexes (their children are the subterms at the paths); they never
+   stand for a term. *)
+module Bank = struct
+  let t_atom = 0
+  let t_int = 1
+  let t_float = 2
+  let t_str = 3
+  let t_app = 4
+  let t_key = 5
+
+  type t = {
+    mutable hd : int array;  (* content hash lsl 3 lor tag *)
+    mutable pay : int array;
+    mutable off : int array;
+        (* node i's children: kids.(off.(i)) .. kids.(off.(i + 1) - 1) *)
+    mutable kids : int array;
+    mutable n : int;
+    mutable slots : int array;
+        (* by content hash: 30 hash bits above a node id; -1: free *)
+    syms : (string, int) Hashtbl.t;
+    mutable names : string array;
+    mutable sym_hash : int array;
+    floats : (float, int) Hashtbl.t;  (* [compare]: one -0./0., one NaN *)
+    mutable float_vals : float array;
+    mutable stack : int array;  (* children of the nodes being built *)
+    mutable sp : int;
+    terms : Term.t Itbl.t;  (* the terms rebuilt so far, by id *)
+    mutable ranks : int array;
+        (* the rank of each node the store holds as a fact, else -1 *)
+  }
+
+  let unset = Term.Atom "\000unset"
+
+  let grow a len fill =
+    let bigger = Array.make len fill in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+
+  (* [nodes] and [kids] size the arrays, so a bank whose size is known
+     up front (a snapshot load) never grows while it fills *)
+  let create ~nodes ~kids =
+    let cap = max 64 nodes in
+    {
+      hd = Array.make cap 0;
+      pay = Array.make cap 0;
+      off = Array.make (cap + 1) 0;
+      kids = Array.make (max 64 kids) 0;
+      n = 0;
+      slots = Array.make (Itbl.pow2 (4 * cap / 3) 128) (-1);
+      syms = Hashtbl.create 64;
+      names = Array.make 64 "";
+      sym_hash = Array.make 64 0;
+      floats = Hashtbl.create 8;
+      float_vals = Array.make 8 0.0;
+      stack = Array.make 64 0;
+      sp = 0;
+      terms = Itbl.create 16 unset;
+      ranks = Array.make cap (-1);
+    }
+
+  let size b = b.n
+
+  (* A fact's relation is a function of its term, so a node is stored in
+     one relation at most, and one rank column serves them all. *)
+  let rank b id = b.ranks.(id)
+  let stored b id = b.ranks.(id) >= 0
+  let tag b id = b.hd.(id) land 7
+  let payload b id = b.pay.(id)
+  let arity b id = b.off.(id + 1) - b.off.(id)
+  let child b id j = b.kids.(b.off.(id) + j)
+  let n_syms b = Hashtbl.length b.syms
+  let name b y = b.names.(y)
+  let float_val b id = b.float_vals.(b.pay.(id))
+
+  let sym b s =
+    match Hashtbl.find_opt b.syms s with
+    | Some y -> y
+    | None ->
+        let y = Hashtbl.length b.syms in
+        if y = Array.length b.names then begin
+          b.names <- grow b.names (2 * y) "";
+          b.sym_hash <- grow b.sym_hash (2 * y) 0
+        end;
+        b.names.(y) <- s;
+        b.sym_hash.(y) <- Hashtbl.hash s;
+        Hashtbl.add b.syms s y;
+        y
+
+  let float_index b f =
+    match Hashtbl.find_opt b.floats f with
+    | Some x -> x
+    | None ->
+        let x = Hashtbl.length b.floats in
+        if x = Array.length b.float_vals then
+          b.float_vals <- grow b.float_vals (2 * x) 0.0;
+        b.float_vals.(x) <- f;
+        Hashtbl.add b.floats f x;
+        x
+
+  let push b c =
+    if b.sp = Array.length b.stack then b.stack <- grow b.stack (2 * b.sp) 0;
+    b.stack.(b.sp) <- c;
+    b.sp <- b.sp + 1
+
+  let mix h x = (h lxor x) * 0x100000001b3
+  (* A slot keeps 30 bits of its node's hash above the id, so a probe
+     passes over other nodes, and a rehash moves them, without reading
+     the node columns. *)
+  let hash_bits hd = (hd lsr 3) land 0x3fff_ffff
+  let id_bits = 0xffff_ffff
+  let home bits mask = (bits * 0x1e3779b97f4a7c15) lsr 29 land mask
+
+  let rec same_kids b id base k j =
+    j = k
+    || b.kids.(b.off.(id) + j) = b.stack.(base + j)
+       && same_kids b id base k (j + 1)
+
+  let rehash b =
+    let mask = (2 * Array.length b.slots) - 1 in
+    let slots = Array.make (mask + 1) (-1) in
+    Array.iter
+      (fun s ->
+        if s >= 0 then begin
+          let i = ref (home (s lsr 32) mask) in
+          while slots.(!i) >= 0 do
+            i := (!i + 1) land mask
+          done;
+          slots.(!i) <- s
+        end)
+      b.slots;
+    b.slots <- slots
+
+  let add b hd pay base k at =
+    let id = b.n in
+    if id = Array.length b.hd then begin
+      let cap = id + (id / 2) in
+      b.hd <- grow b.hd cap 0;
+      b.pay <- grow b.pay cap 0;
+      b.off <- grow b.off (cap + 1) 0;
+      b.ranks <- grow b.ranks cap (-1)
+    end;
+    let o = b.off.(id) in
+    if o + k > Array.length b.kids then
+      b.kids <- grow b.kids (max (o + k) (Array.length b.kids * 3 / 2)) 0;
+    for j = 0 to k - 1 do
+      b.kids.(o + j) <- b.stack.(base + j)
+    done;
+    b.hd.(id) <- hd;
+    b.pay.(id) <- pay;
+    b.off.(id + 1) <- o + k;
+    b.n <- id + 1;
+    b.slots.(at) <- (hash_bits hd lsl 32) lor id;
+    if 4 * b.n > 3 * Array.length b.slots then rehash b;
+    id
+
+  (* The node [tag pay] over the [k] children on top of the stack (its
+     callers [push] them), which it pops: its id, interned when [insert]
+     is set, else -1 when the bank lacks it. [ph] is the payload's
+     contribution to the hash. *)
+  let close b tag pay ph k insert =
+    let base = b.sp - k in
+    let h = ref (mix (mix 0x811c9dc5 tag) ph) in
+    for j = base to b.sp - 1 do
+      h := mix !h (b.hd.(b.stack.(j)) lsr 3)
+    done;
+    let hd = ((!h land (max_int lsr 3)) lsl 3) lor tag in
+    let bits = hash_bits hd in
+    let mask = Array.length b.slots - 1 in
+    let i = ref (home bits mask) and found = ref (-2) in
+    while !found = -2 do
+      let s = b.slots.(!i) in
+      if s < 0 then found := -1
+      else if
+        s lsr 32 = bits
+        &&
+        let id = s land id_bits in
+        b.hd.(id) = hd && b.pay.(id) = pay
+        && arity b id = k
+        && same_kids b id base k 0
+      then found := s land id_bits
+      else i := (!i + 1) land mask
+    done;
+    b.sp <- base;
+    if !found >= 0 || not insert then !found else add b hd pay base k !i
+
+  let app b f k insert = close b t_app f b.sym_hash.(f) k insert
+  let key b k insert = close b t_key 0 0 k insert
+
+  (* a leaf node from its tag and payload, as a record of a snapshot
+     spells it *)
+  let leaf b tag pay insert =
+    let ph =
+      if tag = t_int then pay
+      else if tag = t_float then Hashtbl.hash b.float_vals.(pay)
+      else b.sym_hash.(pay)
+    in
+    close b tag pay ph 0 insert
+
+  let rec intern b (t : Term.t) =
+    match t with
+    | Atom s -> leaf b t_atom (sym b s) true
+    | Int n -> leaf b t_int n true
+    | Float f -> leaf b t_float (float_index b f) true
+    | Str s -> leaf b t_str (sym b s) true
+    | App (f, args) ->
+        let k = List.fold_left (fun k a -> push b (intern b a); k + 1) 0 args in
+        app b (sym b f) k true
+    | Var _ -> invalid_arg "Bottom_up: a non-ground term"
+
+  (* the id of [t], or -1 when the bank does not hold it *)
+  let rec lookup b (t : Term.t) =
+    let named tag s =
+      match Hashtbl.find_opt b.syms s with
+      | Some y -> leaf b tag y false
+      | None -> -1
+    in
+    match t with
+    | Atom s -> named t_atom s
+    | Int n -> leaf b t_int n false
+    | Float f -> (
+        match Hashtbl.find_opt b.floats f with
+        | Some x -> leaf b t_float x false
+        | None -> -1)
+    | Str s -> named t_str s
+    | App (f, args) -> (
+        match Hashtbl.find_opt b.syms f with
+        | None -> -1
+        | Some y ->
+            let base = b.sp in
+            if
+              List.for_all
+                (fun a ->
+                  let c = lookup b a in
+                  c >= 0 && (push b c; true))
+                args
+            then app b y (b.sp - base) false
+            else begin
+              b.sp <- base;
+              -1
+            end)
+    | Var _ -> -1
+
+  let rec term b id =
+    let t = Itbl.find b.terms id in
+    if t != unset then t
+    else begin
+      let pay = b.pay.(id) in
+      let t : Term.t =
+        match tag b id with
+        | 0 -> Atom b.names.(pay)
+        | 1 -> Int pay
+        | 2 -> Float b.float_vals.(pay)
+        | 3 -> Str b.names.(pay)
+        | 4 ->
+            App
+              ( b.names.(pay),
+                List.init (arity b id) (fun j -> term b (child b id j)) )
+        | _ -> invalid_arg "Bottom_up: a probe key is no term"
+      in
+      Itbl.replace b.terms id t;
+      t
+    end
+
+  (* the subterm at a path ({!Path_key}), -1 when the node lacks it *)
+  let rec at b id = function
+    | [] -> id
+    | j :: path ->
+        if tag b id = t_app && j < arity b id then at b (child b id j) path
+        else -1
+
+  (* a fact's probe key at [paths]: the subterm itself for one path, a
+     key node over the subterms for several; -1 when the fact lacks a
+     path (or, without [insert], when no stored fact has the key) *)
+  let rec push_at b id = function
+    | [] -> true
+    | p :: paths ->
+        let c = at b id p in
+        c >= 0
+        && begin
+             push b c;
+             push_at b id paths
+           end
+
+  let key_at b paths id insert =
+    match paths with
+    | [ p ] -> at b id p
+    | _ ->
+        let base = b.sp in
+        if push_at b id paths then key b (b.sp - base) insert
+        else begin
+          b.sp <- base;
+          -1
+        end
+end
+
+(* A materialised relation over the bank: its facts' ids as an int
+   column in insertion order, and lazily built subterm indexes for join
+   probes. Membership and ranks live in the bank's rank column. A rank
    is the fixpoint's insertion counter when the fact entered the store,
-   so ranks increase along the array. An index is keyed by paths into
+   so ranks increase along the column. An index is keyed by paths into
    the fact — [[3; 0]] is the first element of the list at argument 3 —
-   and maps the tuple of subterms at those paths to the facts carrying
-   exactly those subterms there; [eval_rule] probes the index of
-   whichever subterms the in-flowing substitution has made ground. *)
+   and maps the id of the subterm at a single path, or the key node over
+   the subterms at several, to the facts carrying exactly those
+   subterms there; [eval_rule] probes the index of whichever subterms
+   the in-flowing bindings have made ground. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -19,81 +426,57 @@ module Relation = struct
      holds the stragglers a probe must always also return — the probe is
      a sound pre-filter, never a semantic filter. *)
   type spat = {
-    s_point : Term.t -> (float * float) option;
-    s_idx : Term.t Sx.t;
-    mutable s_rest : Term.t list;
+    s_point : int -> (float * float) option;  (* a fact's point there *)
+    s_idx : int Sx.t;
+    mutable s_rest : int list;
   }
 
   type t = {
-    facts : int Term_tbl.t;  (* fact -> its rank *)
-    mutable arr : Term.t array; (* slots [0, n) valid, insertion order *)
-    mutable ranks : int array;  (* the rank of each slot of [arr] *)
+    mutable ids : int array;  (* slots [0, n) valid, insertion order *)
     mutable n : int;
-    mutable indexes : (int list list * Term.t list Term_tbl.t) list;
+    mutable indexes : (int list list * int list Itbl.t) list;
         (* subterm paths (in term order) -> probe table *)
     mutable spatials : (int * spat) list;
         (* point-carrying argument position -> spatial index *)
+    mutable pass_new : int list;
+        (* the facts the current saturation pass added, newest first *)
   }
 
-  let dummy = Term.Atom ""
-
   let create () =
-    {
-      facts = Term_tbl.create 64;
-      arr = Array.make 16 dummy;
-      ranks = Array.make 16 0;
-      n = 0;
-      indexes = [];
-      spatials = [];
-    }
+    { ids = Array.make 16 0; n = 0; indexes = []; spatials = []; pass_new = [] }
 
-  let mem r t = Term_tbl.mem r.facts t
-  let rank r t = Term_tbl.find_opt r.facts t
   let cardinal r = r.n
 
   (* insertion order: derivation cascades within a pass, and therefore
-     the pass counter, stay deterministic and independent of hash order *)
+     the pass counter, stay deterministic and independent of hash order.
+     Facts added while [f] runs are not visited. *)
   let iter f r =
     for i = 0 to r.n - 1 do
-      f (Array.unsafe_get r.arr i)
+      f (Array.unsafe_get r.ids i)
     done
 
-  let elements r = Array.to_list (Array.sub r.arr 0 r.n)
+  let elements b r = List.init r.n (fun i -> Bank.term b r.ids.(i))
 
-  let index_insert idx paths fact =
-    match Path_key.key_at paths fact with
-    | None -> ()
-    | Some k ->
-        Term_tbl.replace idx k
-          (fact :: Option.value ~default:[] (Term_tbl.find_opt idx k))
+  let index_insert b idx paths id =
+    let k = Bank.key_at b paths id true in
+    if k >= 0 then Itbl.replace idx k (id :: Itbl.find idx k)
 
   (* Buckets hold their facts in reverse insertion order: built from the
-     insertion-order array by prepending, then maintained by prepending
+     insertion-order column by prepending, then maintained by prepending
      on [add] and order-preserving filtering on [remove]. *)
-  let index r paths =
+  let index r b paths =
     match List.assoc_opt paths r.indexes with
     | Some idx -> idx
     | None ->
-        let idx = Term_tbl.create (max 64 r.n) in
-        iter (index_insert idx paths) r;
+        let idx = Itbl.create 64 [] in
+        iter (index_insert b idx paths) r;
         r.indexes <- (paths, idx) :: r.indexes;
         idx
 
-  let arg_at apos t =
-    match t with Term.App (_, args) -> List.nth_opt args apos | _ -> None
-
-  let spat_box sp apos t =
-    match arg_at apos t with
-    | None -> None
-    | Some a -> (
-        match sp.s_point a with
-        | None -> None
-        | Some (x, y) -> Some (Sx.point_box x y))
-
-  let spat_insert apos sp t =
-    match spat_box sp apos t with
-    | Some b -> Sx.insert sp.s_idx b t
-    | None -> sp.s_rest <- t :: sp.s_rest
+  let spat_insert sp id =
+    match sp.s_point id with
+    | Some (x, y) -> Sx.insert sp.s_idx (Sx.point_box x y) id
+    | None -> sp.s_rest <- id :: sp.s_rest
 
   let spatial_index r ~kind ~point apos =
     match List.assoc_opt apos r.spatials with
@@ -101,13 +484,10 @@ module Relation = struct
     | None ->
         let entries = ref [] and rest = ref [] in
         iter
-          (fun fact ->
-            match arg_at apos fact with
-            | Some a -> (
-                match point a with
-                | Some (x, y) -> entries := (Sx.point_box x y, fact) :: !entries
-                | None -> rest := fact :: !rest)
-            | None -> rest := fact :: !rest)
+          (fun id ->
+            match point id with
+            | Some (x, y) -> entries := (Sx.point_box x y, id) :: !entries
+            | None -> rest := id :: !rest)
           r;
         let sp =
           { s_point = point; s_idx = Sx.bulk kind !entries; s_rest = !rest }
@@ -123,111 +503,105 @@ module Relation = struct
     let sp = spatial_index r ~kind ~point apos in
     (Sx.range sp.s_idx qbox, sp.s_rest)
 
-  let add r t rank =
-    if Term_tbl.mem r.facts t then false
-    else begin
-      Term_tbl.replace r.facts t rank;
-      if r.n = Array.length r.arr then begin
-        let grow a fill =
-          let bigger = Array.make (2 * r.n) fill in
-          Array.blit a 0 bigger 0 r.n;
-          bigger
-        in
-        r.arr <- grow r.arr dummy;
-        r.ranks <- grow r.ranks 0
-      end;
-      r.arr.(r.n) <- t;
-      r.ranks.(r.n) <- rank;
-      r.n <- r.n + 1;
-      List.iter (fun (paths, idx) -> index_insert idx paths t) r.indexes;
-      List.iter (fun (apos, sp) -> spat_insert apos sp t) r.spatials;
-      true
-    end
+  let rec insert_indexes b id = function
+    | [] -> ()
+    | (paths, idx) :: more ->
+        index_insert b idx paths id;
+        insert_indexes b id more
 
-  (* Bulk load for snapshot import: slots [0, n) of [arr] and [ranks]
-     hold a saved relation's facts in insertion order and
-     their ranks, and the relation is built around the arrays
-     themselves. The hash table is created at the size [add]'s doubling
-     would have grown it to, so no rehash runs and its bucket order
-     matches a relation filled fact by fact; [distinct] afterwards is
-     false when the array repeats a fact. *)
-  let of_array arr ranks n =
-    let facts = Term_tbl.create (max 64 ((n + 1) / 2)) in
-    for i = 0 to n - 1 do
-      Term_tbl.replace facts (Array.unsafe_get arr i) (Array.unsafe_get ranks i)
+  let rec insert_spatials id = function
+    | [] -> ()
+    | (_, sp) :: more ->
+        spat_insert sp id;
+        insert_spatials id more
+
+  let add r b id rank =
+    (not (Bank.stored b id))
+    && begin
+         b.Bank.ranks.(id) <- rank;
+         if r.n = Array.length r.ids then
+           r.ids <- Bank.grow r.ids (r.n + (r.n / 2)) 0;
+         r.ids.(r.n) <- id;
+         r.n <- r.n + 1;
+         insert_indexes b id r.indexes;
+         insert_spatials id r.spatials;
+         true
+       end
+
+  (* Bulk load for snapshot import: slots [0, n) of [ids] hold a saved
+     relation's facts in insertion order, and the relation takes the
+     column itself. *)
+  let load r ids n =
+    r.ids <- ids;
+    r.n <- n
+
+  (* The relation's current contents as a relation of their own, leaving
+     [r] empty and without indexes and its facts unstored: a stratum
+     recompute rebuilds the relation in place while comparing against
+     what it held. *)
+  let take r b =
+    let old = { r with n = r.n } in
+    for i = 0 to r.n - 1 do
+      b.Bank.ranks.(r.ids.(i)) <- -1
     done;
-    { facts; arr; ranks; n; indexes = []; spatials = [] }
-
-  let distinct r = Term_tbl.length r.facts = r.n
+    r.ids <- Array.make 16 0;
+    r.n <- 0;
+    r.indexes <- [];
+    r.spatials <- [];
+    old
 
   (* Physical deletion for incremental maintenance, one batch at a time:
-     drop every member of [ts] from the hash table, then compact the
-     insertion-order array once (later scans stay deterministic) and
-     filter once each index bucket a removed fact sat in. Returns the
-     members of [ts] that were present, in order. *)
-  let remove r ts =
+     unstore every member of [ids], then compact the column once (later
+     scans stay deterministic) and filter once each index bucket a
+     removed fact sat in. Returns the members of [ids] that were
+     present, in order. *)
+  let remove r b ids =
+    let live x = Bank.stored b x in
     let gone =
-      List.filter
-        (fun t -> mem r t && (Term_tbl.remove r.facts t; true))
-        ts
+      List.filter (fun id -> live id && (b.Bank.ranks.(id) <- -1; true)) ids
     in
     if gone <> [] then begin
-      let live x = mem r x in
-      (* the stored copy of each removed fact, for the spatial indexes *)
-      let stored = Term_tbl.create (if r.spatials = [] then 1 else 16) in
       let j = ref 0 in
       for i = 0 to r.n - 1 do
-        let x = Array.unsafe_get r.arr i in
+        let x = r.ids.(i) in
         if live x then begin
-          r.arr.(!j) <- x;
-          r.ranks.(!j) <- r.ranks.(i);
+          r.ids.(!j) <- x;
           incr j
         end
-        else if r.spatials <> [] then Term_tbl.replace stored x x
       done;
-      Array.fill r.arr !j (r.n - !j) dummy;
       r.n <- !j;
       List.iter
         (fun (paths, idx) ->
-          let filtered = Term_tbl.create 16 in
+          let filtered = Itbl.create 16 false in
           List.iter
-            (fun t ->
-              match Path_key.key_at paths t with
-              | Some k when not (Term_tbl.mem filtered k) -> (
-                  Term_tbl.replace filtered k ();
-                  match Term_tbl.find_opt idx k with
-                  | None -> ()
-                  | Some bucket -> (
-                      match List.filter live bucket with
-                      | [] -> Term_tbl.remove idx k
-                      | bucket -> Term_tbl.replace idx k bucket))
-              | _ -> ())
+            (fun id ->
+              let k = Bank.key_at b paths id false in
+              if k >= 0 && Itbl.add filtered k true then
+                match List.filter live (Itbl.find idx k) with
+                | [] -> Itbl.remove idx k
+                | bucket -> Itbl.replace idx k bucket)
             gone)
         r.indexes;
-      (* spatial indexes find a value by [==], so each removal, in
-         [gone]'s order, passes the copy the relation stored *)
       List.iter
-        (fun (apos, sp) ->
+        (fun (_, sp) ->
           List.iter
-            (fun t ->
-              match spat_box sp apos t with
-              | Some b ->
-                  Stdlib.ignore (Sx.remove sp.s_idx b (Term_tbl.find stored t))
+            (fun id ->
+              match sp.s_point id with
+              | Some (x, y) ->
+                  ignore (Sx.remove sp.s_idx (Sx.point_box x y) id : bool)
               | None -> sp.s_rest <- List.filter live sp.s_rest)
             gone)
         r.spatials
     end;
     gone
 
-  (* Facts whose subterms at [paths] equal those of the atom [g], which
-     is ground at every one of them — a superset check is not needed:
-     unification of a ground subterm succeeds only on structural
-     equality, so the bucket holds exactly the unification candidates
-     for those subterms. *)
-  let probe r paths g =
-    match Path_key.key_at paths g with
-    | None -> []
-    | Some k -> Option.value ~default:[] (Term_tbl.find_opt (index r paths) k)
+  (* The facts of index [idx] whose subterms at its paths have probe key
+     [k] (from {!Bank.key_at}; -1 matches nothing). A ground subterm
+     unifies only with an equal one, so the bucket holds exactly the
+     unification candidates for those subterms. A multi-path key node
+     exists only once the index is built, so a prober builds the index
+     before it looks its key up. *)
+  let bucket idx k = if k < 0 then [] else Itbl.find idx k
 end
 
 open Datalog
@@ -263,11 +637,7 @@ let index_kind sp =
 let max_iterations = 10_000
 let max_facts = 1_000_000
 
-(* Whether [subst] binds a variable of [t]. *)
-let rec binds subst = function
-  | Term.Var v -> Option.is_some (Subst.lookup v subst)
-  | Term.App (_, args) -> List.exists (binds subst) args
-  | _ -> false
+exception Bound_exceeded of [ `Facts | `Passes ] * int
 
 let prepare db ~refine ~spatial =
   let ext = match spatial with Some sp -> sp.sp_ext | None -> fun _ -> None in
@@ -462,25 +832,165 @@ type istate = {
   mutable i_recomputed : int;
 }
 
-(* A rule with its precomputed join plans: one full-relation plan and one
-   delta-aimed plan per positive body position. *)
-type planned = { rule : rule; plan : lit list; delta_plans : lit list array }
+(* ------------------------------------------------------------------ *)
+(* join plans compiled against the bank                                *)
+
+(* A rule atom compiled once: its ground subterms are interned ids, its
+   variables are slots of the firing's int environment (-1 while
+   unbound), and the rest is a functor over compiled arguments. *)
+type pat = Ground of int | Slot of int * Term.t | Node of int * pat array
+
+(* Whether fact [id] matches [p], binding every slot it meets unbound. *)
+let rec matches b env p id =
+  match p with
+  | Ground c -> c = id
+  | Slot (s, _) ->
+      let v = Array.unsafe_get env s in
+      if v < 0 then begin
+        env.(s) <- id;
+        true
+      end
+      else v = id
+  | Node (f, ps) ->
+      Bank.tag b id = Bank.t_app
+      && Bank.payload b id = f
+      && Bank.arity b id = Array.length ps
+      && matches_kids b env ps id 0
+
+and matches_kids b env ps id j =
+  j = Array.length ps
+  || matches b env ps.(j) (Bank.child b id j)
+     && matches_kids b env ps id (j + 1)
+
+(* The id of [p]'s instance, every slot in it bound: interned when
+   [insert] is set, else -1 when the bank lacks it — then no stored fact
+   equals it. *)
+let rec inst b env insert p =
+  match p with
+  | Ground c -> c
+  | Slot (s, _) -> env.(s)
+  | Node (f, ps) ->
+      let base = b.Bank.sp in
+      if inst_kids b env insert ps 0 then Bank.app b f (Array.length ps) insert
+      else begin
+        b.Bank.sp <- base;
+        -1
+      end
+
+and inst_kids b env insert ps j =
+  j = Array.length ps
+  ||
+  let c = inst b env insert ps.(j) in
+  c >= 0
+  && begin
+       Bank.push b c;
+       inst_kids b env insert ps (j + 1)
+     end
+
+(* [p]'s instance as a term, for guards, spatial hooks and proofs; an
+   unbound slot stays its variable *)
+let rec term_of b env = function
+  | Ground c -> Bank.term b c
+  | Slot (s, v) -> if env.(s) < 0 then v else Bank.term b env.(s)
+  | Node (f, ps) ->
+      Term.App (Bank.name b f, Array.to_list (Array.map (term_of b env) ps))
+
+let rec pat_slots acc = function
+  | Ground _ -> acc
+  | Slot (s, _) -> s :: acc
+  | Node (_, ps) -> Array.fold_left pat_slots acc ps
+
+(* {!Path_key.ground_paths} of the instance of [p] whose [bound] slots
+   are bound: the paths to its ground top-level arguments, or with
+   [fine] to every maximal ground subterm *)
+let pat_paths ~fine bound p =
+  let rec ground = function
+    | Ground _ -> true
+    | Slot (s, _) -> Iset.mem s bound
+    | Node (_, ps) -> Array.for_all ground ps
+  in
+  let rec args rev_path i ps =
+    if i = Array.length ps then []
+    else
+      let here =
+        if ground ps.(i) then [ List.rev (i :: rev_path) ]
+        else
+          match ps.(i) with
+          | Node (_, sub) when fine -> args (i :: rev_path) 0 sub
+          | _ -> []
+      in
+      here @ args rev_path (i + 1) ps
+  in
+  match p with Node (_, ps) -> args [] 0 ps | _ -> []
+
+let rec pat_at p path =
+  match (p, path) with
+  | _, [] -> p
+  | Node (_, ps), j :: rest -> pat_at ps.(j) rest
+  | _ -> invalid_arg "Bottom_up.pat_at"
+
+type csprobe = Cs_within of Sx.box | Cs_near of pat * float
+
+(* A positive literal with its access path decided at compile time: the
+   bound slots at each plan position are known statically, so whether
+   the instance is ground (a membership test), which of its subterms
+   are ground (the probe key) and which slots it binds are too. *)
+type cpos = {
+  pos : int;  (* join position *)
+  rel : Rel.t;
+  r : Relation.t;
+  pat : pat;
+  fresh : int array;  (* the slots it binds *)
+  ground : bool;
+  paths : int list list;  (* the probe key's paths; [] scans *)
+  keys : pat array;  (* the subpatterns at [paths] *)
+  sprobe : (int * csprobe) option;
+}
+
+type clit =
+  | C_pos of cpos
+  | C_neg of pat
+  | C_cmp of string * pat * pat
+  | C_eq of bool * pat * pat
+  | C_is of pat * pat * int array  (* result, expression, fresh slots *)
+  | C_ext of pat * int array
+  | C_never
+
+(* a body literal of a firing as a proof premise: a positive literal, or
+   a [Naf] (true) or [Builtin] (false) leaf over its goal *)
+type premise = Prem_pos of Rel.t * pat | Prem_leaf of bool * pat
+
+(* A rule with its join plans compiled: one full-relation plan and one
+   delta-aimed plan per positive body position, each also compiled for
+   evaluation from a matched head (DRed rederivation and proofs). *)
+type planned = {
+  rule : rule;
+  slots : int;
+  head : pat;
+  head_r : Relation.t;
+  plan : clit list;
+  delta_plans : clit list array;
+  from_head : clit list;
+  from_head_delta : clit list array;
+  premises : premise list;  (* textual order *)
+}
 
 (* The maintained state: everything [run] needed transiently is kept so
-   {!apply} can continue evaluating — the per-stratum rule plans, the
-   stratum map, the set of asserted (extensional) facts distinguished
-   from derived ones, and the evaluation options the fixpoint was built
-   under (updates must propagate with the same strategy/indexing or the
-   differential guarantees vanish). *)
+   {!apply} can continue evaluating — the node bank, the per-stratum
+   rule plans (compiled with or without indexing), the stratum map, the
+   set of asserted (extensional) facts distinguished from derived ones,
+   and the evaluation options the fixpoint was built under (updates
+   must propagate with the same strategy/indexing or the differential
+   guarantees vanish). *)
 type fixpoint = {
+  bank : Bank.t;
   rels : (Rel.t, Relation.t) Hashtbl.t;
   refine : refine;
-  base : Rel.t Term_tbl.t;  (* asserted ground facts -> their relation *)
+  base : bool Itbl.t;  (* the asserted facts *)
   by_stratum : planned list array;
   stratum_of : Rel.t -> int;  (* total: unknown relations map to 0 *)
   n_strata : int;
   strategy : strategy;
-  indexing : bool;
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
   spatial_indexing : bool;  (* compile guarded joins to index probes *)
   tracer : Gdp_obs.Tracer.t;
@@ -493,27 +1003,31 @@ type fixpoint = {
   mutable p_max_size : int;
 }
 
+let no_rel = { Rel.name = ""; arity = 0; sub = None }
+
 let record rel t m =
   Rel_map.update rel (function None -> Some [ t ] | Some l -> Some (t :: l)) m
 
-let get fp rel =
-  match Hashtbl.find_opt fp.rels rel with
+let get_in rels rel =
+  match Hashtbl.find_opt rels rel with
   | Some r -> r
   | None ->
       let r = Relation.create () in
-      Hashtbl.add fp.rels rel r;
+      Hashtbl.add rels rel r;
       r
 
-(* dedup-inserting [t] as it was built, ranked by the insertion clock;
+let get fp rel = get_in fp.rels rel
+
+(* dedup-inserting fact [id] into [r], ranked by the insertion clock;
    [true] when it is new. A hit is an add its relation already stores,
    a miss one that stores a new fact. *)
-let add fp rel t =
-  if Relation.add (get fp rel) t fp.clock then begin
+let add fp r id =
+  if Relation.add r fp.bank id fp.clock then begin
     fp.ctr.c_misses <- fp.ctr.c_misses + 1;
     fp.clock <- fp.clock + 1;
     fp.ctr.c_facts <- fp.ctr.c_facts + 1;
     if fp.ctr.c_facts > max_facts then
-      failwith "Bottom_up.run: fact bound hit";
+      raise (Bound_exceeded (`Facts, max_facts));
     true
   end
   else begin
@@ -527,176 +1041,223 @@ let add fp rel t =
 let tick fp ~budget_from =
   fp.ctr.c_passes <- fp.ctr.c_passes + 1;
   if fp.ctr.c_passes - budget_from > max_iterations then
-    failwith "Bottom_up.run: iteration bound hit"
+    raise (Bound_exceeded (`Passes, max_iterations))
+
+(* a fact's point at argument [apos], for the spatial indexes *)
+let point_at fp sp apos id =
+  let a = Bank.at fp.bank id [ apos ] in
+  if a < 0 then None else sp.sp_point (Bank.term fp.bank a)
+
+(* One rule-body evaluation in progress: the firing's environment and
+   everything its literals read. The evaluation is a set of top-level
+   recursive functions over it, so trying a candidate fact allocates
+   nothing. *)
+type firing = {
+  fp : fixpoint;
+  b : Bank.t;
+  env : int array;
+  delta_at : int option;
+  delta : int list;
+  ghosts : int list Rel_map.t ref option;
+  p : planned;
+  emit : planned -> int -> int array -> unit;
+}
+
+let clear env fresh =
+  for j = 0 to Array.length fresh - 1 do
+    Array.unsafe_set env (Array.unsafe_get fresh j) (-1)
+  done
+
+(* the query box of an annotated join, covering everything the
+   downstream spatial guard can accept; [None] when spatial indexing is
+   off or the anchor carries no point *)
+let query_box x sp = function
+  | _ when not x.fp.spatial_indexing -> None
+  | Cs_within bx -> Some bx
+  | Cs_near (anchor, eps) ->
+      Option.map
+        (fun (px, py) -> Sx.pad (Sx.point_box px py) eps)
+        (sp.sp_point (term_of x.b x.env anchor))
+
+(* the probe key of literal [c]'s instance: the subterm's id for one
+   path, the key node over the subterms' ids for several; -1 when the
+   bank lacks one, so no stored fact carries it *)
+let probe_key b env c =
+  match c.keys with
+  | [| k |] -> inst b env false k
+  | keys ->
+      let base = b.Bank.sp in
+      if inst_kids b env false keys 0 then Bank.key b (Array.length keys) false
+      else begin
+        b.Bank.sp <- base;
+        -1
+      end
+
+let rec go x lits =
+  let b = x.b and env = x.env and ctr = x.fp.ctr in
+  match lits with
+  | [] -> x.emit x.p (inst b env true x.p.head) env
+  | C_pos c :: rest -> (
+      match x.delta_at with
+      | Some j when j = c.pos ->
+          if c.ground then begin
+            ctr.c_members <- ctr.c_members + 1;
+            let g = inst b env false c.pat in
+            if g >= 0 && List.memq g x.delta then go x rest
+          end
+          else try_facts x c rest x.delta
+      | _ ->
+          let gfacts =
+            match x.ghosts with
+            | None -> []
+            | Some g -> Option.value ~default:[] (Rel_map.find_opt c.rel !g)
+          in
+          if c.ground then begin
+            ctr.c_members <- ctr.c_members + 1;
+            let g = inst b env false c.pat in
+            if g >= 0 && (Bank.stored b g || List.memq g gfacts) then go x rest
+          end
+          else begin
+            (match c.sprobe with
+            | None -> hash_join x c rest
+            | Some (apos, probe) -> (
+                (* annotated joins exist only when the hooks do *)
+                let sp = Option.get x.fp.spatial in
+                match query_box x sp probe with
+                | Some qbox ->
+                    ctr.c_sprobes <- ctr.c_sprobes + 1;
+                    let hits, unindexed =
+                      Relation.spatial_probe c.r ~kind:(index_kind sp)
+                        ~point:(point_at x.fp sp apos) apos qbox
+                    in
+                    try_facts x c rest hits;
+                    try_facts x c rest unindexed
+                | None ->
+                    ctr.c_sscans <- ctr.c_sscans + 1;
+                    hash_join x c rest));
+            try_facts x c rest gfacts
+          end)
+  | C_ext (atom, fresh) :: rest -> (
+      match x.fp.spatial with
+      | None -> ()
+      | Some sp ->
+          clear env fresh;
+          List.iter
+            (fun sol ->
+              let id = Bank.intern b sol in
+              clear env fresh;
+              if matches b env atom id then go x rest)
+            (sp.sp_solve (term_of b env atom)))
+  | C_neg atom :: rest ->
+      let g = inst b env false atom in
+      if g < 0 || not (Bank.stored b g) then go x rest
+  | C_cmp (op, l, r) :: rest -> (
+      match
+        ( Arith.eval Subst.empty (term_of b env l),
+          Arith.eval Subst.empty (term_of b env r) )
+      with
+      | exception Arith.Error _ -> ()
+      | l, r ->
+          let c = Arith.compare_num l r in
+          let ok =
+            match op with
+            | "<" -> c < 0
+            | ">" -> c > 0
+            | "=<" -> c <= 0
+            | ">=" -> c >= 0
+            | "=:=" -> c = 0
+            | _ -> c <> 0
+          in
+          if ok then go x rest)
+  | C_eq (want_eq, l, r) :: rest ->
+      if inst b env true l = inst b env true r = want_eq then go x rest
+  | C_is (l, e, fresh) :: rest -> (
+      match Arith.eval Subst.empty (term_of b env e) with
+      | exception Arith.Error _ -> ()
+      | n ->
+          let id = Bank.intern b (Arith.to_term n) in
+          clear env fresh;
+          if matches b env l id then go x rest)
+  | C_never :: _ -> ()
+
+(* each fact of a candidate list, in list order, that matches [c] *)
+and try_facts x c rest = function
+  | [] -> ()
+  | id :: more ->
+      clear x.env c.fresh;
+      if matches x.b x.env c.pat id then go x rest;
+      try_facts x c rest more
+
+(* hash access path: probe the index over the literal's ground
+   top-level arguments — and, once the bindings reach one of its
+   variables, over every maximal ground subterm, so a join variable
+   bound inside a list argument narrows the bucket. Both buckets keep
+   the coarse one's reverse insertion order, so the enumeration of
+   matching facts is the same either way. Scan when no top-level
+   argument is ground: a fine bucket would then come back in the
+   reverse of the scan's order. *)
+and hash_join x c rest =
+  let ctr = x.fp.ctr in
+  if c.paths <> [] then begin
+    ctr.c_probes <- ctr.c_probes + 1;
+    let idx = Relation.index c.r x.b c.paths in
+    try_facts x c rest (Relation.bucket idx (probe_key x.b x.env c))
+  end
+  else begin
+    ctr.c_scans <- ctr.c_scans + 1;
+    (* facts added while the scan runs are not visited *)
+    let r = c.r in
+    for i = 0 to r.n - 1 do
+      let id = Array.unsafe_get r.ids i in
+      clear x.env c.fresh;
+      if matches x.b x.env c.pat id then go x rest
+    done
+  end
 
 (* evaluate one rule body along its plan; [delta_at] aims one positive
    join position at the previous pass's delta instead of the full
    relation. Each positive literal is matched by the cheapest available
-   access path: O(1) membership when the in-flowing substitution
-   grounds it, an index probe on its ground subterms ([hash_join]), and
-   a full scan only when no top-level argument is ground (or indexing
-   is off).
+   access path: O(1) membership when the bound slots ground it, an
+   index probe on its ground subterms ([hash_join]), and a full scan
+   only when no top-level argument is ground (or indexing is off).
 
    [ghosts], used only by DRed over-deletion, extends every positive
    literal's relation with the facts physically deleted earlier in the
    same update batch: over-deletion must evaluate against (a superset
    of) the pre-deletion state, and the union of the current store with
-   the batch's ghosts is exactly that superset. [subst0], used only by
-   rederivation, starts the body evaluation from a substitution that
-   already grounds the head.
+   the batch's ghosts is exactly that superset. [env], used only to
+   evaluate from a matched head, starts the body evaluation from
+   bindings that already ground the head.
 
-   [emit] receives each firing's head relation, derived head and
-   substitution. *)
-let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ~delta_at ~delta rule plan
-    ~emit =
-  let ctr = fp.ctr in
-  ctr.c_firings <- ctr.c_firings + 1;
-  let ghost_facts rel =
-    match ghosts with
-    | None -> []
-    | Some g -> Option.value ~default:[] (Rel_map.find_opt rel !g)
-  in
-  (* the query box of an annotated join, covering everything the
-     downstream spatial guard can accept; [None] when spatial indexing is
-     off or the anchor carries no point *)
-  let query_box sp subst = function
-    | _ when not fp.spatial_indexing -> None
-    | Sp_within b -> Some b
-    | Sp_near (anchor, eps) ->
-        Option.map
-          (fun (x, y) -> Sx.pad (Sx.point_box x y) eps)
-          (sp.sp_point (Subst.apply subst anchor))
-  in
-  (* hash access path for the instance [g] of [atom]: probe the index
-     over its ground top-level arguments — and, once the substitution
-     binds one of [atom]'s variables, over every maximal ground subterm,
-     so a join variable bound inside a list argument narrows the bucket.
-     Both buckets keep the coarse one's reverse insertion order, so the
-     enumeration of unifying facts is the same either way. Scan when no
-     top-level argument is ground: a fine bucket would then come back in
-     the reverse of the scan's order. *)
-  let hash_join r atom g subst each =
-    let paths =
-      if fp.indexing then Path_key.ground_paths ~fine:(binds subst atom) g else []
-    in
-    if List.exists (function [ _ ] -> true | _ -> false) paths then begin
-      ctr.c_probes <- ctr.c_probes + 1;
-      List.iter each (Relation.probe r paths g)
-    end
-    else begin
-      ctr.c_scans <- ctr.c_scans + 1;
-      Relation.iter each r
-    end
-  in
-  let rec go subst lits =
-    match lits with
-    | [] -> emit rule.head_rel (Subst.apply subst rule.head) subst
-    | Pos (i, rel, atom, sprobe) :: rest -> (
-        let each fact =
-          match Unify.unify subst atom fact with
-          | Some s -> go s rest
-          | None -> ()
-        in
-        let g = Subst.apply subst atom in
-        match delta_at with
-        | Some j when j = i ->
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if List.exists (Term.equal g) delta then go subst rest
-            end
-            else List.iter each delta
-        | _ ->
-            let r = get fp rel in
-            let gfacts = ghost_facts rel in
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if Relation.mem r g || List.exists (Term.equal g) gfacts then
-                go subst rest
-            end
-            else begin
-              (match sprobe with
-              | None -> hash_join r atom g subst each
-              | Some (apos, probe) -> (
-                  (* annotated joins exist only when the hooks do *)
-                  let sp = Option.get fp.spatial in
-                  match query_box sp subst probe with
-                  | Some qbox ->
-                      ctr.c_sprobes <- ctr.c_sprobes + 1;
-                      let hits, unindexed =
-                        Relation.spatial_probe r ~kind:(index_kind sp)
-                          ~point:sp.sp_point apos qbox
-                      in
-                      List.iter each hits;
-                      List.iter each unindexed
-                  | None ->
-                      ctr.c_sscans <- ctr.c_sscans + 1;
-                      hash_join r atom g subst each));
-              if gfacts <> [] then List.iter each gfacts
-            end)
-    | Ext (_, atom) :: rest -> (
-        match fp.spatial with
-        | None -> ()
-        | Some sp ->
-            List.iter
-              (fun sol ->
-                match Unify.unify subst atom sol with
-                | Some s -> go s rest
-                | None -> ())
-              (sp.sp_solve (Subst.apply subst atom)))
-    | Neg (rel, atom, _) :: rest ->
-        if not (Relation.mem (get fp rel) (Subst.apply subst atom)) then
-          go subst rest
-    | Cmp (op, a, b) :: rest -> (
-        match (Arith.eval subst a, Arith.eval subst b) with
-        | exception Arith.Error _ -> ()
-        | x, y ->
-            let c = Arith.compare_num x y in
-            let ok =
-              match op with
-              | "<" -> c < 0
-              | ">" -> c > 0
-              | "=<" -> c <= 0
-              | ">=" -> c >= 0
-              | "=:=" -> c = 0
-              | _ -> c <> 0
-            in
-            if ok then go subst rest)
-    | Eq (want_eq, a, b) :: rest ->
-        if Term.equal (Subst.apply subst a) (Subst.apply subst b) = want_eq
-        then go subst rest
-    | Is (l, r) :: rest -> (
-        match Arith.eval subst r with
-        | exception Arith.Error _ -> ()
-        | n -> (
-            match Unify.unify subst l (Arith.to_term n) with
-            | Some s -> go s rest
-            | None -> ()))
-    | Never :: _ -> ()
-  in
-  go subst0 plan
+   [emit] receives each firing's rule, derived head and environment. *)
+let eval_rule fp ?ghosts ?env ~delta_at ~delta p plan ~emit =
+  fp.ctr.c_firings <- fp.ctr.c_firings + 1;
+  let env = match env with Some e -> e | None -> Array.make p.slots (-1) in
+  go { fp; b = fp.bank; env; delta_at; delta; ghosts; p; emit } plan
 
-(* The first firing, in rule order and under each rule's plan, of a
-   rule of [srules] that derives the ground [t] of relation [rel] from
-   the current store and that [accept] takes, as the rule and the firing
-   substitution. DRed rederivation accepts every firing; {!proof}
-   accepts rank-bounded firings only. *)
-exception Derived of planned * Subst.t
+(* The first firing, in rule order and under the plan [plan] picks, of a
+   rule of [srules] that derives the stored fact [id] of relation [rel]
+   from the current store and that [accept] takes, as the rule and the
+   firing's environment. DRed rederivation accepts every firing;
+   {!proof} accepts rank-bounded firings only. *)
+exception Derived of planned * int array
 
-let find_derivation fp srules rel t ~accept =
+let find_derivation fp srules rel id ~plan ~accept =
   try
     List.iter
       (fun p ->
-        if Rel.compare p.rule.head_rel rel = 0 then
-          match Unify.unify Subst.empty p.rule.head t with
-          | None -> ()
-          | Some s ->
-              eval_rule fp ~subst0:s ~delta_at:None ~delta:[] p.rule p.plan
-                ~emit:(fun _ _ subst ->
-                  (* the head is [t]: [s] grounds it *)
-                  if accept p subst then raise_notrace (Derived (p, subst))))
+        if Rel.compare p.rule.head_rel rel = 0 then begin
+          let env = Array.make p.slots (-1) in
+          if matches fp.bank env p.head id then
+            eval_rule fp ~env ~delta_at:None ~delta:[] p (plan p)
+              ~emit:(fun p _ env ->
+                (* the head is [id]: the matched slots ground it *)
+                if accept p env then
+                  raise_notrace (Derived (p, Array.copy env)))
+        end)
       srules;
     None
-  with Derived (p, s) -> Some (p, s)
+  with Derived (p, env) -> Some (p, env)
 
 (* Saturate one stratum. [`Full] starts with a pass firing every rule
    against the full relations (the initial run and stratum recompute);
@@ -708,16 +1269,34 @@ let find_derivation fp srules rel t ~accept =
    call added, per relation, and the largest delta carried. *)
 let saturate fp ~budget_from ~guard srules start =
   let added = ref Rel_map.empty in
-  let new_facts = ref Rel_map.empty in
-  let emit rel t _ =
-    if add fp rel t then begin
-      new_facts := record rel t !new_facts;
-      added := record rel t !added
+  (* a pass's new facts gather in their relations, newest first, and
+     become the next pass's delta map once the pass is over *)
+  let touched = ref [] in
+  let emit p id _ =
+    let r = p.head_r in
+    if add fp r id then begin
+      if r.Relation.pass_new = [] then touched := (p.rule.head_rel, r) :: !touched;
+      r.pass_new <- id :: r.pass_new
     end
+  in
+  let new_facts = ref Rel_map.empty in
+  let end_pass () =
+    new_facts :=
+      List.fold_left
+        (fun m (rel, (r : Relation.t)) ->
+          let l = r.pass_new in
+          r.pass_new <- [];
+          added :=
+            Rel_map.update rel
+              (function None -> Some l | Some old -> Some (l @ old))
+              !added;
+          Rel_map.add rel l m)
+        Rel_map.empty !touched;
+    touched := []
   in
   let full_pass () =
     List.iter
-      (fun p -> eval_rule fp ~delta_at:None ~delta:[] p.rule p.plan ~emit)
+      (fun p -> eval_rule fp ~delta_at:None ~delta:[] p p.plan ~emit)
       srules
   in
   let max_delta = ref 0 in
@@ -726,7 +1305,8 @@ let saturate fp ~budget_from ~guard srules start =
       tick fp ~budget_from;
       Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
         ~args:[ ("kind", Gdp_obs.Tracer.Str "full") ]
-        "pass" full_pass
+        "pass" full_pass;
+      end_pass ()
   | `Deltas m -> new_facts := m);
   let reads m =
     List.exists
@@ -738,7 +1318,6 @@ let saturate fp ~budget_from ~guard srules start =
     tick fp ~budget_from;
     let dsize = Rel_map.fold (fun _ l acc -> acc + List.length l) !deltas 0 in
     if dsize > !max_delta then max_delta := dsize;
-    new_facts := Rel_map.empty;
     Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
       ~args:[ ("delta", Gdp_obs.Tracer.Int dsize) ]
       "pass"
@@ -752,24 +1331,156 @@ let saturate fp ~budget_from ~guard srules start =
                   (fun i rel ->
                     match Rel_map.find_opt rel !deltas with
                     | Some (_ :: _ as d) ->
-                        eval_rule fp ~delta_at:(Some i) ~delta:d p.rule
+                        eval_rule fp ~delta_at:(Some i) ~delta:d p
                           p.delta_plans.(i) ~emit
                     | _ -> ())
                   p.rule.pos_rels)
               srules);
+    end_pass ();
     deltas := !new_facts
   done;
   (!added, !max_delta)
 
-(* The option-independent skeleton [run] and [import] share: classify
-   and stratify the database, precompute every rule's join plans, build
-   the (still empty) fixpoint record and pre-create every relation the
-   plans can touch. Returns the parsed base facts un-inserted — [run]
-   nets its seeds into them and saturates; [import] ignores them and
-   bulk-loads a snapshot instead. *)
+(* Compile one rule's plans against the bank: the rule's variables
+   become slots numbered by first appearance, and each plan position
+   learns which slots are bound there — from nothing for the fixpoint's
+   own passes, from the head's for evaluation from a matched head. The
+   bound set grows along a plan exactly as {!Datalog.extend_bound} has
+   it. *)
+let compile_rule bank get ~indexing ~annotate (r : rule) =
+  let slots = Hashtbl.create 8 in
+  let rec pat (t : Term.t) =
+    match t with
+    | Var v ->
+        let s =
+          match Hashtbl.find_opt slots v.id with
+          | Some s -> s
+          | None ->
+              let s = Hashtbl.length slots in
+              Hashtbl.add slots v.id s;
+              s
+        in
+        Slot (s, t)
+    | App (f, args) when not (Term.is_ground t) ->
+        Node (Bank.sym bank f, Array.of_list (List.map pat args))
+    | _ -> Ground (Bank.intern bank t)
+  in
+  let plan_of delta_at =
+    annotate
+      (if indexing then order_body ~bound:Iset.empty ~delta_at r.body
+       else r.body)
+  in
+  let compile bound lits =
+    let bound = ref bound in
+    let binding p =
+      let fresh =
+        List.sort_uniq Int.compare
+          (List.filter (fun s -> not (Iset.mem s !bound)) (pat_slots [] p))
+      in
+      bound := List.fold_left (fun s x -> Iset.add x s) !bound fresh;
+      Array.of_list fresh
+    in
+    List.map
+      (function
+        | Pos (pos, rel, atom, sprobe) ->
+            let p = pat atom in
+            let fine = List.exists (fun s -> Iset.mem s !bound) (pat_slots [] p) in
+            let before = !bound in
+            let fresh = binding p in
+            let ground = fresh = [||] in
+            let paths =
+              if ground || not indexing then []
+              else
+                let ps = pat_paths ~fine before p in
+                if List.exists (function [ _ ] -> true | _ -> false) ps then ps
+                else []
+            in
+            let sprobe =
+              Option.map
+                (fun (apos, sp) ->
+                  ( apos,
+                    match sp with
+                    | Sp_within bx -> Cs_within bx
+                    | Sp_near (anchor, eps) -> Cs_near (pat anchor, eps) ))
+                sprobe
+            in
+            C_pos
+              {
+                pos;
+                rel;
+                r = get rel;
+                pat = p;
+                fresh;
+                ground;
+                paths;
+                keys = Array.of_list (List.map (pat_at p) paths);
+                sprobe;
+              }
+        | Neg (_, atom, _) -> C_neg (pat atom)
+        | Cmp (op, x, y) -> C_cmp (op, pat x, pat y)
+        | Eq (want_eq, x, y) -> C_eq (want_eq, pat x, pat y)
+        | Is (l, e) ->
+            let l = pat l and e = pat e in
+            C_is (l, e, binding l)
+        | Ext (_, atom) ->
+            let p = pat atom in
+            C_ext (p, binding p)
+        | Never -> C_never)
+      lits
+  in
+  let head = pat r.head in
+  let from_head = Iset.of_list (pat_slots [] head) in
+  let plan = plan_of None
+  and delta_plans =
+    Array.init (Array.length r.pos_rels) (fun i -> plan_of (Some i))
+  in
+  let premises =
+    List.filter_map
+      (function
+        | Pos (_, rel, atom, _) -> Some (Prem_pos (rel, pat atom))
+        | Neg (_, atom, _) -> Some (Prem_leaf (true, pat atom))
+        | Never -> None
+        | lit -> Some (Prem_leaf (false, pat (goal_of lit))))
+      r.body
+  in
+  let c_plan = compile Iset.empty plan
+  and c_delta = Array.map (compile Iset.empty) delta_plans
+  and h_plan = compile from_head plan
+  and h_delta = Array.map (compile from_head) delta_plans in
+  {
+    rule = r;
+    slots = Hashtbl.length slots;
+    head;
+    head_r = get r.head_rel;
+    plan = c_plan;
+    delta_plans = c_delta;
+    from_head = h_plan;
+    from_head_delta = h_delta;
+    premises;
+  }
+
+(* The option-independent skeleton [run] and [import] share: from the
+   classified and stratified database ({!prepare}) and the bank, create
+   every relation the rules can touch, compile every rule's join plans
+   against the bank and build the (still empty) fixpoint record. Returns
+   the parsed base facts un-inserted — [run] nets its seeds into them
+   and saturates; [import] ignores them and bulk-loads a snapshot
+   instead. *)
 let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-    ~tracer db =
-  let facts, rules, stratum_of, n_strata = prepare db ~refine ~spatial in
+    ~tracer ~bank (facts, rules, stratum_of, n_strata) =
+  let rels = Hashtbl.create 64 in
+  (* every relation a rule can read or write exists up front, so the set
+     of stored relations — and with it a snapshot's relation list —
+     depends only on the rules, never on which ones evaluation touched *)
+  List.iter
+    (fun r ->
+      ignore (get_in rels r.head_rel : Relation.t);
+      Array.iter (fun rel -> ignore (get_in rels rel : Relation.t)) r.pos_rels;
+      List.iter
+        (function
+          | Neg (rel, _, _) -> ignore (get_in rels rel : Relation.t) | _ -> ())
+        r.body)
+    rules;
   (* body plans: with indexing on, a greedy bound-count order per rule
      plus one per delta position; the scan baseline keeps textual order.
      With spatial hooks present, every plan gets the spatial annotation
@@ -780,25 +1491,7 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
     match spatial with Some sp -> annotate_spatial sp plan | None -> plan
   in
   let planned =
-    List.map
-      (fun r ->
-        if indexing then
-          {
-            rule = r;
-            plan = annotate (order_body ~bound:Iset.empty ~delta_at:None r.body);
-            delta_plans =
-              Array.init (Array.length r.pos_rels) (fun i ->
-                  annotate
-                    (order_body ~bound:Iset.empty ~delta_at:(Some i) r.body));
-          }
-        else
-          {
-            rule = r;
-            plan = annotate r.body;
-            delta_plans =
-              Array.make (Array.length r.pos_rels) (annotate r.body);
-          })
-      rules
+    List.map (compile_rule bank (get_in rels) ~indexing ~annotate) rules
   in
   let by_stratum = Array.make (max n_strata 1) [] in
   List.iter
@@ -809,15 +1502,15 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
   Array.iteri (fun i rs -> by_stratum.(i) <- List.rev rs) by_stratum;
   let fp =
     {
-      rels = Hashtbl.create 64;
+      bank;
+      rels;
       refine;
-      base = Term_tbl.create 64;
+      base = Itbl.create 64 false;
       by_stratum;
       stratum_of =
         (fun rel -> match stratum_of rel with s -> s | exception Not_found -> 0);
       n_strata;
       strategy;
-      indexing;
       spatial;
       spatial_indexing;
       tracer;
@@ -842,17 +1535,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
       p_max_size = 0;
     }
   in
-  (* every relation a rule can read or write exists up front, so the set
-     of stored relations — and with it a snapshot's relation list —
-     depends only on the rules, never on which ones evaluation touched *)
-  List.iter
-    (fun p ->
-      Stdlib.ignore (get fp p.rule.head_rel);
-      Array.iter (fun rel -> Stdlib.ignore (get fp rel)) p.rule.pos_rels;
-      List.iter
-        (function Neg (rel, _, _) -> Stdlib.ignore (get fp rel) | _ -> ())
-        p.rule.body)
-    planned;
   (fp, facts)
 
 (* Build every spatial index the annotated plans will probe now, under
@@ -865,10 +1547,9 @@ let prebuild_spatial fp =
       let kind = index_kind sp in
       let built = Hashtbl.create 8 in
       let build_for = function
-        | Pos (_, rel, _, Some (apos, _)) ->
+        | C_pos { rel; r; sprobe = Some (apos, _); _ } ->
             if not (Hashtbl.mem built (rel, apos)) then begin
               Hashtbl.add built (rel, apos) ();
-              let r = get fp rel in
               Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
                 ~args:
                   [
@@ -878,8 +1559,10 @@ let prebuild_spatial fp =
                   ]
                 "bu.spatial.build"
                 (fun () ->
-                  Stdlib.ignore
-                    (Relation.spatial_index r ~kind ~point:sp.sp_point apos))
+                  ignore
+                    (Relation.spatial_index r ~kind ~point:(point_at fp sp apos)
+                       apos
+                      : Relation.spat))
             end
         | _ -> ()
       in
@@ -925,30 +1608,32 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
   let fp, facts =
     build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer db
+      ~tracer
+      ~bank:(Bank.create ~nodes:1024 ~kids:2048)
+      (prepare db ~refine ~spatial)
   in
+  let b = fp.bank in
   (* net the seeds like {!apply} nets a batch: a seed structurally equal
      to a parsed fact, or repeated in the seed list, lands in the store
      (and the counters) exactly once *)
-  let seen = Term_tbl.create (max 64 (List.length seed)) in
-  List.iter (fun (_, t) -> Term_tbl.replace seen t ()) facts;
+  let facts = List.map (fun (rel, t) -> (rel, Bank.intern b t)) facts in
+  let seen = Itbl.create (List.length facts) false in
+  List.iter (fun (_, id) -> Itbl.replace seen id true) facts;
   let facts =
     facts
     @ List.filter_map
         (fun t ->
           if not (Term.is_ground t) then
             unsupported "seed: non-ground seed fact %s" (Term.to_string t);
-          if Term_tbl.mem seen t then None
-          else begin
-            Term_tbl.replace seen t ();
-            Some (rel_of ~refine ~what:"seed" t, t)
-          end)
+          let id = Bank.intern b t in
+          if Itbl.add seen id true then Some (rel_of ~refine ~what:"seed" t, id)
+          else None)
         seed
   in
   List.iter
-    (fun (rel, t) ->
-      Stdlib.ignore (add fp rel t);
-      Term_tbl.replace fp.base t rel)
+    (fun (rel, id) ->
+      ignore (add fp (get fp rel) id : bool);
+      Itbl.replace fp.base id true)
     facts;
   prebuild_spatial fp;
   let stratum_acc = ref [] in
@@ -999,7 +1684,7 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
 (* ------------------------------------------------------------------ *)
 
 let facts fp =
-  Hashtbl.fold (fun _ r acc -> Relation.elements r @ acc) fp.rels []
+  Hashtbl.fold (fun _ r acc -> Relation.elements fp.bank r @ acc) fp.rels []
   |> List.sort Term.compare
 
 (* The stored relations a goal can match: its own relation when it
@@ -1016,28 +1701,51 @@ let relations_of fp goal =
           else acc)
         fp.rels []
 
-let holds fp t = List.exists (fun r -> Relation.mem r t) (relations_of fp t)
+let holds fp t =
+  let id = Bank.lookup fp.bank t in
+  id >= 0 && Bank.stored fp.bank id
 
 let facts_matching fp goal =
-  List.concat_map Relation.elements (relations_of fp goal)
+  List.concat_map (Relation.elements fp.bank) (relations_of fp goal)
   |> List.sort Term.compare
 
 (* Candidates for a goal by the cheapest access path: membership for a
-   ground goal, an index probe on the goal's ground top-level arguments
-   for a half-bound goal, the whole relation otherwise. The result is a
+   ground goal, an index probe on the goal's maximal ground subterms for
+   a half-bound goal, the whole relation otherwise. The result is a
    superset of the facts unifiable with [goal] (exactly the bucket of
-   facts agreeing with the goal's ground arguments) and is unsorted. *)
+   facts agreeing with the goal's ground subterms) and is unsorted. *)
 let probe fp goal =
+  let b = fp.bank in
   let candidates r =
-    if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
-    else
-      match Path_key.ground_paths ~fine:false goal with
-      | [] -> Relation.elements r
-      | paths -> Relation.probe r paths goal
+    match Path_key.ground_paths ~fine:true goal with
+      | [] -> Relation.elements b r
+      | paths ->
+          let sub path = Option.get (Path_key.subterm_at path goal) in
+          let idx = Relation.index r b paths in
+          let k =
+            match paths with
+            | [ path ] -> Bank.lookup b (sub path)
+            | _ ->
+                let base = b.Bank.sp in
+                if
+                  List.for_all
+                    (fun path ->
+                      let c = Bank.lookup b (sub path) in
+                      c >= 0 && (Bank.push b c; true))
+                    paths
+                then Bank.key b (List.length paths) false
+                else begin
+                  b.Bank.sp <- base;
+                  -1
+                end
+          in
+          List.map (Bank.term b) (Relation.bucket idx k)
   in
-  match relations_of fp goal with
-  | [ r ] -> candidates r (* the common case: no copy *)
-  | rs -> List.concat_map candidates rs
+  if Term.is_ground goal then if holds fp goal then [ goal ] else []
+  else
+    match relations_of fp goal with
+    | [ r ] -> candidates r (* the common case: no copy *)
+    | rs -> List.concat_map candidates rs
 
 let count fp =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) fp.rels 0
@@ -1132,29 +1840,29 @@ let pp_stats ppf s =
 
 type update = [ `Assert of Term.t | `Retract of Term.t ]
 
-(* Physically remove those of the [(rel, t)] pairs the store holds; each
-   touched relation is compacted once, by
-   {!Relation.remove}. Returns the pairs removed, in input order. *)
+(* Physically remove those of the [(rel, id)] pairs the store holds;
+   each touched relation is compacted once, by {!Relation.remove}.
+   Returns the pairs removed, in input order. *)
 let remove_facts fp pairs =
   let by_rel = Hashtbl.create 8 in
   List.iter
-    (fun (rel, t) ->
+    (fun (rel, id) ->
       Hashtbl.replace by_rel rel
-        (t :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
+        (id :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
     pairs;
-  let gone = Term_tbl.create 16 in
+  let gone = Itbl.create 16 false in
   Hashtbl.iter
-    (fun rel ts ->
+    (fun rel ids ->
       List.iter
-        (fun t -> Term_tbl.replace gone t ())
-        (Relation.remove (get fp rel) (List.rev ts)))
+        (fun id -> Itbl.replace gone id true)
+        (Relation.remove (get fp rel) fp.bank (List.rev ids)))
     by_rel;
   List.filter
-    (fun (_, t) ->
-      Term_tbl.mem gone t
+    (fun (_, id) ->
+      Itbl.mem gone id
       && begin
            (* a pair listed twice is removed once *)
-           Term_tbl.remove gone t;
+           Itbl.remove gone id;
            fp.ctr.c_facts <- fp.ctr.c_facts - 1;
            true
          end)
@@ -1171,15 +1879,13 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
     ~lower_adds ~lower_dels =
   (* presence at batch start, recorded the first time a fact is touched:
      the final net change is (recorded, current) presence disagreeing *)
-  let before : (Rel.t * bool) Term_tbl.t = Term_tbl.create 16 in
-  let note rel t was =
-    if not (Term_tbl.mem before t) then Term_tbl.replace before t (rel, was)
-  in
+  let before = Omap.create (no_rel, false) in
+  let note rel id was = Omap.add before id (rel, was) in
   (* 1. asserted base facts go in first: rederivation below must see them *)
   let seed_added =
     List.filter_map
       (fun (rel, t) ->
-        if add fp rel t then begin
+        if add fp (get fp rel) t then begin
           note rel t false;
           Some (rel, t)
         end
@@ -1192,14 +1898,13 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
      the pre-deletion state, so over-deletion is a superset of the facts
      that lost a derivation — rederivation is exact and repairs any
      over-kill). *)
-  let marked = Term_tbl.create 16 in
+  let marked = Omap.create no_rel in
   List.iter
-    (fun (rel, t) ->
-      if Relation.mem (get fp rel) t then Term_tbl.replace marked t rel)
+    (fun (rel, t) -> if Bank.stored fp.bank t then Omap.add marked t rel)
     seeds_d;
   let deltas0 =
     List.fold_left
-      (fun m (rel, t) -> if Term_tbl.mem marked t then record rel t m else m)
+      (fun m (rel, t) -> if Omap.mem marked t then record rel t m else m)
       lower_dels seeds_d
   in
   let reads m =
@@ -1208,11 +1913,11 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
       srules
   in
   let fresh = ref [] in
-  let mark rel t _ =
-    if (not (Term_tbl.mem marked t)) && Relation.mem (get fp rel) t then begin
-      Term_tbl.replace marked t rel;
+  let mark p t _ =
+    if (not (Omap.mem marked t)) && Bank.stored fp.bank t then begin
+      Omap.add marked t p.rule.head_rel;
       fp.incr.i_overdeleted <- fp.incr.i_overdeleted + 1;
-      fresh := (rel, t) :: !fresh
+      fresh := (p.rule.head_rel, t) :: !fresh
     end
   in
   let deltas = ref deltas0 in
@@ -1225,7 +1930,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
           (fun i rel ->
             match Rel_map.find_opt rel !deltas with
             | Some (_ :: _ as d) ->
-                eval_rule fp ~ghosts ~delta_at:(Some i) ~delta:d p.rule
+                eval_rule fp ~ghosts ~delta_at:(Some i) ~delta:d p
                   p.delta_plans.(i) ~emit:mark
             | _ -> ())
           p.rule.pos_rels)
@@ -1236,7 +1941,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   (* 3. physically remove everything marked *)
   let removed =
     remove_facts fp
-      (List.rev (Term_tbl.fold (fun t rel acc -> (rel, t) :: acc) marked []))
+      (List.rev (Omap.fold (fun t rel acc -> (rel, t) :: acc) marked []))
   in
   List.iter (fun (rel, t) -> note rel t true) removed;
   (* 4. rederive: a removed fact survives if it is still asserted, or
@@ -1251,14 +1956,17 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
       List.filter
         (fun (rel, t) ->
           let reinstate () =
-            Stdlib.ignore (add fp rel t);
+            ignore (add fp (get fp rel) t : bool);
             fp.incr.i_rederived <- fp.incr.i_rederived + 1;
             progress := true;
             false
           in
           if
-            Term_tbl.mem fp.base t
-            || find_derivation fp srules rel t ~accept:(fun _ _ -> true) <> None
+            Itbl.mem fp.base t
+            || find_derivation fp srules rel t
+                 ~plan:(fun p -> p.from_head)
+                 ~accept:(fun _ _ -> true)
+               <> None
           then reinstate ()
           else true)
         !pending
@@ -1275,9 +1983,9 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   Rel_map.iter (fun rel l -> List.iter (fun t -> note rel t false) l) sat_added;
   (* 6. net the batch-start snapshot against the current store *)
   let net_adds = ref [] and net_dels = ref [] in
-  Term_tbl.iter
+  Omap.iter
     (fun t (rel, was) ->
-      let now = Relation.mem (get fp rel) t in
+      let now = Bank.stored fp.bank t in
       match (was, now) with
       | false, true ->
           fp.incr.i_inserted <- fp.incr.i_inserted + 1;
@@ -1306,7 +2014,7 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
   (* seeds on relations no rule of the stratum derives: plain updates *)
   List.iter
     (fun (rel, t) ->
-      if (not (is_head rel)) && add fp rel t then
+      if (not (is_head rel)) && add fp (get fp rel) t then
         net_adds := (rel, t) :: !net_adds)
     seeds_a;
   net_dels :=
@@ -1317,24 +2025,34 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
       (fun rel ->
         let r = get fp rel in
         fp.ctr.c_facts <- fp.ctr.c_facts - Relation.cardinal r;
-        Hashtbl.replace fp.rels rel (Relation.create ());
-        (rel, r))
+        (rel, Relation.take r fp.bank))
       head_rels
   in
-  Term_tbl.iter
-    (fun t rel -> if is_head rel then Stdlib.ignore (add fp rel t))
-    fp.base;
-  Stdlib.ignore (saturate fp ~budget_from ~guard:false srules `Full);
+  (* the asserted facts of the head relations: those they held, in their
+     order, then those this batch asserts *)
   List.iter
     (fun (rel, r_old) ->
-      let r_new = get fp rel in
+      Relation.iter
+        (fun t -> if Itbl.mem fp.base t then ignore (add fp (get fp rel) t : bool))
+        r_old)
+    old;
+  List.iter
+    (fun (rel, t) ->
+      if is_head rel && not (Bank.stored fp.bank t) then
+        ignore (add fp (get fp rel) t : bool))
+    seeds_a;
+  ignore (saturate fp ~budget_from ~guard:false srules `Full);
+  List.iter
+    (fun (rel, (r_old : Relation.t)) ->
+      let held = Itbl.create r_old.n false in
+      Relation.iter (fun t -> Itbl.replace held t true) r_old;
       Relation.iter
         (fun t ->
-          if not (Relation.mem r_old t) then net_adds := (rel, t) :: !net_adds)
-        r_new;
+          if not (Itbl.mem held t) then net_adds := (rel, t) :: !net_adds)
+        (get fp rel);
       Relation.iter
         (fun t ->
-          if not (Relation.mem r_new t) then net_dels := (rel, t) :: !net_dels)
+          if not (Bank.stored fp.bank t) then net_dels := (rel, t) :: !net_dels)
         r_old)
     old;
   fp.incr.i_inserted <- fp.incr.i_inserted + List.length !net_adds;
@@ -1360,6 +2078,7 @@ let apply fp (updates : update list) =
         | Some _ -> ());
         (asserted, t, rel_of ~refine:fp.refine ~what:"update" t))
       updates
+    |> List.map (fun (asserted, t, rel) -> (asserted, Bank.intern fp.bank t, rel))
   in
   let inc = fp.incr in
   let budget_from = fp.ctr.c_passes in
@@ -1373,21 +2092,19 @@ let apply fp (updates : update list) =
   (* replay the script against the base-fact table: per fact, only the
      net effect matters (assert-then-retract is a no-op), and the seeds
      handed to each stratum are those net changes *)
-  let touched = Term_tbl.create 16 in
+  let touched = Omap.create (no_rel, false) in
   List.iter
     (fun (asserted, t, rel) ->
       if asserted then inc.i_asserts <- inc.i_asserts + 1
       else inc.i_retracts <- inc.i_retracts + 1;
-      if not (Term_tbl.mem touched t) then
-        Term_tbl.replace touched t (rel, Term_tbl.mem fp.base t);
-      if asserted then Term_tbl.replace fp.base t rel
-      else Term_tbl.remove fp.base t)
+      Omap.add touched t (rel, Itbl.mem fp.base t);
+      if asserted then Itbl.replace fp.base t true else Itbl.remove fp.base t)
     entries;
   let ns = Array.length fp.by_stratum in
   let adds_at = Array.make ns [] and dels_at = Array.make ns [] in
-  Term_tbl.iter
+  Omap.iter
     (fun t (rel, was) ->
-      let now = Term_tbl.mem fp.base t in
+      let now = Itbl.mem fp.base t in
       let si = min (max 0 (fp.stratum_of rel)) (ns - 1) in
       match (was, now) with
       | false, true -> adds_at.(si) <- (rel, t) :: adds_at.(si)
@@ -1476,106 +2193,112 @@ let apply fp (updates : update list) =
     set "bu.incr.strata_recomputed" inc.i_recomputed
   end
 
+let asserted fp t =
+  Term.is_ground t
+  &&
+  let id = Bank.lookup fp.bank t in
+  id >= 0 && Itbl.mem fp.base id
+
 let assert_fact fp t =
-  let was = Term.is_ground t && Term_tbl.mem fp.base t in
+  let was = asserted fp t in
   apply fp [ `Assert t ];
   not was
 
 let retract_fact fp t =
-  let was = Term.is_ground t && Term_tbl.mem fp.base t in
+  let was = asserted fp t in
   apply fp [ `Retract t ];
   was
 
 (* ------------------------------------------------------------------ *)
 (* why-provenance: ranks and proof reconstruction *)
 
-(* The relation and rank of a stored ground atom. *)
+(* The relation, id and rank of a stored ground atom. *)
 let stored fp t =
   match resolve_rel fp.refine t with
   | Error _ -> None
-  | Ok rel ->
-      Option.bind (Hashtbl.find_opt fp.rels rel) (fun r ->
-          Option.map (fun k -> (rel, k)) (Relation.rank r t))
+  | Ok rel -> (
+      let id = Bank.lookup fp.bank t in
+      if id < 0 then None
+      else match Bank.rank fp.bank id with -1 -> None | k -> Some (rel, id, k))
 
 let rank fp t =
-  Option.map (fun (rel, k) -> (fp.stratum_of rel, k)) (stored fp t)
+  Option.map (fun (rel, _, k) -> (fp.stratum_of rel, k)) (stored fp t)
 
 (* Premises recurse on lower ranks or lower strata, so the search
    terminates on any store, even a crafted one. *)
 let proof fp t =
   match stored fp t with
   | None -> None
-  | Some (rel, k) ->
+  | Some (rel, id, k) ->
       let frame =
         Gdp_obs.Tracer.begin_span fp.tracer ~cat:"provenance"
           "prov.reconstruct"
       in
+      let b = fp.bank in
       (* scratch counters: rebuilding a proof moves no engine counter *)
       let scratch = { fp with ctr = new_counters () } in
-      let memo = Term_tbl.create 16 in
+      let memo = Hashtbl.create 16 in
       let rec build rel goal k =
-        if Term_tbl.mem fp.base goal then Explain.Fact goal
+        if Itbl.mem fp.base goal then Explain.Fact (Bank.term b goal)
         else
-          match Term_tbl.find_opt memo goal with
+          match Hashtbl.find_opt memo goal with
           | Some p -> p
           | None ->
               let s = fp.stratum_of rel in
               (* start each rule from its first positive literal over
                  another relation, so a recursive premise mostly comes
                  ground: a membership test instead of a probe *)
-              let start p =
+              let plan p =
                 let other r = Rel.compare r rel <> 0 in
                 match Array.find_index other p.rule.pos_rels with
-                | Some i -> { p with plan = p.delta_plans.(i) }
-                | None -> p
+                | Some i -> p.from_head_delta.(i)
+                | None -> p.from_head
               in
-              (* a firing's positive premises with their ranks, the
-                 other literals as leaves *)
-              let premises subst p =
-                List.filter_map
-                  (fun lit ->
-                    let inst u = Subst.apply subst u in
-                    match lit with
-                    | Pos (_, r, atom, _) ->
-                        Option.map
-                          (fun j -> `Pos (r, inst atom, j))
-                          (Relation.rank (get fp r) (inst atom))
-                    | Neg (_, atom, _) -> Some (`Leaf (Explain.Naf (inst atom)))
-                    | Never -> None
-                    | lit ->
-                        Some (`Leaf (Explain.Builtin (inst (goal_of lit)))))
-                  p.rule.body
+              (* a positive premise's relation, fact and rank *)
+              let premise env = function
+                | Prem_pos (rel, atom) ->
+                    let u = inst b env false atom in
+                    if u >= 0 && Bank.stored b u then Some (rel, u, Bank.rank b u)
+                    else None
+                | Prem_leaf _ -> None
               in
-              let below p subst =
+              let below p env =
                 List.for_all
-                  (function
-                    | `Pos (r, _, j) -> j < k || fp.stratum_of r < s
-                    | `Leaf _ -> true)
-                  (premises subst p)
+                  (fun prem ->
+                    match premise env prem with
+                    | Some (r, _, j) -> j < k || fp.stratum_of r < s
+                    | None -> true)
+                  p.premises
               in
               let node =
                 match
-                  find_derivation scratch
-                    (List.map start fp.by_stratum.(s))
-                    rel goal ~accept:below
+                  find_derivation scratch fp.by_stratum.(s) rel goal ~plan
+                    ~accept:below
                 with
                 | None ->
                     Wire.corrupt
                       "stored fact %s has no derivation from facts of lower \
                        rank"
-                      (Term.to_string goal)
-                | Some (p, subst) ->
-                    let premise = function
-                      | `Pos (r, u, j) -> build r u j
-                      | `Leaf l -> l
+                      (Term.to_string (Bank.term b goal))
+                | Some (p, env) ->
+                    let premises =
+                      List.filter_map
+                        (fun prem ->
+                          match (prem, premise env prem) with
+                          | _, Some (r, u, j) -> Some (build r u j)
+                          | Prem_leaf (true, atom), _ ->
+                              Some (Explain.Naf (term_of b env atom))
+                          | Prem_leaf (false, goal), _ ->
+                              Some (Explain.Builtin (term_of b env goal))
+                          | Prem_pos _, None -> None)
+                        p.premises
                     in
-                    Explain.Rule
-                      { goal; premises = List.map premise (premises subst p) }
+                    Explain.Rule { goal = Bank.term b goal; premises }
               in
-              Term_tbl.replace memo goal node;
+              Hashtbl.replace memo goal node;
               node
       in
-      let p = build rel t k in
+      let p = build rel id k in
       let sz = Explain.size p and dp = Explain.depth p in
       fp.p_reconstructs <- fp.p_reconstructs + 1;
       fp.p_max_depth <- max dp fp.p_max_depth;
@@ -1617,7 +2340,7 @@ let proof fp t =
    order: a relation's ranks increase along its insertion order, so
    every gap is a natural, and the ranks of all relations together are
    0 .. facts - 1. Keying base facts by fact position makes the export
-   deterministic without sorting, and the import takes their terms from
+   deterministic without sorting, and the import takes their ids from
    the loaded relation instead of decoding them again. *)
 
 type snapshot_state = { data : string; pos : int; len : int }
@@ -1627,96 +2350,61 @@ type snapshot_state = { data : string; pos : int; len : int }
    relations have been walked; the sections are then copied once into
    the exact-size result. *)
 let export fp =
-  (* The node table and the section buffers live exactly as long as the
-     encoding. Starting on an empty minor heap lets a small or medium
-     store encode without a minor collection in between, so the table
-     dies young instead of being promoted to the major heap. Without it
-     the peak heap of a save depends on where the last minor collection
-     happened to fall. *)
+  (* The file numbering tables and the section buffers live exactly as
+     long as the encoding. Starting on an empty minor heap lets a small
+     or medium store encode without a minor collection in between, so
+     they die young instead of being promoted to the major heap. Without
+     it the peak heap of a save depends on where the last minor
+     collection happened to fall. *)
   Gc.minor ();
-  let syms = Hashtbl.create 256 and sym_buf = Buffer.create 4096 in
-  let sym s =
-    match Hashtbl.find syms s with
-    | i -> i
-    | exception Not_found ->
-        let i = Hashtbl.length syms in
-        Hashtbl.add syms s i;
-        Wire.add_string sym_buf s;
-        i
-  in
-  (* Nodes are numbered structurally. A node's record (its tag, symbol
-     or literal, and child ids) identifies it, because children are
-     numbered before their parent. Each visited node is encoded at the
-     end of [node_buf] as the next id's record, and kept only when no
-     earlier record has the same bytes: no key is allocated per visit.
-     Node [i]'s record is [off.(i), off.(i + 1)). *)
-  let node_buf = Buffer.create 65536 in
-  let off = ref (Array.make 1024 0) and n_nodes = ref 0 in
-  let module Records = Hashtbl.Make (struct
-    type t = int
-
-    let length i = !off.(i + 1) - !off.(i)
-
-    let rec same a b n =
-      n = 0
-      || Buffer.nth node_buf a = Buffer.nth node_buf b
-         && same (a + 1) (b + 1) (n - 1)
-
-    let equal i j = length i = length j && same !off.(i) !off.(j) (length i)
-
-    let hash i =
-      let h = ref 0x811c9dc5 in
-      for k = !off.(i) to !off.(i + 1) - 1 do
-        h := (!h lxor Char.code (Buffer.nth node_buf k)) * 0x01000193
-      done;
-      !h land max_int
-  end) in
-  let records = Records.create (max 256 fp.ctr.c_facts) in
-  let number () =
-    let i = !n_nodes in
-    if i + 2 > Array.length !off then begin
-      let bigger = Array.make (2 * Array.length !off) 0 in
-      Array.blit !off 0 bigger 0 (i + 1);
-      off := bigger
-    end;
-    !off.(i + 1) <- Buffer.length node_buf;
-    match Records.find records i with
-    | id ->
-        Buffer.truncate node_buf !off.(i);
-        id
-    | exception Not_found ->
-        Records.add records i i;
-        n_nodes := i + 1;
-        i
-  in
-  let rec node t =
-    let b = node_buf in
-    (match t with
-    | Term.Atom s ->
-        Buffer.add_uint8 b 0;
-        Wire.add_nat b (sym s)
-    | Term.Int n ->
-        Buffer.add_uint8 b 1;
-        Wire.add_int b n
-    | Term.Float f ->
-        Buffer.add_uint8 b 2;
-        Wire.add_float b f
-    | Term.Str s ->
-        Buffer.add_uint8 b 3;
-        Wire.add_nat b (sym s)
-    | Term.Var _ ->
-        invalid_arg "Bottom_up.export: the store holds a non-ground term"
-    | Term.App (f, args) ->
-        let children = List.map node args in
-        Buffer.add_uint8 b 4;
-        Wire.add_nat b (sym f);
-        Wire.add_nat b (List.length children);
-        List.iter (Wire.add_nat b) children);
-    number ()
-  in
+  let b = fp.bank in
   let rels =
     Hashtbl.fold (fun rel r acc -> (rel, r) :: acc) fp.rels []
     |> List.sort (fun (a, _) (b, _) -> Rel.compare a b)
+  in
+  let rel_syms =
+    List.map
+      (fun ((rel : Rel.t), _) ->
+        (Bank.sym b rel.name, Option.map (Bank.sym b) rel.sub))
+      rels
+  in
+  (* symbols and nodes are numbered in the order the walk first meets
+     them: relations in order, each fact's nodes in post order *)
+  let fsym = Array.make (Bank.n_syms b) (-1)
+  and n_fsyms = ref 0
+  and sym_buf = Buffer.create 4096 in
+  let sym y =
+    if fsym.(y) < 0 then begin
+      fsym.(y) <- !n_fsyms;
+      incr n_fsyms;
+      Wire.add_string sym_buf (Bank.name b y)
+    end;
+    fsym.(y)
+  in
+  let node_buf = Buffer.create 65536 in
+  let fid = Array.make (Bank.size b) (-1) and n_nodes = ref 0 in
+  let rec node id =
+    if fid.(id) < 0 then begin
+      let tag = Bank.tag b id and pay = Bank.payload b id in
+      let k = Bank.arity b id in
+      for j = 0 to k - 1 do
+        ignore (node (Bank.child b id j) : int)
+      done;
+      Buffer.add_uint8 node_buf tag;
+      if tag = Bank.t_int then Wire.add_int node_buf pay
+      else if tag = Bank.t_float then Wire.add_float node_buf (Bank.float_val b id)
+      else if tag = Bank.t_app then begin
+        Wire.add_nat node_buf (sym pay);
+        Wire.add_nat node_buf k;
+        for j = 0 to k - 1 do
+          Wire.add_nat node_buf fid.(Bank.child b id j)
+        done
+      end
+      else Wire.add_nat node_buf (sym pay);
+      fid.(id) <- !n_nodes;
+      incr n_nodes
+    end;
+    fid.(id)
   in
   (* the file renumbers ranks densely: rank k becomes dense.(k), the
      number of stored facts ranked below it *)
@@ -1724,7 +2412,7 @@ let export fp =
   List.iter
     (fun (_, (r : Relation.t)) ->
       for i = 0 to r.n - 1 do
-        dense.(r.ranks.(i) + 1) <- 1
+        dense.(Bank.rank b r.ids.(i) + 1) <- 1
       done)
     rels;
   for k = 1 to fp.clock do
@@ -1733,26 +2421,25 @@ let export fp =
   let rel_buf = Buffer.create 65536 and part = Buffer.create 4096 in
   let n_base = ref 0 in
   Wire.add_nat rel_buf (List.length rels);
-  List.iter
-    (fun ((rel : Rel.t), (r : Relation.t)) ->
-      Wire.add_nat rel_buf (sym rel.name);
+  List.iter2
+    (fun ((rel : Rel.t), (r : Relation.t)) (name, sub) ->
+      Wire.add_nat rel_buf (sym name);
       Wire.add_nat rel_buf rel.arity;
-      Wire.add_nat rel_buf
-        (match rel.sub with None -> 0 | Some s -> 1 + sym s);
+      Wire.add_nat rel_buf (match sub with None -> 0 | Some s -> 1 + sym s);
       Wire.add_nat rel_buf r.n;
       for i = 0 to r.n - 1 do
-        Wire.add_nat rel_buf (node r.arr.(i))
+        Wire.add_nat rel_buf (node r.ids.(i))
       done;
       let prev = ref (-1) in
       for i = 0 to r.n - 1 do
-        let k = dense.(r.ranks.(i)) in
+        let k = dense.(Bank.rank b r.ids.(i)) in
         Wire.add_nat rel_buf (k - !prev - 1);
         prev := k
       done;
       (* the base facts' positions go to [part] behind their count *)
       let prev = ref (-1) and k = ref 0 in
       for i = 0 to r.n - 1 do
-        if Term_tbl.mem fp.base r.arr.(i) then begin
+        if Itbl.mem fp.base r.ids.(i) then begin
           Wire.add_nat part (i - !prev - 1);
           prev := i;
           incr k
@@ -1762,10 +2449,10 @@ let export fp =
       Buffer.add_buffer rel_buf part;
       Buffer.clear part;
       n_base := !n_base + !k)
-    rels;
+    rels rel_syms;
   (* every asserted fact is stored, so keying them by position loses
      nothing; a miss here is an engine bug *)
-  if !n_base <> Term_tbl.length fp.base then
+  if !n_base <> Itbl.length fp.base then
     failwith "Bottom_up.export: a base fact is not stored";
   let head = Buffer.create 256 in
   let c = fp.ctr and inc = fp.incr in
@@ -1789,7 +2476,7 @@ let export fp =
         ];
       Wire.add_float head st.st_ms)
     fp.strata_stats;
-  Wire.add_nat head (Hashtbl.length syms);
+  Wire.add_nat head !n_fsyms;
   Wire.add_nat head !n_nodes;
   let sections = [ head; sym_buf; node_buf; rel_buf ] in
   let len = List.fold_left (fun n b -> n + Buffer.length b) 0 sections in
@@ -1825,6 +2512,54 @@ let read_stratum_stats r =
 let rec read_list r k read acc =
   if k = 0 then List.rev acc else read_list r (k - 1) read (read r :: acc)
 
+(* The children the node section's [n_nodes] records declare, read
+   ahead on a copy of the reader (positioned at the symbols) to size the
+   bank. A malformed section is left to the decoding pass to report. *)
+let count_kids r n_syms n_nodes =
+  let r = Wire.copy r and total = ref 0 in
+  (try
+     for _ = 1 to n_syms do
+       ignore (Wire.string r : string)
+     done;
+     for _ = 1 to n_nodes do
+       match Wire.byte r with
+       | 2 -> ignore (Wire.float r : float)
+       | 4 ->
+           Wire.skip_nats r 1;
+           (* every child takes a byte *)
+           let k = min (Wire.nat r) (Wire.remaining r) in
+           Wire.skip_nats r k;
+           total := !total + k
+       | _ -> Wire.skip_nats r 1
+     done
+   with Wire.Corrupt _ -> ());
+  !total
+
+(* Whether node [id] resolves to relation [rel], as {!Datalog.resolve_rel}
+   decides it for the node's term: its functor and arity, and the
+   constant at the refining argument of a refined predicate. The
+   relation's symbols are looked up once; each fact is then checked by
+   comparing ints. *)
+let belongs b refine (rel : Rel.t) =
+  let f = Option.value ~default:(-1) (Hashtbl.find_opt b.Bank.syms rel.name) in
+  let refined =
+    match (refine (rel.name, rel.arity), rel.sub) with
+    | None, None -> Some None
+    | Some pos, Some sub -> Some (Some (pos, Bank.lookup b (Term.Atom sub)))
+    | _ -> None
+  in
+  fun id ->
+    let tag = Bank.tag b id in
+    let arity = if tag = Bank.t_app then Bank.arity b id else 0 in
+    (tag = Bank.t_app || tag = Bank.t_atom)
+    && Bank.payload b id = f
+    && arity = rel.arity
+    &&
+    match refined with
+    | Some None -> true
+    | Some (Some (pos, sub)) -> pos < arity && Bank.child b id pos = sub
+    | None -> false
+
 let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ?(spatial_indexing = true) ?(refine = fun _ -> None)
     ?(tracer = Gdp_obs.Tracer.disabled) db st =
@@ -1832,79 +2567,104 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts st)) ]
     "snap.import"
   @@ fun () ->
-  let fp, _parsed =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer db
-  in
   let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
   let n_strata = Wire.nat r in
-  if n_strata <> fp.n_strata then
-    Wire.corrupt
-      "the snapshot stratifies into %d strata, the database into %d: it \
-       belongs to a different program"
-      n_strata fp.n_strata;
   (* the tables the payload fills are created at their final size *)
   let n_base = Wire.count r ~min_bytes:1 "base fact" in
-  (* sized where doubling would have grown it, so its iteration order
-     is that of a table filled one entry at a time *)
-  let fp = { fp with base = Term_tbl.create (max 64 ((n_base + 1) / 2)) } in
   (* the saved counters replace the fresh ones wholesale, which keeps
      the loaded fixpoint's telemetry textually identical to the saved
      one *)
-  let c = fp.ctr in
-  c.c_facts <- Wire.int r;
-  c.c_passes <- Wire.int r;
-  c.c_firings <- Wire.int r;
-  c.c_probes <- Wire.int r;
-  c.c_scans <- Wire.int r;
-  c.c_members <- Wire.int r;
-  c.c_sprobes <- Wire.int r;
-  c.c_sscans <- Wire.int r;
-  c.c_hits <- Wire.int r;
-  c.c_misses <- Wire.int r;
-  fp.p_reconstructs <- Wire.int r;
-  fp.p_max_depth <- Wire.int r;
-  fp.p_max_size <- Wire.int r;
-  let inc = fp.incr in
-  inc.i_batches <- Wire.int r;
-  inc.i_asserts <- Wire.int r;
-  inc.i_retracts <- Wire.int r;
-  inc.i_noops <- Wire.int r;
-  inc.i_inserted <- Wire.int r;
-  inc.i_deleted <- Wire.int r;
-  inc.i_overdeleted <- Wire.int r;
-  inc.i_rederived <- Wire.int r;
-  inc.i_visited <- Wire.int r;
-  inc.i_recomputed <- Wire.int r;
-  fp.strata_stats <-
+  let counters = List.init 10 (fun _ -> Wire.int r) in
+  let prov = List.init 3 (fun _ -> Wire.int r) in
+  let maint = List.init 10 (fun _ -> Wire.int r) in
+  let strata_stats =
     read_list r
       (Wire.count r ~min_bytes:14 "stratum statistics")
-      read_stratum_stats [];
+      read_stratum_stats []
+  in
   let n_syms = Wire.count r ~min_bytes:1 "symbol" in
   let n_nodes = Wire.count r ~min_bytes:2 "node" in
-  let syms = Array.init n_syms (fun _ -> Wire.string r) in
+  let ((_, _, _, db_strata) as prepared) = prepare db ~refine ~spatial in
+  if n_strata <> db_strata then
+    Wire.corrupt
+      "the snapshot stratifies into %d strata, the database into %d: it \
+       belongs to a different program"
+      n_strata db_strata;
+  (* The bank is sized for the file's nodes and their children plus
+     headroom for the rules' constants and the updates to come, so the
+     load never grows it. It is empty when the records go in, so node
+     ids are the file's: post order puts every child below its parent,
+     each record is interned from nodes already interned, and a record
+     that interns to an earlier id repeats that record — the file
+     numbers nodes structurally, so it never writes one. *)
+  let b =
+    let k = count_kids r n_syms n_nodes in
+    Bank.create ~nodes:(n_nodes + (n_nodes / 8) + 64) ~kids:(k + (k / 8) + 64)
+  in
+  let syms = Array.init n_syms (fun _ -> Bank.sym b (Wire.string r)) in
   let sym () = syms.(Wire.below r n_syms "symbol") in
-  (* post order: every child id is below its parent's, so each node is
-     built from nodes already built, and the loaded facts share the
-     file's DAG as it is *)
-  let nodes = Array.make n_nodes Relation.dummy in
   for i = 0 to n_nodes - 1 do
-    let t =
+    let id =
       match Wire.byte r with
-      | 0 -> Term.Atom (sym ())
-      | 1 -> Term.Int (Wire.int r)
-      | 2 -> Term.Float (Wire.float r)
-      | 3 -> Term.Str (sym ())
+      | 0 -> Bank.leaf b Bank.t_atom (sym ()) true
+      | 1 -> Bank.leaf b Bank.t_int (Wire.int r) true
+      | 2 -> Bank.leaf b Bank.t_float (Bank.float_index b (Wire.float r)) true
+      | 3 -> Bank.leaf b Bank.t_str (sym ()) true
       | 4 ->
           let f = sym () in
           let arity = Wire.count r ~min_bytes:1 "argument" in
-          Term.App
-            (f, read_list r arity (fun r -> nodes.(Wire.below r i "child")) [])
+          for _ = 1 to arity do
+            Bank.push b (Wire.below r i "child")
+          done;
+          Bank.app b f arity true
       | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
     in
-    nodes.(i) <- t
+    if id < i then Wire.corrupt "node %d repeats node %d" i id
   done;
-  let node () = nodes.(Wire.below r n_nodes "node") in
+  let fp, _parsed =
+    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
+      ~tracer ~bank:b prepared
+  in
+  let c = fp.ctr in
+  (match counters with
+  | [
+   facts; passes; firings; probes; scans; members; sprobes; sscans; hits;
+   misses;
+  ] ->
+      c.c_facts <- facts;
+      c.c_passes <- passes;
+      c.c_firings <- firings;
+      c.c_probes <- probes;
+      c.c_scans <- scans;
+      c.c_members <- members;
+      c.c_sprobes <- sprobes;
+      c.c_sscans <- sscans;
+      c.c_hits <- hits;
+      c.c_misses <- misses
+  | _ -> assert false);
+  (match prov with
+  | [ reconstructs; max_depth; max_size ] ->
+      fp.p_reconstructs <- reconstructs;
+      fp.p_max_depth <- max_depth;
+      fp.p_max_size <- max_size
+  | _ -> assert false);
+  let inc = fp.incr in
+  (match maint with
+  | [ batches; asserts; retracts; noops; inserted; deleted; over; rederived;
+      visited; recomputed ] ->
+      inc.i_batches <- batches;
+      inc.i_asserts <- asserts;
+      inc.i_retracts <- retracts;
+      inc.i_noops <- noops;
+      inc.i_inserted <- inserted;
+      inc.i_deleted <- deleted;
+      inc.i_overdeleted <- over;
+      inc.i_rederived <- rederived;
+      inc.i_visited <- visited;
+      inc.i_recomputed <- recomputed
+  | _ -> assert false);
+  fp.strata_stats <- strata_stats;
+  let node () = Wire.below r n_nodes "node" in
   (* the values [0, bound) of an increasing gap-coded list of [k] *)
   let increasing k bound each =
     let prev = ref (-1) in
@@ -1919,12 +2679,12 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   let n_rels = Wire.count r ~min_bytes:5 "relation" in
   let total = ref 0 and last = ref None in
   for _ = 1 to n_rels do
-    let name = sym () in
+    let name = Bank.name b (sym ()) in
     let arity = Wire.nat r in
     let sub =
       match Wire.below r (n_syms + 1) "refinement symbol" with
       | 0 -> None
-      | s -> Some syms.(s - 1)
+      | s -> Some (Bank.name b syms.(s - 1))
     in
     let rel = { Rel.name; arity; sub } in
     (match !last with
@@ -1932,44 +2692,41 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
         Wire.corrupt "relation %s is out of order" (Rel.to_string rel)
     | _ -> last := Some rel);
     let n = Wire.count r ~min_bytes:2 "fact" in
-    let size = if n = 0 then 0 else max 16 n in
-    let arr = Array.make size Relation.dummy and ranks = Array.make size 0 in
+    let ids = Array.make (if n = 0 then 0 else max 16 n) 0 in
+    let belongs = belongs b refine rel in
     for i = 0 to n - 1 do
-      let t = node () in
-      (match resolve_rel refine t with
-      | Ok rel' when Rel.compare rel rel' = 0 -> ()
-      | _ ->
-          Wire.corrupt "fact %d of %s belongs to another relation" i
-            (Rel.to_string rel));
-      arr.(i) <- t
+      let id = node () in
+      if not (belongs id) then
+        Wire.corrupt "fact %d of %s belongs to another relation" i
+          (Rel.to_string rel);
+      ids.(i) <- id
     done;
-    let i = ref 0 in
+    let i = ref 0 and repeats = ref false in
     increasing n (Bytes.length ranked) (fun k ->
         if Bytes.get ranked k <> '\000' then
           Wire.corrupt "rank %d is given twice" k;
         Bytes.set ranked k '\001';
-        ranks.(!i) <- k;
+        let id = ids.(!i) in
+        if Bank.stored b id then repeats := true else b.Bank.ranks.(id) <- k;
         incr i);
+    if !repeats then Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
     (* an emptied relation is listed too, and stays listed on export *)
-    if n = 0 then ignore (get fp rel : Relation.t)
-    else begin
-      let loaded = Relation.of_array arr ranks n in
-      if not (Relation.distinct loaded) then
-        Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
-      Hashtbl.replace fp.rels rel loaded;
+    let loaded = get fp rel in
+    if n > 0 then begin
+      Relation.load loaded ids n;
       total := !total + n
     end;
     increasing
       (Wire.count r ~min_bytes:1 "base fact")
       n
-      (fun i -> Term_tbl.replace fp.base arr.(i) rel)
+      (fun i -> Itbl.replace fp.base ids.(i) true)
   done;
   if not (Wire.at_end r) then
     Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
   if !total <> c.c_facts then
     Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
       c.c_facts;
-  if Term_tbl.length fp.base <> n_base then
+  if Itbl.length fp.base <> n_base then
     Wire.corrupt "the base fact count disagrees with the header";
   fp.clock <- !total;
   (* hash indexes stay lazy: each is built by the first probe that needs

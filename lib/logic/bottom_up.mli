@@ -12,18 +12,22 @@
       one positive body literal is matched against that {e delta} rather
       than the full relation — the classic Datalog optimisation.
 
-    Facts are stored per relation, as they were built, in hash sets of
-    terms (O(1) expected membership; see {!Term.hash}), so a body
-    literal only ever joins against its own predicate's facts.
-    Joins are index-driven: each rule body is reordered by a greedy
-    sideways-information-passing plan (most bound arguments first, delta
-    literal leading under semi-naive evaluation), and every positive
-    literal with at least one ground argument probes a lazily built hash
-    index instead of scanning the relation. The index is keyed on the
-    ground top-level arguments or, once the substitution binds one of
-    the literal's variables, on every maximal ground subterm — so a join
-    variable bound inside a list argument (the objects of a [holds/6]
-    fact) narrows the probe to the facts carrying it.
+    Each fixpoint interns every ground term it holds in its own node
+    bank: a term is an int id, equal terms get equal ids, and terms are
+    rebuilt (memoised per id, sharing the bank's DAG) only at this
+    interface, for arithmetic and spatial guards, and for proofs. Facts
+    are stored per relation as a column of ids, with their ranks in one
+    column of the bank (membership is one array read), so a body literal
+    only ever joins against its own predicate's facts. Joins are index-driven: each rule body is
+    reordered by a greedy sideways-information-passing plan (most bound
+    arguments first, delta literal leading under semi-naive evaluation)
+    and compiled once against the bank, and every positive literal with
+    at least one ground argument probes a lazily built index instead of
+    scanning the relation. The index is keyed on the ids of the ground
+    top-level arguments or, once the plan has bound one of the literal's
+    variables, of every maximal ground subterm — so a join variable
+    bound inside a list argument (the objects of a [holds/6] fact)
+    narrows the probe to the facts carrying it.
     [run ~indexing:false] disables both the plans and the probes — the
     scan baseline the [engine-bu] benchmarks measure against.
 
@@ -42,6 +46,14 @@ type fixpoint
 exception Unsupported of string
 (** {!Datalog.Unsupported}: raised when the database leaves the
     fragment. See {!classify}. *)
+
+exception Bound_exceeded of [ `Facts | `Passes ] * int
+(** Raised when one operation — a {!run} or one {!apply} batch — stores
+    more facts than its fact bound (1_000_000) or runs more passes than
+    its pass bound (10_000); the payload names the bound and its limit.
+    Only rules that derive without end (unsafe function-symbol or
+    arithmetic recursion) reach either. A fixpoint whose {!apply}
+    raised it is half-updated and must be dropped. *)
 
 type strategy = Naive | Semi_naive
 (** [Naive] re-fires every rule against the whole store each pass (the
@@ -174,9 +186,9 @@ val run :
   fixpoint
 (** Evaluate strata in dependency order to the least fixpoint (default
     strategy {!Semi_naive}; fixed bounds: 10_000 passes, 1_000_000
-    facts — exceeding either raises [Failure], which only unsafe
-    function-symbol recursion can trigger). Raises {!Unsupported} with
-    the {!classify} reason when the database leaves the fragment.
+    facts — exceeding either raises {!Bound_exceeded}). Raises
+    {!Unsupported} with the {!classify} reason when the database leaves
+    the fragment.
     [indexing] (default [true]) controls the join machinery: when off,
     bodies evaluate in textual order and positive literals scan their
     whole relation — the measured-against baseline, semantically
@@ -218,9 +230,9 @@ val facts_matching : fixpoint -> Term.t -> Term.t list
 
 val probe : fixpoint -> Term.t -> Term.t list
 (** Candidate facts for a possibly non-ground goal, narrowed by the
-    cheapest access path: a membership test when the goal is ground, a
-    hash-index probe on the goal's ground top-level arguments when it
-    is half-bound, and the stored relation(s) otherwise. Always a superset
+    cheapest access path: a membership test when the goal is ground, an
+    index probe on the goal's maximal ground subterms when it is
+    half-bound, and the stored relation(s) otherwise. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
     and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
     materialised mode answers through this instead of scanning. *)
@@ -297,7 +309,7 @@ val apply : fixpoint -> update list -> unit
     by rules, is a no-op;
     asserting a fact that rules already derive marks it extensional (it
     then survives losing its rule derivations) without changing the
-    store. Shares {!run}'s iteration/fact bounds per batch. The rank
+    store. Shares {!run}'s pass and fact bounds per batch. The rank
     invariant of the {{!section:provenance} provenance section} holds
     after every batch: a fact the batch inserts or rederivation
     reinstates gets a fresh rank, a stratum recomputed outright re-ranks
@@ -350,9 +362,9 @@ val proof : fixpoint -> Term.t -> Explain.proof option
 
 type snapshot_state = { data : string; pos : int; len : int }
 (** The exported state of one fixpoint: bytes [\[pos, pos + len)] of
-    [data] hold its encoding, a table of the structurally distinct
-    terms (each node once, children before parents) that the relations
-    refer to by index. The encoding is plain bytes with no
+    [data] hold its encoding, a table of the distinct terms (each node
+    once, children before parents) that the relations refer to by
+    index. The encoding is plain bytes with no
     OCaml value layout in it, so another build or process can read it,
     and a view into a larger string (a whole snapshot file) decodes in
     place. *)
@@ -363,8 +375,10 @@ val export : fixpoint -> snapshot_state
     The result is deterministic — the same store
     always encodes to the same bytes, so exporting an import of an
     export reproduces it — and later {!apply} calls do not alter it.
-    Nodes are numbered structurally, so how the store's terms happen
-    to share memory never changes the encoding. *)
+    Symbols and nodes are numbered in the order a walk over the
+    relations (in {!Datalog.Rel.compare} order, each in insertion order,
+    each fact in post order) first meets them, so the encoding does not
+    depend on the node bank's own ids. *)
 
 val snapshot_facts : snapshot_state -> int
 (** Number of stored facts the snapshot carries (the saved fixpoint's
@@ -384,10 +398,12 @@ val import :
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
     planned exactly as {!run} would (same options, same meaning), then
-    the encoding is decoded in place — each node is built once and the
-    loaded facts share the file's DAG, the relations are built around their
-    loaded fact arrays, and the saved ranks, counters, per-stratum
-    statistics and maintenance counters are restored. The planned
+    the encoding is decoded in place — each node record is interned once
+    into a bank sized for it, the relations take the mapped fact ids as
+    their columns, and the saved ranks, counters, per-stratum
+    statistics and maintenance counters are restored. No fact is
+    rebuilt as a term or hashed as a tree, so loading is linear in the
+    file even when its DAG unfolds to an exponential tree. The planned
     spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
     the usual final counter gauges are emitted (plus one
     ["snap.import"] span) when the tracer is live. The result answers
@@ -395,9 +411,9 @@ val import :
     fixpoint {!export} captured. Callers must pass a database compiled
     from the same program under the same options the snapshot was
     saved from — [Gdp_core] enforces this with a content hash. Every
-    id, count and tag is bounds-checked: a malformed encoding, a
-    stratification-shape mismatch, a fact filed under the wrong
-    relation, ranks that are not each of [0 .. facts - 1] once and
+    id, count and tag is bounds-checked: a malformed encoding, a node
+    record that repeats an earlier one, a stratification-shape
+    mismatch, a fact filed under the wrong relation, ranks that are not each of [0 .. facts - 1] once and
     increasing within each relation, or a counter that disagrees with
     the loaded store raises
     {!Wire.Corrupt} (which {!Snapshot.Corrupt} re-exports). Raises

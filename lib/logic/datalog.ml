@@ -244,46 +244,39 @@ let check_safety ~ctx head body =
     unsupported "%s: head variable not bound by the body" ctx
 
 let parse_clause db ~refine ~ext (c : Database.clause) =
-  match Term.functor_of c.Database.head with
-  | None ->
-      unsupported "clause head %s is not a predicate atom"
-        (Term.to_string c.Database.head)
-  | Some fa ->
-      if List.mem fa library then None (* library clause: invisible *)
-      else begin
-        let head_rel = rel_of ~refine ~what:"clause head" c.Database.head in
-        if c.Database.body = [] then begin
-          if not (Term.is_ground c.Database.head) then
-            unsupported "%s: non-ground fact %s" (Rel.to_string head_rel)
-              (Term.to_string c.Database.head);
-          Some (`Fact (head_rel, c.Database.head))
-        end
-        else begin
-          let ctx = Rel.to_string head_rel in
-          let next_pos = ref 0 in
-          let body =
-            List.filter_map
-              (parse_body_goal db ~refine ~ext ~ctx ~next_pos)
-              c.Database.body
-          in
-          check_safety ~ctx c.Database.head body;
-          let pos_rels = Array.make !next_pos head_rel in
-          List.iter
-            (function Pos (i, rel, _, _) -> pos_rels.(i) <- rel | _ -> ())
-            body;
-          Some (`Rule { id = -1; head = c.Database.head; head_rel; body; pos_rels })
-        end
-      end
+  let head_rel = rel_of ~refine ~what:"clause head" c.Database.head in
+  if c.Database.body = [] then begin
+    if not (Term.is_ground c.Database.head) then
+      unsupported "%s: non-ground fact %s" (Rel.to_string head_rel)
+        (Term.to_string c.Database.head);
+    `Fact (head_rel, c.Database.head)
+  end
+  else begin
+    let ctx = Rel.to_string head_rel in
+    let next_pos = ref 0 in
+    let body =
+      List.filter_map (parse_body_goal db ~refine ~ext ~ctx ~next_pos)
+        c.Database.body
+    in
+    check_safety ~ctx c.Database.head body;
+    let pos_rels = Array.make !next_pos head_rel in
+    List.iter (function Pos (i, rel, _, _) -> pos_rels.(i) <- rel | _ -> ()) body;
+    `Rule { id = -1; head = c.Database.head; head_rel; body; pos_rels }
+  end
 
 let parse db ~refine ~ext =
   let facts = ref [] and rules = ref [] in
   List.iter
-    (fun c ->
-      match parse_clause db ~refine ~ext c with
-      | None -> ()
-      | Some (`Fact f) -> facts := f :: !facts
-      | Some (`Rule r) -> rules := r :: !rules)
-    (List.concat_map (Database.all_clauses db) (Database.predicates db));
+    (fun fa ->
+      (* library clauses are invisible *)
+      if not (List.mem fa library) then
+        List.iter
+          (fun c ->
+            match parse_clause db ~refine ~ext c with
+            | `Fact f -> facts := f :: !facts
+            | `Rule r -> rules := r :: !rules)
+          (Database.all_clauses db fa))
+    (Database.predicates db);
   (List.rev !facts, List.mapi (fun i r -> { r with id = i }) (List.rev !rules))
 
 (* ------------------------------------------------------------------ *)

@@ -20,11 +20,6 @@ let rec at t = function
 
 let subterm_at path t = match at t path with k -> Some k | exception Absent -> None
 
-let key_at paths t =
-  match List.map (at t) paths with
-  | ks -> Some (Term.App ("$key", ks))
-  | exception Absent -> None
-
 let ground_paths ~fine g =
   let rec args rev_path i = function
     | [] -> []

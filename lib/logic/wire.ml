@@ -28,6 +28,7 @@ let reader src ~pos ~len =
       (String.length src);
   { src; pos; lim = pos + len }
 
+let copy r = { r with pos = r.pos }
 let remaining r = r.lim - r.pos
 let at_end r = r.pos = r.lim
 
@@ -39,15 +40,35 @@ let byte r =
 
 (* nine 7-bit groups fill the 63 bits; a tenth group is an overlong
    varint, never written by [add_nat] *)
-let raw_nat r =
-  let rec go acc shift =
+let long_nat r =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     let c = byte r in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc
-    else if shift = 56 then corrupt "overlong varint at byte %d" (r.pos - 1)
-    else go acc (shift + 7)
+    acc := !acc lor ((c land 0x7f) lsl !shift);
+    if c land 0x80 = 0 then more := false
+    else if !shift = 56 then corrupt "overlong varint at byte %d" (r.pos - 1)
+    else shift := !shift + 7
+  done;
+  !acc
+
+(* most ids, counts and gaps take one byte *)
+let raw_nat r =
+  let c =
+    if r.pos < r.lim then Char.code (String.unsafe_get r.src r.pos) else 0x80
   in
-  go 0 0
+  if c < 0x80 then begin
+    r.pos <- r.pos + 1;
+    c
+  end
+  else long_nat r
+
+let skip_nats r n =
+  let i = ref r.pos and left = ref n in
+  while !left > 0 && !i < r.lim do
+    if Char.code (String.unsafe_get r.src !i) < 0x80 then decr left;
+    incr i
+  done;
+  r.pos <- !i
 
 let nat r =
   let n = raw_nat r in

@@ -7,7 +7,7 @@
 
     Entries are [box * value] pairs; deletion matches values by physical
     equality, so the caller passes the very value it inserted (the
-    engine hands over the copy of a fact its relation stores). *)
+    engine's values are fact ids, for which that is plain equality). *)
 
 type box = { minx : float; miny : float; maxx : float; maxy : float }
 

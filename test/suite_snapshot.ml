@@ -240,6 +240,21 @@ let declared (st : Bottom_up.snapshot_state) =
   in
   (syms, n_nodes, rels)
 
+(* An export's bytes from its symbol count on: what precedes them ends
+   with the per-stratum statistics, whose wall-clock milliseconds differ
+   from run to run. *)
+let body (st : Bottom_up.snapshot_state) =
+  let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
+  let skip n read = for _ = 1 to n do ignore (read r : int) done in
+  skip 2 Wire.nat;
+  skip 23 Wire.int;
+  for _ = 1 to Wire.nat r do
+    skip 6 Wire.int;
+    ignore (Wire.float r : float)
+  done;
+  let n = Wire.remaining r in
+  String.sub st.data (st.pos + st.len - n) n
+
 let distinct_subterms facts =
   let seen = Path_key.Tbl.create 64 in
   let rec go t =
@@ -278,6 +293,14 @@ let prop_export_sharing =
             ignore (Database.retract_fact db t : bool))
         script;
       let fresh = Bottom_up.run ~refine db in
+      (* a warm export loads and exports again to the same bytes, its
+         timings aside *)
+      let again =
+        Bottom_up.export
+          (Bottom_up.import ~refine (engine_db_of src) (Bottom_up.export warm))
+      in
+      String.equal (body again) (body (Bottom_up.export warm))
+      &&
       let w_syms, w_nodes, w_rels = declared (Bottom_up.export warm) in
       let f_syms, f_nodes, f_rels = declared (Bottom_up.export fresh) in
       let only_warm = List.filter (fun n -> not (List.mem n f_rels)) w_rels in
@@ -289,13 +312,108 @@ let prop_export_sharing =
 
 (* The 200-junction roadnet spec the query benchmark compiles, at seed
    1: 21,700 facts in 42,811 nodes. Structural numbering must keep the
-   file as small as numbering hash-consed terms by [==] kept it. *)
+   file as small as numbering hash-consed terms by [==] kept it, and
+   everything from the symbol count on is pinned byte for byte: the
+   symbols, nodes and relations are written in the order of a walk over
+   the relations in insertion order, however the store holds them. *)
 let test_roadnet_nodes () =
   let net = Roadnet.generate (Gdp_workload.Rng.create 1L) ~n:200 in
   let r = Gdp_lang.Elaborate.load_string (Roadnet.to_gdp net) in
   let q = Query.with_mode (Gdp_lang.Elaborate.query r ()) Query.Materialized in
-  let _, nodes, _ = declared (Bottom_up.export (Query.materialization q)) in
-  Alcotest.(check int) "nodes written" 42_811 nodes
+  let st = Bottom_up.export (Query.materialization q) in
+  let _, nodes, _ = declared st in
+  Alcotest.(check int) "nodes written" 42_811 nodes;
+  Alcotest.(check int) "bytes" 470_707 st.len;
+  let body = body st in
+  Alcotest.(check int) "bytes from the symbol count on" 470_635
+    (String.length body);
+  Alcotest.(check string) "their digest"
+    "9559209c87d4e104ef44504e72b775b9"
+    (Digest.to_hex (Digest.string body))
+
+(* A hand-written state: the header of an empty store of [db]'s program
+   (with the fact counts), the [syms], one record per element of
+   [nodes], and one relation [name]/[arity] holding [facts], every one
+   of them asserted. *)
+let handmade db ~syms ~nodes ~name ~arity ~facts =
+  let n_strata =
+    let st = Bottom_up.export (Bottom_up.run db) in
+    Wire.nat (Wire.reader st.data ~pos:st.pos ~len:st.len)
+  in
+  let b = Buffer.create 256 and n = List.length facts in
+  List.iter (Wire.add_nat b) [ n_strata; n ];
+  List.iter (Wire.add_int b) (n :: List.init 22 (fun _ -> 0));
+  List.iter (Wire.add_nat b) [ 0; List.length syms; List.length nodes ];
+  List.iter (Wire.add_string b) syms;
+  List.iter (fun node -> node b) nodes;
+  List.iter (Wire.add_nat b) ([ 1; name; arity; 0; n ] @ facts);
+  (* ranks 0 .. n - 1 and base positions 0 .. n - 1, as gaps *)
+  List.iter (Wire.add_nat b)
+    (List.init n (fun _ -> 0) @ (n :: List.init n (fun _ -> 0)));
+  let data = Buffer.contents b in
+  { Bottom_up.data; pos = 0; len = String.length data }
+
+let atom_rec sym b =
+  Buffer.add_uint8 b 0;
+  Wire.add_nat b sym
+
+let app_rec sym kids b =
+  Buffer.add_uint8 b 4;
+  List.iter (Wire.add_nat b) (sym :: List.length kids :: kids)
+
+(* The file numbers nodes structurally, so a node record that repeats an
+   earlier one is damage; the error names both records. *)
+let test_repeated_node () =
+  let db = engine_db_of "" in
+  let st =
+    handmade db ~syms:[ "p"; "a" ]
+      ~nodes:[ atom_rec 1; app_rec 0 [ 0 ]; app_rec 0 [ 0 ] ]
+      ~name:0 ~arity:1 ~facts:[ 1 ]
+  in
+  match Bottom_up.import db st with
+  | exception Snapshot.Corrupt msg ->
+      Alcotest.(check string) "error" "node 2 repeats node 1" msg
+  | _ -> Alcotest.fail "a repeated node record was accepted"
+
+(* A record may declare more children than the file has bytes; sizing
+   the bank from the declared counts must not trust it. *)
+let test_oversized_arity () =
+  let db = engine_db_of "" in
+  let huge b =
+    Buffer.add_uint8 b 4;
+    List.iter (Wire.add_nat b) [ 0; 1 lsl 40 ]
+  in
+  let st =
+    handmade db ~syms:[ "p" ] ~nodes:[ huge ] ~name:0 ~arity:1 ~facts:[]
+  in
+  match Bottom_up.import db st with
+  | exception Snapshot.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a record with 2^40 children was accepted"
+
+(* A fact whose argument is the 64-node DAG d(k+1) = f(d(k), d(k)): its
+   tree has 2^63 nodes, so anything that walks it as a tree never ends.
+   Loading interns each record once, and counting and a probe that
+   misses it never rebuild it. *)
+let test_deep_dag () =
+  let db = engine_db_of "" in
+  let depth = 64 in
+  let nodes =
+    atom_rec 2
+    :: List.init depth (fun k -> app_rec 1 [ k; k ])
+    @ [ app_rec 0 [ depth ] ]
+  in
+  let st =
+    handmade db ~syms:[ "big"; "f"; "z" ] ~nodes ~name:0 ~arity:1
+      ~facts:[ depth + 1 ]
+  in
+  let t0 = Sys.time () in
+  let fp = Bottom_up.import db st in
+  Alcotest.(check int) "count" 1 (Bottom_up.count fp);
+  let miss = Term.app "big" [ Term.app "f" [ a "z"; v "X" ] ] in
+  Alcotest.(check int) "probe" 0 (List.length (Bottom_up.probe fp miss));
+  Alcotest.(check bool) "holds" false
+    (Bottom_up.holds fp (Term.app "big" [ a "z" ]));
+  Alcotest.(check bool) "under a second" true (Sys.time () -. t0 < 1.0)
 
 (* ------------------------------------------------------- Query layer *)
 
@@ -875,6 +993,12 @@ let tests =
     QCheck_alcotest.to_alcotest prop_export_sharing;
     Alcotest.test_case "compile of the roadnet spec writes 42,811 nodes" `Quick
       test_roadnet_nodes;
+    Alcotest.test_case "a repeated node record is corrupt" `Quick
+      test_repeated_node;
+    Alcotest.test_case "a 64-node DAG of 2^63 tree nodes loads at once" `Quick
+      test_deep_dag;
+    Alcotest.test_case "an arity beyond the file's bytes is corrupt" `Quick
+      test_oversized_arity;
     Alcotest.test_case "query-layer round-trip" `Quick test_query_roundtrip;
     Alcotest.test_case "stale hash is rebuilt, never reused" `Quick
       test_stale_hash_rebuild;
