@@ -998,6 +998,20 @@ let topdown_options =
 
 (* ------------------------------------ engine-bu: scan vs indexed joins *)
 
+(* Each stratum's time in a run of [db]: the durations of its traced
+   [stratum N] spans. A run of its own, so the timed runs stay
+   untraced. *)
+let stratum_ms db =
+  let open Gdp_obs in
+  let tracer = Tracer.create () in
+  ignore (Gdp_logic.Bottom_up.run ~tracer db : Gdp_logic.Bottom_up.fixpoint);
+  List.filter_map
+    (fun (sp : Tracer.span) ->
+      if String.starts_with ~prefix:"stratum " sp.name then
+        Some (Int64.to_float sp.dur_ns /. 1e6)
+      else None)
+    (Tracer.spans tracer)
+
 (* The semi-naive evaluator with joins forced to full-relation scans in
    textual order (the original unindexed evaluator, minus its O(log n)
    set overhead) against the index-driven planner. *)
@@ -1024,8 +1038,7 @@ let bu_measure w scale =
     ("scans", Int s.Bottom_up.bu_full_scans);
     ("membership_tests", Int s.Bottom_up.bu_membership_tests);
     ("hcons_hit_rate", ratio (Bottom_up.hcons_hit_rate s));
-    ( "stratum_ms",
-      Floats (3, List.map (fun st -> st.Bottom_up.st_ms) s.Bottom_up.bu_strata_stats) );
+    ("stratum_ms", Floats (3, stratum_ms db));
   ]
 
 (* ---------------------------- engine-naive: naive vs semi-naive vs SLD *)
@@ -1201,15 +1214,15 @@ let magic_measure w scale =
     ("full_fallback", Bool info.Magic.full_fallback);
   ]
 
-(* --------------------------- engine-spatial: R-tree / grid joins *)
+(* ---------------------------------- engine-spatial: R-tree joins *)
 
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
    region_mem or bounded pt_dist guard — exactly the joins the spatial
-   planner compiles to index probes. Each database is evaluated three
+   planner compiles to index probes. Each database is evaluated two
    ways: the scan baseline (~spatial_indexing:false, every annotated
-   join through the hash/scan path), uniform-grid indexes, and the
-   default STR-packed R-trees. All three must derive identical fact
-   sets — the probes are pre-filters, the exact guard always re-checks.
+   join through the hash/scan path) and STR-packed R-trees. Both must
+   derive identical fact sets — the probes are pre-filters, the exact
+   guard always re-checks.
    The databases are raw engine bases like the other engine-* series;
    the Spec only carries the region table and coordinate system the
    spatial hooks read. *)
@@ -1280,31 +1293,27 @@ let sp_hydro_db n =
     |};
   db
 
-(* [regions] are the ones the guards name; [cell] is the uniform-grid
-   cell size for the grid leg. "probes" counts the R-tree run's index
-   probes, "fallbacks" the scan baseline's spatial scans. *)
-let spatial_case ~name ~title ~db ~regions ~cell ~console ~json ~small =
+(* [regions] are the ones the guards name. "probes" counts the R-tree
+   run's index probes, "fallbacks" the scan baseline's spatial scans. *)
+let spatial_case ~name ~title ~db ~regions ~console ~json ~small =
   let hints = Spec.create () in
   List.iter (fun (region, r) -> Spec.declare_region hints region r) regions;
   let measure scale =
     let open Gdp_logic in
     let db = db scale in
     let rtree = Compile.spatial_hints hints in
-    let grid = Compile.spatial_hints ~grid_cell:cell hints in
     let scan_ms, scan_fp =
       time_ms (fun () -> Bottom_up.run ~spatial:rtree ~spatial_indexing:false db)
     in
-    let grid_ms, grid_fp = time_ms (fun () -> Bottom_up.run ~spatial:grid db) in
     let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial:rtree db) in
     [
       ("facts", Int (Bottom_up.count rtree_fp));
       ("scan_ms", ms scan_ms);
-      ("grid_ms", ms grid_ms);
       ("rtree_ms", ms rtree_ms);
       ("speedup", speedup ~slow:scan_ms rtree_ms);
       ("probes", Int (Bottom_up.stats rtree_fp).Bottom_up.bu_spatial_probes);
       ("fallbacks", Int (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans);
-      ("agree", Bool (same_facts scan_fp rtree_fp && same_facts scan_fp grid_fp));
+      ("agree", Bool (same_facts scan_fp rtree_fp));
     ]
   in
   { name; title; header = []; console; json; small; measure }
@@ -1312,7 +1321,7 @@ let spatial_case ~name ~title ~db ~regions ~cell ~console ~json ~small =
 let spatial_cases =
   [
     spatial_case ~name:"roads-near" ~title:"bounded pt_dist self-join over sites"
-      ~db:sp_roads_db ~regions:[] ~cell:3.0 ~console:[ 160; 320; 640 ]
+      ~db:sp_roads_db ~regions:[] ~console:[ 160; 320; 640 ]
       ~json:[ 320; 640; 1280 ] ~small:[ 160; 640 ];
     spatial_case ~name:"terrain-basin"
       ~title:"region_mem filter + bounded pt_dist join" ~db:sp_terrain_db
@@ -1323,7 +1332,7 @@ let spatial_cases =
               ~center:(Gdp_space.Point.make 50.0 50.0)
               ~radius:20.0 );
         ]
-      ~cell:2.0 ~console:[ 16; 24; 32 ] ~json:[ 24; 32; 48 ] ~small:[ 16; 32 ];
+      ~console:[ 16; 24; 32 ] ~json:[ 24; 32; 48 ] ~small:[ 16; 32 ];
     spatial_case ~name:"hydro-gauges"
       ~title:"clustered gauges, pt_dist links + floodplain" ~db:sp_hydro_db
       ~regions:
@@ -1332,7 +1341,7 @@ let spatial_cases =
             Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
               ~max_y:100.0 );
         ]
-      ~cell:4.0 ~console:[ 200; 400; 800 ] ~json:[ 400; 800; 1600 ]
+      ~console:[ 200; 400; 800 ] ~json:[ 400; 800; 1600 ]
       ~small:[ 200; 800 ];
   ]
 
@@ -1345,31 +1354,20 @@ let spatial_cases =
    fixpoint is indistinguishable: identical fact sets and restored pass
    counts.
 
-   Both legs are timed best-of-3: the numbers feed a CI ratio gate, and
-   single-shot wall-clock readings on shared runners swing by 2x with
-   allocator and machine noise. The cold leg times database construction
-   plus materialisation; the warm leg times Snapshot.load +
-   Bottom_up.import against a database built outside the clock, since a
-   snapshot consumer pays spec compilation on both paths. *)
-let snap_reps = 3
-
-let snap_best leg =
-  let rec go best i =
-    if i = 0 then best
-    else
-      let ms, x = leg () in
-      let best =
-        match best with Some (b, _) when b <= ms -> best | _ -> Some (ms, x)
-      in
-      go best (i - 1)
-  in
-  match go None snap_reps with Some r -> r | None -> assert false
+   Both legs run 9 times, in alternating pairs: "speedup" feeds a CI
+   ratio gate over timings of about 1 ms and 10 ms, and single-shot
+   wall-clock readings on shared runners swing by 2x with allocator and
+   machine noise. "cold_ms" and "warm_ms" are each leg's best. The cold
+   leg times database construction plus materialisation; the warm leg
+   times Snapshot.load + Bottom_up.import against a database built
+   outside the clock, since a snapshot consumer pays spec compilation
+   on both paths. *)
+let snap_reps = 9
 
 let snap_measure w scale =
   let open Gdp_logic in
-  let cold_ms, cold_fp =
-    snap_best (fun () -> time_ms (fun () -> Bottom_up.run (w.w_db scale)))
-  in
+  let cold () = time_ms (fun () -> Bottom_up.run (w.w_db scale)) in
+  let _, cold_fp = cold () in
   let path = Filename.temp_file "gdprs_snap" ".gdpx" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -1383,14 +1381,32 @@ let snap_measure w scale =
             state = Bottom_up.export cold_fp;
           })
   in
-  let warm_ms, warm_fp =
-    snap_best (fun () ->
-        (* a fresh identically seeded database: the import target a
-           second process would compile before loading *)
-        let warm_db = w.w_db scale in
-        time_ms (fun () ->
-            let snap, _bytes = Snapshot.load ~path () in
-            Bottom_up.import warm_db snap.Snapshot.state))
+  let warm () =
+    (* a fresh identically seeded database: the import target a second
+       process would compile before loading *)
+    let warm_db = w.w_db scale in
+    time_ms (fun () ->
+        let snap, _bytes = Snapshot.load ~path () in
+        Bottom_up.import warm_db snap.Snapshot.state)
+  in
+  (* the legs alternate, so a drift in host speed reaches both legs of a
+     pair alike, and each starts on a collected heap, so neither pays
+     for the other's garbage *)
+  let pairs =
+    List.init snap_reps (fun _ ->
+        Gc.full_major ();
+        let c, _ = cold () in
+        Gc.full_major ();
+        (c, warm ()))
+  in
+  let cold_ms = List.fold_left (fun m (c, _) -> Float.min m c) infinity pairs in
+  let warm_ms = List.fold_left (fun m (_, (w, _)) -> Float.min m w) infinity pairs in
+  let _, (_, warm_fp) = List.hd pairs in
+  (* the speedup is the median of the pairs' ratios: a pair shares its
+     host's speed, which best-of timings taken apart do not *)
+  let ratios =
+    List.sort Float.compare
+      (List.map (fun (c, (w, _)) -> c /. Float.max 0.01 w) pairs)
   in
   let sorted fp = List.sort Term.compare (Bottom_up.facts fp) in
   [
@@ -1399,7 +1415,7 @@ let snap_measure w scale =
     ("cold_ms", ms cold_ms);
     ("save_ms", ms save_ms);
     ("warm_ms", ms warm_ms);
-    ("speedup", speedup ~slow:cold_ms warm_ms);
+    ("speedup", Float (2, List.nth ratios (snap_reps / 2)));
     ( "agree",
       Bool
         (Bottom_up.count cold_fp = Bottom_up.count warm_fp

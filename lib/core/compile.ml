@@ -313,7 +313,7 @@ let spatial_solve spec goal =
       | _ -> [])
   | _ -> []
 
-let spatial_hints ?grid_cell spec : Bottom_up.spatial =
+let spatial_hints spec : Bottom_up.spatial =
   {
     Bottom_up.sp_ext = spatial_ext;
     sp_solve = spatial_solve spec;
@@ -336,7 +336,6 @@ let spatial_hints ?grid_cell spec : Bottom_up.spatial =
       (match spec.Spec.coord with
       | Gdp_space.Coord.Cartesian | Gdp_space.Coord.Utm _ -> true
       | Gdp_space.Coord.Polar | Gdp_space.Coord.Geographic -> false);
-    sp_grid_cell = grid_cell;
   }
 
 (* The snapshot key: the compiled clause sequence (exact order — rule

@@ -57,8 +57,7 @@ val datalog_refine : Gdp_logic.Bottom_up.refine
     by predicate. Pass to [Bottom_up.classify] / [Bottom_up.run] whenever
     the database came from {!compile}. *)
 
-val spatial_hints :
-  ?grid_cell:float -> Spec.t -> Gdp_logic.Bottom_up.spatial
+val spatial_hints : Spec.t -> Gdp_logic.Bottom_up.spatial
 (** Spatial evaluation hooks for the bottom-up engine, specialised to
     [spec]: whitelists [pt_dist/3], [region_mem/2], [region_reps/3] and
     [res_subcells/4] as native body literals (solved with exactly the
@@ -66,9 +65,7 @@ val spatial_hints :
     point reader (bare [pos/2-3] or one [at(...)] constructor deep) the
     index probes need, and declares ±eps boxes sound only for
     planar coordinate systems ([Cartesian]/[Utm] — geographic haversine
-    balls are not Chebyshev-bounded). [grid_cell] (default absent)
-    selects uniform-grid indexes of that cell size instead of STR-packed
-    R-trees. Pass to {!Gdp_logic.Bottom_up.run} as [~spatial] whenever
+    balls are not Chebyshev-bounded). Pass to {!Gdp_logic.Bottom_up.run} as [~spatial] whenever
     the database came from {!compile}. *)
 
 val content_hash : t -> string

@@ -361,6 +361,15 @@ let dedupe_by key l =
       end)
     l
 
+(* A fixpoint's answers to [goal]: the facts its argument indexes
+   narrow the goal to that unify with it, each with its unifier, in the
+   standard order of terms a full sorted scan used to produce. *)
+let fixpoint_answers fp goal =
+  Bottom_up.probe fp goal
+  |> List.filter_map (fun fact ->
+         Option.map (fun s -> (fact, s)) (Unify.unify Subst.empty goal fact))
+  |> List.sort (fun (a, _) (b, _) -> Term.compare a b)
+
 let solutions ?limit q pattern =
   op_span q "solutions" @@ fun () ->
   let goal = Gfact.to_holds ~default_model:Names.default_model pattern in
@@ -371,14 +380,8 @@ let solutions ?limit q pattern =
       |> dedupe_by (fun f ->
              Term.to_string (Gfact.to_holds ~default_model:Names.default_model f))
   | Materialized | Magic ->
-      (* probe the fixpoint's argument indexes with the goal's ground
-         positions, then sort the (narrowed) candidates so answers keep
-         the standard order a full sorted scan used to produce *)
-      let fp = goal_fixpoint q goal in
-      Bottom_up.probe fp goal
-      |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
-      |> List.sort Term.compare
-      |> List.filter_map Gfact.of_holds
+      fixpoint_answers (goal_fixpoint q goal) goal
+      |> List.filter_map (fun (fact, _) -> Gfact.of_holds fact)
       |> take limit
 
 let accuracy q pattern =
@@ -420,6 +423,13 @@ let decode_violation_parts model values objects =
       Some { v_model; v_tag; v_args; v_objects }
   | _ -> None
 
+let decode_violation fact =
+  match fact with
+  | Term.App (_, [ model; Term.Atom p; vs; os; _; _ ])
+    when String.equal p Names.error_pred ->
+      decode_violation_parts model (Term.as_list vs) (Term.as_list os)
+  | _ -> None
+
 let violations ?limit q =
   op_span q "violations" @@ fun () ->
   let m = Term.var "M"
@@ -442,23 +452,11 @@ let violations ?limit q =
   | Materialized | Magic ->
       let fp = goal_fixpoint q goal in
       Bottom_up.probe fp goal
-      |> List.filter_map (fun fact ->
-             match fact with
-             | Term.App (_, [ model; Term.Atom p; vs; os; _; _ ])
-               when String.equal p Names.error_pred ->
-                 decode_violation_parts model (Term.as_list vs) (Term.as_list os)
-             | _ -> None)
+      |> List.filter_map decode_violation
       |> List.sort_uniq compare
       |> take limit
 
 let consistent q = violations ~limit:1 q = []
-
-let decode_violation fact =
-  match fact with
-  | Term.App (_, [ model; Term.Atom p; vs; os; _; _ ])
-    when String.equal p Names.error_pred ->
-      decode_violation_parts model (Term.as_list vs) (Term.as_list os)
-  | _ -> None
 
 let violation_proofs ?limit q =
   op_span q "violation_proofs" @@ fun () ->
@@ -547,10 +545,9 @@ let explain_proof q pattern =
         if Term.is_ground goal then
           if Bottom_up.holds fp goal then Some goal else None
         else
-          Bottom_up.probe fp goal
-          |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
-          |> List.sort Term.compare
-          |> function [] -> None | t :: _ -> Some t
+          match fixpoint_answers fp goal with
+          | [] -> None
+          | (t, _) :: _ -> Some t
       in
       Option.bind target (fun t -> Option.map strip (Bottom_up.proof fp t))
 
@@ -586,12 +583,8 @@ let ask_all ?limit q src =
   match q.mode with
   | Materialized | Magic ->
       let goal = single_goal goals in
-      let fp = goal_fixpoint q goal in
-      Bottom_up.probe fp goal
-      |> List.filter_map (fun fact -> Unify.unify Subst.empty goal fact)
-      |> List.sort (fun a b ->
-             Term.compare (Subst.apply a goal) (Subst.apply b goal))
-      |> List.map (fun s -> Subst.restrict (Engine.named_vars goals) s)
+      fixpoint_answers (goal_fixpoint q goal) goal
+      |> List.map (fun (_, s) -> Subst.restrict (Engine.named_vars goals) s)
       |> take limit
   | Top_down ->
       Solve.all ~options:q.options ?limit (db q) goals

@@ -129,7 +129,7 @@ module Bank = struct
     mutable pay : int array;
     mutable off : int array;
         (* node i's children: kids.(off.(i)) .. kids.(off.(i + 1) - 1) *)
-    mutable kids : int array;
+    mutable kids : int array array;  (* in chunks, see [reserve] *)
     mutable n : int;
     mutable slots : int array;
         (* by content hash: 30 hash bits above a node id; -1: free *)
@@ -147,6 +147,24 @@ module Bank = struct
 
   let unset = Term.Atom "\000unset"
 
+  (* The kids column is kept in chunks of 4096 slots: slot [o] is at
+     [(o lsr 12)] and [(o land 4095)], the latter in bounds in every
+     chunk. It is the largest column, about four slots a node, and it
+     grows by adding chunks. Grown as one flat array, it left each
+     outgrown copy on the major heap until a later cycle swept it, so a
+     run's peak heap hinged on where that cycle fell. [child] and [add]
+     spell the slot arithmetic out: the compiler left a helper for it
+     un-inlined, which slowed snapshot loads and answers by 4-11%. *)
+
+  (* [kids] with room for the slots below [n] *)
+  let reserve kids n =
+    let have = Array.length kids in
+    let need = (n + 4095) lsr 12 in
+    if need <= have then kids
+    else
+      Array.init (max need (2 * have)) (fun c ->
+          if c < have then kids.(c) else Array.make 4096 0)
+
   let grow a len fill =
     let bigger = Array.make len fill in
     Array.blit a 0 bigger 0 (Array.length a);
@@ -160,7 +178,7 @@ module Bank = struct
       hd = Array.make cap 0;
       pay = Array.make cap 0;
       off = Array.make (cap + 1) 0;
-      kids = Array.make (max 64 kids) 0;
+      kids = reserve [||] kids;
       n = 0;
       slots = Array.make (Itbl.pow2 (4 * cap / 3) 128) (-1);
       syms = Hashtbl.create 64;
@@ -183,7 +201,9 @@ module Bank = struct
   let tag b id = b.hd.(id) land 7
   let payload b id = b.pay.(id)
   let arity b id = b.off.(id + 1) - b.off.(id)
-  let child b id j = b.kids.(b.off.(id) + j)
+  let child b id j =
+    let o = b.off.(id) + j in
+    Array.unsafe_get b.kids.(o lsr 12) (o land 4095)
   let n_syms b = Hashtbl.length b.syms
   let name b y = b.names.(y)
   let float_val b id = b.float_vals.(b.pay.(id))
@@ -228,7 +248,7 @@ module Bank = struct
 
   let rec same_kids b id base k j =
     j = k
-    || b.kids.(b.off.(id) + j) = b.stack.(base + j)
+    || child b id j = b.stack.(base + j)
        && same_kids b id base k (j + 1)
 
   let rehash b =
@@ -256,10 +276,10 @@ module Bank = struct
       b.ranks <- grow b.ranks cap (-1)
     end;
     let o = b.off.(id) in
-    if o + k > Array.length b.kids then
-      b.kids <- grow b.kids (max (o + k) (Array.length b.kids * 3 / 2)) 0;
+    if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
     for j = 0 to k - 1 do
-      b.kids.(o + j) <- b.stack.(base + j)
+      let c = o + j in
+      Array.unsafe_set b.kids.(c lsr 12) (c land 4095) b.stack.(base + j)
     done;
     b.hd.(id) <- hd;
     b.pay.(id) <- pay;
@@ -478,7 +498,7 @@ module Relation = struct
     | Some (x, y) -> Sx.insert sp.s_idx (Sx.point_box x y) id
     | None -> sp.s_rest <- id :: sp.s_rest
 
-  let spatial_index r ~kind ~point apos =
+  let spatial_index r ~point apos =
     match List.assoc_opt apos r.spatials with
     | Some sp -> sp
     | None ->
@@ -490,7 +510,7 @@ module Relation = struct
             | None -> rest := id :: !rest)
           r;
         let sp =
-          { s_point = point; s_idx = Sx.bulk kind !entries; s_rest = !rest }
+          { s_point = point; s_idx = Sx.bulk !entries; s_rest = !rest }
         in
         r.spatials <- (apos, sp) :: r.spatials;
         sp
@@ -499,8 +519,8 @@ module Relation = struct
      the side list of facts without an extractable point — a superset of
      the facts that can satisfy the spatial guard the planner proved the
      box covers. *)
-  let spatial_probe r ~kind ~point apos qbox =
-    let sp = spatial_index r ~kind ~point apos in
+  let spatial_probe r ~point apos qbox =
+    let sp = spatial_index r ~point apos in
     (Sx.range sp.s_idx qbox, sp.s_rest)
 
   let rec insert_indexes b id = function
@@ -618,19 +638,14 @@ type refine = Datalog.refine
    fields let the planner compile spatially guarded joins into index
    probes: region bounding boxes by name, point extraction from pos/2-3
    shaped arguments, whether the space's metric is covered by ±eps boxes
-   (cartesian-like coordinates only), and the preferred index structure
-   ([Some cell] for a uniform grid, [None] for the R-tree). *)
+   (cartesian-like coordinates only). *)
 type spatial = {
   sp_ext : string * int -> int list option;
   sp_solve : Term.t -> Term.t list;
   sp_region_box : string -> Sx.box option;
   sp_point : Term.t -> (float * float) option;
   sp_boxable : bool;
-  sp_grid_cell : float option;
 }
-
-let index_kind sp =
-  match sp.sp_grid_cell with Some c -> Sx.Grid c | None -> Sx.Rtree
 
 (* Evaluation bounds, per operation (an initial run or one update batch):
    only unsafe function-symbol recursion can reach them. *)
@@ -748,7 +763,6 @@ type stratum_stats = {
   st_firings : int;
   st_derived : int;
   st_max_delta : int;
-  st_ms : float;
 }
 
 type incr_stats = {
@@ -1127,8 +1141,9 @@ let rec go x lits =
                 | Some qbox ->
                     ctr.c_sprobes <- ctr.c_sprobes + 1;
                     let hits, unindexed =
-                      Relation.spatial_probe c.r ~kind:(index_kind sp)
-                        ~point:(point_at x.fp sp apos) apos qbox
+                      Relation.spatial_probe c.r
+                        ~point:(point_at x.fp sp apos)
+                        apos qbox
                     in
                     try_facts x c rest hits;
                     try_facts x c rest unindexed
@@ -1544,7 +1559,6 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
 let prebuild_spatial fp =
   match fp.spatial with
   | Some sp when fp.spatial_indexing ->
-      let kind = index_kind sp in
       let built = Hashtbl.create 8 in
       let build_for = function
         | C_pos { rel; r; sprobe = Some (apos, _); _ } ->
@@ -1560,8 +1574,7 @@ let prebuild_spatial fp =
                 "bu.spatial.build"
                 (fun () ->
                   ignore
-                    (Relation.spatial_index r ~kind ~point:(point_at fp sp apos)
-                       apos
+                    (Relation.spatial_index r ~point:(point_at fp sp apos) apos
                       : Relation.spat))
             end
         | _ -> ()
@@ -1643,7 +1656,6 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   Array.iteri
     (fun si srules ->
       if srules <> [] then begin
-        let t_start = Gdp_obs.Tracer.now_ns () in
         let passes0 = fp.ctr.c_passes
         and firings0 = fp.ctr.c_firings
         and total0 = fp.ctr.c_facts in
@@ -1660,9 +1672,6 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
               ("passes", Gdp_obs.Tracer.Int (fp.ctr.c_passes - passes0));
               ("derived", Gdp_obs.Tracer.Int derived);
             ];
-        let ms =
-          Int64.to_float (Int64.sub (Gdp_obs.Tracer.now_ns ()) t_start) /. 1e6
-        in
         stratum_acc :=
           {
             st_stratum = si;
@@ -1671,7 +1680,6 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
             st_firings = fp.ctr.c_firings - firings0;
             st_derived = derived;
             st_max_delta = max_delta;
-            st_ms = ms;
           }
           :: !stratum_acc
       end)
@@ -2473,8 +2481,7 @@ let export fp =
         [
           st.st_stratum; st.st_rules; st.st_passes; st.st_firings;
           st.st_derived; st.st_max_delta;
-        ];
-      Wire.add_float head st.st_ms)
+        ])
     fp.strata_stats;
   Wire.add_nat head !n_fsyms;
   Wire.add_nat head !n_nodes;
@@ -2506,8 +2513,7 @@ let read_stratum_stats r =
   let st_firings = Wire.int r in
   let st_derived = Wire.int r in
   let st_max_delta = Wire.int r in
-  let st_ms = Wire.float r in
-  { st_stratum; st_rules; st_passes; st_firings; st_derived; st_max_delta; st_ms }
+  { st_stratum; st_rules; st_passes; st_firings; st_derived; st_max_delta }
 
 let rec read_list r k read acc =
   if k = 0 then List.rev acc else read_list r (k - 1) read (read r :: acc)
@@ -2579,7 +2585,7 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
   let maint = List.init 10 (fun _ -> Wire.int r) in
   let strata_stats =
     read_list r
-      (Wire.count r ~min_bytes:14 "stratum statistics")
+      (Wire.count r ~min_bytes:6 "stratum statistics")
       read_stratum_stats []
   in
   let n_syms = Wire.count r ~min_bytes:1 "symbol" in

@@ -85,9 +85,6 @@ type spatial = {
       (** whether a ±eps coordinate box contains the metric eps-ball
           (cartesian-like coordinates; false for geographic/haversine,
           where [pt_dist] joins must not compile to box probes) *)
-  sp_grid_cell : float option;
-      (** [Some c]: maintain uniform-grid indexes with cell size [c];
-          [None]: STR-packed R-trees *)
 }
 (** Spatial evaluation hooks, supplied by the GDP compiler
     ([Gdp_core.Compile.spatial_hints]). With [~spatial] set, {!run}
@@ -119,8 +116,9 @@ type stratum_stats = {
   st_derived : int;  (** new facts this stratum added *)
   st_max_delta : int;
       (** largest delta (new facts carried into a semi-naive pass) *)
-  st_ms : float;  (** wall-clock milliseconds (monotonic) *)
 }
+(** Per-stratum counters of the initial run. Each stratum's wall-clock
+    time is the duration of the tracer's [stratum N] span. *)
 
 type incr_stats = {
   upd_batches : int;  (** {!apply} calls (each {!assert_fact} is one) *)
@@ -257,8 +255,7 @@ val strata_count : fixpoint -> int
 val stats : fixpoint -> stats
 (** Everything the fixpoint measured, cumulative over the initial run
     and every later {!apply}. Counter fields are deterministic for a
-    given database, options and update history;
-    {!stratum_stats.st_ms} always varies. *)
+    given database, options and update history. *)
 
 val incr_stats : fixpoint -> incr_stats
 (** The incremental-maintenance counters alone (same data as

@@ -10,7 +10,7 @@ type t = {
    encoding of {!Bottom_up.snapshot_state} or of the key/meta frame
    changes, so a file written by another build is refused before its
    payload is decoded. *)
-let magic = "GDPXSNAP6\n"
+let magic = "GDPXSNAP7\n"
 
 let header = String.length magic + 16
 

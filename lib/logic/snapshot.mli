@@ -8,7 +8,7 @@
     with {!Wire} — this module never interprets it, which keeps the
     logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP6\n"], a 16-byte MD5 digest
+    File format: the magic string ["GDPXSNAP7\n"], a 16-byte MD5 digest
     of the payload, then the payload: [key] and [meta] as
     length-prefixed strings ({!Wire.add_string}), then the state's
     bytes to the end of the file. The magic's digit is the payload

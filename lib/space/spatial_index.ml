@@ -1,6 +1,6 @@
-(* Two interchangeable spatial access methods over axis-aligned boxes.
+(* The spatial access method over axis-aligned boxes: an R-tree.
 
-   The R-tree is the classic Guttman structure with quadratic-free
+   It is the classic Guttman structure with quadratic-free
    simplifications that keep the code small without giving up the
    invariants property tests pin down: insertion descends by least area
    enlargement and splits over-full nodes by sorting along the longer
@@ -9,12 +9,7 @@
    their surviving entries at leaf level, so depth stays uniform. Bulk
    loading is Sort-Tile-Recursive: sort by centre x, tile into vertical
    slabs, sort each slab by centre y, cut into near-full leaves, and
-   recurse on the leaf MBRs until a single root remains.
-
-   The grid hashes each entry into every cell its box overlaps; queries
-   de-duplicate by entry identity (one shared record per entry), so a
-   box spanning four cells still reports once. Point entries — the
-   engine's common case — land in exactly one cell. *)
+   recurse on the leaf MBRs until a single root remains. *)
 
 type box = { minx : float; miny : float; maxx : float; maxy : float }
 
@@ -49,16 +44,9 @@ let box_union a b =
 let box_equal a b =
   a.minx = b.minx && a.miny = b.miny && a.maxx = b.maxx && a.maxy = b.maxy
 
-let box_dist b (px, py) =
-  let dx = Float.max 0.0 (Float.max (b.minx -. px) (px -. b.maxx)) in
-  let dy = Float.max 0.0 (Float.max (b.miny -. py) (py -. b.maxy)) in
-  Float.hypot dx dy
-
 let center b = ((b.minx +. b.maxx) /. 2.0, (b.miny +. b.maxy) /. 2.0)
 let area b = (b.maxx -. b.minx) *. (b.maxy -. b.miny)
 let enlargement b e = area (box_union b e) -. area b
-
-type kind = Rtree | Grid of float
 
 (* ------------------------------------------------------------- R-tree *)
 
@@ -264,402 +252,89 @@ let str_pack entries =
               (fun es -> Leaf { l_mbr = mbr_of_entries es; l_entries = es })
               entries))
 
-(* --------------------------------------------------------------- grid *)
-
-type 'a grid = {
-  g_cell : float;
-  g_tbl : (int * int, 'a entry list ref) Hashtbl.t;
-}
-
-let cell_of size f = int_of_float (Float.floor (f /. size))
-
-let grid_cells g b =
-  let x0 = cell_of g.g_cell b.minx
-  and x1 = cell_of g.g_cell b.maxx
-  and y0 = cell_of g.g_cell b.miny
-  and y1 = cell_of g.g_cell b.maxy in
-  let acc = ref [] in
-  for i = x0 to x1 do
-    for j = y0 to y1 do
-      acc := (i, j) :: !acc
-    done
-  done;
-  !acc
-
-let grid_insert g entry =
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt g.g_tbl key with
-      | Some r -> r := entry :: !r
-      | None -> Hashtbl.add g.g_tbl key (ref [ entry ]))
-    (grid_cells g entry.e_box)
-
-let grid_remove g qbox v =
-  (* locate the shared entry record through any overlapping cell, then
-     evict that one record from every cell it was registered in *)
-  let cells = grid_cells g qbox in
-  let target =
-    List.find_map
-      (fun key ->
-        match Hashtbl.find_opt g.g_tbl key with
-        | None -> None
-        | Some r ->
-            List.find_opt (fun e -> e.e_val == v && box_equal e.e_box qbox) !r)
-      cells
-  in
-  match target with
-  | None -> false
-  | Some e ->
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt g.g_tbl key with
-          | None -> ()
-          | Some r ->
-              r := List.filter (( != ) e) !r;
-              if !r = [] then Hashtbl.remove g.g_tbl key)
-        (grid_cells g e.e_box);
-      true
-
-let grid_range g qbox =
-  let seen = ref [] in
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt g.g_tbl key with
-      | None -> ()
-      | Some r ->
-          List.iter
-            (fun e ->
-              if box_overlap e.e_box qbox && not (List.memq e !seen) then
-                seen := e :: !seen)
-            !r)
-    (grid_cells g qbox);
-  List.rev_map (fun e -> e.e_val) !seen
-
 (* ---------------------------------------------------------- interface *)
 
-type 'a t = {
-  t_kind : kind;
-  mutable t_len : int;
-  mutable t_root : 'a node option; (* Rtree *)
-  t_grid : 'a grid option; (* Grid *)
-}
-
-let kind t = t.t_kind
-let length t = t.t_len
-
-let create = function
-  | Rtree -> { t_kind = Rtree; t_len = 0; t_root = None; t_grid = None }
-  | Grid c ->
-      if not (finite c && c > 0.0) then
-        invalid_arg "Spatial_index.create: grid cell size must be positive";
-      {
-        t_kind = Grid c;
-        t_len = 0;
-        t_root = None;
-        t_grid = Some { g_cell = c; g_tbl = Hashtbl.create 64 };
-      }
+type 'a t = { mutable root : 'a node option }
 
 let insert_entry t entry =
-  match t.t_grid with
-  | Some g -> grid_insert g entry
-  | None -> (
-      match t.t_root with
-      | None ->
-          t.t_root <- Some (Leaf { l_mbr = entry.e_box; l_entries = [ entry ] })
-      | Some root -> (
-          match node_insert root entry with
-          | None -> ()
-          | Some sibling ->
-              t.t_root <-
-                Some
-                  (Node
-                     {
-                       n_mbr = box_union (mbr_of root) (mbr_of sibling);
-                       n_children = [ root; sibling ];
-                     })))
+  match t.root with
+  | None -> t.root <- Some (Leaf { l_mbr = entry.e_box; l_entries = [ entry ] })
+  | Some root -> (
+      match node_insert root entry with
+      | None -> ()
+      | Some sibling ->
+          t.root <-
+            Some
+              (Node
+                 {
+                   n_mbr = box_union (mbr_of root) (mbr_of sibling);
+                   n_children = [ root; sibling ];
+                 }))
 
-let insert t b v =
-  insert_entry t { e_box = b; e_val = v };
-  t.t_len <- t.t_len + 1
+let insert t b v = insert_entry t { e_box = b; e_val = v }
 
-let bulk k entries =
-  let t = create k in
-  match t.t_grid with
-  | Some _ ->
-      List.iter (fun (b, v) -> insert t b v) entries;
-      t
-  | None ->
-      t.t_root <-
-        str_pack (List.map (fun (b, v) -> { e_box = b; e_val = v }) entries);
-      t.t_len <- List.length entries;
-      t
+let bulk entries =
+  { root = str_pack (List.map (fun (b, v) -> { e_box = b; e_val = v }) entries) }
 
 let remove t b v =
-  let removed =
-    match t.t_grid with
-    | Some g -> grid_remove g b v
-    | None -> (
-        match t.t_root with
-        | None -> false
-        | Some root -> (
-            match node_delete root b v with
-            | `Not_found -> false
-            | `Removed (orphans, drop) ->
-                if drop then t.t_root <- None;
-                (* collapse single-child root chains left by condensing *)
-                let rec collapse () =
-                  match t.t_root with
-                  | Some (Node { n_children = [ only ]; _ }) ->
-                      t.t_root <- Some only;
-                      collapse ()
-                  | _ -> ()
-                in
-                collapse ();
-                List.iter (fun e -> insert_entry t e) orphans;
-                true))
-  in
-  if removed then t.t_len <- t.t_len - 1;
-  removed
+  match t.root with
+  | None -> false
+  | Some root -> (
+      match node_delete root b v with
+      | `Not_found -> false
+      | `Removed (orphans, drop) ->
+          if drop then t.root <- None;
+          (* collapse single-child root chains left by condensing *)
+          let rec collapse () =
+            match t.root with
+            | Some (Node { n_children = [ only ]; _ }) ->
+                t.root <- Some only;
+                collapse ()
+            | _ -> ()
+          in
+          collapse ();
+          List.iter (fun e -> insert_entry t e) orphans;
+          true)
 
 let range t qbox =
-  match t.t_grid with
-  | Some g -> grid_range g qbox
-  | None -> (
-      match t.t_root with
-      | None -> []
-      | Some root ->
-          let acc = ref [] in
-          node_range root qbox (fun v -> acc := v :: !acc);
-          !acc)
-
-let iter t f =
-  match t.t_grid with
-  | Some g ->
-      let seen = ref [] in
-      Hashtbl.iter
-        (fun _ r ->
-          List.iter
-            (fun e ->
-              if not (List.memq e !seen) then (
-                seen := e :: !seen;
-                f e.e_box e.e_val))
-            !r)
-        g.g_tbl
-  | None -> (
-      match t.t_root with
-      | None -> ()
-      | Some root ->
-          List.iter (fun e -> f e.e_box e.e_val) (collect_entries root []))
-
-(* k-nearest: a sorted association list stands in for a priority queue —
-   k and the frontier stay small for the engine's probe sizes. *)
-let knn_take best k d v =
-  let rec ins = function
-    | [] -> [ (d, v) ]
-    | (d', _) :: _ as rest when d < d' -> (d, v) :: rest
-    | x :: rest -> x :: ins rest
-  in
-  let rec cut n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: xs -> x :: cut (n - 1) xs
-  in
-  cut k (ins best)
-
-let kth_dist best k =
-  if List.length best < k then Float.infinity
-  else fst (List.nth best (k - 1))
-
-let rtree_nearest root ~k pt =
-  let best = ref [] in
-  (* frontier of unexpanded nodes, sorted by min distance *)
-  let rec ins d n = function
-    | [] -> [ (d, n) ]
-    | (d', _) :: _ as rest when d < d' -> (d, n) :: rest
-    | x :: rest -> x :: ins d n rest
-  in
-  let frontier = ref [ (box_dist (mbr_of root) pt, root) ] in
-  let rec go () =
-    match !frontier with
-    | [] -> ()
-    | (d, node) :: rest ->
-        frontier := rest;
-        if d <= kth_dist !best k then (
-          (match node with
-          | Leaf l ->
-              List.iter
-                (fun e ->
-                  let de = box_dist e.e_box pt in
-                  if de <= kth_dist !best k then
-                    best := knn_take !best k de e.e_val)
-                l.l_entries
-          | Node n ->
-              List.iter
-                (fun c ->
-                  let dc = box_dist (mbr_of c) pt in
-                  if dc <= kth_dist !best k then frontier := ins dc c !frontier)
-                n.n_children);
-          go ())
-        else go ()
-  in
-  go ();
-  List.map snd !best
-
-let grid_nearest g ~k ((px, py) as pt) =
-  if Hashtbl.length g.g_tbl = 0 then []
-  else
-    let cx = cell_of g.g_cell px and cy = cell_of g.g_cell py in
-    let maxr =
-      Hashtbl.fold
-        (fun (i, j) _ acc -> max acc (max (abs (i - cx)) (abs (j - cy))))
-        g.g_tbl 0
-    in
-    let best = ref [] and seen = ref [] in
-    (try
-       for r = 0 to maxr do
-         (* cells at Chebyshev ring [r] are at least [(r-1) * cell] away *)
-         if
-           List.length !best >= k
-           && kth_dist !best k < float_of_int (r - 1) *. g.g_cell
-         then raise Exit;
-         let visit key =
-           match Hashtbl.find_opt g.g_tbl key with
-           | None -> ()
-           | Some entries ->
-               List.iter
-                 (fun e ->
-                   if not (List.memq e !seen) then (
-                     seen := e :: !seen;
-                     let d = box_dist e.e_box pt in
-                     if d <= kth_dist !best k then
-                       best := knn_take !best k d e.e_val))
-                 !entries
-         in
-         if r = 0 then visit (cx, cy)
-         else (
-           for i = cx - r to cx + r do
-             visit (i, cy - r);
-             visit (i, cy + r)
-           done;
-           for j = cy - r + 1 to cy + r - 1 do
-             visit (cx - r, j);
-             visit (cx + r, j)
-           done)
-       done
-     with Exit -> ());
-    List.map snd !best
-
-let nearest t ~k pt =
-  if k <= 0 then []
-  else
-    match t.t_grid with
-    | Some g -> grid_nearest g ~k pt
-    | None -> (
-        match t.t_root with None -> [] | Some root -> rtree_nearest root ~k pt)
-
-let join a b f =
-  match (a.t_root, b.t_root) with
-  | Some ra, Some rb ->
-      (* dual-tree: recurse only into overlapping subtree pairs *)
-      let rec go na nb =
-        if box_overlap (mbr_of na) (mbr_of nb) then
-          match (na, nb) with
-          | Leaf la, Leaf lb ->
-              List.iter
-                (fun ea ->
-                  List.iter
-                    (fun eb ->
-                      if box_overlap ea.e_box eb.e_box then f ea.e_val eb.e_val)
-                    lb.l_entries)
-                la.l_entries
-          | Node n, _ -> List.iter (fun c -> go c nb) n.n_children
-          | Leaf _, Node n -> List.iter (fun c -> go na c) n.n_children
-      in
-      go ra rb
-  | _ ->
-      (* iterate the smaller side, probe the larger *)
-      if length a <= length b then
-        iter a (fun ba va -> List.iter (fun vb -> f va vb) (range b ba))
-      else iter b (fun bb vb -> List.iter (fun va -> f va vb) (range a bb))
+  match t.root with
+  | None -> []
+  | Some root ->
+      let acc = ref [] in
+      node_range root qbox (fun v -> acc := v :: !acc);
+      !acc
 
 let validate t =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match t.t_grid with
-  | Some g ->
-      (* every entry registered in exactly its overlapping cells *)
-      let entries = ref [] in
-      Hashtbl.iter
-        (fun _ r ->
-          List.iter
-            (fun e -> if not (List.memq e !entries) then entries := e :: !entries)
-            !r)
-        g.g_tbl;
-      let n = List.length !entries in
-      if n <> t.t_len then fail "grid holds %d entries, recorded %d" n t.t_len
-      else
-        let rec check = function
-          | [] -> Ok ()
-          | e :: rest ->
-              let want = grid_cells g e.e_box in
-              let ok_everywhere =
-                List.for_all
-                  (fun key ->
-                    match Hashtbl.find_opt g.g_tbl key with
-                    | None -> false
-                    | Some r -> List.memq e !r)
-                  want
-              in
-              let nowhere_else = ref true in
-              Hashtbl.iter
-                (fun key r ->
-                  if List.memq e !r && not (List.mem key want) then
-                    nowhere_else := false)
-                g.g_tbl;
-              if not ok_everywhere then
-                fail "grid entry missing from an overlapping cell"
-              else if not !nowhere_else then
-                fail "grid entry registered in a non-overlapping cell"
-              else check rest
-        in
-        check !entries
-  | None -> (
-      match t.t_root with
-      | None -> if t.t_len = 0 then Ok () else fail "empty tree, recorded %d" t.t_len
-      | Some root ->
-          let exception Bad of string in
-          let rec check ~is_root node =
-            match node with
-            | Leaf l ->
-                let n = List.length l.l_entries in
-                if n > max_entries then
-                  raise (Bad (Printf.sprintf "leaf fan-out %d > %d" n max_entries));
-                if (not is_root) && n < min_entries then
-                  raise (Bad (Printf.sprintf "leaf fan-out %d < %d" n min_entries));
-                if n = 0 then raise (Bad "empty leaf");
-                if not (box_equal l.l_mbr (mbr_of_entries l.l_entries)) then
-                  raise (Bad "leaf MBR is not the union of its entries");
-                (n, 1)
-            | Node nd ->
-                let n = List.length nd.n_children in
-                if n > max_entries then
-                  raise (Bad (Printf.sprintf "node fan-out %d > %d" n max_entries));
-                if (not is_root) && n < min_entries then
-                  raise (Bad (Printf.sprintf "node fan-out %d < %d" n min_entries));
-                if is_root && n < 2 then
-                  raise (Bad "root node with fewer than 2 children");
-                if not (box_equal nd.n_mbr (mbr_of_children nd.n_children)) then
-                  raise (Bad "node MBR is not the union of its children");
-                let counts = List.map (check ~is_root:false) nd.n_children in
-                let depths = List.map snd counts in
-                (match depths with
-                | d :: ds when List.for_all (( = ) d) ds -> ()
-                | _ -> raise (Bad "leaves at unequal depths"));
-                ( List.fold_left (fun a (c, _) -> a + c) 0 counts,
-                  1 + List.hd depths )
-          in
-          (try
-             let count, _ = check ~is_root:true root in
-             if count <> t.t_len then
-               fail "tree holds %d entries, recorded %d" count t.t_len
-             else Ok ()
-           with Bad msg -> Error msg))
+  match t.root with
+  | None -> Ok ()
+  | Some root -> (
+      let exception Bad of string in
+      (* a node's height *)
+      let rec check ~is_root node =
+        match node with
+        | Leaf l ->
+            let n = List.length l.l_entries in
+            if n > max_entries then
+              raise (Bad (Printf.sprintf "leaf fan-out %d > %d" n max_entries));
+            if (not is_root) && n < min_entries then
+              raise (Bad (Printf.sprintf "leaf fan-out %d < %d" n min_entries));
+            if n = 0 then raise (Bad "empty leaf");
+            if not (box_equal l.l_mbr (mbr_of_entries l.l_entries)) then
+              raise (Bad "leaf MBR is not the union of its entries");
+            1
+        | Node nd -> (
+            let n = List.length nd.n_children in
+            if n > max_entries then
+              raise (Bad (Printf.sprintf "node fan-out %d > %d" n max_entries));
+            if (not is_root) && n < min_entries then
+              raise (Bad (Printf.sprintf "node fan-out %d < %d" n min_entries));
+            if is_root && n < 2 then raise (Bad "root node with fewer than 2 children");
+            if not (box_equal nd.n_mbr (mbr_of_children nd.n_children)) then
+              raise (Bad "node MBR is not the union of its children");
+            match List.map (check ~is_root:false) nd.n_children with
+            | d :: ds when List.for_all (( = ) d) ds -> 1 + d
+            | _ -> raise (Bad "leaves at unequal depths"))
+      in
+      match check ~is_root:true root with
+      | (_ : int) -> Ok ()
+      | exception Bad msg -> Error msg)

@@ -203,7 +203,6 @@ let test_same_rejection_reasons () =
       sp_region_box = (fun _ -> None);
       sp_point = (fun _ -> None);
       sp_boxable = false;
-      sp_grid_cell = None;
     }
   in
   List.iter

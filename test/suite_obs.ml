@@ -340,15 +340,7 @@ let solve_counters src =
 let fixpoint_counters src =
   let db = Engine.create () in
   Engine.consult db src;
-  let s = Bottom_up.stats (Bottom_up.run db) in
-  (* mask the wall-clock field: timings vary *)
-  {
-    s with
-    Bottom_up.bu_strata_stats =
-      List.map
-        (fun st -> { st with Bottom_up.st_ms = 0.0 })
-        s.Bottom_up.bu_strata_stats;
-  }
+  Bottom_up.stats (Bottom_up.run db)
 
 let prop_solve_counters_deterministic =
   QCheck.Test.make ~name:"solve counters identical across repeated runs"

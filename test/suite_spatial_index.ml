@@ -3,9 +3,8 @@
    The structural layer treats [Spatial_index] as a black box with a
    white-box [validate] escape hatch: random insert/delete scripts must
    preserve the R-tree invariants (fan-out bounds, exact MBRs, uniform
-   leaf depth) and the grid's cell registration, and both structures
-   must agree with brute force on random range, k-nearest and
-   overlap-join queries.
+   leaf depth) and the entry set, and range queries must agree with
+   brute force.
 
    The differential engine layer lives in this file too (the spatial
    analogue of [Suite_engine_props]): random spatially-grounded
@@ -45,9 +44,16 @@ let arb_boxes =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 0 120) (oneof [ gen_box; gen_point_box ]))
 
-let kinds = [ Spatial_index.Rtree; Spatial_index.Grid 2.0; Spatial_index.Grid 0.75 ]
-
 let number boxes = List.mapi (fun i b -> (b, i)) boxes
+
+let sorted_ints l = List.sort_uniq compare l
+
+(* every value the index holds: all generated boxes lie well inside
+   this window *)
+let everything t =
+  List.sort compare (Spatial_index.range t (Spatial_index.box (-1e3) (-1e3) 1e3 1e3))
+
+let ids n = List.init n Fun.id
 
 let check_valid t =
   match Spatial_index.validate t with
@@ -57,11 +63,8 @@ let check_valid t =
 let prop_bulk_valid =
   QCheck.Test.make ~name:"bulk-loaded indexes satisfy their invariants"
     ~count:150 arb_boxes (fun boxes ->
-      List.for_all
-        (fun k ->
-          let t = Spatial_index.bulk k (number boxes) in
-          Spatial_index.length t = List.length boxes && check_valid t)
-        kinds)
+      let t = Spatial_index.bulk (number boxes) in
+      everything t = ids (List.length boxes) && check_valid t)
 
 let prop_insert_delete_roundtrip =
   QCheck.Test.make
@@ -69,31 +72,24 @@ let prop_insert_delete_roundtrip =
     ~count:150
     QCheck.(pair arb_boxes arb_boxes)
     (fun (initial, extra) ->
-      List.for_all
-        (fun k ->
-          let t = Spatial_index.bulk k (number initial) in
-          let base = List.length initial in
-          (* interleave inserts with deletions of earlier entries *)
-          List.iteri
-            (fun i b -> Spatial_index.insert t b (base + i))
-            extra;
-          if not (check_valid t) then false
-          else begin
-            (* delete every extra entry again, in reverse order *)
-            List.iteri
-              (fun i b ->
-                if not (Spatial_index.remove t b (base + i)) then
-                  QCheck.Test.fail_reportf "lost entry %d" (base + i))
-              extra;
-            Spatial_index.length t = base
-            && check_valid t
-            && (* deleting something absent is a no-op *)
-            (not (Spatial_index.remove t (Spatial_index.point_box 999.0 999.0) 0))
-            && Spatial_index.length t = base
-          end)
-        kinds)
-
-let sorted_ints l = List.sort_uniq compare l
+      let t = Spatial_index.bulk (number initial) in
+      let base = List.length initial in
+      List.iteri (fun i b -> Spatial_index.insert t b (base + i)) extra;
+      if not (everything t = ids (base + List.length extra) && check_valid t)
+      then false
+      else begin
+        (* delete every extra entry again *)
+        List.iteri
+          (fun i b ->
+            if not (Spatial_index.remove t b (base + i)) then
+              QCheck.Test.fail_reportf "lost entry %d" (base + i))
+          extra;
+        everything t = ids base
+        && check_valid t
+        && (* deleting something absent is a no-op *)
+        (not (Spatial_index.remove t (Spatial_index.point_box 999.0 999.0) 0))
+        && everything t = ids base
+      end)
 
 let prop_range_agrees =
   QCheck.Test.make ~name:"range queries agree with brute force"
@@ -107,80 +103,16 @@ let prop_range_agrees =
           entries
         |> sorted_ints
       in
+      let t = Spatial_index.bulk entries in
       List.for_all
-        (fun k ->
-          let t = Spatial_index.bulk k entries in
-          List.for_all
-            (fun q ->
-              let got = sorted_ints (Spatial_index.range t q) in
-              let want = brute q in
-              if got <> want then
-                QCheck.Test.fail_reportf "range %s: got %d, want %d entries"
-                  (print_box q) (List.length got) (List.length want)
-              else true)
-            queries)
-        kinds)
-
-let prop_knn_agrees =
-  QCheck.Test.make ~name:"k-nearest distances agree with brute force"
-    ~count:200
-    QCheck.(
-      triple arb_boxes
-        (QCheck.make QCheck.Gen.(pair gen_coordinate gen_coordinate))
-        (QCheck.make QCheck.Gen.(int_range 1 8)))
-    (fun (boxes, pt, kq) ->
-      let entries = number boxes in
-      let box_of = List.map (fun (b, i) -> (i, b)) entries in
-      let brute =
-        List.map (fun (b, _) -> Spatial_index.box_dist b pt) entries
-        |> List.sort Float.compare
-      in
-      let want = List.filteri (fun i _ -> i < kq) brute in
-      List.for_all
-        (fun k ->
-          let t = Spatial_index.bulk k entries in
-          (* compare distance multisets: ties between equidistant boxes
-             may resolve to either entry *)
-          let got =
-            Spatial_index.nearest t ~k:kq pt
-            |> List.map (fun i -> Spatial_index.box_dist (List.assoc i box_of) pt)
-            |> List.sort Float.compare
-          in
-          List.length got = List.length want
-          && List.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) got want)
-        kinds)
-
-let prop_join_agrees =
-  QCheck.Test.make ~name:"overlap joins agree with brute force"
-    ~count:150
-    QCheck.(pair arb_boxes arb_boxes)
-    (fun (left, right) ->
-      let le = number left and re = number right in
-      let brute =
-        List.concat_map
-          (fun (bl, i) ->
-            List.filter_map
-              (fun (br, j) ->
-                if Spatial_index.box_overlap bl br then Some (i, j) else None)
-              re)
-          le
-        |> List.sort compare
-      in
-      List.for_all
-        (fun (ka, kb) ->
-          let a = Spatial_index.bulk ka le and b = Spatial_index.bulk kb re in
-          let got = ref [] in
-          Spatial_index.join a b (fun i j -> got := (i, j) :: !got);
-          let got = List.sort compare !got in
-          if got <> brute then
-            QCheck.Test.fail_reportf "join: got %d pairs, want %d"
-              (List.length got) (List.length brute)
+        (fun q ->
+          let got = sorted_ints (Spatial_index.range t q) in
+          let want = brute q in
+          if got <> want then
+            QCheck.Test.fail_reportf "range %s: got %d, want %d entries"
+              (print_box q) (List.length got) (List.length want)
           else true)
-        [
-          (Spatial_index.Rtree, Spatial_index.Rtree);
-          (Spatial_index.Rtree, Spatial_index.Grid 2.0);
-          (Spatial_index.Grid 1.5, Spatial_index.Grid 2.0);
-        ])
+        queries)
 
 let test_box_basics () =
   let b = Spatial_index.box 0.0 0.0 4.0 2.0 in
@@ -188,19 +120,12 @@ let test_box_basics () =
     (Spatial_index.box_overlap b (Spatial_index.box 4.0 0.0 5.0 1.0));
   Alcotest.(check bool) "disjoint" false
     (Spatial_index.box_overlap b (Spatial_index.box 4.1 0.0 5.0 1.0));
-  Alcotest.(check (float 1e-9)) "interior distance" 0.0
-    (Spatial_index.box_dist b (1.0, 1.0));
-  Alcotest.(check (float 1e-9)) "corner distance" 5.0
-    (Spatial_index.box_dist b (7.0, 6.0));
   let p = Spatial_index.pad (Spatial_index.point_box 1.0 1.0) 0.5 in
   Alcotest.(check (float 1e-9)) "pad min" 0.5 p.Spatial_index.minx;
   Alcotest.(check (float 1e-9)) "pad max" 1.5 p.Spatial_index.maxy;
   Alcotest.check_raises "inverted box"
     (Invalid_argument "Spatial_index.box: inverted box") (fun () ->
       ignore (Spatial_index.box 1.0 0.0 0.0 0.0));
-  Alcotest.check_raises "bad grid cell"
-    (Invalid_argument "Spatial_index.create: grid cell size must be positive")
-    (fun () -> ignore (Spatial_index.create (Spatial_index.Grid 0.0)));
   match Spatial_index.box_of_region (Region.circle ~center:(Point.make 1.0 2.0) ~radius:1.0) with
   | Some cb ->
       Alcotest.(check (float 1e-9)) "region box minx" 0.0 cb.Spatial_index.minx;
@@ -305,9 +230,9 @@ let scenario_db sc =
        sc.sc_eps);
   (spec, db)
 
-let run_spatial ?grid_cell ?(indexing = true) spec db =
+let run_spatial ?(indexing = true) spec db =
   Bu.run
-    ~spatial:(Compile.spatial_hints ?grid_cell spec)
+    ~spatial:(Compile.spatial_hints spec)
     ~spatial_indexing:indexing db
 
 let same_facts a b = List.equal T.equal (Bu.facts a) (Bu.facts b)
@@ -346,13 +271,12 @@ let herbrand_agrees sc db fp =
 let prop_spatial_differential =
   QCheck.Test.make
     ~name:
-      "indexed (R-tree and grid), scan-baseline and top-down SLDNF agree on \
-       random spatial programs"
+      "indexed (R-tree), scan-baseline and top-down SLDNF agree on random \
+       spatial programs"
     ~count:200 arb_scenario
     (fun sc ->
       let spec, db = scenario_db sc in
       let rtree = run_spatial spec db in
-      let grid = run_spatial ~grid_cell:2.0 spec db in
       let scan = run_spatial ~indexing:false spec db in
       if (Bu.stats rtree).Bu.bu_spatial_probes = 0 then
         (* the rules compile to probes on every scenario — agreement
@@ -360,8 +284,6 @@ let prop_spatial_differential =
         QCheck.Test.fail_report "no spatial probes fired"
       else if (Bu.stats scan).Bu.bu_spatial_scans = 0 then
         QCheck.Test.fail_report "scan baseline recorded no spatial fallbacks"
-      else if not (same_facts rtree grid) then
-        QCheck.Test.fail_report "R-tree and grid models differ"
       else if not (same_facts rtree scan) then
         QCheck.Test.fail_report "indexed and scan-baseline models differ"
       else if not (herbrand_agrees sc db rtree) then
@@ -415,8 +337,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_bulk_valid;
     QCheck_alcotest.to_alcotest prop_insert_delete_roundtrip;
     QCheck_alcotest.to_alcotest prop_range_agrees;
-    QCheck_alcotest.to_alcotest prop_knn_agrees;
-    QCheck_alcotest.to_alcotest prop_join_agrees;
     QCheck_alcotest.to_alcotest prop_spatial_differential;
     QCheck_alcotest.to_alcotest prop_spatial_incremental;
   ]
