@@ -103,6 +103,8 @@ module Omap = struct
   let iter f m = fold (fun k v () -> f k v) m ()
 end
 
+module Imap = Map.Make (Int)
+
 (* The node bank of one fixpoint: every ground term it holds, each once,
    as an int id. A node is a tag, a payload (a symbol id, the integer
    itself, or the index of a float) and the ids of its children; it is
@@ -682,7 +684,7 @@ let num_const = function
   | Term.Float f -> Some f
   | _ -> None
 
-let annotate_spatial sp plan =
+let annotate_spatial sp bound plan =
   (* argument positions of [atom] holding a fresh variable, bare or
      one constructor deep (the reified [at(P)] shape) *)
   let var_candidates bound atom =
@@ -751,7 +753,7 @@ let annotate_spatial sp plan =
         in
         walk (extend_bound bound lit) (lit :: acc) rest
   in
-  walk Iset.empty [] plan
+  walk bound [] plan
 
 (* ------------------------------------------------------------------ *)
 (* evaluation                                                          *)
@@ -974,9 +976,10 @@ type clit =
    a [Naf] (true) or [Builtin] (false) leaf over its goal *)
 type premise = Prem_pos of Rel.t * pat | Prem_leaf of bool * pat
 
-(* A rule with its join plans compiled: one full-relation plan and one
-   delta-aimed plan per positive body position, each also compiled for
-   evaluation from a matched head (DRed rederivation and proofs). *)
+(* A rule with its join plans compiled: one full-relation plan, one
+   delta-aimed plan per positive body position, and one plan for
+   evaluation from a matched head (DRed's keep check, its rederivation
+   and proofs), ordered from the head's variables. *)
 type planned = {
   rule : rule;
   slots : int;
@@ -985,7 +988,6 @@ type planned = {
   plan : clit list;
   delta_plans : clit list array;
   from_head : clit list;
-  from_head_delta : clit list array;
   premises : premise list;  (* textual order *)
 }
 
@@ -1250,21 +1252,21 @@ let eval_rule fp ?ghosts ?env ~delta_at ~delta p plan ~emit =
   let env = match env with Some e -> e | None -> Array.make p.slots (-1) in
   go { fp; b = fp.bank; env; delta_at; delta; ghosts; p; emit } plan
 
-(* The first firing, in rule order and under the plan [plan] picks, of a
-   rule of [srules] that derives the stored fact [id] of relation [rel]
-   from the current store and that [accept] takes, as the rule and the
-   firing's environment. DRed rederivation accepts every firing;
-   {!proof} accepts rank-bounded firings only. *)
+(* The first firing, in rule order and along each rule's head-bound
+   plan, of a rule of [srules] that derives the stored fact [id] of
+   relation [rel] from the current store and that [accept] takes, as the
+   rule and the firing's environment. DRed rederivation accepts every
+   firing; DRed's keep check and {!proof} accept {!below} firings only. *)
 exception Derived of planned * int array
 
-let find_derivation fp srules rel id ~plan ~accept =
+let find_derivation fp srules rel id ~accept =
   try
     List.iter
       (fun p ->
         if Rel.compare p.rule.head_rel rel = 0 then begin
           let env = Array.make p.slots (-1) in
           if matches fp.bank env p.head id then
-            eval_rule fp ~env ~delta_at:None ~delta:[] p (plan p)
+            eval_rule fp ~env ~delta_at:None ~delta:[] p p.from_head
               ~emit:(fun p _ env ->
                 (* the head is [id]: the matched slots ground it *)
                 if accept p env then
@@ -1273,6 +1275,21 @@ let find_derivation fp srules rel id ~plan ~accept =
       srules;
     None
   with Derived (p, env) -> Some (p, env)
+
+(* Whether the firing [env] of [p], deriving a fact of rank [k] in
+   stratum [s], is well-founded: each positive premise lies in a lower
+   stratum, or ranks below [k] and is not [gone]. Such a firing is what
+   {!proof} rebuilds and what DRed keeps a candidate by. *)
+let below fp s k ~gone p env =
+  List.for_all
+    (function
+      | Prem_pos (rel, atom) ->
+          fp.stratum_of rel < s
+          ||
+          let u = inst fp.bank env false atom in
+          Bank.rank fp.bank u < k && not (gone u)
+      | Prem_leaf _ -> true)
+    p.premises
 
 (* Saturate one stratum. [`Full] starts with a pass firing every rule
    against the full relations (the initial run and stratum recompute);
@@ -1380,10 +1397,9 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
         Node (Bank.sym bank f, Array.of_list (List.map pat args))
     | _ -> Ground (Bank.intern bank t)
   in
-  let plan_of delta_at =
-    annotate
-      (if indexing then order_body ~bound:Iset.empty ~delta_at r.body
-       else r.body)
+  let plan_of ?avoid bound delta_at =
+    annotate bound
+      (if indexing then order_body ?avoid ~bound ~delta_at r.body else r.body)
   in
   let compile bound lits =
     let bound = ref bound in
@@ -1444,11 +1460,10 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
       lits
   in
   let head = pat r.head in
-  let from_head = Iset.of_list (pat_slots [] head) in
-  let plan = plan_of None
+  let plan = plan_of Iset.empty None
   and delta_plans =
-    Array.init (Array.length r.pos_rels) (fun i -> plan_of (Some i))
-  in
+    Array.init (Array.length r.pos_rels) (fun i -> plan_of Iset.empty (Some i))
+  and head_plan = plan_of ~avoid:r.head_rel (vset r.head) None in
   let premises =
     List.filter_map
       (function
@@ -1460,8 +1475,7 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
   in
   let c_plan = compile Iset.empty plan
   and c_delta = Array.map (compile Iset.empty) delta_plans
-  and h_plan = compile from_head plan
-  and h_delta = Array.map (compile from_head) delta_plans in
+  and h_plan = compile (Iset.of_list (pat_slots [] head)) head_plan in
   {
     rule = r;
     slots = Hashtbl.length slots;
@@ -1470,7 +1484,6 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
     plan = c_plan;
     delta_plans = c_delta;
     from_head = h_plan;
-    from_head_delta = h_delta;
     premises;
   }
 
@@ -1502,8 +1515,8 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
      pass — whether an annotated join actually probes is decided at
      evaluation time by the [spatial_indexing] knob, so the scan
      baseline counts the joins it declined to accelerate. *)
-  let annotate plan =
-    match spatial with Some sp -> annotate_spatial sp plan | None -> plan
+  let annotate bound plan =
+    match spatial with Some sp -> annotate_spatial sp bound plan | None -> plan
   in
   let planned =
     List.map (compile_rule bank (get_in rels) ~indexing ~annotate) rules
@@ -1900,52 +1913,59 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
         else None)
       seeds_a
   in
-  (* 2. DRed over-deletion: mark the retracted base facts and every fact
-     a rule of this stratum derives from a deleted fact, evaluating
-     non-delta literals against current-store ∪ ghosts (a superset of
-     the pre-deletion state, so over-deletion is a superset of the facts
-     that lost a derivation — rederivation is exact and repairs any
-     over-kill). *)
+  (* 2. DRed over-deletion, rank-bounded. The candidates are the
+     retracted base facts and every stored fact a rule of this stratum
+     derives from a deleted fact, found by delta evaluation against
+     current-store ∪ ghosts (a superset of the pre-deletion state). They
+     are decided once each, lowest rank first: a candidate is kept if it
+     is still asserted or has a derivation whose same-stratum premises
+     rank below it and are unmarked; otherwise it is marked, and the
+     facts its deletion feeds become candidates at once. No fact of
+     lower rank is marked after a candidate is decided (DESIGN.md §8), so
+     a kept fact's premises survive and it keeps its rank. The loop adds
+     no fact and decides each stored fact at most once, so it is bounded
+     by the store and ticks no pass. [seen] holds every candidate queued
+     so far, [true] for a retracted base fact; [queue] the undecided
+     ones by rank. *)
+  let seen = Itbl.create 16 false and queue = ref Imap.empty in
   let marked = Omap.create no_rel in
-  List.iter
-    (fun (rel, t) -> if Bank.stored fp.bank t then Omap.add marked t rel)
-    seeds_d;
-  let deltas0 =
-    List.fold_left
-      (fun m (rel, t) -> if Omap.mem marked t then record rel t m else m)
-      lower_dels seeds_d
+  let push ~retracted rel t =
+    if Bank.stored fp.bank t && Itbl.add seen t retracted then
+      queue := Imap.add (Bank.rank fp.bank t) (rel, t) !queue
   in
-  let reads m =
-    List.exists
-      (fun p -> Array.exists (fun rel -> Rel_map.mem rel m) p.rule.pos_rels)
-      srules
-  in
-  let fresh = ref [] in
-  let mark p t _ =
-    if (not (Omap.mem marked t)) && Bank.stored fp.bank t then begin
-      Omap.add marked t p.rule.head_rel;
-      fp.incr.i_overdeleted <- fp.incr.i_overdeleted + 1;
-      fresh := (p.rule.head_rel, t) :: !fresh
-    end
-  in
-  let deltas = ref deltas0 in
-  while (not (Rel_map.is_empty !deltas)) && reads !deltas do
-    tick fp ~budget_from;
-    fresh := [];
+  let feed rel ids =
     List.iter
       (fun p ->
         Array.iteri
-          (fun i rel ->
-            match Rel_map.find_opt rel !deltas with
-            | Some (_ :: _ as d) ->
-                eval_rule fp ~ghosts ~delta_at:(Some i) ~delta:d p
-                  p.delta_plans.(i) ~emit:mark
-            | _ -> ())
+          (fun i r ->
+            if Rel.compare r rel = 0 then
+              eval_rule fp ~ghosts ~delta_at:(Some i) ~delta:ids p
+                p.delta_plans.(i) ~emit:(fun p h _ ->
+                  push ~retracted:false p.rule.head_rel h))
           p.rule.pos_rels)
-      srules;
-    deltas :=
-      List.fold_left (fun m (rel, t) -> record rel t m) Rel_map.empty !fresh
-  done;
+      srules
+  in
+  List.iter (fun (rel, t) -> push ~retracted:true rel t) seeds_d;
+  Rel_map.iter feed lower_dels;
+  let rec decide () =
+    match Imap.min_binding_opt !queue with
+    | None -> ()
+    | Some (k, (rel, t)) ->
+        queue := Imap.remove k !queue;
+        if
+          (not (Itbl.mem fp.base t))
+          && find_derivation fp srules rel t
+               ~accept:(below fp (fp.stratum_of rel) k ~gone:(Omap.mem marked))
+             = None
+        then begin
+          Omap.add marked t rel;
+          if not (Itbl.find seen t) then
+            fp.incr.i_overdeleted <- fp.incr.i_overdeleted + 1;
+          feed rel [ t ]
+        end;
+        decide ()
+  in
+  decide ();
   (* 3. physically remove everything marked *)
   let removed =
     remove_facts fp
@@ -1971,9 +1991,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
           in
           if
             Itbl.mem fp.base t
-            || find_derivation fp srules rel t
-                 ~plan:(fun p -> p.from_head)
-                 ~accept:(fun _ _ -> true)
+            || find_derivation fp srules rel t ~accept:(fun _ _ -> true)
                <> None
           then reinstate ()
           else true)
@@ -2253,15 +2271,6 @@ let proof fp t =
           | Some p -> p
           | None ->
               let s = fp.stratum_of rel in
-              (* start each rule from its first positive literal over
-                 another relation, so a recursive premise mostly comes
-                 ground: a membership test instead of a probe *)
-              let plan p =
-                let other r = Rel.compare r rel <> 0 in
-                match Array.find_index other p.rule.pos_rels with
-                | Some i -> p.from_head_delta.(i)
-                | None -> p.from_head
-              in
               (* a positive premise's relation, fact and rank *)
               let premise env = function
                 | Prem_pos (rel, atom) ->
@@ -2270,18 +2279,10 @@ let proof fp t =
                     else None
                 | Prem_leaf _ -> None
               in
-              let below p env =
-                List.for_all
-                  (fun prem ->
-                    match premise env prem with
-                    | Some (r, _, j) -> j < k || fp.stratum_of r < s
-                    | None -> true)
-                  p.premises
-              in
               let node =
                 match
-                  find_derivation scratch fp.by_stratum.(s) rel goal ~plan
-                    ~accept:below
+                  find_derivation scratch fp.by_stratum.(s) rel goal
+                    ~accept:(below fp s k ~gone:(fun _ -> false))
                 with
                 | None ->
                     Wire.corrupt

@@ -280,10 +280,13 @@ val pp_stats : Format.formatter -> stats -> unit
     base. Additions propagate through the same semi-naive delta passes
     the initial run used, restricted to the strata whose relations
     changed. Deletions use DRed (delete-and-rederive): per stratum, the
-    consequences of every deleted fact are over-deleted by running the
-    delta passes against the pre-deletion state, then each over-deleted
-    fact is rederived from the surviving facts (or its own base
-    assertion) — exact, so over-deletion may safely over-approximate.
+    consequences of every deleted fact, found by delta evaluation
+    against the pre-deletion state, are decided lowest rank first: one
+    that is still asserted or has a derivation from unmarked facts of
+    lower rank is kept, any other is over-deleted and its own
+    consequences join the candidates. Each over-deleted fact is then
+    rederived from the surviving facts (or its own base assertion) —
+    exact, so over-deletion may safely over-approximate.
     Stratified negation stays correct because any stratum with a negated
     literal over a changed relation is re-run from scratch against the
     (already repaired) lower strata. After every update the store is

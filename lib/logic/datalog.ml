@@ -422,12 +422,13 @@ let remove_first x l =
    repeatedly (a) flush every guard whose variables are bound — [is/2]
    results extend the bound set, which can ready further guards — and
    (b) pick the positive literal with the most bound arguments (ties:
-   textual order). Guards and negated literals only ever run with all
-   read variables ground, exactly as [check_safety] guaranteed for the
-   textual order, so reordering preserves semantics: ground guards are
+   one over a relation other than [avoid], then textual order). Guards
+   and negated literals only ever run with all read variables ground,
+   exactly as [check_safety] guaranteed for the textual order, so
+   reordering preserves semantics: ground guards are
    order-independent filters and negation reads a strictly lower
    (already complete) stratum. *)
-let order_body ~bound ~delta_at body =
+let order_body ?avoid ~bound ~delta_at body =
   if List.exists (function Never -> true | _ -> false) body then [ Never ]
   else begin
     let rec flush_guards bound plan remaining =
@@ -446,8 +447,13 @@ let order_body ~bound ~delta_at body =
           List.fold_left
             (fun best lit ->
               match lit with
-              | Pos (_, _, atom, _) -> (
-                  let c = bound_arg_count bound atom in
+              | Pos (_, rel, atom, _) -> (
+                  let other =
+                    match avoid with
+                    | Some a when Rel.compare a rel = 0 -> 0
+                    | _ -> 1
+                  in
+                  let c = (2 * bound_arg_count bound atom) + other in
                   match best with
                   | Some (bc, _) when bc >= c -> best
                   | _ -> Some (c, lit))

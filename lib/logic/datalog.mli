@@ -117,10 +117,12 @@ val compute_strata : rule list -> Rel.t list -> (Rel.t -> int) * int
     negative edge counts one) and the stratum count. Raises
     {!Unsupported} on negation inside a recursive component. *)
 
-val order_body : bound:Iset.t -> delta_at:int option -> lit list -> lit list
+val order_body :
+  ?avoid:Rel.t -> bound:Iset.t -> delta_at:int option -> lit list -> lit list
 (** The greedy join order of a safe rule body, starting from the
     variables [bound] already binds: the positive literal at join
     position [delta_at] first, if given; then, repeatedly, every guard,
     negation and spatial builtin whose inputs are bound, and the
-    positive literal with the most bound arguments (ties: textual
-    order). A body containing {!Never} plans as [[Never]]. *)
+    positive literal with the most bound arguments (ties: a literal
+    over a relation other than [avoid], then textual order). A body
+    containing {!Never} plans as [[Never]]. *)

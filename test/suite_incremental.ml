@@ -247,6 +247,8 @@ let prop_batched =
 (* ------------------------------------------------------------------ *)
 (* DRed edge cases                                                     *)
 
+(* p(1) keeps a derivation through b(1), a base fact ranked below it:
+   the rank-bounded keep check decides it without deleting it *)
 let test_alternate_derivation () =
   let db = engine_db_of "a(1). b(1). p(X) :- a(X). p(X) :- b(X)." in
   let fp = Bottom_up.run db in
@@ -256,10 +258,72 @@ let test_alternate_derivation () =
   Alcotest.(check bool) "p(1) survives via b(1)" true
     (Bottom_up.holds fp (term "p(1)"));
   let i = Bottom_up.incr_stats fp in
-  Alcotest.(check bool) "p(1) was over-deleted" true
-    (i.Bottom_up.upd_overdeleted >= 1);
-  Alcotest.(check bool) "p(1) was rederived" true
-    (i.Bottom_up.upd_rederived >= 1)
+  Alcotest.(check int) "p(1) was kept, not over-deleted" 0
+    i.Bottom_up.upd_overdeleted;
+  Alcotest.(check int) "nothing was rederived" 0 i.Bottom_up.upd_rederived
+
+(* The derivation left to p(1) runs through q(1), derived two passes
+   after p(1) and so ranked above it: the keep check may not use it, so
+   p(1) is over-deleted, then rederived with a fresh rank above q(1),
+   and its proof rebuilds through q(1). *)
+let test_alternate_derivation_above () =
+  let db =
+    engine_db_of
+      "a(1). b(1). p(X) :- a(X). p(X) :- q(X). q(X) :- r(X). r(X) :- b(X)."
+  in
+  let fp = Bottom_up.run db in
+  let rank s = Option.get (Bottom_up.rank fp (term s)) in
+  Alcotest.(check bool) "q(1) ranks above p(1)" true (rank "q(1)" > rank "p(1)");
+  Stdlib.ignore (Bottom_up.retract_fact fp (term "a(1)"));
+  Alcotest.(check bool) "p(1) survives via q(1)" true
+    (Bottom_up.holds fp (term "p(1)"));
+  let i = Bottom_up.incr_stats fp in
+  Alcotest.(check int) "p(1) was over-deleted" 1 i.Bottom_up.upd_overdeleted;
+  Alcotest.(check int) "p(1) was rederived" 1 i.Bottom_up.upd_rederived;
+  Alcotest.(check bool) "p(1) now ranks above q(1)" true
+    (rank "p(1)" > rank "q(1)");
+  match Bottom_up.proof fp (term "p(1)") with
+  | Some (Explain.Rule { premises = [ Explain.Rule { goal; _ } ]; _ }) ->
+      Alcotest.(check string) "the proof runs through q(1)" "q(1)"
+        (Term.to_string goal)
+  | _ -> Alcotest.fail "p(1) has no proof through q(1)"
+
+(* reach(c, a) and reach(c, b) support each other around the 2-cycle
+   a -> b -> a; link(c, a) is their only external support. Ranks forbid
+   either to keep the other: retracting the link deletes both. *)
+let test_cycle_loses_support () =
+  let db =
+    engine_db_of
+      "link(c, a). link(a, b). link(b, a). reach(X, Y) :- link(X, Y). \
+       reach(X, Y) :- reach(X, Z), link(Z, Y)."
+  in
+  let fp = Bottom_up.run db in
+  Alcotest.(check bool) "retract reports a base change" true
+    (Bottom_up.retract_fact fp (term "link(c, a)"));
+  Stdlib.ignore (Database.retract_fact db (term "link(c, a)"));
+  Alcotest.(check bool) "reach(c, a) deleted" false
+    (Bottom_up.holds fp (term "reach(c, a)"));
+  Alcotest.(check bool) "reach(c, b) deleted" false
+    (Bottom_up.holds fp (term "reach(c, b)"));
+  Alcotest.(check (list string)) "equals a from-scratch run"
+    (facts_of (Bottom_up.run db)) (facts_of fp)
+
+(* One retraction under 10,001 derived facts: the marking loop decides
+   each stored fact once and adds none, so it spends no pass budget per
+   fact and stays inside the iteration bound. *)
+let test_wide_retraction_within_bound () =
+  let ns = List.init 10_001 (fun i -> Printf.sprintf "n(%d)." i) in
+  let db = engine_db_of (String.concat " " ("root." :: "p(X) :- root, n(X)." :: ns)) in
+  let fp = Bottom_up.run db in
+  Alcotest.(check int) "every p derived" 10_001
+    (List.length (Bottom_up.facts_matching fp (term "p(X)")));
+  Alcotest.(check bool) "retract reports a base change" true
+    (Bottom_up.retract_fact fp (term "root"));
+  Stdlib.ignore (Database.retract_fact db (term "root"));
+  Alcotest.(check int) "every p deleted" 0
+    (List.length (Bottom_up.facts_matching fp (term "p(X)")));
+  Alcotest.(check (list string)) "equals a from-scratch run"
+    (facts_of (Bottom_up.run db)) (facts_of fp)
 
 let test_negation_flip_on_emptied_relation () =
   let db = engine_db_of "b(1). b(2). g(1). bad(X) :- b(X), \\+ g(X)." in
@@ -381,6 +445,12 @@ let tests =
   [
     Alcotest.test_case "alternate derivation survives retraction" `Quick
       test_alternate_derivation;
+    Alcotest.test_case "alternate derivation ranked above is rederived" `Quick
+      test_alternate_derivation_above;
+    Alcotest.test_case "mutually supporting facts lose their support" `Quick
+      test_cycle_loses_support;
+    Alcotest.test_case "wide retraction stays within the pass bound" `Quick
+      test_wide_retraction_within_bound;
     Alcotest.test_case "emptied relation flips negation above" `Quick
       test_negation_flip_on_emptied_relation;
     Alcotest.test_case "no-op updates" `Quick test_noop_updates;
