@@ -1036,6 +1036,7 @@ let bu_measure w scale =
     ("strata", Int s.Bottom_up.bu_strata);
     ("probes", Int s.Bottom_up.bu_index_probes);
     ("scans", Int s.Bottom_up.bu_full_scans);
+    ("candidates", Int s.Bottom_up.bu_candidates);
     ("membership_tests", Int s.Bottom_up.bu_membership_tests);
     ("hcons_hit_rate", ratio (Bottom_up.hcons_hit_rate s));
     ("stratum_ms", Floats (3, stratum_ms db));
@@ -1423,6 +1424,112 @@ let snap_measure w scale =
         && List.equal Term.equal (sorted cold_fp) (sorted warm_fp)) );
   ]
 
+(* ------------------------------- engine-keys: probe-key selectivity *)
+
+(* A compiled specification's holds/6 base at [n] objects: a depth and a
+   trust level per object, a linked chain with random shortcuts, and
+   readings at positions. Its rules carry the literal shapes whose probe
+   key must skip what every fact of a relation shares (the model, the
+   predicate, [nospace], a one-element list's [nil] tail): a closure
+   probed from a bound object, a constant-object literal (the paper's
+   `depth(D)(ocean)`) and a constant-value literal. *)
+let keys_db n =
+  let open Gdp_logic in
+  let db = Engine.create () in
+  let rng = W.Rng.create 31L in
+  let obj i = a (Printf.sprintf "o%d" i) in
+  let fact ?(values = []) ?(objects = []) ?(space = Gfact.S_everywhere) pred =
+    Database.fact db
+      (Gfact.to_holds ~default_model:Names.default_model
+         (Gfact.make ~values ~objects ~space pred))
+  in
+  for i = 0 to n - 1 do
+    fact "depth" ~values:[ T.int (i * 37 mod 100) ] ~objects:[ obj i ];
+    fact "trusted"
+      ~values:[ a (if i mod 3 = 0 then "low" else "high") ]
+      ~objects:[ obj i ];
+    if i < n - 1 then fact "link" ~objects:[ obj i; obj (i + 1) ];
+    fact "link" ~objects:[ obj i; obj (W.Rng.int rng n) ];
+    fact "temp" ~values:[ T.int i ]
+      ~space:(Gfact.S_at (T.app "pos" [ T.int (i mod 8); T.int (i / 8) ]))
+  done;
+  Engine.consult db
+    {|
+    holds(w, reach, [], [X, Y], nospace, notime) :-
+      holds(w, link, [], [X, Y], nospace, notime).
+    holds(w, reach, [], [X, Y], nospace, notime) :-
+      holds(w, link, [], [X, Z], nospace, notime),
+      holds(w, reach, [], [Z, Y], nospace, notime).
+    holds(w, shallower, [], [X], nospace, notime) :-
+      holds(w, depth, [R], [o0], nospace, notime),
+      holds(w, depth, [D], [X], nospace, notime), D < R.
+    holds(w, vetted, [], [X], nospace, notime) :-
+      holds(w, trusted, [high], [X], nospace, notime).
+    |};
+  db
+
+(* Query goals on the materialised base, as the CLI's query command
+   poses them: a value query on each object, a closure from one object
+   and a reading at each of eight positions. *)
+let keys_goals n =
+  let holds ?(values = [ v "V" ]) ?(objects = []) ?(space = v "S") pred =
+    T.app Names.holds
+      [ a Names.default_model; a pred; T.list values; T.list objects; space; v "T" ]
+  in
+  List.init n (fun i -> holds "trusted" ~objects:[ a (Printf.sprintf "o%d" i) ])
+  @ [ holds "reach" ~values:[] ~objects:[ a "o0"; v "Y" ] ]
+  @ List.init 8 (fun x ->
+        holds "temp" ~space:(T.app "at" [ T.app "pos" [ T.int x; T.int 0 ] ]))
+
+(* The facts the fixpoint's joins and the goals' probes hand to
+   unification ("candidates", "probe_candidates") against the answers
+   they yield: the work a probe key's selectivity decides, which the
+   probe and scan counts cannot show. "agree" asserts that every probe
+   yields exactly the unifiable facts of its goal's relation. *)
+let keys_measure n =
+  let open Gdp_logic in
+  let fp = Bottom_up.run ~refine:Compile.datalog_refine (keys_db n) in
+  let s = Bottom_up.stats fp in
+  let unifiable goal = List.filter (fun f -> Unify.unify Subst.empty goal f <> None) in
+  let probed =
+    List.map
+      (fun goal -> (goal, Bottom_up.probe fp goal))
+      (keys_goals n)
+  in
+  [
+    ("facts", Int (Bottom_up.count fp));
+    ("passes", Int (Bottom_up.iterations fp));
+    ("probes", Int s.Bottom_up.bu_index_probes);
+    ("scans", Int s.Bottom_up.bu_full_scans);
+    ("candidates", Int s.Bottom_up.bu_candidates);
+    ("goals", Int (List.length probed));
+    ( "probe_candidates",
+      Int (List.fold_left (fun k (_, c) -> k + List.length c) 0 probed) );
+    ( "answers",
+      Int (List.fold_left (fun k (g, c) -> k + List.length (unifiable g c)) 0 probed) );
+    ( "agree",
+      Bool
+        (List.for_all
+           (fun (g, c) ->
+             List.equal Term.equal
+               (List.sort Term.compare (unifiable g c))
+               (unifiable g (Bottom_up.facts_matching fp g)))
+           probed) );
+  ]
+
+let keys_cases =
+  [
+    {
+      name = "holds-survey";
+      title = "holds/6 literals and goals keyed on an object, a value or a position";
+      header = [];
+      console = [ 32; 128 ];
+      json = [ 128; 256 ];
+      small = [ 32; 128 ];
+      measure = keys_measure;
+    };
+  ]
+
 (* ------------------------------------------------- json: perf tracking *)
 
 let engine_series =
@@ -1446,6 +1553,7 @@ let engine_series =
           bu_workloads;
     };
     { key = "spatial_series"; cli = "engine-spatial"; cases = spatial_cases };
+    { key = "key_series"; cli = "engine-keys"; cases = keys_cases };
     {
       key = "snap_series";
       cli = "engine-snap";

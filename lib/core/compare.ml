@@ -21,7 +21,12 @@ type report = {
   right_violations : Query.violation list;
 }
 
-let key f = Term.to_string (Gfact.to_holds ~default_model:Names.default_model f)
+let key = Gfact.to_holds ~default_model:Names.default_model
+
+let key_set facts =
+  let t = Path_key.Tbl.create 16 in
+  List.iter (fun f -> Path_key.Tbl.replace t (key f) ()) facts;
+  t
 
 let views ?max_depth ?(limit = 1000) spec ~left ~right ~probes =
   let query_of sel =
@@ -33,9 +38,9 @@ let views ?max_depth ?(limit = 1000) spec ~left ~right ~probes =
       (fun probe ->
         let al = Query.solutions ~limit ql probe
         and ar = Query.solutions ~limit qr probe in
-        let kl = List.map key al and kr = List.map key ar in
-        let only_left = List.filter (fun f -> not (List.mem (key f) kr)) al in
-        let only_right = List.filter (fun f -> not (List.mem (key f) kl)) ar in
+        let kl = key_set al and kr = key_set ar in
+        let only_left = List.filter (fun f -> not (Path_key.Tbl.mem kr (key f))) al in
+        let only_right = List.filter (fun f -> not (Path_key.Tbl.mem kl (key f))) ar in
         let both = List.length al - List.length only_left in
         { probe; only_left; only_right; both })
       probes

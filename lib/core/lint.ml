@@ -222,21 +222,22 @@ let lint (spec : Spec.t) =
     (List.rev spec.Spec.models);
 
   (* accuracy statements without a plain fact *)
-  let plain_facts =
-    List.concat_map
-      (fun (m : Spec.model_def) ->
-        List.map (Gfact.to_holds ~default_model:m.Spec.model_name) m.Spec.facts)
-      spec.Spec.models
-    |> List.map Term.to_string |> Ss.of_list
-  in
+  let plain_facts = Path_key.Tbl.create 16 in
+  List.iter
+    (fun (m : Spec.model_def) ->
+      List.iter
+        (fun f ->
+          Path_key.Tbl.replace plain_facts
+            (Gfact.to_holds ~default_model:m.Spec.model_name f)
+            ())
+        m.Spec.facts)
+    spec.Spec.models;
   List.iter
     (fun (m : Spec.model_def) ->
       List.iter
         (fun (f, _) ->
-          let key =
-            Term.to_string (Gfact.to_holds ~default_model:m.Spec.model_name f)
-          in
-          if not (Ss.mem key plain_facts) then
+          let key = Gfact.to_holds ~default_model:m.Spec.model_name f in
+          if not (Path_key.Tbl.mem plain_facts key) then
             add Info "accuracy-without-fact" m.Spec.model_name
               "accuracy statement for %s has no plain counterpart fact (fine \
                if only threshold views consume it)"

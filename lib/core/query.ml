@@ -350,15 +350,11 @@ let holds q pattern =
 
 (* distinct answers in first-derivation order *)
 let dedupe_by key l =
-  let seen = Hashtbl.create 16 in
+  let seen = Path_key.Tbl.create 16 in
   List.filter
     (fun x ->
       let k = key x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
+      (not (Path_key.Tbl.mem seen k)) && (Path_key.Tbl.add seen k (); true))
     l
 
 (* A fixpoint's answers to [goal]: the facts its argument indexes
@@ -377,8 +373,7 @@ let solutions ?limit q pattern =
   | Top_down ->
       Solve.all ~options:q.options ?limit (db q) [ goal ]
       |> List.filter_map (fun s -> Gfact.of_holds (Subst.apply s goal))
-      |> dedupe_by (fun f ->
-             Term.to_string (Gfact.to_holds ~default_model:Names.default_model f))
+      |> dedupe_by (Gfact.to_holds ~default_model:Names.default_model)
   | Materialized | Magic ->
       fixpoint_answers (goal_fixpoint q goal) goal
       |> List.filter_map (fun (fact, _) -> Gfact.of_holds fact)
@@ -407,8 +402,7 @@ let accuracies ?limit q pattern =
          | Some fact, Term.Float f -> Some (fact, f)
          | Some fact, Term.Int n -> Some (fact, float_of_int n)
          | _ -> None)
-  |> dedupe_by (fun (f, _) ->
-         Term.to_string (Gfact.to_holds ~default_model:Names.default_model f))
+  |> dedupe_by (fun (f, _) -> Gfact.to_holds ~default_model:Names.default_model f)
 
 type violation = {
   v_model : string;
@@ -471,7 +465,7 @@ let violation_proofs ?limit q =
   match q.mode with
   | Top_down ->
       (* one proof per distinct ERROR fact, first-derivation order *)
-      let seen = Hashtbl.create 16 in
+      let seen = Path_key.Tbl.create 16 in
       let rec collect acc n seq =
         if match limit with Some l -> n >= l | None -> false then
           List.rev acc
@@ -482,10 +476,9 @@ let violation_proofs ?limit q =
               let fact = Subst.apply subst goal in
               match (decode_violation fact, proofs) with
               | Some v, [ proof ] ->
-                  let k = Term.to_string fact in
-                  if Hashtbl.mem seen k then collect acc n rest
+                  if Path_key.Tbl.mem seen fact then collect acc n rest
                   else begin
-                    Hashtbl.add seen k ();
+                    Path_key.Tbl.add seen fact ();
                     collect ((v, proof) :: acc) (n + 1) rest
                   end
               | _ -> collect acc n rest)

@@ -31,21 +31,12 @@ let var_name names (v : T.var) =
       Hashtbl.add names.by_id v.T.id candidate;
       candidate
 
-let pp_float ppf f =
-  if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf ppf "%.1f" f
-  else begin
-    (* shortest decimal that parses back exactly *)
-    let short = Printf.sprintf "%.12g" f in
-    if float_of_string short = f then Format.pp_print_string ppf short
-    else Format.fprintf ppf "%.17g" f
-  end
-
 let rec pp_expr names ppf (t : T.t) =
   match t with
   | T.Var v -> Format.pp_print_string ppf (var_name names v)
   | T.Atom s -> Format.pp_print_string ppf s
   | T.Int n -> Format.pp_print_int ppf n
-  | T.Float f -> pp_float ppf f
+  | T.Float f -> T.pp_float ppf f
   | T.Str s -> Format.fprintf ppf "%S" s
   | T.App (("+" | "-" | "*" | "/") as op, [ a; b ]) ->
       Format.fprintf ppf "(%a %s %a)" (pp_expr names) a op (pp_expr names) b
@@ -194,7 +185,7 @@ let pp_domain ppf (d : Sd.t) =
   | Some (Sd.Int_range (lo, hi)) ->
       Format.fprintf ppf "domain %s = int(%d, %d)." d.Sd.name lo hi
   | Some (Sd.Real_range (lo, hi)) ->
-      Format.fprintf ppf "domain %s = real(%a, %a)." d.Sd.name pp_float lo pp_float hi
+      Format.fprintf ppf "domain %s = real(%a, %a)." d.Sd.name T.pp_float lo T.pp_float hi
   | Some Sd.Number_shape -> Format.fprintf ppf "domain %s = number." d.Sd.name
   | Some Sd.Text_shape -> Format.fprintf ppf "domain %s = text." d.Sd.name
   | Some Sd.Any_shape -> Format.fprintf ppf "domain %s = any." d.Sd.name
@@ -208,17 +199,17 @@ let pp_domain ppf (d : Sd.t) =
 let pp_region ppf name (r : Gdp_space.Region.t) =
   match r with
   | Gdp_space.Region.Rect { min_x; min_y; max_x; max_y } ->
-      Format.fprintf ppf "region %s = rect(%a, %a, %a, %a)." name pp_float min_x
-        pp_float min_y pp_float max_x pp_float max_y
+      Format.fprintf ppf "region %s = rect(%a, %a, %a, %a)." name T.pp_float min_x
+        T.pp_float min_y T.pp_float max_x T.pp_float max_y
   | Gdp_space.Region.Circle { center; radius } ->
-      Format.fprintf ppf "region %s = circle(%a, %a, %a)." name pp_float
-        center.Gdp_space.Point.x pp_float center.Gdp_space.Point.y pp_float radius
+      Format.fprintf ppf "region %s = circle(%a, %a, %a)." name T.pp_float
+        center.Gdp_space.Point.x T.pp_float center.Gdp_space.Point.y T.pp_float radius
   | Gdp_space.Region.Polygon vs ->
       Format.fprintf ppf "region %s = polygon(%s)." name
         (String.concat ", "
            (List.map
               (fun (p : Gdp_space.Point.t) ->
-                Format.asprintf "(%a, %a)" pp_float p.Gdp_space.Point.x pp_float
+                Format.asprintf "(%a, %a)" T.pp_float p.Gdp_space.Point.x T.pp_float
                   p.Gdp_space.Point.y)
               vs))
   | _ ->
@@ -239,7 +230,7 @@ let spec ppf (s : Spec.t) =
   | Gdp_space.Coord.Geographic -> line "coordinate geographic."
   | Gdp_space.Coord.Utm { zone } -> line "coordinate utm(%d)." zone);
   let now = Gdp_temporal.Clock.now s.Spec.clock in
-  if now <> 0.0 then line "clock %s." (Format.asprintf "%a" pp_float now);
+  if now <> 0.0 then line "clock %s." (Format.asprintf "%a" T.pp_float now);
   (match s.Spec.fuzzy_family with
   | Gdp_fuzzy.Algebra.Min_max -> ()
   | Gdp_fuzzy.Algebra.Product -> line "fuzzy product."
@@ -267,20 +258,20 @@ let spec ppf (s : Spec.t) =
       let o = r.Gdp_space.Resolution.origin in
       if Gdp_space.Point.equal o Gdp_space.Point.origin then
         line "space %s = grid(%s, %s)." r.Gdp_space.Resolution.name
-          (Format.asprintf "%a" pp_float r.Gdp_space.Resolution.dx)
-          (Format.asprintf "%a" pp_float r.Gdp_space.Resolution.dy)
+          (Format.asprintf "%a" T.pp_float r.Gdp_space.Resolution.dx)
+          (Format.asprintf "%a" T.pp_float r.Gdp_space.Resolution.dy)
       else
         line "space %s = grid(%s, %s) origin (%s, %s)." r.Gdp_space.Resolution.name
-          (Format.asprintf "%a" pp_float r.Gdp_space.Resolution.dx)
-          (Format.asprintf "%a" pp_float r.Gdp_space.Resolution.dy)
-          (Format.asprintf "%a" pp_float o.Gdp_space.Point.x)
-          (Format.asprintf "%a" pp_float o.Gdp_space.Point.y))
+          (Format.asprintf "%a" T.pp_float r.Gdp_space.Resolution.dx)
+          (Format.asprintf "%a" T.pp_float r.Gdp_space.Resolution.dy)
+          (Format.asprintf "%a" T.pp_float o.Gdp_space.Point.x)
+          (Format.asprintf "%a" T.pp_float o.Gdp_space.Point.y))
     (List.rev s.Spec.spaces);
   List.iter
     (fun (r : Gdp_temporal.Resolution1d.t) ->
       line "timespace %s = line(%s) origin %s." r.Gdp_temporal.Resolution1d.name
-        (Format.asprintf "%a" pp_float r.Gdp_temporal.Resolution1d.step)
-        (Format.asprintf "%a" pp_float r.Gdp_temporal.Resolution1d.origin))
+        (Format.asprintf "%a" T.pp_float r.Gdp_temporal.Resolution1d.step)
+        (Format.asprintf "%a" T.pp_float r.Gdp_temporal.Resolution1d.origin))
     (List.rev s.Spec.tspaces);
   List.iter (fun (name, r) -> Format.fprintf ppf "%a@." (fun ppf -> pp_region ppf name) r)
     (List.rev s.Spec.regions);
@@ -307,7 +298,7 @@ let spec ppf (s : Spec.t) =
       List.iter
         (fun (f, a) ->
           Format.fprintf ppf "%sacc %s %a.@." indent
-            (Format.asprintf "%a" pp_float a)
+            (Format.asprintf "%a" T.pp_float a)
             (pp_fact_in (fresh_names ())) f)
         (List.rev m.Spec.acc_statements);
       List.iter

@@ -115,16 +115,13 @@ module Imap = Map.Make (Int)
    alike in every bank. Children are always interned before their
    parent: a node's id is above its children's. Terms are rebuilt from
    ids on demand, memoised per id, so rebuilt terms share the bank's
-   DAG. Key nodes ([t_key]) are the multi-path probe keys of relation
-   indexes (their children are the subterms at the paths); they never
-   stand for a term. *)
+   DAG. *)
 module Bank = struct
   let t_atom = 0
   let t_int = 1
   let t_float = 2
   let t_str = 3
   let t_app = 4
-  let t_key = 5
 
   type t = {
     mutable hd : int array;  (* content hash lsl 3 lor tag *)
@@ -322,7 +319,6 @@ module Bank = struct
     if !found >= 0 || not insert then !found else add b hd pay base k !i
 
   let app b f k insert = close b t_app f b.sym_hash.(f) k insert
-  let key b k insert = close b t_key 0 0 k insert
 
   (* a leaf node from its tag and payload, as a record of a snapshot
      spells it *)
@@ -389,11 +385,10 @@ module Bank = struct
         | 1 -> Int pay
         | 2 -> Float b.float_vals.(pay)
         | 3 -> Str b.names.(pay)
-        | 4 ->
+        | _ ->
             App
               ( b.names.(pay),
                 List.init (arity b id) (fun j -> term b (child b id j)) )
-        | _ -> invalid_arg "Bottom_up: a probe key is no term"
       in
       Itbl.replace b.terms id t;
       t
@@ -405,42 +400,17 @@ module Bank = struct
     | j :: path ->
         if tag b id = t_app && j < arity b id then at b (child b id j) path
         else -1
-
-  (* a fact's probe key at [paths]: the subterm itself for one path, a
-     key node over the subterms for several; -1 when the fact lacks a
-     path (or, without [insert], when no stored fact has the key) *)
-  let rec push_at b id = function
-    | [] -> true
-    | p :: paths ->
-        let c = at b id p in
-        c >= 0
-        && begin
-             push b c;
-             push_at b id paths
-           end
-
-  let key_at b paths id insert =
-    match paths with
-    | [ p ] -> at b id p
-    | _ ->
-        let base = b.sp in
-        if push_at b id paths then key b (b.sp - base) insert
-        else begin
-          b.sp <- base;
-          -1
-        end
 end
 
 (* A materialised relation over the bank: its facts' ids as an int
    column in insertion order, and lazily built subterm indexes for join
    probes. Membership and ranks live in the bank's rank column. A rank
    is the fixpoint's insertion counter when the fact entered the store,
-   so ranks increase along the column. An index is keyed by paths into
-   the fact — [[3; 0]] is the first element of the list at argument 3 —
-   and maps the id of the subterm at a single path, or the key node over
-   the subterms at several, to the facts carrying exactly those
-   subterms there; [eval_rule] probes the index of whichever subterms
-   the in-flowing bindings have made ground. *)
+   so ranks increase along the column. An index is keyed by one path
+   into the fact — [[3; 0]] is the first element of the list at
+   argument 3 — and maps the id of the subterm there to the facts
+   carrying that subterm; a fact lacking the path is in no bucket.
+   Unification checks the literal's other ground subterms. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -456,8 +426,8 @@ module Relation = struct
   type t = {
     mutable ids : int array;  (* slots [0, n) valid, insertion order *)
     mutable n : int;
-    mutable indexes : (int list list * int list Itbl.t) list;
-        (* subterm paths (in term order) -> probe table *)
+    mutable indexes : (int list * int list Itbl.t) list;
+        (* subterm path -> probe table *)
     mutable spatials : (int * spat) list;
         (* point-carrying argument position -> spatial index *)
     mutable pass_new : int list;
@@ -479,20 +449,20 @@ module Relation = struct
 
   let elements b r = List.init r.n (fun i -> Bank.term b r.ids.(i))
 
-  let index_insert b idx paths id =
-    let k = Bank.key_at b paths id true in
+  let index_insert b idx path id =
+    let k = Bank.at b id path in
     if k >= 0 then Itbl.replace idx k (id :: Itbl.find idx k)
 
   (* Buckets hold their facts in reverse insertion order: built from the
      insertion-order column by prepending, then maintained by prepending
      on [add] and order-preserving filtering on [remove]. *)
-  let index r b paths =
-    match List.assoc_opt paths r.indexes with
+  let index r b path =
+    match List.assoc_opt path r.indexes with
     | Some idx -> idx
     | None ->
         let idx = Itbl.create 64 [] in
-        iter (index_insert b idx paths) r;
-        r.indexes <- (paths, idx) :: r.indexes;
+        iter (index_insert b idx path) r;
+        r.indexes <- (path, idx) :: r.indexes;
         idx
 
   let spat_insert sp id =
@@ -527,8 +497,8 @@ module Relation = struct
 
   let rec insert_indexes b id = function
     | [] -> ()
-    | (paths, idx) :: more ->
-        index_insert b idx paths id;
+    | (path, idx) :: more ->
+        index_insert b idx path id;
         insert_indexes b id more
 
   let rec insert_spatials id = function
@@ -593,11 +563,11 @@ module Relation = struct
       done;
       r.n <- !j;
       List.iter
-        (fun (paths, idx) ->
+        (fun (path, idx) ->
           let filtered = Itbl.create 16 false in
           List.iter
             (fun id ->
-              let k = Bank.key_at b paths id false in
+              let k = Bank.at b id path in
               if k >= 0 && Itbl.add filtered k true then
                 match List.filter live (Itbl.find idx k) with
                 | [] -> Itbl.remove idx k
@@ -617,13 +587,12 @@ module Relation = struct
     end;
     gone
 
-  (* The facts of index [idx] whose subterms at its paths have probe key
-     [k] (from {!Bank.key_at}; -1 matches nothing). A ground subterm
-     unifies only with an equal one, so the bucket holds exactly the
-     unification candidates for those subterms. A multi-path key node
-     exists only once the index is built, so a prober builds the index
-     before it looks its key up. *)
-  let bucket idx k = if k < 0 then [] else Itbl.find idx k
+  (* The facts of [r] whose subterm at [path] has id [k], from the index
+     on [path]. A ground subterm unifies only with an equal one, so the
+     bucket holds the unification candidates for that subterm. A key the
+     bank lacks ([k < 0]) is carried by no stored fact: the bucket is
+     empty, and no index is built for it. *)
+  let bucket r b path k = if k < 0 then [] else Itbl.find (index r b path) k
 end
 
 open Datalog
@@ -794,6 +763,7 @@ type stats = {
   bu_facts : int;
   bu_index_probes : int;
   bu_full_scans : int;
+  bu_candidates : int;
   bu_membership_tests : int;
   bu_spatial_probes : int;
   bu_spatial_scans : int;
@@ -814,6 +784,9 @@ type counters = {
   mutable c_firings : int;
   mutable c_probes : int;
   mutable c_scans : int;
+  mutable c_cands : int;
+      (* facts handed to a positive literal's match; counts this
+         process's joins only, as snapshots do not carry it *)
   mutable c_members : int;
   mutable c_sprobes : int;  (* spatial index probes *)
   mutable c_sscans : int;  (* spatial joins that fell back to a scan *)
@@ -828,6 +801,7 @@ let new_counters () =
     c_firings = 0;
     c_probes = 0;
     c_scans = 0;
+    c_cands = 0;
     c_members = 0;
     c_sprobes = 0;
     c_sscans = 0;
@@ -916,29 +890,6 @@ let rec pat_slots acc = function
   | Slot (s, _) -> s :: acc
   | Node (_, ps) -> Array.fold_left pat_slots acc ps
 
-(* {!Path_key.ground_paths} of the instance of [p] whose [bound] slots
-   are bound: the paths to its ground top-level arguments, or with
-   [fine] to every maximal ground subterm *)
-let pat_paths ~fine bound p =
-  let rec ground = function
-    | Ground _ -> true
-    | Slot (s, _) -> Iset.mem s bound
-    | Node (_, ps) -> Array.for_all ground ps
-  in
-  let rec args rev_path i ps =
-    if i = Array.length ps then []
-    else
-      let here =
-        if ground ps.(i) then [ List.rev (i :: rev_path) ]
-        else
-          match ps.(i) with
-          | Node (_, sub) when fine -> args (i :: rev_path) 0 sub
-          | _ -> []
-      in
-      here @ args rev_path (i + 1) ps
-  in
-  match p with Node (_, ps) -> args [] 0 ps | _ -> []
-
 let rec pat_at p path =
   match (p, path) with
   | _, [] -> p
@@ -958,8 +909,7 @@ type cpos = {
   pat : pat;
   fresh : int array;  (* the slots it binds *)
   ground : bool;
-  paths : int list list;  (* the probe key's paths; [] scans *)
-  keys : pat array;  (* the subpatterns at [paths] *)
+  key : (int list * pat) option;  (* the probe key's path and pattern *)
   sprobe : (int * csprobe) option;
 }
 
@@ -1095,20 +1045,6 @@ let query_box x sp = function
         (fun (px, py) -> Sx.pad (Sx.point_box px py) eps)
         (sp.sp_point (term_of x.b x.env anchor))
 
-(* the probe key of literal [c]'s instance: the subterm's id for one
-   path, the key node over the subterms' ids for several; -1 when the
-   bank lacks one, so no stored fact carries it *)
-let probe_key b env c =
-  match c.keys with
-  | [| k |] -> inst b env false k
-  | keys ->
-      let base = b.Bank.sp in
-      if inst_kids b env false keys 0 then Bank.key b (Array.length keys) false
-      else begin
-        b.Bank.sp <- base;
-        -1
-      end
-
 let rec go x lits =
   let b = x.b and env = x.env and ctr = x.fp.ctr in
   match lits with
@@ -1201,35 +1137,35 @@ let rec go x lits =
 and try_facts x c rest = function
   | [] -> ()
   | id :: more ->
+      x.fp.ctr.c_cands <- x.fp.ctr.c_cands + 1;
       clear x.env c.fresh;
       if matches x.b x.env c.pat id then go x rest;
       try_facts x c rest more
 
-(* hash access path: probe the index over the literal's ground
-   top-level arguments — and, once the bindings reach one of its
-   variables, over every maximal ground subterm, so a join variable
-   bound inside a list argument narrows the bucket. Both buckets keep
-   the coarse one's reverse insertion order, so the enumeration of
-   matching facts is the same either way. Scan when no top-level
-   argument is ground: a fine bucket would then come back in the
-   reverse of the scan's order. *)
+(* hash access path: probe the index on the literal's key subterm
+   (chosen by [compile_rule]), so a join variable bound inside a list
+   argument or a constant object narrows the bucket; unification checks
+   the other ground subterms. Every bucket is the relation's reverse
+   insertion order filtered by its key, so the enumeration of matching
+   facts does not depend on the path. Scan when no top-level argument
+   is ground: a bucket would then come back in the reverse of the
+   scan's order. *)
 and hash_join x c rest =
   let ctr = x.fp.ctr in
-  if c.paths <> [] then begin
-    ctr.c_probes <- ctr.c_probes + 1;
-    let idx = Relation.index c.r x.b c.paths in
-    try_facts x c rest (Relation.bucket idx (probe_key x.b x.env c))
-  end
-  else begin
-    ctr.c_scans <- ctr.c_scans + 1;
-    (* facts added while the scan runs are not visited *)
-    let r = c.r in
-    for i = 0 to r.n - 1 do
-      let id = Array.unsafe_get r.ids i in
-      clear x.env c.fresh;
-      if matches x.b x.env c.pat id then go x rest
-    done
-  end
+  match c.key with
+  | Some (path, k) ->
+      ctr.c_probes <- ctr.c_probes + 1;
+      try_facts x c rest (Relation.bucket c.r x.b path (inst x.b x.env false k))
+  | None ->
+      ctr.c_scans <- ctr.c_scans + 1;
+      (* facts added while the scan runs are not visited *)
+      let r = c.r in
+      ctr.c_cands <- ctr.c_cands + r.n;
+      for i = 0 to r.n - 1 do
+        let id = Array.unsafe_get r.ids i in
+        clear x.env c.fresh;
+        if matches x.b x.env c.pat id then go x rest
+      done
 
 (* evaluate one rule body along its plan; [delta_at] aims one positive
    join position at the previous pass's delta instead of the full
@@ -1397,6 +1333,30 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
         Node (Bank.sym bank f, Array.of_list (List.map pat args))
     | _ -> Ground (Bank.intern bank t)
   in
+  (* The probe key of [atom], compiled to [p], once the slots in [bound]
+     are bound, with the subpattern there: its first maximal ground
+     subterm that holds a bound variable; else its first ground
+     top-level argument that is not {!Path_key.shared} (the object list
+     of [depth(D)(ocean)]); else its first ground top-level argument.
+     [None] (a scan) when no top-level argument is ground. A constant
+     nested deeper (the [n0] of [reach(n0, X)]) is no key here: it would
+     build a second index over the relation for one probe per firing. *)
+  let key_of bound atom p =
+    let bound (v : Term.var) = Iset.mem (Hashtbl.find slots v.id) bound in
+    let paths = Path_key.ground_paths ~bound atom in
+    let sub path = Option.get (Path_key.subterm_at path atom) in
+    let top = List.filter (function [ _ ] -> true | _ -> false) paths in
+    if top = [] then None
+    else
+      List.find_map
+        (fun (ok, among) -> List.find_opt ok among)
+        [
+          ((fun path -> not (Term.is_ground (sub path))), paths);
+          ((fun path -> not (Path_key.shared path (sub path))), top);
+          ((fun _ -> true), top);
+        ]
+      |> Option.map (fun path -> (path, pat_at p path))
+  in
   let plan_of ?avoid bound delta_at =
     annotate bound
       (if indexing then order_body ?avoid ~bound ~delta_at r.body else r.body)
@@ -1415,17 +1375,10 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
       (function
         | Pos (pos, rel, atom, sprobe) ->
             let p = pat atom in
-            let fine = List.exists (fun s -> Iset.mem s !bound) (pat_slots [] p) in
             let before = !bound in
             let fresh = binding p in
             let ground = fresh = [||] in
-            let paths =
-              if ground || not indexing then []
-              else
-                let ps = pat_paths ~fine before p in
-                if List.exists (function [ _ ] -> true | _ -> false) ps then ps
-                else []
-            in
+            let key = if ground || not indexing then None else key_of before atom p in
             let sprobe =
               Option.map
                 (fun (apos, sp) ->
@@ -1443,8 +1396,7 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
                 pat = p;
                 fresh;
                 ground;
-                paths;
-                keys = Array.of_list (List.map (pat_at p) paths);
+                key;
                 sprobe;
               }
         | Neg (_, atom, _) -> C_neg (pat atom)
@@ -1731,39 +1683,23 @@ let facts_matching fp goal =
   |> List.sort Term.compare
 
 (* Candidates for a goal by the cheapest access path: membership for a
-   ground goal, an index probe on the goal's maximal ground subterms for
-   a half-bound goal, the whole relation otherwise. The result is a
-   superset of the facts unifiable with [goal] (exactly the bucket of
-   facts agreeing with the goal's ground subterms) and is unsorted. *)
+   ground goal, an index probe on one ground subterm for a half-bound
+   goal ({!Path_key.key_path}: for a [holds/6] goal, an object or the
+   object list rather than the model or predicate every fact of the
+   relation shares), the whole relation otherwise. The result is a
+   superset of the facts unifiable with [goal] (the facts agreeing with
+   it at the key) and is unsorted. *)
 let probe fp goal =
   let b = fp.bank in
-  let candidates r =
-    match Path_key.ground_paths ~fine:true goal with
-      | [] -> Relation.elements b r
-      | paths ->
-          let sub path = Option.get (Path_key.subterm_at path goal) in
-          let idx = Relation.index r b paths in
-          let k =
-            match paths with
-            | [ path ] -> Bank.lookup b (sub path)
-            | _ ->
-                let base = b.Bank.sp in
-                if
-                  List.for_all
-                    (fun path ->
-                      let c = Bank.lookup b (sub path) in
-                      c >= 0 && (Bank.push b c; true))
-                    paths
-                then Bank.key b (List.length paths) false
-                else begin
-                  b.Bank.sp <- base;
-                  -1
-                end
-          in
-          List.map (Bank.term b) (Relation.bucket idx k)
-  in
   if Term.is_ground goal then if holds fp goal then [ goal ] else []
   else
+    let candidates =
+      match Path_key.key_path goal with
+      | None -> Relation.elements b
+      | Some path ->
+          let k = Bank.lookup b (Option.get (Path_key.subterm_at path goal)) in
+          fun r -> List.map (Bank.term b) (Relation.bucket r b path k)
+    in
     match relations_of fp goal with
     | [ r ] -> candidates r (* the common case: no copy *)
     | rs -> List.concat_map candidates rs
@@ -1797,6 +1733,7 @@ let stats fp =
     bu_facts = fp.ctr.c_facts;
     bu_index_probes = fp.ctr.c_probes;
     bu_full_scans = fp.ctr.c_scans;
+    bu_candidates = fp.ctr.c_cands;
     bu_membership_tests = fp.ctr.c_members;
     bu_spatial_probes = fp.ctr.c_sprobes;
     bu_spatial_scans = fp.ctr.c_sscans;

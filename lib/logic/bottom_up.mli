@@ -23,11 +23,13 @@
     arguments first, delta literal leading under semi-naive evaluation)
     and compiled once against the bank, and every positive literal with
     at least one ground argument probes a lazily built index instead of
-    scanning the relation. The index is keyed on the ids of the ground
-    top-level arguments or, once the plan has bound one of the literal's
-    variables, of every maximal ground subterm — so a join variable
-    bound inside a list argument (the objects of a [holds/6] fact)
-    narrows the probe to the facts carrying it.
+    scanning the relation. The index is keyed on the id of one ground
+    subterm ({!Path_key.key_path}): the first maximal ground subterm that
+    holds a variable the plan has bound, else one that not every fact of
+    the relation shares — so a join variable bound inside a list
+    argument (the objects of a [holds/6] fact), or a constant object,
+    narrows the probe to the facts carrying it, and unification checks
+    the rest.
     [run ~indexing:false] disables both the plans and the probes — the
     scan baseline the [engine-bu] benchmarks measure against.
 
@@ -156,6 +158,11 @@ type stats = {
       (** positive-literal matches answered by a hash-index probe *)
   bu_full_scans : int;
       (** positive-literal matches that scanned the whole relation *)
+  bu_candidates : int;
+      (** facts the probes, scans, delta and spatial lookups handed to a
+          positive literal's match: the work a less selective probe key
+          adds. Counted in this process only; a snapshot does not carry
+          it, so it restarts at 0 on {!import}. *)
   bu_membership_tests : int;
       (** positive-literal matches on a fully ground goal: O(1) membership *)
   bu_spatial_probes : int;
@@ -229,8 +236,12 @@ val facts_matching : fixpoint -> Term.t -> Term.t list
 val probe : fixpoint -> Term.t -> Term.t list
 (** Candidate facts for a possibly non-ground goal, narrowed by the
     cheapest access path: a membership test when the goal is ground, an
-    index probe on the goal's maximal ground subterms when it is
-    half-bound, and the stored relation(s) otherwise. Always a superset
+    index probe on one ground subterm when it is half-bound
+    ({!Path_key.key_path}: a [holds/6] goal's object list or first bound
+    object, its values or position, rather than the model or predicate
+    every fact of the relation shares), and the stored relation(s)
+    otherwise. A key no stored fact carries finds no
+    candidates and builds no index. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
     and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
     materialised mode answers through this instead of scanning. *)

@@ -235,7 +235,7 @@ let clauses db goal =
       match Sm.find_opt fa db.preds with
       | None -> Seq.empty
       | Some p ->
-          lookup goal p.root (Path_key.ground_paths ~fine:true goal)
+          lookup goal p.root (Path_key.ground_paths goal)
           |> List.rev_map (fun e -> e.clause)
           |> List.to_seq)
 

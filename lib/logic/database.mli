@@ -56,7 +56,7 @@ val clauses : t -> Term.t -> clause Seq.t
 (** [clauses db goal] returns the candidate clauses for [goal], in
     assertion order: every clause that can unify with it, and few that
     cannot. The goal's ground subterm paths
-    ([Path_key.ground_paths ~fine:true]) select them: a clause is a
+    ([Path_key.ground_paths]) select them: a clause is a
     candidate when its head has, at each of those paths, either the
     goal's subterm or a subterm with a variable in it, or a variable
     above the path. A goal with no ground path gets every clause. The goal must have a functor. The sequence

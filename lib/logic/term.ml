@@ -173,12 +173,21 @@ let needs_quotes s =
 let pp_atom ppf s =
   if needs_quotes s then Format.fprintf ppf "'%s'" s else Format.pp_print_string ppf s
 
+let pp_float ppf f =
+  if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf ppf "%.1f" f
+  else begin
+    (* shortest decimal that parses back exactly *)
+    let short = Printf.sprintf "%.12g" f in
+    if float_of_string short = f then Format.pp_print_string ppf short
+    else Format.fprintf ppf "%.17g" f
+  end
+
 let rec pp ppf t =
   match t with
   | Var v -> Format.fprintf ppf "%s_%d" v.name v.id
   | Atom s -> pp_atom ppf s
   | Int n -> Format.pp_print_int ppf n
-  | Float f -> Format.fprintf ppf "%g" f
+  | Float f -> pp_float ppf f
   | Str s -> Format.fprintf ppf "%S" s
   | App ("cons", [ _; _ ]) -> pp_list ppf t
   | App (f, args) ->

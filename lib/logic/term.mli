@@ -88,8 +88,14 @@ val rename : (int -> var option) -> (var -> t) -> t -> t
 
 (** {1 Printing} *)
 
+val pp_float : Format.formatter -> float -> unit
+(** A float that reads back as the same float: an integral value keeps
+    a decimal point ([1.0]), others print the shortest of [%.12g] and
+    [%.17g] that parses back exactly ([0.1234567]). *)
+
 val pp : Format.formatter -> t -> unit
-(** Prolog-ish syntax: [f(a, X_3, [1, 2])]. Variables print as
-    [Name_id] so distinct variables with equal names stay apart. *)
+(** Prolog-ish syntax: [f(a, X_3, [1, 2])], floats by {!pp_float}.
+    Variables print as [Name_id] so distinct variables with equal names
+    stay apart. *)
 
 val to_string : t -> string

@@ -499,7 +499,74 @@ let test_probe_consistency () =
       "p(X, Y)" (* open: falls back to the full relation *);
       "p(X, X)" (* repeated variable: superset is filtered by unification *);
       "q(X)" (* unknown predicate: empty either way *);
-    ]
+    ];
+  (* A holds-shaped closure goal keys on its bound object, not on the
+     top-level arguments every reach fact shares: the probe returns
+     exactly the unifiable facts, not the relation. *)
+  let src =
+    String.concat "\n"
+      (List.map
+         (fun (x, y) -> holds_atom "link" [ x; y ] ^ ".")
+         [ ("n0", "n1"); ("n1", "n2"); ("n2", "n3"); ("n1", "n3") ]
+      @ [
+          holds_atom "reach" [ "X"; "Y" ] ^ " :- "
+          ^ holds_atom "link" [ "X"; "Y" ] ^ ".";
+          holds_atom "reach" [ "X"; "Y" ] ^ " :- "
+          ^ holds_atom "reach" [ "X"; "Z" ] ^ ", "
+          ^ holds_atom "link" [ "Z"; "Y" ] ^ ".";
+        ])
+  in
+  let fp = Bottom_up.run ~refine:holds_refine (db_of src) in
+  let goal = Reader.term (holds_atom "reach" [ "n0"; "X" ]) in
+  let all = Bottom_up.facts_matching fp goal
+  and probed = List.sort Term.compare (Bottom_up.probe fp goal) in
+  Alcotest.(check (list string))
+    "reach from n0: the probe returns exactly the unifiable facts"
+    (List.map Term.to_string (unifiable goal all))
+    (List.map Term.to_string probed);
+  Alcotest.(check (pair int int))
+    "reach from n0: 3 of the relation's 6 facts" (3, 6)
+    (List.length probed, List.length all);
+  (* Value queries on one object, a position-qualified goal and a rule
+     literal with a constant object key on the object list or the
+     position, not on the model, predicate, [no_space] or a one-element
+     list's [nil] tail that every fact of the relation carries. *)
+  let value pred v o sp = Printf.sprintf "h(w, %s, [%s], [%s], %s)" pred v o sp in
+  let src =
+    String.concat "\n"
+      (List.map
+         (fun (v, o) -> value "depth" v o "no_space" ^ ".")
+         [ ("4", "ocean"); ("2", "lake"); ("1", "pond"); ("3", "sea") ]
+      @ List.map
+          (fun (v, sp) -> value "temp" v "" sp ^ ".")
+          [ ("5", "at(pos(1, 2))"); ("6", "at(pos(3, 4))"); ("7", "no_space") ]
+      @ [
+          value "deep" "D" "" "no_space" ^ " :- "
+          ^ value "depth" "D" "ocean" "no_space" ^ ".";
+        ])
+  in
+  let fp =
+    Bottom_up.run
+      ~refine:(function "h", 5 -> Some 1 | _ -> None)
+      (db_of src)
+  in
+  List.iter
+    (fun (goal_src, want) ->
+      let goal = Reader.term goal_src in
+      let probed = List.sort Term.compare (Bottom_up.probe fp goal) in
+      Alcotest.(check (list string))
+        (goal_src ^ ": the probe returns exactly the unifiable facts")
+        (List.map Term.to_string (unifiable goal (Bottom_up.facts_matching fp goal)))
+        (List.map Term.to_string probed);
+      Alcotest.(check int) (goal_src ^ ": candidates") want (List.length probed))
+    [
+      (value "depth" "V" "ocean" "S", 1);
+      (value "depth" "V" "sea" "no_space", 1);
+      (value "temp" "V" "" "at(pos(1, 2))", 1);
+    ];
+  Alcotest.(check int)
+    "depth(D)(ocean) in a rule body: one candidate, not the relation's four"
+    1 (Bottom_up.stats fp).Bottom_up.bu_candidates
 
 let tests =
   [

@@ -91,7 +91,7 @@ let test_default_model_applied () =
 
 let test_qualifier_encoding () =
   let u = Gfact.S_uniform (a "r1", Gfact.pos_term (pt 1.0 1.0)) in
-  Alcotest.(check string) "uniform encodes as u/2" "u(r1, pos(1, 1))"
+  Alcotest.(check string) "uniform encodes as u/2" "u(r1, pos(1.0, 1.0))"
     (Term.to_string (Gfact.spatial_term u));
   Alcotest.(check bool) "decode roundtrip" true
     (match Gfact.spatial_of_term (Gfact.spatial_term u) with
@@ -128,7 +128,7 @@ let test_pp () =
       ~space:(Gfact.S_at (Gfact.pos_term (pt 3.0 4.0)))
   in
   let s = Format.asprintf "%a" Gfact.pp f in
-  Alcotest.(check string) "paper-like rendering" "vegetation{pine}(hill) @pos(3, 4)" s
+  Alcotest.(check string) "paper-like rendering" "vegetation{pine}(hill) @pos(3.0, 4.0)" s
 
 let tests =
   [

@@ -10,7 +10,7 @@ let test_atoms_numbers () =
   roundtrip "negative int" "-42" "-42";
   roundtrip "float" "3.5" "3.5";
   roundtrip "string" "\"hi\"" "\"hi\"";
-  roundtrip "scientific float" "1.5e2" "150"
+  roundtrip "scientific float" "1.5e2" "150.0"
 
 let test_compound_shape () =
   match Reader.term "f(g(1), X)" with
