@@ -1018,16 +1018,18 @@ let stratum_ms db =
 let bu_measure w scale =
   let open Gdp_logic in
   let db = w.w_db scale in
-  let scan_ms, scan_fp = time_ms (fun () -> Bottom_up.run ~indexing:false db) in
+  let scan_ms, scan_fp =
+    time_ms (fun () -> Bottom_up.run ~baseline:Bottom_up.Scan db)
+  in
   let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
   let s = Bottom_up.stats idx_fp in
   [
     ("facts", Int (Bottom_up.count idx_fp));
-    ("passes", Int (Bottom_up.iterations idx_fp));
+    ("passes", Int s.Bottom_up.bu_passes);
     ("scan_ms", ms scan_ms);
-    ("scan_firings", Int (Bottom_up.rule_firings scan_fp));
+    ("scan_firings", Int (Bottom_up.stats scan_fp).Bottom_up.bu_firings);
     ("indexed_ms", ms idx_ms);
-    ("indexed_firings", Int (Bottom_up.rule_firings idx_fp));
+    ("indexed_firings", Int s.Bottom_up.bu_firings);
     ("speedup", speedup ~slow:scan_ms idx_ms);
     ( "agree",
       Bool
@@ -1054,7 +1056,7 @@ let naive_measure w scale =
   let open Gdp_logic in
   let db = w.w_db scale in
   let naive_ms, naive_fp =
-    time_ms (fun () -> Bottom_up.run ~strategy:Bottom_up.Naive db)
+    time_ms (fun () -> Bottom_up.run ~baseline:Bottom_up.Naive db)
   in
   let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
   let derived = Bottom_up.facts_matching idx_fp w.w_goal in
@@ -1220,10 +1222,10 @@ let magic_measure w scale =
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
    region_mem or bounded pt_dist guard — exactly the joins the spatial
    planner compiles to index probes. Each database is evaluated two
-   ways: the scan baseline (~spatial_indexing:false, every annotated
-   join through the hash/scan path) and STR-packed R-trees. Both must
-   derive identical fact sets — the probes are pre-filters, the exact
-   guard always re-checks.
+   ways: the [Spatial_scan] baseline (every annotated join through the
+   hash/scan path) and STR-packed R-trees. Both must derive identical
+   fact sets — the probes are pre-filters, the exact guard always
+   re-checks.
    The databases are raw engine bases like the other engine-* series;
    the Spec only carries the region table and coordinate system the
    spatial hooks read. *)
@@ -1304,7 +1306,8 @@ let spatial_case ~name ~title ~db ~regions ~console ~json ~small =
     let db = db scale in
     let rtree = Compile.spatial_hints hints in
     let scan_ms, scan_fp =
-      time_ms (fun () -> Bottom_up.run ~spatial:rtree ~spatial_indexing:false db)
+      time_ms (fun () ->
+          Bottom_up.run ~baseline:Bottom_up.Spatial_scan ~spatial:rtree db)
     in
     let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial:rtree db) in
     [
@@ -1420,7 +1423,8 @@ let snap_measure w scale =
     ( "agree",
       Bool
         (Bottom_up.count cold_fp = Bottom_up.count warm_fp
-        && Bottom_up.iterations cold_fp = Bottom_up.iterations warm_fp
+        && (Bottom_up.stats cold_fp).bu_passes
+           = (Bottom_up.stats warm_fp).bu_passes
         && List.equal Term.equal (sorted cold_fp) (sorted warm_fp)) );
   ]
 
@@ -1481,24 +1485,64 @@ let keys_goals n =
   @ List.init 8 (fun x ->
         holds "temp" ~space:(T.app "at" [ T.app "pos" [ T.int x; T.int 0 ] ]))
 
+(* Literals and goals whose selective constants sit in two separate
+   subterms, which a one-path key narrows on only one of: a plain
+   [e(a0, b0, X)] and its holds/6 form, a constant value beside a
+   constant object ([rated] at [high] with first object [o0]). Each
+   constant alone matches a half ([a0], [high]) or an eighth ([b0],
+   [o0]) of its relation; together they match an eighth. *)
+let split_db n =
+  let open Gdp_logic in
+  let db = Engine.create () in
+  let obj i = a (Printf.sprintf "o%d" i) in
+  for i = 0 to n - 1 do
+    Database.fact db
+      (T.app "e"
+         [
+           a (Printf.sprintf "a%d" (i mod 2));
+           a (Printf.sprintf "b%d" (i mod 8));
+           obj i;
+         ]);
+    Database.fact db
+      (Gfact.to_holds ~default_model:Names.default_model
+         (Gfact.make "rated"
+            ~values:[ a (if i mod 2 = 0 then "high" else "low") ]
+            ~objects:[ obj (i mod 8); obj i ]))
+  done;
+  Engine.consult db
+    {|
+    pair(X) :- e(a0, b0, X).
+    holds(w, top, [], [X], nospace, notime) :-
+      holds(w, rated, [high], [o0, X], nospace, notime).
+    |};
+  db
+
+let split_goals _ =
+  [
+    T.app "e" [ a "a0"; a "b0"; v "X" ];
+    T.app Names.holds
+      [ a Names.default_model; a "rated"; T.list [ a "high" ];
+        T.list [ a "o0"; v "Y" ]; v "S"; v "T" ];
+  ]
+
 (* The facts the fixpoint's joins and the goals' probes hand to
    unification ("candidates", "probe_candidates") against the answers
    they yield: the work a probe key's selectivity decides, which the
    probe and scan counts cannot show. "agree" asserts that every probe
    yields exactly the unifiable facts of its goal's relation. *)
-let keys_measure n =
+let keys_measure ~db ~goals n =
   let open Gdp_logic in
-  let fp = Bottom_up.run ~refine:Compile.datalog_refine (keys_db n) in
+  let fp = Bottom_up.run ~refine:Compile.datalog_refine (db n) in
   let s = Bottom_up.stats fp in
   let unifiable goal = List.filter (fun f -> Unify.unify Subst.empty goal f <> None) in
   let probed =
     List.map
       (fun goal -> (goal, Bottom_up.probe fp goal))
-      (keys_goals n)
+      (goals n)
   in
   [
     ("facts", Int (Bottom_up.count fp));
-    ("passes", Int (Bottom_up.iterations fp));
+    ("passes", Int s.Bottom_up.bu_passes);
     ("probes", Int s.Bottom_up.bu_index_probes);
     ("scans", Int s.Bottom_up.bu_full_scans);
     ("candidates", Int s.Bottom_up.bu_candidates);
@@ -1526,7 +1570,16 @@ let keys_cases =
       console = [ 32; 128 ];
       json = [ 128; 256 ];
       small = [ 32; 128 ];
-      measure = keys_measure;
+      measure = keys_measure ~db:keys_db ~goals:keys_goals;
+    };
+    {
+      name = "split-constants";
+      title = "literals and goals whose constants sit in two separate subterms";
+      header = [];
+      console = [ 32; 128 ];
+      json = [ 128; 256 ];
+      small = [ 32; 128 ];
+      measure = keys_measure ~db:split_db ~goals:split_goals;
     };
   ]
 

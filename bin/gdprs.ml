@@ -66,28 +66,18 @@ let with_engine q ~materialize ~magic =
   | false, true -> Query.with_mode q Query.Magic
   | false, false -> q
 
-let no_spatial_index_arg =
-  Arg.(value & flag
-       & info [ "no-spatial-index" ]
-           ~doc:"Disable spatial-index probes in bottom-up fixpoints: joins \
-                 guarded by $(b,region_mem) or a bounded $(b,pt_dist) take \
-                 the hash/scan baseline instead of R-tree range queries. The \
-                 derived model is identical; only the spatial counters in \
-                 $(b,--stats) move. Only meaningful with $(b,--materialize); \
-                 rejected with $(b,--magic).")
-
 let snapshot_arg =
   Arg.(value & opt (some string) None
        & info [ "snapshot" ] ~docv:"FILE.gdpx"
            ~doc:"Answer from a persistent fixpoint snapshot written by \
                  $(b,gdprs compile -o): the materialised model is loaded \
                  from $(docv) — re-interned and re-indexed, but with no \
-                 rule evaluation — after verifying that the specification, \
-                 views and engine configuration still hash to the \
-                 snapshot's key. A stale snapshot (the file or \
-                 configuration changed) is rebuilt in memory with a \
-                 warning; a corrupt file is a hard error (exit 2). \
-                 Implies $(b,--materialize) unless $(b,--magic) is given.")
+                 rule evaluation — after verifying that the specification \
+                 and views still hash to the snapshot's key. A stale \
+                 snapshot (the file or views changed) is rebuilt in \
+                 memory with a warning; a corrupt file is a hard error \
+                 (exit 2). Implies $(b,--materialize) unless $(b,--magic) \
+                 is given.")
 
 (* Load [path] into [q]'s fixpoint cache. Stale falls through with a
    warning — the caller's next materialisation recomputes fresh — while
@@ -152,10 +142,10 @@ let print_views q =
 
 let print_materialised q =
   let fp = Query.materialization q in
+  let s = Gdp_logic.Bottom_up.stats fp in
   Printf.printf "materialised: %d facts, %d strata, %d passes\n"
     (Gdp_logic.Bottom_up.count fp)
-    (Gdp_logic.Bottom_up.strata_count fp)
-    (Gdp_logic.Bottom_up.iterations fp)
+    s.bu_strata s.bu_passes
 
 (* the consistency verdict shared by check and update; returns the exit
    code *)
@@ -172,12 +162,6 @@ let report_violations q explain_n =
 
 let enable_telemetry result =
   result.Gdp_lang.Elaborate.spec.Spec.telemetry <- true
-
-let set_spatial_indexing result ~no_spatial_index ~magic =
-  if no_spatial_index && magic then
-    invalid_arg "--no-spatial-index and --magic are mutually exclusive";
-  if no_spatial_index then
-    result.Gdp_lang.Elaborate.spec.Spec.spatial_indexing <- false
 
 let print_stats q = Format.printf "-- stats --@.%a@." Query.pp_stats q
 
@@ -214,12 +198,11 @@ let handle_errors f =
 (* ---- check ---- *)
 
 let check_cmd =
-  let run file view models metas materialize snapshot stats
-      no_spatial_index explain_n trace_out =
+  let run file view models metas materialize snapshot stats explain_n
+      trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q = with_materialize (build_query result view models metas) materialize in
         print_views q;
@@ -233,8 +216,7 @@ let check_cmd =
   let doc = "Check a specification's consistency under a world view (§III-E)." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize_arg
-          $ snapshot_arg $ stats_arg $ no_spatial_index_arg
-          $ explain_violations_arg $ trace_out_arg)
+          $ snapshot_arg $ stats_arg $ explain_violations_arg $ trace_out_arg)
 
 (* ---- compile ---- *)
 
@@ -245,11 +227,10 @@ let compile_cmd =
              ~doc:"Where to write the snapshot. Conventionally \
                    $(i,SPEC).gdpx next to the specification.")
   in
-  let run file view models metas out stats no_spatial_index trace_out =
+  let run file view models metas out stats trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let q =
           Query.with_mode (build_query result view models metas)
             Query.Materialized
@@ -267,14 +248,14 @@ let compile_cmd =
     "Materialise a specification's bottom-up fixpoint once and persist it \
      as a snapshot (.gdpx): facts, indexes, stratification, incremental \
      state and provenance, keyed by a content hash of the compiled \
-     specification and engine configuration. Later runs pass \
+     specification and its views. Later runs pass \
      $(b,--snapshot) to answer from the file instead of re-deriving — \
      compile once, query many. A snapshot whose key no longer matches is \
      reported stale and rebuilt, never silently reused."
   in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ out_arg
-          $ stats_arg $ no_spatial_index_arg $ trace_out_arg)
+          $ stats_arg $ trace_out_arg)
 
 (* ---- update ---- *)
 
@@ -323,11 +304,10 @@ let update_cmd =
                       lineno))
   in
   let run file view models metas script materialize snapshot stats
-      no_spatial_index explain_n trace_out =
+      explain_n trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
           with_materialize (build_query result view models metas) materialize
@@ -369,8 +349,8 @@ let update_cmd =
   in
   Cmd.v (Cmd.info "update" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ script_arg
-          $ materialize_arg $ snapshot_arg $ stats_arg
-          $ no_spatial_index_arg $ explain_violations_arg $ trace_out_arg)
+          $ materialize_arg $ snapshot_arg $ stats_arg $ explain_violations_arg
+          $ trace_out_arg)
 
 (* ---- query ---- *)
 
@@ -383,11 +363,10 @@ let query_cmd =
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc:"Maximum answers.")
   in
   let run file view models metas pattern limit materialize magic snapshot
-      stats no_spatial_index trace_out =
+      stats trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
@@ -413,7 +392,7 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ limit_arg $ materialize_arg $ magic_arg $ snapshot_arg $ stats_arg
-          $ no_spatial_index_arg $ trace_out_arg)
+          $ trace_out_arg)
 
 (* ---- ask ---- *)
 
@@ -422,12 +401,10 @@ let ask_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"GOAL" ~doc:"Raw engine goal over the reified vocabulary (holds/6, acc/7, builtins).")
   in
-  let run file view models metas goal magic snapshot stats
-      no_spatial_index trace_out =
+  let run file view models metas goal magic snapshot stats trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         let q =
           with_engine (build_query result view models metas)
             ~materialize:(snapshot <> None && not magic) ~magic
@@ -458,8 +435,7 @@ let ask_cmd =
   let doc = "Run a raw engine goal against the compiled database." in
   Cmd.v (Cmd.info "ask" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ magic_arg $ snapshot_arg $ stats_arg
-          $ no_spatial_index_arg $ trace_out_arg)
+          $ magic_arg $ snapshot_arg $ stats_arg $ trace_out_arg)
 
 (* ---- profile ---- *)
 
@@ -478,11 +454,10 @@ let profile_cmd =
                    tree; accepted so every engine subcommand takes it.")
   in
   let run file view models metas goal materialize snapshot (_ : bool)
-      trace_out no_spatial_index =
+      trace_out =
     handle_errors (fun () ->
         let result = load file in
         enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
           with_materialize (build_query result view models metas) materialize
@@ -512,8 +487,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ materialize_arg $ snapshot_arg $ stats_arg $ trace_out_arg
-          $ no_spatial_index_arg)
+          $ materialize_arg $ snapshot_arg $ stats_arg $ trace_out_arg)
 
 (* ---- render ---- *)
 
@@ -610,13 +584,12 @@ let explain_cmd =
                    edges).")
   in
   let run file view models metas pattern dot json materialize magic snapshot
-      stats no_spatial_index trace_out =
+      stats trace_out =
     handle_errors (fun () ->
         if dot && json then
           invalid_arg "--dot and --json are mutually exclusive";
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
@@ -657,7 +630,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ dot_arg $ json_arg $ materialize_arg $ magic_arg $ snapshot_arg
-          $ stats_arg $ no_spatial_index_arg $ trace_out_arg)
+          $ stats_arg $ trace_out_arg)
 
 (* ---- info ---- *)
 

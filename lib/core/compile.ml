@@ -342,12 +342,8 @@ let spatial_hints spec : Bottom_up.spatial =
    order decides which derivation a proof shows) plus everything
    outside the clause store that changes what a materialised fixpoint
    derives: views, the
-   coordinate system, region geometries, logical space/time resolutions,
-   the fuzzy algebra, and the engine configuration knobs. The
-   configuration part reads the specification's {e current} flag, so
-   flipping [Spec.spatial_indexing] after compilation changes the key —
-   a [--no-spatial-index] run never silently reuses an indexed
-   snapshot. *)
+   coordinate system, region geometries, logical space/time resolutions
+   and the fuzzy algebra. *)
 let content_hash (c : t) =
   let spec = c.spec in
   let buf = Buffer.create 512 in
@@ -382,6 +378,4 @@ let content_hash (c : t) =
     (List.rev spec.Spec.tspaces);
   Buffer.add_string buf
     (Printf.sprintf "|fuzzy:%d" (Hashtbl.hash spec.Spec.fuzzy_family));
-  Buffer.add_string buf
-    (Printf.sprintf "|spatial_indexing:%b" spec.Spec.spatial_indexing);
   Digest.to_hex (Digest.string (Buffer.contents buf))

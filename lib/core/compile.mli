@@ -72,10 +72,10 @@ val content_hash : t -> string
 (** The snapshot key of this compilation: a digest over the exact
     compiled clause sequence (rule order included — the derivation a
     proof shows depends on it), both views, the coordinate system, region
-    geometries, logical space and time resolutions, the fuzzy algebra
-    family, and the [Spec.spatial_indexing] flag as it stands {e now}.
+    geometries, logical space and time resolutions and the fuzzy
+    algebra family.
     Deliberately independent of the specification's update log
     (updates persist inside the snapshot and are replayed on load — see
     [Query.of_snapshot]). Two processes
-    compiling the same specification under the same views and flags
-    compute the same hash; any divergence marks a snapshot {e stale}. *)
+    compiling the same specification under the same views compute the
+    same hash; any divergence marks a snapshot {e stale}. *)

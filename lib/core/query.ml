@@ -85,8 +85,7 @@ let materialization q =
         Gdp_obs.Tracer.with_span q.tracer ~cat:"query" "materialize"
           (fun () ->
             Bottom_up.run ~refine:Compile.datalog_refine
-              ~spatial:(Compile.spatial_hints (spec q))
-              ~spatial_indexing:(spec q).Spec.spatial_indexing ~tracer:q.tracer
+              ~spatial:(Compile.spatial_hints (spec q)) ~tracer:q.tracer
               (db q))
       in
       q.fp := Some fp;
@@ -110,7 +109,6 @@ let magic_materialization q goal =
             in
             let fp =
               Bottom_up.run ~refine:Compile.datalog_refine ~spatial
-                ~spatial_indexing:(spec q).Spec.spatial_indexing
                 ~tracer:q.tracer ~seed:info.Magic.seeds rewritten
             in
             (fp, info))
@@ -223,8 +221,7 @@ let of_snapshot q path =
       if not (String.equal snap.Snapshot.key want) then
         Error
           (Snapshot_stale
-             "the specification or engine configuration changed since \
-              the snapshot was written")
+             "its key does not match the specification and views")
       else
         match decode_update_log snap.Snapshot.meta with
         | exception Wire.Corrupt msg ->
@@ -236,7 +233,6 @@ let of_snapshot q path =
                 match
                   Bottom_up.import ~refine:Compile.datalog_refine
                     ~spatial:(Compile.spatial_hints (spec q))
-                    ~spatial_indexing:(spec q).Spec.spatial_indexing
                     ~tracer:q.tracer (db q) snap.Snapshot.state
                 with
                 | fp ->

@@ -46,9 +46,6 @@ type t = {
   mutable extra_builtins : ((string * int) * Database.builtin) list;
   mutable telemetry : bool;
   mutable jobs : int; (* ignored; kept only until the benchmark stops setting it *)
-  mutable spatial_indexing : bool;
-      (* compile spatially guarded joins to index probes in materialised
-         fixpoints; off = the scan baseline, same model *)
   mutable updates : update list; (* newest first; update_log reverses *)
   mutable snapshot_path : string option;
       (* where a persistent fixpoint snapshot for this specification
@@ -74,7 +71,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       extra_builtins = [];
       telemetry = false;
       jobs = 1;
-      spatial_indexing = true;
       updates = [];
       snapshot_path = None;
     }

@@ -94,15 +94,6 @@ type t = {
           or the CLI reads this field. It remains only because the
           end-to-end benchmark's ledger still assigns it, and goes with
           the next change to that benchmark. *)
-  mutable spatial_indexing : bool;
-      (** when true (the default), every fixpoint {!Query} materialises
-          compiles joins guarded by [region_mem] or a bounded [pt_dist]
-          into spatial-index probes ({!Gdp_logic.Bottom_up.run}'s
-          [~spatial_indexing]); when false the same joins take the
-          hash/scan baseline — identical model and stats apart from the
-          [bu_spatial_*] counters. The setting behind
-          [gdprs --no-spatial-index]. Top-down resolution is
-          unaffected. *)
   mutable updates : update list;
       (** the update log, newest first — read it through {!update_log} *)
   mutable snapshot_path : string option;

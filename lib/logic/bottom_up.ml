@@ -599,7 +599,7 @@ open Datalog
 
 exception Unsupported = Datalog.Unsupported
 
-type strategy = Naive | Semi_naive
+type baseline = Naive | Scan | Spatial_scan
 type refine = Datalog.refine
 
 (* Spatial builtin hooks, supplied by the compiler. [sp_ext] whitelists
@@ -635,9 +635,6 @@ let classify ?(refine = fun _ -> None) ?spatial db =
   match prepare db ~refine ~spatial with
   | _ -> Ok ()
   | exception Unsupported reason -> Error reason
-
-let supported ?refine ?spatial db =
-  match classify ?refine ?spatial db with Ok () -> true | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* spatial plan annotation: a join whose fresh point variable is
@@ -943,10 +940,9 @@ type planned = {
 
 (* The maintained state: everything [run] needed transiently is kept so
    {!apply} can continue evaluating — the node bank, the per-stratum
-   rule plans (compiled with or without indexing), the stratum map, the
-   set of asserted (extensional) facts distinguished from derived ones,
-   and the evaluation options the fixpoint was built under (updates
-   must propagate with the same strategy/indexing or the differential
+   rule plans, the stratum map, the set of asserted (extensional) facts
+   distinguished from derived ones, and the baseline the fixpoint was
+   built under (updates must propagate in it or the differential
    guarantees vanish). *)
 type fixpoint = {
   bank : Bank.t;
@@ -956,9 +952,8 @@ type fixpoint = {
   by_stratum : planned list array;
   stratum_of : Rel.t -> int;  (* total: unknown relations map to 0 *)
   n_strata : int;
-  strategy : strategy;
+  baseline : baseline option;  (* [None]: the production evaluation *)
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
-  spatial_indexing : bool;  (* compile guarded joins to index probes *)
   tracer : Gdp_obs.Tracer.t;
   ctr : counters;
   mutable strata_stats : stratum_stats list;
@@ -1035,12 +1030,13 @@ let clear env fresh =
   done
 
 (* the query box of an annotated join, covering everything the
-   downstream spatial guard can accept; [None] when spatial indexing is
-   off or the anchor carries no point *)
-let query_box x sp = function
-  | _ when not x.fp.spatial_indexing -> None
-  | Cs_within bx -> Some bx
-  | Cs_near (anchor, eps) ->
+   downstream spatial guard can accept; [None] under the [Spatial_scan]
+   baseline or when the anchor carries no point *)
+let query_box x sp probe =
+  match (x.fp.baseline, probe) with
+  | Some Spatial_scan, _ -> None
+  | _, Cs_within bx -> Some bx
+  | _, Cs_near (anchor, eps) ->
       Option.map
         (fun (px, py) -> Sx.pad (Sx.point_box px py) eps)
         (sp.sp_point (term_of x.b x.env anchor))
@@ -1172,7 +1168,8 @@ and hash_join x c rest =
    relation. Each positive literal is matched by the cheapest available
    access path: O(1) membership when the bound slots ground it, an
    index probe on its ground subterms ([hash_join]), and a full scan
-   only when no top-level argument is ground (or indexing is off).
+   only when no top-level argument is ground (or under the [Scan]
+   baseline).
 
    [ghosts], used only by DRed over-deletion, extends every positive
    literal's relation with the facts physically deleted earlier in the
@@ -1290,20 +1287,19 @@ let saturate fp ~budget_from ~guard srules start =
       ~args:[ ("delta", Gdp_obs.Tracer.Int dsize) ]
       "pass"
       (fun () ->
-        match fp.strategy with
-        | Naive -> full_pass ()
-        | Semi_naive ->
-            List.iter
-              (fun p ->
-                Array.iteri
-                  (fun i rel ->
-                    match Rel_map.find_opt rel !deltas with
-                    | Some (_ :: _ as d) ->
-                        eval_rule fp ~delta_at:(Some i) ~delta:d p
-                          p.delta_plans.(i) ~emit
-                    | _ -> ())
-                  p.rule.pos_rels)
-              srules);
+        if fp.baseline = Some Naive then full_pass ()
+        else
+          List.iter
+            (fun p ->
+              Array.iteri
+                (fun i rel ->
+                  match Rel_map.find_opt rel !deltas with
+                  | Some (_ :: _ as d) ->
+                      eval_rule fp ~delta_at:(Some i) ~delta:d p
+                        p.delta_plans.(i) ~emit
+                  | _ -> ())
+                p.rule.pos_rels)
+            srules);
     end_pass ();
     deltas := !new_facts
   done;
@@ -1315,7 +1311,7 @@ let saturate fp ~budget_from ~guard srules start =
    own passes, from the head's for evaluation from a matched head. The
    bound set grows along a plan exactly as {!Datalog.extend_bound} has
    it. *)
-let compile_rule bank get ~indexing ~annotate (r : rule) =
+let compile_rule bank get ~scan ~annotate (r : rule) =
   let slots = Hashtbl.create 8 in
   let rec pat (t : Term.t) =
     match t with
@@ -1359,7 +1355,7 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
   in
   let plan_of ?avoid bound delta_at =
     annotate bound
-      (if indexing then order_body ?avoid ~bound ~delta_at r.body else r.body)
+      (if scan then r.body else order_body ?avoid ~bound ~delta_at r.body)
   in
   let compile bound lits =
     let bound = ref bound in
@@ -1378,7 +1374,7 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
             let before = !bound in
             let fresh = binding p in
             let ground = fresh = [||] in
-            let key = if ground || not indexing then None else key_of before atom p in
+            let key = if ground || scan then None else key_of before atom p in
             let sprobe =
               Option.map
                 (fun (apos, sp) ->
@@ -1446,8 +1442,8 @@ let compile_rule bank get ~indexing ~annotate (r : rule) =
    the parsed base facts un-inserted — [run] nets its seeds into them
    and saturates; [import] ignores them and bulk-loads a snapshot
    instead. *)
-let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-    ~tracer ~bank (facts, rules, stratum_of, n_strata) =
+let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank
+    (facts, rules, stratum_of, n_strata) =
   let rels = Hashtbl.create 64 in
   (* every relation a rule can read or write exists up front, so the set
      of stored relations — and with it a snapshot's relation list —
@@ -1461,17 +1457,19 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
           | Neg (rel, _, _) -> ignore (get_in rels rel : Relation.t) | _ -> ())
         r.body)
     rules;
-  (* body plans: with indexing on, a greedy bound-count order per rule
-     plus one per delta position; the scan baseline keeps textual order.
-     With spatial hooks present, every plan gets the spatial annotation
-     pass — whether an annotated join actually probes is decided at
-     evaluation time by the [spatial_indexing] knob, so the scan
-     baseline counts the joins it declined to accelerate. *)
+  (* body plans: a greedy bound-count order per rule plus one per delta
+     position; the [Scan] baseline keeps textual order. With spatial
+     hooks present, every plan gets the spatial annotation pass — whether
+     an annotated join actually probes is decided at evaluation time, so
+     the [Spatial_scan] baseline counts the joins it declined to
+     accelerate. *)
   let annotate bound plan =
     match spatial with Some sp -> annotate_spatial sp bound plan | None -> plan
   in
   let planned =
-    List.map (compile_rule bank (get_in rels) ~indexing ~annotate) rules
+    List.map
+      (compile_rule bank (get_in rels) ~scan:(baseline = Some Scan) ~annotate)
+      rules
   in
   let by_stratum = Array.make (max n_strata 1) [] in
   List.iter
@@ -1490,9 +1488,8 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
       stratum_of =
         (fun rel -> match stratum_of rel with s -> s | exception Not_found -> 0);
       n_strata;
-      strategy;
+      baseline;
       spatial;
-      spatial_indexing;
       tracer;
       ctr = new_counters ();
       strata_stats = [];
@@ -1523,7 +1520,7 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
    [Relation.add]. *)
 let prebuild_spatial fp =
   match fp.spatial with
-  | Some sp when fp.spatial_indexing ->
+  | Some sp when fp.baseline <> Some Spatial_scan ->
       let built = Hashtbl.create 8 in
       let build_for = function
         | C_pos { rel; r; sprobe = Some (apos, _); _ } ->
@@ -1581,12 +1578,10 @@ let emit_gauges fp =
     set "bu.hcons_misses" fp.ctr.c_misses
   end
 
-let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(refine = fun _ -> None)
+let run ?baseline ?spatial ?(refine = fun _ -> None)
     ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
   let fp, facts =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer
+    build_fixpoint ~baseline ~spatial ~refine ~tracer
       ~bank:(Bank.create ~nodes:1024 ~kids:2048)
       (prepare db ~refine ~spatial)
   in
@@ -1706,10 +1701,6 @@ let probe fp goal =
 
 let count fp =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) fp.rels 0
-
-let iterations fp = fp.ctr.c_passes
-let rule_firings fp = fp.ctr.c_firings
-let strata_count fp = fp.n_strata
 
 let incr_stats fp =
   {
@@ -2504,8 +2495,7 @@ let belongs b refine (rel : Rel.t) =
     | Some (Some (pos, sub)) -> pos < arity && Bank.child b id pos = sub
     | None -> false
 
-let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(refine = fun _ -> None)
+let import ?spatial ?(refine = fun _ -> None)
     ?(tracer = Gdp_obs.Tracer.disabled) db st =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts st)) ]
@@ -2566,8 +2556,7 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
     if id < i then Wire.corrupt "node %d repeats node %d" i id
   done;
   let fp, _parsed =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~refine
-      ~tracer ~bank:b prepared
+    build_fixpoint ~baseline:None ~spatial ~refine ~tracer ~bank:b prepared
   in
   let c = fp.ctr in
   (match counters with

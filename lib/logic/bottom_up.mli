@@ -2,15 +2,12 @@
     ground facts, conjunctive rules, negation as failure over strictly
     lower strata, and ground arithmetic / comparison guards.
 
-    Two evaluation strategies share one stratified core:
-
-    - {e Naive}: within each stratum, every rule re-fires against the full
-      relations on every pass until nothing changes. Kept as the reference
-      implementation and as the baseline the benchmarks compare against.
-    - {e Semi-naive} (the default): each pass only re-fires rules that
-      mention a predicate whose relation changed in the previous pass, and
-      one positive body literal is matched against that {e delta} rather
-      than the full relation — the classic Datalog optimisation.
+    Within each stratum, evaluation is {e semi-naive}: each pass only
+    re-fires rules that mention a predicate whose relation changed in the
+    previous pass, and one positive body literal is matched against that
+    {e delta} rather than the full relation — the classic Datalog
+    optimisation. The reference evaluations the tests and benchmarks
+    compare against are selected by {!run}'s [?baseline] alone.
 
     Each fixpoint interns every ground term it holds in its own node
     bank: a term is an int id, equal terms get equal ids, and terms are
@@ -30,8 +27,6 @@
     argument (the objects of a [holds/6] fact), or a constant object,
     narrows the probe to the facts carrying it, and unification checks
     the rest.
-    [run ~indexing:false] disables both the plans and the probes — the
-    scan baseline the [engine-bu] benchmarks measure against.
 
     Three uses: materialising the consequences of a requirements base (all
     realised facts at once, independent of query order — see
@@ -57,11 +52,23 @@ exception Bound_exceeded of [ `Facts | `Passes ] * int
     arithmetic recursion) reach either. A fixpoint whose {!apply}
     raised it is half-updated and must be dropped. *)
 
-type strategy = Naive | Semi_naive
-(** [Naive] re-fires every rule against the whole store each pass (the
-    textbook baseline, kept for benchmarking); [Semi_naive] — the
-    default — restricts each firing to the previous pass's delta. Both
-    compute the same least model. *)
+type baseline =
+  | Naive
+      (** every rule re-fires against the whole store each pass: the
+          textbook evaluation, without deltas *)
+  | Scan
+      (** bodies evaluate in textual order and every positive literal
+          scans its whole relation: no join plans, no hash probes.
+          Spatial probes stay on; no caller combines this with
+          [~spatial]. *)
+  | Spatial_scan
+      (** production plans and hash probes, but every spatially
+          annotated join takes the hash/scan path instead of a spatial
+          index probe *)
+(** The reference evaluations tests and benchmarks compare the engine
+    against. Each computes the same least model, stratification and
+    provenance as the default; only the pass structure and access-path
+    counters differ. Nothing outside tests and benchmarks selects one. *)
 
 type refine = Datalog.refine
 (** Relation refinement (see {!Datalog.refine}); the default refines
@@ -90,12 +97,12 @@ type spatial = {
 }
 (** Spatial evaluation hooks, supplied by the GDP compiler
     ([Gdp_core.Compile.spatial_hints]). With [~spatial] set, {!run}
-    whitelists the hook's builtins as native body literals and — unless
-    [~spatial_indexing:false] — compiles joins guarded by [region_mem]
-    or bounded [pt_dist] into spatial-index probes over lazily built
-    per-relation point indexes. The probes are sound pre-filters (the
-    exact guard always re-checks), so the derived model, stratification
-    and provenance are identical with indexing on and off. *)
+    whitelists the hook's builtins as native body literals and compiles
+    joins guarded by [region_mem] or bounded [pt_dist] into
+    spatial-index probes over per-relation point indexes. The probes
+    are sound pre-filters (the exact guard always re-checks), so the
+    derived model, stratification and provenance are identical to the
+    {!Spatial_scan} baseline's. *)
 
 val classify :
   ?refine:refine -> ?spatial:spatial -> Database.t -> (unit, string) result
@@ -106,9 +113,6 @@ val classify :
     negation through a recursive stratum. Library clauses
     ({!Prelude.predicates}) are invisible, so engine databases created
     by {!Engine.create} classify on user clauses only. *)
-
-val supported : ?refine:refine -> ?spatial:spatial -> Database.t -> bool
-(** [classify db = Ok ()]. *)
 
 type stratum_stats = {
   st_stratum : int;  (** stratum number, 0-based, dependency order *)
@@ -150,9 +154,12 @@ type prov_stats = {
 (** Lineage counters. *)
 
 type stats = {
-  bu_passes : int;
+  bu_passes : int;  (** passes across all strata *)
   bu_firings : int;
-  bu_strata : int;
+      (** rule-body evaluations: per pass, {!Naive} fires every rule of
+          the stratum, the default one per (rule, changed-predicate
+          position) *)
+  bu_strata : int;  (** strata the program was split into *)
   bu_facts : int;  (** facts stored, initial and derived *)
   bu_index_probes : int;
       (** positive-literal matches answered by a hash-index probe *)
@@ -169,7 +176,7 @@ type stats = {
       (** spatially annotated joins answered by a spatial-index probe *)
   bu_spatial_scans : int;
       (** spatially annotated joins that fell back to the hash path —
-          all of them under [~spatial_indexing:false], else the joins
+          all of them under the {!Spatial_scan} baseline, else the joins
           whose probe box could not be computed at evaluation time *)
   bu_hcons_hits : int;
       (** store adds of a fact its relation already held *)
@@ -180,31 +187,25 @@ type stats = {
 }
 
 val run :
-  ?strategy:strategy ->
-  ?indexing:bool ->
+  ?baseline:baseline ->
   ?spatial:spatial ->
-  ?spatial_indexing:bool ->
   ?refine:refine ->
   ?tracer:Gdp_obs.Tracer.t ->
   ?seed:Term.t list ->
   Database.t ->
   fixpoint
-(** Evaluate strata in dependency order to the least fixpoint (default
-    strategy {!Semi_naive}; fixed bounds: 10_000 passes, 1_000_000
-    facts — exceeding either raises {!Bound_exceeded}). Raises
-    {!Unsupported} with the {!classify} reason when the database leaves
-    the fragment.
-    [indexing] (default [true]) controls the join machinery: when off,
-    bodies evaluate in textual order and positive literals scan their
-    whole relation — the measured-against baseline, semantically
-    identical to the indexed path. [spatial] (default absent) supplies
-    the {!spatial} hooks: whitelisted spatial builtins evaluate natively
-    and, with [spatial_indexing] (default [true]), joins guarded by
-    [region_mem] or a bounded [pt_dist] probe lazily built spatial
-    indexes (one ["bu.spatial.build"] span each at load time, final
-    [bu.spatial.probes]/[bu.spatial.scans] counter samples);
-    [~spatial_indexing:false] keeps the exact same model and guard
-    semantics while every annotated join takes the hash/scan path. [tracer] (default disabled) records
+(** Evaluate strata in dependency order to the least fixpoint (fixed
+    bounds: 10_000 passes, 1_000_000 facts — exceeding either raises
+    {!Bound_exceeded}). Raises {!Unsupported} with the {!classify}
+    reason when the database leaves the fragment.
+    [baseline] (default absent: the production evaluation) selects a
+    reference evaluation; {!apply} keeps evaluating in it. [spatial]
+    (default absent) supplies the {!spatial} hooks: whitelisted spatial
+    builtins evaluate natively, and joins guarded by [region_mem] or a
+    bounded [pt_dist] probe spatial indexes built at load time (one
+    ["bu.spatial.build"] span each, final
+    [bu.spatial.probes]/[bu.spatial.scans] counter samples). [tracer]
+    (default disabled) records
     one ["fixpoint"]-category span for the whole run, one per non-empty
     stratum (with rule/pass/derived-fact counts as span arguments) and
     one per pass (with the delta size), plus final [bu.*] counter
@@ -250,23 +251,10 @@ val count : fixpoint -> int
 (** Total facts in the store (asserted and derived), across all
     relations. *)
 
-val iterations : fixpoint -> int
-(** Total number of passes across all strata until the least fixpoint. *)
-
-val rule_firings : fixpoint -> int
-(** Number of rule-body evaluations: per pass, naive evaluation fires
-    every rule of the stratum, semi-naive fires one evaluation per
-    (rule, changed-predicate position). The benchmark's "fewer
-    full-relation joins" claim is this counter. *)
-
-val strata_count : fixpoint -> int
-(** Number of strata the program was split into (1 for pure positive
-    programs with a single recursive component family). *)
-
 val stats : fixpoint -> stats
 (** Everything the fixpoint measured, cumulative over the initial run
     and every later {!apply}. Counter fields are deterministic for a
-    given database, options and update history. *)
+    given database, baseline and update history. *)
 
 val incr_stats : fixpoint -> incr_stats
 (** The incremental-maintenance counters alone (same data as
@@ -397,10 +385,7 @@ val snapshot_facts : snapshot_state -> int
     {!Wire.Corrupt} when the header is unreadable. *)
 
 val import :
-  ?strategy:strategy ->
-  ?indexing:bool ->
   ?spatial:spatial ->
-  ?spatial_indexing:bool ->
   ?refine:refine ->
   ?tracer:Gdp_obs.Tracer.t ->
   Database.t ->
@@ -408,7 +393,7 @@ val import :
   fixpoint
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
-    planned exactly as {!run} would (same options, same meaning), then
+    planned exactly as a default {!run} would, then
     the encoding is decoded in place — each node record is interned once
     into a bank sized for it, the relations take the mapped fact ids as
     their columns, and the saved ranks, counters, per-stratum
@@ -417,11 +402,12 @@ val import :
     file even when its DAG unfolds to an exponential tree. The planned
     spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
     the usual final counter gauges are emitted (plus one
-    ["snap.import"] span) when the tracer is live. The result answers
-    {!holds}/{!probe}/{!proof} and accepts {!apply} exactly like the
-    fixpoint {!export} captured. Callers must pass a database compiled
-    from the same program under the same options the snapshot was
-    saved from — [Gdp_core] enforces this with a content hash. Every
+    ["snap.import"] span) when the tracer is live. The result holds the
+    facts, ranks and counters {!export} captured and evaluates {!apply}
+    and {!proof} along the production plans, so it answers exactly like
+    the fixpoint of a default {!run} did. Callers must pass a database
+    compiled from the same program the snapshot was saved from —
+    [Gdp_core] enforces this with a content hash. Every
     id, count and tag is bounds-checked: a malformed encoding, a node
     record that repeats an earlier one, a stratification-shape
     mismatch, a fact filed under the wrong relation, ranks that are not each of [0 .. facts - 1] once and

@@ -1,7 +1,7 @@
 (* Differential testing: on the stratified Datalog fragment the top-down
-   SLDNF engine and every bottom-up configuration — the naive reference,
-   the semi-naive default with index-driven reordered joins, and the
-   semi-naive scan baseline ([~indexing:false]) — must derive exactly
+   SLDNF engine and every bottom-up evaluation — the semi-naive default
+   with index-driven reordered joins and the [Naive] and [Scan]
+   baselines — must derive exactly
    the same ground atoms, including negation as failure over lower
    strata and ground arithmetic guards. *)
 
@@ -26,7 +26,7 @@ let test_bottom_up_basics () =
   Alcotest.(check bool) "transitive" true (Bottom_up.holds fp (Reader.term "p(a, c)"));
   Alcotest.(check bool) "absent" false (Bottom_up.holds fp (Reader.term "p(c, a)"));
   Alcotest.(check int) "2 edges + 3 paths" 5 (Bottom_up.count fp);
-  Alcotest.(check bool) "took >1 pass" true (Bottom_up.iterations fp > 1)
+  Alcotest.(check bool) "took >1 pass" true ((Bottom_up.stats fp).bu_passes > 1)
 
 let test_bottom_up_cycles_terminate () =
   (* left recursion and cycles are no problem bottom-up *)
@@ -39,13 +39,13 @@ let test_bottom_up_cycles_terminate () =
 let test_unsupported_detected () =
   let rejects src =
     let db = engine_db_of src in
-    (not (Bottom_up.supported db))
+    Result.is_error (Bottom_up.classify db)
     &&
     match Bottom_up.run db with
     | exception Bottom_up.Unsupported _ -> true
     | _ -> false
   in
-  let accepts src = Bottom_up.supported (engine_db_of src) in
+  let accepts src = Bottom_up.classify (engine_db_of src) = Ok () in
   (* the fragment now includes stratified negation and ground guards *)
   Alcotest.(check bool) "stratified negation accepted" true
     (accepts "p(X) :- q(X), \\+ r(X). q(1).");
@@ -66,7 +66,7 @@ let test_unsupported_detected () =
   Alcotest.(check bool) "library predicate in body" true
     (rejects "p(X) :- member(X, l).");
   Alcotest.(check bool) "positive fragment accepted" true
-    (Bottom_up.supported (db_of "p(1). q(X) :- p(X)."));
+    (Bottom_up.classify (db_of "p(1). q(X) :- p(X).") = Ok ());
   (* classify names the offending construct *)
   let contains s sub =
     let n = String.length sub in
@@ -93,7 +93,7 @@ let test_stratified_negation () =
   Alcotest.(check bool) "not bad(1)" false (Bottom_up.holds fp (Reader.term "bad(1)"));
   Alcotest.(check bool) "good(1)" true (Bottom_up.holds fp (Reader.term "good(1)"));
   Alcotest.(check bool) "not good(2)" false (Bottom_up.holds fp (Reader.term "good(2)"));
-  Alcotest.(check int) "three strata" 3 (Bottom_up.strata_count fp)
+  Alcotest.(check int) "three strata" 3 (Bottom_up.stats fp).bu_strata
 
 let test_guards () =
   let db =
@@ -126,12 +126,13 @@ let test_delta_refiring () =
   done;
   Buffer.add_string buf "r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y).";
   let db = db_of (Buffer.contents buf) in
-  let naive = Bottom_up.run ~strategy:Bottom_up.Naive db in
+  let naive = Bottom_up.run ~baseline:Naive db in
   let semi = Bottom_up.run db in
   Alcotest.(check int) "same fixpoint" (Bottom_up.count naive) (Bottom_up.count semi);
-  Alcotest.(check bool) "many passes" true (Bottom_up.iterations semi > 15);
+  let stats = Bottom_up.stats in
+  Alcotest.(check bool) "many passes" true ((stats semi).bu_passes > 15);
   Alcotest.(check bool) "semi-naive fires fewer rule bodies" true
-    (Bottom_up.rule_firings semi < Bottom_up.rule_firings naive)
+    ((stats semi).bu_firings < (stats naive).bu_firings)
 
 (* Probe every ground atom of the (finite) Herbrand base over the user
    predicates: top-down provability must coincide with bottom-up
@@ -143,8 +144,8 @@ let test_delta_refiring () =
    and e.g. [forall] succeeds vacuously top-down). *)
 let agree ?(constants = [ "a"; "b"; "c" ]) ?refine ?(probes = []) db =
   let fp = Bottom_up.run ?refine db in
-  let fp_naive = Bottom_up.run ?refine ~strategy:Bottom_up.Naive db in
-  let fp_scan = Bottom_up.run ?refine ~indexing:false db in
+  let fp_naive = Bottom_up.run ?refine ~baseline:Naive db in
+  let fp_scan = Bottom_up.run ?refine ~baseline:Scan db in
   let opts = { Solve.default_options with loop_check = true } in
   (* A blown resolution budget is a verdict on neither side: the probe is
      Unknown and constrains nothing — without this, one pathological SLD

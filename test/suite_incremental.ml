@@ -3,9 +3,9 @@
    fixpoint ([Bottom_up.apply] — semi-naive insertion deltas, DRed
    deletions, stratum recompute under changed negated inputs) must hold
    exactly the facts a from-scratch [Bottom_up.run] computes on the
-   identically mutated database. Checked for every engine configuration:
-   semi-naive with indexed joins (the default), naive, and the
-   [~indexing:false] scan baseline. Plus directed unit tests for the
+   identically mutated database. Checked for the default evaluation
+   (semi-naive with indexed joins) and the [Naive] and [Scan] baselines.
+   Plus directed unit tests for the
    DRed edge cases and the maintenance counters. *)
 
 open Gdp_logic
@@ -142,9 +142,9 @@ let arb_case = arb ~holds:false
    the fixpoint reports — [assert_fact]/[retract_fact] return whether
    the asserted base actually changed, and the clause store must stay
    in lockstep (no duplicate unit clauses, no phantom retractions). *)
-let agree_after_script ~strategy ~indexing (src, script) =
+let agree_after_script ?baseline (src, script) =
   let db = engine_db_of src in
-  let fp = Bottom_up.run ~strategy ~indexing ~refine db in
+  let fp = Bottom_up.run ?baseline ~refine db in
   List.for_all
     (fun (asserted, fact_src) ->
       let t = term fact_src in
@@ -153,25 +153,24 @@ let agree_after_script ~strategy ~indexing (src, script) =
        end
        else if Bottom_up.retract_fact fp t then
          Stdlib.ignore (Database.retract_fact db t));
-      let fresh = Bottom_up.run ~strategy ~indexing ~refine db in
+      let fresh = Bottom_up.run ?baseline ~refine db in
       List.equal Term.equal (Bottom_up.facts fp) (Bottom_up.facts fresh))
     script
 
-let prop_config ?(holds = false) ?(count = 310) name strategy indexing =
+let prop_config ?(holds = false) ?(count = 310) ?baseline name =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
          "incremental maintenance tracks from-scratch runs (%s)" name)
     ~count (arb ~holds)
-    (agree_after_script ~strategy ~indexing)
+    (agree_after_script ?baseline)
 
-let prop_semi_naive = prop_config "semi-naive, indexed" Bottom_up.Semi_naive true
-let prop_naive = prop_config "naive" Bottom_up.Naive true
-let prop_scan = prop_config "semi-naive, scans" Bottom_up.Semi_naive false
+let prop_semi_naive = prop_config "semi-naive, indexed"
+let prop_naive = prop_config ~baseline:Naive "naive"
+let prop_scan = prop_config ~baseline:Scan "semi-naive, scans"
 
 let prop_holds =
   prop_config ~holds:true ~count:200 "holds-shaped, semi-naive, indexed"
-    Bottom_up.Semi_naive true
 
 (* Goal-directed evaluation over a changing base: after every script
    step, rewriting the mutated database for a point goal and evaluating

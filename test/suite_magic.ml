@@ -31,9 +31,9 @@ let answers fp goal =
   |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
   |> List.sort Term.compare
 
-let magic_run ?indexing db goal =
+let magic_run ?baseline db goal =
   let rewritten, info = Magic.rewrite ~goal db in
-  (Bottom_up.run ?indexing ~seed:info.Magic.seeds rewritten, info)
+  (Bottom_up.run ?baseline ~seed:info.Magic.seeds rewritten, info)
 
 (* A depth-out neither confirms nor refutes: report Unknown. *)
 let succeeds_opt options db goals =
@@ -380,11 +380,11 @@ let arb_case =
 
 let constants = [ "a"; "b"; "c"; "d" ]
 
-let three_way_agree ~indexing (clauses, (gname, slots)) =
+let three_way_agree ?baseline (clauses, (gname, slots)) =
   let db = engine_db_of (String.concat "\n" clauses) in
   let goal = goal_term gname slots in
-  let full = Bottom_up.run ~indexing db in
-  let magic_fp, _info = magic_run ~indexing db goal in
+  let full = Bottom_up.run ?baseline db in
+  let magic_fp, _info = magic_run ?baseline db goal in
   let full_answers = answers full goal in
   List.equal Term.equal full_answers (answers magic_fp goal)
   &&
@@ -402,16 +402,16 @@ let three_way_agree ~indexing (clauses, (gname, slots)) =
       | Some proved -> proved = List.exists (Term.equal atom) full_answers)
     (ground_instances gname slots constants)
 
-let prop_three_way ~indexing name =
-  QCheck.Test.make ~name ~count:310 arb_case (three_way_agree ~indexing)
+let prop_three_way ?baseline name =
+  QCheck.Test.make ~name ~count:310 arb_case (three_way_agree ?baseline)
 
 let prop_three_way_indexed =
-  prop_three_way ~indexing:true
+  prop_three_way
     "magic, materialised and SLD agree on random stratified programs \
      (indexed joins)"
 
 let prop_three_way_scan =
-  prop_three_way ~indexing:false
+  prop_three_way ~baseline:Scan
     "magic, materialised and SLD agree on random stratified programs \
      (scan baseline)"
 

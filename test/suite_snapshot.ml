@@ -1,9 +1,10 @@
 (* Persistent snapshot round-trips: [Bottom_up.import] of a saved export
    must be indistinguishable from the materialisation it was exported
    from — identical fact sets, identical deterministic stats text, and
-   identical ranks and proofs — across the indexed, scan and spatial engine
-   configurations. On top of the logic layer, the Query
-   units pin the coherence contract: a stale content hash is reported
+   identical ranks and proofs. A snapshot of a [Scan] or [Spatial_scan]
+   baseline run must import into the default evaluation with the same
+   facts, stats text, ranks and bytes. On top of the logic layer, the
+   Query units pin the coherence contract: a stale content hash is reported
    (never silently reused), a corrupted or truncated file is rejected
    with a clean error, and the persisted update log replays on load. *)
 
@@ -45,16 +46,21 @@ let write_file path s =
 
 (* One logic-layer round trip: run cold, save, load into an identically
    seeded fresh database, compare. Returns an error description instead
-   of a bool so QCheck failures say which leg diverged. *)
-let roundtrip_check ~indexing mk_db =
+   of a bool so QCheck failures say which leg diverged. A [baseline] run
+   imports into the default plans, so only a default run's proofs must
+   match: the first rank-bounded firing a proof shows follows the plan. *)
+let roundtrip_check ?baseline mk_db =
   with_temp @@ fun path ->
-  let cold = Bottom_up.run ~indexing (mk_db ()) in
+  let cold = Bottom_up.run ?baseline (mk_db ()) in
   let (_ : int) =
     Snapshot.save ~path
       { Snapshot.key = "k"; meta = "m"; state = Bottom_up.export cold }
   in
   let snap, (_ : int) = Snapshot.load ~path () in
-  let warm = Bottom_up.import ~indexing (mk_db ()) snap.Snapshot.state in
+  let warm = Bottom_up.import (mk_db ()) snap.Snapshot.state in
+  let lineage_key fp t =
+    if baseline = None then lineage_key fp t else (Bottom_up.rank fp t, None)
+  in
   if snap.Snapshot.key <> "k" || snap.Snapshot.meta <> "m" then
     Error "key/meta did not round-trip"
   else if
@@ -77,12 +83,11 @@ let roundtrip_check ~indexing mk_db =
 let rt_agrees src =
   let mk () = engine_db_of src in
   List.for_all
-    (fun indexing ->
-      match roundtrip_check ~indexing mk with
+    (fun (name, baseline) ->
+      match roundtrip_check ?baseline mk with
       | Ok () -> true
-      | Error e ->
-          QCheck.Test.fail_report (Printf.sprintf "indexing=%b: %s" indexing e))
-    [ true; false ]
+      | Error e -> QCheck.Test.fail_report (Printf.sprintf "%s: %s" name e))
+    [ ("default", None); ("scan baseline", Some Bottom_up.Scan) ]
 
 (* The same random-program distributions the differential engine suite
    runs (310 programs per full pass): positive non-recursive programs,
@@ -103,9 +108,10 @@ let prop_roundtrip_stratified =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_stratified_program)
     rt_agrees
 
-(* Spatial configuration: region/space declarations drive native builtin
-   evaluation and lazily built spatial indexes; the import must rebuild
-   them and reproduce the exact model and counters. *)
+(* Spatial hooks: region/space declarations drive native builtin
+   evaluation and spatial indexes; the import must rebuild them and
+   reproduce the exact model, counters and bytes — also from a
+   [Spatial_scan] baseline run. *)
 let spatial_spec_db () =
   let spec = Spec.create () in
   Spec.declare_region spec "zone"
@@ -130,32 +136,35 @@ let spatial_spec_db () =
 
 let test_spatial_roundtrip () =
   List.iter
-    (fun spatial_indexing ->
+    (fun (name, baseline) ->
       with_temp @@ fun path ->
       let run_leg () =
         let spec, db = spatial_spec_db () in
         (Compile.spatial_hints spec, db)
       in
       let spatial, db = run_leg () in
-      let cold = Bottom_up.run ~spatial ~spatial_indexing db in
+      let cold = Bottom_up.run ?baseline ~spatial db in
       let (_ : int) =
         Snapshot.save ~path
           { Snapshot.key = "k"; meta = ""; state = Bottom_up.export cold }
       in
       let snap, (_ : int) = Snapshot.load ~path () in
       let spatial2, db2 = run_leg () in
-      let warm =
-        Bottom_up.import ~spatial:spatial2 ~spatial_indexing db2
-          snap.Snapshot.state
-      in
+      let warm = Bottom_up.import ~spatial:spatial2 db2 snap.Snapshot.state in
       Alcotest.(check bool)
-        (Printf.sprintf "facts agree (spatial_indexing=%b)" spatial_indexing)
+        (Printf.sprintf "facts agree (%s)" name)
         true
         (List.equal Term.equal (Bottom_up.facts cold) (Bottom_up.facts warm));
       Alcotest.(check string)
-        (Printf.sprintf "stats agree (spatial_indexing=%b)" spatial_indexing)
-        (stats_text cold) (stats_text warm))
-    [ true; false ]
+        (Printf.sprintf "stats agree (%s)" name)
+        (stats_text cold) (stats_text warm);
+      Alcotest.(check bool)
+        (Printf.sprintf "re-exported bytes agree (%s)" name)
+        true
+        (payload (Bottom_up.export cold) = payload (Bottom_up.export warm)))
+    [
+      ("default", None); ("spatial scan baseline", Some Bottom_up.Spatial_scan);
+    ]
 
 (* Retracting an imported fact must drop its spatial index entry. The
    index finds an entry by [==], so the store has to hand it the copy it
@@ -477,14 +486,7 @@ let test_stale_hash_rebuild () =
   Alcotest.(check bool) "nothing loaded" true (Query.snapshot_loaded q2 = None);
   (* the caller rebuilds in memory: answers reflect the edited spec *)
   Alcotest.(check bool) "rebuilt model answers from the edited spec" true
-    (Query.holds q2 (Gfact.make "reach" ~objects:[ a "n4"; a "n2" ]));
-  (* an engine-configuration change alone is also stale *)
-  let spec3 = datalog_spec () in
-  spec3.Spec.spatial_indexing <- false;
-  match Query.of_snapshot (mat spec3) path with
-  | Error (Query.Snapshot_stale _) -> ()
-  | Error (Query.Snapshot_corrupt m) -> Alcotest.failf "corrupt, not stale: %s" m
-  | Ok _ -> Alcotest.fail "config mismatch silently reused"
+    (Query.holds q2 (Gfact.make "reach" ~objects:[ a "n4"; a "n2" ]))
 
 let test_corrupt_rejected () =
   with_temp @@ fun path ->
@@ -632,14 +634,14 @@ let pinned_specs =
 
 let pinned_hashes =
   [
-    ("terrain_mapping.gdp", "uses", "eafeea77656126527bdfb35c587eead4");
-    ("terrain_mapping.gdp", "standard", "65bc98d307ee8a03a197e9c9b7b9a169");
-    ("demo.gdp", "uses", "647f66318c4d39d4d329838f81834f56");
-    ("demo.gdp", "standard", "0827b09cdae7e86f84f5b4bc73115b63");
-    ("census (built)", "uses", "7c4977de8925909f448f752ac38aa424");
-    ("census (built)", "standard", "502a843f9badc5b077bd2e2c80b8ec72");
-    ("census (parsed)", "uses", "7c4977de8925909f448f752ac38aa424");
-    ("census (parsed)", "standard", "3c38ade30b6df6720ff2503126592ebc");
+    ("terrain_mapping.gdp", "uses", "22b41b7f0fd75338f7d23a6767ff738d");
+    ("terrain_mapping.gdp", "standard", "a66b573466ff45193cd05015e344ca6e");
+    ("demo.gdp", "uses", "7d8143b3fc9c5d5f7d1dee2d1c1bc437");
+    ("demo.gdp", "standard", "6ba2626cbf3b9596576e21ebeec7ef8c");
+    ("census (built)", "uses", "6324bbffa09c33dc655ad6548a43ad08");
+    ("census (built)", "standard", "b65d351e8c18d68427051ae8d5b8bda1");
+    ("census (parsed)", "uses", "6324bbffa09c33dc655ad6548a43ad08");
+    ("census (parsed)", "standard", "063a1c613027288480e1fb39d9b43558");
   ]
 
 let test_pinned_hashes () =

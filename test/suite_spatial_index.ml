@@ -10,8 +10,8 @@
    analogue of [Suite_engine_props]): random spatially-grounded
    programs — points scattered over random regions, rules guarded by
    [region_mem] and bounded [pt_dist] — must derive the same model
-   under spatial-indexed evaluation, the scan baseline
-   ([~spatial_indexing:false]), and top-down SLDNF, including across
+   under spatial-indexed evaluation, the [Spatial_scan] baseline, and
+   top-down SLDNF, including across
    update scripts. *)
 
 open Gdp_space
@@ -230,10 +230,8 @@ let scenario_db sc =
        sc.sc_eps);
   (spec, db)
 
-let run_spatial ?(indexing = true) spec db =
-  Bu.run
-    ~spatial:(Compile.spatial_hints spec)
-    ~spatial_indexing:indexing db
+let run_spatial ?baseline spec db =
+  Bu.run ?baseline ~spatial:(Compile.spatial_hints spec) db
 
 let same_facts a b = List.equal T.equal (Bu.facts a) (Bu.facts b)
 
@@ -277,7 +275,7 @@ let prop_spatial_differential =
     (fun sc ->
       let spec, db = scenario_db sc in
       let rtree = run_spatial spec db in
-      let scan = run_spatial ~indexing:false spec db in
+      let scan = run_spatial ~baseline:Spatial_scan spec db in
       if (Bu.stats rtree).Bu.bu_spatial_probes = 0 then
         (* the rules compile to probes on every scenario — agreement
            must never be vacuous *)
@@ -301,7 +299,7 @@ let prop_spatial_incremental =
     (fun sc ->
       let spec, db = scenario_db sc in
       let indexed = run_spatial spec db in
-      let scan = run_spatial ~indexing:false spec db in
+      let scan = run_spatial ~baseline:Spatial_scan spec db in
       let updates =
         List.map
           (function
