@@ -198,13 +198,15 @@ let handle_errors f =
 (* ---- check ---- *)
 
 let check_cmd =
-  let run file view models metas materialize snapshot stats explain_n
+  let run file view models metas materialize magic snapshot stats explain_n
       trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
-        let materialize = materialize || snapshot <> None in
-        let q = with_materialize (build_query result view models metas) materialize in
+        let materialize = materialize || (snapshot <> None && not magic) in
+        let q =
+          with_engine (build_query result view models metas) ~materialize ~magic
+        in
         print_views q;
         load_snapshot q snapshot;
         if materialize then print_materialised q;
@@ -216,7 +218,8 @@ let check_cmd =
   let doc = "Check a specification's consistency under a world view (§III-E)." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize_arg
-          $ snapshot_arg $ stats_arg $ explain_violations_arg $ trace_out_arg)
+          $ magic_arg $ snapshot_arg $ stats_arg $ explain_violations_arg
+          $ trace_out_arg)
 
 (* ---- compile ---- *)
 

@@ -149,35 +149,35 @@ module Bank = struct
   (* The kids column is kept in chunks of 4096 slots: slot [o] is at
      [(o lsr 12)] and [(o land 4095)], the latter in bounds in every
      chunk. It is the largest column, about four slots a node, and it
-     grows by adding chunks. Grown as one flat array, it left each
-     outgrown copy on the major heap until a later cycle swept it, so a
-     run's peak heap hinged on where that cycle fell. [child] and [add]
+     grows by adding chunks as nodes arrive, copying none, so it is
+     never sized ahead: a snapshot load adds the chunks its records
+     fill and no more. Grown as one flat array, it left each outgrown
+     copy on the major heap until a later cycle swept it, so a run's
+     peak heap hinged on where that cycle fell. Its readers and writers
      spell the slot arithmetic out: the compiler left a helper for it
      un-inlined, which slowed snapshot loads and answers by 4-11%. *)
 
-  (* [kids] with room for the slots below [n] *)
+  (* [kids] with room for the slots below [n]: the chunks it lacks *)
   let reserve kids n =
     let have = Array.length kids in
     let need = (n + 4095) lsr 12 in
     if need <= have then kids
-    else
-      Array.init (max need (2 * have)) (fun c ->
-          if c < have then kids.(c) else Array.make 4096 0)
+    else Array.init need (fun c -> if c < have then kids.(c) else Array.make 4096 0)
 
   let grow a len fill =
     let bigger = Array.make len fill in
     Array.blit a 0 bigger 0 (Array.length a);
     bigger
 
-  (* [nodes] and [kids] size the arrays, so a bank whose size is known
-     up front (a snapshot load) never grows while it fills *)
-  let create ~nodes ~kids =
+  (* [nodes] sizes the node columns, so a bank whose node count is
+     known up front (a snapshot load) never copies them while it fills *)
+  let create ~nodes =
     let cap = max 64 nodes in
     {
       hd = Array.make cap 0;
       pay = Array.make cap 0;
       off = Array.make (cap + 1) 0;
-      kids = reserve [||] kids;
+      kids = [||];
       n = 0;
       slots = Array.make (Itbl.pow2 (4 * cap / 3) 128) (-1);
       syms = Hashtbl.create 64;
@@ -245,10 +245,17 @@ module Bank = struct
   let id_bits = 0xffff_ffff
   let home bits mask = (bits * 0x1e3779b97f4a7c15) lsr 29 land mask
 
-  let rec same_kids b id base k j =
+  (* The children of a node being closed are staged from [base]: on
+     the stack, or, when [direct] (a snapshot record), already in the
+     kids column where the node's own children go. *)
+  let rec same_kids b id direct base k j =
     j = k
-    || child b id j = b.stack.(base + j)
-       && same_kids b id base k (j + 1)
+    || child b id j
+       = (if direct then
+            let o = base + j in
+            Array.unsafe_get b.kids.(o lsr 12) (o land 4095)
+          else b.stack.(base + j))
+       && same_kids b id direct base k (j + 1)
 
   let rehash b =
     let mask = (2 * Array.length b.slots) - 1 in
@@ -265,7 +272,7 @@ module Bank = struct
       b.slots;
     b.slots <- slots
 
-  let add b hd pay base k at =
+  let add b hd pay direct base k at =
     let id = b.n in
     if id = Array.length b.hd then begin
       let cap = id + (id / 2) in
@@ -275,11 +282,13 @@ module Bank = struct
       b.ranks <- grow b.ranks cap (-1)
     end;
     let o = b.off.(id) in
-    if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
-    for j = 0 to k - 1 do
-      let c = o + j in
-      Array.unsafe_set b.kids.(c lsr 12) (c land 4095) b.stack.(base + j)
-    done;
+    if not direct then begin
+      if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
+      for j = 0 to k - 1 do
+        let c = o + j in
+        Array.unsafe_set b.kids.(c lsr 12) (c land 4095) b.stack.(base + j)
+      done
+    end;
     b.hd.(id) <- hd;
     b.pay.(id) <- pay;
     b.off.(id + 1) <- o + k;
@@ -288,15 +297,18 @@ module Bank = struct
     if 4 * b.n > 3 * Array.length b.slots then rehash b;
     id
 
-  (* The node [tag pay] over the [k] children on top of the stack (its
-     callers [push] them), which it pops: its id, interned when [insert]
-     is set, else -1 when the bank lacks it. [ph] is the payload's
-     contribution to the hash. *)
-  let close b tag pay ph k insert =
-    let base = b.sp - k in
+  (* The node [tag pay] over its [k] staged children: its id, interned
+     when [insert] is set, else -1 when the bank lacks it. Children
+     staged on the stack (its callers [push] them) are popped. [ph] is
+     the payload's contribution to the hash. *)
+  let close b tag pay ph direct base k insert =
     let h = ref (mix (mix 0x811c9dc5 tag) ph) in
-    for j = base to b.sp - 1 do
-      h := mix !h (b.hd.(b.stack.(j)) lsr 3)
+    for j = base to base + k - 1 do
+      let c =
+        if direct then Array.unsafe_get b.kids.(j lsr 12) (j land 4095)
+        else b.stack.(j)
+      in
+      h := mix !h (b.hd.(c) lsr 3)
     done;
     let hd = ((!h land (max_int lsr 3)) lsl 3) lor tag in
     let bits = hash_bits hd in
@@ -311,14 +323,26 @@ module Bank = struct
         let id = s land id_bits in
         b.hd.(id) = hd && b.pay.(id) = pay
         && arity b id = k
-        && same_kids b id base k 0
+        && same_kids b id direct base k 0
       then found := s land id_bits
       else i := (!i + 1) land mask
     done;
-    b.sp <- base;
-    if !found >= 0 || not insert then !found else add b hd pay base k !i
+    if not direct then b.sp <- base;
+    if !found >= 0 || not insert then !found
+    else add b hd pay direct base k !i
 
-  let app b f k insert = close b t_app f b.sym_hash.(f) k insert
+  let app b f k insert = close b t_app f b.sym_hash.(f) false (b.sp - k) k insert
+
+  (* A compound record of a snapshot, [f] over [k] children that [next]
+     reads: each goes straight into the kids column, where [add] would
+     copy it from the stack, and the node is interned. *)
+  let record b f k next =
+    let o = b.off.(b.n) in
+    if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
+    for j = o to o + k - 1 do
+      Array.unsafe_set b.kids.(j lsr 12) (j land 4095) (next ())
+    done;
+    close b t_app f b.sym_hash.(f) true o k true
 
   (* a leaf node from its tag and payload, as a record of a snapshot
      spells it *)
@@ -328,7 +352,7 @@ module Bank = struct
       else if tag = t_float then Hashtbl.hash b.float_vals.(pay)
       else b.sym_hash.(pay)
     in
-    close b tag pay ph 0 insert
+    close b tag pay ph false b.sp 0 insert
 
   let rec intern b (t : Term.t) =
     match t with
@@ -432,10 +456,19 @@ module Relation = struct
         (* point-carrying argument position -> spatial index *)
     mutable pass_new : int list;
         (* the facts the current saturation pass added, newest first *)
+    mutable scanned : int list list;
+        (* the paths a query probe has scanned for want of an index *)
   }
 
   let create () =
-    { ids = Array.make 16 0; n = 0; indexes = []; spatials = []; pass_new = [] }
+    {
+      ids = Array.make 16 0;
+      n = 0;
+      indexes = [];
+      spatials = [];
+      pass_new = [];
+      scanned = [];
+    }
 
   let cardinal r = r.n
 
@@ -540,6 +573,7 @@ module Relation = struct
     r.n <- 0;
     r.indexes <- [];
     r.spatials <- [];
+    r.scanned <- [];
     old
 
   (* Physical deletion for incremental maintenance, one batch at a time:
@@ -593,6 +627,24 @@ module Relation = struct
      bank lacks ([k < 0]) is carried by no stored fact: the bucket is
      empty, and no index is built for it. *)
   let bucket r b path k = if k < 0 then [] else Itbl.find (index r b path) k
+
+  (* [bucket] for a query goal, which may be the only probe of its path
+     a process makes (a CLI query is one): the first probe of a path
+     without an index compares the subterm there along the id column,
+     newest first as a bucket holds them, and builds nothing; the next
+     builds the index. *)
+  let lookup r b path k =
+    if k < 0 || List.mem_assoc path r.indexes || List.mem path r.scanned then
+      bucket r b path k
+    else begin
+      r.scanned <- path :: r.scanned;
+      let hits = ref [] in
+      for i = 0 to r.n - 1 do
+        let id = Array.unsafe_get r.ids i in
+        if Bank.at b id path = k then hits := id :: !hits
+      done;
+      !hits
+    end
 end
 
 open Datalog
@@ -1582,7 +1634,7 @@ let run ?baseline ?spatial ?(refine = fun _ -> None)
     ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
   let fp, facts =
     build_fixpoint ~baseline ~spatial ~refine ~tracer
-      ~bank:(Bank.create ~nodes:1024 ~kids:2048)
+      ~bank:(Bank.create ~nodes:1024)
       (prepare db ~refine ~spatial)
   in
   let b = fp.bank in
@@ -1681,9 +1733,10 @@ let facts_matching fp goal =
    ground goal, an index probe on one ground subterm for a half-bound
    goal ({!Path_key.key_path}: for a [holds/6] goal, an object or the
    object list rather than the model or predicate every fact of the
-   relation shares), the whole relation otherwise. The result is a
-   superset of the facts unifiable with [goal] (the facts agreeing with
-   it at the key) and is unsorted. *)
+   relation shares; {!Relation.lookup}: a scan the first time a path
+   without an index is probed), the whole relation otherwise. The
+   result is a superset of the facts unifiable with [goal] (the facts
+   agreeing with it at the key) and is unsorted. *)
 let probe fp goal =
   let b = fp.bank in
   if Term.is_ground goal then if holds fp goal then [ goal ] else []
@@ -1693,7 +1746,7 @@ let probe fp goal =
       | None -> Relation.elements b
       | Some path ->
           let k = Bank.lookup b (Option.get (Path_key.subterm_at path goal)) in
-          fun r -> List.map (Bank.term b) (Relation.bucket r b path k)
+          fun r -> List.map (Bank.term b) (Relation.lookup r b path k)
     in
     match relations_of fp goal with
     | [ r ] -> candidates r (* the common case: no copy *)
@@ -2447,29 +2500,6 @@ let read_stratum_stats r =
 let rec read_list r k read acc =
   if k = 0 then List.rev acc else read_list r (k - 1) read (read r :: acc)
 
-(* The children the node section's [n_nodes] records declare, read
-   ahead on a copy of the reader (positioned at the symbols) to size the
-   bank. A malformed section is left to the decoding pass to report. *)
-let count_kids r n_syms n_nodes =
-  let r = Wire.copy r and total = ref 0 in
-  (try
-     for _ = 1 to n_syms do
-       ignore (Wire.string r : string)
-     done;
-     for _ = 1 to n_nodes do
-       match Wire.byte r with
-       | 2 -> ignore (Wire.float r : float)
-       | 4 ->
-           Wire.skip_nats r 1;
-           (* every child takes a byte *)
-           let k = min (Wire.nat r) (Wire.remaining r) in
-           Wire.skip_nats r k;
-           total := !total + k
-       | _ -> Wire.skip_nats r 1
-     done
-   with Wire.Corrupt _ -> ());
-  !total
-
 (* Whether node [id] resolves to relation [rel], as {!Datalog.resolve_rel}
    decides it for the node's term: its functor and arity, and the
    constant at the refining argument of a refined predicate. The
@@ -2524,17 +2554,16 @@ let import ?spatial ?(refine = fun _ -> None)
       "the snapshot stratifies into %d strata, the database into %d: it \
        belongs to a different program"
       n_strata db_strata;
-  (* The bank is sized for the file's nodes and their children plus
-     headroom for the rules' constants and the updates to come, so the
-     load never grows it. It is empty when the records go in, so node
-     ids are the file's: post order puts every child below its parent,
-     each record is interned from nodes already interned, and a record
-     that interns to an earlier id repeats that record — the file
-     numbers nodes structurally, so it never writes one. *)
-  let b =
-    let k = count_kids r n_syms n_nodes in
-    Bank.create ~nodes:(n_nodes + (n_nodes / 8) + 64) ~kids:(k + (k / 8) + 64)
-  in
+  (* The node columns are sized for the file's nodes plus headroom for
+     the rules' constants and the updates to come, so the load never
+     copies them; the children go into chunks added as the records
+     arrive, each record's arity clamped by the bytes left before any
+     is reserved. The bank is empty when the records go in, so node ids
+     are the file's: post order puts every child below its parent, each
+     record is interned from nodes already interned, and a record that
+     interns to an earlier id repeats that record — the file numbers
+     nodes structurally, so it never writes one. *)
+  let b = Bank.create ~nodes:(n_nodes + (n_nodes / 8) + 64) in
   let syms = Array.init n_syms (fun _ -> Bank.sym b (Wire.string r)) in
   let sym () = syms.(Wire.below r n_syms "symbol") in
   for i = 0 to n_nodes - 1 do
@@ -2547,10 +2576,7 @@ let import ?spatial ?(refine = fun _ -> None)
       | 4 ->
           let f = sym () in
           let arity = Wire.count r ~min_bytes:1 "argument" in
-          for _ = 1 to arity do
-            Bank.push b (Wire.below r i "child")
-          done;
-          Bank.app b f arity true
+          Bank.record b f arity (fun () -> Wire.below r i "child")
       | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
     in
     if id < i then Wire.corrupt "node %d repeats node %d" i id
@@ -2662,8 +2688,9 @@ let import ?spatial ?(refine = fun _ -> None)
   if Itbl.length fp.base <> n_base then
     Wire.corrupt "the base fact count disagrees with the header";
   fp.clock <- !total;
-  (* hash indexes stay lazy: each is built by the first probe that needs
-     it, so a load pays only for the indexes its queries use *)
+  (* hash indexes stay lazy: each is built by the first rule join or
+     the second query probe that needs it, so a load pays only for the
+     indexes its queries use again *)
   prebuild_spatial fp;
   emit_gauges fp;
   fp

@@ -242,7 +242,12 @@ val probe : fixpoint -> Term.t -> Term.t list
     object, its values or position, rather than the model or predicate
     every fact of the relation shares), and the stored relation(s)
     otherwise. A key no stored fact carries finds no
-    candidates and builds no index. Always a superset
+    candidates and builds no index. The first probe of a path that has
+    no index scans the relation's id column for the key and builds
+    none, since a one-shot query (a CLI [query]) probes once; the
+    second probe of that path builds the index, which later probes and
+    rule joins share. Either way the candidates are the same list in
+    the same order. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
     and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
     materialised mode answers through this instead of scanning. *)
@@ -357,7 +362,8 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     counter. Join plans, stratification and all closures are rebuilt
     from the database at import time, and spatial indexes are rebuilt
     eagerly, exactly as {!run} builds them; hash indexes are built
-    lazily by the first probe that needs each one. *)
+    lazily, by the first rule join or the second {!probe} that needs
+    each one. *)
 
 type snapshot_state = { data : string; pos : int; len : int }
 (** The exported state of one fixpoint: bytes [\[pos, pos + len)] of

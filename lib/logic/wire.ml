@@ -28,7 +28,6 @@ let reader src ~pos ~len =
       (String.length src);
   { src; pos; lim = pos + len }
 
-let copy r = { r with pos = r.pos }
 let remaining r = r.lim - r.pos
 let at_end r = r.pos = r.lim
 
@@ -61,14 +60,6 @@ let raw_nat r =
     c
   end
   else long_nat r
-
-let skip_nats r n =
-  let i = ref r.pos and left = ref n in
-  while !left > 0 && !i < r.lim do
-    if Char.code (String.unsafe_get r.src !i) < 0x80 then decr left;
-    incr i
-  done;
-  r.pos <- !i
 
 let nat r =
   let n = raw_nat r in

@@ -39,9 +39,6 @@ val reader : string -> pos:int -> len:int -> reader
 (** A reader over bytes [\[pos, pos + len)] of the string. Raises
     {!Corrupt} when the slice lies outside it. *)
 
-val copy : reader -> reader
-(** A second reader at the same position, for reading ahead. *)
-
 val remaining : reader -> int
 val at_end : reader -> bool
 
@@ -51,10 +48,6 @@ val int : reader -> int
 val float : reader -> float
 val string : reader -> string
 val term : reader -> Term.t
-
-val skip_nats : reader -> int -> unit
-(** Moves past [n] varints without decoding them, or to the end of the
-    slice if it holds fewer. *)
 
 val below : reader -> int -> string -> int
 (** [below r bound what] reads a natural [n] with [0 <= n < bound];

@@ -474,14 +474,25 @@ let test_holds_closure_pinned () =
 
 (* [Bottom_up.probe] narrows candidates through the argument indexes; on
    any goal shape the unifiable subset must coincide with what filtering
-   the goal's whole (sorted) relation yields. *)
+   the goal's whole (sorted) relation yields. Every goal is probed
+   twice: the first probe of a path no rule join indexed scans the id
+   column, the second builds the index, and both return the same list
+   in the same order. *)
+let probe_twice fp goal =
+  let show ts = List.map Term.to_string ts in
+  let first = Bottom_up.probe fp goal in
+  Alcotest.(check (list string))
+    (Term.to_string goal ^ ": the second probe returns the first's list")
+    (show first)
+    (show (Bottom_up.probe fp goal));
+  first
+
 let test_probe_consistency () =
-  let db =
-    db_of
-      "e(a, b). e(b, c). e(c, d). e(a, d).\n\
-       p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y)."
+  let src =
+    "e(a, b). e(b, c). e(c, d). e(a, d).\n\
+     p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y)."
   in
-  let fp = Bottom_up.run db in
+  let fp = Bottom_up.run (db_of src) in
   let unifiable goal facts =
     List.filter (fun f -> Unify.unify Subst.empty goal f <> None) facts
     |> List.sort Term.compare
@@ -492,14 +503,37 @@ let test_probe_consistency () =
       Alcotest.(check (list string))
         goal_src
         (List.map Term.to_string (unifiable goal (Bottom_up.facts_matching fp goal)))
-        (List.map Term.to_string (unifiable goal (Bottom_up.probe fp goal))))
+        (List.map Term.to_string (unifiable goal (probe_twice fp goal))))
     [
-      "p(a, X)" (* bound first argument: probes the index on position 0 *);
-      "p(X, d)" (* bound second argument *);
+      "p(a, X)" (* bound first argument: the rule join's index on position 0 *);
+      "p(X, d)" (* bound second argument: a scan, then an index *);
+      "e(X, d)" (* a relation no join probes: a scan, then an index *);
       "p(a, d)" (* ground: membership *);
       "p(X, Y)" (* open: falls back to the full relation *);
       "p(X, X)" (* repeated variable: superset is filtered by unification *);
       "q(X)" (* unknown predicate: empty either way *);
+    ];
+  (* After a retraction the scan reads the compacted column: the facts
+     through the retracted edge are gone from both probes. *)
+  let fp = Bottom_up.run (db_of src) in
+  Bottom_up.apply fp [ `Retract (Reader.term "e(c, d)") ];
+  List.iter
+    (fun (goal_src, want) ->
+      let goal = Reader.term goal_src in
+      let probed = probe_twice fp goal in
+      Alcotest.(check (list string))
+        (goal_src ^ " after the retraction")
+        want
+        (List.map Term.to_string (unifiable goal probed));
+      Alcotest.(check (list string))
+        (goal_src ^ " after the retraction: the relation agrees")
+        want
+        (List.map Term.to_string
+           (unifiable goal (Bottom_up.facts_matching fp goal))))
+    [
+      ("p(X, d)", [ "p(a, d)" ]);
+      ("e(X, d)", [ "e(a, d)" ]);
+      ("p(X, c)", [ "p(a, c)"; "p(b, c)" ]);
     ];
   (* A holds-shaped closure goal keys on its bound object, not on the
      top-level arguments every reach fact shares: the probe returns
@@ -520,7 +554,7 @@ let test_probe_consistency () =
   let fp = Bottom_up.run ~refine:holds_refine (db_of src) in
   let goal = Reader.term (holds_atom "reach" [ "n0"; "X" ]) in
   let all = Bottom_up.facts_matching fp goal
-  and probed = List.sort Term.compare (Bottom_up.probe fp goal) in
+  and probed = List.sort Term.compare (probe_twice fp goal) in
   Alcotest.(check (list string))
     "reach from n0: the probe returns exactly the unifiable facts"
     (List.map Term.to_string (unifiable goal all))
@@ -554,7 +588,7 @@ let test_probe_consistency () =
   List.iter
     (fun (goal_src, want) ->
       let goal = Reader.term goal_src in
-      let probed = List.sort Term.compare (Bottom_up.probe fp goal) in
+      let probed = List.sort Term.compare (probe_twice fp goal) in
       Alcotest.(check (list string))
         (goal_src ^ ": the probe returns exactly the unifiable facts")
         (List.map Term.to_string (unifiable goal (Bottom_up.facts_matching fp goal)))

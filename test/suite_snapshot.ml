@@ -376,8 +376,8 @@ let test_repeated_node () =
       Alcotest.(check string) "error" "node 2 repeats node 1" msg
   | _ -> Alcotest.fail "a repeated node record was accepted"
 
-(* A record may declare more children than the file has bytes; sizing
-   the bank from the declared counts must not trust it. *)
+(* A record may declare more children than the file has bytes; the
+   load must not trust the count. *)
 let test_oversized_arity () =
   let db = engine_db_of "" in
   let huge b =
@@ -390,6 +390,38 @@ let test_oversized_arity () =
   match Bottom_up.import db st with
   | exception Snapshot.Corrupt _ -> ()
   | _ -> Alcotest.fail "a record with 2^40 children was accepted"
+
+(* The children go into chunks added as the records arrive, so a
+   declared arity is clamped by the bytes left before any slot is
+   reserved for it: a record claiming 2^22 children (32 MB of slots) in
+   a file of a few dozen bytes is refused with next to no allocation. *)
+let test_arity_reserves_nothing () =
+  let db = engine_db_of "" in
+  let huge b =
+    Buffer.add_uint8 b 4;
+    List.iter (Wire.add_nat b) [ 0; 1 lsl 22; 0 ]
+  in
+  let st =
+    handmade db ~syms:[ "p"; "a" ] ~nodes:[ atom_rec 1; huge ] ~name:0
+      ~arity:1 ~facts:[ 0 ]
+  in
+  let before = Gc.allocated_bytes () in
+  let outcome =
+    match Bottom_up.import db st with
+    | exception Snapshot.Corrupt msg -> Some msg
+    | _ -> None
+  in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.2f MB, under 4 MB" mb)
+    true (mb < 4.0);
+  match outcome with
+  | Some msg ->
+      Alcotest.(check bool)
+        ("the arity is refused: " ^ msg)
+        true
+        (String.starts_with ~prefix:"argument count 4194304 exceeds" msg)
+  | None -> Alcotest.fail "a record with 2^22 children was accepted"
 
 (* A fact whose argument is the 64-node DAG d(k+1) = f(d(k), d(k)): its
    tree has 2^63 nodes, so anything that walks it as a tree never ends.
@@ -1005,6 +1037,8 @@ let tests =
       test_deep_dag;
     Alcotest.test_case "an arity beyond the file's bytes is corrupt" `Quick
       test_oversized_arity;
+    Alcotest.test_case "an arity beyond the bytes left reserves no children"
+      `Quick test_arity_reserves_nothing;
     Alcotest.test_case "query-layer round-trip" `Quick test_query_roundtrip;
     Alcotest.test_case "stale hash is rebuilt, never reused" `Quick
       test_stale_hash_rebuild;
