@@ -1050,7 +1050,9 @@ let bu_measure w scale =
    SLDNF on the same base — the quantification of the "Prolog's
    computational inefficiency" the paper only mentions. The top-down leg
    proves a sample of the derived goal atoms (up to 100) with the
-   ancestor loop check on. Naive re-firing is quadratic per pass, so the
+   ancestor loop check on, and counts its head unifications and the
+   clause index's work (no fixpoint looks clauses up, so the database's
+   counters are the leg's). Naive re-firing is quadratic per pass, so the
    series runs at the console scales even under `json`. *)
 let naive_measure w scale =
   let open Gdp_logic in
@@ -1062,12 +1064,13 @@ let naive_measure w scale =
   let derived = Bottom_up.facts_matching idx_fp w.w_goal in
   let step = max 1 (List.length derived / 100) in
   let sample = List.filteri (fun i _ -> i mod step = 0) derived in
+  let stats = Solve.create_stats () in
+  let options = { topdown_options with Solve.stats = Some stats } in
   let td_ms, td_ok =
     time_ms (fun () ->
-        List.for_all
-          (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
-          sample)
+        List.for_all (fun f -> Solve.succeeds ~options db [ f ]) sample)
   in
+  let index = Database.index_counts db in
   [
     ("facts", Int (Bottom_up.count idx_fp));
     ("naive_ms", ms naive_ms);
@@ -1075,6 +1078,10 @@ let naive_measure w scale =
     ("speedup", speedup ~slow:naive_ms idx_ms);
     ("topdown_ms", ms td_ms);
     ("topdown_probes", Int (List.length sample));
+    ("topdown_unifications", Int stats.Solve.unifications);
+    ("topdown_branch_builds", Int index.Database.branch_builds);
+    ("topdown_branch_entries", Int index.Database.branch_entries);
+    ("topdown_shared_skips", Int index.Database.shared_skips);
     ("agree", Bool (same_facts naive_fp idx_fp && td_ok));
   ]
 

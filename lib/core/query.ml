@@ -288,6 +288,7 @@ let update q (updates : Spec.update list) =
       updates
   in
   let database = db q in
+  let frozen = Database.freeze database and log = (spec q).Spec.updates in
   List.iter
     (fun (u, t) ->
       match u with
@@ -317,9 +318,20 @@ let update q (updates : Spec.update list) =
       with
       | () -> ()
       | exception (Bottom_up.Bound_exceeded _ as e) ->
-          (* the batch stopped half-applied: drop the model, so the next
-             answer re-runs from the updated base *)
+          (* the batch stopped half-applied: drop the model, and put the
+             predicates the batch touched and the log back as they were,
+             so the next answer re-runs from the base before the batch *)
           q.fp := None;
+          let touched =
+            List.sort_uniq compare
+              (List.map (fun (_, t) -> Option.get (Term.functor_of t)) resolved)
+          in
+          List.iter (Database.retract_all database) touched;
+          List.iter
+            (fun (fa, clauses) ->
+              if List.mem fa touched then List.iter (Database.assertz database) clauses)
+            (frozen ());
+          (spec q).Spec.updates <- log;
           raise e));
   q
 
@@ -603,7 +615,13 @@ let pp_stats ppf q =
             ports);
       Format.fprintf ppf
         "unifications: %d  loop prunes: %d  deepest call: %d@,"
-        s.Solve.unifications s.Solve.loop_prunes s.Solve.deepest_call);
+        s.Solve.unifications s.Solve.loop_prunes s.Solve.deepest_call;
+      if q.mode = Top_down then
+        let c = Database.index_counts (db q) in
+        Format.fprintf ppf
+          "clause index: %d branch builds over %d entries  %d shared skips@,"
+          c.Database.branch_builds c.Database.branch_entries
+          c.Database.shared_skips);
   (match !(q.snap) with
   | Some (bytes, facts) ->
       Format.fprintf ppf "snapshot: loaded %d facts (%d bytes)@," facts bytes

@@ -179,9 +179,9 @@ val update : t -> Spec.update list -> t
     absent fact is a no-op; asserting a fact rules already derive marks
     it basic (it then survives losing its derivations). When the repair
     raises {!Gdp_logic.Bottom_up.Bound_exceeded}, the half-repaired
-    fixpoint is dropped before the exception propagates: the database
-    and log keep the batch, and the next materialised answer re-runs
-    from them. *)
+    fixpoint is dropped and the database and the log are put back as
+    they were before the batch, before the exception propagates: the
+    next materialised answer re-runs from the base without the batch. *)
 
 val explain : t -> Gfact.t -> string option
 (** A human-readable derivation of the first proof of the pattern (the

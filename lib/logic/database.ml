@@ -19,8 +19,14 @@ type node = {
 
 and branch = { keyed : node Path_key.Tbl.t; wild : node }
 
+(* [shared.(i)] is [Some c] when every clause of the predicate carries
+   the ground term [c] at top-level argument [i]: lookups skip the paths
+   under it, on which the trie would send every entry to one child. Only
+   inserts update it; a retract leaves it as it was, which can only miss
+   an argument the remaining clauses now share. *)
 type pred = {
   root : node;  (* every entry *)
+  shared : Term.t option array;
   mutable count : int;
   mutable next_seq : int;
   mutable min_seq : int;
@@ -34,23 +40,35 @@ module Sm = Map.Make (struct
     if c <> 0 then c else Int.compare m n
 end)
 
+type index_counts = {
+  mutable branch_builds : int;
+  mutable branch_entries : int;
+  mutable shared_skips : int;
+}
+
 type t = {
   mutable preds : pred Sm.t;
   mutable builtins : builtin Sm.t;
+  counts : index_counts;
 }
 
 and ctx = { db : t; prove : Subst.t -> Term.t -> Subst.t Seq.t; depth : int }
 and builtin = ctx -> Subst.t -> Term.t list -> Subst.t Seq.t
 
-let create () = { preds = Sm.empty; builtins = Sm.empty }
-
+let zero_counts () = { branch_builds = 0; branch_entries = 0; shared_skips = 0 }
+let create () = { preds = Sm.empty; builtins = Sm.empty; counts = zero_counts () }
+let index_counts db = db.counts
 let leaf entries = { entries; branches = [] }
 
 (* the copy rebuilds its trie on demand *)
 let copy db =
   {
     db with
-    preds = Sm.map (fun p -> { p with root = leaf p.root.entries }) db.preds;
+    preds =
+      Sm.map
+        (fun p -> { p with root = leaf p.root.entries; shared = Array.copy p.shared })
+        db.preds;
+    counts = zero_counts ();
   }
 
 let head_functor c =
@@ -63,11 +81,14 @@ let check_not_builtin db fa =
     invalid_arg
       (Printf.sprintf "Database: %s/%d is a built-in predicate" (fst fa) (snd fa))
 
+let args_of head = match head with Term.App (_, args) -> args | _ -> []
+
 let get_pred db fa =
   match Sm.find_opt fa db.preds with
   | Some p -> p
   | None ->
-      let p = { root = leaf []; count = 0; next_seq = 0; min_seq = -1 } in
+      let shared = Array.make (snd fa) None in
+      let p = { root = leaf []; shared; count = 0; next_seq = 0; min_seq = -1 } in
       db.preds <- Sm.add fa p db.preds;
       p
 
@@ -97,13 +118,16 @@ and update_branch update e path br =
 (* Built from the node's entries oldest first, so prepending leaves every
    child descending. A child that got every entry shares the node's list:
    a path that does not discriminate costs no copy. *)
-let branch node path =
+let branch counts node path =
   match List.assoc_opt path node.branches with
   | Some br -> br
   | None ->
       let br = { keyed = Path_key.Tbl.create 16; wild = leaf [] } in
+      counts.branch_builds <- counts.branch_builds + 1;
       List.iter
-        (fun e -> update_branch (List.cons e) e path br)
+        (fun e ->
+          counts.branch_entries <- counts.branch_entries + 1;
+          update_branch (List.cons e) e path br)
         (List.rev node.entries);
       let share child =
         if List.compare_lengths child.entries node.entries = 0 then
@@ -114,9 +138,23 @@ let branch node path =
       node.branches <- (path, br) :: node.branches;
       br
 
+(* Keep the summary true of every clause as [args] joins them: the only
+   clause sets it, and a later one turns it off wherever it differs. A
+   plain loop, so an insert allocates nothing for it after the first. *)
+let rec summarize shared ~only i = function
+  | [] -> ()
+  | a :: args ->
+      (if only then shared.(i) <- (if Term.is_ground a then Some a else None)
+       else
+         match shared.(i) with
+         | Some c when not (Term.equal c a) -> shared.(i) <- None
+         | _ -> ());
+      summarize shared ~only (i + 1) args
+
 (* [e] is the newest entry (assertz) or the oldest (asserta) *)
 let insert p e ~newest =
   update_node (fun l -> if newest then e :: l else l @ [ e ]) e p.root;
+  summarize p.shared ~only:(p.count = 0) 0 (args_of e.clause.head);
   p.count <- p.count + 1
 
 let assertz db c =
@@ -215,18 +253,35 @@ let merge_desc a b =
 
 (* The entries under [node] that agree with [goal] on [paths]: the keyed
    child's and the wild child's, merged. *)
-let rec lookup goal node paths =
+let rec lookup counts goal node paths =
   match (node.entries, paths) with
   | [], _ | _, [] -> node.entries
   | _, path :: paths ->
-      let br = branch node path in
+      let br = branch counts node path in
       let k = Option.get (Path_key.subterm_at path goal) in
       let keyed =
         match Path_key.Tbl.find_opt br.keyed k with
-        | Some child -> lookup goal child paths
+        | Some child -> lookup counts goal child paths
         | None -> []
       in
-      merge_desc keyed (lookup goal br.wild paths)
+      merge_desc keyed (lookup counts goal br.wild paths)
+
+exception No_candidates
+
+(* [paths] without those under an argument every clause shares: there
+   every clause has the same subterm, so a branch would send them all to
+   one child, the goal's if its subterm is that one and none otherwise.
+   Raises [No_candidates] in the second case. *)
+let rec unshared shared goal = function
+  | [] -> []
+  | path :: paths -> (
+      match shared.(List.hd path) with
+      | None -> path :: unshared shared goal paths
+      | Some c -> (
+          match Path_key.subterm_at (List.tl path) c with
+          | Some k when Term.equal k (Option.get (Path_key.subterm_at path goal)) ->
+              unshared shared goal paths
+          | _ -> raise_notrace No_candidates))
 
 let clauses db goal =
   match Term.functor_of goal with
@@ -234,10 +289,18 @@ let clauses db goal =
   | Some fa -> (
       match Sm.find_opt fa db.preds with
       | None -> Seq.empty
-      | Some p ->
-          lookup goal p.root (Path_key.ground_paths goal)
-          |> List.rev_map (fun e -> e.clause)
-          |> List.to_seq)
+      | Some p -> (
+          let paths = Path_key.ground_paths goal in
+          match unshared p.shared goal paths with
+          | exception No_candidates ->
+              db.counts.shared_skips <- db.counts.shared_skips + 1;
+              Seq.empty
+          | walked ->
+              if List.compare_lengths walked paths <> 0 then
+                db.counts.shared_skips <- db.counts.shared_skips + 1;
+              lookup db.counts goal p.root walked
+              |> List.rev_map (fun e -> e.clause)
+              |> List.to_seq))
 
 let all_clauses db fa =
   match Sm.find_opt fa db.preds with

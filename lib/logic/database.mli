@@ -4,7 +4,8 @@
     pattern: each predicate's clauses sit in a trie over subterm paths
     ({!Path_key}) whose branches are built by the first goal that binds
     their path, and asserts and retracts keep every built branch
-    current (DESIGN.md §6). *)
+    current. A lookup skips the paths under a top-level argument that
+    every clause of the predicate shares (DESIGN.md §6). *)
 
 type clause = { head : Term.t; body : Term.t list }
 (** [head :- body1, ..., bodyn]. A fact is a clause with an empty body. *)
@@ -64,6 +65,19 @@ val clauses : t -> Term.t -> clause Seq.t
     it is consumed do not change it (Prolog's logical update view).
     Clauses must be freshly renamed (see {!rename_clause}) before
     resolution. *)
+
+type index_counts = private {
+  mutable branch_builds : int;  (** trie branches built *)
+  mutable branch_entries : int;  (** clause entries those builds walked *)
+  mutable shared_skips : int;
+      (** lookups that dropped a path under an argument every clause of
+          the predicate shares, or that such an argument answered with no
+          candidates *)
+}
+(** The work of {!clauses}' index, counted since {!create} or {!copy}. *)
+
+val index_counts : t -> index_counts
+(** The database's live counters: later lookups keep adding to them. *)
 
 val all_clauses : t -> (string * int) -> clause list
 (** Every clause of a predicate, unfiltered, in assertion order. *)

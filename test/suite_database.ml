@@ -150,6 +150,73 @@ let test_logical_update_view () =
       Alcotest.(check (list string)) "a new lookup sees the updates"
         [ "r(a, 0)"; "r(a, 1)"; "r(a, 4)" ] (heads (lookup ()))
 
+(* ---- the summary of arguments every clause shares ---- *)
+
+let heads db goal =
+  List.of_seq (Database.clauses db (Reader.term goal))
+  |> List.map (fun c -> Term.to_string c.Database.head)
+
+let skips db = (Database.index_counts db).Database.shared_skips
+let builds db = (Database.index_counts db).Database.branch_builds
+
+let test_shared_constant () =
+  let db = Database.create () in
+  List.iter (fun c -> Database.assertz db (clause c)) [ "s(k, 1)."; "s(k, f(2))." ];
+  Alcotest.(check (list string)) "another constant: no candidates" [] (heads db "s(j, X)");
+  Alcotest.(check (list string)) "a compound there: no candidates" [] (heads db "s(f(k), X)");
+  Alcotest.(check (list string)) "the shared constant: every clause"
+    [ "s(k, 1)"; "s(k, f(2))" ] (heads db "s(k, X)");
+  Alcotest.(check int) "three lookups skipped the shared argument" 3 (skips db);
+  Alcotest.(check int) "and built no branch on it" 0 (builds db);
+  Alcotest.(check (list string)) "the other argument is still walked" [ "s(k, 1)" ]
+    (heads db "s(k, 1)");
+  Alcotest.(check int) "one branch, on the second argument" 1 (builds db)
+
+let test_shared_turned_off () =
+  let check_off name assert_ c =
+    let db = Database.create () in
+    List.iter (fun c -> Database.assertz db (clause c)) [ "s(k, 1)."; "s(k, 2)." ];
+    let c = clause c in
+    assert_ db c;
+    Alcotest.(check (list string)) name [ Term.to_string c.Database.head ]
+      (heads db "s(j, X)");
+    Alcotest.(check int) (name ^ ": no skip") 0 (skips db)
+  in
+  check_off "assertz of another constant" Database.assertz "s(j, 3).";
+  check_off "asserta of another constant" Database.asserta "s(j, 3).";
+  check_off "assertz of a variable" Database.assertz "s(Y, 3).";
+  check_off "asserta of a variable" Database.asserta "s(Y, 3)."
+
+let test_shared_after_retract () =
+  let db = Database.create () in
+  List.iter (fun c -> Database.assertz db (clause c)) [ "s(k, 1)."; "s(j, 2)."; "s(k, 3)." ];
+  Alcotest.(check bool) "retract the odd clause" true (Database.retract db (clause "s(j, 2)."));
+  Alcotest.(check (list string)) "its constant finds nothing" [] (heads db "s(j, X)");
+  Alcotest.(check (list string)) "the rest is found" [ "s(k, 1)"; "s(k, 3)" ]
+    (heads db "s(k, X)");
+  Alcotest.(check bool) "retract a shared clause" true (Database.retract db (clause "s(k, 1)."));
+  Alcotest.(check (list string)) "still exact" [ "s(k, 3)" ] (heads db "s(k, X)");
+  Alcotest.(check (list string)) "still exact for a bound second argument" []
+    (heads db "s(k, 1)");
+  Alcotest.(check bool) "retract the last clause" true (Database.retract db (clause "s(k, 3)."));
+  Database.assertz db (clause "s(j, 4).");
+  Alcotest.(check (list string)) "a clause into the emptied predicate is found" [ "s(j, 4)" ]
+    (heads db "s(j, X)");
+  Alcotest.(check (list string)) "and the old constant is not" [] (heads db "s(k, X)")
+
+let test_shared_copy () =
+  let db = Database.create () in
+  Database.assertz db (clause "s(k, 1).");
+  let db2 = Database.copy db in
+  Database.assertz db2 (clause "s(j, 2).");
+  Alcotest.(check (list string)) "the original still skips" [] (heads db "s(j, X)");
+  Alcotest.(check int) "one skip in the original" 1 (skips db);
+  Alcotest.(check (list string)) "the copy finds its clause" [ "s(j, 2)" ] (heads db2 "s(j, X)");
+  Alcotest.(check int) "the copy counts its own lookups" 0 (skips db2);
+  Database.assertz db (clause "s(k, 3).");
+  Alcotest.(check (list string)) "the copy misses the original's clause" [ "s(k, 1)" ]
+    (heads db2 "s(k, X)")
+
 (* ---- differential property: indexed lookup vs the unfiltered store ---- *)
 
 (* A random argument: atoms, integers, clause-local variables, compounds,
@@ -176,6 +243,20 @@ let gen_arg vars =
           ])
     2
 
+(* [s/2]'s first argument is the constant [k] in most clauses, so
+   lookups skip it; goals also put another constant, a list or a
+   compound there *)
+let gen_shared vars =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, return "k");
+      (1, return "[k, a]");
+      (1, map (Printf.sprintf "[k | %s]") (oneofl vars));
+      (1, return "f(k)");
+      (2, gen_arg vars);
+    ]
+
 let gen_atom vars =
   let open QCheck.Gen in
   let arg = gen_arg vars in
@@ -183,6 +264,7 @@ let gen_atom vars =
     [
       map2 (Printf.sprintf "p(%s, %s)") arg arg;
       map (Printf.sprintf "q(%s)") arg;
+      map2 (Printf.sprintf "s(%s, %s)") (gen_shared vars) arg;
     ]
 
 let gen_clause =
@@ -288,4 +370,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_indexed_lookup;
     Alcotest.test_case "lookup oracle survives a cyclic binding" `Quick
       test_cyclic_binding_oracle;
+    Alcotest.test_case "a shared argument is skipped" `Quick test_shared_constant;
+    Alcotest.test_case "a differing assert turns the skip off" `Quick
+      test_shared_turned_off;
+    Alcotest.test_case "lookups stay exact after a retract" `Quick
+      test_shared_after_retract;
+    Alcotest.test_case "a copy keeps its own summary" `Quick test_shared_copy;
   ]

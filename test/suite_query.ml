@@ -354,9 +354,43 @@ let test_update_maintains_views () =
         (List.length (Spec.update_log spec))
   | _ -> Alcotest.fail "non-ground update accepted"
 
+(* A batch whose repair runs into the pass bound is undone: the database
+   and the update log read as before it, and the next answer re-runs
+   from that base instead of hitting the bound again. *)
+let test_update_past_bound_undone () =
+  let spec =
+    (Gdp_lang.Elaborate.load_string
+       {|objects a.
+fact r(0).
+rule r(Y) <- go(a), r(X), test Y is X + 1.
+constraint counted(X) <- r(X).
+|})
+      .Gdp_lang.Elaborate.spec
+  in
+  let q = Query.with_mode (Query.create spec) Query.Materialized in
+  let fact p = Gfact.make p ~objects:[ a "a" ] in
+  ignore (Query.update q [ `Assert (fact "seen") ]);
+  let key f = Format.asprintf "%a" Gfact.pp f in
+  let log () =
+    List.map (function `Assert f -> "+" ^ key f | `Retract f -> "-" ^ key f)
+      (Spec.update_log spec)
+  in
+  let violations () = List.map (Format.asprintf "%a" Query.pp_violation) (Query.violations q) in
+  let size = Database.size (Query.db q) and log_before = log () in
+  let before = violations () in
+  (match Query.update q [ `Assert (fact "extra"); `Assert (fact "go") ] with
+  | exception Bottom_up.Bound_exceeded (`Passes, _) -> ()
+  | _ -> Alcotest.fail "the batch did not reach the pass bound");
+  Alcotest.(check int) "clauses as before the batch" size (Database.size (Query.db q));
+  Alcotest.(check (list string)) "log as before the batch" log_before (log ());
+  Alcotest.(check (list string)) "violations as before the batch" before (violations ());
+  Alcotest.(check bool) "go(a) is gone" false (Query.holds q (fact "go"))
+
 let tests =
   [
     Alcotest.test_case "paper's virtual facts" `Quick test_paper_virtual_facts;
+    Alcotest.test_case "a batch past the pass bound is undone" `Quick
+      test_update_past_bound_undone;
     Alcotest.test_case "materialized engine mode" `Quick test_materialized_mode;
     Alcotest.test_case "materialized ask answers from the fixpoint" `Quick
       test_ask_materialized;
