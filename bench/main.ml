@@ -1104,22 +1104,13 @@ let incr_measure w scale =
   let incr_ms, () =
     time_ms (fun () -> List.iter (fun u -> Bottom_up.apply fp [ u ]) script)
   in
-  let apply_mirror u =
-    match u with
-    | `Assert t ->
-        if not (Database.has_fact mirror t) then Database.fact mirror t
-    | `Retract t ->
-        (* the workload builders may seed duplicate unit clauses; drop
-           them all so the clause store matches the fixpoint's set view *)
-        while Database.retract_fact mirror t do
-          ()
-        done
-  in
   let recompute_ms, last_fp =
     time_ms (fun () ->
         List.fold_left
           (fun _ u ->
-            apply_mirror u;
+            (* the workload builders may seed duplicate unit clauses: a
+               retract drops them all, as the fixpoint's set view does *)
+            Database.update_fact mirror u;
             Some (Bottom_up.run mirror))
           None script)
   in

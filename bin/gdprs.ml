@@ -46,9 +46,6 @@ let materialize_arg =
                  specification uses constructs outside the Datalog fragment \
                  (forall, disjunction, computed predicates).")
 
-let with_materialize q materialize =
-  if materialize then Query.with_mode q Query.Materialized else q
-
 let magic_arg =
   Arg.(value & flag
        & info [ "magic" ]
@@ -313,7 +310,8 @@ let update_cmd =
         if stats || trace_out <> None then enable_telemetry result;
         let materialize = materialize || snapshot <> None in
         let q =
-          with_materialize (build_query result view models metas) materialize
+          with_engine (build_query result view models metas) ~materialize
+            ~magic:false
         in
         print_views q;
         load_snapshot q snapshot;
@@ -463,7 +461,8 @@ let profile_cmd =
         enable_telemetry result;
         let materialize = materialize || snapshot <> None in
         let q =
-          with_materialize (build_query result view models metas) materialize
+          with_engine (build_query result view models metas) ~materialize
+            ~magic:false
         in
         load_snapshot q snapshot;
         if materialize then Stdlib.ignore (Query.materialization q);

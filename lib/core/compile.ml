@@ -154,6 +154,10 @@ let digest_clause buf (c : Database.clause) =
     c.Database.body;
   Buffer.add_char buf '\n'
 
+let holds_update : Spec.update -> Bottom_up.update =
+  let holds = Gfact.to_holds ~default_model:Names.default_model in
+  function `Assert f -> `Assert (holds f) | `Retract f -> `Retract (holds f)
+
 let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
     spec =
   Gdp_obs.Tracer.with_span tracer ~cat:"compile" "compile" @@ fun () ->
@@ -221,17 +225,7 @@ let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
   (* replay the specification's update log so a fresh compilation agrees
      with a database maintained incrementally through Query.update *)
   List.iter
-    (fun u ->
-      let t =
-        Gfact.to_holds ~default_model:Names.default_model
-          (match u with `Assert f | `Retract f -> f)
-      in
-      match u with
-      | `Assert _ -> if not (Database.has_fact db t) then Database.fact db t
-      | `Retract _ ->
-          while Database.retract_fact db t do
-            ()
-          done)
+    (fun u -> Database.update_fact db (holds_update u))
     (Spec.update_log spec);
   List.iter
     (fun (m : Spec.meta_model) ->

@@ -41,6 +41,10 @@ val compile :
     (only when the [fuzzy_propagation] meta-model is active), and the
     meta-view's clauses. *)
 
+val holds_update : Spec.update -> Gdp_logic.Bottom_up.update
+(** A base update in the engine's terms: its fact as the [holds/6]
+    term, under the default model when the fact names none. *)
+
 val rule_clause : model:string -> Spec.rule -> Database.clause
 (** The engine clause of one virtual-fact definition (exposed for tests
     and for the documentation generator). *)

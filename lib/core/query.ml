@@ -127,8 +127,6 @@ type snapshot_error = Snapshot_stale of string | Snapshot_corrupt of string
 let snapshot_error_message = function
   | Snapshot_stale m | Snapshot_corrupt m -> m
 
-let holds_of f = Gfact.to_holds ~default_model:Names.default_model f
-
 (* The update log rides in a snapshot's meta as one term: the list of
    its updates as [assert(F)] or [retract(F)] over each fact's [holds/6]
    term. *)
@@ -137,9 +135,10 @@ let encode_update_log (log : Spec.update list) =
   Wire.add_term b
     (Term.list
        (List.map
-          (function
-            | `Assert f -> Term.app "assert" [ holds_of f ]
-            | `Retract f -> Term.app "retract" [ holds_of f ])
+          (fun u ->
+            match Compile.holds_update u with
+            | `Assert t -> Term.app "assert" [ t ]
+            | `Retract t -> Term.app "retract" [ t ])
           log));
   Buffer.contents b
 
@@ -180,10 +179,7 @@ let save_snapshot q path =
    diverging log means the snapshot belongs to a different update
    history, which is staleness, not corruption. *)
 let replay_snapshot_updates q (saved : Spec.update list) =
-  let key = function
-    | `Assert f -> (true, holds_of f)
-    | `Retract f -> (false, holds_of f)
-  in
+  let key = Compile.holds_update in
   let rec drop_prefix known saved =
     match (known, saved) with
     | [], rest -> Some rest
@@ -200,14 +196,7 @@ let replay_snapshot_updates q (saved : Spec.update list) =
       let database = db q in
       List.iter
         (fun u ->
-          let t = holds_of (match u with `Assert f | `Retract f -> f) in
-          (match u with
-          | `Assert _ ->
-              if not (Database.has_fact database t) then Database.fact database t
-          | `Retract _ ->
-              while Database.retract_fact database t do
-                ()
-              done);
+          Database.update_fact database (Compile.holds_update u);
           Spec.log_update (spec q) u)
         fresh;
       Ok ()
@@ -247,22 +236,14 @@ let of_snapshot q path =
 
 let snapshot_loaded q = !(q.snap)
 
-(* The fixpoint a bottom-up answer should come from: with a loaded
-   snapshot the {e full} model is already materialised, so magic mode
-   answers from it directly — goal-directed rewriting could only
+(* The fixpoint a bottom-up answer should come from, paired with the
+   proof post-processing the mode needs (magic proofs carry the
+   rewrite's magic$ guard premises; full-model proofs do not). With a
+   loaded snapshot the {e full} model is already materialised, so magic
+   mode answers from it directly — goal-directed rewriting could only
    recompute a subset of what is already in memory, and on the shared
    fragment the two agree answer for answer. *)
 let goal_fixpoint q goal =
-  match q.mode with
-  | Top_down | Materialized -> materialization q
-  | Magic ->
-      if !(q.snap) = None then fst (magic_materialization q goal)
-      else materialization q
-
-(* idem, paired with the proof post-processing the mode needs (magic
-   proofs carry the rewrite's magic$ guard premises; full-model proofs
-   do not) *)
-let goal_fixpoint_proofs q goal =
   match q.mode with
   | Top_down | Materialized -> (materialization q, fun p -> p)
   | Magic ->
@@ -284,23 +265,12 @@ let update q (updates : Spec.update list) =
         (match f.Gfact.pred with
         | Term.Atom _ -> ()
         | _ -> invalid_arg "Query.update: the predicate must be a constant");
-        (u, Gfact.to_holds ~default_model:Names.default_model f))
+        Compile.holds_update u)
       updates
   in
   let database = db q in
   let frozen = Database.freeze database and log = (spec q).Spec.updates in
-  List.iter
-    (fun (u, t) ->
-      match u with
-      | `Assert _ ->
-          (* keep the clause store duplicate-free so one retraction
-             undoes one assertion, mirroring the fixpoint's set view *)
-          if not (Database.has_fact database t) then Database.fact database t
-      | `Retract _ ->
-          while Database.retract_fact database t do
-            ()
-          done)
-    resolved;
+  List.iter (Database.update_fact database) resolved;
   List.iter (fun u -> Spec.log_update (spec q) u) updates;
   (* a magic fixpoint is goal-specific and cheap to rebuild: drop it so
      the next magic query re-seeds from the updated base instead of
@@ -309,13 +279,7 @@ let update q (updates : Spec.update list) =
   (match !(q.fp) with
   | None -> () (* nothing materialised yet: the next run sees the new base *)
   | Some fp -> (
-      match
-        Bottom_up.apply fp
-          (List.map
-             (fun (u, t) ->
-               match u with `Assert _ -> `Assert t | `Retract _ -> `Retract t)
-             resolved)
-      with
+      match Bottom_up.apply fp resolved with
       | () -> ()
       | exception (Bottom_up.Bound_exceeded _ as e) ->
           (* the batch stopped half-applied: drop the model, and put the
@@ -324,7 +288,9 @@ let update q (updates : Spec.update list) =
           q.fp := None;
           let touched =
             List.sort_uniq compare
-              (List.map (fun (_, t) -> Option.get (Term.functor_of t)) resolved)
+              (List.map
+                 (fun (`Assert t | `Retract t) -> Option.get (Term.functor_of t))
+                 resolved)
           in
           List.iter (Database.retract_all database) touched;
           List.iter
@@ -349,7 +315,7 @@ let holds q pattern =
   match q.mode with
   | Top_down -> Solve.succeeds ~options:q.options (db q) [ goal ]
   | Materialized | Magic ->
-      let fp = goal_fixpoint q goal in
+      let fp = fst (goal_fixpoint q goal) in
       if Term.is_ground goal then Bottom_up.holds fp goal
       else
         List.exists
@@ -383,7 +349,7 @@ let solutions ?limit q pattern =
       |> List.filter_map (fun s -> Gfact.of_holds (Subst.apply s goal))
       |> dedupe_by (Gfact.to_holds ~default_model:Names.default_model)
   | Materialized | Magic ->
-      fixpoint_answers (goal_fixpoint q goal) goal
+      fixpoint_answers (fst (goal_fixpoint q goal)) goal
       |> List.filter_map (fun (fact, _) -> Gfact.of_holds fact)
       |> take limit
 
@@ -452,7 +418,7 @@ let violations ?limit q =
                (Term.as_list (Subst.apply subst os)))
       |> List.sort_uniq compare
   | Materialized | Magic ->
-      let fp = goal_fixpoint q goal in
+      let fp = fst (goal_fixpoint q goal) in
       Bottom_up.probe fp goal
       |> List.filter_map decode_violation
       |> List.sort_uniq compare
@@ -493,7 +459,7 @@ let violation_proofs ?limit q =
       in
       collect [] 0 (Explain.prove ~options:q.options (db q) [ goal ])
   | Materialized | Magic ->
-      let fp, strip = goal_fixpoint_proofs q goal in
+      let fp, strip = goal_fixpoint q goal in
       Bottom_up.probe fp goal
       |> List.filter (fun fact -> decode_violation fact <> None)
       |> List.sort Term.compare
@@ -541,7 +507,7 @@ let explain_proof q pattern =
          pattern explains its first stored instance, in the standard
          order of terms — the same answer a sorted solutions scan leads
          with *)
-      let fp, strip = goal_fixpoint_proofs q goal in
+      let fp, strip = goal_fixpoint q goal in
       let target =
         if Term.is_ground goal then
           if Bottom_up.holds fp goal then Some goal else None
@@ -572,7 +538,7 @@ let ask q src =
   match q.mode with
   | Materialized | Magic ->
       let goal = single_goal goals in
-      let fp = goal_fixpoint q goal in
+      let fp = fst (goal_fixpoint q goal) in
       List.exists
         (fun fact -> Unify.unify Subst.empty goal fact <> None)
         (Bottom_up.probe fp goal)
@@ -584,7 +550,7 @@ let ask_all ?limit q src =
   match q.mode with
   | Materialized | Magic ->
       let goal = single_goal goals in
-      fixpoint_answers (goal_fixpoint q goal) goal
+      fixpoint_answers (fst (goal_fixpoint q goal)) goal
       |> List.map (fun (_, s) -> Subst.restrict (Engine.named_vars goals) s)
       |> take limit
   | Top_down ->

@@ -823,53 +823,78 @@ type stats = {
   bu_incr : incr_stats;
 }
 
-(* Internal mutable counter state. [run] and the incremental maintenance
-   entry points ({!apply}) share these, so {!stats} is cumulative over the
+(* The fixpoint's counters, each declared once: a counter is its index
+   into the fixpoint's [ctr] array. [run] and the incremental maintenance
+   entry points ({!apply}) share them, so {!stats} is cumulative over the
    fixpoint's whole life — exactly what `--stats` after an update script
-   should report. *)
-type counters = {
-  mutable c_facts : int;  (* facts currently stored (inserts - deletes) *)
-  mutable c_passes : int;
-  mutable c_firings : int;
-  mutable c_probes : int;
-  mutable c_scans : int;
-  mutable c_cands : int;
-      (* facts handed to a positive literal's match; counts this
-         process's joins only, as snapshots do not carry it *)
-  mutable c_members : int;
-  mutable c_sprobes : int;  (* spatial index probes *)
-  mutable c_sscans : int;  (* spatial joins that fell back to a scan *)
-  mutable c_hits : int;
-  mutable c_misses : int;
-}
+   should report. The indices run in the order the snapshot header
+   carries the counters, which is every counter before [persisted]; a
+   counter in [gauges] is sampled under its name at the end of every
+   [run], [import] and {!apply} batch. A new counter is one line here (a
+   second in [gauges] if it has one) plus its field in the public
+   records; one before [persisted] changes the snapshot format. The
+   indices are literals and the table is static data, so the hot path
+   bumps a constant slot and nothing is allocated at start-up. *)
+module Ctr = struct
+  (* the engine's *)
+  let facts = 0 (* stored now: inserts - deletes *)
+  let passes = 1
+  let firings = 2
+  let probes = 3
+  let scans = 4
+  let members = 5
+  let sprobes = 6
+  let sscans = 7 (* guarded joins that fell back to a scan *)
+  let hits = 8
+  let misses = 9
 
-let new_counters () =
-  {
-    c_facts = 0;
-    c_passes = 0;
-    c_firings = 0;
-    c_probes = 0;
-    c_scans = 0;
-    c_cands = 0;
-    c_members = 0;
-    c_sprobes = 0;
-    c_sscans = 0;
-    c_hits = 0;
-    c_misses = 0;
-  }
+  (* proof reconstruction's *)
+  let reconstructs = 10
+  let max_depth = 11
+  let max_size = 12
 
-type istate = {
-  mutable i_batches : int;
-  mutable i_asserts : int;
-  mutable i_retracts : int;
-  mutable i_noops : int;
-  mutable i_inserted : int;
-  mutable i_deleted : int;
-  mutable i_overdeleted : int;
-  mutable i_rederived : int;
-  mutable i_visited : int;
-  mutable i_recomputed : int;
-}
+  (* incremental maintenance's *)
+  let batches = 13
+  let asserts = 14
+  let retracts = 15
+  let noops = 16
+  let inserted = 17
+  let deleted = 18
+  let overdeleted = 19
+  let rederived = 20
+  let visited = 21
+  let recomputed = 22
+  let persisted = 23
+
+  (* facts handed to a positive literal's match: this process's joins
+     only, as a snapshot does not carry it *)
+  let candidates = 23
+  let count = 24
+
+  let gauges =
+    [
+      (facts, "bu.facts");
+      (passes, "bu.passes");
+      (firings, "bu.firings");
+      (probes, "bu.index_probes");
+      (scans, "bu.full_scans");
+      (sprobes, "bu.spatial.probes");
+      (sscans, "bu.spatial.scans");
+      (hits, "bu.hcons_hits");
+      (misses, "bu.hcons_misses");
+      (batches, "bu.incr.batches");
+      (inserted, "bu.incr.inserted");
+      (deleted, "bu.incr.deleted");
+      (overdeleted, "bu.incr.overdeleted");
+      (rederived, "bu.incr.rederived");
+      (recomputed, "bu.incr.strata_recomputed");
+    ]
+
+  let fresh () = Array.make count 0
+end
+
+let[@inline] bump_by c i n = Array.unsafe_set c i (Array.unsafe_get c i + n)
+let[@inline] bump c i = bump_by c i 1
 
 (* ------------------------------------------------------------------ *)
 (* join plans compiled against the bank                                *)
@@ -1007,13 +1032,13 @@ type fixpoint = {
   baseline : baseline option;  (* [None]: the production evaluation *)
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
   tracer : Gdp_obs.Tracer.t;
-  ctr : counters;
+  ctr : int array;  (* indexed by {!Ctr} *)
   mutable strata_stats : stratum_stats list;
-  incr : istate;
   mutable clock : int;  (* the rank the next stored fact gets *)
-  mutable p_reconstructs : int;  (* proof-reconstruction counters *)
-  mutable p_max_depth : int;
-  mutable p_max_size : int;
+  mutable budget_from : int;
+      (* the pass counter when the current operation (the initial run or
+         one update batch) began: the pass bound is per operation, not
+         cumulative over the fixpoint's life *)
 }
 
 let no_rel = { Rel.name = ""; arity = 0; sub = None }
@@ -1036,24 +1061,21 @@ let get fp rel = get_in fp.rels rel
    a miss one that stores a new fact. *)
 let add fp r id =
   if Relation.add r fp.bank id fp.clock then begin
-    fp.ctr.c_misses <- fp.ctr.c_misses + 1;
+    bump fp.ctr Ctr.misses;
     fp.clock <- fp.clock + 1;
-    fp.ctr.c_facts <- fp.ctr.c_facts + 1;
-    if fp.ctr.c_facts > max_facts then
+    bump fp.ctr Ctr.facts;
+    if fp.ctr.(Ctr.facts) > max_facts then
       raise (Bound_exceeded (`Facts, max_facts));
     true
   end
   else begin
-    fp.ctr.c_hits <- fp.ctr.c_hits + 1;
+    bump fp.ctr Ctr.hits;
     false
   end
 
-(* [budget_from] is the pass counter at the start of the current
-   operation (initial run or one update batch): the iteration bound is
-   per operation, not cumulative over the fixpoint's life. *)
-let tick fp ~budget_from =
-  fp.ctr.c_passes <- fp.ctr.c_passes + 1;
-  if fp.ctr.c_passes - budget_from > max_iterations then
+let tick fp =
+  bump fp.ctr Ctr.passes;
+  if fp.ctr.(Ctr.passes) - fp.budget_from > max_iterations then
     raise (Bound_exceeded (`Passes, max_iterations))
 
 (* a fact's point at argument [apos], for the spatial indexes *)
@@ -1101,7 +1123,7 @@ let rec go x lits =
       match x.delta_at with
       | Some j when j = c.pos ->
           if c.ground then begin
-            ctr.c_members <- ctr.c_members + 1;
+            bump ctr Ctr.members;
             let g = inst b env false c.pat in
             if g >= 0 && List.memq g x.delta then go x rest
           end
@@ -1113,7 +1135,7 @@ let rec go x lits =
             | Some g -> Option.value ~default:[] (Rel_map.find_opt c.rel !g)
           in
           if c.ground then begin
-            ctr.c_members <- ctr.c_members + 1;
+            bump ctr Ctr.members;
             let g = inst b env false c.pat in
             if g >= 0 && (Bank.stored b g || List.memq g gfacts) then go x rest
           end
@@ -1125,7 +1147,7 @@ let rec go x lits =
                 let sp = Option.get x.fp.spatial in
                 match query_box x sp probe with
                 | Some qbox ->
-                    ctr.c_sprobes <- ctr.c_sprobes + 1;
+                    bump ctr Ctr.sprobes;
                     let hits, unindexed =
                       Relation.spatial_probe c.r
                         ~point:(point_at x.fp sp apos)
@@ -1134,7 +1156,7 @@ let rec go x lits =
                     try_facts x c rest hits;
                     try_facts x c rest unindexed
                 | None ->
-                    ctr.c_sscans <- ctr.c_sscans + 1;
+                    bump ctr Ctr.sscans;
                     hash_join x c rest));
             try_facts x c rest gfacts
           end)
@@ -1185,7 +1207,7 @@ let rec go x lits =
 and try_facts x c rest = function
   | [] -> ()
   | id :: more ->
-      x.fp.ctr.c_cands <- x.fp.ctr.c_cands + 1;
+      bump x.fp.ctr Ctr.candidates;
       clear x.env c.fresh;
       if matches x.b x.env c.pat id then go x rest;
       try_facts x c rest more
@@ -1202,13 +1224,13 @@ and hash_join x c rest =
   let ctr = x.fp.ctr in
   match c.key with
   | Some (path, k) ->
-      ctr.c_probes <- ctr.c_probes + 1;
+      bump ctr Ctr.probes;
       try_facts x c rest (Relation.bucket c.r x.b path (inst x.b x.env false k))
   | None ->
-      ctr.c_scans <- ctr.c_scans + 1;
+      bump ctr Ctr.scans;
       (* facts added while the scan runs are not visited *)
       let r = c.r in
-      ctr.c_cands <- ctr.c_cands + r.n;
+      bump_by ctr Ctr.candidates r.n;
       for i = 0 to r.n - 1 do
         let id = Array.unsafe_get r.ids i in
         clear x.env c.fresh;
@@ -1233,7 +1255,7 @@ and hash_join x c rest =
 
    [emit] receives each firing's rule, derived head and environment. *)
 let eval_rule fp ?ghosts ?env ~delta_at ~delta p plan ~emit =
-  fp.ctr.c_firings <- fp.ctr.c_firings + 1;
+  bump fp.ctr Ctr.firings;
   let env = match env with Some e -> e | None -> Array.make p.slots (-1) in
   go { fp; b = fp.bank; env; delta_at; delta; ghosts; p; emit } plan
 
@@ -1284,7 +1306,7 @@ let below fp s k ~gone p env =
    skips the trailing empty pass the initial run deliberately keeps (its
    pass counts are pinned by the cram tests). Returns every fact this
    call added, per relation, and the largest delta carried. *)
-let saturate fp ~budget_from ~guard srules start =
+let saturate fp ~guard srules start =
   let added = ref Rel_map.empty in
   (* a pass's new facts gather in their relations, newest first, and
      become the next pass's delta map once the pass is over *)
@@ -1319,7 +1341,7 @@ let saturate fp ~budget_from ~guard srules start =
   let max_delta = ref 0 in
   (match start with
   | `Full ->
-      tick fp ~budget_from;
+      tick fp;
       Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
         ~args:[ ("kind", Gdp_obs.Tracer.Str "full") ]
         "pass" full_pass;
@@ -1332,7 +1354,7 @@ let saturate fp ~budget_from ~guard srules start =
   in
   let deltas = ref !new_facts in
   while (not (Rel_map.is_empty !deltas)) && ((not guard) || reads !deltas) do
-    tick fp ~budget_from;
+    tick fp;
     let dsize = Rel_map.fold (fun _ l acc -> acc + List.length l) !deltas 0 in
     if dsize > !max_delta then max_delta := dsize;
     Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
@@ -1488,13 +1510,14 @@ let compile_rule bank get ~scan ~annotate (r : rule) =
   }
 
 (* The option-independent skeleton [run] and [import] share: from the
-   classified and stratified database ({!prepare}) and the bank, create
-   every relation the rules can touch, compile every rule's join plans
-   against the bank and build the (still empty) fixpoint record. Returns
+   classified and stratified database ({!prepare}), the bank and the
+   counters to start from, create every relation the rules can touch,
+   compile every rule's join plans against the bank and build the
+   (still empty) fixpoint record. Returns
    the parsed base facts un-inserted — [run] nets its seeds into them
    and saturates; [import] ignores them and bulk-loads a snapshot
    instead. *)
-let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank
+let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank ~ctr
     (facts, rules, stratum_of, n_strata) =
   let rels = Hashtbl.create 64 in
   (* every relation a rule can read or write exists up front, so the set
@@ -1543,25 +1566,10 @@ let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank
       baseline;
       spatial;
       tracer;
-      ctr = new_counters ();
+      ctr;
       strata_stats = [];
-      incr =
-        {
-          i_batches = 0;
-          i_asserts = 0;
-          i_retracts = 0;
-          i_noops = 0;
-          i_inserted = 0;
-          i_deleted = 0;
-          i_overdeleted = 0;
-          i_rederived = 0;
-          i_visited = 0;
-          i_recomputed = 0;
-        };
       clock = 0;
-      p_reconstructs = 0;
-      p_max_depth = 0;
-      p_max_size = 0;
+      budget_from = 0;
     }
   in
   (fp, facts)
@@ -1600,41 +1608,25 @@ let prebuild_spatial fp =
         fp.by_stratum
   | _ -> ()
 
-(* Final counter samples for an enabled tracer. [gauge_totals] covers
-   what every operation moves (store size, passes, firings, lineage
-   size) and closes each {!apply} batch; [emit_gauges] adds the access
-   path and hash-consing samples once per [run] and per [import], whose
-   restored counters gauge the same way. *)
-let gauge_totals fp =
-  let tracer = fp.tracer in
-  if Gdp_obs.Tracer.enabled tracer then begin
-    let set n v = Gdp_obs.Tracer.set tracer n (float_of_int v) in
-    set "bu.facts" fp.ctr.c_facts;
-    set "bu.passes" fp.ctr.c_passes;
-    set "bu.firings" fp.ctr.c_firings;
-    set "prov.bytes" (8 * fp.ctr.c_facts)
-  end
+(* the lineage's size: the rank column *)
+let rank_bytes fp = 8 * fp.ctr.(Ctr.facts)
 
-let emit_gauges fp =
-  gauge_totals fp;
+(* Sample every counter that has a gauge name, and the lineage size, into
+   an enabled tracer: at the end of [run], of [import] and of each
+   {!apply} batch. *)
+let gauge fp =
   let tracer = fp.tracer in
   if Gdp_obs.Tracer.enabled tracer then begin
     let set n v = Gdp_obs.Tracer.set tracer n (float_of_int v) in
-    set "bu.index_probes" fp.ctr.c_probes;
-    set "bu.full_scans" fp.ctr.c_scans;
-    if fp.ctr.c_sprobes > 0 || fp.ctr.c_sscans > 0 then begin
-      set "bu.spatial.probes" fp.ctr.c_sprobes;
-      set "bu.spatial.scans" fp.ctr.c_sscans
-    end;
-    set "bu.hcons_hits" fp.ctr.c_hits;
-    set "bu.hcons_misses" fp.ctr.c_misses
+    List.iter (fun (i, name) -> set name fp.ctr.(i)) Ctr.gauges;
+    set "prov.bytes" (rank_bytes fp)
   end
 
 let run ?baseline ?spatial ?(refine = fun _ -> None)
     ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
   let fp, facts =
     build_fixpoint ~baseline ~spatial ~refine ~tracer
-      ~bank:(Bank.create ~nodes:1024)
+      ~bank:(Bank.create ~nodes:1024) ~ctr:(Ctr.fresh ())
       (prepare db ~refine ~spatial)
   in
   let b = fp.bank in
@@ -1668,28 +1660,28 @@ let run ?baseline ?spatial ?(refine = fun _ -> None)
   Array.iteri
     (fun si srules ->
       if srules <> [] then begin
-        let passes0 = fp.ctr.c_passes
-        and firings0 = fp.ctr.c_firings
-        and total0 = fp.ctr.c_facts in
+        let passes0 = fp.ctr.(Ctr.passes)
+        and firings0 = fp.ctr.(Ctr.firings)
+        and total0 = fp.ctr.(Ctr.facts) in
         let s_frame =
           Gdp_obs.Tracer.begin_span tracer ~cat:"fixpoint"
             ~args:[ ("rules", Gdp_obs.Tracer.Int (List.length srules)) ]
             ("stratum " ^ string_of_int si)
         in
-        let _, max_delta = saturate fp ~budget_from:0 ~guard:false srules `Full in
-        let derived = fp.ctr.c_facts - total0 in
+        let _, max_delta = saturate fp ~guard:false srules `Full in
+        let derived = fp.ctr.(Ctr.facts) - total0 in
         Gdp_obs.Tracer.end_span tracer s_frame
           ~args:
             [
-              ("passes", Gdp_obs.Tracer.Int (fp.ctr.c_passes - passes0));
+              ("passes", Gdp_obs.Tracer.Int (fp.ctr.(Ctr.passes) - passes0));
               ("derived", Gdp_obs.Tracer.Int derived);
             ];
         stratum_acc :=
           {
             st_stratum = si;
             st_rules = List.length srules;
-            st_passes = fp.ctr.c_passes - passes0;
-            st_firings = fp.ctr.c_firings - firings0;
+            st_passes = fp.ctr.(Ctr.passes) - passes0;
+            st_firings = fp.ctr.(Ctr.firings) - firings0;
             st_derived = derived;
             st_max_delta = max_delta;
           }
@@ -1697,7 +1689,7 @@ let run ?baseline ?spatial ?(refine = fun _ -> None)
       end)
     fp.by_stratum;
   Gdp_obs.Tracer.end_span tracer run_frame;
-  emit_gauges fp;
+  gauge fp;
   fp.strata_stats <- List.rev !stratum_acc;
   fp
 
@@ -1755,44 +1747,45 @@ let probe fp goal =
 let count fp =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) fp.rels 0
 
-let incr_stats fp =
-  {
-    upd_batches = fp.incr.i_batches;
-    upd_asserts = fp.incr.i_asserts;
-    upd_retracts = fp.incr.i_retracts;
-    upd_noops = fp.incr.i_noops;
-    upd_inserted = fp.incr.i_inserted;
-    upd_deleted = fp.incr.i_deleted;
-    upd_overdeleted = fp.incr.i_overdeleted;
-    upd_rederived = fp.incr.i_rederived;
-    upd_strata_visited = fp.incr.i_visited;
-    upd_strata_recomputed = fp.incr.i_recomputed;
-  }
-
 let stats fp =
+  let c = fp.ctr in
   {
-    bu_passes = fp.ctr.c_passes;
-    bu_firings = fp.ctr.c_firings;
+    bu_passes = c.(Ctr.passes);
+    bu_firings = c.(Ctr.firings);
     bu_strata = fp.n_strata;
-    bu_facts = fp.ctr.c_facts;
-    bu_index_probes = fp.ctr.c_probes;
-    bu_full_scans = fp.ctr.c_scans;
-    bu_candidates = fp.ctr.c_cands;
-    bu_membership_tests = fp.ctr.c_members;
-    bu_spatial_probes = fp.ctr.c_sprobes;
-    bu_spatial_scans = fp.ctr.c_sscans;
-    bu_hcons_hits = fp.ctr.c_hits;
-    bu_hcons_misses = fp.ctr.c_misses;
+    bu_facts = c.(Ctr.facts);
+    bu_index_probes = c.(Ctr.probes);
+    bu_full_scans = c.(Ctr.scans);
+    bu_candidates = c.(Ctr.candidates);
+    bu_membership_tests = c.(Ctr.members);
+    bu_spatial_probes = c.(Ctr.sprobes);
+    bu_spatial_scans = c.(Ctr.sscans);
+    bu_hcons_hits = c.(Ctr.hits);
+    bu_hcons_misses = c.(Ctr.misses);
     bu_strata_stats = fp.strata_stats;
-    bu_incr = incr_stats fp;
+    bu_incr =
+      {
+        upd_batches = c.(Ctr.batches);
+        upd_asserts = c.(Ctr.asserts);
+        upd_retracts = c.(Ctr.retracts);
+        upd_noops = c.(Ctr.noops);
+        upd_inserted = c.(Ctr.inserted);
+        upd_deleted = c.(Ctr.deleted);
+        upd_overdeleted = c.(Ctr.overdeleted);
+        upd_rederived = c.(Ctr.rederived);
+        upd_strata_visited = c.(Ctr.visited);
+        upd_strata_recomputed = c.(Ctr.recomputed);
+      };
     bu_prov =
       {
-        prov_bytes = 8 * fp.ctr.c_facts (* the rank column *);
-        prov_reconstructs = fp.p_reconstructs;
-        prov_max_depth = fp.p_max_depth;
-        prov_max_size = fp.p_max_size;
+        prov_bytes = rank_bytes fp;
+        prov_reconstructs = c.(Ctr.reconstructs);
+        prov_max_depth = c.(Ctr.max_depth);
+        prov_max_size = c.(Ctr.max_size);
       };
   }
+
+let incr_stats fp = (stats fp).bu_incr
 
 let hcons_hit_rate s =
   let n = s.bu_hcons_hits + s.bu_hcons_misses in
@@ -1865,7 +1858,7 @@ let remove_facts fp pairs =
       && begin
            (* a pair listed twice is removed once *)
            Itbl.remove gone id;
-           fp.ctr.c_facts <- fp.ctr.c_facts - 1;
+           bump_by fp.ctr Ctr.facts (-1);
            true
          end)
     pairs
@@ -1877,7 +1870,7 @@ let remove_facts fp pairs =
    are the net base assertions/retractions landing on this stratum's
    relations; [lower_adds]/[lower_dels] the net derived changes from
    lower strata. Returns the stratum's own net (additions, deletions). *)
-let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
+let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
     ~lower_adds ~lower_dels =
   (* presence at batch start, recorded the first time a fact is touched:
      the final net change is (recorded, current) presence disagreeing *)
@@ -1941,7 +1934,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
         then begin
           Omap.add marked t rel;
           if not (Itbl.find seen t) then
-            fp.incr.i_overdeleted <- fp.incr.i_overdeleted + 1;
+            bump fp.ctr Ctr.overdeleted;
           feed rel [ t ]
         end;
         decide ()
@@ -1966,7 +1959,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
         (fun (rel, t) ->
           let reinstate () =
             ignore (add fp (get fp rel) t : bool);
-            fp.incr.i_rederived <- fp.incr.i_rederived + 1;
+            bump fp.ctr Ctr.rederived;
             progress := true;
             false
           in
@@ -1985,7 +1978,7 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
   in
   let sat_added =
     if Rel_map.is_empty ins_deltas then Rel_map.empty
-    else fst (saturate fp ~budget_from ~guard:true srules (`Deltas ins_deltas))
+    else fst (saturate fp ~guard:true srules (`Deltas ins_deltas))
   in
   Rel_map.iter (fun rel l -> List.iter (fun t -> note rel t false) l) sat_added;
   (* 6. net the batch-start snapshot against the current store *)
@@ -1995,10 +1988,10 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
       let now = Bank.stored fp.bank t in
       match (was, now) with
       | false, true ->
-          fp.incr.i_inserted <- fp.incr.i_inserted + 1;
+          bump fp.ctr Ctr.inserted;
           net_adds := (rel, t) :: !net_adds
       | true, false ->
-          fp.incr.i_deleted <- fp.incr.i_deleted + 1;
+          bump fp.ctr Ctr.deleted;
           net_dels := (rel, t) :: !net_dels
       | _ -> ())
     before;
@@ -2011,8 +2004,8 @@ let incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
    from the asserted facts and saturated from scratch against the
    (already final) lower strata; the old/new difference is the net
    change handed to higher strata. *)
-let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
-  fp.incr.i_recomputed <- fp.incr.i_recomputed + 1;
+let recompute_stratum fp srules ~seeds_a ~seeds_d =
+  bump fp.ctr Ctr.recomputed;
   let head_rels =
     List.sort_uniq Rel.compare (List.map (fun p -> p.rule.head_rel) srules)
   in
@@ -2031,7 +2024,7 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
     List.map
       (fun rel ->
         let r = get fp rel in
-        fp.ctr.c_facts <- fp.ctr.c_facts - Relation.cardinal r;
+        bump_by fp.ctr Ctr.facts (-Relation.cardinal r);
         (rel, Relation.take r fp.bank))
       head_rels
   in
@@ -2048,7 +2041,7 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
       if is_head rel && not (Bank.stored fp.bank t) then
         ignore (add fp (get fp rel) t : bool))
     seeds_a;
-  ignore (saturate fp ~budget_from ~guard:false srules `Full);
+  ignore (saturate fp ~guard:false srules `Full);
   List.iter
     (fun (rel, (r_old : Relation.t)) ->
       let held = Itbl.create r_old.n false in
@@ -2062,8 +2055,8 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
           if not (Bank.stored fp.bank t) then net_dels := (rel, t) :: !net_dels)
         r_old)
     old;
-  fp.incr.i_inserted <- fp.incr.i_inserted + List.length !net_adds;
-  fp.incr.i_deleted <- fp.incr.i_deleted + List.length !net_dels;
+  bump_by fp.ctr Ctr.inserted (List.length !net_adds);
+  bump_by fp.ctr Ctr.deleted (List.length !net_dels);
   (!net_adds, !net_dels)
 
 let apply fp (updates : update list) =
@@ -2087,10 +2080,10 @@ let apply fp (updates : update list) =
       updates
     |> List.map (fun (asserted, t, rel) -> (asserted, Bank.intern fp.bank t, rel))
   in
-  let inc = fp.incr in
-  let budget_from = fp.ctr.c_passes in
-  let ins0 = inc.i_inserted and del0 = inc.i_deleted in
-  inc.i_batches <- inc.i_batches + 1;
+  let c = fp.ctr in
+  fp.budget_from <- c.(Ctr.passes);
+  let ins0 = c.(Ctr.inserted) and del0 = c.(Ctr.deleted) in
+  bump c Ctr.batches;
   let frame =
     Gdp_obs.Tracer.begin_span fp.tracer ~cat:"fixpoint"
       ~args:[ ("updates", Gdp_obs.Tracer.Int (List.length updates)) ]
@@ -2102,8 +2095,7 @@ let apply fp (updates : update list) =
   let touched = Omap.create (no_rel, false) in
   List.iter
     (fun (asserted, t, rel) ->
-      if asserted then inc.i_asserts <- inc.i_asserts + 1
-      else inc.i_retracts <- inc.i_retracts + 1;
+      bump c (if asserted then Ctr.asserts else Ctr.retracts);
       Omap.add touched t (rel, Itbl.mem fp.base t);
       if asserted then Itbl.replace fp.base t true else Itbl.remove fp.base t)
     entries;
@@ -2116,7 +2108,7 @@ let apply fp (updates : update list) =
       match (was, now) with
       | false, true -> adds_at.(si) <- (rel, t) :: adds_at.(si)
       | true, false -> dels_at.(si) <- (rel, t) :: dels_at.(si)
-      | _ -> inc.i_noops <- inc.i_noops + 1)
+      | _ -> bump c Ctr.noops)
     touched;
   (* strata low to high, carrying the accumulated net additions and
      deletions: every stratum's rules may read relations from any lower
@@ -2146,7 +2138,7 @@ let apply fp (updates : update list) =
     in
     if seeds_a <> [] || seeds_d <> [] || negated_changed || reads_deltas
     then begin
-      inc.i_visited <- inc.i_visited + 1;
+      bump c Ctr.visited;
       let s_frame =
         Gdp_obs.Tracer.begin_span fp.tracer ~cat:"fixpoint"
           ~args:
@@ -2159,9 +2151,9 @@ let apply fp (updates : update list) =
       in
       let net_adds, net_dels =
         if negated_changed then
-          recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d
+          recompute_stratum fp srules ~seeds_a ~seeds_d
         else
-          incremental_stratum fp ~budget_from srules ~seeds_a ~seeds_d ~ghosts
+          incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
             ~lower_adds:!add_delta ~lower_dels:!del_delta
       in
       List.iter
@@ -2186,19 +2178,10 @@ let apply fp (updates : update list) =
   Gdp_obs.Tracer.end_span fp.tracer frame
     ~args:
       [
-        ("inserted", Gdp_obs.Tracer.Int (inc.i_inserted - ins0));
-        ("deleted", Gdp_obs.Tracer.Int (inc.i_deleted - del0));
+        ("inserted", Gdp_obs.Tracer.Int (c.(Ctr.inserted) - ins0));
+        ("deleted", Gdp_obs.Tracer.Int (c.(Ctr.deleted) - del0));
       ];
-  gauge_totals fp;
-  if Gdp_obs.Tracer.enabled fp.tracer then begin
-    Gdp_obs.Tracer.add fp.tracer "bu.incr.batches" 1;
-    let set n v = Gdp_obs.Tracer.set fp.tracer n (float_of_int v) in
-    set "bu.incr.inserted" inc.i_inserted;
-    set "bu.incr.deleted" inc.i_deleted;
-    set "bu.incr.overdeleted" inc.i_overdeleted;
-    set "bu.incr.rederived" inc.i_rederived;
-    set "bu.incr.strata_recomputed" inc.i_recomputed
-  end
+  gauge fp
 
 let asserted fp t =
   Term.is_ground t
@@ -2243,7 +2226,7 @@ let proof fp t =
       in
       let b = fp.bank in
       (* scratch counters: rebuilding a proof moves no engine counter *)
-      let scratch = { fp with ctr = new_counters () } in
+      let scratch = { fp with ctr = Ctr.fresh () } in
       let memo = Hashtbl.create 16 in
       let rec build rel goal k =
         if Itbl.mem fp.base goal then Explain.Fact (Bank.term b goal)
@@ -2290,9 +2273,10 @@ let proof fp t =
       in
       let p = build rel id k in
       let sz = Explain.size p and dp = Explain.depth p in
-      fp.p_reconstructs <- fp.p_reconstructs + 1;
-      fp.p_max_depth <- max dp fp.p_max_depth;
-      fp.p_max_size <- max sz fp.p_max_size;
+      let c = fp.ctr in
+      bump c Ctr.reconstructs;
+      c.(Ctr.max_depth) <- max dp c.(Ctr.max_depth);
+      c.(Ctr.max_size) <- max sz c.(Ctr.max_size);
       Gdp_obs.Tracer.end_span fp.tracer frame
         ~args:
           [
@@ -2445,17 +2429,10 @@ let export fp =
   if !n_base <> Itbl.length fp.base then
     failwith "Bottom_up.export: a base fact is not stored";
   let head = Buffer.create 256 in
-  let c = fp.ctr and inc = fp.incr in
   List.iter (Wire.add_nat head) [ fp.n_strata; !n_base ];
-  List.iter (Wire.add_int head)
-    [
-      c.c_facts; c.c_passes; c.c_firings; c.c_probes; c.c_scans; c.c_members;
-      c.c_sprobes; c.c_sscans; c.c_hits; c.c_misses;
-      fp.p_reconstructs; fp.p_max_depth; fp.p_max_size;
-      inc.i_batches; inc.i_asserts; inc.i_retracts; inc.i_noops;
-      inc.i_inserted; inc.i_deleted; inc.i_overdeleted; inc.i_rederived;
-      inc.i_visited; inc.i_recomputed;
-    ];
+  for i = 0 to Ctr.persisted - 1 do
+    Wire.add_int head fp.ctr.(i)
+  done;
   Wire.add_nat head (List.length fp.strata_stats);
   List.iter
     (fun st ->
@@ -2479,11 +2456,14 @@ let export fp =
   in
   { data = Bytes.unsafe_to_string out; pos = 0; len }
 
-(* the saved [c_facts]: the first counter, after two counts *)
+(* the saved fact counter: the header's counters follow two counts *)
 let snapshot_facts st =
   let r = Wire.reader st.data ~pos:st.pos ~len:st.len in
   for _ = 1 to 2 do
     ignore (Wire.nat r : int)
+  done;
+  for _ = 1 to Ctr.facts do
+    ignore (Wire.int r : int)
   done;
   Wire.int r
 
@@ -2538,9 +2518,10 @@ let import ?spatial ?(refine = fun _ -> None)
   (* the saved counters replace the fresh ones wholesale, which keeps
      the loaded fixpoint's telemetry textually identical to the saved
      one *)
-  let counters = List.init 10 (fun _ -> Wire.int r) in
-  let prov = List.init 3 (fun _ -> Wire.int r) in
-  let maint = List.init 10 (fun _ -> Wire.int r) in
+  let ctr = Ctr.fresh () in
+  for i = 0 to Ctr.persisted - 1 do
+    ctr.(i) <- Wire.int r
+  done;
   let strata_stats =
     read_list r
       (Wire.count r ~min_bytes:6 "stratum statistics")
@@ -2582,46 +2563,8 @@ let import ?spatial ?(refine = fun _ -> None)
     if id < i then Wire.corrupt "node %d repeats node %d" i id
   done;
   let fp, _parsed =
-    build_fixpoint ~baseline:None ~spatial ~refine ~tracer ~bank:b prepared
+    build_fixpoint ~baseline:None ~spatial ~refine ~tracer ~bank:b ~ctr prepared
   in
-  let c = fp.ctr in
-  (match counters with
-  | [
-   facts; passes; firings; probes; scans; members; sprobes; sscans; hits;
-   misses;
-  ] ->
-      c.c_facts <- facts;
-      c.c_passes <- passes;
-      c.c_firings <- firings;
-      c.c_probes <- probes;
-      c.c_scans <- scans;
-      c.c_members <- members;
-      c.c_sprobes <- sprobes;
-      c.c_sscans <- sscans;
-      c.c_hits <- hits;
-      c.c_misses <- misses
-  | _ -> assert false);
-  (match prov with
-  | [ reconstructs; max_depth; max_size ] ->
-      fp.p_reconstructs <- reconstructs;
-      fp.p_max_depth <- max_depth;
-      fp.p_max_size <- max_size
-  | _ -> assert false);
-  let inc = fp.incr in
-  (match maint with
-  | [ batches; asserts; retracts; noops; inserted; deleted; over; rederived;
-      visited; recomputed ] ->
-      inc.i_batches <- batches;
-      inc.i_asserts <- asserts;
-      inc.i_retracts <- retracts;
-      inc.i_noops <- noops;
-      inc.i_inserted <- inserted;
-      inc.i_deleted <- deleted;
-      inc.i_overdeleted <- over;
-      inc.i_rederived <- rederived;
-      inc.i_visited <- visited;
-      inc.i_recomputed <- recomputed
-  | _ -> assert false);
   fp.strata_stats <- strata_stats;
   let node () = Wire.below r n_nodes "node" in
   (* the values [0, bound) of an increasing gap-coded list of [k] *)
@@ -2634,7 +2577,7 @@ let import ?spatial ?(refine = fun _ -> None)
     done
   in
   (* ranks must be 0 .. facts - 1, each once *)
-  let ranked = Bytes.make (max 0 (min c.c_facts (Wire.remaining r))) '\000' in
+  let ranked = Bytes.make (max 0 (min ctr.(Ctr.facts) (Wire.remaining r))) '\000' in
   let n_rels = Wire.count r ~min_bytes:5 "relation" in
   let total = ref 0 and last = ref None in
   for _ = 1 to n_rels do
@@ -2682,9 +2625,9 @@ let import ?spatial ?(refine = fun _ -> None)
   done;
   if not (Wire.at_end r) then
     Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
-  if !total <> c.c_facts then
+  if !total <> ctr.(Ctr.facts) then
     Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
-      c.c_facts;
+      ctr.(Ctr.facts);
   if Itbl.length fp.base <> n_base then
     Wire.corrupt "the base fact count disagrees with the header";
   fp.clock <- !total;
@@ -2692,5 +2635,5 @@ let import ?spatial ?(refine = fun _ -> None)
      the second query probe that needs it, so a load pays only for the
      indexes its queries use again *)
   prebuild_spatial fp;
-  emit_gauges fp;
+  gauge fp;
   fp

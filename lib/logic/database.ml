@@ -115,6 +115,15 @@ and update_branch update e path br =
       if child.entries = [] then Path_key.Tbl.remove br.keyed k
   | Some _ -> update_node update e br.wild
 
+(* [l] without [e]: what precedes it is copied, the rest shared *)
+let without e l =
+  let rec go acc = function
+    | [] -> l
+    | x :: rest ->
+        if x.seq = e.seq then List.rev_append acc rest else go (x :: acc) rest
+  in
+  go [] l
+
 (* Built from the node's entries oldest first, so prepending leaves every
    child descending. A child that got every entry shares the node's list:
    a path that does not discriminate costs no copy. *)
@@ -198,48 +207,6 @@ let variant_clause c1 c2 =
   && List.length c1.body = List.length c2.body
   && List.for_all2 go c1.body c2.body
 
-let retract db c =
-  let fa = head_functor c in
-  match Sm.find_opt fa db.preds with
-  | None -> false
-  | Some p -> (
-      (* entries are stored newest-first; the first match in clause order
-         is therefore the LAST matching entry of the list. One
-         tail-recursive pass finds it and keeps the pieces needed to
-         splice it out without re-traversing. *)
-      let rec scan acc found = function
-        | [] -> found
-        | e :: rest ->
-            let found =
-              if variant_clause e.clause c then Some (e, acc, rest) else found
-            in
-            scan (e :: acc) found rest
-      in
-      match scan [] None p.root.entries with
-      | None -> false
-      | Some (e, rev_prefix, rest) ->
-          let drop = List.filter (fun x -> x.seq <> e.seq) in
-          List.iter (fun (path, br) -> update_branch drop e path br) p.root.branches;
-          p.root.entries <- List.rev_append rev_prefix rest;
-          p.count <- p.count - 1;
-          true)
-
-let retract_all db fa = db.preds <- Sm.remove fa db.preds
-let fact db h = assertz db { head = h; body = [] }
-let retract_fact db h = retract db { head = h; body = [] }
-
-let has_fact db h =
-  match Term.functor_of h with
-  | None -> false
-  | Some fa -> (
-      match Sm.find_opt fa db.preds with
-      | None -> false
-      | Some p ->
-          List.exists
-            (fun e ->
-              e.clause.body = [] && variant_clause e.clause { head = h; body = [] })
-            p.root.entries)
-
 (* merge two descending-seq entry lists into one descending-seq list;
    tail-recursive so a large bucket cannot overflow the stack *)
 let merge_desc a b =
@@ -283,24 +250,62 @@ let rec unshared shared goal = function
               unshared shared goal paths
           | _ -> raise_notrace No_candidates))
 
+(* The entries of [p] that can unify with [goal], newest first. *)
+let candidates db p goal =
+  let paths = Path_key.ground_paths goal in
+  match unshared p.shared goal paths with
+  | exception No_candidates ->
+      db.counts.shared_skips <- db.counts.shared_skips + 1;
+      []
+  | walked ->
+      if List.compare_lengths walked paths <> 0 then
+        db.counts.shared_skips <- db.counts.shared_skips + 1;
+      lookup db.counts goal p.root walked
+
 let clauses db goal =
   match Term.functor_of goal with
   | None -> invalid_arg "Database.clauses: goal has no functor"
   | Some fa -> (
       match Sm.find_opt fa db.preds with
       | None -> Seq.empty
-      | Some p -> (
-          let paths = Path_key.ground_paths goal in
-          match unshared p.shared goal paths with
-          | exception No_candidates ->
-              db.counts.shared_skips <- db.counts.shared_skips + 1;
-              Seq.empty
-          | walked ->
-              if List.compare_lengths walked paths <> 0 then
-                db.counts.shared_skips <- db.counts.shared_skips + 1;
-              lookup db.counts goal p.root walked
-              |> List.rev_map (fun e -> e.clause)
-              |> List.to_seq))
+      | Some p ->
+          candidates db p goal |> List.rev_map (fun e -> e.clause) |> List.to_seq)
+
+(* The first clause of [p] in clause order that is a variant of [c]. A
+   variant has [c]'s head's ground subterms at the same paths, so it is
+   among the candidates for that head; they come newest first, so it is
+   the last variant among them. *)
+let first_variant db p c =
+  List.fold_left
+    (fun found e -> if variant_clause e.clause c then Some e else found)
+    None (candidates db p c.head)
+
+let retract db c =
+  match Sm.find_opt (head_functor c) db.preds with
+  | None -> false
+  | Some p -> (
+      match first_variant db p c with
+      | None -> false
+      | Some e ->
+          update_node (without e) e p.root;
+          p.count <- p.count - 1;
+          true)
+
+let retract_all db fa = db.preds <- Sm.remove fa db.preds
+let fact db h = assertz db { head = h; body = [] }
+let retract_fact db h = retract db { head = h; body = [] }
+
+let has_fact db h =
+  match Option.bind (Term.functor_of h) (fun fa -> Sm.find_opt fa db.preds) with
+  | None -> false
+  | Some p -> Option.is_some (first_variant db p { head = h; body = [] })
+
+let update_fact db = function
+  | `Assert h -> if not (has_fact db h) then fact db h
+  | `Retract h ->
+      while retract_fact db h do
+        ()
+      done
 
 let all_clauses db fa =
   match Sm.find_opt fa db.preds with

@@ -35,7 +35,8 @@ val asserta : t -> clause -> unit
 
 val retract : t -> clause -> bool
 (** Remove the first clause structurally equal (up to variable renaming) to
-    the given one; [false] if absent. *)
+    the given one; [false] if absent. Only the candidates {!clauses}
+    returns for its head are compared. *)
 
 val retract_all : t -> string * int -> unit
 (** Drop every clause of a predicate. *)
@@ -51,7 +52,14 @@ val retract_fact : t -> Term.t -> bool
 val has_fact : t -> Term.t -> bool
 (** Whether a unit clause with a head variant of the given (normally
     ground) term is stored. Lets update paths keep the clause store
-    duplicate-free so assert/retract stay symmetric. *)
+    duplicate-free so assert/retract stay symmetric. Like {!retract}, it
+    compares only the candidates {!clauses} returns for the term. *)
+
+val update_fact : t -> [< `Assert of Term.t | `Retract of Term.t ] -> unit
+(** Apply one base-fact update and keep the unit clauses duplicate-free:
+    [`Assert h] adds [h] unless {!has_fact} finds it, [`Retract h]
+    removes every stored copy. One retraction then undoes one assertion,
+    as in the fixpoint's set view ([Bottom_up.apply]). *)
 
 val clauses : t -> Term.t -> clause Seq.t
 (** [clauses db goal] returns the candidate clauses for [goal], in
@@ -74,7 +82,8 @@ type index_counts = private {
           the predicate shares, or that such an argument answered with no
           candidates *)
 }
-(** The work of {!clauses}' index, counted since {!create} or {!copy}. *)
+(** The work of the clause index ({!clauses}, {!retract}, {!has_fact}),
+    counted since {!create} or {!copy}. *)
 
 val index_counts : t -> index_counts
 (** The database's live counters: later lookups keep adding to them. *)

@@ -329,6 +329,49 @@ let test_cyclic_binding_oracle () =
   Alcotest.(check bool) "the oracle terminates and agrees" true
     (lookup_agrees db (Reader.term "p([[a, W, V | V], V], [V, 1, f(W) | W])"))
 
+(* [c] rendered with its variables renamed [_0], [_1], ... in order of
+   first occurrence: two clauses are variants when the renderings agree *)
+let canonical (c : Database.clause) =
+  let names = Hashtbl.create 8 in
+  let rec go (t : Term.t) =
+    match t with
+    | Term.Var v -> (
+        match Hashtbl.find_opt names v.Term.id with
+        | Some n -> n
+        | None ->
+            let n = Term.atom (Printf.sprintf "_%d" (Hashtbl.length names)) in
+            Hashtbl.add names v.Term.id n;
+            n)
+    | Term.App (f, args) -> Term.App (f, List.map go args)
+    | t -> t
+  in
+  List.map (fun t -> Term.to_string (go t)) (c.Database.head :: c.Database.body)
+
+let has_fact_agrees db h =
+  let key = canonical { Database.head = h; body = [] } in
+  Database.has_fact db h
+  = List.exists
+      (fun c -> canonical c = key)
+      (Database.all_clauses db (Option.get (Term.functor_of h)))
+
+(* [retract] removes the first variant in clause order, and only it *)
+let retract_agrees db (c : Database.clause) =
+  let fa = Option.get (Term.functor_of c.head) in
+  let before = Database.all_clauses db fa in
+  let key = canonical c in
+  let rec drop_first = function
+    | [] -> None
+    | x :: xs ->
+        if canonical x = key then Some xs
+        else Option.map (List.cons x) (drop_first xs)
+  in
+  let expected = drop_first before in
+  Database.retract db c = Option.is_some expected
+  && List.equal ( == )
+       (Database.all_clauses db fa)
+       (Option.value ~default:before expected)
+
+(* [clauses], [has_fact] and [retract] all go through the index *)
 let prop_indexed_lookup =
   QCheck.Test.make ~name:"indexed lookup agrees with the unfiltered store" ~count:400
     (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
@@ -336,20 +379,23 @@ let prop_indexed_lookup =
       (* the original, and its copy once one is made; updates diverge *)
       let dbs = [| Database.create (); Database.create () |] in
       let copied = ref false in
+      let agrees db goal = lookup_agrees db goal && has_fact_agrees db goal in
       List.for_all
         (fun (i, op) ->
           let db = if !copied then dbs.(i) else dbs.(0) in
           match op with
           | Assertz c -> Database.assertz db (clause c); true
           | Asserta c -> Database.asserta db (clause c); true
-          | Retract c -> Stdlib.ignore (Database.retract db (clause c)); true
+          | Retract c ->
+              let c = clause c in
+              has_fact_agrees db c.head && retract_agrees db c
           | Copy ->
               dbs.(1) <- Database.copy dbs.(0);
               copied := true;
               true
           | Goal g ->
               let goal = Reader.term g in
-              lookup_agrees dbs.(0) goal && ((not !copied) || lookup_agrees dbs.(1) goal))
+              agrees dbs.(0) goal && ((not !copied) || agrees dbs.(1) goal))
         ops)
 
 let tests =
