@@ -1363,7 +1363,9 @@ let spatial_cases =
    leg times database construction plus materialisation; the warm leg
    times Snapshot.load + Bottom_up.import against a database built
    outside the clock, since a snapshot consumer pays spec compilation
-   on both paths. *)
+   on both paths. "import_words" is what one Snapshot.load +
+   Bottom_up.import allocates, from the GC's counters; it is the same in
+   every run, so CI pins it with the other integer fields. *)
 let snap_reps = 9
 
 let snap_measure w scale =
@@ -1383,13 +1385,25 @@ let snap_measure w scale =
             state = Bottom_up.export cold_fp;
           })
   in
+  let load db =
+    let snap, _bytes = Snapshot.load ~path () in
+    Bottom_up.import db snap.Snapshot.state
+  in
+  (* a fresh identically seeded database: the import target a second
+     process would compile before loading *)
   let warm () =
-    (* a fresh identically seeded database: the import target a second
-       process would compile before loading *)
     let warm_db = w.w_db scale in
-    time_ms (fun () ->
-        let snap, _bytes = Snapshot.load ~path () in
-        Bottom_up.import warm_db snap.Snapshot.state)
+    time_ms (fun () -> load warm_db)
+  in
+  let import_words =
+    let warm_db = w.w_db scale in
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let before = allocated () in
+    ignore (load warm_db : Bottom_up.fixpoint);
+    int_of_float (allocated () -. before)
   in
   (* the legs alternate, so a drift in host speed reaches both legs of a
      pair alike, and each starts on a collected heap, so neither pays
@@ -1417,6 +1431,7 @@ let snap_measure w scale =
     ("cold_ms", ms cold_ms);
     ("save_ms", ms save_ms);
     ("warm_ms", ms warm_ms);
+    ("import_words", Int import_words);
     ("speedup", Float (2, List.nth ratios (snap_reps / 2)));
     ( "agree",
       Bool

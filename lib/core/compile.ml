@@ -101,6 +101,20 @@ let emit_model spec db ~propagate (md : Spec.model_def) =
     (fun r -> assert_clause db (rule_clause ~model r))
     (List.rev md.Spec.constraints)
 
+(* the text of [string_of_int n], written without the string: the
+   digits of a non-positive [m] are those of [-m], so [min_int] needs no
+   special case *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_decimal buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
 (* Canonical clause rendering for {!content_hash}: variables are
    numbered by first occurrence within their clause (clause renaming
    allocates process-local ids, so [Term.pp] output is not stable across
@@ -121,29 +135,29 @@ let digest_clause buf (c : Database.clause) =
               n
         in
         Buffer.add_char buf '?';
-        Buffer.add_string buf (string_of_int n)
+        add_decimal buf n
     | Term.Atom a ->
         Buffer.add_char buf 'a';
-        Buffer.add_string buf (string_of_int (String.length a));
+        add_decimal buf (String.length a);
         Buffer.add_char buf ':';
         Buffer.add_string buf a
     | Term.Int i ->
         Buffer.add_char buf 'i';
-        Buffer.add_string buf (string_of_int i)
+        add_decimal buf i
     | Term.Float f ->
         Buffer.add_char buf 'f';
         Buffer.add_string buf (Printf.sprintf "%h" f)
     | Term.Str s ->
         Buffer.add_char buf 's';
-        Buffer.add_string buf (string_of_int (String.length s));
+        add_decimal buf (String.length s);
         Buffer.add_char buf ':';
         Buffer.add_string buf s
     | Term.App (f, args) ->
         Buffer.add_char buf '(';
-        Buffer.add_string buf (string_of_int (String.length f));
+        add_decimal buf (String.length f);
         Buffer.add_char buf ':';
         Buffer.add_string buf f;
-        List.iter (fun a -> go a) args;
+        List.iter go args;
         Buffer.add_char buf ')'
   in
   go c.Database.head;

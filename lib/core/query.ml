@@ -206,7 +206,10 @@ let of_snapshot q path =
   match Snapshot.load ~tracer:q.tracer ~path () with
   | exception Snapshot.Corrupt msg -> Error (Snapshot_corrupt msg)
   | snap, bytes -> (
-      let want = Compile.content_hash q.compiled in
+      let want =
+        Gdp_obs.Tracer.with_span q.tracer ~cat:"snapshot" "snap.key"
+          (fun () -> Compile.content_hash q.compiled)
+      in
       if not (String.equal snap.Snapshot.key want) then
         Error
           (Snapshot_stale

@@ -333,14 +333,15 @@ module Bank = struct
 
   let app b f k insert = close b t_app f b.sym_hash.(f) false (b.sp - k) k insert
 
-  (* A compound record of a snapshot, [f] over [k] children that [next]
-     reads: each goes straight into the kids column, where [add] would
-     copy it from the stack, and the node is interned. *)
-  let record b f k next =
+  (* A compound record of a snapshot, [f] over [k] children that [r]
+     holds next, each an id below [bound]: each goes straight into the
+     kids column, where [add] would copy it from the stack, and the node
+     is interned. *)
+  let record b f k r bound =
     let o = b.off.(b.n) in
     if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
     for j = o to o + k - 1 do
-      Array.unsafe_set b.kids.(j lsr 12) (j land 4095) (next ())
+      Array.unsafe_set b.kids.(j lsr 12) (j land 4095) (Wire.below r bound "child")
     done;
     close b t_app f b.sym_hash.(f) true o k true
 
@@ -503,30 +504,18 @@ module Relation = struct
     | Some (x, y) -> Sx.insert sp.s_idx (Sx.point_box x y) id
     | None -> sp.s_rest <- id :: sp.s_rest
 
-  let spatial_index r ~point apos =
-    match List.assoc_opt apos r.spatials with
-    | Some sp -> sp
-    | None ->
-        let entries = ref [] and rest = ref [] in
-        iter
-          (fun id ->
-            match point id with
-            | Some (x, y) -> entries := (Sx.point_box x y, id) :: !entries
-            | None -> rest := id :: !rest)
-          r;
-        let sp =
-          { s_point = point; s_idx = Sx.bulk !entries; s_rest = !rest }
-        in
-        r.spatials <- (apos, sp) :: r.spatials;
-        sp
-
-  (* Candidates for a box probe: everything indexed inside the box plus
-     the side list of facts without an extractable point — a superset of
-     the facts that can satisfy the spatial guard the planner proved the
-     box covers. *)
-  let spatial_probe r ~point apos qbox =
-    let sp = spatial_index r ~point apos in
-    (Sx.range sp.s_idx qbox, sp.s_rest)
+  (* a new spatial index over [apos], bulk-loaded from the facts now *)
+  let build_spatial r ~point apos =
+    let entries = ref [] and rest = ref [] in
+    iter
+      (fun id ->
+        match point id with
+        | Some (x, y) -> entries := (Sx.point_box x y, id) :: !entries
+        | None -> rest := id :: !rest)
+      r;
+    let sp = { s_point = point; s_idx = Sx.bulk !entries; s_rest = !rest } in
+    r.spatials <- (apos, sp) :: r.spatials;
+    sp
 
   let rec insert_indexes b id = function
     | [] -> ()
@@ -1083,6 +1072,23 @@ let point_at fp sp apos id =
   let a = Bank.at fp.bank id [ apos ] in
   if a < 0 then None else sp.sp_point (Bank.term fp.bank a)
 
+(* The spatial index of [r] over argument [apos]. The first caller that
+   needs it builds it, under its own trace span; a pass that derives
+   new facts then maintains it incrementally through [Relation.add]. *)
+let spatial_index fp sp rel (r : Relation.t) apos =
+  match List.assoc_opt apos r.spatials with
+  | Some s -> s
+  | None ->
+      Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
+        ~args:
+          [
+            ("rel", Gdp_obs.Tracer.Str (Rel.to_string rel));
+            ("arg", Gdp_obs.Tracer.Int apos);
+            ("entries", Gdp_obs.Tracer.Int (Relation.cardinal r));
+          ]
+        "bu.spatial.build"
+        (fun () -> Relation.build_spatial r ~point:(point_at fp sp apos) apos)
+
 (* One rule-body evaluation in progress: the firing's environment and
    everything its literals read. The evaluation is a set of top-level
    recursive functions over it, so trying a candidate fact allocates
@@ -1148,13 +1154,13 @@ let rec go x lits =
                 match query_box x sp probe with
                 | Some qbox ->
                     bump ctr Ctr.sprobes;
-                    let hits, unindexed =
-                      Relation.spatial_probe c.r
-                        ~point:(point_at x.fp sp apos)
-                        apos qbox
-                    in
-                    try_facts x c rest hits;
-                    try_facts x c rest unindexed
+                    (* the candidates: everything indexed inside the box
+                       plus the side list of facts without an extractable
+                       point, a superset of the facts that can satisfy the
+                       guard the planner proved the box covers *)
+                    let s = spatial_index x.fp sp c.rel c.r apos in
+                    try_facts x c rest (Sx.range s.s_idx qbox);
+                    try_facts x c rest s.s_rest
                 | None ->
                     bump ctr Ctr.sscans;
                     hash_join x c rest));
@@ -1574,31 +1580,15 @@ let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank ~ctr
   in
   (fp, facts)
 
-(* Build every spatial index the annotated plans will probe now, under
-   its own trace span, rather than inside the first pass that probes it;
-   a pass that derives new facts maintains them incrementally through
-   [Relation.add]. *)
+(* Build every spatial index the annotated plans will probe before the
+   first pass, each under its own trace span, rather than inside the
+   first pass that probes it. *)
 let prebuild_spatial fp =
   match fp.spatial with
   | Some sp when fp.baseline <> Some Spatial_scan ->
-      let built = Hashtbl.create 8 in
       let build_for = function
         | C_pos { rel; r; sprobe = Some (apos, _); _ } ->
-            if not (Hashtbl.mem built (rel, apos)) then begin
-              Hashtbl.add built (rel, apos) ();
-              Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
-                ~args:
-                  [
-                    ("rel", Gdp_obs.Tracer.Str (Rel.to_string rel));
-                    ("arg", Gdp_obs.Tracer.Int apos);
-                    ("entries", Gdp_obs.Tracer.Int (Relation.cardinal r));
-                  ]
-                "bu.spatial.build"
-                (fun () ->
-                  ignore
-                    (Relation.spatial_index r ~point:(point_at fp sp apos) apos
-                      : Relation.spat))
-            end
+            ignore (spatial_index fp sp rel r apos : Relation.spat)
         | _ -> ()
       in
       Array.iter
@@ -2535,38 +2525,41 @@ let import ?spatial ?(refine = fun _ -> None)
       "the snapshot stratifies into %d strata, the database into %d: it \
        belongs to a different program"
       n_strata db_strata;
-  (* The node columns are sized for the file's nodes plus headroom for
-     the rules' constants and the updates to come, so the load never
-     copies them; the children go into chunks added as the records
-     arrive, each record's arity clamped by the bytes left before any
-     is reserved. The bank is empty when the records go in, so node ids
-     are the file's: post order puts every child below its parent, each
-     record is interned from nodes already interned, and a record that
-     interns to an earlier id repeats that record — the file numbers
-     nodes structurally, so it never writes one. *)
-  let b = Bank.create ~nodes:(n_nodes + (n_nodes / 8) + 64) in
-  let syms = Array.init n_syms (fun _ -> Bank.sym b (Wire.string r)) in
-  let sym () = syms.(Wire.below r n_syms "symbol") in
-  for i = 0 to n_nodes - 1 do
-    let id =
-      match Wire.byte r with
-      | 0 -> Bank.leaf b Bank.t_atom (sym ()) true
-      | 1 -> Bank.leaf b Bank.t_int (Wire.int r) true
-      | 2 -> Bank.leaf b Bank.t_float (Bank.float_index b (Wire.float r)) true
-      | 3 -> Bank.leaf b Bank.t_str (sym ()) true
-      | 4 ->
-          let f = sym () in
-          let arity = Wire.count r ~min_bytes:1 "argument" in
-          Bank.record b f arity (fun () -> Wire.below r i "child")
-      | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
-    in
-    if id < i then Wire.corrupt "node %d repeats node %d" i id
-  done;
+  (* The node columns are sized for the file's nodes plus room for the
+     rules' constants, which are mostly stored already; the updates to
+     come grow them like any other bank. The children go into chunks
+     added as the records arrive, each record's arity clamped by the
+     bytes left before any is reserved. The bank is empty when the
+     records go in, so node ids are the file's: post order puts every
+     child below its parent, each record is interned from nodes already
+     interned, and a record that interns to an earlier id repeats that
+     record — the file numbers nodes structurally, so it never writes
+     one. *)
+  let sym syms = syms.(Wire.below r (Array.length syms) "symbol") in
+  let b, syms =
+    Gdp_obs.Tracer.with_span tracer ~cat:"snapshot" "snap.nodes" @@ fun () ->
+    let b = Bank.create ~nodes:(n_nodes + 64) in
+    let syms = Array.init n_syms (fun _ -> Bank.sym b (Wire.string r)) in
+    for i = 0 to n_nodes - 1 do
+      let id =
+        match Wire.byte r with
+        | 0 -> Bank.leaf b Bank.t_atom (sym syms) true
+        | 1 -> Bank.leaf b Bank.t_int (Wire.int r) true
+        | 2 -> Bank.leaf b Bank.t_float (Bank.float_index b (Wire.float r)) true
+        | 3 -> Bank.leaf b Bank.t_str (sym syms) true
+        | 4 ->
+            let f = sym syms in
+            Bank.record b f (Wire.count r ~min_bytes:1 "argument") r i
+        | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
+      in
+      if id < i then Wire.corrupt "node %d repeats node %d" i id
+    done;
+    (b, syms)
+  in
   let fp, _parsed =
     build_fixpoint ~baseline:None ~spatial ~refine ~tracer ~bank:b ~ctr prepared
   in
   fp.strata_stats <- strata_stats;
-  let node () = Wire.below r n_nodes "node" in
   (* the values [0, bound) of an increasing gap-coded list of [k] *)
   let increasing k bound each =
     let prev = ref (-1) in
@@ -2576,64 +2569,72 @@ let import ?spatial ?(refine = fun _ -> None)
       prev := i
     done
   in
-  (* ranks must be 0 .. facts - 1, each once *)
-  let ranked = Bytes.make (max 0 (min ctr.(Ctr.facts) (Wire.remaining r))) '\000' in
-  let n_rels = Wire.count r ~min_bytes:5 "relation" in
-  let total = ref 0 and last = ref None in
-  for _ = 1 to n_rels do
-    let name = Bank.name b (sym ()) in
-    let arity = Wire.nat r in
-    let sub =
-      match Wire.below r (n_syms + 1) "refinement symbol" with
-      | 0 -> None
-      | s -> Some (Bank.name b syms.(s - 1))
+  let total =
+    Gdp_obs.Tracer.with_span tracer ~cat:"snapshot" "snap.relations"
+    @@ fun () ->
+    (* ranks must be 0 .. facts - 1, each once *)
+    let ranked =
+      Bytes.make (max 0 (min ctr.(Ctr.facts) (Wire.remaining r))) '\000'
     in
-    let rel = { Rel.name; arity; sub } in
-    (match !last with
-    | Some prev when Rel.compare prev rel >= 0 ->
-        Wire.corrupt "relation %s is out of order" (Rel.to_string rel)
-    | _ -> last := Some rel);
-    let n = Wire.count r ~min_bytes:2 "fact" in
-    let ids = Array.make (if n = 0 then 0 else max 16 n) 0 in
-    let belongs = belongs b refine rel in
-    for i = 0 to n - 1 do
-      let id = node () in
-      if not (belongs id) then
-        Wire.corrupt "fact %d of %s belongs to another relation" i
-          (Rel.to_string rel);
-      ids.(i) <- id
+    let n_rels = Wire.count r ~min_bytes:5 "relation" in
+    let total = ref 0 and last = ref None in
+    for _ = 1 to n_rels do
+      let name = Bank.name b (sym syms) in
+      let arity = Wire.nat r in
+      let sub =
+        match Wire.below r (n_syms + 1) "refinement symbol" with
+        | 0 -> None
+        | s -> Some (Bank.name b syms.(s - 1))
+      in
+      let rel = { Rel.name; arity; sub } in
+      (match !last with
+      | Some prev when Rel.compare prev rel >= 0 ->
+          Wire.corrupt "relation %s is out of order" (Rel.to_string rel)
+      | _ -> last := Some rel);
+      let n = Wire.count r ~min_bytes:2 "fact" in
+      let ids = Array.make (if n = 0 then 0 else max 16 n) 0 in
+      let belongs = belongs b refine rel in
+      for i = 0 to n - 1 do
+        let id = Wire.below r n_nodes "node" in
+        if not (belongs id) then
+          Wire.corrupt "fact %d of %s belongs to another relation" i
+            (Rel.to_string rel);
+        ids.(i) <- id
+      done;
+      let i = ref 0 and repeats = ref false in
+      increasing n (Bytes.length ranked) (fun k ->
+          if Bytes.get ranked k <> '\000' then
+            Wire.corrupt "rank %d is given twice" k;
+          Bytes.set ranked k '\001';
+          let id = ids.(!i) in
+          if Bank.stored b id then repeats := true else b.Bank.ranks.(id) <- k;
+          incr i);
+      if !repeats then
+        Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
+      (* an emptied relation is listed too, and stays listed on export *)
+      let loaded = get fp rel in
+      if n > 0 then begin
+        Relation.load loaded ids n;
+        total := !total + n
+      end;
+      increasing
+        (Wire.count r ~min_bytes:1 "base fact")
+        n
+        (fun i -> Itbl.replace fp.base ids.(i) true)
     done;
-    let i = ref 0 and repeats = ref false in
-    increasing n (Bytes.length ranked) (fun k ->
-        if Bytes.get ranked k <> '\000' then
-          Wire.corrupt "rank %d is given twice" k;
-        Bytes.set ranked k '\001';
-        let id = ids.(!i) in
-        if Bank.stored b id then repeats := true else b.Bank.ranks.(id) <- k;
-        incr i);
-    if !repeats then Wire.corrupt "%s holds duplicate facts" (Rel.to_string rel);
-    (* an emptied relation is listed too, and stays listed on export *)
-    let loaded = get fp rel in
-    if n > 0 then begin
-      Relation.load loaded ids n;
-      total := !total + n
-    end;
-    increasing
-      (Wire.count r ~min_bytes:1 "base fact")
-      n
-      (fun i -> Itbl.replace fp.base ids.(i) true)
-  done;
-  if not (Wire.at_end r) then
-    Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
-  if !total <> ctr.(Ctr.facts) then
-    Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
-      ctr.(Ctr.facts);
-  if Itbl.length fp.base <> n_base then
-    Wire.corrupt "the base fact count disagrees with the header";
-  fp.clock <- !total;
-  (* hash indexes stay lazy: each is built by the first rule join or
-     the second query probe that needs it, so a load pays only for the
-     indexes its queries use again *)
-  prebuild_spatial fp;
+    if not (Wire.at_end r) then
+      Wire.corrupt "%d trailing bytes after the relations" (Wire.remaining r);
+    if !total <> ctr.(Ctr.facts) then
+      Wire.corrupt "loaded %d facts, the snapshot counters claim %d" !total
+        ctr.(Ctr.facts);
+    if Itbl.length fp.base <> n_base then
+      Wire.corrupt "the base fact count disagrees with the header";
+    !total
+  in
+  fp.clock <- total;
+  (* indexes stay lazy: a hash index is built by the first rule join or
+     the second query probe that needs it, a spatial index by the first
+     rule join that probes it, so a load pays only for the indexes its
+     queries and updates use *)
   gauge fp;
   fp

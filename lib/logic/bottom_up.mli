@@ -202,8 +202,8 @@ val run :
     reference evaluation; {!apply} keeps evaluating in it. [spatial]
     (default absent) supplies the {!spatial} hooks: whitelisted spatial
     builtins evaluate natively, and joins guarded by [region_mem] or a
-    bounded [pt_dist] probe spatial indexes built at load time (one
-    ["bu.spatial.build"] span each, final
+    bounded [pt_dist] probe spatial indexes, each built before the first
+    pass (one ["bu.spatial.build"] span each, final
     [bu.spatial.probes]/[bu.spatial.scans] counter samples). [tracer]
     (default disabled) records
     one ["fixpoint"]-category span for the whole run, one per non-empty
@@ -360,10 +360,10 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     container). Only data persists: per-relation facts in insertion
     order with their ranks, the asserted base, and every cumulative
     counter. Join plans, stratification and all closures are rebuilt
-    from the database at import time, and spatial indexes are rebuilt
-    eagerly, exactly as {!run} builds them; hash indexes are built
-    lazily, by the first rule join or the second {!probe} that needs
-    each one. *)
+    from the database at import time. No index is: a spatial index is
+    built by the first rule join that probes it (an {!apply}), a hash
+    index by the first rule join or the second {!probe} that needs it,
+    each over the facts stored then. *)
 
 type snapshot_state = { data : string; pos : int; len : int }
 (** The exported state of one fixpoint: bytes [\[pos, pos + len)] of
@@ -405,10 +405,13 @@ val import :
     their columns, and the saved ranks, counters, per-stratum
     statistics and maintenance counters are restored. No fact is
     rebuilt as a term or hashed as a tree, so loading is linear in the
-    file even when its DAG unfolds to an exponential tree. The planned
-    spatial indexes are rebuilt eagerly (hash indexes stay lazy), and
-    the usual final counter gauges are emitted (plus one
-    ["snap.import"] span) when the tracer is live. The result holds the
+    file even when its DAG unfolds to an exponential tree. No index is
+    built, spatial or hash: the first probe that needs one builds it
+    (a spatial build keeps its ["bu.spatial.build"] span). When the
+    tracer is live the usual final counter gauges are emitted, plus a
+    ["snap.import"] span holding a ["snap.nodes"] span (the symbols and
+    node records) and a ["snap.relations"] span (the relations, their
+    ranks and base facts). The result holds the
     facts, ranks and counters {!export} captured and evaluates {!apply}
     and {!proof} along the production plans, so it answers exactly like
     the fixpoint of a default {!run} did. Callers must pass a database

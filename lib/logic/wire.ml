@@ -50,16 +50,41 @@ let long_nat r =
   done;
   !acc
 
-(* most ids, counts and gaps take one byte *)
+(* Most ids, counts and gaps take one byte, nearly all the rest two or
+   three. With three bytes left before [lim] (and [lim] never passes the
+   string's end, see [reader]) such a varint is read without a bounds
+   check per byte; a longer one, or one near the end of the slice, goes
+   through [long_nat], which decodes the same values and raises the same
+   errors. *)
 let raw_nat r =
-  let c =
-    if r.pos < r.lim then Char.code (String.unsafe_get r.src r.pos) else 0x80
-  in
-  if c < 0x80 then begin
-    r.pos <- r.pos + 1;
-    c
+  let p = r.pos and s = r.src in
+  if p + 3 <= r.lim then begin
+    let c0 = Char.code (String.unsafe_get s p) in
+    if c0 < 0x80 then begin
+      r.pos <- p + 1;
+      c0
+    end
+    else
+      let c1 = Char.code (String.unsafe_get s (p + 1)) in
+      if c1 < 0x80 then begin
+        r.pos <- p + 2;
+        (c0 land 0x7f) lor (c1 lsl 7)
+      end
+      else
+        let c2 = Char.code (String.unsafe_get s (p + 2)) in
+        if c2 < 0x80 then begin
+          r.pos <- p + 3;
+          (c0 land 0x7f) lor ((c1 land 0x7f) lsl 7) lor (c2 lsl 14)
+        end
+        else long_nat r
   end
-  else long_nat r
+  else
+    let c = if p < r.lim then Char.code (String.unsafe_get s p) else 0x80 in
+    if c < 0x80 then begin
+      r.pos <- p + 1;
+      c
+    end
+    else long_nat r
 
 let nat r =
   let n = raw_nat r in

@@ -631,8 +631,9 @@ let test_update_log_replay () =
 (* [Compile.content_hash] is the key every saved [.gdpx] file carries: a
    change to it turns every snapshot already on disk stale. These values
    pin it on the example specifications, parsed from their files and
-   built through [Spec] directly, under the views a CLI run uses and
-   under every standard meta-model. *)
+   built through [Spec] directly, and on integer constants of either
+   sign up to [max_int], under the views a CLI run uses and under every
+   standard meta-model. *)
 let census_spec () =
   let rng = Gdp_workload.Rng.create 7L in
   let census =
@@ -662,6 +663,18 @@ let pinned_specs =
       fun () ->
         let r = Gdp_lang.Elaborate.load_string (Gdp_lang.Pretty.spec_to_string (census_spec ())) in
         (r.Gdp_lang.Elaborate.spec, r.Gdp_lang.Elaborate.uses) );
+    ( "signed integers",
+      fun () ->
+        let r =
+          Gdp_lang.Elaborate.load_string
+            "objects a, b, c, d.\n\
+             fact level(a, -7).\n\
+             fact level(b, -4611686018427387903).\n\
+             fact level(c, 4611686018427387903).\n\
+             fact level(d, 0).\n\
+             rule low(X) <- level(X, L), test L < -10.\n"
+        in
+        (r.Gdp_lang.Elaborate.spec, r.Gdp_lang.Elaborate.uses) );
   ]
 
 let pinned_hashes =
@@ -674,6 +687,8 @@ let pinned_hashes =
     ("census (built)", "standard", "b65d351e8c18d68427051ae8d5b8bda1");
     ("census (parsed)", "uses", "6324bbffa09c33dc655ad6548a43ad08");
     ("census (parsed)", "standard", "063a1c613027288480e1fb39d9b43558");
+    ("signed integers", "uses", "7988abc9d3adc8e788a5227124dd478e");
+    ("signed integers", "standard", "074ff0f5fffd0b7fada9ac740bf7be81");
   ]
 
 let test_pinned_hashes () =
@@ -824,6 +839,84 @@ let test_wire_edges () =
   match Wire.reader "abc" ~pos:2 ~len:2 with
   | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "a slice past the string accepted"
+
+(* A varint of one to three bytes with at least three bytes left in the
+   slice takes the reader's unchecked path, anything else the checked
+   one: every length boundary, with 0 to 3 bytes after the varint, must
+   read back the same through each reader, and a slice that ends inside
+   a varint must raise even when the string goes on past it. *)
+let test_varint_boundaries () =
+  let nats =
+    [ 0; 127; 128; (1 lsl 14) - 1; 1 lsl 14; (1 lsl 21) - 1; 1 lsl 21;
+      1 lsl 28; max_int ]
+  in
+  let ints =
+    nats
+    @ [ -1; -64; -65; -8192; -8193; -(1 lsl 20); -(1 lsl 20) - 1;
+        -(1 lsl 27); min_int ]
+  in
+  let encode add v =
+    let b = Buffer.create 16 in
+    add b v;
+    Buffer.contents b
+  in
+  (* the varint behind a two-byte prefix, then [trail] bytes that would
+     end a varint if a read strayed into them *)
+  let reader enc trail =
+    let s = "zz" ^ enc ^ String.make trail '\x01' in
+    Wire.reader s ~pos:2 ~len:(String.length enc + trail)
+  in
+  let raises what read r =
+    match read r with
+    | exception Wire.Corrupt _ -> ()
+    | n -> Alcotest.failf "%s: read %d" what n
+  in
+  for trail = 0 to 3 do
+    List.iter
+      (fun v ->
+        let enc = encode Wire.add_nat v in
+        let what name = Printf.sprintf "%s %d, %d bytes after" name v trail in
+        let read name f expect =
+          let r = reader enc trail in
+          Alcotest.(check int) (what name) expect (f r);
+          Alcotest.(check int) (what (name ^ " leaves")) trail (Wire.remaining r)
+        in
+        read "nat" Wire.nat v;
+        if v < max_int then read "below" (fun r -> Wire.below r (v + 1) "id") v;
+        raises (what "below its own value") (fun r -> Wire.below r v "id")
+          (reader enc trail);
+        if v <= trail then
+          read "count" (fun r -> Wire.count r ~min_bytes:1 "item") v
+        else
+          raises (what "count") (fun r -> Wire.count r ~min_bytes:1 "item")
+            (reader enc trail))
+      nats;
+    List.iter
+      (fun v ->
+        let r = reader (encode Wire.add_int v) trail in
+        Alcotest.(check int)
+          (Printf.sprintf "int %d, %d bytes after" v trail)
+          v (Wire.int r);
+        Alcotest.(check int) "int leaves" trail (Wire.remaining r))
+      ints
+  done;
+  (* a slice cut inside a varint, the rest of the varint and more bytes
+     still in the string *)
+  List.iter
+    (fun v ->
+      let enc = encode Wire.add_nat v in
+      let s = enc ^ "\x01\x01\x01" in
+      for len = 1 to String.length enc - 1 do
+        let r = Wire.reader s ~pos:0 ~len in
+        match Wire.nat r with
+        | exception Wire.Corrupt msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%d cut after %d bytes" v len)
+              (Printf.sprintf "truncated payload at byte %d" len)
+              msg
+        | n -> Alcotest.failf "%d cut after %d bytes read as %d" v len n
+      done)
+    nats
 
 (* After the magic string comes the MD5 of everything after it. *)
 let header = 26
@@ -1055,6 +1148,7 @@ let tests =
     Alcotest.test_case "export is deterministic across a reload" `Quick
       test_export_deterministic;
     Alcotest.test_case "wire codec edges" `Quick test_wire_edges;
+    Alcotest.test_case "varint length boundaries" `Quick test_varint_boundaries;
     Alcotest.test_case "content hash is pinned" `Quick test_pinned_hashes;
     Alcotest.test_case "content hash ignores updates and meta clauses" `Quick
       test_hash_after_updates;
