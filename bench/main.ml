@@ -857,8 +857,9 @@ let snap_dense_db n =
    facts asserted and then retracted again (net-neutral round trips that
    exercise both the insertion deltas and DRed), plus retract/re-assert
    round trips on seeded base facts so deletion runs against real
-   derivation chains — and, for census, capital flips that force the
-   negation stratum to recompute. *)
+   derivation chains — and, for census, capital flips that change a
+   relation the negation stratum reads under [\+], which DRed repairs
+   through the negated literal's delta plans. *)
 let incr_script_roads n =
   let node i = a (Printf.sprintf "n%d" i) in
   let rng = W.Rng.create 21L in
@@ -1126,7 +1127,6 @@ let incr_measure w scale =
     ("deleted", Int i.Bottom_up.upd_deleted);
     ("overdeleted", Int i.Bottom_up.upd_overdeleted);
     ("rederived", Int i.Bottom_up.upd_rederived);
-    ("strata_recomputed", Int i.Bottom_up.upd_strata_recomputed);
   ]
 
 (* ---------------------------------- engine-magic: goal-directed eval *)

@@ -549,22 +549,6 @@ module Relation = struct
     r.ids <- ids;
     r.n <- n
 
-  (* The relation's current contents as a relation of their own, leaving
-     [r] empty and without indexes and its facts unstored: a stratum
-     recompute rebuilds the relation in place while comparing against
-     what it held. *)
-  let take r b =
-    let old = { r with n = r.n } in
-    for i = 0 to r.n - 1 do
-      b.Bank.ranks.(r.ids.(i)) <- -1
-    done;
-    r.ids <- Array.make 16 0;
-    r.n <- 0;
-    r.indexes <- [];
-    r.spatials <- [];
-    r.scanned <- [];
-    old
-
   (* Physical deletion for incremental maintenance, one batch at a time:
      unstore every member of [ids], then compact the column once (later
      scans stay deterministic) and filter once each index bucket a
@@ -852,7 +836,7 @@ module Ctr = struct
   let overdeleted = 19
   let rederived = 20
   let visited = 21
-  let recomputed = 22
+  let recomputed = 22 (* retired: moves no more, keeps its header slot *)
   let persisted = 23
 
   (* facts handed to a positive literal's match: this process's joins
@@ -876,7 +860,6 @@ module Ctr = struct
       (deleted, "bu.incr.deleted");
       (overdeleted, "bu.incr.overdeleted");
       (rederived, "bu.incr.rederived");
-      (recomputed, "bu.incr.strata_recomputed");
     ]
 
   let fresh () = Array.make count 0
@@ -990,7 +973,9 @@ type clit =
 type premise = Prem_pos of Rel.t * pat | Prem_leaf of bool * pat
 
 (* A rule with its join plans compiled: one full-relation plan, one
-   delta-aimed plan per positive body position, and one plan for
+   delta-aimed plan per positive body position and then one per negated
+   literal (read as a positive join against a delta of its relation:
+   the firings a change below blocks or unblocks), and one plan for
    evaluation from a matched head (DRed's keep check, its rederivation
    and proofs), ordered from the head's variables. *)
 type planned = {
@@ -1003,6 +988,16 @@ type planned = {
   from_head : clit list;
   premises : premise list;  (* textual order *)
 }
+
+(* [f k rel] for each negated literal of [r] in textual order: [rel] is
+   its relation, [k] its slot in [delta_plans], after the positive
+   positions *)
+let iter_negated f r =
+  ignore
+    (List.fold_left
+       (fun k -> function Neg (rel, _, _) -> f k rel; k + 1 | _ -> k)
+       (Array.length r.pos_rels) r.body
+      : int)
 
 (* The maintained state: everything [run] needed transiently is kept so
    {!apply} can continue evaluating — the node bank, the per-stratum
@@ -1024,6 +1019,9 @@ type fixpoint = {
   ctr : int array;  (* indexed by {!Ctr} *)
   mutable strata_stats : stratum_stats list;
   mutable clock : int;  (* the rank the next stored fact gets *)
+  mutable batch_from : int;
+      (* the clock when the current update batch began: a fact ranked at
+         or above it entered the store during the batch *)
   mutable budget_from : int;
       (* the pass counter when the current operation (the initial run or
          one update batch) began: the pass bound is per operation, not
@@ -1099,7 +1097,7 @@ type firing = {
   env : int array;
   delta_at : int option;
   delta : int list;
-  ghosts : int list Rel_map.t ref option;
+  ghosts : int list Rel_map.t option;
   p : planned;
   emit : planned -> int -> int array -> unit;
 }
@@ -1138,7 +1136,7 @@ let rec go x lits =
           let gfacts =
             match x.ghosts with
             | None -> []
-            | Some g -> Option.value ~default:[] (Rel_map.find_opt c.rel !g)
+            | Some g -> Option.value ~default:[] (Rel_map.find_opt c.rel g)
           in
           if c.ground then begin
             bump ctr Ctr.members;
@@ -1179,7 +1177,11 @@ let rec go x lits =
             (sp.sp_solve (term_of b env atom)))
   | C_neg atom :: rest ->
       let g = inst b env false atom in
-      if g < 0 || not (Bank.stored b g) then go x rest
+      if
+        g < 0
+        || (not (Bank.stored b g))
+        || (Option.is_some x.ghosts && Bank.rank b g >= x.fp.batch_from)
+      then go x rest
   | C_cmp (op, l, r) :: rest -> (
       match
         ( Arith.eval Subst.empty (term_of b env l),
@@ -1255,7 +1257,8 @@ and hash_join x c rest =
    literal's relation with the facts physically deleted earlier in the
    same update batch: over-deletion must evaluate against (a superset
    of) the pre-deletion state, and the union of the current store with
-   the batch's ghosts is exactly that superset. [env], used only to
+   the batch's ghosts is exactly that superset; a negated literal there
+   holds over a fact the batch added, too. [env], used only to
    evaluate from a matched head, starts the body evaluation from
    bindings that already ground the head.
 
@@ -1305,14 +1308,14 @@ let below fp s k ~gone p env =
     p.premises
 
 (* Saturate one stratum. [`Full] starts with a pass firing every rule
-   against the full relations (the initial run and stratum recompute);
-   [`Deltas m] starts semi-naive propagation from facts already stored
-   (incremental insertion). With [guard] set, the loop stops as soon as
-   no rule of the stratum reads a delta relation — the incremental path
-   skips the trailing empty pass the initial run deliberately keeps (its
-   pass counts are pinned by the cram tests). Returns every fact this
-   call added, per relation, and the largest delta carried. *)
-let saturate fp ~guard srules start =
+   against the full relations (the initial run); [`Deltas m] starts
+   semi-naive propagation from facts already stored (incremental
+   insertion) and stops as soon as no rule of the stratum reads a delta
+   relation — maintenance skips the trailing empty pass the initial run
+   deliberately keeps (its pass counts are pinned by the cram tests).
+   Returns every fact this call added, per relation, and the largest
+   delta carried. *)
+let saturate fp srules start =
   let added = ref Rel_map.empty in
   (* a pass's new facts gather in their relations, newest first, and
      become the next pass's delta map once the pass is over *)
@@ -1345,14 +1348,19 @@ let saturate fp ~guard srules start =
       srules
   in
   let max_delta = ref 0 in
-  (match start with
-  | `Full ->
-      tick fp;
-      Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
-        ~args:[ ("kind", Gdp_obs.Tracer.Str "full") ]
-        "pass" full_pass;
-      end_pass ()
-  | `Deltas m -> new_facts := m);
+  let guard =
+    match start with
+    | `Full ->
+        tick fp;
+        Gdp_obs.Tracer.with_span fp.tracer ~cat:"fixpoint"
+          ~args:[ ("kind", Gdp_obs.Tracer.Str "full") ]
+          "pass" full_pass;
+        end_pass ();
+        false
+    | `Deltas m ->
+        new_facts := m;
+        true
+  in
   let reads m =
     List.exists
       (fun p -> Array.exists (fun rel -> Rel_map.mem rel m) p.rule.pos_rels)
@@ -1433,9 +1441,9 @@ let compile_rule bank get ~scan ~annotate (r : rule) =
         ]
       |> Option.map (fun path -> (path, pat_at p path))
   in
-  let plan_of ?avoid bound delta_at =
+  let plan_of ?avoid ?(body = r.body) bound delta_at =
     annotate bound
-      (if scan then r.body else order_body ?avoid ~bound ~delta_at r.body)
+      (if scan then body else order_body ?avoid ~bound ~delta_at body)
   in
   let compile bound lits =
     let bound = ref bound in
@@ -1488,9 +1496,27 @@ let compile_rule bank get ~scan ~annotate (r : rule) =
       lits
   in
   let head = pat r.head in
+  let n_pos = Array.length r.pos_rels in
+  (* the body with the negated literal of slot [k] (numbered as
+     {!iter_negated} has it) read as a positive join at position [k] *)
+  let negated_at k =
+    snd
+      (List.fold_left_map
+         (fun i lit ->
+           match lit with
+           | Neg (rel, atom, _) ->
+               (i + 1, if i = k then Pos (k, rel, atom, None) else lit)
+           | _ -> (i, lit))
+         n_pos r.body)
+  in
+  let n_slots =
+    List.fold_left (fun n -> function Neg _ -> n + 1 | _ -> n) n_pos r.body
+  in
   let plan = plan_of Iset.empty None
   and delta_plans =
-    Array.init (Array.length r.pos_rels) (fun i -> plan_of Iset.empty (Some i))
+    Array.init n_slots (fun i ->
+        if i < n_pos then plan_of Iset.empty (Some i)
+        else plan_of ~body:(negated_at i) Iset.empty (Some i))
   and head_plan = plan_of ~avoid:r.head_rel (vset r.head) None in
   let premises =
     List.filter_map
@@ -1575,6 +1601,7 @@ let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank ~ctr
       ctr;
       strata_stats = [];
       clock = 0;
+      batch_from = 0;
       budget_from = 0;
     }
   in
@@ -1582,7 +1609,8 @@ let build_fixpoint ~baseline ~spatial ~refine ~tracer ~bank ~ctr
 
 (* Build every spatial index the annotated plans will probe before the
    first pass, each under its own trace span, rather than inside the
-   first pass that probes it. *)
+   first pass that probes it. A negated literal's delta plan runs only
+   in maintenance, so its indexes are left to the first probe. *)
 let prebuild_spatial fp =
   match fp.spatial with
   | Some sp when fp.baseline <> Some Spatial_scan ->
@@ -1594,7 +1622,11 @@ let prebuild_spatial fp =
       Array.iter
         (List.iter (fun p ->
              List.iter build_for p.plan;
-             Array.iter (List.iter build_for) p.delta_plans))
+             Array.iteri
+               (fun i plan ->
+                 if i < Array.length p.rule.pos_rels then
+                   List.iter build_for plan)
+               p.delta_plans))
         fp.by_stratum
   | _ -> ()
 
@@ -1658,7 +1690,7 @@ let run ?baseline ?spatial ?(refine = fun _ -> None)
             ~args:[ ("rules", Gdp_obs.Tracer.Int (List.length srules)) ]
             ("stratum " ^ string_of_int si)
         in
-        let _, max_delta = saturate fp ~guard:false srules `Full in
+        let _, max_delta = saturate fp srules `Full in
         let derived = fp.ctr.(Ctr.facts) - total0 in
         Gdp_obs.Tracer.end_span tracer s_frame
           ~args:
@@ -1805,10 +1837,9 @@ let pp_stats ppf s =
     Format.fprintf ppf
       "updates: %d batches (%d asserts, %d retracts, %d no-ops)@,\
        maintenance: %d inserted, %d deleted, %d over-deleted, %d rederived@,\
-       maintenance strata: %d visited, %d recomputed@,"
+       maintenance strata: %d visited@,"
       i.upd_batches i.upd_asserts i.upd_retracts i.upd_noops i.upd_inserted
       i.upd_deleted i.upd_overdeleted i.upd_rederived i.upd_strata_visited
-      i.upd_strata_recomputed
   end;
   let p = s.bu_prov in
   Format.fprintf ppf "provenance: %d rank bytes@," p.prov_bytes;
@@ -1820,8 +1851,8 @@ let pp_stats ppf s =
 
 (* ------------------------------------------------------------------ *)
 (* incremental maintenance: semi-naive insertion deltas + DRed
-   (delete-and-rederive) deletions, per stratum in dependency order;
-   any stratum that negates a changed relation is recomputed outright   *)
+   (delete-and-rederive) deletions, per stratum in dependency order; a
+   changed negated relation is a delta on its negated literals          *)
 
 type update = [ `Assert of Term.t | `Retract of Term.t ]
 
@@ -1853,15 +1884,14 @@ let remove_facts fp pairs =
          end)
     pairs
 
-(* One stratum, incrementally. Preconditions: no rule of the stratum
-   negates a relation changed by this batch (the caller routed those to
-   {!recompute_stratum}), lower strata are already final, [ghosts] holds
-   every fact physically deleted so far this batch. [seeds_a]/[seeds_d]
-   are the net base assertions/retractions landing on this stratum's
-   relations; [lower_adds]/[lower_dels] the net derived changes from
-   lower strata. Returns the stratum's own net (additions, deletions). *)
-let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
-    ~lower_adds ~lower_dels =
+(* One stratum, incrementally. Precondition: lower strata are already
+   final. [seeds_a]/[seeds_d] are the net base assertions/retractions
+   landing on this stratum's relations; [lower_adds]/[lower_dels] the
+   net changes from lower strata, which a rule reads positively or under
+   negation. [lower_dels] is every fact physically deleted so far this
+   batch: the ghosts of over-deletion. Returns the stratum's own net
+   (additions, deletions). *)
+let incremental_stratum fp srules ~seeds_a ~seeds_d ~lower_adds ~lower_dels =
   (* presence at batch start, recorded the first time a fact is touched:
      the final net change is (recorded, current) presence disagreeing *)
   let before = Omap.create (no_rel, false) in
@@ -1878,9 +1908,11 @@ let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
       seeds_a
   in
   (* 2. DRed over-deletion, rank-bounded. The candidates are the
-     retracted base facts and every stored fact a rule of this stratum
-     derives from a deleted fact, found by delta evaluation against
-     current-store ∪ ghosts (a superset of the pre-deletion state). They
+     retracted base facts, every stored fact a rule of this stratum
+     derives from a deleted fact and every one it derives through a
+     negated literal a lower fact now blocks, found by delta evaluation
+     against current-store ∪ ghosts (a superset of the pre-deletion
+     state: a negated fact this batch added still counts as absent). They
      are decided once each, lowest rank first: a candidate is kept if it
      is still asserted or has a derivation whose same-stratum premises
      rank below it and are unmarked; otherwise it is marked, and the
@@ -1897,20 +1929,35 @@ let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
     if Bank.stored fp.bank t && Itbl.add seen t retracted then
       queue := Imap.add (Bank.rank fp.bank t) (rel, t) !queue
   in
+  let candidate p h _ = push ~retracted:false p.rule.head_rel h in
   let feed rel ids =
     List.iter
       (fun p ->
         Array.iteri
           (fun i r ->
             if Rel.compare r rel = 0 then
-              eval_rule fp ~ghosts ~delta_at:(Some i) ~delta:ids p
-                p.delta_plans.(i) ~emit:(fun p h _ ->
-                  push ~retracted:false p.rule.head_rel h))
+              eval_rule fp ~ghosts:lower_dels ~delta_at:(Some i) ~delta:ids
+                p p.delta_plans.(i) ~emit:candidate)
           p.rule.pos_rels)
+      srules
+  in
+  (* the firings of a negated literal whose relation [changes] touches *)
+  let negated ?ghosts changes ~emit =
+    List.iter
+      (fun p ->
+        iter_negated
+          (fun k rel ->
+            match Rel_map.find_opt rel changes with
+            | Some (_ :: _ as d) ->
+                eval_rule fp ?ghosts ~delta_at:(Some k) ~delta:d p
+                  p.delta_plans.(k) ~emit
+            | _ -> ())
+          p.rule)
       srules
   in
   List.iter (fun (rel, t) -> push ~retracted:true rel t) seeds_d;
   Rel_map.iter feed lower_dels;
+  negated ~ghosts:lower_dels lower_adds ~emit:candidate;
   let rec decide () =
     match Imap.min_binding_opt !queue with
     | None -> ()
@@ -1961,17 +2008,26 @@ let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
           else true)
         !pending
   done;
-  (* 5. insertion propagation: semi-naive from the asserted facts plus
-     the additions lower strata produced (all already stored) *)
+  (* 5. the firings a lower deletion unblocks, against the current store
+     (rederivation found those of removed facts): their heads go in with
+     fresh ranks *)
+  let inserted = ref seed_added in
+  negated lower_dels ~emit:(fun p h _ ->
+      if add fp p.head_r h then begin
+        note p.rule.head_rel h false;
+        inserted := (p.rule.head_rel, h) :: !inserted
+      end);
+  (* 6. insertion propagation: semi-naive from the asserted and unblocked
+     facts plus the additions lower strata produced (all already stored) *)
   let ins_deltas =
-    List.fold_left (fun m (rel, t) -> record rel t m) lower_adds seed_added
+    List.fold_left (fun m (rel, t) -> record rel t m) lower_adds !inserted
   in
   let sat_added =
     if Rel_map.is_empty ins_deltas then Rel_map.empty
-    else fst (saturate fp ~guard:true srules (`Deltas ins_deltas))
+    else fst (saturate fp srules (`Deltas ins_deltas))
   in
   Rel_map.iter (fun rel l -> List.iter (fun t -> note rel t false) l) sat_added;
-  (* 6. net the batch-start snapshot against the current store *)
+  (* 7. net the batch-start snapshot against the current store *)
   let net_adds = ref [] and net_dels = ref [] in
   Omap.iter
     (fun t (rel, was) ->
@@ -1985,68 +2041,6 @@ let incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
           net_dels := (rel, t) :: !net_dels
       | _ -> ())
     before;
-  (!net_adds, !net_dels)
-
-(* Full recomputation of one stratum, used whenever one of its rules
-   negates a relation this batch changed: deletions below can create
-   derivations here and insertions below can destroy them, so delta
-   propagation alone is not sound. Head relations are cleared, re-seeded
-   from the asserted facts and saturated from scratch against the
-   (already final) lower strata; the old/new difference is the net
-   change handed to higher strata. *)
-let recompute_stratum fp srules ~seeds_a ~seeds_d =
-  bump fp.ctr Ctr.recomputed;
-  let head_rels =
-    List.sort_uniq Rel.compare (List.map (fun p -> p.rule.head_rel) srules)
-  in
-  let is_head rel = List.exists (fun h -> Rel.compare h rel = 0) head_rels in
-  let net_adds = ref [] and net_dels = ref [] in
-  (* seeds on relations no rule of the stratum derives: plain updates *)
-  List.iter
-    (fun (rel, t) ->
-      if (not (is_head rel)) && add fp (get fp rel) t then
-        net_adds := (rel, t) :: !net_adds)
-    seeds_a;
-  net_dels :=
-    List.rev
-      (remove_facts fp (List.filter (fun (rel, _) -> not (is_head rel)) seeds_d));
-  let old =
-    List.map
-      (fun rel ->
-        let r = get fp rel in
-        bump_by fp.ctr Ctr.facts (-Relation.cardinal r);
-        (rel, Relation.take r fp.bank))
-      head_rels
-  in
-  (* the asserted facts of the head relations: those they held, in their
-     order, then those this batch asserts *)
-  List.iter
-    (fun (rel, r_old) ->
-      Relation.iter
-        (fun t -> if Itbl.mem fp.base t then ignore (add fp (get fp rel) t : bool))
-        r_old)
-    old;
-  List.iter
-    (fun (rel, t) ->
-      if is_head rel && not (Bank.stored fp.bank t) then
-        ignore (add fp (get fp rel) t : bool))
-    seeds_a;
-  ignore (saturate fp ~guard:false srules `Full);
-  List.iter
-    (fun (rel, (r_old : Relation.t)) ->
-      let held = Itbl.create r_old.n false in
-      Relation.iter (fun t -> Itbl.replace held t true) r_old;
-      Relation.iter
-        (fun t ->
-          if not (Itbl.mem held t) then net_adds := (rel, t) :: !net_adds)
-        (get fp rel);
-      Relation.iter
-        (fun t ->
-          if not (Bank.stored fp.bank t) then net_dels := (rel, t) :: !net_dels)
-        r_old)
-    old;
-  bump_by fp.ctr Ctr.inserted (List.length !net_adds);
-  bump_by fp.ctr Ctr.deleted (List.length !net_dels);
   (!net_adds, !net_dels)
 
 let apply fp (updates : update list) =
@@ -2072,6 +2066,7 @@ let apply fp (updates : update list) =
   in
   let c = fp.ctr in
   fp.budget_from <- c.(Ctr.passes);
+  fp.batch_from <- fp.clock;
   let ins0 = c.(Ctr.inserted) and del0 = c.(Ctr.deleted) in
   bump c Ctr.batches;
   let frame =
@@ -2103,60 +2098,35 @@ let apply fp (updates : update list) =
   (* strata low to high, carrying the accumulated net additions and
      deletions: every stratum's rules may read relations from any lower
      stratum, so the delta maps only ever grow *)
-  let ghosts = ref Rel_map.empty in
-  let changed : (Rel.t, unit) Hashtbl.t = Hashtbl.create 8 in
   let add_delta = ref Rel_map.empty and del_delta = ref Rel_map.empty in
+  let changed rel = Rel_map.mem rel !add_delta || Rel_map.mem rel !del_delta in
   for si = 0 to ns - 1 do
     let srules = fp.by_stratum.(si) in
     let seeds_a = adds_at.(si) and seeds_d = dels_at.(si) in
-    let negated_changed =
-      List.exists
-        (fun p ->
-          List.exists
-            (function Neg (rel, _, _) -> Hashtbl.mem changed rel | _ -> false)
-            p.rule.body)
-        srules
-    in
+    (* the stratum's rules read a changed relation, positively or under
+       negation *)
     let reads_deltas =
       List.exists
         (fun p ->
-          Array.exists
-            (fun rel ->
-              Rel_map.mem rel !add_delta || Rel_map.mem rel !del_delta)
-            p.rule.pos_rels)
+          List.exists
+            (function
+              | Pos (_, rel, _, _) | Neg (rel, _, _) -> changed rel
+              | _ -> false)
+            p.rule.body)
         srules
     in
-    if seeds_a <> [] || seeds_d <> [] || negated_changed || reads_deltas
-    then begin
+    if seeds_a <> [] || seeds_d <> [] || reads_deltas then begin
       bump c Ctr.visited;
       let s_frame =
         Gdp_obs.Tracer.begin_span fp.tracer ~cat:"fixpoint"
-          ~args:
-            [
-              ( "mode",
-                Gdp_obs.Tracer.Str
-                  (if negated_changed then "recompute" else "incremental") );
-            ]
           ("bu.incr.stratum " ^ string_of_int si)
       in
       let net_adds, net_dels =
-        if negated_changed then
-          recompute_stratum fp srules ~seeds_a ~seeds_d
-        else
-          incremental_stratum fp srules ~seeds_a ~seeds_d ~ghosts
-            ~lower_adds:!add_delta ~lower_dels:!del_delta
+        incremental_stratum fp srules ~seeds_a ~seeds_d
+          ~lower_adds:!add_delta ~lower_dels:!del_delta
       in
-      List.iter
-        (fun (rel, t) ->
-          Hashtbl.replace changed rel ();
-          add_delta := record rel t !add_delta)
-        net_adds;
-      List.iter
-        (fun (rel, t) ->
-          Hashtbl.replace changed rel ();
-          del_delta := record rel t !del_delta;
-          ghosts := record rel t !ghosts)
-        net_dels;
+      List.iter (fun (rel, t) -> add_delta := record rel t !add_delta) net_adds;
+      List.iter (fun (rel, t) -> del_delta := record rel t !del_delta) net_dels;
       Gdp_obs.Tracer.end_span fp.tracer s_frame
         ~args:
           [

@@ -140,7 +140,10 @@ type incr_stats = {
       (** over-deleted facts reinstated by the rederivation step *)
   upd_strata_visited : int;  (** strata any update batch propagated into *)
   upd_strata_recomputed : int;
-      (** strata re-run from scratch because a negated input changed *)
+      (** retired: strata an earlier maintenance path re-ran from scratch
+          when a negated input changed. {!apply} repairs every stratum
+          through DRed and never moves it; only a snapshot written before
+          carries a non-zero count. *)
 }
 (** Cumulative incremental-maintenance counters, all deterministic. *)
 
@@ -291,9 +294,13 @@ val pp_stats : Format.formatter -> stats -> unit
     consequences join the candidates. Each over-deleted fact is then
     rederived from the surviving facts (or its own base assertion) —
     exact, so over-deletion may safely over-approximate.
-    Stratified negation stays correct because any stratum with a negated
-    literal over a changed relation is re-run from scratch against the
-    (already repaired) lower strata. After every update the store is
+    Stratified negation is one more delta: a negated literal over a
+    relation a lower stratum changed is read as a positive join against
+    that change, so the facts the lower stratum added find the firings
+    they block (over-deletion candidates) and the facts it deleted find
+    the firings they unblock (insertions). The keep check and
+    rederivation read negation against the already repaired lower
+    strata. After every update the store is
     exactly what {!run} on the updated database would build — the
     invariant [test/suite_incremental.ml] checks differentially. *)
 
@@ -316,8 +323,8 @@ val apply : fixpoint -> update list -> unit
     store. Shares {!run}'s pass and fact bounds per batch. The rank
     invariant of the {{!section:provenance} provenance section} holds
     after every batch: a fact the batch inserts or rederivation
-    reinstates gets a fresh rank, a stratum recomputed outright re-ranks
-    its head relations, and every other fact keeps its rank. *)
+    reinstates gets a fresh rank, and every other fact keeps its rank,
+    also in a stratum whose negated inputs changed. *)
 
 val assert_fact : fixpoint -> Term.t -> bool
 (** [apply fp [`Assert t]]; [true] iff [t] was not already asserted
@@ -337,7 +344,8 @@ val retract_fact : fixpoint -> Term.t -> bool
 
 val rank : fixpoint -> Term.t -> (int * int) option
 (** [(stratum, rank)] of a stored ground atom: the stratum of its
-    relation and its rank. [None] when the atom is not stored. *)
+    relation and its rank. [None] when the atom is not stored. {!apply}
+    moves only the ranks of the facts it inserts or reinstates. *)
 
 val proof : fixpoint -> Term.t -> Explain.proof option
 (** Rebuild a derivation tree for a stored ground atom, [None] when it

@@ -1,7 +1,8 @@
 (* Incremental view maintenance, tested differentially: after every step
    of a random assert/retract script the incrementally maintained
-   fixpoint ([Bottom_up.apply] — semi-naive insertion deltas, DRed
-   deletions, stratum recompute under changed negated inputs) must hold
+   fixpoint ([Bottom_up.apply] — semi-naive insertion deltas and DRed
+   deletions, a changed negated input being a delta on its negated
+   literal) must hold
    exactly the facts a from-scratch [Bottom_up.run] computes on the
    identically mutated database. Checked for the default evaluation
    (semi-naive with indexed joins) and the [Naive] and [Scan] baselines.
@@ -25,8 +26,8 @@ let facts_of fp = List.map Term.to_string (Bottom_up.facts fp)
    retracts it. Targets cover base relations (edges, nodes, values),
    facts that collide with rule-derived relations (so relations become
    mixed extensional/intensional and retraction meets alternate
-   derivations), and negation-derived relations (so stratum recompute
-   fires), plus the occasional brand-new predicate. *)
+   derivations), and negation-derived relations (so firings flip under
+   negation), plus the occasional brand-new predicate. *)
 type op = bool * string
 
 let op_to_string (asserted, f) =
@@ -337,14 +338,85 @@ let test_negation_flip_on_emptied_relation () =
   Alcotest.(check bool) "bad(1) flips on" true
     (Bottom_up.holds fp (term "bad(1)"));
   let i = Bottom_up.incr_stats fp in
-  Alcotest.(check bool) "negation stratum recomputed" true
-    (i.Bottom_up.upd_strata_recomputed >= 1);
+  Alcotest.(check (list int)) "g(1) deleted, bad(1) inserted, nothing rederived"
+    [ 1; 1; 0; 0 ]
+    Bottom_up.
+      [ i.upd_inserted; i.upd_deleted; i.upd_overdeleted; i.upd_rederived ];
   (* and the reverse: asserting g(2) kills bad(2) *)
   Stdlib.ignore (Bottom_up.assert_fact fp (term "g(2)"));
   Alcotest.(check bool) "bad(2) flips off" false
     (Bottom_up.holds fp (term "bad(2)"));
   Alcotest.(check bool) "bad(1) still on" true
     (Bottom_up.holds fp (term "bad(1)"))
+
+(* Retracting g(1) unblocks bad(1) alone: the negated literal's delta
+   plan finds that one firing, and every other fact of the stratum keeps
+   the rank it was derived with. *)
+let test_negation_flip_keeps_ranks () =
+  let db =
+    engine_db_of
+      "b(1). b(2). b(3). g(1). h(3). bad(X) :- b(X), \\+ g(X). \
+       tagged(X) :- b(X), \\+ h(X)."
+  in
+  let fp = Bottom_up.run db in
+  let others = [ "bad(2)"; "bad(3)"; "tagged(1)"; "tagged(2)" ] in
+  let ranks () = List.map (fun s -> Bottom_up.rank fp (term s)) others in
+  let before = ranks () and n = Bottom_up.count fp in
+  Stdlib.ignore (Bottom_up.retract_fact fp (term "g(1)"));
+  Alcotest.(check bool) "bad(1) flips on" true
+    (Bottom_up.holds fp (term "bad(1)"));
+  Alcotest.(check int) "g(1) out, bad(1) in" n (Bottom_up.count fp);
+  Alcotest.(check int) "one head added" 1
+    (Bottom_up.incr_stats fp).Bottom_up.upd_inserted;
+  Alcotest.(check bool) "untouched facts keep their ranks" true
+    (ranks () = before)
+
+(* The iso/plain chain two negations deep: asserting hub(c) blocks iso(c),
+   which unblocks plain(c); retracting it undoes both. After each step
+   the maintained store equals a from-scratch run and every stored fact
+   has a proof. *)
+let test_negation_chain_two_deep () =
+  let db =
+    engine_db_of
+      "node(a). node(b). node(c). e(a, b). hub(X) :- e(X, Y). \
+       iso(X) :- node(X), \\+ hub(X). plain(X) :- node(X), \\+ iso(X)."
+  in
+  let fp = Bottom_up.run db in
+  let step name asserted =
+    let t = term "hub(c)" in
+    if asserted then begin
+      Stdlib.ignore (Bottom_up.assert_fact fp t);
+      Database.fact db t
+    end
+    else begin
+      Stdlib.ignore (Bottom_up.retract_fact fp t);
+      Stdlib.ignore (Database.retract_fact db t)
+    end;
+    Alcotest.(check (list string)) (name ^ ": equals a from-scratch run")
+      (facts_of (Bottom_up.run db)) (facts_of fp);
+    List.iter
+      (fun t ->
+        if Bottom_up.proof fp t = None then
+          Alcotest.failf "%s: %s has no proof" name (Term.to_string t))
+      (Bottom_up.facts fp)
+  in
+  step "assert hub(c)" true;
+  Alcotest.(check bool) "plain(c) derived" true
+    (Bottom_up.holds fp (term "plain(c)"));
+  step "retract hub(c)" false;
+  Alcotest.(check bool) "iso(c) back" true (Bottom_up.holds fp (term "iso(c)"))
+
+(* Both negated inputs of p(1)'s one firing change in one batch: neither
+   negated literal's delta plan may read the other against the changed
+   store, or the blocked firing goes unnoticed (and the unblocked one is
+   missed on the way back). *)
+let test_two_negations_flip_in_one_batch () =
+  let db = engine_db_of "a(1). p(X) :- a(X), \\+ b(X), \\+ c(X)." in
+  let fp = Bottom_up.run db in
+  Bottom_up.apply fp [ `Assert (term "b(1)"); `Assert (term "c(1)") ];
+  Alcotest.(check bool) "p(1) blocked" false (Bottom_up.holds fp (term "p(1)"));
+  Bottom_up.apply fp [ `Retract (term "b(1)"); `Retract (term "c(1)") ];
+  Alcotest.(check bool) "p(1) unblocked" true (Bottom_up.holds fp (term "p(1)"))
 
 let test_noop_updates () =
   let db = engine_db_of "a(1). p(X) :- a(X)." in
@@ -452,6 +524,12 @@ let tests =
       test_wide_retraction_within_bound;
     Alcotest.test_case "emptied relation flips negation above" `Quick
       test_negation_flip_on_emptied_relation;
+    Alcotest.test_case "a negation flip keeps the ranks of untouched facts"
+      `Quick test_negation_flip_keeps_ranks;
+    Alcotest.test_case "negation chain two deep, assert then retract" `Quick
+      test_negation_chain_two_deep;
+    Alcotest.test_case "two negated inputs flip in one batch" `Quick
+      test_two_negations_flip_in_one_batch;
     Alcotest.test_case "no-op updates" `Quick test_noop_updates;
     Alcotest.test_case "assert/retract round-trip" `Quick
       test_assert_retract_roundtrip;

@@ -7,9 +7,9 @@
    satisfiable, and some database rule instantiated by (goal, premises)
    — and (c) agree in provability with the top-down {!Explain.prove}
    engine. The same invariants must survive update scripts (DRed
-   rederivation, stratum recompute), two runs of one database must give
-   identical ranks and proofs, and rebuilding proofs must move no
-   engine counter. *)
+   rederivation, firings flipped under negation), two runs of one
+   database must give identical ranks and proofs, and rebuilding proofs
+   must move no engine counter. *)
 
 open Gdp_logic
 
@@ -158,7 +158,7 @@ let prop_lineage_stratified =
       lineage_ok db (base_facts src) (Bottom_up.run db))
 
 (* Proofs through incremental maintenance: retract base facts (forcing
-   DRed over-deletion and rederivation, and stratum recompute under
+   DRed over-deletion and rederivation, and firings that flip under
    negation), assert fresh edges, and re-validate every proof against
    the repaired store and the updated database. *)
 let prop_lineage_updates =
