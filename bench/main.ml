@@ -1062,7 +1062,11 @@ let naive_measure w scale =
     time_ms (fun () -> Bottom_up.run ~baseline:Bottom_up.Naive db)
   in
   let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
-  let derived = Bottom_up.facts_matching idx_fp w.w_goal in
+  let derived =
+    List.filter
+      (fun f -> Unify.unify Subst.empty w.w_goal f <> None)
+      (Bottom_up.facts idx_fp)
+  in
   let step = max 1 (List.length derived / 100) in
   let sample = List.filteri (fun i _ -> i mod step = 0) derived in
   let stats = Solve.create_stats () in
@@ -1553,6 +1557,7 @@ let keys_measure ~db ~goals n =
       (fun goal -> (goal, Bottom_up.probe fp goal))
       (goals n)
   in
+  let stored = Bottom_up.facts fp in
   [
     ("facts", Int (Bottom_up.count fp));
     ("passes", Int s.Bottom_up.bu_passes);
@@ -1570,7 +1575,7 @@ let keys_measure ~db ~goals n =
            (fun (g, c) ->
              List.equal Term.equal
                (List.sort Term.compare (unifiable g c))
-               (unifiable g (Bottom_up.facts_matching fp g)))
+               (unifiable g stored))
            probed) );
   ]
 

@@ -20,10 +20,35 @@ open Gdp_core
 
 let load path = Gdp_lang.Elaborate.load_file path
 
-let build_query result view models metas =
+let build_query ?tracer result view models metas =
   let models = match models with [] -> None | l -> Some l in
   let metas = match metas with [] -> None | l -> Some l in
-  Gdp_lang.Elaborate.query result ?view ?models ?metas ()
+  Gdp_lang.Elaborate.query result ?view ?models ?metas ?tracer ()
+
+(* docs/CLI.md's exit-code table, shown under EXIT STATUS by every
+   subcommand's --help *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success: consistent, provable, rendered or compiled.";
+      info 1
+        ~doc:
+          "on a negative verdict: constraint violations ($(b,check), \
+           $(b,update)), a goal that is not provable ($(b,query), $(b,ask), \
+           $(b,explain)) or error-level lint findings.";
+      info 2
+        ~doc:
+          "on an error before any verdict: a parse or elaboration error, a \
+           specification outside the Datalog fragment where one is needed, \
+           a malformed update script, a corrupt snapshot or incompatible \
+           flags.";
+      info 3
+        ~doc:
+          "when a resource bound stopped the answer: the top-down inference \
+           depth, or the bottom-up fact or pass bound.";
+      info cli_error ~doc:"on command line parsing errors.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
 
 (* common options *)
 let file_arg =
@@ -63,6 +88,8 @@ let with_engine q ~materialize ~magic =
   | false, true -> Query.with_mode q Query.Magic
   | false, false -> q
 
+let materialized q = Query.mode q = Query.Materialized
+
 let snapshot_arg =
   Arg.(value & opt (some string) None
        & info [ "snapshot" ] ~docv:"FILE.gdpx"
@@ -82,7 +109,6 @@ let snapshot_arg =
 let load_snapshot q = function
   | None -> ()
   | Some path -> (
-      (Query.spec q).Spec.snapshot_path <- Some path;
       match Query.of_snapshot q path with
       | Ok (_bytes, facts) ->
           Printf.printf "snapshot: loaded %d facts from %s\n" facts path
@@ -100,7 +126,6 @@ let stats_arg =
                  call/exit/redo/fail port counters for the top-down engine \
                  and per-stratum fixpoint metrics when materialised.")
 
-(* shared by check, query, ask, explain, update and profile *)
 let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-out" ] ~docv:"FILE"
@@ -157,9 +182,6 @@ let report_violations q explain_n =
       print_violation_proofs q explain_n;
       1
 
-let enable_telemetry result =
-  result.Gdp_lang.Elaborate.spec.Spec.telemetry <- true
-
 let print_stats q = Format.printf "-- stats --@.%a@." Query.pp_stats q
 
 let handle_errors f =
@@ -192,31 +214,69 @@ let handle_errors f =
         (Gdp_logic.Term.to_string goal);
       exit 3
 
+(* ---- the engine session ---- *)
+
+(* The flags of every subcommand that runs an engine *)
+type engine = {
+  file : string;
+  view : string option;
+  models : string list;
+  metas : string list;
+  materialize : bool;
+  magic : bool;
+  snapshot : string option;
+  stats : bool;
+  trace_out : string option;
+}
+
+(* A subcommand that lacks one of the optional flags passes a
+   [Term.const] in its place. *)
+let engine_term ?(materialize = materialize_arg) ?(magic = magic_arg)
+    ?(snapshot = snapshot_arg) ?(stats = stats_arg) () =
+  let make file view models metas materialize magic snapshot stats trace_out =
+    { file; view; models; metas; materialize; magic; snapshot; stats; trace_out }
+  in
+  Term.(const make $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize
+        $ magic $ snapshot $ stats $ trace_out_arg)
+
+(* One engine run: load the file, build the query on the engine the flags
+   select (a snapshot implies the materialised engine unless --magic is
+   given), load the snapshot, answer with [run], then report telemetry.
+   [views] prints the view line before the snapshot line; [profile]
+   records telemetry without --stats or --trace-out. Returns [run]'s exit
+   code. *)
+let session ?(views = false) ?(profile = false) e run =
+  handle_errors (fun () ->
+      let result = load e.file in
+      let tracer =
+        if profile || e.stats || e.trace_out <> None then
+          Some (Gdp_obs.Tracer.create ())
+        else None
+      in
+      let q = build_query ?tracer result e.view e.models e.metas in
+      let q =
+        with_engine q
+          ~materialize:(e.materialize || (e.snapshot <> None && not e.magic))
+          ~magic:e.magic
+      in
+      if views then print_views q;
+      load_snapshot q e.snapshot;
+      let code = run q in
+      if e.stats then print_stats q;
+      write_trace q e.trace_out;
+      code)
+
 (* ---- check ---- *)
 
 let check_cmd =
-  let run file view models metas materialize magic snapshot stats explain_n
-      trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let materialize = materialize || (snapshot <> None && not magic) in
-        let q =
-          with_engine (build_query result view models metas) ~materialize ~magic
-        in
-        print_views q;
-        load_snapshot q snapshot;
-        if materialize then print_materialised q;
-        let code = report_violations q explain_n in
-        if stats then print_stats q;
-        write_trace q trace_out;
-        code)
+  let run e explain_n =
+    session ~views:true e (fun q ->
+        if materialized q then print_materialised q;
+        report_violations q explain_n)
   in
   let doc = "Check a specification's consistency under a world view (§III-E)." in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize_arg
-          $ magic_arg $ snapshot_arg $ stats_arg $ explain_violations_arg
-          $ trace_out_arg)
+  Cmd.v (Cmd.info "check" ~doc ~exits)
+    Term.(const run $ engine_term () $ explain_violations_arg)
 
 (* ---- compile ---- *)
 
@@ -227,21 +287,11 @@ let compile_cmd =
              ~doc:"Where to write the snapshot. Conventionally \
                    $(i,SPEC).gdpx next to the specification.")
   in
-  let run file view models metas out stats trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let q =
-          Query.with_mode (build_query result view models metas)
-            Query.Materialized
-        in
-        print_views q;
+  let run e out =
+    session ~views:true e (fun q ->
         print_materialised q;
         let _bytes, facts = Query.save_snapshot q out in
-        (Query.spec q).Spec.snapshot_path <- Some out;
         Printf.printf "wrote %s (%d facts)\n" out facts;
-        if stats then print_stats q;
-        write_trace q trace_out;
         0)
   in
   let doc =
@@ -253,9 +303,11 @@ let compile_cmd =
      compile once, query many. A snapshot whose key no longer matches is \
      reported stale and rebuilt, never silently reused."
   in
-  Cmd.v (Cmd.info "compile" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ out_arg
-          $ stats_arg $ trace_out_arg)
+  Cmd.v (Cmd.info "compile" ~doc ~exits)
+    Term.(const run
+          $ engine_term ~materialize:(const true) ~magic:(const false)
+              ~snapshot:(const None) ()
+          $ out_arg)
 
 (* ---- update ---- *)
 
@@ -303,22 +355,12 @@ let update_cmd =
                       "%s:%d: expected 'assert FACT' or 'retract FACT'" path
                       lineno))
   in
-  let run file view models metas script materialize snapshot stats
-      explain_n trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let materialize = materialize || snapshot <> None in
-        let q =
-          with_engine (build_query result view models metas) ~materialize
-            ~magic:false
-        in
-        print_views q;
-        load_snapshot q snapshot;
+  let run e script explain_n =
+    session ~views:true e (fun q ->
         (* materialise before the script runs: the fixpoint (loaded or
            computed) is then repaired incrementally by each update, never
            rebuilt *)
-        if materialize then Stdlib.ignore (Query.materialization q);
+        if materialized q then Stdlib.ignore (Query.materialization q);
         let ops = parse_script script in
         List.iter (fun u -> Stdlib.ignore (Query.update q [ u ])) ops;
         let asserts =
@@ -330,16 +372,13 @@ let update_cmd =
           (List.length ops - asserts);
         (* persist the maintained fixpoint plus the grown update log, so
            the next --snapshot load replays this batch too *)
-        (match snapshot with
+        (match e.snapshot with
         | None -> ()
         | Some path ->
             let _bytes, facts = Query.save_snapshot q path in
             Printf.printf "snapshot: saved %d facts to %s\n" facts path);
-        if materialize then print_materialised q;
-        let code = report_violations q explain_n in
-        if stats then print_stats q;
-        write_trace q trace_out;
-        code)
+        if materialized q then print_materialised q;
+        report_violations q explain_n)
   in
   let doc =
     "Apply an assert/retract script to the compiled base, then re-check \
@@ -348,10 +387,9 @@ let update_cmd =
      delete-and-rederive for retractions) rather than recomputed; \
      $(b,--stats) shows the maintenance counters."
   in
-  Cmd.v (Cmd.info "update" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ script_arg
-          $ materialize_arg $ snapshot_arg $ stats_arg $ explain_violations_arg
-          $ trace_out_arg)
+  Cmd.v (Cmd.info "update" ~doc ~exits)
+    Term.(const run $ engine_term ~magic:(const false) () $ script_arg
+          $ explain_violations_arg)
 
 (* ---- query ---- *)
 
@@ -363,37 +401,20 @@ let query_cmd =
   let limit_arg =
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc:"Maximum answers.")
   in
-  let run file view models metas pattern limit materialize magic snapshot
-      stats trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let materialize =
-          materialize || (snapshot <> None && not magic)
-        in
-        let q =
-          with_engine (build_query result view models metas) ~materialize ~magic
-        in
-        load_snapshot q snapshot;
+  let run e pattern limit =
+    session e (fun q ->
         let pat = Gdp_lang.Elaborate.fact_to_pattern (Gdp_lang.Parser.fact pattern) in
-        let code =
-          match Query.solutions ~limit q pat with
-          | [] ->
-              print_endline "not provable (open world: undefined)";
-              1
-          | sols ->
-              List.iter (fun f -> Format.printf "%a@." Gfact.pp f) sols;
-              0
-        in
-        if stats then print_stats q;
-        write_trace q trace_out;
-        code)
+        match Query.solutions ~limit q pat with
+        | [] ->
+            print_endline "not provable (open world: undefined)";
+            1
+        | sols ->
+            List.iter (fun f -> Format.printf "%a@." Gfact.pp f) sols;
+            0)
   in
   let doc = "Enumerate the provable instantiations of a fact pattern." in
-  Cmd.v (Cmd.info "query" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
-          $ limit_arg $ materialize_arg $ magic_arg $ snapshot_arg $ stats_arg
-          $ trace_out_arg)
+  Cmd.v (Cmd.info "query" ~doc ~exits)
+    Term.(const run $ engine_term () $ pattern_arg $ limit_arg)
 
 (* ---- ask ---- *)
 
@@ -402,41 +423,28 @@ let ask_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"GOAL" ~doc:"Raw engine goal over the reified vocabulary (holds/6, acc/7, builtins).")
   in
-  let run file view models metas goal magic snapshot stats trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let q =
-          with_engine (build_query result view models metas)
-            ~materialize:(snapshot <> None && not magic) ~magic
-        in
-        load_snapshot q snapshot;
-        let code =
-          match Query.ask_all ~limit:20 q goal with
-          | [] ->
-              print_endline "no";
-              1
-          | [ [] ] ->
-              print_endline "yes";
-              0
-          | answers ->
-              List.iter
-                (fun bindings ->
-                  bindings
-                  |> List.map (fun (n, t) ->
-                         Printf.sprintf "%s = %s" n (Gdp_logic.Term.to_string t))
-                  |> String.concat ", " |> print_endline)
-                answers;
-              0
-        in
-        if stats then print_stats q;
-        write_trace q trace_out;
-        code)
+  let run e goal =
+    session e (fun q ->
+        match Query.ask_all ~limit:20 q goal with
+        | [] ->
+            print_endline "no";
+            1
+        | [ [] ] ->
+            print_endline "yes";
+            0
+        | answers ->
+            List.iter
+              (fun bindings ->
+                bindings
+                |> List.map (fun (n, t) ->
+                       Printf.sprintf "%s = %s" n (Gdp_logic.Term.to_string t))
+                |> String.concat ", " |> print_endline)
+              answers;
+            0)
   in
   let doc = "Run a raw engine goal against the compiled database." in
-  Cmd.v (Cmd.info "ask" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ magic_arg $ snapshot_arg $ stats_arg $ trace_out_arg)
+  Cmd.v (Cmd.info "ask" ~doc ~exits)
+    Term.(const run $ engine_term ~materialize:(const false) () $ goal_arg)
 
 (* ---- profile ---- *)
 
@@ -454,18 +462,9 @@ let profile_cmd =
                    which prints the statistics block before its profile \
                    tree; accepted so every engine subcommand takes it.")
   in
-  let run file view models metas goal materialize snapshot (_ : bool)
-      trace_out =
-    handle_errors (fun () ->
-        let result = load file in
-        enable_telemetry result;
-        let materialize = materialize || snapshot <> None in
-        let q =
-          with_engine (build_query result view models metas) ~materialize
-            ~magic:false
-        in
-        load_snapshot q snapshot;
-        if materialize then Stdlib.ignore (Query.materialization q);
+  let run e goal =
+    session ~profile:true e (fun q ->
+        if materialized q then Stdlib.ignore (Query.materialization q);
         let answers = Query.ask_all q goal in
         let tracer = Query.tracer q in
         Gdp_obs.Tracer.finish tracer;
@@ -479,7 +478,6 @@ let profile_cmd =
         | None -> ());
         print_stats q;
         Format.printf "-- profile --@.%a@." Gdp_obs.Export.pp_profile tracer;
-        write_trace q trace_out;
         0)
   in
   let doc =
@@ -487,9 +485,13 @@ let profile_cmd =
      spans, four-port counters per predicate, fixpoint metrics under \
      $(b,--materialize), and optionally a Chrome trace."
   in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
-          $ materialize_arg $ snapshot_arg $ stats_arg $ trace_out_arg)
+  Cmd.v (Cmd.info "profile" ~doc ~exits)
+    Term.(const run
+          $ engine_term ~magic:(const false)
+              (* profile prints its statistics block itself, before the
+                 profile tree, so the session's own block stays off *)
+              ~stats:(const (fun (_ : bool) -> false) $ stats_arg) ()
+          $ goal_arg)
 
 (* ---- render ---- *)
 
@@ -546,7 +548,7 @@ let render_cmd =
         0)
   in
   let doc = "Rasterize where a predicate is realised over a logical space (§I)." in
-  Cmd.v (Cmd.info "render" ~doc)
+  Cmd.v (Cmd.info "render" ~doc ~exits)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pred_arg
           $ resolution_arg $ region_arg $ object_arg $ out_arg $ ascii_arg)
 
@@ -566,7 +568,7 @@ let lint_cmd =
             if Lint.has_errors fs then 1 else 0)
   in
   let doc = "Statically validate a specification (unused/undeclared names, dead rules)." in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ file_arg)
+  Cmd.v (Cmd.info "lint" ~doc ~exits) Term.(const run $ file_arg)
 
 (* ---- explain ---- *)
 
@@ -585,43 +587,26 @@ let explain_cmd =
                    (root id, nodes with kind and label, conclusion-to-premise \
                    edges).")
   in
-  let run file view models metas pattern dot json materialize magic snapshot
-      stats trace_out =
-    handle_errors (fun () ->
-        if dot && json then
-          invalid_arg "--dot and --json are mutually exclusive";
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
-        let materialize =
-          materialize || (snapshot <> None && not magic)
-        in
-        let q =
-          with_engine (build_query result view models metas) ~materialize ~magic
-        in
-        load_snapshot q snapshot;
-        let pat = Gdp_lang.Elaborate.fact_to_pattern (Gdp_lang.Parser.fact pattern) in
-        let code =
+  let run e pattern dot json =
+    if dot && json then
+      handle_errors (fun () ->
+          invalid_arg "--dot and --json are mutually exclusive")
+    else
+      session e (fun q ->
+          let pat =
+            Gdp_lang.Elaborate.fact_to_pattern (Gdp_lang.Parser.fact pattern)
+          in
           match Query.explain_proof q pat with
           | Some proof ->
-              if dot then
-                print_string
-                  (Gdp_logic.Explain.to_dot ~pp_goal:Query.pp_reified_term proof)
+              let pp_goal = Query.pp_reified_term in
+              if dot then print_string (Gdp_logic.Explain.to_dot ~pp_goal proof)
               else if json then
-                print_string
-                  (Gdp_logic.Explain.to_json ~pp_goal:Query.pp_reified_term
-                     proof)
-              else
-                Format.printf "%a"
-                  (Gdp_logic.Explain.pp ~pp_goal:Query.pp_reified_term)
-                  proof;
+                print_string (Gdp_logic.Explain.to_json ~pp_goal proof)
+              else Format.printf "%a" (Gdp_logic.Explain.pp ~pp_goal) proof;
               0
           | None ->
               print_endline "not provable (open world: undefined)";
-              1
-        in
-        if stats then print_stats q;
-        write_trace q trace_out;
-        code)
+              1)
   in
   let doc =
     "Show the derivation tree of a provable fact (requirements evidence). \
@@ -629,10 +614,8 @@ let explain_cmd =
      $(b,--magic) the tree is reconstructed from the bottom-up fixpoint's \
      recorded lineage — the engine that derived the fact explains it."
   in
-  Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
-          $ dot_arg $ json_arg $ materialize_arg $ magic_arg $ snapshot_arg
-          $ stats_arg $ trace_out_arg)
+  Cmd.v (Cmd.info "explain" ~doc ~exits)
+    Term.(const run $ engine_term () $ pattern_arg $ dot_arg $ json_arg)
 
 (* ---- info ---- *)
 
@@ -671,11 +654,11 @@ let info_cmd =
         0)
   in
   let doc = "Print a specification inventory." in
-  Cmd.v (Cmd.info "info" ~doc) Term.(const run $ file_arg)
+  Cmd.v (Cmd.info "info" ~doc ~exits) Term.(const run $ file_arg)
 
 let main =
   let doc = "formal specification of geographic data processing requirements" in
-  let info = Cmd.info "gdprs" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "gdprs" ~version:"1.0.0" ~doc ~exits in
   Cmd.group info
     [ check_cmd; compile_cmd; update_cmd; query_cmd; ask_cmd; profile_cmd;
       render_cmd; lint_cmd; explain_cmd; info_cmd ]

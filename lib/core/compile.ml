@@ -274,57 +274,16 @@ let spatial_ext = function
   | "res_subcells", 4 -> Some [ 0; 1; 2 ]
   | _ -> None
 
-(* Ground solutions of one whitelisted goal whose inputs are ground.
-   Each arm mirrors the corresponding Gdp_builtins entry exactly — same
-   argument readers ({!Gfact.pos_of_term}, [Spec.find_region],
-   [Spec.find_space]), same geometry calls — so the bottom-up model
-   agrees with top-down SLDNF literal by literal. *)
-let spatial_solve spec goal =
-  let module Res = Gdp_space.Resolution in
-  let point = Gfact.pos_of_term in
-  let space = function
-    | Term.Atom name -> Spec.find_space spec name
-    | _ -> None
-  in
-  match goal with
-  | Term.App ("pt_dist", [ p1; p2; _ ]) -> (
-      match (point p1, point p2) with
-      | Some a, Some b ->
-          let d = Term.float (Gdp_space.Coord.distance spec.Spec.coord a b) in
-          [ Term.app "pt_dist" [ p1; p2; d ] ]
-      | _ -> [])
-  | Term.App ("region_mem", [ name; p ]) -> (
-      match (name, point p) with
-      | Term.Atom n, Some pt -> (
-          match Spec.find_region spec n with
-          | Some region when Gdp_space.Region.mem pt region -> [ goal ]
-          | _ -> [])
-      | _ -> [])
-  | Term.App ("region_reps", [ r; name; _ ]) -> (
-      match (space r, name) with
-      | Some res, Term.Atom n -> (
-          match Spec.find_region spec n with
-          | None -> []
-          | Some region ->
-              List.map
-                (fun pt -> Term.app "region_reps" [ r; name; Gfact.pos_term pt ])
-                (Res.representatives res region))
-      | _ -> [])
-  | Term.App ("res_subcells", [ r2; r1; p; _ ]) -> (
-      match (space r2, space r1, point p) with
-      | Some fine, Some coarse, Some pt when Res.refines ~fine ~coarse ->
-          let reps = Res.subcell_representatives ~fine ~coarse pt in
-          [
-            Term.app "res_subcells"
-              [ r2; r1; p; Term.list (List.map Gfact.pos_term reps) ];
-          ]
-      | _ -> [])
-  | _ -> []
-
+(* A whitelisted goal is solved by the registered builtin itself, so the
+   bottom-up model agrees with top-down SLDNF literal by literal. *)
 let spatial_hints spec : Bottom_up.spatial =
+  let builtins = Database.create () in
+  Gdp_builtins.install spec builtins;
   {
     Bottom_up.sp_ext = spatial_ext;
-    sp_solve = spatial_solve spec;
+    sp_solve =
+      (fun goal ->
+        List.map (fun s -> Subst.apply s goal) (Solve.all builtins [ goal ]));
     sp_region_box =
       (fun name ->
         Option.bind (Spec.find_region spec name) Gdp_space.Spatial_index.box_of_region);

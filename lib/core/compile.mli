@@ -64,8 +64,8 @@ val datalog_refine : Gdp_logic.Bottom_up.refine
 val spatial_hints : Spec.t -> Gdp_logic.Bottom_up.spatial
 (** Spatial evaluation hooks for the bottom-up engine, specialised to
     [spec]: whitelists [pt_dist/3], [region_mem/2], [region_reps/3] and
-    [res_subcells/4] as native body literals (solved with exactly the
-    top-down builtin semantics), exposes region bounding boxes and the
+    [res_subcells/4] as native body literals (solved by the registered
+    top-down builtins of {!Gdp_builtins}), exposes region bounding boxes and the
     point reader (bare [pos/2-3] or one [at(...)] constructor deep) the
     index probes need, and declares ±eps boxes sound only for
     planar coordinate systems ([Cartesian]/[Utm] — geographic haversine

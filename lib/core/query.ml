@@ -25,17 +25,9 @@ type t = {
           [with_mode] copies like [fp] *)
 }
 
-let tracer_for ?tracer (spec : Spec.t) =
-  match tracer with
-  | Some tr -> tr
-  | None ->
-      if spec.Spec.telemetry then Gdp_obs.Tracer.create ()
-      else Gdp_obs.Tracer.disabled
-
-let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
-    (compiled : Compile.t) =
+let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode
+    ?(tracer = Gdp_obs.Tracer.disabled) (compiled : Compile.t) =
   let mode = Option.value mode ~default:Top_down in
-  let tracer = tracer_for ?tracer compiled.Compile.spec in
   let solve_stats =
     if Gdp_obs.Tracer.enabled tracer then
       Some (Solve.create_stats ~refine:Compile.datalog_refine ())
@@ -60,8 +52,8 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
     snap = ref None;
   }
 
-let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer spec =
-  let tracer = tracer_for ?tracer spec in
+let create ?world_view ?meta_view ?max_depth ?on_depth ?mode
+    ?(tracer = Gdp_obs.Tracer.disabled) spec =
   of_compiled ?max_depth ?on_depth ?mode ~tracer
     (Compile.compile ?world_view ?meta_view ~tracer spec)
 

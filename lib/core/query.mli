@@ -42,8 +42,7 @@ val create :
     automatically when an active meta-model requires it. Defaults:
     [max_depth = 100_000], [on_depth = `Raise] (a blown budget surfaces as
     {!Gdp_logic.Solve.Depth_exhausted} rather than silent failure);
-    [mode = Top_down]; [tracer] defaults to a fresh enabled tracer when
-    [spec.Spec.telemetry] is set and the disabled tracer otherwise. An
+    [mode = Top_down]; [tracer = Gdp_obs.Tracer.disabled]. An
     enabled tracer also switches on {!Gdp_logic.Solve.stats} collection
     (see {!solve_stats}) and spans around compilation, each query
     operation and the engines' internals. *)

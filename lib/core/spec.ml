@@ -44,13 +44,10 @@ type t = {
   mutable models : model_def list;
   mutable meta_models : meta_model list;
   mutable extra_builtins : ((string * int) * Database.builtin) list;
-  mutable telemetry : bool;
   mutable jobs : int; (* ignored; kept only until the benchmark stops setting it *)
   mutable updates : update list; (* newest first; update_log reverses *)
   mutable snapshot_path : string option;
-      (* where a persistent fixpoint snapshot for this specification
-         lives (CLI --snapshot / compile -o); informational — Query
-         never reads it, the CLI threads it *)
+      (* ignored; kept only until the benchmark stops setting it *)
 }
 
 let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
@@ -69,7 +66,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       models = [];
       meta_models = [];
       extra_builtins = [];
-      telemetry = false;
       jobs = 1;
       updates = [];
       snapshot_path = None;

@@ -83,12 +83,6 @@ type t = {
       (** application-specific computed predicates (e.g. the paper's depth
           interpolation function f, §VII-B), registered into every
           compiled database; newest first *)
-  mutable telemetry : bool;
-      (** when true, {!Query.create} attaches an enabled
-          {!Gdp_obs.Tracer.t} to every query it builds (spans for
-          compilation, each query operation, every SLDNF predicate call
-          and every fixpoint stratum/pass), retrievable via
-          {!Query.tracer} — the switch behind [gdprs profile] *)
   mutable jobs : int;
       (** ignored: evaluation is sequential and nothing in the library
           or the CLI reads this field. It remains only because the
@@ -97,10 +91,10 @@ type t = {
   mutable updates : update list;
       (** the update log, newest first — read it through {!update_log} *)
   mutable snapshot_path : string option;
-      (** where a persistent fixpoint snapshot for this specification
-          lives, when one is in play ([gdprs compile -o] sets it on
-          save, [--snapshot] on load). Purely informational: {!Query}
-          takes explicit paths and never consults this field. *)
+      (** ignored: nothing in the library or the CLI reads this field;
+          {!Query} takes snapshot paths explicitly. It remains only
+          because the end-to-end benchmark's ledger still assigns it,
+          and goes with the next change to that benchmark. *)
 }
 
 val create : ?coord:Gdp_space.Coord.t -> ?now:float -> unit -> t

@@ -291,18 +291,19 @@ let load_string ?spec ?base_dir src =
 let load_file ?spec path =
   load_string ?spec ~base_dir:(Filename.dirname path) (read_file path)
 
-let query result ?view ?models ?metas () =
+let query result ?view ?models ?metas ?tracer () =
   match view with
   | Some name -> (
       match
         List.find_opt (fun v -> String.equal v.view_name name) result.views
       with
       | Some v ->
-          Query.create result.spec ~world_view:v.view_models ~meta_view:v.view_metas
+          Query.create result.spec ~world_view:v.view_models
+            ~meta_view:v.view_metas ?tracer
       | None -> raise (Error (Printf.sprintf "unknown view '%s'" name)))
   | None ->
       let world_view =
         match models with Some m -> m | None -> Spec.default_world_view result.spec
       in
       let meta_view = match metas with Some m -> m | None -> result.uses in
-      Query.create result.spec ~world_view ~meta_view
+      Query.create result.spec ~world_view ~meta_view ?tracer

@@ -28,10 +28,16 @@ val load_string : ?spec:Gdp_core.Spec.t -> ?base_dir:string -> string -> result
 val load_file : ?spec:Gdp_core.Spec.t -> string -> result
 
 val query :
-  result -> ?view:string -> ?models:string list -> ?metas:string list -> unit ->
+  result ->
+  ?view:string ->
+  ?models:string list ->
+  ?metas:string list ->
+  ?tracer:Gdp_obs.Tracer.t ->
+  unit ->
   Gdp_core.Query.t
 (** Build a query handle: by named view, by explicit model/meta lists, or
-    (default) all models with the file's [use] activations. *)
+    (default) all models with the file's [use] activations. [tracer] is
+    passed to {!Gdp_core.Query.create}. *)
 
 val body_to_formula : Ast.body -> Gdp_core.Formula.t
 val fact_to_pattern : Ast.fact_atom -> Gdp_core.Gfact.t

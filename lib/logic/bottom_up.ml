@@ -1739,10 +1739,6 @@ let holds fp t =
   let id = Bank.lookup fp.bank t in
   id >= 0 && Bank.stored fp.bank id
 
-let facts_matching fp goal =
-  List.concat_map (Relation.elements fp.bank) (relations_of fp goal)
-  |> List.sort Term.compare
-
 (* Candidates for a goal by the cheapest access path: membership for a
    ground goal, an index probe on one ground subterm for a half-bound
    goal ({!Path_key.key_path}: for a [holds/6] goal, an object or the
@@ -2258,8 +2254,7 @@ let proof fp t =
      header   the strata and base fact counts (nat); the 10 counters,
               the 3 reconstruction counters and the 10 maintenance
               counters (int); per-stratum statistics (count, then 6 ints
-              and the float milliseconds each); the symbol and node
-              counts (nat)
+              each); the symbol and node counts (nat)
      symbols  each string: atom and functor names and string constants
      nodes    one record per structurally distinct node in post order,
               so a node's children always come before it:

@@ -231,12 +231,6 @@ val facts : fixpoint -> Term.t list
 val holds : fixpoint -> Term.t -> bool
 (** Membership of a ground atom. *)
 
-val facts_matching : fixpoint -> Term.t -> Term.t list
-(** The stored facts of the goal's relation (refined by the goal's
-    constant at the refinement position when possible; the union of the
-    predicate's refined relations when that argument is a variable),
-    sorted. The goal itself is not unified against them — callers filter. *)
-
 val probe : fixpoint -> Term.t -> Term.t list
 (** Candidate facts for a possibly non-ground goal, narrowed by the
     cheapest access path: a membership test when the goal is ground, an
@@ -252,7 +246,7 @@ val probe : fixpoint -> Term.t -> Term.t list
     rule joins share. Either way the candidates are the same list in
     the same order. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
-    and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
+    and unsorted (unlike {!facts}). [Gdp_core.Query]'s
     materialised mode answers through this instead of scanning. *)
 
 val count : fixpoint -> int

@@ -474,7 +474,7 @@ let test_holds_closure_pinned () =
 
 (* [Bottom_up.probe] narrows candidates through the argument indexes; on
    any goal shape the unifiable subset must coincide with what filtering
-   the goal's whole (sorted) relation yields. Every goal is probed
+   the whole (sorted) store yields. Every goal is probed
    twice: the first probe of a path no rule join indexed scans the id
    column, the second builds the index, and both return the same list
    in the same order. *)
@@ -502,7 +502,7 @@ let test_probe_consistency () =
       let goal = Reader.term goal_src in
       Alcotest.(check (list string))
         goal_src
-        (List.map Term.to_string (unifiable goal (Bottom_up.facts_matching fp goal)))
+        (List.map Term.to_string (unifiable goal (Bottom_up.facts fp)))
         (List.map Term.to_string (unifiable goal (probe_twice fp goal))))
     [
       "p(a, X)" (* bound first argument: the rule join's index on position 0 *);
@@ -529,7 +529,7 @@ let test_probe_consistency () =
         (goal_src ^ " after the retraction: the relation agrees")
         want
         (List.map Term.to_string
-           (unifiable goal (Bottom_up.facts_matching fp goal))))
+           (unifiable goal (Bottom_up.facts fp))))
     [
       ("p(X, d)", [ "p(a, d)" ]);
       ("e(X, d)", [ "e(a, d)" ]);
@@ -553,7 +553,8 @@ let test_probe_consistency () =
   in
   let fp = Bottom_up.run ~refine:holds_refine (db_of src) in
   let goal = Reader.term (holds_atom "reach" [ "n0"; "X" ]) in
-  let all = Bottom_up.facts_matching fp goal
+  let all =
+    unifiable (Reader.term (holds_atom "reach" [ "X"; "Y" ])) (Bottom_up.facts fp)
   and probed = List.sort Term.compare (probe_twice fp goal) in
   Alcotest.(check (list string))
     "reach from n0: the probe returns exactly the unifiable facts"
@@ -591,7 +592,7 @@ let test_probe_consistency () =
       let probed = List.sort Term.compare (probe_twice fp goal) in
       Alcotest.(check (list string))
         (goal_src ^ ": the probe returns exactly the unifiable facts")
-        (List.map Term.to_string (unifiable goal (Bottom_up.facts_matching fp goal)))
+        (List.map Term.to_string (unifiable goal (Bottom_up.facts fp)))
         (List.map Term.to_string probed);
       Alcotest.(check int) (goal_src ^ ": candidates") want (List.length probed))
     [
