@@ -245,17 +245,20 @@ module Bank = struct
   let id_bits = 0xffff_ffff
   let home bits mask = (bits * 0x1e3779b97f4a7c15) lsr 29 land mask
 
-  (* The children of a node being closed are staged from [base]: on
-     the stack, or, when [direct] (a snapshot record), already in the
-     kids column where the node's own children go. *)
-  let rec same_kids b id direct base k j =
-    j = k
-    || child b id j
-       = (if direct then
-            let o = base + j in
-            Array.unsafe_get b.kids.(o lsr 12) (o land 4095)
-          else b.stack.(base + j))
-       && same_kids b id direct base k (j + 1)
+  (* A node's content hash: its tag, its payload's contribution [ph],
+     then each child's hash; [finish] puts the tag below it *)
+  let seed tag ph = mix (mix 0x811c9dc5 tag) ph
+  let finish h tag = ((h land (max_int lsr 3)) lsl 3) lor tag
+
+  let pay_hash b tag pay =
+    if tag = t_int then pay
+    else if tag = t_float then Hashtbl.hash b.float_vals.(pay)
+    else b.sym_hash.(pay)
+
+  (* The children of a node being closed are staged on the stack from
+     [base]. *)
+  let rec same_kids b id base k j =
+    j = k || child b id j = b.stack.(base + j) && same_kids b id base k (j + 1)
 
   let rehash b =
     let mask = (2 * Array.length b.slots) - 1 in
@@ -272,7 +275,7 @@ module Bank = struct
       b.slots;
     b.slots <- slots
 
-  let add b hd pay direct base k at =
+  let add b hd pay base k at =
     let id = b.n in
     if id = Array.length b.hd then begin
       let cap = id + (id / 2) in
@@ -282,13 +285,11 @@ module Bank = struct
       b.ranks <- grow b.ranks cap (-1)
     end;
     let o = b.off.(id) in
-    if not direct then begin
-      if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
-      for j = 0 to k - 1 do
-        let c = o + j in
-        Array.unsafe_set b.kids.(c lsr 12) (c land 4095) b.stack.(base + j)
-      done
-    end;
+    if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
+    for j = 0 to k - 1 do
+      let c = o + j in
+      Array.unsafe_set b.kids.(c lsr 12) (c land 4095) b.stack.(base + j)
+    done;
     b.hd.(id) <- hd;
     b.pay.(id) <- pay;
     b.off.(id + 1) <- o + k;
@@ -297,20 +298,17 @@ module Bank = struct
     if 4 * b.n > 3 * Array.length b.slots then rehash b;
     id
 
-  (* The node [tag pay] over its [k] staged children: its id, interned
-     when [insert] is set, else -1 when the bank lacks it. Children
-     staged on the stack (its callers [push] them) are popped. [ph] is
-     the payload's contribution to the hash. *)
-  let close b tag pay ph direct base k insert =
-    let h = ref (mix (mix 0x811c9dc5 tag) ph) in
-    for j = base to base + k - 1 do
-      let c =
-        if direct then Array.unsafe_get b.kids.(j lsr 12) (j land 4095)
-        else b.stack.(j)
-      in
-      h := mix !h (b.hd.(c) lsr 3)
+  (* The node [tag pay] over the [k] children staged on the stack (its
+     callers [push] them), which it pops: its id, interned when [insert]
+     is set, else -1 when the bank lacks it. [ph] is the payload's
+     contribution to the hash. *)
+  let close b tag pay ph k insert =
+    let base = b.sp - k in
+    let h = ref (seed tag ph) in
+    for j = base to b.sp - 1 do
+      h := mix !h (b.hd.(b.stack.(j)) lsr 3)
     done;
-    let hd = ((!h land (max_int lsr 3)) lsl 3) lor tag in
+    let hd = finish !h tag in
     let bits = hash_bits hd in
     let mask = Array.length b.slots - 1 in
     let i = ref (home bits mask) and found = ref (-2) in
@@ -323,37 +321,93 @@ module Bank = struct
         let id = s land id_bits in
         b.hd.(id) = hd && b.pay.(id) = pay
         && arity b id = k
-        && same_kids b id direct base k 0
+        && same_kids b id base k 0
       then found := s land id_bits
       else i := (!i + 1) land mask
     done;
-    if not direct then b.sp <- base;
-    if !found >= 0 || not insert then !found
-    else add b hd pay direct base k !i
+    b.sp <- base;
+    if !found >= 0 || not insert then !found else add b hd pay base k !i
 
-  let app b f k insert = close b t_app f b.sym_hash.(f) false (b.sp - k) k insert
+  let app b f k insert = close b t_app f b.sym_hash.(f) k insert
+  let leaf b tag pay insert = close b tag pay (pay_hash b tag pay) 0 insert
 
-  (* A compound record of a snapshot, [f] over [k] children that [r]
-     holds next, each an id below [bound]: each goes straight into the
-     kids column, where [add] would copy it from the stack, and the node
-     is interned. *)
-  let record b f k r bound =
-    let o = b.off.(b.n) in
+  (* A snapshot record, [tag pay] over [k] children that [r] holds next,
+     each an id below the record's own, appended as the next node
+     without interning: the children go straight into the kids column
+     and the content hash is [close]'s. [index_all] interns the table
+     once every record is in. *)
+  let append b tag pay k r =
+    let id = b.n in
+    let o = b.off.(id) in
     if o + k > Array.length b.kids lsl 12 then b.kids <- reserve b.kids (o + k);
+    let h = ref (seed tag (pay_hash b tag pay)) in
     for j = o to o + k - 1 do
-      Array.unsafe_set b.kids.(j lsr 12) (j land 4095) (Wire.below r bound "child")
+      let c = Wire.below r id "child" in
+      Array.unsafe_set b.kids.(j lsr 12) (j land 4095) c;
+      h := mix !h (b.hd.(c) lsr 3)
     done;
-    close b t_app f b.sym_hash.(f) true o k true
+    b.hd.(id) <- finish !h tag;
+    b.pay.(id) <- pay;
+    b.off.(id + 1) <- o + k;
+    b.n <- id + 1
 
-  (* a leaf node from its tag and payload, as a record of a snapshot
-     spells it *)
-  let leaf b tag pay insert =
-    let ph =
-      if tag = t_int then pay
-      else if tag = t_float then Hashtbl.hash b.float_vals.(pay)
-      else b.sym_hash.(pay)
-    in
-    close b tag pay ph false b.sp 0 insert
+  let same_node b x y =
+    let k = arity b x in
+    let rec same j = j = k || child b x j = child b y j && same (j + 1) in
+    b.hd.(x) = b.hd.(y) && b.pay.(x) = b.pay.(y) && arity b y = k && same 0
+
+  (* Interns every appended node into the empty slot table in one pass.
+     The nodes' slot words are partitioned by the top 8 bits of their
+     home slot into the rank column, which holds only -1 until facts
+     are stored, and each region's words go in in id order, so its
+     probes stay within about one 256th of the table. Raises
+     [Wire.Corrupt] for the first node that equals an earlier one,
+     naming both, as interning the records one by one would. *)
+  let index_all b =
+    let mask = Array.length b.slots - 1 in
+    let rec width w = if mask lsr w > 255 then width (w + 1) else w in
+    let shift = width 0 in
+    let region bits = home bits mask lsr shift in
+    (* [ends.(g + 1)] counts region [g], then ends it: the prefix sums
+       start each region, and placing its words advances its start to
+       its end *)
+    let ends = Array.make ((mask lsr shift) + 2) 0 in
+    for id = 0 to b.n - 1 do
+      let g = region (hash_bits b.hd.(id)) + 1 in
+      ends.(g) <- ends.(g) + 1
+    done;
+    for g = 1 to Array.length ends - 1 do
+      ends.(g) <- ends.(g) + ends.(g - 1)
+    done;
+    for id = 0 to b.n - 1 do
+      let bits = hash_bits b.hd.(id) in
+      let g = region bits in
+      b.ranks.(ends.(g)) <- (bits lsl 32) lor id;
+      ends.(g) <- ends.(g) + 1
+    done;
+    let repeat = ref max_int and first = ref 0 in
+    for p = 0 to b.n - 1 do
+      let w = b.ranks.(p) in
+      let i = ref (home (w lsr 32) mask) and go = ref true in
+      while !go do
+        let s = b.slots.(!i) in
+        if s < 0 then begin
+          b.slots.(!i) <- w;
+          go := false
+        end
+        else if s lsr 32 = w lsr 32 && same_node b (s land id_bits) (w land id_bits)
+        then begin
+          if w land id_bits < !repeat then begin
+            repeat := w land id_bits;
+            first := s land id_bits
+          end;
+          go := false
+        end
+        else i := (!i + 1) land mask
+      done
+    done;
+    Array.fill b.ranks 0 b.n (-1);
+    if !repeat < max_int then Wire.corrupt "node %d repeats node %d" !repeat !first
 
   let rec intern b (t : Term.t) =
     match t with
@@ -2496,29 +2550,29 @@ let import ?spatial ?(refine = fun _ -> None)
      added as the records arrive, each record's arity clamped by the
      bytes left before any is reserved. The bank is empty when the
      records go in, so node ids are the file's: post order puts every
-     child below its parent, each record is interned from nodes already
-     interned, and a record that interns to an earlier id repeats that
-     record — the file numbers nodes structurally, so it never writes
-     one. *)
+     child below its parent, so each record is appended after its
+     children, and once the table is in, one pass interns it. A record
+     equal to an earlier one repeats it — the file numbers nodes
+     structurally, so it never writes one — and is reported only after
+     the whole table is decoded. *)
   let sym syms = syms.(Wire.below r (Array.length syms) "symbol") in
   let b, syms =
     Gdp_obs.Tracer.with_span tracer ~cat:"snapshot" "snap.nodes" @@ fun () ->
     let b = Bank.create ~nodes:(n_nodes + 64) in
     let syms = Array.init n_syms (fun _ -> Bank.sym b (Wire.string r)) in
     for i = 0 to n_nodes - 1 do
-      let id =
-        match Wire.byte r with
-        | 0 -> Bank.leaf b Bank.t_atom (sym syms) true
-        | 1 -> Bank.leaf b Bank.t_int (Wire.int r) true
-        | 2 -> Bank.leaf b Bank.t_float (Bank.float_index b (Wire.float r)) true
-        | 3 -> Bank.leaf b Bank.t_str (sym syms) true
-        | 4 ->
-            let f = sym syms in
-            Bank.record b f (Wire.count r ~min_bytes:1 "argument") r i
-        | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
-      in
-      if id < i then Wire.corrupt "node %d repeats node %d" i id
+      match Wire.byte r with
+      | 0 -> Bank.append b Bank.t_atom (sym syms) 0 r
+      | 1 -> Bank.append b Bank.t_int (Wire.int r) 0 r
+      | 2 -> Bank.append b Bank.t_float (Bank.float_index b (Wire.float r)) 0 r
+      | 3 -> Bank.append b Bank.t_str (sym syms) 0 r
+      | 4 ->
+          let f = sym syms in
+          Bank.append b Bank.t_app f (Wire.count r ~min_bytes:1 "argument") r
+      | tag -> Wire.corrupt "node %d has unknown tag %d" i tag
     done;
+    Gdp_obs.Tracer.with_span tracer ~cat:"snapshot" "snap.index" (fun () ->
+        Bank.index_all b);
     (b, syms)
   in
   let fp, _parsed =

@@ -402,9 +402,11 @@ val import :
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
     planned exactly as a default {!run} would, then
-    the encoding is decoded in place — each node record is interned once
-    into a bank sized for it, the relations take the mapped fact ids as
-    their columns, and the saved ranks, counters, per-stratum
+    the encoding is decoded in place — the node records are appended
+    to a bank sized for them, each with the content hash interning
+    would give it, and one pass then builds the bank's hash-cons table
+    over the whole node table; the relations take the mapped fact ids
+    as their columns, and the saved ranks, counters, per-stratum
     statistics and maintenance counters are restored. No fact is
     rebuilt as a term or hashed as a tree, so loading is linear in the
     file even when its DAG unfolds to an exponential tree. No index is
@@ -412,7 +414,8 @@ val import :
     (a spatial build keeps its ["bu.spatial.build"] span). When the
     tracer is live the usual final counter gauges are emitted, plus a
     ["snap.import"] span holding a ["snap.nodes"] span (the symbols and
-    node records) and a ["snap.relations"] span (the relations, their
+    node records, with a ["snap.index"] span for the table pass inside)
+    and a ["snap.relations"] span (the relations, their
     ranks and base facts). The result holds the
     facts, ranks and counters {!export} captured and evaluates {!apply}
     and {!proof} along the production plans, so it answers exactly like
@@ -420,7 +423,9 @@ val import :
     compiled from the same program the snapshot was saved from —
     [Gdp_core] enforces this with a content hash. Every
     id, count and tag is bounds-checked: a malformed encoding, a node
-    record that repeats an earlier one, a stratification-shape
+    record that repeats an earlier one (found by the table pass, so
+    reported only after the whole node table has been decoded; of
+    several, the lowest-numbered repeat is named), a stratification-shape
     mismatch, a fact filed under the wrong relation, ranks that are not each of [0 .. facts - 1] once and
     increasing within each relation, or a counter that disagrees with
     the loaded store raises

@@ -314,16 +314,19 @@ let prop_export_sharing =
    relations are written in the order of a walk over the relations in
    insertion order, however the store holds them, and the header holds
    counts and counters only. *)
+let roadnet_query net =
+  let r = Gdp_lang.Elaborate.load_string (Roadnet.to_gdp net) in
+  Query.with_mode (Gdp_lang.Elaborate.query r ()) Query.Materialized
+
+let roadnet_state = "5f32b3500b7f9b36ad544901e6a676c9"
+
 let test_roadnet_nodes () =
   let net = Roadnet.generate (Gdp_workload.Rng.create 1L) ~n:200 in
-  let r = Gdp_lang.Elaborate.load_string (Roadnet.to_gdp net) in
-  let q = Query.with_mode (Gdp_lang.Elaborate.query r ()) Query.Materialized in
-  let st = Bottom_up.export (Query.materialization q) in
+  let st = Bottom_up.export (Query.materialization (roadnet_query net)) in
   let _, nodes, _ = declared st in
   Alcotest.(check int) "nodes written" 42_811 nodes;
   Alcotest.(check int) "bytes" 470_691 st.len;
-  Alcotest.(check string) "the state's digest"
-    "5f32b3500b7f9b36ad544901e6a676c9"
+  Alcotest.(check string) "the state's digest" roadnet_state
     (Digest.to_hex (Digest.string (payload st)));
   let body = body st in
   Alcotest.(check int) "bytes from the symbol count on" 470_635
@@ -363,18 +366,90 @@ let app_rec sym kids b =
   List.iter (Wire.add_nat b) (sym :: List.length kids :: kids)
 
 (* The file numbers nodes structurally, so a node record that repeats an
-   earlier one is damage; the error names both records. *)
-let test_repeated_node () =
+   earlier one is damage; the error names the later record first. The
+   records are appended first and interned in one pass over the whole
+   table, so the repeat is found after every record is decoded. *)
+let check_repeat ?(facts = []) ~nodes expected =
   let db = engine_db_of "" in
-  let st =
-    handmade db ~syms:[ "p"; "a" ]
-      ~nodes:[ atom_rec 1; app_rec 0 [ 0 ]; app_rec 0 [ 0 ] ]
-      ~name:0 ~arity:1 ~facts:[ 1 ]
-  in
+  let st = handmade db ~syms:[ "p"; "a" ] ~nodes ~name:0 ~arity:1 ~facts in
   match Bottom_up.import db st with
-  | exception Snapshot.Corrupt msg ->
-      Alcotest.(check string) "error" "node 2 repeats node 1" msg
+  | exception Snapshot.Corrupt msg -> Alcotest.(check string) "error" expected msg
   | _ -> Alcotest.fail "a repeated node record was accepted"
+
+let test_repeated_node () =
+  check_repeat ~facts:[ 1 ]
+    ~nodes:[ atom_rec 1; app_rec 0 [ 0 ]; app_rec 0 [ 0 ] ]
+    "node 2 repeats node 1"
+
+let float_rec f b =
+  Buffer.add_uint8 b 2;
+  Wire.add_float b f
+
+let int_rec n b =
+  Buffer.add_uint8 b 1;
+  Wire.add_int b n
+
+let test_repeated_leaf () =
+  check_repeat ~nodes:[ atom_rec 1; atom_rec 1 ] "node 1 repeats node 0"
+
+(* [compare] makes 0.0 and -0.0 one float index, so one node *)
+let test_repeated_zero () =
+  check_repeat ~nodes:[ float_rec 0.0; float_rec (-0.0) ] "node 1 repeats node 0"
+
+(* The original's slot was filled 500 distinct records earlier. Later
+   repeats of the records between, spread over the whole slot table,
+   do not hide the first repeat. *)
+let test_distant_repeat () =
+  let between = List.init 499 int_rec in
+  let nodes = [ atom_rec 1; app_rec 0 [ 0 ] ] @ between @ [ app_rec 0 [ 0 ] ] in
+  check_repeat ~nodes "node 501 repeats node 1";
+  check_repeat ~nodes:(nodes @ between) "node 501 repeats node 1"
+
+(* A bulk-loaded bank must intern like one built term by term. The load
+   never looks a term up, so a content hash that differed from the one
+   interning computes would pass it and show only once a term is
+   interned against the loaded nodes: an asserted copy of a stored fact
+   would not be found, and derived facts would be stored twice. *)
+let test_roadnet_bulk_load () =
+  let net = Roadnet.generate (Gdp_workload.Rng.create 1L) ~n:200 in
+  let cold = Query.materialization (roadnet_query net) in
+  let import net st =
+    let q = roadnet_query net in
+    Bottom_up.import ~refine:Compile.datalog_refine
+      ~spatial:(Compile.spatial_hints (Query.spec q))
+      (Query.db q) st
+  in
+  let warm = import net (Bottom_up.export cold) in
+  Alcotest.(check int) "facts" 21_700 (Bottom_up.count warm);
+  Alcotest.(check bool) "every exported fact holds" true
+    (List.for_all (Bottom_up.holds warm) (Bottom_up.facts cold));
+  Alcotest.(check string) "re-exported digest" roadnet_state
+    (Digest.to_hex (Digest.string (payload (Bottom_up.export warm))));
+  let link (x, y) =
+    Compile.holds_update
+      (`Assert
+        (Gfact.make "link"
+           ~objects:[ a (Printf.sprintf "n%d" x); a (Printf.sprintf "n%d" y) ]))
+  in
+  let noops = (Bottom_up.incr_stats warm).upd_noops in
+  Bottom_up.apply warm [ link (List.hd net.links) ];
+  Alcotest.(check int) "a stored fact asserted again is a no-op" (noops + 1)
+    (Bottom_up.incr_stats warm).upd_noops;
+  Alcotest.(check int) "and adds no fact" 21_700 (Bottom_up.count warm);
+  (* a link back closes a cycle over the last ten junctions *)
+  let back = (199, 190) in
+  Bottom_up.apply warm [ link back ];
+  let fresh =
+    Query.materialization
+      (roadnet_query { net with links = net.links @ [ back ] })
+  in
+  let sorted fp = List.sort Term.compare (Bottom_up.facts fp) in
+  Alcotest.(check bool) "the link derives new facts" true
+    (Bottom_up.count warm > 21_701);
+  Alcotest.(check int) "as many facts as a fresh materialisation"
+    (Bottom_up.count fresh) (Bottom_up.count warm);
+  Alcotest.(check bool) "the same facts" true
+    (List.equal Term.equal (sorted fresh) (sorted warm))
 
 (* A record may declare more children than the file has bytes; the
    load must not trust the count. *)
@@ -425,8 +500,8 @@ let test_arity_reserves_nothing () =
 
 (* A fact whose argument is the 64-node DAG d(k+1) = f(d(k), d(k)): its
    tree has 2^63 nodes, so anything that walks it as a tree never ends.
-   Loading interns each record once, and counting and a probe that
-   misses it never rebuild it. *)
+   Loading appends each record once and indexes the table in one pass,
+   and counting and a probe that misses it never rebuild it. *)
 let test_deep_dag () =
   let db = engine_db_of "" in
   let depth = 64 in
@@ -1132,6 +1207,13 @@ let tests =
       test_roadnet_nodes;
     Alcotest.test_case "a repeated node record is corrupt" `Quick
       test_repeated_node;
+    Alcotest.test_case "a repeated atom record is corrupt" `Quick
+      test_repeated_leaf;
+    Alcotest.test_case "0.0 then -0.0 repeats a node" `Quick test_repeated_zero;
+    Alcotest.test_case "a repeat 500 records on names the first repeat" `Quick
+      test_distant_repeat;
+    Alcotest.test_case "a bulk-loaded bank interns like a built one" `Quick
+      test_roadnet_bulk_load;
     Alcotest.test_case "a 64-node DAG of 2^63 tree nodes loads at once" `Quick
       test_deep_dag;
     Alcotest.test_case "an arity beyond the file's bytes is corrupt" `Quick
