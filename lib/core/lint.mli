@@ -52,4 +52,3 @@ val lint : Spec.t -> finding list
 
 val has_errors : finding list -> bool
 val pp_finding : Format.formatter -> finding -> unit
-val pp_severity : Format.formatter -> severity -> unit

@@ -1,6 +1,5 @@
 open Gdp_logic
 
-let clause_of_string = Reader.clause
 let clauses_of_string = Reader.program
 
 let mk ?(loop = false) name doc src =

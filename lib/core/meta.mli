@@ -17,8 +17,6 @@
     on the engine's ancestor check automatically when such a meta-model is
     active. *)
 
-open Gdp_logic
-
 val contradiction : unit -> Spec.meta_model
 (** §IV-B: "no fact may be both true and false" —
     [M'Q(true)(X) ∧ M'Q(false)(X) ⇒ M'ERROR(contradiction, Q, X)], with
@@ -203,8 +201,3 @@ val install_standard : Spec.t -> unit
     name. *)
 
 val standard_names : string list
-
-val clause_of_string : string -> Database.clause
-(** Helper for user-defined meta-models: parse one clause over the
-    reified vocabulary, e.g.
-    ["holds(M, open, [], [X], S, T) :- holds(M, repaired, [], [X], S, T)."]. *)

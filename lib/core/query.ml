@@ -108,7 +108,6 @@ let magic_materialization q goal =
       q.magic := Some (goal, fst result, snd result);
       result
 
-let magic_info q = Option.map (fun (_, _, i) -> i) !(q.magic)
 let op_span q name fn = Gdp_obs.Tracer.with_span q.tracer ~cat:"query" name fn
 
 (* ------------------------------------------------------------------ *)

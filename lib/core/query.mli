@@ -78,19 +78,6 @@ val materialization : t -> Gdp_logic.Bottom_up.fixpoint
     database is outside the fragment — check {!materializable} first for
     a [result]. *)
 
-val magic_materialization :
-  t -> Term.t -> Gdp_logic.Bottom_up.fixpoint * Gdp_logic.Magic.info
-(** The goal-directed fixpoint for one reified goal (a [holds/6] /
-    [acc/7] atom): {!Gdp_logic.Magic.rewrite} then a seeded
-    {!Gdp_logic.Bottom_up.run}, both under {!Compile.datalog_refine} and
-    {!Compile.spatial_hints}. Cached for the exact same goal term;
-    {!update} invalidates the cache. Raises
-    {!Gdp_logic.Bottom_up.Unsupported} outside the fragment. *)
-
-val magic_info : t -> Gdp_logic.Magic.info option
-(** The rewrite summary of the cached magic evaluation, if any — the
-    source of the fallback counter printed by {!pp_stats}. *)
-
 val spec : t -> Spec.t
 (** The specification this query was compiled from. *)
 

@@ -61,7 +61,6 @@ val any : name:string -> t
 (** Every ground term — the unconstrained domain. *)
 
 val contains : t -> Term.t -> bool
-val find_operation : t -> string -> operation option
 
 val apply_operation : t -> string -> Term.t list -> Term.t option
 (** [None] when the operation is unknown or fails. *)

@@ -113,8 +113,6 @@ let rec body_to_formula_in scope = function
       Formula.Forall (body_to_formula_in scope g, body_to_formula_in scope c)
   | B_not a -> Formula.Not (body_to_formula_in scope a)
 
-let body_to_formula b = body_to_formula_in (fresh_scope ()) b
-
 let domain_of_def name = function
   | D_enum values -> Gdp_domain.Semantic_domain.enumeration ~name values
   | D_int_range (lo, hi) -> Gdp_domain.Semantic_domain.int_range ~name ~lo ~hi

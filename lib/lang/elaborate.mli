@@ -39,7 +39,6 @@ val query :
     (default) all models with the file's [use] activations. [tracer] is
     passed to {!Gdp_core.Query.create}. *)
 
-val body_to_formula : Ast.body -> Gdp_core.Formula.t
 val fact_to_pattern : Ast.fact_atom -> Gdp_core.Gfact.t
 (** Shared with the CLI's ad-hoc query mode; variables with equal names
     unify within one call. *)

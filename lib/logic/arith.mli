@@ -18,6 +18,5 @@ val to_term : number -> Term.t
 val compare_num : number -> number -> int
 (** Numeric comparison with int/float promotion. *)
 
-val as_float : number -> float
 val as_int : number -> int
 (** Raises {!Error} if the number is a non-integral float. *)

@@ -21,12 +21,6 @@ let named_vars goals =
 
 let ask ?options db src = Solve.succeeds ?options db (Reader.goals src)
 
-let ask_first ?options db src =
-  let goals = Reader.goals src in
-  match Solve.first ?options db goals with
-  | None -> None
-  | Some s -> Some (Subst.restrict (named_vars goals) s)
-
 let ask_all ?options ?limit db src =
   let goals = Reader.goals src in
   Solve.all ?options ?limit db goals

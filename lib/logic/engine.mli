@@ -15,10 +15,6 @@ val named_vars : Term.t list -> Term.var list
 val ask : ?options:Solve.options -> Database.t -> string -> bool
 (** [ask db "p(X), q(X)"] — is the query provable? *)
 
-val ask_first :
-  ?options:Solve.options -> Database.t -> string -> (string * Term.t) list option
-(** First answer as bindings of the query's named variables. *)
-
 val ask_all :
   ?options:Solve.options ->
   ?limit:int ->

@@ -73,10 +73,6 @@ val rewrite :
     predicates, magic/guarded/copied/dropped rule counts, seeds,
     fallback strata, full-fallback flag). *)
 
-val is_magic_atom : Term.t -> bool
-(** Whether an atom belongs to a [magic$…] guard predicate the rewrite
-    introduced. *)
-
 val strip_proof : Explain.proof -> Explain.proof
 (** Drop every [magic$…] premise from a derivation tree, recursively:
     proofs reconstructed from a magic-rewritten fixpoint

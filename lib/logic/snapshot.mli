@@ -8,14 +8,18 @@
     with {!Wire} — this module never interprets it, which keeps the
     logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP7\n"], a 16-byte MD5 digest
-    of the payload, then the payload: [key] and [meta] as
+    File format: the magic string ["GDPXSNAP8\n"], the 8-byte
+    {!digest} of the payload, then the payload: [key] and [meta] as
     length-prefixed strings ({!Wire.add_string}), then the state's
     bytes to the end of the file. The magic's digit is the payload
     version. No OCaml value layout is involved: {!load} verifies magic
     and digest, and the state is decoded — in place, from the file's
-    string — by {!Bottom_up.import}, which bounds-checks every read. A
-    truncated, corrupted, crafted, non-snapshot or other-version file
+    string — by {!Bottom_up.import}, which bounds-checks every read.
+    The two guard against different things. The digest catches
+    accidental damage (a truncated copy, a flipped bit) before anything
+    is decoded; it is no defence against a crafted file, which can carry
+    a digest that matches. The bounds-checked decoder is that defence.
+    A truncated, corrupted, crafted, non-snapshot or other-version file
     therefore raises {!Corrupt} with a clean message, from {!load} or
     from the import. Key checking is the {e caller's} job: {!load} returns
     whatever key the file carries, and a mismatch means the snapshot is
@@ -36,6 +40,12 @@ type t = {
   state : Bottom_up.snapshot_state;  (** the exported fixpoint *)
 }
 
+val digest : string -> pos:int -> len:int -> string
+(** [digest s ~pos ~len] is the XXH64 hash (seed 0) of bytes
+    [\[pos, pos + len)] of [s], as 8 bytes little-endian: the digest a
+    snapshot file carries after its magic. Raises [Invalid_argument] when
+    the range lies outside [s]. *)
+
 val save : ?tracer:Gdp_obs.Tracer.t -> path:string -> t -> int
 (** Write the snapshot to a temporary file beside [path], rename it
     over [path] and return the number of bytes written. When the write
@@ -46,8 +56,9 @@ val save : ?tracer:Gdp_obs.Tracer.t -> path:string -> t -> int
 
 val load : ?tracer:Gdp_obs.Tracer.t -> path:string -> unit -> t * int
 (** Read and verify a snapshot, returning it with the file's size in
-    bytes. The returned [state] is a view into the file's string, left
-    for {!Bottom_up.import} to decode. Raises {!Corrupt} on a bad
-    magic, digest or key/meta frame. With a live
+    bytes. The magic and the {!digest} of the whole payload are checked
+    before anything is decoded. The returned [state] is a view into the
+    file's string, left for {!Bottom_up.import} to decode. Raises
+    {!Corrupt} on a bad magic, digest or key/meta frame. With a live
     tracer, records one ["snap.load"] span and the [snap.loads] /
     [snap.bytes] counters. *)

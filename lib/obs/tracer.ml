@@ -189,4 +189,3 @@ let counters t =
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) st.totals []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let elapsed_ns t = match t with None -> 0L | Some st -> clock st

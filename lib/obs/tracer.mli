@@ -96,8 +96,5 @@ val span_count : ?cat:string -> t -> int
 val counters : t -> (string * float) list
 (** Final cumulative counter values, sorted by name. *)
 
-val elapsed_ns : t -> int64
-(** Nanoseconds since the tracer was created; 0 when disabled. *)
-
 val now_ns : unit -> int64
 (** The raw monotonic clock the tracer timestamps with. *)

@@ -659,6 +659,12 @@ let test_corrupt_rejected () =
       Out_channel.output_string oc
         (String.sub contents 10 (String.length contents - 10)));
   expect_corrupt "version-6 file";
+  (* and a version-7 file, whose digest was a 16-byte MD5 *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "GDPXSNAP7\n";
+      Out_channel.output_string oc
+        (String.sub contents 10 (String.length contents - 10)));
+  expect_corrupt "version-7 file";
   (* not a snapshot at all *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a snapshot");
@@ -993,16 +999,85 @@ let test_varint_boundaries () =
       done)
     nats
 
-(* After the magic string comes the MD5 of everything after it. *)
-let header = 26
+(* XXH64, the snapshot digest, as its 64-bit value in hex. *)
+let xxh64 s ~pos ~len =
+  Printf.sprintf "%016Lx" (String.get_int64_le (Snapshot.digest s ~pos ~len) 0)
+
+(* [n] bytes from a fixed linear congruential sequence *)
+let seeded n =
+  let x = ref 42 in
+  String.init n (fun _ ->
+      x := (!x * 0x5DEECE66D) + 11;
+      Char.chr ((!x lsr 32) land 0xFF))
+
+(* XXH64 of [seeded n]: every length up to 69 (no stripe, one stripe,
+   two, with every mix of 8-, 4- and 1-byte tails), then around four
+   stripes and at two long lengths. The low 32 bits of each are the
+   content checksum zstd writes for the same bytes (RFC 8878 §3.1.1). *)
+let xxh64_pins =
+  [
+    (0, "ef46db3751d8e999"); (1, "4044bd3f906208b5"); (2, "a941a3d41b74dc14");
+    (3, "a2dabf1a2e0f1ca7"); (4, "ab5d9d037344f3a4"); (5, "5fe34e4cae00d70d");
+    (6, "ba44415333e4429e"); (7, "0261fedd22705f5c"); (8, "ad83c802d4a1256d");
+    (9, "6b6645df0475e393"); (10, "b6a370305e5b1444"); (11, "1635ce16a405451f");
+    (12, "07e301e608b0361d"); (13, "a30465ef776073a5"); (14, "1f90784cb815141b");
+    (15, "838f019be6cf54d2"); (16, "f054bc2b8402d101"); (17, "d99aeed799d4173b");
+    (18, "8c176568097a287e"); (19, "062ab23355dd1afc"); (20, "a308070156298277");
+    (21, "1758777d6dd7985e"); (22, "09ca7f4ef3db71c5"); (23, "1b1d971aef4e597e");
+    (24, "4552d1c18aed81e7"); (25, "c58b656a8b926af0"); (26, "9c809c718ea83286");
+    (27, "96e5565f5384af5a"); (28, "6f4dbf80836306e2"); (29, "22d0652cbc485ba0");
+    (30, "7719caf25e6456a6"); (31, "62264f7e354f2610"); (32, "251dfae547704a94");
+    (33, "ee53a819390ed1b7"); (34, "7a5532f954d4464d"); (35, "31f1ce36ec85b892");
+    (36, "d66a3cfc0487842e"); (37, "d875a35576eae28b"); (38, "fde4f8b5c09905e0");
+    (39, "0d41127bafdc5324"); (40, "cd90c987887804de"); (41, "0def356a79959729");
+    (42, "cd99d0f73828e882"); (43, "b14a9759474f1eb0"); (44, "0b73fb40d6ca534c");
+    (45, "3804cbb8b73ef666"); (46, "fd509cdb8a2eb44b"); (47, "da474f6e98601b0e");
+    (48, "1a1ee7dc51a4001e"); (49, "7419b05806d8ac36"); (50, "c92b1c0c0ca89e8c");
+    (51, "33ae1be830b1198d"); (52, "ead51cd09b87564b"); (53, "6564ff66e9f65c68");
+    (54, "dc5d4a8b0ec956c2"); (55, "36f81812f3484197"); (56, "a2fd3ede7dceb7d4");
+    (57, "0e426b8101a6f504"); (58, "aa8db1783d74d593"); (59, "88303788a73ea9a3");
+    (60, "4952f49850ab6a54"); (61, "445a4a093eac6d69"); (62, "fc8b830c0600b10e");
+    (63, "e17e9d4c6e52e3cb"); (64, "c083806c42eceeda"); (65, "e78090225382c640");
+    (66, "1a8fee020ed1aafd"); (67, "6ff9c2951e2cd207"); (68, "92a1932834ac66ee");
+    (69, "24eb15ce1b24dd7b"); (127, "1aae5bd5bef345ad"); (128, "6f1146ba66cdcc4f");
+    (129, "f9e0618d5221aa98"); (1000, "5cbe60791fe011ac"); (4099, "d96f5b0b20eeae92")
+  ]
+
+let test_digest_vectors () =
+  Alcotest.(check string) "XXH64 of no bytes" "ef46db3751d8e999"
+    (xxh64 "" ~pos:0 ~len:0);
+  Alcotest.(check string) "XXH64 of abc" "44bc2cf5ad770999"
+    (xxh64 "abc" ~pos:0 ~len:3);
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "XXH64 of %d seeded bytes" n)
+        want
+        (xxh64 (seeded n) ~pos:0 ~len:n))
+    xxh64_pins;
+  let s = seeded 1000 in
+  Alcotest.(check string) "a slice hashes like its bytes alone"
+    (xxh64 s ~pos:0 ~len:1000)
+    (xxh64 ("xy" ^ s ^ "zz") ~pos:2 ~len:1000);
+  List.iter
+    (fun (pos, len) ->
+      match Snapshot.digest s ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "digest of %d bytes at %d accepted" len pos)
+    [ (-1, 4); (0, -1); (997, 4); (1001, 0) ]
+
+(* The magic, then the digest of everything after it. *)
+let magic = "GDPXSNAP8\n"
+let digest_len = String.length (Snapshot.digest "" ~pos:0 ~len:0)
+let header = String.length magic + digest_len
 
 let redigest s =
   if String.length s < header then s
   else
     let b = Bytes.of_string s in
     Bytes.blit_string
-      (Digest.substring s header (String.length s - header))
-      0 b 10 16;
+      (Snapshot.digest s ~pos:header ~len:(String.length s - header))
+      0 b (String.length magic) digest_len;
     Bytes.to_string b
 
 type mutation =
@@ -1076,6 +1151,25 @@ let saved_image () =
       }
   in
   read_file path
+
+(* The layout the hostile properties rely on: an 18-byte header, which
+   re-signing an intact file leaves as it was, so a re-signed damaged
+   file meets the decoder, not the digest check. *)
+let test_saved_layout () =
+  let image = saved_image () in
+  Alcotest.(check int) "header bytes" 18 header;
+  Alcotest.(check string) "magic" magic (String.sub image 0 (String.length magic));
+  Alcotest.(check bool) "re-signing an intact file changes nothing" true
+    (String.equal image (redigest image));
+  with_temp @@ fun path ->
+  write_file path (redigest (String.sub image 0 (String.length image - 5)));
+  match Snapshot.load ~path () with
+  | exception Snapshot.Corrupt msg ->
+      Alcotest.failf "a re-signed cut file failed its load: %s" msg
+  | snap, (_ : int) -> (
+      match Bottom_up.import (fuzz_db ()) snap.Snapshot.state with
+      | exception Snapshot.Corrupt _ -> ()
+      | _ -> Alcotest.fail "a cut state was imported")
 
 (* Every mutated file either loads or raises Snapshot.Corrupt: no other
    exception (Invalid_argument, Not_found, Stack_overflow, ...) escapes
@@ -1234,6 +1328,9 @@ let tests =
     Alcotest.test_case "content hash is pinned" `Quick test_pinned_hashes;
     Alcotest.test_case "content hash ignores updates and meta clauses" `Quick
       test_hash_after_updates;
+    Alcotest.test_case "XXH64 test vectors" `Quick test_digest_vectors;
+    Alcotest.test_case "a saved file is magic, digest, payload" `Quick
+      test_saved_layout;
     QCheck_alcotest.to_alcotest prop_hostile_logic;
     QCheck_alcotest.to_alcotest prop_hostile_query;
     QCheck_alcotest.to_alcotest prop_hostile_update_log;
